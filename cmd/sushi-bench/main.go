@@ -17,19 +17,15 @@
 // the authoritative set). The -w flag (resnet50|mobilenetv3) applies to
 // workload-parameterized experiments.
 //
-// -parallel (default on) runs independent grid points of the sweep
-// experiments across GOMAXPROCS workers; results are folded in
-// deterministic grid order, so output is byte-identical either way.
-// -slowpath forces the original unmemoized decision scan path — the
-// fast path's correctness oracle; identical output, slower.
+// Independent grid points of the sweep experiments run across
+// GOMAXPROCS workers; results are folded in deterministic grid order,
+// so output does not depend on the worker count.
 //
 // With -json, the human-readable tables are replaced by one NDJSON
 // record per experiment on stdout — name, ns_per_op (wall time of the
-// run), the experiment's headline metrics (goodput_qps, p99_e2e_ms
-// where applicable), and calib_ns (a fixed arithmetic spin timed in
-// the same process, for rescaling ns_per_op across machines) — so
-// bench trajectories (BENCH_*.json) can be recorded by machines
-// instead of scraped from prose.
+// run) and the experiment's headline metrics (goodput_qps, p99_e2e_ms
+// where applicable) — so results can be read by machines instead of
+// scraped from prose.
 //
 // -calibrate sweeps a MEASURED latency table on this machine: every
 // (frontier SubNet × candidate SubGraph × batch) cell is timed through
@@ -38,8 +34,8 @@
 // report is printed, and -table-out writes the versioned table file a
 // deployment loads back with sushi.LoadMeasuredTable or sushi-server
 // -table, plus a human-readable <file>.csv companion. -calib-rows/-calib-cols cap the grid for smoke runs. With
-// -json the run emits one NDJSON calibration record (wall time,
-// calib_ns, report error percentiles) joining the bench trajectory.
+// -json the run emits one NDJSON calibration record (wall time, report
+// error percentiles).
 //
 // -record-trace captures the cohortsweep experiment's skewed
 // 100-cohort population as a versioned trace v2 file (-trace-queries
@@ -82,38 +78,9 @@ type benchRecord struct {
 	P99MS      float64 `json:"p99_ms,omitempty"`
 	// Metrics carries every headline metric the experiment exported.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// CalibNs is the wall time of a fixed arithmetic spin measured in
-	// this same process — a machine-speed yardstick that lets trajectory
-	// consumers (the CI bench-regression gate) rescale ns_per_op before
-	// comparing runs from different machines or load phases.
-	CalibNs int64 `json:"calib_ns,omitempty"`
 	// WallMS is the experiment's wall-clock time in milliseconds
-	// (NsPerOp in more convenient units; recorded so trajectories show
-	// what the parallel harness buys per experiment).
+	// (NsPerOp in more convenient units).
 	WallMS float64 `json:"wall_ms,omitempty"`
-	// Parallel records whether the parallel experiment harness was on
-	// for this run.
-	Parallel bool `json:"parallel,omitempty"`
-}
-
-// calibSink defeats dead-code elimination of the calibration spin.
-var calibSink uint64
-
-// calibrate times a fixed xorshift64 spin (2e8 steps, a few hundred
-// ms) and returns its wall time in nanoseconds. The loop touches no
-// sushi code, so the yardstick moves with CPU speed and scheduler
-// pressure but never with engine changes — exactly the part of
-// ns_per_op drift a regression gate wants to divide out.
-func calibrate() int64 {
-	start := time.Now()
-	x := uint64(88172645463325252)
-	for i := 0; i < 200_000_000; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	calibSink = x
-	return time.Since(start).Nanoseconds()
 }
 
 // parseBatches parses the -batches list ("1,2,4").
@@ -152,8 +119,6 @@ func run() int {
 	calibSeed := flag.Int64("calib-seed", 1, "seed for calibration candidates, weights and inputs (with -calibrate)")
 	calibRows := flag.Int("calib-rows", 0, "cap measured frontier rows for smoke grids (0 = full frontier; capped tables cannot serve)")
 	calibCols := flag.Int("calib-cols", 0, "cap measured candidate columns for smoke grids (0 = all)")
-	parallel := flag.Bool("parallel", true, "run independent experiment grid points across GOMAXPROCS workers (results are folded in deterministic grid order, so output is identical either way)")
-	slowPath := flag.Bool("slowpath", false, "force the unmemoized decision slow path (the fast path's correctness oracle; identical output, slower)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sushi-bench [-w workload] [-json] [-csv dir] [-cpuprofile f] [-memprofile f] [experiment ...|all|list]\n")
 		fmt.Fprintf(os.Stderr, "       sushi-bench -record-trace f [-trace-queries n] | -replay-trace f [-json]\n")
@@ -162,8 +127,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", sushi.Experiments())
 	}
 	flag.Parse()
-	sushi.SetParallelExperiments(*parallel)
-	sushi.SetSlowPath(*slowPath)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -246,7 +209,6 @@ func run() int {
 				P99MS:      metrics["p99_e2e_ms"],
 				Metrics:    metrics,
 				WallMS:     float64(elapsed.Nanoseconds()) / 1e6,
-				Parallel:   *parallel,
 			}
 			if err := json.NewEncoder(os.Stdout).Encode(rec); err != nil {
 				fmt.Fprintf(os.Stderr, "sushi-bench: -replay-trace: %v\n", err)
@@ -264,9 +226,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sushi-bench: -batches: %v\n", err)
 			return 2
 		}
-		// One spin serves as both the record yardstick and the value
-		// embedded in the table file.
-		calibNs := calibrate()
 		start := time.Now()
 		f, rep, err := sushi.Calibrate(sushi.CalibrateOptions{
 			Workload: sushi.Workload(*w),
@@ -275,7 +234,6 @@ func run() int {
 			Seed:     *calibSeed,
 			Rows:     *calibRows,
 			Cols:     *calibCols,
-			CalibNs:  calibNs,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sushi-bench: -calibrate: %v\n", err)
@@ -305,9 +263,7 @@ func run() int {
 				Name:     "calibrate",
 				Workload: *w,
 				NsPerOp:  elapsed.Nanoseconds(),
-				CalibNs:  calibNs,
 				WallMS:   float64(elapsed.Nanoseconds()) / 1e6,
-				Parallel: *parallel,
 				Metrics: map[string]float64{
 					"rows":              float64(len(f.SubNetNames)),
 					"cols":              float64(len(f.GraphNames)),
@@ -352,10 +308,6 @@ func run() int {
 		ids = sushi.Experiments()
 	}
 	enc := json.NewEncoder(os.Stdout)
-	var calibNs int64
-	if *asJSON {
-		calibNs = calibrate()
-	}
 	exit := 0
 	for _, id := range ids {
 		full, workload := id, ""
@@ -381,9 +333,7 @@ func run() int {
 				GoodputQPS: metrics["goodput_qps"],
 				P99MS:      metrics["p99_e2e_ms"],
 				Metrics:    metrics,
-				CalibNs:    calibNs,
 				WallMS:     float64(elapsed.Nanoseconds()) / 1e6,
-				Parallel:   *parallel,
 			}
 			if err := enc.Encode(rec); err != nil {
 				fmt.Fprintf(os.Stderr, "sushi-bench: %s: %v\n", id, err)

@@ -21,7 +21,6 @@ import (
 	"os"
 
 	"sushi"
-	"sushi/internal/trace"
 )
 
 func main() {
@@ -36,7 +35,6 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "replica deployments behind the dispatcher")
 		router    = flag.String("router", "round-robin", "dispatch policy: round-robin, least-loaded, affinity, random")
 		verb      = flag.Bool("v", false, "print every served query")
-		out       = flag.String("o", "", "write the session as a JSON-lines trace to this file")
 	)
 	flag.Parse()
 
@@ -143,32 +141,6 @@ func main() {
 		fmt.Printf("  replica %d (%s): %d queries, avg lat %.3f ms, hit %.2f, cache %s (%.2f MB), %d swaps moving %.2f MB\n",
 			rep.ID, rep.State, rep.Queries, rep.AvgLatencyMS, rep.AvgHitRatio,
 			rep.Cache.Name, rep.Cache.SizeMB, rep.Cache.Swaps, rep.Cache.SwapsMB)
-	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal("%v", err)
-		}
-		tw := trace.NewWriter(f)
-		if err := tw.WriteHeader(trace.Header{
-			Workload: *wl, Mode: *mode, Policy: *policy, Q: *q,
-			Accel: "ZCU104", Seed: *seed,
-			Replicas: cl.Size(), Router: cl.Router(),
-		}); err != nil {
-			fatal("%v", err)
-		}
-		for _, r := range rs {
-			if err := tw.Write(r); err != nil {
-				fatal("%v", err)
-			}
-		}
-		if err := tw.Flush(); err != nil {
-			fatal("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Printf("trace written to %s (%d records)\n", *out, len(rs))
 	}
 }
 

@@ -18,16 +18,15 @@ func BenchmarkDecisionHot(b *testing.B) {
 }
 
 // TestDecisionHotDeterministic pins the experiment's headline metrics
-// across runs and across the parallel-harness toggle (the loop itself
-// is sequential; the toggle must not leak into it).
+// across runs and across worker counts (the loop itself is sequential;
+// GOMAXPROCS must not leak into it).
 func TestDecisionHotDeterministic(t *testing.T) {
 	a, err := DecisionHot(MobileNetV3, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelExperiments(false)
-	defer SetParallelExperiments(true)
-	b, err := DecisionHot(MobileNetV3, 2000)
+	var b *Result
+	sequentially(func() { b, err = DecisionHot(MobileNetV3, 2000) })
 	if err != nil {
 		t.Fatal(err)
 	}

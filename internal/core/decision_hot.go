@@ -35,9 +35,9 @@ type decisionHotStats struct {
 // affinity routers over a 4-replica fleet, and each pick is served
 // virtually (Schedule + window observe + Q-periodic cache updates, no
 // queueing). It is the shared engine of the DecisionHot experiment and
-// BenchmarkDecisionHot: per iteration it exercises exactly the code the
-// fast path memoizes — router scoring off the published cache snapshot,
-// the scheduler's decision memo, and the Q-boundary window-key lookup.
+// BenchmarkDecisionHot: per iteration it exercises router scoring off
+// the published cache snapshot, the scheduler's binary-search selection
+// and the Q-boundary window-memo lookup.
 func decisionHotLoop(w Workload, n int) (decisionHotStats, error) {
 	var st decisionHotStats
 	super, fr, err := frontierFor(w)
@@ -97,9 +97,8 @@ func decisionHotLoop(w Workload, n int) (decisionHotStats, error) {
 // queries <= 0 runs the default 20000 iterations of decisionHotLoop.
 // Every per-query cost it measures is decision work — router scoring,
 // SushiSched selection, Q-periodic cache updates — with no queueing or
-// arrival process in the way, which makes it the most sensitive
-// trajectory entry to decision fast-path regressions (the bench gate
-// watches its calib-normalized ns_per_op like any other experiment).
+// arrival process in the way, so its ns_per_op is the per-decision
+// cost.
 func DecisionHot(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 20000
@@ -134,6 +133,6 @@ func DecisionHot(w Workload, queries int) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"pure decision loop: router scoring + SushiSched selection + Q-periodic cache updates, no queueing or arrival process",
 		"queries alternate fastest/affinity so both cached-snapshot scoring paths stay hot",
-		"ns_per_op of this experiment IS the per-decision cost — the trajectory entry most sensitive to decision fast-path regressions")
+		"ns_per_op of this experiment IS the per-decision cost")
 	return res, nil
 }

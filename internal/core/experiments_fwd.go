@@ -22,10 +22,8 @@ var fwdConvShape = struct {
 
 // FwdBench is the real-execution data-plane microbenchmark: the
 // blocked/arena Forward and the blocked convolution kernel timed head
-// to head with the reference scans they replaced, single-threaded. Its
-// speedup metrics pin the PR-10 acceptance bar (Forward ≥5×) in the
-// bench trajectory, and its ns_per_op rides the calib_ns-normalized
-// regression gate like every other entry.
+// to head with the reference scans they replaced, single-threaded, and
+// reported as speedup metrics.
 func FwdBench() (*Result, error) {
 	super, fr, err := frontierFor(MobileNetV3)
 	if err != nil {

@@ -5,42 +5,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sushi/internal/serving"
 	"sushi/internal/supernet"
 )
 
-// parallelExperiments gates the parallel experiment harness: when on
-// (the default, sushi-bench -parallel), independent grid points of the
-// sweep experiments run across GOMAXPROCS workers. Results are folded
-// in deterministic grid order regardless, so a parallel run's Result is
-// byte-identical to a sequential one.
-var parallelExperiments atomic.Bool
-
-func init() { parallelExperiments.Store(true) }
-
-// SetParallelExperiments flips the parallel experiment harness.
-func SetParallelExperiments(v bool) { parallelExperiments.Store(v) }
-
-// ParallelExperiments reports whether the harness runs grid points in
-// parallel.
-func ParallelExperiments() bool { return parallelExperiments.Load() }
-
-// SetSlowPath flips the process-wide decision slow path: every system
-// deployed afterwards runs the original unmemoized scan implementation
-// of each scheduling/routing decision (the fast path's correctness
-// oracle; see serving.SetForceSlowPath and sched.Options.SlowPath).
-func SetSlowPath(v bool) { serving.SetForceSlowPath(v) }
-
-// SlowPath reports the process-wide decision slow-path switch.
-func SlowPath() bool { return serving.ForceSlowPath() }
-
 // runPoints executes n independent grid points. Each point is a fully
 // seeded, self-contained run (own deployment, own engine), so points
-// execute across min(GOMAXPROCS, n) workers when the harness is on;
-// the caller folds per-point results into rows/metrics in grid order
-// AFTER runPoints returns, which is what keeps parallel output
-// byte-identical to sequential output. The first error in grid order
-// wins, matching the sequential early-exit behaviour.
+// execute across min(GOMAXPROCS, n) workers (in order on the calling
+// goroutine when that is one); the caller folds per-point results into
+// rows/metrics in grid order AFTER runPoints returns, which is what
+// keeps parallel output byte-identical to sequential output. The first
+// error in grid order wins, matching the sequential early-exit
+// behaviour.
 func runPoints(n int, point func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -49,7 +24,7 @@ func runPoints(n int, point func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	if !parallelExperiments.Load() || workers <= 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := point(i); err != nil {
 				return err

@@ -3,31 +3,44 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
+
+// sequentially runs f with GOMAXPROCS pinned to 1, where runPoints
+// executes its points in order on the calling goroutine.
+func sequentially(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+}
 
 // TestRunPointsDeterministicFold pins the harness contract: parallel
 // and sequential execution fill the same per-index slots, and the first
 // error in grid order wins regardless of completion order.
 func TestRunPointsDeterministicFold(t *testing.T) {
 	const n = 37
-	for _, parallel := range []bool{true, false} {
-		SetParallelExperiments(parallel)
+	// 4 workers even on a one-core host, so the parallel arm is real.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, mode := range []struct {
+		name string
+		exec func(func())
+	}{{"parallel", func(f func()) { f() }}, {"sequential", sequentially}} {
 		out := make([]int, n)
-		if err := runPoints(n, func(i int) error {
-			out[i] = i * i
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		mode.exec(func() {
+			if err := runPoints(n, func(i int) error {
+				out[i] = i * i
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 		for i, v := range out {
 			if v != i*i {
-				t.Fatalf("parallel=%v: slot %d = %d, want %d", parallel, i, v, i*i)
+				t.Fatalf("%s: slot %d = %d, want %d", mode.name, i, v, i*i)
 			}
 		}
 	}
-	SetParallelExperiments(true)
 
 	errA, errB := errors.New("a"), errors.New("b")
 	var calls atomic.Int64
@@ -48,7 +61,7 @@ func TestRunPointsDeterministicFold(t *testing.T) {
 
 // TestExperimentsParallelMatchSequential is the tentpole's identity
 // check at experiment granularity: every parallelized experiment must
-// produce a deeply equal Result with the harness on and off. (The
+// produce a deeply equal Result on several workers and on one. (The
 // sha256 goldens in the root package pin the same property against
 // recorded digests; this test localizes a break to the harness.)
 func TestExperimentsParallelMatchSequential(t *testing.T) {
@@ -66,15 +79,15 @@ func TestExperimentsParallelMatchSequential(t *testing.T) {
 		{"elastic", func() (*Result, error) { return Elastic(160) }},
 		{"cohortsweep", func() (*Result, error) { return CohortSweep(160) }},
 	}
+	// 4 workers even on a one-core host, so the parallel arm is real.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, tc := range runs {
-		SetParallelExperiments(true)
 		par, err := tc.run()
 		if err != nil {
 			t.Fatalf("%s (parallel): %v", tc.name, err)
 		}
-		SetParallelExperiments(false)
-		seq, err := tc.run()
-		SetParallelExperiments(true)
+		var seq *Result
+		sequentially(func() { seq, err = tc.run() })
 		if err != nil {
 			t.Fatalf("%s (sequential): %v", tc.name, err)
 		}
@@ -82,26 +95,5 @@ func TestExperimentsParallelMatchSequential(t *testing.T) {
 			t.Errorf("%s: parallel Result differs from sequential:\n%s\nvs\n%s",
 				tc.name, par.String(), seq.String())
 		}
-	}
-}
-
-// TestSlowPathMatchesFastPathEndToEnd drives one full experiment with
-// the process-wide slow path forced and compares against the fast
-// path's Result — the end-to-end differential over routers, schedulers
-// and build caches at once.
-func TestSlowPathMatchesFastPathEndToEnd(t *testing.T) {
-	fastRes, err := LoadSweep(MobileNetV3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetSlowPath(true)
-	defer SetSlowPath(false)
-	slowRes, err := LoadSweep(MobileNetV3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fastRes, slowRes) {
-		t.Errorf("loadsweep: slow-path Result differs from fast path:\n%s\nvs\n%s",
-			fastRes.String(), slowRes.String())
 	}
 }

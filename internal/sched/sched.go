@@ -9,7 +9,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"sushi/internal/latencytable"
 )
@@ -127,33 +126,6 @@ type Options struct {
 	// informative (§3.3, Fig. 6) — this switch exists to ablate that
 	// design choice.
 	UseIntersection bool
-	// SlowPath forces the original unmemoized row-scan implementation of
-	// every decision: no decision memo, no window memo, no feasibility
-	// index, eager window averaging. It exists as the fast path's
-	// correctness oracle — the differential tests run both paths over
-	// randomized queries and assert identical Decisions — and as an
-	// escape hatch should a fast-path bug ship.
-	SlowPath bool
-}
-
-// memoKey identifies one exactly-memoizable decision: the policy, the
-// cache column, the float64 BIT PATTERNS of the two constraints, and
-// the batch size. Keys are exact — no quantization — so a memo hit
-// returns precisely what the scan would have computed; distinct
-// constraint values (even NaN payloads) get distinct entries. Cohort
-// populations draw constraints from finite empirical supports, so the
-// key space stays small and hit rates high.
-type memoKey struct {
-	pol     Policy
-	col, n  int32
-	accBits uint64
-	latBits uint64
-}
-
-// memoVal is the memoized half of a Decision that selection determines.
-type memoVal struct {
-	idx      int32
-	feasible bool
 }
 
 // winKey identifies one exactly-memoizable Q-periodic cache decision:
@@ -166,9 +138,9 @@ type winKey struct {
 	budget int64
 }
 
-// memoCap bounds each memo map; adversarial streams with unbounded
-// constraint supports reset the maps rather than growing them forever.
-const memoCap = 1 << 15
+// winMemoCap bounds the window memo; a stream that keeps producing new
+// ring layouts resets the map rather than growing it forever.
+const winMemoCap = 1 << 15
 
 // Scheduler executes Algorithm 1 over a latency table. It is not safe
 // for concurrent use (queries are a stream).
@@ -183,26 +155,19 @@ type Scheduler struct {
 	cacheBudget int64
 	// window holds the vector encodings of the last Q served SubNets;
 	// avg is their running mean (AvgNet in Fig. 6), materialized lazily:
-	// observe only pushes the ring and marks avgDirty, refreshAvg runs
-	// the original summation loops when the average is consumed.
+	// observe only pushes the ring and marks avgDirty, refreshAvg sums
+	// the ring when the average is consumed.
 	window   [][]float64
 	next     int
 	filled   int
 	avg      []float64
 	avgDirty bool
 	served   int
-	// gen is the invalidation generation: bumped by SetColumn and
-	// SetCacheBudget, it clears both memo maps at the next consult (the
-	// keys also carry column/budget, so the counter is belt and braces
-	// against future key-external state).
-	gen     uint64
-	memoGen uint64
-	// memo caches per-query decisions by exact constraint bits; winMemo
-	// caches the Q-periodic nearest-column decision by packed ring.
-	// Both are consulted only from the serialized methods
-	// (Schedule/ScheduleBatch/Peek/PeekBatch) — never from the lock-free
-	// PeekAt, which stays pure.
-	memo    map[memoKey]memoVal
+	// winMemo caches the Q-periodic nearest-column decision by packed
+	// ring and cache budget. The nearest column does not depend on the
+	// current cache column, so SetColumn leaves the memo valid, and a
+	// budget change selects different keys instead of clearing it. Only
+	// Schedule and ScheduleBatch consult it.
 	winMemo map[winKey]int
 	// winKeyable reports that the ring fits the packed winKey (Q slots
 	// of one byte each, row indices below 255).
@@ -248,7 +213,6 @@ func (s *Scheduler) SetColumn(col int) error {
 		return fmt.Errorf("sched: cache column %d outside [0, %d)", col, s.table.Cols())
 	}
 	s.cacheCol = col
-	s.gen++
 	return nil
 }
 
@@ -262,7 +226,6 @@ func (s *Scheduler) SetCacheBudget(maxBytes int64) {
 		maxBytes = 0
 	}
 	s.cacheBudget = maxBytes
-	s.gen++
 }
 
 // Served returns the number of scheduled queries so far.
@@ -296,23 +259,10 @@ func (s *Scheduler) policyFor(q Query) (Policy, error) {
 // Peek evaluates the per-query half of Algorithm 1 against the current
 // cache belief without consuming the query: the window, the served count
 // and the Q-periodic cache decision are untouched. Callers must
-// serialize Peek with Schedule (it reads the scheduler's cache belief
-// and consults the decision memo); use PeekAt with a previously
-// observed column for lock-free scoring.
+// serialize Peek with Schedule (it reads the scheduler's cache belief);
+// use PeekAt with a previously observed column for lock-free scoring.
 func (s *Scheduler) Peek(q Query) (Decision, error) {
-	pol, err := s.policyFor(q)
-	if err != nil {
-		return Decision{}, err
-	}
-	col := s.cacheCol
-	idx, feasible := s.selectMemo(q, pol, col, 1)
-	return Decision{
-		SubNet:            idx,
-		PredictedLatency:  s.table.Lookup(idx, col),
-		PredictedAccuracy: s.table.SubNets[idx].Accuracy,
-		Feasible:          feasible,
-		CacheUpdate:       -1,
-	}, nil
+	return s.PeekAt(q, s.cacheCol)
 }
 
 // PeekAt evaluates the per-query decision against an explicit cache
@@ -328,14 +278,7 @@ func (s *Scheduler) PeekAt(q Query, col int) (Decision, error) {
 	if col < 0 || col >= s.table.Cols() {
 		return Decision{}, fmt.Errorf("sched: peek column %d outside [0, %d)", col, s.table.Cols())
 	}
-	idx, feasible := s.selectSubNet(q, pol, col)
-	return Decision{
-		SubNet:            idx,
-		PredictedLatency:  s.table.Lookup(idx, col),
-		PredictedAccuracy: s.table.SubNets[idx].Accuracy,
-		Feasible:          feasible,
-		CacheUpdate:       -1,
-	}, nil
+	return s.decide(q, pol, col, 1), nil
 }
 
 // Schedule makes the two-part control decision for one query.
@@ -344,24 +287,8 @@ func (s *Scheduler) Schedule(q Query) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	col := s.cacheCol
-	idx, feasible := s.selectMemo(q, pol, col, 1)
-	d := Decision{
-		SubNet:            idx,
-		PredictedLatency:  s.table.Lookup(idx, col),
-		PredictedAccuracy: s.table.SubNets[idx].Accuracy,
-		Feasible:          feasible,
-		CacheUpdate:       -1,
-	}
-	s.observe(idx)
-	s.served++
-	if s.opt.StateAware && s.served%s.opt.Q == 0 {
-		newCol := s.nearestCol()
-		if newCol != s.cacheCol {
-			s.cacheCol = newCol
-			d.CacheUpdate = newCol
-		}
-	}
+	d := s.decide(q, pol, s.cacheCol, 1)
+	s.consume(&d, 1)
 	return d, nil
 }
 
@@ -411,15 +338,7 @@ func (s *Scheduler) PeekBatch(qs []Query) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	col, n := s.cacheCol, len(qs)
-	idx, feasible := s.selectMemo(agg, pol, col, n)
-	return Decision{
-		SubNet:            idx,
-		PredictedLatency:  s.table.LookupBatch(idx, col, n),
-		PredictedAccuracy: s.table.SubNets[idx].Accuracy,
-		Feasible:          feasible,
-		CacheUpdate:       -1,
-	}, nil
+	return s.decide(agg, pol, s.cacheCol, len(qs)), nil
 }
 
 // ScheduleBatch makes the control decision for a micro-batch served as
@@ -435,79 +354,53 @@ func (s *Scheduler) ScheduleBatch(qs []Query) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	col, n := s.cacheCol, len(qs)
-	idx, feasible := s.selectMemo(agg, pol, col, n)
-	d := Decision{
+	d := s.decide(agg, pol, s.cacheCol, len(qs))
+	s.consume(&d, len(qs))
+	return d, nil
+}
+
+// decide is the per-query half of Algorithm 1 for n same-SubNet queries
+// served together against cache column col: the selected SubNet with
+// its predicted (batched) latency and accuracy, no cache update. It
+// reads only the immutable table, so the lock-free PeekAt shares it.
+func (s *Scheduler) decide(q Query, pol Policy, col, n int) Decision {
+	idx, feasible := s.selectSubNetBatch(q, pol, col, n)
+	return Decision{
 		SubNet:            idx,
 		PredictedLatency:  s.table.LookupBatch(idx, col, n),
 		PredictedAccuracy: s.table.SubNets[idx].Accuracy,
 		Feasible:          feasible,
 		CacheUpdate:       -1,
 	}
-	for range qs {
-		s.observe(idx)
+}
+
+// consume is the Q-periodic half: it counts n served queries of
+// d.SubNet toward the window and, at each Q boundary crossed, moves the
+// cache belief to the column nearest the window average, recording the
+// move in d.CacheUpdate (the last boundary wins).
+func (s *Scheduler) consume(d *Decision, n int) {
+	for ; n > 0; n-- {
+		s.observe(d.SubNet)
 		s.served++
 		if s.opt.StateAware && s.served%s.opt.Q == 0 {
-			newCol := s.nearestCol()
-			if newCol != s.cacheCol {
-				s.cacheCol = newCol
-				d.CacheUpdate = newCol
+			if col := s.nearestCol(); col != s.cacheCol {
+				s.cacheCol = col
+				d.CacheUpdate = col
 			}
 		}
 	}
-	return d, nil
-}
-
-// selectSubNet evaluates the policy against cache column col for a
-// single query.
-func (s *Scheduler) selectSubNet(q Query, pol Policy, col int) (idx int, feasible bool) {
-	return s.selectSubNetBatch(q, pol, col, 1)
-}
-
-// selectMemo is selectSubNetBatch behind the exact decision memo. It is
-// consulted only from the serialized methods; the lock-free PeekAt goes
-// straight to selectSubNetBatch.
-func (s *Scheduler) selectMemo(q Query, pol Policy, col, n int) (idx int, feasible bool) {
-	if s.opt.SlowPath {
-		return s.selectScan(q, pol, col, n)
-	}
-	if s.memoGen != s.gen {
-		clear(s.memo)
-		clear(s.winMemo)
-		s.memoGen = s.gen
-	}
-	k := memoKey{
-		pol: pol, col: int32(col), n: int32(n),
-		accBits: math.Float64bits(q.MinAccuracy),
-		latBits: math.Float64bits(q.MaxLatency),
-	}
-	if v, ok := s.memo[k]; ok {
-		return int(v.idx), v.feasible
-	}
-	idx, feasible = s.selectSubNetBatch(q, pol, col, n)
-	if s.memo == nil {
-		s.memo = make(map[memoKey]memoVal)
-	} else if len(s.memo) >= memoCap {
-		clear(s.memo)
-	}
-	s.memo[k] = memoVal{idx: int32(idx), feasible: feasible}
-	return idx, feasible
 }
 
 // selectSubNetBatch evaluates the policy against cache column col with
 // the batched latency model for n same-SubNet queries; n = 1 is the
 // plain Algorithm 1 (LookupBatch degrades to Lookup exactly). The
 // strict policies answer from the table's precomputed orderings (binary
-// search + prefix/suffix argmin/argmax, scan-identical tie-breaks);
-// MinEnergy still scans — its two-constraint argmin has no single
-// ordering — but sits behind the decision memo like everything else.
+// search + prefix/suffix argmin/argmax, with the tie-breaks of a row
+// scan: strict improvement, lowest row index among equals).
 func (s *Scheduler) selectSubNetBatch(q Query, pol Policy, col, n int) (idx int, feasible bool) {
-	if s.opt.SlowPath {
-		return s.selectScan(q, pol, col, n)
-	}
 	switch pol {
 	case MinEnergy:
-		return s.selectScan(q, pol, col, n)
+		return s.selectMinEnergy(q, col, n)
 	case StrictAccuracy:
 		// argmin latency s.t. accuracy >= A_t; fall back to the most
 		// accurate SubNet when the constraint is unsatisfiable.
@@ -519,94 +412,29 @@ func (s *Scheduler) selectSubNetBatch(q Query, pol Policy, col, n int) (idx int,
 	}
 }
 
-// selectScan is the original O(rows) row-scan implementation of every
-// policy — the fast path's correctness oracle (Options.SlowPath) and
-// the MinEnergy implementation. Tie-breaks: strict improvement, so the
-// lowest row index wins among equals.
-func (s *Scheduler) selectScan(q Query, pol Policy, col, n int) (idx int, feasible bool) {
-	switch pol {
-	case MinEnergy:
-		// argmin energy s.t. accuracy >= A_t and latency <= L_t; fall
-		// back to the strict-accuracy behaviour when both cannot hold.
-		best, bestE := -1, 0.0
-		for i := 0; i < s.table.Rows(); i++ {
-			if s.table.SubNets[i].Accuracy < q.MinAccuracy {
-				continue
-			}
-			if s.table.LookupBatch(i, col, n) > q.MaxLatency {
-				continue
-			}
-			if e := s.table.Energy[i][col]; best < 0 || e < bestE {
-				best, bestE = i, e
-			}
+// selectMinEnergy is argmin energy s.t. accuracy >= A_t and latency <=
+// L_t — a row scan, because a two-constraint argmin has no single
+// ordering (lowest row index among equals). When both cannot hold,
+// accuracy remains the harder constraint: the choice falls back to the
+// strict-accuracy one, reported infeasible.
+func (s *Scheduler) selectMinEnergy(q Query, col, n int) (idx int, feasible bool) {
+	best, bestE := -1, 0.0
+	for i := 0; i < s.table.Rows(); i++ {
+		if s.table.SubNets[i].Accuracy < q.MinAccuracy {
+			continue
 		}
-		if best >= 0 {
-			return best, true
+		if s.table.LookupBatch(i, col, n) > q.MaxLatency {
+			continue
 		}
-		// Accuracy remains the harder constraint of the two.
-		best = -1
-		bestLat := 0.0
-		for i := 0; i < s.table.Rows(); i++ {
-			if s.table.SubNets[i].Accuracy < q.MinAccuracy {
-				continue
-			}
-			if lat := s.table.LookupBatch(i, col, n); best < 0 || lat < bestLat {
-				best, bestLat = i, lat
-			}
-		}
-		if best >= 0 {
-			return best, false
-		}
-		return s.scanArgmaxAccuracy(), false
-	case StrictAccuracy:
-		best, bestLat := -1, 0.0
-		for i := 0; i < s.table.Rows(); i++ {
-			if s.table.SubNets[i].Accuracy < q.MinAccuracy {
-				continue
-			}
-			if lat := s.table.LookupBatch(i, col, n); best < 0 || lat < bestLat {
-				best, bestLat = i, lat
-			}
-		}
-		if best >= 0 {
-			return best, true
-		}
-		return s.scanArgmaxAccuracy(), false
-	default: // StrictLatency
-		best, bestAcc := -1, 0.0
-		for i := 0; i < s.table.Rows(); i++ {
-			if s.table.LookupBatch(i, col, n) > q.MaxLatency {
-				continue
-			}
-			if acc := s.table.SubNets[i].Accuracy; best < 0 || acc > bestAcc {
-				best, bestAcc = i, acc
-			}
-		}
-		if best >= 0 {
-			return best, true
-		}
-		return s.scanArgminLatencyBatch(col, n), false
-	}
-}
-
-func (s *Scheduler) scanArgmaxAccuracy() int {
-	best := 0
-	for i := 1; i < s.table.Rows(); i++ {
-		if s.table.SubNets[i].Accuracy > s.table.SubNets[best].Accuracy {
-			best = i
+		if e := s.table.Energy[i][col]; best < 0 || e < bestE {
+			best, bestE = i, e
 		}
 	}
-	return best
-}
-
-func (s *Scheduler) scanArgminLatencyBatch(col, n int) int {
-	best := 0
-	for i := 1; i < s.table.Rows(); i++ {
-		if s.table.LookupBatch(i, col, n) < s.table.LookupBatch(best, col, n) {
-			best = i
-		}
+	if best >= 0 {
+		return best, true
 	}
-	return best
+	idx, _ = s.table.FastestFeasibleBatch(q.MinAccuracy, col, n)
+	return idx, false
 }
 
 // nearestCol makes the Q-periodic cache decision (Algorithm 1's
@@ -614,17 +442,11 @@ func (s *Scheduler) scanArgminLatencyBatch(col, n int) int {
 // rings holding the same rows in the same slots average to bit-identical
 // vectors, so the memoized column is exactly what the distance scan
 // would return. Misses — and schedulers whose ring doesn't fit the
-// packed key, or running the slow-path oracle — materialize the average
-// and scan.
+// packed key — materialize the average and scan.
 func (s *Scheduler) nearestCol() int {
-	if s.opt.SlowPath || !s.winKeyable {
+	if !s.winKeyable {
 		s.refreshAvg()
 		return s.table.NearestGraphWithin(s.avg, s.cacheBudget)
-	}
-	if s.memoGen != s.gen {
-		clear(s.memo)
-		clear(s.winMemo)
-		s.memoGen = s.gen
 	}
 	k := winKey{w0: s.winPack[0], w1: s.winPack[1], budget: s.cacheBudget}
 	if col, ok := s.winMemo[k]; ok {
@@ -634,7 +456,7 @@ func (s *Scheduler) nearestCol() int {
 	col := s.table.NearestGraphWithin(s.avg, s.cacheBudget)
 	if s.winMemo == nil {
 		s.winMemo = make(map[winKey]int)
-	} else if len(s.winMemo) >= memoCap {
+	} else if len(s.winMemo) >= winMemoCap {
 		clear(s.winMemo)
 	}
 	s.winMemo[k] = col
@@ -644,8 +466,7 @@ func (s *Scheduler) nearestCol() int {
 // observe folds the served SubNet's vector into the Q-window summary.
 // Only the ring advances here; the running average is materialized by
 // refreshAvg when something consumes it (the Q-periodic cache decision
-// on a window-memo miss, or AvgNet). The slow-path oracle keeps the
-// original eager recompute.
+// on a window-memo miss, or AvgNet).
 func (s *Scheduler) observe(idx int) {
 	// The precomputed row vector is shared and read-only; window slots
 	// may alias it because the averaging only reads.
@@ -660,15 +481,13 @@ func (s *Scheduler) observe(idx int) {
 		s.filled++
 	}
 	s.avgDirty = true
-	if s.opt.SlowPath {
-		s.refreshAvg()
-	}
 }
 
-// refreshAvg materializes AvgNet from the ring with the original
-// summation loops — slot order, skip-empty, divide by filled (or the
-// elementwise minimum for the intersection ablation) — so the lazy
-// average is bit-identical to the eager one.
+// refreshAvg materializes AvgNet from the ring: sum in slot order,
+// skipping empty slots, divide by filled (or the elementwise minimum
+// for the intersection ablation). The summation order is fixed so that
+// equal rings give bit-identical averages, which the window memo and
+// the test oracle's eager average both rely on.
 func (s *Scheduler) refreshAvg() {
 	if !s.avgDirty || s.filled == 0 {
 		return

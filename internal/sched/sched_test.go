@@ -10,7 +10,7 @@ import (
 	"sushi/internal/supernet"
 )
 
-func buildTable(t *testing.T) *latencytable.Table {
+func buildTable(t testing.TB) *latencytable.Table {
 	t.Helper()
 	s := supernet.NewOFAMobileNetV3()
 	fr, err := s.Frontier()

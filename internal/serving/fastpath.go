@@ -3,26 +3,11 @@ package serving
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sushi/internal/accel"
 	"sushi/internal/latencytable"
 	"sushi/internal/supernet"
 )
-
-// forceSlowPath is the process-wide escape hatch behind the
-// `sushi-bench -slowpath` flag: when set, every System built afterwards
-// runs the original unmemoized scan implementation of every scheduling
-// and routing decision (Options.SlowPath on each New). It is a
-// build-time switch, not a live one — systems already built keep the
-// path they were born with.
-var forceSlowPath atomic.Bool
-
-// SetForceSlowPath flips the process-wide slow-path switch.
-func SetForceSlowPath(v bool) { forceSlowPath.Store(v) }
-
-// ForceSlowPath reports the process-wide slow-path switch.
-func ForceSlowPath() bool { return forceSlowPath.Load() }
 
 // buildKey identifies one memoizable table build. Only the Options
 // fields that influence the build participate (Accel, Mode, Candidates

@@ -9,10 +9,10 @@ import (
 	"sushi/internal/workload"
 )
 
-// newFleet boots r replicas with or without the decision slow path,
-// over one shared table. All replicas start at the default column;
-// routed serving drifts their cache states apart as the run progresses.
-func newFleet(t *testing.T, r int, slow bool) []*Replica {
+// newFleet boots r strict-latency replicas over one shared table. All
+// replicas start at the default column; routed serving drifts their
+// cache states apart as the run progresses.
+func newFleet(t *testing.T, r int) []*Replica {
 	t.Helper()
 	s, fr := fixtures(t, supernet.MobileNetV3)
 	opt := Options{
@@ -22,7 +22,6 @@ func newFleet(t *testing.T, r int, slow bool) []*Replica {
 		Mode:       Full,
 		Candidates: 12,
 		Seed:       1,
-		SlowPath:   slow,
 	}
 	table, _, err := BuildTable(s, fr, opt)
 	if err != nil {
@@ -41,76 +40,138 @@ func newFleet(t *testing.T, r int, slow bool) []*Replica {
 	return reps
 }
 
-// TestRouterFastPathMatchesSlowPath is the router fast path's
-// differential oracle: the fastest and affinity routers score from a
-// cached per-replica snapshot on the fast path and recompute from
-// scratch on the slow path; over identical fleets and an identical
-// query stream — with every pick served virtually, so cache states
-// drift and snapshots republish — the pick sequences and served
-// outcomes must be bit-identical.
+// scratchScore is what the routers score a replica by, recomputed from
+// scratch: it reads the replica's LIVE scheduler column and cached
+// SubGraph under the replica lock (not the published snapshot), picks
+// the strict-latency SubNet with a plain row scan, and computes the
+// overlap directly.
+type scratchScore struct {
+	row      int
+	latency  float64
+	feasible bool
+	overlap  float64
+	depth    int
+}
+
+func scoreFromScratch(rep *Replica, q sched.Query) scratchScore {
+	sc := scratchScore{depth: rep.QueueDepth()}
+	rep.Inspect(func(s *System) {
+		tab, col := s.Table(), s.Scheduler().CacheColumn()
+		// argmax accuracy s.t. latency <= L_t, else argmin latency;
+		// strict improvement, so the lowest row wins among equals.
+		best, fastest := -1, 0
+		for i := 0; i < tab.Rows(); i++ {
+			if tab.Lookup(i, col) < tab.Lookup(fastest, col) {
+				fastest = i
+			}
+			if tab.Lookup(i, col) > q.MaxLatency {
+				continue
+			}
+			if best < 0 || tab.SubNets[i].Accuracy > tab.SubNets[best].Accuracy {
+				best = i
+			}
+		}
+		sc.row, sc.feasible = best, best >= 0
+		if best < 0 {
+			sc.row = fastest
+		}
+		sc.latency = tab.Lookup(sc.row, col)
+		sc.overlap = supernet.Overlap(tab.SubNets[sc.row].Graph, s.Simulator().Cached())
+	})
+	return sc
+}
+
+// pickFromScratch applies the fastest (r == 0) or affinity (r == 1)
+// router's rule to from-scratch scores.
+func pickFromScratch(r int, scores []scratchScore) int {
+	best := 0
+	for i, sc := range scores {
+		b := scores[best]
+		switch r {
+		case 0: // feasible first, then latency x (depth+1), lowest index
+			if sc.feasible != b.feasible {
+				if sc.feasible {
+					best = i
+				}
+			} else if sc.latency*float64(sc.depth+1) < b.latency*float64(b.depth+1) {
+				best = i
+			}
+		default: // highest overlap, then shallower queue, lowest index
+			if sc.overlap > b.overlap || (sc.overlap == b.overlap && sc.depth < b.depth) {
+				best = i
+			}
+		}
+	}
+	return best
+}
+
+// TestRouterFastPathMatchesSlowPath is the routers' differential test:
+// the fastest and affinity routers score from a per-replica snapshot
+// published after each cache change (with per-snapshot cached overlap
+// arrays); the test recomputes every score from the replicas' live
+// state. Over one query stream — with every pick served virtually, so
+// cache states drift and snapshots republish — the pick sequences must
+// be identical, and each served outcome must be the SubNet, feasibility
+// and hit ratio the from-scratch score predicted.
 func TestRouterFastPathMatchesSlowPath(t *testing.T) {
 	const replicas = 3
-	fast := newFleet(t, replicas, false)
-	slow := newFleet(t, replicas, true)
+	fleet := newFleet(t, replicas)
 	var sys *System
-	fast[0].Inspect(func(s *System) { sys = s })
+	fleet[0].Inspect(func(s *System) { sys = s })
 	qs, err := workload.Uniform(300, accRange(sys), latRange(sys), 23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	routers := []Router{NewFastest(), NewAffinity()}
-	slowRouters := []Router{NewFastest(), NewAffinity()}
+	scores := make([]scratchScore, replicas)
+	swaps := 0
 	for i, q := range qs {
 		q.ID = i
+		for j, rep := range fleet {
+			scores[j] = scoreFromScratch(rep, q)
+		}
 		r := i % len(routers)
-		pf := routers[r].Pick(q, fast)
-		ps := slowRouters[r].Pick(q, slow)
-		if pf != ps {
-			t.Fatalf("query %d: pick diverged: fast %d vs slow %d", i, pf, ps)
+		got, want := routers[r].Pick(q, fleet), pickFromScratch(r, scores)
+		if got != want {
+			t.Fatalf("query %d: %s picked replica %d, from-scratch scoring picks %d (%+v)",
+				i, routers[r].Name(), got, want, scores)
 		}
-		of, err1 := fast[pf].ServeVirtual(q, q, false)
-		os, err2 := slow[ps].ServeVirtual(q, q, false)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("query %d: serve error divergence: %v vs %v", i, err1, err2)
+		out, err := fleet[got].ServeVirtual(q, q, false)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
-		if err1 != nil {
-			continue
+		if sc := scores[got]; out.Row != sc.row || out.Feasible != sc.feasible || out.HitRatio != sc.overlap {
+			t.Fatalf("query %d: served %+v, from-scratch score %+v", i, out, sc)
 		}
-		if of != os {
-			t.Fatalf("query %d: served outcome diverged:\nfast %+v\nslow %+v", i, of, os)
+		if out.CacheSwapped {
+			swaps++
 		}
 	}
-	// The fleets must also end in identical cache states.
-	for i := range fast {
-		var cf, cs int
-		fast[i].Inspect(func(s *System) { cf = s.Scheduler().CacheColumn() })
-		slow[i].Inspect(func(s *System) { cs = s.Scheduler().CacheColumn() })
-		if cf != cs {
-			t.Fatalf("replica %d: final cache column diverged: %d vs %d", i, cf, cs)
-		}
+	if swaps < replicas {
+		t.Fatalf("only %d cache swaps: the stream never made the snapshots republish", swaps)
 	}
 }
 
 // TestAffinityScoreMatchesSlowPath pins the affinity router's cached
-// (model -> score) snapshot table against the direct overlap
-// computation on every replica and row.
+// (row -> score) snapshot table against the direct overlap computation
+// on every replica, after serving has moved the cache states apart.
 func TestAffinityScoreMatchesSlowPath(t *testing.T) {
-	fast := newFleet(t, 3, false)
-	slow := newFleet(t, 3, true)
+	fleet := newFleet(t, 3)
 	var sys *System
-	fast[0].Inspect(func(s *System) { sys = s })
+	fleet[0].Inspect(func(s *System) { sys = s })
 	qs, err := workload.Uniform(50, accRange(sys), latRange(sys), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
 		q.ID = i
-		for r := range fast {
-			sf := fast[r].AffinityScore(q)
-			ss := slow[r].AffinityScore(q)
-			if sf != ss {
-				t.Fatalf("query %d replica %d: AffinityScore %v (fast) != %v (slow)", i, r, sf, ss)
+		for r, rep := range fleet {
+			if got, want := rep.AffinityScore(q), scoreFromScratch(rep, q).overlap; got != want {
+				t.Fatalf("query %d replica %d: AffinityScore %v, direct overlap %v", i, r, got, want)
 			}
+		}
+		if _, err := fleet[i%len(fleet)].ServeVirtual(q, q, false); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -220,12 +220,8 @@ func (r *Replica) AffinityScore(q sched.Query) float64 {
 
 // overlapFor reads the snapshot's cached per-row overlap score,
 // materializing the whole (row → score) array on the first read after
-// publication. The slow-path oracle recomputes the overlap per call —
-// the original implementation the cached scores must match exactly.
+// publication.
 func overlapFor(t *tenant, snap *cacheSnapshot, row int) float64 {
-	if t.sys.opt.SlowPath {
-		return supernet.Overlap(t.sys.Table().SubNets[row].Graph, snap.graph)
-	}
 	if p := snap.overlaps.Load(); p != nil {
 		return (*p)[row]
 	}

@@ -91,12 +91,6 @@ type Options struct {
 	// sharing is safe; it must have been built for the same frontier and
 	// an accelerator config compatible with Accel/Mode.
 	Table *latencytable.Table
-	// SlowPath forces the original unmemoized scan implementation of
-	// every scheduling and routing decision (see sched.Options.SlowPath;
-	// it also disables the routers' cached snapshot scores). The
-	// package-level SetForceSlowPath switch ORs into this at New, so a
-	// single flag flips whole deployments onto the oracle path.
-	SlowPath bool
 }
 
 // Served records one query's outcome.
@@ -303,7 +297,6 @@ func New(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options) (*S
 	if opt.Q <= 0 {
 		opt.Q = 4
 	}
-	opt.SlowPath = opt.SlowPath || ForceSlowPath()
 	table := opt.Table
 	cfg := opt.Accel
 	if table == nil {
@@ -337,7 +330,6 @@ func New(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options) (*S
 		InitialColumn:   initCol,
 		StateAware:      opt.Mode == Full,
 		UseIntersection: opt.UseIntersection,
-		SlowPath:        opt.SlowPath,
 	})
 	if err != nil {
 		return nil, err

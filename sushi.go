@@ -488,30 +488,15 @@ var experimentRegistry = []experimentEntry{
 	{id: "calibsweep", run: fixed(func() (*core.Result, error) { return core.CalibSweep(0) })},
 	// fwdbench is the real-execution data-plane microbenchmark: the
 	// blocked/arena Forward and the blocked convolution kernel timed
-	// against the reference scans single-threaded — its speedup metrics
-	// pin the fast-inference acceptance bar in the trajectory
+	// against the reference scans single-threaded
 	// (workload-insensitive: always times the MobileNetV3 family).
 	{id: "fwdbench", run: fixed(core.FwdBench)},
 	// decisionhot is the decision-path microbenchmark: a tight loop of
 	// router+schedule decisions with no queueing or arrival process —
-	// its ns_per_op is the per-decision cost, the trajectory entry most
-	// sensitive to decision fast-path regressions.
+	// its ns_per_op is the per-decision cost.
 	{id: "decisionhot", workload: core.MobileNetV3,
 		run: func(w core.Workload) (*core.Result, error) { return core.DecisionHot(w, 0) }},
 }
-
-// SetParallelExperiments flips the parallel experiment harness: when on
-// (the default), independent grid points of the sweep experiments run
-// across GOMAXPROCS workers with results folded in deterministic grid
-// order, so a parallel run's output is byte-identical to a sequential
-// one (sushi-bench -parallel).
-var SetParallelExperiments = core.SetParallelExperiments
-
-// SetSlowPath flips the process-wide decision slow path: systems
-// deployed afterwards run the original unmemoized scan implementation
-// of every scheduling/routing decision — the fast path's correctness
-// oracle (sushi-bench -slowpath).
-var SetSlowPath = core.SetSlowPath
 
 // Measured-table calibration (the offline end of WithMeasuredTable).
 type (
