@@ -94,7 +94,7 @@ func FwdBench() (*Result, error) {
 		},
 		Notes: []string{
 			"forward: arena ForwardBatchInto vs the pre-blocking ForwardReference pipeline",
-			"conv2d: blocked im2col+GEMM kernel vs the naive quadruple-loop scan",
+			"conv2d: lane-packed blocked kernel vs the naive quadruple-loop scan",
 		},
 		Metrics: map[string]float64{
 			"forward_ns_per_op":     fwdNs,

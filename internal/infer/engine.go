@@ -16,12 +16,13 @@ import (
 // whole pipeline is deterministic and data-independent — the property the
 // tests rely on.
 //
-// The engine owns an arena of reusable activation/accumulator/im2col
+// The engine owns an arena of reusable activation/accumulator/pack
 // buffers (ping-pong x/y activations, a dedicated shortcut copy, an
 // in-place requantize + saturating residual add) and memoizes each
-// SubNet's materialized weights and per-channel weight sums, so the
-// steady state of ForwardBatchInto allocates nothing and runs through
-// the blocked kernels. Results are bit-identical to ForwardReference,
+// SubNet's plan — per layer, its role, parameters, materialized weights
+// and per-channel weight sums — so the steady state of ForwardBatchInto
+// allocates nothing, derives nothing and runs through the blocked
+// kernels. Results are bit-identical to ForwardReference,
 // the original unblocked pipeline kept as the oracle.
 //
 // An Engine is NOT safe for concurrent use; give each goroutine its
@@ -38,23 +39,39 @@ type Engine struct {
 	a       arena
 }
 
-// prepared is the per-SubNet state the engine computes once: the
-// materialized weight tensors (flattened row-major [K][D] panels — KCRS
-// storage is already the GEMM layout), their per-output-channel sums for
-// the zero-point correction, and the arena's per-image high-water marks.
+// prepared is the per-SubNet state the engine computes once: the layer
+// plan and the arena's per-image high-water marks.
 type prepared struct {
-	weights map[int]*tensor.Int8
-	wsum    map[int][]int32
+	steps []step
 	// Per-image (batch=1) element maxima over the layer walk; the arena
 	// is sized once per (SubNet, batch) from these.
-	actMax, accMax, colsMax int
+	actMax, accMax int
+}
+
+// step is one layer of a SubNet's plan: everything ForwardBatchInto
+// would otherwise re-derive from the layer on every call.
+type step struct {
+	l *nn.Layer
+	// entry marks a residual block's first layer, whose input is kept as
+	// the shortcut; downsample marks the conv that transforms that
+	// shortcut instead of x.
+	entry, downsample bool
+	cp                tensor.ConvParams
+	// q requantizes the layer's accumulators.
+	q tensor.QuantParams
+	// w is the materialized weight tensor (a flattened row-major [K][D]
+	// panel — KCRS storage is already the GEMM layout) and wsum its
+	// per-output-channel sums for the zero-point correction.
+	w    *tensor.Int8
+	wsum []int32
 }
 
 // arena is the engine's reusable buffer set. act[0]/act[1] ping-pong as
 // layer input/output; shortcut holds a copy of the residual operand
 // (the ping-pong buffer underneath it is overwritten two layers later,
 // so the operand must own its bytes); down holds the downsampled
-// shortcut; acc is the int32 accumulator; sc carries the im2col panel.
+// shortcut; acc is the int32 accumulator; sc carries the kernels' pack
+// buffers.
 type arena struct {
 	act      [2]tensor.Int8
 	shortcut tensor.Int8
@@ -78,9 +95,6 @@ func (a *arena) presize(p *prepared, batch int) {
 	growInt8(&a.down, batch*p.actMax)
 	if cap(a.acc.Data) < batch*p.accMax {
 		a.acc.Data = make([]int32, batch*p.accMax)
-	}
-	if cap(a.sc.Cols) < batch*p.colsMax {
-		a.sc.Cols = make([]int8, batch*p.colsMax)
 	}
 }
 
@@ -124,7 +138,9 @@ func (e *Engine) staticScale(reduction int) tensor.QuantParams {
 	return tensor.QuantParams{Scale: 1.0 / (math.Sqrt(float64(reduction)) * sigmaW), ZeroPoint: 0}
 }
 
-// prepare memoizes the SubNet's weights, weight sums and arena maxima.
+// prepare memoizes the SubNet's layer plan and arena maxima. The
+// residual bookkeeping is resolved here, by the same name suffixes
+// ForwardReference matches on every call.
 func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 	if p, ok := e.prep[sn]; ok {
 		return p, nil
@@ -133,32 +149,49 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &prepared{weights: weights, wsum: make(map[int][]int32, len(weights))}
-	for i, w := range weights {
-		sums := make([]int32, w.Shape.N)
-		tensor.WeightSums(sums, w)
-		p.wsum[i] = sums
-	}
+	p := &prepared{steps: make([]step, len(sn.Model.Layers))}
+	shortcut := false
 	for i := range sn.Model.Layers {
 		l := &sn.Model.Layers[i]
-		outC := l.K
-		if l.Kind == nn.DepthwiseConv || l.Kind == nn.Pool {
-			outC = l.C
+		st := &p.steps[i]
+		*st = step{l: l, w: weights[i]}
+		if st.w != nil {
+			st.wsum = make([]int32, st.w.Shape.N)
+			tensor.WeightSums(st.wsum, st.w)
 		}
+		if strings.HasSuffix(l.Name, ".conv1") || strings.HasSuffix(l.Name, ".expand") {
+			st.entry, shortcut = true, true
+		}
+		outC := l.K
 		inElems := l.C * l.InH * l.InW
-		outElems := outC * l.OutH * l.OutW
-		p.actMax = maxInt(p.actMax, maxInt(inElems, outElems))
 		switch l.Kind {
 		case nn.Conv, nn.DepthwiseConv:
-			p.accMax = maxInt(p.accMax, outElems)
-			if l.Kind == nn.Conv {
-				p.colsMax = maxInt(p.colsMax, l.OutH*l.OutW*l.C*l.R*l.S)
+			st.cp = tensor.ConvParams{StrideH: l.Stride, StrideW: l.Stride, PadH: l.Pad, PadW: l.Pad}
+			reduction := l.C * l.R * l.S
+			if l.Kind == nn.DepthwiseConv {
+				st.cp.Groups, outC, reduction = l.C, l.C, l.R*l.S
 			}
+			st.q = e.staticScale(reduction)
+			if st.downsample = strings.HasSuffix(l.Name, ".downsample"); st.downsample && !shortcut {
+				return nil, fmt.Errorf("infer: %s: no shortcut to downsample", l.Name)
+			}
+			p.accMax = maxInt(p.accMax, outC*l.OutH*l.OutW)
 		case nn.Linear:
+			st.q = e.staticScale(l.C)
 			p.accMax = maxInt(p.accMax, l.K)
 		case nn.Pool:
+			outC = l.C
+			st.q = tensor.QuantParams{Scale: 1.0 / float64(l.InH*l.InW), ZeroPoint: 0}
 			p.accMax = maxInt(p.accMax, l.C)
+		case nn.Add:
+			if !shortcut {
+				return nil, fmt.Errorf("infer: %s: no residual operand", l.Name)
+			}
+			shortcut = false
+		default:
+			return nil, fmt.Errorf("infer: %s: unsupported kind %v", l.Name, l.Kind)
 		}
+		p.actMax = maxInt(p.actMax, maxInt(inElems, outC*l.OutH*l.OutW))
 	}
 	if e.prep == nil {
 		e.prep = make(map[*supernet.SubNet]*prepared)
@@ -237,78 +270,56 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 	}
 
 	// Residual bookkeeping: entering a block copies the shortcut input
-	// into its own buffer; ".downsample" transforms it; ".add" folds it
+	// into its own buffer; a downsample transforms it; an add folds it
 	// back in, saturating in place.
 	var shortcut, down *tensor.Int8
-	for i := range sn.Model.Layers {
-		l := &sn.Model.Layers[i]
-		if strings.HasSuffix(l.Name, ".conv1") || strings.HasSuffix(l.Name, ".expand") {
+	for i := range p.steps {
+		st := &p.steps[i]
+		l := st.l
+		if st.entry {
 			tensor.EnsureInt8(&a.shortcut, x.Shape)
 			copy(a.shortcut.Data, x.Data)
 			shortcut, down = &a.shortcut, nil
 		}
+		y := &a.act[1-cur]
 		switch l.Kind {
 		case nn.Conv, nn.DepthwiseConv:
 			src := x
-			isDownsample := strings.HasSuffix(l.Name, ".downsample")
-			if isDownsample {
-				if shortcut == nil {
-					return fmt.Errorf("infer: %s: no shortcut to downsample", l.Name)
-				}
-				src = shortcut
+			if st.downsample {
+				src, y = shortcut, &a.down
 			}
-			cp := tensor.ConvParams{
-				StrideH: l.Stride, StrideW: l.Stride,
-				PadH: l.Pad, PadW: l.Pad,
-			}
-			if l.Kind == nn.DepthwiseConv {
-				cp.Groups = l.C
-			}
-			if err := tensor.Conv2DBlockedInto(&a.acc, src, p.weights[i], e.zp, cp, p.wsum[i], &a.sc, e.pool); err != nil {
+			if err := tensor.Conv2DBlockedInto(&a.acc, src, st.w, e.zp, st.cp, st.wsum, &a.sc, e.pool); err != nil {
 				return fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
-			q := e.staticScale(l.C / maxInt(1, cp.Groups) * l.R * l.S)
-			if isDownsample {
-				tensor.RequantizeInto(&a.down, &a.acc, q)
-				down = &a.down
-			} else {
-				y := &a.act[1-cur]
-				tensor.RequantizeInto(y, &a.acc, q)
-				x, cur = y, 1-cur
+			tensor.RequantizeInto(y, &a.acc, st.q)
+			if st.downsample {
+				down = y
+				continue
 			}
 		case nn.Linear:
-			if err := tensor.LinearBlockedInto(&a.acc, x, p.weights[i], e.zp, p.wsum[i], &a.sc, e.pool); err != nil {
+			if err := tensor.LinearBlockedInto(&a.acc, x, st.w, e.zp, st.wsum, &a.sc, e.pool); err != nil {
 				return fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
-			y := &a.act[1-cur]
-			tensor.RequantizeInto(y, &a.acc, e.staticScale(l.C))
-			x, cur = y, 1-cur
+			tensor.RequantizeInto(y, &a.acc, st.q)
 		case nn.Pool:
-			y := &a.act[1-cur]
 			if l.OutH == 1 && l.OutW == 1 {
 				tensor.GlobalAvgPoolInto(&a.acc, x, e.zp)
-				tensor.RequantizeInto(y, &a.acc, tensor.QuantParams{
-					Scale: 1.0 / float64(l.InH*l.InW), ZeroPoint: 0,
-				})
+				tensor.RequantizeInto(y, &a.acc, st.q)
 			} else {
 				tensor.MaxPoolInto(y, x, l.R, l.Stride, l.Pad)
 			}
-			x, cur = y, 1-cur
 		case nn.Add:
 			other := down
 			if other == nil {
 				other = shortcut
 			}
-			if other == nil {
-				return fmt.Errorf("infer: %s: no residual operand", l.Name)
-			}
 			if err := tensor.AddSatInt8(x, x, other); err != nil {
 				return fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
 			shortcut, down = nil, nil
-		default:
-			return fmt.Errorf("infer: %s: unsupported kind %v", l.Name, l.Kind)
+			continue
 		}
+		x, cur = y, 1-cur
 	}
 	tensor.EnsureInt8(dst, x.Shape)
 	copy(dst.Data, x.Data)

@@ -26,36 +26,59 @@ func mobv3Fixture(t *testing.T) (*Engine, *supernet.SubNet) {
 // TestForwardMatchesReference pins the arena/blocked pipeline
 // bit-identical to the original naive pipeline (kept as
 // ForwardReference), sequentially and under a multi-worker pool.
+// ForwardReference re-derives every layer's role and parameters by
+// name on each call, so this also pins the engine's per-layer plan. The
+// largest mobilenetv3 SubNet adds the 5x5/7x7 depthwise layers, the
+// smallest resnet50 SubNet the padded dense 3x3/7x7 convolutions, the
+// max-pool and the downsample shortcuts; their references take seconds,
+// so -short and -race runs keep only the smallest SubNet.
 func TestForwardMatchesReference(t *testing.T) {
-	e, sn := mobv3Fixture(t)
-	in := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 17)
-	ref, err := e.ForwardReference(sn, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetWorkers(1)
-	fast, err := e.Forward(sn, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Shape != ref.Shape {
-		t.Fatalf("shape %v != reference %v", fast.Shape, ref.Shape)
-	}
-	for i := range ref.Data {
-		if fast.Data[i] != ref.Data[i] {
-			t.Fatalf("fast[%d]=%d != reference %d", i, fast.Data[i], ref.Data[i])
-		}
-	}
-	// workers=1 == workers=K at the full-forward level too.
-	e.SetWorkers(4)
-	par, err := e.Forward(sn, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Data {
-		if par.Data[i] != ref.Data[i] {
-			t.Fatalf("parallel[%d]=%d != reference %d", i, par.Data[i], ref.Data[i])
-		}
+	for _, tc := range []struct {
+		name  string
+		net   *supernet.SuperNet
+		large bool
+		slow  bool
+	}{
+		{"mobilenetv3-smallest", supernet.NewOFAMobileNetV3(), false, false},
+		{"mobilenetv3-largest", supernet.NewOFAMobileNetV3(), true, true},
+		{"resnet50-smallest", supernet.NewOFAResNet50(), false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && (raceEnabled || testing.Short()) {
+				t.Skip("the reference forward takes seconds")
+			}
+			fr, err := tc.net.Frontier()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sn := fr[0]
+			if tc.large {
+				sn = fr[len(fr)-1]
+			}
+			e := NewEngine(NewWeightStore(tc.net, 1))
+			defer e.Close()
+			in := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 17)
+			ref, err := e.ForwardReference(sn, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// workers=1 == workers=K at the full-forward level too.
+			for _, workers := range []int{1, 4} {
+				e.SetWorkers(workers)
+				fast, err := e.Forward(sn, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fast.Shape != ref.Shape {
+					t.Fatalf("workers=%d: shape %v != reference %v", workers, fast.Shape, ref.Shape)
+				}
+				for i := range ref.Data {
+					if fast.Data[i] != ref.Data[i] {
+						t.Fatalf("workers=%d: fast[%d]=%d != reference %d", workers, i, fast.Data[i], ref.Data[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -121,7 +144,7 @@ func TestForwardBatchSemantics(t *testing.T) {
 // TestForwardAllocs is the steady-state alloc gate (mirroring simq's
 // TestSteadyStateAllocs): once warm, a sequential ForwardBatchInto
 // must not allocate — the arena absorbs every layer's activations,
-// accumulators, im2col panels, shortcut copies and the output.
+// accumulators, pack buffers, shortcut copies and the output.
 func TestForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -141,6 +164,41 @@ func TestForwardAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state ForwardBatchInto allocates %.0f times per run; want 0", allocs)
+	}
+}
+
+// TestForwardAllocsSwitching is the alloc gate for SubGraph-stationary
+// serving: one engine cycling the smallest SubNet, the largest, and the
+// smallest at batch 4 allocates nothing once each (SubNet, batch) has
+// run once — switching re-uses the arena and the pack buffers at their
+// high-water marks.
+func TestForwardAllocsSwitching(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := supernet.NewOFAMobileNetV3()
+	fr, err := s.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(NewWeightStore(s, 1))
+	defer e.Close()
+	e.SetWorkers(1)
+	in := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 43)
+	var out tensor.Int8
+	cycle := func() {
+		for _, st := range []struct {
+			sn    *supernet.SubNet
+			batch int
+		}{{fr[0], 1}, {fr[len(fr)-1], 1}, {fr[0], 4}} {
+			if err := e.ForwardBatchInto(st.sn, in, st.batch, &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(2, cycle); allocs > 0 {
+		t.Errorf("a warm S, L, S@4 cycle allocates %.0f times; want 0", allocs)
 	}
 }
 

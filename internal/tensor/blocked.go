@@ -2,26 +2,39 @@ package tensor
 
 import "fmt"
 
-// This file is the blocked int8 convolution data plane: every conv is
-// lowered through im2col into row-major packed panels and multiplied by
-// an int8→int32 inner kernel unrolled over the reduction dimension,
-// with the batch dimension fused into the P (output-position) rows.
-// Depthwise convolutions take a direct per-plane path (a full im2col
-// would waste O(C²) work on zeros) and general grouped convolutions run
-// one packed GEMM per group. Work is split into (output-channel block ×
-// row block) tiles executed by a Pool.
+// This file is the lane-packed int8 convolution data plane. A 64-bit
+// multiply carries two 8-bit products: the activations of two adjacent
+// output positions sit in the low and high 32-bit lanes of one int64
+// (a[p] + a[p+1]<<32), so multiplying by a sign-extended weight performs
+// both MACs and an int64 sum accumulates both outputs. Dense and grouped
+// convolutions pack the pair panel of one row block straight from the
+// input (the (c, r, s) walk of im2colInto, never a materialised patch
+// matrix) and sweep it with a 1-pair × 4-output-channel register tile,
+// the batch fused into the P (output-position) rows. Depthwise
+// convolutions lane-pack a zero-fringed copy of each plane at the column
+// stride, so one bounds-test-free tap loop yields two output columns.
+// Work is split into row blocks (dense) or planes (depthwise) executed
+// by a Pool; each pool worker owns one pack buffer in the Scratch.
 //
 // Everything here is bit-identical to the reference Conv2D/MatMulCols
-// scans: int32 accumulation is modular, so any summation order matches,
-// and the zero-point correction uses the exact identity
-// Σ(a−zp)·w = Σ a·w − zp·Σw. The parity suite pins this.
+// scans for any int8 zero point: int32 accumulation is modular, so any
+// summation order matches; the zero-point correction uses the exact
+// identity Σ(a−zp)·w = Σ a·w − zp·Σw; and the lane split is exact because
+// a lane never carries into its neighbour — every term is below 2^15 in
+// magnitude (|a·w| ≤ 2^14 dense, |(v−zp)·w| < 2^15 depthwise), so a
+// reduction is cut into chunks of laneChunk terms whose lane sums stay
+// below 2^30, and the extracted lanes are added in (wrapping) int32 as
+// the reference does. The parity suite pins this.
 
-// Blocked tile sizes: one tile's cols footprint (rowBlock·D) and weight
-// footprint (kBlock·D) stay L1/L2-friendly across the model shapes
-// while leaving enough tiles to occupy every pool worker.
 const (
-	gemmRowBlock = 48
-	gemmKBlock   = 32
+	// laneChunk is the longest reduction one lane-packed sum may run
+	// before its lanes are split.
+	laneChunk = 1 << 15
+	// gemmPanel bounds a row block's pack panel in int64 lanes, so the
+	// panel a tile re-reads for every four output channels stays
+	// L1-resident; gemmMaxPairs bounds the block for short reductions.
+	gemmPanel    = 4 << 10
+	gemmMaxPairs = 24
 	linKBlock    = 64
 )
 
@@ -30,11 +43,14 @@ const (
 // then reused, so a warm Scratch makes the blocked kernels
 // allocation-free.
 type Scratch struct {
-	// Cols is the im2col panel: N·P rows of D int8 elements.
-	Cols []int8
 	// Wsum is the per-output-channel weight sum used by the zero-point
 	// correction when the caller did not precompute one.
 	Wsum []int32
+	// lanes[i] is pool worker i's pack buffer: a GEMM pair panel or a
+	// depthwise padded plane.
+	lanes [][]int64
+	// taps is the depthwise kernel's tap offsets into the padded plane.
+	taps []int
 	// Persistent argument blocks: kernels assign them in place and the
 	// sequential path calls their methods directly, so no closure is
 	// materialized outside the parallel branch.
@@ -43,11 +59,19 @@ type Scratch struct {
 	lin  linArgs
 }
 
-func (s *Scratch) colsBuf(n int) []int8 {
-	if cap(s.Cols) < n {
-		s.Cols = make([]int8, n)
+// laneBufs returns one pack buffer of at least n lanes per pool worker.
+// It grows them on the calling goroutine, before any fan-out, so the
+// workers only ever index their own.
+func (s *Scratch) laneBufs(workers, n int) [][]int64 {
+	for len(s.lanes) < workers {
+		s.lanes = append(s.lanes, nil)
 	}
-	return s.Cols[:n]
+	for i := range s.lanes[:workers] {
+		if cap(s.lanes[i]) < n {
+			s.lanes[i] = make([]int64, n)
+		}
+	}
+	return s.lanes
 }
 
 func (s *Scratch) wsumBuf(n int) []int32 {
@@ -96,9 +120,9 @@ func WeightSums(dst []int32, w *Int8) {
 	}
 }
 
-// dotInt8 is the unrolled int8→int32 inner kernel: Σ a[i]·b[i] with
-// four parallel accumulators (int32 addition is associative mod 2^32,
-// so the split changes nothing).
+// dotInt8 is the unrolled int8→int32 inner kernel of the fully-connected
+// layers: Σ a[i]·b[i] with four parallel accumulators (int32 addition is
+// associative mod 2^32, so the split changes nothing).
 func dotInt8(a, b []int8) int32 {
 	n := len(a)
 	b = b[:n]
@@ -117,43 +141,154 @@ func dotInt8(a, b []int8) int32 {
 	return s
 }
 
-// gemmArgs is one packed-panel matmul: out[(n·kTotal+kOff+k)·P+p] =
-// dot(cols row n·P+p, w row k) − zpIn·wsum[k] for k in [0, K).
-type gemmArgs struct {
-	out   []int32
-	cols  []int8
-	wRows []int8
-	wsum  []int32
-	n     int // images
-	p     int // rows per image
-	k     int // output channels in this gemm
-	d     int // reduction length
-	kTot  int // output channel stride context (total channels in out)
-	kOff  int // first output channel this gemm writes
-	zp    int32
-	nrb   int // row blocks per image
-	nkb   int // k blocks
+// laneHi extracts the high lane of a lane-packed sum whose low lane
+// fits int32: adding 2^31 makes the low lane non-negative, so the
+// arithmetic shift floors to exactly the high lane.
+func laneHi(s int64) int32 { return int32((s + 1<<31) >> 32) }
+
+// laneDot is the one-output-channel lane kernel (the K tail of the
+// 4-wide tile): both lanes of Σ a[d]·w[d].
+func laneDot(a []int64, w []int8) (lo, hi int32) {
+	for d0 := 0; d0 < len(a); d0 += laneChunk {
+		ac := a[d0:min(len(a), d0+laneChunk)]
+		wc := w[d0:][:len(ac)]
+		var s int64
+		for d, v := range ac {
+			s += v * int64(wc[d])
+		}
+		lo += int32(s)
+		hi += laneHi(s)
+	}
+	return lo, hi
 }
 
-func (g *gemmArgs) blocks() int { return g.n * g.nrb * g.nkb }
+// laneDot4 is the register tile's inner loop: the lane-packed sums of
+// a against four weight rows that start stride apart in w. It is its
+// own function so its ten live values get the register file to
+// themselves.
+//
+//go:noinline
+func laneDot4(a []int64, w []int8, stride int) (s0, s1, s2, s3 int64) {
+	w0, w1, w2, w3 := w[:len(a)], w[stride:][:len(a)], w[2*stride:][:len(a)], w[3*stride:][:len(a)]
+	for i, v := range a {
+		s0 += v * int64(w0[i])
+		s1 += v * int64(w1[i])
+		s2 += v * int64(w2[i])
+		s3 += v * int64(w3[i])
+	}
+	return
+}
 
-func (g *gemmArgs) block(b int) {
-	perImage := g.nrb * g.nkb
-	n := b / perImage
-	rem := b % perImage
-	p0 := (rem / g.nkb) * gemmRowBlock
-	p1 := minInt(g.p, p0+gemmRowBlock)
-	k0 := (rem % g.nkb) * gemmKBlock
-	k1 := minInt(g.k, k0+gemmKBlock)
-	colsBase := n * g.p * g.d
-	outBase := (n*g.kTot + g.kOff) * g.p
-	for k := k0; k < k1; k++ {
-		wrow := g.wRows[k*g.d : k*g.d+g.d]
+// gemmArgs is one group's lane-packed convolution: out[(n·kTot+kOff+k)·P
+// + p] = Σ_d patch(n, p)[d]·w[k][d] − zp·wsum[k] for k in [0, K), where
+// patch is the (c, r, s) im2col row over input channels [c0, c0+c).
+type gemmArgs struct {
+	out   []int32
+	in    []int8
+	wRows []int8
+	wsum  []int32
+	bufs  [][]int64
+	// Input geometry: cTot channels per image, this group reads c of
+	// them from c0; h×iw planes; kh×kw kernel.
+	cTot, c0, c    int
+	h, iw, ow      int
+	kh, kw         int
+	sh, sw, ph, pw int
+	p              int // output positions per image
+	k              int // output channels in this gemm
+	d              int // reduction length c·kh·kw
+	kTot           int // output channel stride context (total channels in out)
+	kOff           int // first output channel this gemm writes
+	zp             int32
+	rows           int // positions per row block (even)
+	nrb            int // row blocks per image
+}
+
+// pack fills pk with the lane-packed patch rows of image n's output
+// positions [p0, p1): pair j carries position p0+2j in its low lanes
+// and p0+2j+1 in its high lanes. Every lane starts as the zero point,
+// which is what im2colInto puts at padding (and leaves in the unused
+// high lanes of a pair p1 cuts short), and each in-bounds element then
+// adds its distance from it.
+func (g *gemmArgs) pack(pk []int64, n, p0, p1 int) {
+	zp := int64(int8(g.zp))
+	for i := range pk {
+		pk[i] = zp + zp<<32
+	}
+	hw := g.h * g.iw
+	img := g.in[(n*g.cTot+g.c0)*hw:][:g.c*hw]
+	y, x := p0/g.ow, p0%g.ow
+	for i := 0; i < p1-p0; i++ {
+		dst := pk[i/2*g.d:][:g.d]
+		lane := uint(i&1) * 32
+		iy, ix := y*g.sh-g.ph, x*g.sw-g.pw
+		if g.kh == 1 && g.kw == 1 && g.ph == 0 && g.pw == 0 {
+			// Pointwise: the patch is one strided read per channel.
+			src := img[iy*g.iw+ix:]
+			for c := range dst {
+				dst[c] += (int64(src[c*hw]) - zp) << lane
+			}
+		} else {
+			sLo, sHi := max(0, -ix), min(g.kw, g.iw-ix)
+			for c := 0; c < g.c; c++ {
+				for r := 0; r < g.kh; r++ {
+					if ih := iy + r; uint(ih) < uint(g.h) {
+						src := img[c*hw+ih*g.iw:][:g.iw]
+						drow := dst[(c*g.kh+r)*g.kw:][:g.kw]
+						for s := sLo; s < sHi; s++ {
+							drow[s] += (int64(src[ix+s]) - zp) << lane
+						}
+					}
+				}
+			}
+		}
+		if x++; x == g.ow {
+			x, y = 0, y+1
+		}
+	}
+}
+
+// block runs one (image, row block) tile: pack the pair panel once,
+// then sweep it with every output channel, four at a time.
+func (g *gemmArgs) block(worker, b int) {
+	n := b / g.nrb
+	p0 := (b % g.nrb) * g.rows
+	p1 := min(g.p, p0+g.rows)
+	pairs := (p1 - p0 + 1) / 2
+	d := g.d
+	pk := g.bufs[worker][:pairs*d]
+	g.pack(pk, n, p0, p1)
+	out := g.out[(n*g.kTot+g.kOff)*g.p:][:g.k*g.p]
+	k := 0
+	for ; k+4 <= g.k; k += 4 {
+		c0, c1, c2, c3 := g.zp*g.wsum[k], g.zp*g.wsum[k+1], g.zp*g.wsum[k+2], g.zp*g.wsum[k+3]
+		for j := 0; j < pairs; j++ {
+			var lo0, lo1, lo2, lo3, hi0, hi1, hi2, hi3 int32
+			for d0 := 0; d0 < d; d0 += laneChunk {
+				a := pk[j*d+d0 : j*d+min(d, d0+laneChunk)]
+				s0, s1, s2, s3 := laneDot4(a, g.wRows[k*d+d0:], d)
+				lo0, hi0 = lo0+int32(s0), hi0+laneHi(s0)
+				lo1, hi1 = lo1+int32(s1), hi1+laneHi(s1)
+				lo2, hi2 = lo2+int32(s2), hi2+laneHi(s2)
+				lo3, hi3 = lo3+int32(s3), hi3+laneHi(s3)
+			}
+			o := k*g.p + p0 + 2*j
+			out[o], out[o+g.p], out[o+2*g.p], out[o+3*g.p] = lo0-c0, lo1-c1, lo2-c2, lo3-c3
+			if p0+2*j+1 < p1 {
+				out[o+1], out[o+g.p+1], out[o+2*g.p+1], out[o+3*g.p+1] = hi0-c0, hi1-c1, hi2-c2, hi3-c3
+			}
+		}
+	}
+	for ; k < g.k; k++ {
 		corr := g.zp * g.wsum[k]
-		oRow := outBase + k*g.p
-		for p := p0; p < p1; p++ {
-			off := colsBase + p*g.d
-			g.out[oRow+p] = dotInt8(g.cols[off:off+g.d], wrow) - corr
+		wrow := g.wRows[k*d:][:d]
+		for j := 0; j < pairs; j++ {
+			lo, hi := laneDot(pk[j*d:][:d], wrow)
+			o := k*g.p + p0 + 2*j
+			out[o] = lo - corr
+			if p0+2*j+1 < p1 {
+				out[o+1] = hi - corr
+			}
 		}
 	}
 }
@@ -161,14 +296,14 @@ func (g *gemmArgs) block(b int) {
 // runGemm executes the prepared gemmArgs, fanning out over the pool
 // only when it is actually parallel (the inline path builds no
 // closure).
-func runGemm(g *gemmArgs, pool *Pool) {
-	nb := g.blocks()
+func runGemm(g *gemmArgs, n int, pool *Pool) {
+	nb := n * g.nrb
 	if pool.parallel() && nb > 1 {
 		pool.Run(nb, g.block)
 		return
 	}
 	for b := 0; b < nb; b++ {
-		g.block(b)
+		g.block(0, b)
 	}
 }
 
@@ -177,6 +312,8 @@ func runGemm(g *gemmArgs, pool *Pool) {
 type dwArgs struct {
 	out            []int32
 	in, w          []int8
+	bufs           [][]int64
+	taps           []int // tap t reads padded-plane offset taps[t]
 	c, h, iw       int
 	oh, ow         int
 	kh, kw         int
@@ -184,48 +321,56 @@ type dwArgs struct {
 	zp             int32
 }
 
-func (d *dwArgs) block(b int) {
-	n := b / d.c
-	c := b % d.c
-	plane := d.in[(n*d.c+c)*d.h*d.iw:]
-	plane = plane[:d.h*d.iw]
-	wk := d.w[c*d.kh*d.kw:]
-	wk = wk[:d.kh*d.kw]
-	outPlane := d.out[(n*d.c+c)*d.oh*d.ow:]
-	outPlane = outPlane[:d.oh*d.ow]
-	if d.ph == 0 && d.pw == 0 {
-		for y := 0; y < d.oh; y++ {
-			for x := 0; x < d.ow; x++ {
-				var acc int32
-				for r := 0; r < d.kh; r++ {
-					row := plane[(y*d.sh+r)*d.iw+x*d.sw:]
-					wr := wk[r*d.kw:]
-					for s := 0; s < d.kw; s++ {
-						acc += (int32(row[s]) - d.zp) * int32(wr[s])
-					}
-				}
-				outPlane[y*d.ow+x] = acc
-			}
+// block convolves plane b. The plane is copied as (v − zp) into a
+// zero-fringed buffer and lane-packed at the column stride — element i
+// gains element i+sw in its high lane — so a tap sum at output column x
+// carries column x+1 in its high lane and no tap needs a bounds test.
+// Each tap feeds two such sums (columns x..x+3); the buffer's 2·sw
+// lanes of slack keep the second in bounds at a row's end, where the
+// columns past it are dropped.
+func (d *dwArgs) block(worker, b int) {
+	plane := d.in[b*d.h*d.iw:][:d.h*d.iw]
+	wk := d.w[b%d.c*len(d.taps):][:len(d.taps)]
+	out := d.out[b*d.oh*d.ow:][:d.oh*d.ow]
+	bw := d.iw + 2*d.pw
+	buf := d.bufs[worker][:(d.h+2*d.ph)*bw+2*d.sw]
+	clear(buf)
+	for y := 0; y < d.h; y++ {
+		row := buf[(y+d.ph)*bw+d.pw:][:d.iw]
+		for x, v := range plane[y*d.iw:][:d.iw] {
+			row[x] = int64(int32(v) - d.zp)
 		}
-		return
+	}
+	for i, hi := range buf[d.sw:] {
+		buf[i] += hi << 32
 	}
 	for y := 0; y < d.oh; y++ {
-		for x := 0; x < d.ow; x++ {
-			var acc int32
-			for r := 0; r < d.kh; r++ {
-				ih := y*d.sh + r - d.ph
-				if ih < 0 || ih >= d.h {
-					continue
+		for x := 0; x < d.ow; x += 4 {
+			win := buf[y*d.sh*bw+x*d.sw:]
+			win2 := win[2*d.sw:]
+			var o0, o1, o2, o3 int32
+			for t0 := 0; t0 < len(wk); t0 += laneChunk {
+				taps := d.taps[t0:min(len(wk), t0+laneChunk)]
+				wc := wk[t0:][:len(taps)]
+				var s, u int64
+				for t, off := range taps {
+					wv := int64(wc[t])
+					s += win[off] * wv
+					u += win2[off] * wv
 				}
-				for s := 0; s < d.kw; s++ {
-					iw := x*d.sw + s - d.pw
-					if iw < 0 || iw >= d.iw {
-						continue
-					}
-					acc += (int32(plane[ih*d.iw+iw]) - d.zp) * int32(wk[r*d.kw+s])
-				}
+				o0, o1, o2, o3 = o0+int32(s), o1+laneHi(s), o2+int32(u), o3+laneHi(u)
 			}
-			outPlane[y*d.ow+x] = acc
+			row := out[y*d.ow+x : (y+1)*d.ow]
+			row[0] = o0
+			if len(row) > 1 {
+				row[1] = o1
+			}
+			if len(row) > 2 {
+				row[2] = o2
+			}
+			if len(row) > 3 {
+				row[3] = o3
+			}
 		}
 	}
 }
@@ -237,12 +382,12 @@ func runDw(d *dwArgs, n int, pool *Pool) {
 		return
 	}
 	for b := 0; b < nb; b++ {
-		d.block(b)
+		d.block(0, b)
 	}
 }
 
 // Conv2DBlocked is the blocked/parallel counterpart of Conv2D: same
-// contract, same (bit-identical) result, lowered through im2col+GEMM.
+// contract, same (bit-identical) result for an int8 zero point.
 // pool may be nil for a sequential run.
 func Conv2DBlocked(in, w *Int8, zpIn int32, p ConvParams, pool *Pool) (*Int32, error) {
 	var out Int32
@@ -254,8 +399,8 @@ func Conv2DBlocked(in, w *Int8, zpIn int32, p ConvParams, pool *Pool) (*Int32, e
 }
 
 // Conv2DBlockedInto runs the blocked convolution into out, reusing
-// out's backing array and sc's panels when they are large enough — a
-// warm call allocates nothing (sequentially; the parallel fan-out
+// out's backing array and sc's pack buffers when they are large enough
+// — a warm call allocates nothing (sequentially; the parallel fan-out
 // builds one closure). wsum may carry precomputed per-output-channel
 // weight sums (Σ_d w[k,d]); pass nil to have them computed into sc.
 func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, sc *Scratch, pool *Pool) error {
@@ -276,13 +421,22 @@ func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum [
 	}
 	EnsureInt32(out, Shape{N: is.N, C: ws.N, H: oh, W: ow})
 
-	// Depthwise: direct per-plane scan; im2col would build a C·kh·kw
-	// row just to multiply one kernel's worth of it.
+	// Depthwise: direct per-plane taps; a patch row would be C·kh·kw
+	// long just to multiply one kernel's worth of it.
 	if p.Groups > 1 && p.Groups == is.C && ws.C == 1 && ws.N == is.C {
+		bw := is.W + 2*p.PadW
+		if cap(sc.taps) < ws.H*ws.W {
+			sc.taps = make([]int, ws.H*ws.W)
+		}
+		taps := sc.taps[:ws.H*ws.W]
+		for t := range taps {
+			taps[t] = t/ws.W*bw + t%ws.W
+		}
 		d := &sc.dw
 		*d = dwArgs{
-			out: out.Data, in: in.Data, w: w.Data,
-			c: is.C, h: is.H, iw: is.W, oh: oh, ow: ow,
+			out: out.Data, in: in.Data, w: w.Data, taps: taps,
+			bufs: sc.laneBufs(pool.Workers(), (is.H+2*p.PadH)*bw+2*p.StrideW),
+			c:    is.C, h: is.H, iw: is.W, oh: oh, ow: ow,
 			kh: ws.H, kw: ws.W, sh: p.StrideH, sw: p.StrideW,
 			ph: p.PadH, pw: p.PadW, zp: zpIn,
 		}
@@ -298,43 +452,29 @@ func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum [
 	cPerGroup := is.C / p.Groups
 	d := cPerGroup * ws.H * ws.W
 	pRows := oh * ow
-	cols := sc.colsBuf(is.N * pRows * d)
+	// Row blocks: as many pairs as the panel bound allows, then evened
+	// out so an image's blocks carry the same load.
+	rows := 2 * min(gemmMaxPairs, max(1, gemmPanel/d))
+	nrb := (pRows + rows - 1) / rows
+	rows = (pRows + nrb - 1) / nrb
+	rows += rows & 1
+	bufs := sc.laneBufs(pool.Workers(), rows/2*d)
 	for grp := 0; grp < p.Groups; grp++ {
-		im2colInto(cols, in, grp*cPerGroup, (grp+1)*cPerGroup, ws.H, ws.W, int8(zpIn), p, oh, ow)
 		kOff := grp * kPerGroup
 		g := &sc.gemm
 		*g = gemmArgs{
-			out: out.Data, cols: cols,
+			out: out.Data, in: in.Data, bufs: bufs,
 			wRows: w.Data[kOff*d:], wsum: wsum[kOff:],
-			n: is.N, p: pRows, k: kPerGroup, d: d,
+			cTot: is.C, c0: grp * cPerGroup, c: cPerGroup,
+			h: is.H, iw: is.W, ow: ow, kh: ws.H, kw: ws.W,
+			sh: p.StrideH, sw: p.StrideW, ph: p.PadH, pw: p.PadW,
+			p: pRows, k: kPerGroup, d: d,
 			kTot: ws.N, kOff: kOff, zp: zpIn,
-			nrb: (pRows + gemmRowBlock - 1) / gemmRowBlock,
-			nkb: (kPerGroup + gemmKBlock - 1) / gemmKBlock,
+			rows: rows, nrb: nrb,
 		}
-		runGemm(g, pool)
+		runGemm(g, is.N, pool)
 	}
 	return nil
-}
-
-// MatMulColsBlocked is the blocked counterpart of MatMulCols over an
-// already-lowered im2col matrix: same contract, bit-identical result.
-func MatMulColsBlocked(cols, w *Int8, zpIn int32, pool *Pool) (*Int32, error) {
-	cs, ws := cols.Shape, w.Shape
-	if cs.H != ws.C {
-		return nil, ErrShapeMismatch
-	}
-	out := NewInt32(Shape{N: cs.N, C: ws.N, H: cs.C, W: 1})
-	wsum := make([]int32, ws.N)
-	WeightSums(wsum, FlattenWeights(w))
-	g := &gemmArgs{
-		out: out.Data, cols: cols.Data, wRows: w.Data, wsum: wsum,
-		n: cs.N, p: cs.C, k: ws.N, d: cs.H,
-		kTot: ws.N, kOff: 0, zp: zpIn,
-		nrb: (cs.C + gemmRowBlock - 1) / gemmRowBlock,
-		nkb: (ws.N + gemmKBlock - 1) / gemmKBlock,
-	}
-	runGemm(g, pool)
-	return out, nil
 }
 
 // linArgs is the fully-connected kernel: out[n·K+k] = dot(in row n,
@@ -348,9 +488,9 @@ type linArgs struct {
 	wsum  []int32
 }
 
-func (l *linArgs) block(b int) {
+func (l *linArgs) block(_, b int) {
 	k0 := b * linKBlock
-	k1 := minInt(l.k, k0+linKBlock)
+	k1 := min(l.k, k0+linKBlock)
 	for n := 0; n < l.n; n++ {
 		row := l.in[n*l.c : n*l.c+l.c]
 		for k := k0; k < k1; k++ {
@@ -379,14 +519,7 @@ func LinearBlockedInto(out *Int32, in, w *Int8, zpIn int32, wsum []int32, sc *Sc
 		return nil
 	}
 	for b := 0; b < nb; b++ {
-		l.block(b)
+		l.block(0, b)
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

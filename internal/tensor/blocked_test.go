@@ -97,6 +97,31 @@ func randomParityCases(t *testing.T, count int) []parityCase {
 	return cases
 }
 
+// checkBlockedParity pins Conv2DBlocked bit-identical to the reference
+// Conv2D scan on one configuration, sequentially and under a 4-worker
+// pool (workers=1 == workers=K).
+func checkBlockedParity(t *testing.T, pool *Pool, name string, in, w *Int8, zp int32, p ConvParams) {
+	t.Helper()
+	ref, err := Conv2D(in, w, zp, p)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	for _, pl := range []*Pool{nil, pool} {
+		got, err := Conv2DBlocked(in, w, zp, p, pl)
+		if err != nil {
+			t.Fatalf("%s: blocked (workers=%d): %v", name, pl.Workers(), err)
+		}
+		if got.Shape != ref.Shape {
+			t.Fatalf("%s: shape %v != %v", name, got.Shape, ref.Shape)
+		}
+		for j := range ref.Data {
+			if got.Data[j] != ref.Data[j] {
+				t.Fatalf("%s: blocked (workers=%d)[%d]=%d != reference %d", name, pl.Workers(), j, got.Data[j], ref.Data[j])
+			}
+		}
+	}
+}
+
 // TestConv2DBlockedParity pins the blocked path bit-identical to the
 // reference Conv2D scan across randomized shapes, and pins that the
 // worker count does not change a single bit (workers=1 == workers=K).
@@ -106,32 +131,123 @@ func TestConv2DBlockedParity(t *testing.T) {
 	for i, tc := range randomParityCases(t, 60) {
 		in := RandomInt8(tc.in, uint64(100+i))
 		w := RandomInt8(tc.w, uint64(200+i))
-		ref, err := Conv2D(in, w, tc.zp, tc.p)
-		if err != nil {
-			t.Fatalf("case %d (%v): reference: %v", i, tc, err)
-		}
-		seq, err := Conv2DBlocked(in, w, tc.zp, tc.p, nil)
-		if err != nil {
-			t.Fatalf("case %d (%v): blocked: %v", i, tc, err)
-		}
-		if seq.Shape != ref.Shape {
-			t.Fatalf("case %d (%v): shape %v != %v", i, tc, seq.Shape, ref.Shape)
-		}
-		for j := range ref.Data {
-			if seq.Data[j] != ref.Data[j] {
-				t.Fatalf("case %d (%v): blocked[%d]=%d != reference %d", i, tc, j, seq.Data[j], ref.Data[j])
-			}
-		}
-		par, err := Conv2DBlocked(in, w, tc.zp, tc.p, pool)
-		if err != nil {
-			t.Fatalf("case %d (%v): parallel: %v", i, tc, err)
-		}
-		for j := range ref.Data {
-			if par.Data[j] != ref.Data[j] {
-				t.Fatalf("case %d (%v): parallel[%d]=%d != reference %d", i, tc, j, par.Data[j], ref.Data[j])
+		checkBlockedParity(t, pool, fmt.Sprintf("case %d (%v)", i, tc), in, w, tc.zp, tc.p)
+	}
+}
+
+// filled returns a tensor whose element i is f(i).
+func filled(s Shape, f func(i int) int8) *Int8 {
+	t := NewInt8(s)
+	for i := range t.Data {
+		t.Data[i] = f(i)
+	}
+	return t
+}
+
+// TestConv2DBlockedAdversarialFills drives the lane-packed kernels with
+// the operands that stress a lane hardest: saturated values of one
+// sign, alternating extremes, and an all-negative lane beside an
+// all-positive one (adjacent output columns of opposite sign), over
+// shapes with several row blocks, an odd trailing position and a K tail
+// after the 4-wide tile.
+func TestConv2DBlockedAdversarialFills(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	fills := []struct {
+		name string
+		f    func(i int) int8
+	}{
+		{"min", func(int) int8 { return -128 }},
+		{"max", func(int) int8 { return 127 }},
+		{"alternating", func(i int) int8 { return int8(127 - 255*(i&1)) }},
+	}
+	shapes := []parityCase{
+		{in: Shape{N: 2, C: 5, H: 9, W: 10}, w: Shape{N: 7, C: 5, H: 3, W: 3}, p: ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}},
+		// Even width and a 1x1 kernel: the alternating fill puts +127 in
+		// every low lane and -128 in every high lane.
+		{in: Shape{N: 1, C: 33, H: 7, W: 10}, w: Shape{N: 6, C: 33, H: 1, W: 1}, p: ConvParams{StrideH: 1, StrideW: 1, Groups: 1}},
+		{in: Shape{N: 3, C: 4, H: 7, W: 7}, w: Shape{N: 10, C: 2, H: 3, W: 3}, p: ConvParams{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2}},
+		{in: Shape{N: 2, C: 3, H: 9, W: 10}, w: Shape{N: 3, C: 1, H: 7, W: 7}, p: ConvParams{StrideH: 1, StrideW: 1, PadH: 3, PadW: 3, Groups: 3}},
+		{in: Shape{N: 1, C: 2, H: 11, W: 9}, w: Shape{N: 2, C: 1, H: 3, W: 3}, p: ConvParams{StrideH: 2, StrideW: 2, Groups: 2}},
+	}
+	for _, tc := range shapes {
+		for _, inFill := range fills {
+			for _, wFill := range fills {
+				for _, zp := range []int32{0, -128, 127} {
+					name := fmt.Sprintf("in=%s w=%s zp=%d %v", inFill.name, wFill.name, zp, tc)
+					checkBlockedParity(t, pool, name, filled(tc.in, inFill.f), filled(tc.w, wFill.f), zp, tc.p)
+				}
 			}
 		}
 	}
+}
+
+// TestConv2DBlockedModelShapes covers what the small random cases never
+// reach: the model's extreme P (49 and 12544), K (24, 40, 1000) and D
+// (27, 147, 4608), a batch of odd-P images, two groups, and every
+// depthwise kernel × stride × padding the SuperNets use, all with a
+// non-zero zero point.
+func TestConv2DBlockedModelShapes(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	dense := func(n, c, h, k, r, stride, pad, groups int) parityCase {
+		return parityCase{
+			in: Shape{N: n, C: c, H: h, W: h}, w: Shape{N: k, C: c / groups, H: r, W: r},
+			p: ConvParams{StrideH: stride, StrideW: stride, PadH: pad, PadW: pad, Groups: groups},
+		}
+	}
+	cases := []parityCase{
+		dense(1, 3, 224, 24, 3, 2, 1, 1),   // P=12544, D=27
+		dense(1, 3, 28, 40, 7, 2, 3, 1),    // D=147, padded 7x7
+		dense(1, 512, 7, 40, 3, 1, 1, 1),   // P=49, D=4608
+		dense(1, 147, 7, 1000, 1, 1, 0, 1), // K=1000, pointwise
+		dense(3, 16, 7, 24, 1, 1, 0, 1),    // batch 3, odd P
+		dense(3, 8, 14, 10, 1, 2, 0, 1),    // strided pointwise (downsample)
+		dense(2, 16, 7, 12, 3, 1, 1, 2),    // groups=2, K tail per group
+	}
+	for _, k := range []int{3, 5, 7} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, k / 2} {
+				for _, h := range []int{14, 15} {
+					cases = append(cases, parityCase{
+						in: Shape{N: 2, C: 5, H: h, W: h + 1}, w: Shape{N: 5, C: 1, H: k, W: k},
+						p: ConvParams{StrideH: stride, StrideW: stride, PadH: pad, PadW: pad, Groups: 5},
+					})
+				}
+			}
+		}
+	}
+	for i, tc := range cases {
+		tc.zp = int32(5 - 9*(i&1))
+		in := RandomInt8(tc.in, uint64(800+i))
+		w := RandomInt8(tc.w, uint64(900+i))
+		checkBlockedParity(t, pool, tc.String(), in, w, tc.zp, tc.p)
+	}
+}
+
+// TestConv2DBlockedLongReduction pins the chunk rule: reductions longer
+// than a lane can hold — 2^17+3 terms of (-128)·(-128), whose sum wraps
+// int32 in the reference — still match bit for bit, through the 4-wide
+// tile, its K tail and the depthwise taps.
+func TestConv2DBlockedLongReduction(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	min8 := func(int) int8 { return -128 }
+	// D = 2675·7·7 = 2^17+3; two output positions fill both lanes.
+	in := filled(Shape{N: 1, C: 2675, H: 7, W: 8}, min8)
+	w := filled(Shape{N: 5, C: 2675, H: 7, W: 7}, min8)
+	ref, err := Conv2D(in, w, 0, ConvParams{StrideH: 1, StrideW: 1, Groups: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Data[0] >= 0 {
+		t.Fatalf("reference sum %d did not wrap int32; the case no longer tests the chunk rule", ref.Data[0])
+	}
+	checkBlockedParity(t, pool, "dense 2^17+3", in, w, 0, ConvParams{StrideH: 1, StrideW: 1, Groups: 1})
+	// Depthwise: 257·257 taps of (-128-127)·(-128) wrap int32 too.
+	in = filled(Shape{N: 1, C: 2, H: 257, W: 259}, min8)
+	w = filled(Shape{N: 2, C: 1, H: 257, W: 257}, min8)
+	checkBlockedParity(t, pool, "depthwise 257x257", in, w, 127, ConvParams{StrideH: 1, StrideW: 1, Groups: 2})
 }
 
 // TestConv2DBlockedScratchReuse pins that a warm Scratch/output pair
@@ -230,41 +346,6 @@ func TestIm2ColFastPathMatchesNaive(t *testing.T) {
 			if fast.Data[j] != naive.Data[j] {
 				t.Fatalf("case %d (in=%v k=%d p=%+v): fast[%d]=%d != naive %d",
 					i, s, k, p, j, fast.Data[j], naive.Data[j])
-			}
-		}
-	}
-}
-
-// TestMatMulColsBlockedParity pins the packed GEMM against the
-// reference MatMulCols scan, sequential and parallel.
-func TestMatMulColsBlockedParity(t *testing.T) {
-	pool := NewPool(3)
-	defer pool.Close()
-	for i := 0; i < 10; i++ {
-		rng := rand.New(rand.NewSource(int64(900 + i)))
-		n := 1 + rng.Intn(2)
-		p := 1 + rng.Intn(70)
-		d := 1 + rng.Intn(40)
-		k := 1 + rng.Intn(50)
-		cols := RandomInt8(Shape{N: n, C: p, H: d, W: 1}, uint64(600+i))
-		w := RandomInt8(Shape{N: k, C: d, H: 1, W: 1}, uint64(700+i))
-		zp := int32(rng.Intn(7) - 3)
-		ref, err := MatMulCols(cols, w, zp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pl := range []*Pool{nil, pool} {
-			got, err := MatMulColsBlocked(cols, w, zp, pl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Shape != ref.Shape {
-				t.Fatalf("case %d: shape %v != %v", i, got.Shape, ref.Shape)
-			}
-			for j := range ref.Data {
-				if got.Data[j] != ref.Data[j] {
-					t.Fatalf("case %d: blocked[%d]=%d != reference %d", i, j, got.Data[j], ref.Data[j])
-				}
 			}
 		}
 	}
@@ -374,7 +455,7 @@ func TestPoolRunCoversAllBlocks(t *testing.T) {
 	for _, workers := range []int{1, 2, 5} {
 		pool := NewPool(workers)
 		counts := make([]int32, 97)
-		pool.Run(len(counts), func(i int) { counts[i]++ })
+		pool.Run(len(counts), func(_, i int) { counts[i]++ })
 		pool.Close()
 		for i, c := range counts {
 			if c != 1 {
@@ -422,5 +503,24 @@ func BenchmarkConv2DReference(b *testing.B) {
 		if _, err := Conv2D(in, w, 0, benchConvShapes.p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRequantizeInto measures the requantize stage on a layer's
+// worth of accumulators whose products straddle rounding and saturation.
+func BenchmarkRequantizeInto(b *testing.B) {
+	acc := NewInt32(Shape{N: 1, C: 64, H: 32, W: 32})
+	rng := rand.New(rand.NewSource(3))
+	for i := range acc.Data {
+		acc.Data[i] = int32(rng.Intn(40001) - 20000)
+	}
+	q := QuantParams{Scale: 1.0 / 64, ZeroPoint: 3}
+	var dst Int8
+	RequantizeInto(&dst, acc, q)
+	b.SetBytes(int64(5 * len(acc.Data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RequantizeInto(&dst, acc, q)
 	}
 }

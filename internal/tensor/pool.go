@@ -19,7 +19,7 @@ import (
 type Pool struct {
 	workers int
 	started bool
-	run     func(int)
+	run     func(worker, block int)
 	next    atomic.Int64
 	total   atomic.Int64
 	start   chan struct{}
@@ -52,19 +52,21 @@ func (p *Pool) Workers() int {
 // stays allocation-free.
 func (p *Pool) parallel() bool { return p != nil && p.workers > 1 }
 
-// Run invokes f(0..n-1) across the pool and returns when every block
-// has completed. With a nil/1-wide pool the blocks run inline in order.
-func (p *Pool) Run(n int, f func(int)) {
+// Run invokes f(worker, 0..n-1) across the pool and returns when every
+// block has completed. worker is the index (below Workers()) of the
+// goroutine running the block, so f may keep per-worker scratch. With a
+// nil/1-wide pool the blocks run inline, in order, as worker 0.
+func (p *Pool) Run(n int, f func(worker, block int)) {
 	if !p.parallel() || n <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			f(0, i)
 		}
 		return
 	}
 	if !p.started {
 		p.started = true
 		for i := 0; i < p.workers; i++ {
-			go p.worker()
+			go p.worker(i)
 		}
 	}
 	p.run = f
@@ -79,7 +81,7 @@ func (p *Pool) Run(n int, f func(int)) {
 	p.run = nil
 }
 
-func (p *Pool) worker() {
+func (p *Pool) worker(id int) {
 	for range p.start {
 		f := p.run
 		for {
@@ -87,7 +89,7 @@ func (p *Pool) worker() {
 			if i >= p.total.Load() {
 				break
 			}
-			f(int(i))
+			f(id, int(i))
 		}
 		p.done <- struct{}{}
 	}

@@ -52,11 +52,20 @@ func (q QuantParams) Dequantize(v int8) float64 {
 
 // Requantize folds an int32 accumulator back into int8 space using the
 // combined scale (inScale*wScale/outScale), mirroring the ZS + scaling
-// stage of SushiAccel.
+// stage of SushiAccel: round(acc·scale) half away from zero, plus the
+// zero point, saturated to int8. It saturates in the float domain — an
+// out-of-range float→int conversion is implementation-defined in Go —
+// and a NaN product saturates high. It is the oracle RequantizeInto is
+// pinned against.
 func Requantize(acc int32, combined QuantParams) int8 {
-	v := float64(acc) * combined.Scale
-	r := int32(math.Round(v)) + combined.ZeroPoint
-	return int8(clampInt32(r, -128, 127))
+	r := math.Round(float64(acc)*combined.Scale) + float64(combined.ZeroPoint)
+	switch {
+	case !(r < 127):
+		return 127
+	case r < -128:
+		return -128
+	}
+	return int8(r)
 }
 
 // RequantizeTensor applies Requantize to every element.
@@ -68,13 +77,36 @@ func RequantizeTensor(acc *Int32, combined QuantParams) *Int8 {
 	return out
 }
 
+// requantLimit bounds the product before it is truncated: far beyond
+// int8 ± any int32 zero point, well inside int64.
+const requantLimit = 1 << 62
+
 // RequantizeInto applies Requantize into dst, reusing dst's backing
 // array — the in-place variant the inference arena uses so steady-state
-// forwards allocate nothing.
+// forwards allocate nothing. math.Round is not an intrinsic on amd64,
+// so it rounds by truncation instead: with t = trunc(v), the remainder
+// f = v − t is exact, and trunc(2f) is +1, 0 or −1 exactly when v's
+// fraction is ≥ ½, in between, or ≤ −½. Accumulator rounding and
+// saturation are data-dependent coin flips, so neither is a branch: the
+// only branches are the never-taken float-domain limits.
 func RequantizeInto(dst *Int8, acc *Int32, combined QuantParams) {
 	EnsureInt8(dst, acc.Shape)
-	for i, v := range acc.Data {
-		dst.Data[i] = Requantize(v, combined)
+	scale, zp := combined.Scale, int64(combined.ZeroPoint)
+	out := dst.Data[:len(acc.Data)]
+	for i, a := range acc.Data {
+		v := float64(a) * scale
+		if !(v < requantLimit) {
+			v = requantLimit
+		}
+		if v < -requantLimit {
+			v = -requantLimit
+		}
+		t := int64(v)
+		f := v - float64(t)
+		r := t + int64(f+f) + zp
+		r = min(r, 127)
+		r = max(r, -128)
+		out[i] = int8(r)
 	}
 }
 
