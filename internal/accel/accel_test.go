@@ -318,6 +318,28 @@ func TestSetCachedSwapAccounting(t *testing.T) {
 	if n2 != 2 || b2 != b {
 		t.Errorf("identical re-cache moved %d extra bytes", b2-b)
 	}
+	// SetCached holds a private copy, SetCachedShared the caller's graph;
+	// both book through Install, which trusts the footprint and fill it
+	// is handed.
+	if sim.Cached() == g1 {
+		t.Error("SetCached aliased the caller's SubGraph")
+	}
+	if err := sim.SetCachedShared(g1); err != nil {
+		t.Fatal(err)
+	}
+	if n3, b3 := sim.Swaps(); sim.Cached() != g1 || n3 != 3 || b3 != b {
+		t.Errorf("shared re-cache: aliased=%v swaps=%d bytes=%d, want true, 3, %d", sim.Cached() == g1, n3, b3, b)
+	}
+	g2 := fr[len(fr)-1].Graph.TruncateToBudget(cfg.PBBytes/2, prio)
+	if err := sim.Install(g2, g2.Bytes(), sim.FillBytes(g2)); err != nil {
+		t.Fatal(err)
+	}
+	if n4, b4 := sim.Swaps(); n4 != 4 || b4 != b+g2.Bytes()-g2.IntersectBytes(g1) {
+		t.Errorf("install: swaps=%d bytes=%d, want 4, %d", n4, b4, b+g2.Bytes()-g2.IntersectBytes(g1))
+	}
+	if err := sim.Install(g1, cfg.PBBytes+1, 0); err == nil || sim.Cached() != g2 {
+		t.Error("install over capacity accepted")
+	}
 }
 
 func TestRunLayersSubset(t *testing.T) {

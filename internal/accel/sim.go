@@ -102,50 +102,45 @@ func (s *Simulator) FillBytes(g *supernet.SubGraph) int64 {
 	return g.Bytes()
 }
 
-// SetCached enacts a SubGraph-caching control decision. It fails if the
-// configuration has no Persistent Buffer or the SubGraph exceeds its
-// capacity. Passing nil clears the cache.
+// SetCached enacts a SubGraph-caching control decision on a private copy
+// of g. It fails if the configuration has no Persistent Buffer or the
+// SubGraph exceeds its capacity. Passing nil clears the cache.
 func (s *Simulator) SetCached(g *supernet.SubGraph) error {
-	if g == nil {
-		s.cached = nil
-		return nil
+	if g != nil {
+		g = g.Clone()
 	}
-	if !s.cfg.HasPB() {
-		return fmt.Errorf("accel %s: no Persistent Buffer configured", s.cfg.Name)
-	}
-	if b := g.Bytes(); b > s.cfg.PBBytes {
-		return fmt.Errorf("accel %s: SubGraph %q (%d B) exceeds PB capacity (%d B)",
-			s.cfg.Name, g.Name(), b, s.cfg.PBBytes)
-	}
-	// Fetching the newly cached cells not already resident costs DRAM
-	// traffic; this is why SushiSched updates the cache only every Q
-	// queries (Appendix A.1).
-	fill := s.FillBytes(g)
-	s.cached = g.Clone()
-	s.swaps++
-	s.swapBytes += fill
-	return nil
+	return s.SetCachedShared(g)
 }
 
 // SetCachedShared is SetCached without the defensive Clone: the
 // simulator aliases g directly, so the caller must guarantee g is never
-// mutated afterward. The serving layer uses this for its latency-table
-// cache columns (immutable after build) — cache updates fire every Q
-// queries on the hot path, and the clone was their last per-update
-// allocation.
+// mutated afterward (latency-table cache columns are immutable after
+// build).
 func (s *Simulator) SetCachedShared(g *supernet.SubGraph) error {
 	if g == nil {
 		s.cached = nil
 		return nil
 	}
+	return s.Install(g, g.Bytes(), s.FillBytes(g))
+}
+
+// Install is the one place a SubGraph enters the Persistent Buffer: it
+// aliases g (as SetCachedShared does) given g's footprint and its
+// incremental fill over the current cache state — bytes == g.Bytes() and
+// fill == s.FillBytes(g), which the serving layer reads from its tables
+// instead of re-walking the cell list on every swap. It fails if the
+// configuration has no Persistent Buffer or g exceeds its capacity.
+// Fetching the newly cached cells not already resident costs DRAM
+// traffic; this is why SushiSched updates the cache only every Q queries
+// (Appendix A.1).
+func (s *Simulator) Install(g *supernet.SubGraph, bytes, fill int64) error {
 	if !s.cfg.HasPB() {
 		return fmt.Errorf("accel %s: no Persistent Buffer configured", s.cfg.Name)
 	}
-	if b := g.Bytes(); b > s.cfg.PBBytes {
+	if bytes > s.cfg.PBBytes {
 		return fmt.Errorf("accel %s: SubGraph %q (%d B) exceeds PB capacity (%d B)",
-			s.cfg.Name, g.Name(), b, s.cfg.PBBytes)
+			s.cfg.Name, g.Name(), bytes, s.cfg.PBBytes)
 	}
-	fill := s.FillBytes(g)
 	s.cached = g
 	s.swaps++
 	s.swapBytes += fill

@@ -60,6 +60,63 @@ func scanMostAccurateWithin(tab *Table, lat float64, j, n int) (int, bool) {
 	return best, false
 }
 
+// scanNearestWithin is the reference for NearestGraphWithin: footprints
+// and encodings re-derived from the cell lists on every call.
+func scanNearestWithin(tab *Table, v []float64, maxBytes int64) int {
+	best, bestD := -1, 0.0
+	for j, g := range tab.Graphs {
+		if maxBytes > 0 && g.Bytes() > maxBytes {
+			continue
+		}
+		if d := supernet.Distance(g.Vector(), v); best < 0 || d < bestD {
+			best, bestD = j, d
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	best = 0
+	for j, g := range tab.Graphs {
+		if g.Bytes() < tab.Graphs[best].Bytes() {
+			best = j
+		}
+	}
+	return best
+}
+
+// checkGraphBytes asserts that the precomputed footprints are the cell
+// lists' and that NearestGraphWithin answers as the scan does under no
+// budget, a budget below the smallest column, one at and one between
+// every pair of column sizes, and one above all of them.
+func checkGraphBytes(t *testing.T, tab *Table, label string) {
+	t.Helper()
+	budgets := []int64{0}
+	for j, g := range tab.Graphs {
+		b := g.Bytes()
+		if got := tab.GraphBytes(j); got != b {
+			t.Fatalf("%s: GraphBytes(%d) = %d, Graphs[%d].Bytes() = %d", label, j, got, j, b)
+		}
+		budgets = append(budgets, b/2, b, b+1)
+		for _, o := range tab.Graphs[:j] {
+			budgets = append(budgets, (b+o.Bytes())/2)
+		}
+	}
+	probes := make([][]float64, 0, tab.Rows()+tab.Cols())
+	for i := range tab.SubNets {
+		probes = append(probes, tab.RowVector(i))
+	}
+	for _, g := range tab.Graphs {
+		probes = append(probes, g.Vector())
+	}
+	for _, v := range probes {
+		for _, b := range budgets {
+			if got, want := tab.NearestGraphWithin(v, b), scanNearestWithin(tab, v, b); got != want {
+				t.Fatalf("%s: NearestGraphWithin(budget %d) = %d, scan %d", label, b, got, want)
+			}
+		}
+	}
+}
+
 // checkOrderingInvariants asserts (a) the index's sorted arrays really
 // are sorted, and (b) every binary-searched answer is bit-identical to
 // the reference row scan, probing exactly at the tie-sensitive values
@@ -67,6 +124,7 @@ func scanMostAccurateWithin(tab *Table, lat float64, j, n int) (int, bool) {
 // infinite constraints, for solo and batched lookups.
 func checkOrderingInvariants(t *testing.T, tab *Table, label string) {
 	t.Helper()
+	checkGraphBytes(t, tab, label)
 	idx := tab.index
 	if !sort.Float64sAreSorted(idx.accSorted) {
 		t.Fatalf("%s: accSorted not sorted", label)
@@ -162,6 +220,14 @@ func TestOrderingInvariants(t *testing.T) {
 	}
 	checkOrderingInvariants(t, dec, "decoded")
 
+	// FromMatrices adopts externally produced matrices and finalises the
+	// same way.
+	fm, err := FromMatrices(fr, cands, tab.Lat, tab.Item, tab.Energy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOrderingInvariants(t, fm, "from matrices")
+
 	// NearestGraphWithin under a capping budget must keep answering from
 	// the same index (read-only) and cap correctly.
 	v := tab.RowVector(tab.Rows() - 1)
@@ -179,6 +245,7 @@ func TestOrderingInvariants(t *testing.T) {
 // and without an Item matrix.
 func TestOrderingInvariantsRandomTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	super := supernet.NewOFAMobileNetV3()
 	for trial := 0; trial < 30; trial++ {
 		rows := 2 + rng.Intn(7)
 		cols := 1 + rng.Intn(4)
@@ -208,7 +275,22 @@ func TestOrderingInvariantsRandomTables(t *testing.T) {
 				}
 			}
 		}
-		tab.buildIndex()
+		// Random cell subsets as columns; every third repeats its left
+		// neighbour, so equal footprints and distances tie.
+		for j := range tab.Graphs {
+			if j > 0 && j%3 == 2 {
+				tab.Graphs[j] = tab.Graphs[j-1].Clone()
+				continue
+			}
+			g := supernet.NewSubGraph(super, "random")
+			for id := 0; id < super.NumCells(); id++ {
+				if rng.Intn(4) == 0 {
+					g.Add(id)
+				}
+			}
+			tab.Graphs[j] = g
+		}
+		tab.buildVectors()
 		checkOrderingInvariants(t, tab, "random")
 	}
 }

@@ -38,6 +38,9 @@ type Table struct {
 	// rowVectors caches each row's (SubNet's) encoding so per-query
 	// window observations never re-derive it. Read-only after build.
 	rowVectors [][]float64
+	// graphBytes[j] is Graphs[j].Bytes(), so share checks on the serving
+	// path never re-walk a column's cell list. Read-only after build.
+	graphBytes []int64
 	// index holds the precomputed per-column feasibility structures the
 	// scheduler's hot path binary-searches instead of scanning rows.
 	index *tableIndex
@@ -197,8 +200,10 @@ func Build(cfg accel.Config, subnets []*supernet.SubNet, graphs []*supernet.SubG
 
 func (t *Table) buildVectors() {
 	t.vectors = make([][]float64, len(t.Graphs))
+	t.graphBytes = make([]int64, len(t.Graphs))
 	for j, g := range t.Graphs {
 		t.vectors[j] = g.Vector()
+		t.graphBytes[j] = g.Bytes()
 	}
 	t.rowVectors = make([][]float64, len(t.SubNets))
 	for i, sn := range t.SubNets {
@@ -388,6 +393,10 @@ func (t *Table) batchOrderFor(j, n int) *batchOrder {
 // slice is shared and read-only; callers must not mutate it.
 func (t *Table) RowVector(i int) []float64 { return t.rowVectors[i] }
 
+// GraphBytes returns column j's SubGraph footprint, Graphs[j].Bytes(),
+// precomputed.
+func (t *Table) GraphBytes(j int) int64 { return t.graphBytes[j] }
+
 // MinLatency returns the smallest latency any row achieves under
 // column j — the scan-equivalent argmin value, precomputed.
 func (t *Table) MinLatency(j int) float64 { return t.index.cols[j].minLat }
@@ -521,7 +530,7 @@ func (t *Table) NearestGraph(v []float64) int {
 func (t *Table) NearestGraphWithin(v []float64, maxBytes int64) int {
 	best, bestD := -1, -1.0
 	for j := range t.Graphs {
-		if maxBytes > 0 && t.Graphs[j].Bytes() > maxBytes {
+		if maxBytes > 0 && t.graphBytes[j] > maxBytes {
 			continue
 		}
 		d := supernet.Distance(t.vectors[j], v)
@@ -534,7 +543,7 @@ func (t *Table) NearestGraphWithin(v []float64, maxBytes int64) int {
 	}
 	smallest := 0
 	for j := 1; j < len(t.Graphs); j++ {
-		if t.Graphs[j].Bytes() < t.Graphs[smallest].Bytes() {
+		if t.graphBytes[j] < t.graphBytes[smallest] {
 			smallest = j
 		}
 	}

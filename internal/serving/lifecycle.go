@@ -65,9 +65,8 @@ func (r *Replica) BootCost() float64 {
 	defer r.mu.Unlock()
 	var c float64
 	for _, t := range r.tenants {
-		sim := t.sys.Simulator()
-		if g := sim.Cached(); g != nil {
-			c += float64(g.Bytes()) / sim.Config().OffChipBW
+		if t.sys.mode != NoPB {
+			c += float64(t.sys.table.GraphBytes(t.sys.cachedCol)) / t.sys.sim.Config().OffChipBW
 		}
 	}
 	return c

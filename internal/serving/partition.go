@@ -185,7 +185,7 @@ func bestFitColumn(sys *System, share int64) int {
 	tab := sys.Table()
 	best, bestBytes := -1, int64(-1)
 	for j := 0; j < tab.Cols(); j++ {
-		b := tab.Graphs[j].Bytes()
+		b := tab.GraphBytes(j)
 		if b <= share && b > bestBytes {
 			best, bestBytes = j, b
 		}
@@ -228,11 +228,10 @@ func (ps *partitionState) maybeRebalance(r *Replica, enact func(*tenant, float64
 		grew := share > t.shareBytes
 		t.shareBytes = share
 		t.sys.Scheduler().SetCacheBudget(share)
-		cached := t.sys.Simulator().Cached()
-		if cached == nil {
+		if t.sys.mode == NoPB {
 			continue
 		}
-		cur := cached.Bytes()
+		cur := t.sys.table.GraphBytes(t.sys.cachedCol)
 		switch {
 		case !grew && cur > share:
 			// Mandatory eviction: the tenant's cache no longer fits its
@@ -247,7 +246,7 @@ func (ps *partitionState) maybeRebalance(r *Replica, enact func(*tenant, float64
 		if col < 0 || col == t.sys.Scheduler().CacheColumn() {
 			continue
 		}
-		if grew && t.sys.Table().Graphs[col].Bytes() <= cur {
+		if grew && t.sys.table.GraphBytes(col) <= cur {
 			continue
 		}
 		cost, err := t.sys.Recache(col)

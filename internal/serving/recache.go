@@ -165,7 +165,7 @@ func (rc *recacheState) advise(sys *System, limit int64) (int, bool) {
 		if j == cur {
 			continue
 		}
-		if limit > 0 && tab.Graphs[j].Bytes() > limit {
+		if limit > 0 && tab.GraphBytes(j) > limit {
 			continue
 		}
 		s, ok := score(j)

@@ -135,16 +135,17 @@ type Served struct {
 // pure function of (SubNet row, batch size, cached SubGraph) — the
 // latency table is built from exactly this determinism — so per-query
 // passes are served from this memo and the layer loop runs only on the
-// first (row, n) miss after each cache change.
+// first visit of a (cached column, row, n). Nothing invalidates it.
 type passStats struct {
 	latency  float64
 	hitRatio float64
 	hitBytes int64
 	energyJ  float64
+	ok       bool
 }
 
 // passKey keys the batched-pass memo.
-type passKey struct{ row, n int }
+type passKey struct{ col, row, n int }
 
 // System is one runnable serving stack.
 type System struct {
@@ -156,14 +157,23 @@ type System struct {
 	opt      Options
 	// pendingSwapSec is cache-fill time to charge to the next query.
 	pendingSwapSec float64
-	// passSolo/passSoloOK memoize solo passes per table row under the
-	// CURRENT cache state; passBatch memoizes batched passes (lazily
-	// allocated — closed-loop systems may never batch). Every cache
-	// mutation (Recache, the Q-periodic updates in Serve/ServeBatch)
-	// invalidates both.
-	passSolo   []passStats
-	passSoloOK []bool
-	passBatch  map[passKey]passStats
+	// cachedCol is the table column the simulator holds: New installs
+	// table.Graphs[initCol] and enact is the only mutator afterwards (on
+	// NoPB it stays 0, the lone cold-cache column, with nothing
+	// installed). Every memo below is keyed by it, so cache updates,
+	// re-caches and share rebalances move the key and drop nothing.
+	cachedCol int
+	// passSolo[col][row] memoizes solo passes, a column's row slice
+	// allocated on its first visit; passBatch memoizes batched passes
+	// (lazily allocated — closed-loop systems may never batch).
+	passSolo  [][]passStats
+	passBatch map[passKey]passStats
+	// fills[from][to] is one more than the DRAM fill of installing column
+	// to over column from (0 = not computed yet), rows allocated like
+	// passSolo's.
+	fills [][]int64
+	// passMisses counts memo misses, i.e. simulator passes actually run.
+	passMisses int
 	// passScratch is the reusable report for memo misses, so a pass
 	// simulation allocates nothing in steady state.
 	passScratch accel.Report
@@ -341,46 +351,46 @@ func New(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options) (*S
 	// Enact the initial cache state so the simulator matches the
 	// scheduler's belief from the first query.
 	if opt.Mode != NoPB {
-		if err := sim.SetCachedShared(table.Graphs[initCol]); err != nil {
+		b := table.GraphBytes(initCol)
+		if err := sim.Install(table.Graphs[initCol], b, b); err != nil {
 			return nil, err
 		}
 	}
 	return &System{
-		mode:       opt.Mode,
-		sim:        sim,
-		schd:       schd,
-		table:      table,
-		frontier:   frontier,
-		opt:        opt,
-		passSolo:   make([]passStats, table.Rows()),
-		passSoloOK: make([]bool, table.Rows()),
+		mode:      opt.Mode,
+		sim:       sim,
+		schd:      schd,
+		table:     table,
+		frontier:  frontier,
+		opt:       opt,
+		cachedCol: initCol,
+		passSolo:  make([][]passStats, table.Cols()),
+		fills:     make([][]int64, table.Cols()),
 	}, nil
 }
 
-// invalidatePasses drops every memoized pass; called after each cache
-// mutation so the next pass per (row, n) re-runs the real simulator.
-func (s *System) invalidatePasses() {
-	for i := range s.passSoloOK {
-		s.passSoloOK[i] = false
-	}
-	clear(s.passBatch)
-}
-
-// passFor returns the memoized accelerator pass for (row, n), running
-// the simulator on a miss. Results are bit-identical to calling the
-// simulator every time: Run/ServeBatch are pure in the cache state,
-// which is exactly what the memo is keyed on (by invalidation).
+// passFor returns the memoized accelerator pass for (row, n) under the
+// cached column, running the simulator on a miss. Results are
+// bit-identical to calling the simulator every time: Run/ServeBatch are
+// pure in the cache state, and the simulator holds Graphs[cachedCol]
+// whenever the memo is read or written.
 func (s *System) passFor(row, n int) (passStats, error) {
 	if n < 1 {
 		n = 1
 	}
+	solo := s.passSolo[s.cachedCol]
 	if n == 1 {
-		if s.passSoloOK[row] {
-			return s.passSolo[row], nil
+		if solo == nil {
+			solo = make([]passStats, s.table.Rows())
+			s.passSolo[s.cachedCol] = solo
 		}
-	} else if ps, ok := s.passBatch[passKey{row, n}]; ok {
+		if solo[row].ok {
+			return solo[row], nil
+		}
+	} else if ps, ok := s.passBatch[passKey{s.cachedCol, row, n}]; ok {
 		return ps, nil
 	}
+	s.passMisses++
 	sn := s.table.SubNets[row]
 	if err := s.sim.ServeBatchInto(&s.passScratch, sn, n); err != nil {
 		return passStats{}, err
@@ -389,19 +399,44 @@ func (s *System) passFor(row, n int) (passStats, error) {
 		latency:  s.passScratch.Total(),
 		hitBytes: s.passScratch.HitBytes,
 		energyJ:  s.passScratch.OffChipEnergyJ,
+		ok:       true,
 	}
 	if cached := s.sim.Cached(); cached != nil {
 		ps.hitRatio = supernet.Overlap(sn.Graph, cached)
 	}
 	if n == 1 {
-		s.passSolo[row], s.passSoloOK[row] = ps, true
+		solo[row] = ps
 	} else {
 		if s.passBatch == nil {
 			s.passBatch = make(map[passKey]passStats)
 		}
-		s.passBatch[passKey{row, n}] = ps
+		s.passBatch[passKey{s.cachedCol, row, n}] = ps
 	}
 	return ps, nil
+}
+
+// enact installs table column col in the simulator's Persistent Buffer —
+// the only mutation of the simulator after New — and returns the modeled
+// switch cost in seconds: the DRAM fill of col's cells not resident
+// under the current column, at the accelerator's off-chip bandwidth. The
+// fill comes from the (from, to) memo and the footprint from the table,
+// so a swap walks a cell list only the first time a column pair occurs.
+func (s *System) enact(col int) (float64, error) {
+	fills := s.fills[s.cachedCol]
+	if fills == nil {
+		fills = make([]int64, s.table.Cols())
+		s.fills[s.cachedCol] = fills
+	}
+	g := s.table.Graphs[col]
+	if fills[col] == 0 {
+		fills[col] = s.sim.FillBytes(g) + 1
+	}
+	fill := fills[col] - 1
+	if err := s.sim.Install(g, s.table.GraphBytes(col), fill); err != nil {
+		return 0, err
+	}
+	s.cachedCol = col
+	return float64(fill) / s.sim.Config().OffChipBW, nil
 }
 
 // Mode returns the system variant.
@@ -432,16 +467,14 @@ func (s *System) Recache(col int) (float64, error) {
 	if col < 0 || col >= s.table.Cols() {
 		return 0, fmt.Errorf("serving: recache column %d outside [0, %d)", col, s.table.Cols())
 	}
-	g := s.table.Graphs[col]
-	fill := s.sim.FillBytes(g)
-	if err := s.sim.SetCachedShared(g); err != nil {
+	fillSec, err := s.enact(col)
+	if err != nil {
 		return 0, err
 	}
 	if err := s.schd.SetColumn(col); err != nil {
 		return 0, err
 	}
-	s.invalidatePasses()
-	return float64(fill) / s.sim.Config().OffChipBW, nil
+	return fillSec, nil
 }
 
 // chargeSwap adds sec of cache-fill time to the next query's latency
@@ -491,16 +524,12 @@ func (s *System) Serve(q sched.Query) (Served, error) {
 		OffChipEnergyJ: ps.energyJ,
 	}
 	if d.CacheUpdate >= 0 {
-		g := s.table.Graphs[d.CacheUpdate]
-		prevFillBytes := s.sim.FillBytes(g)
-		if err := s.sim.SetCachedShared(g); err != nil {
+		fillSec, err := s.enact(d.CacheUpdate)
+		if err != nil {
 			return Served{}, err
 		}
-		s.invalidatePasses()
 		out.CacheSwapped = true
-		if s.opt.ChargeSwapLatency {
-			s.pendingSwapSec += float64(prevFillBytes) / s.opt.Accel.OffChipBW
-		}
+		s.chargeSwap(fillSec)
 	}
 	return out, nil
 }
@@ -579,18 +608,14 @@ func (s *System) ServeBatchInto(qs []sched.Query, out []Served) error {
 	out[0].HitBytes = ps.hitBytes
 	out[0].OffChipEnergyJ = ps.energyJ
 	if d.CacheUpdate >= 0 {
-		g := s.table.Graphs[d.CacheUpdate]
-		prevFillBytes := s.sim.FillBytes(g)
-		if err := s.sim.SetCachedShared(g); err != nil {
+		fillSec, err := s.enact(d.CacheUpdate)
+		if err != nil {
 			return err
 		}
-		s.invalidatePasses()
 		// The boundary-crossing member (the last one) carries the swap
 		// marker; the fill itself happens once, after the batch.
 		out[len(out)-1].CacheSwapped = true
-		if s.opt.ChargeSwapLatency {
-			s.pendingSwapSec += float64(prevFillBytes) / s.opt.Accel.OffChipBW
-		}
+		s.chargeSwap(fillSec)
 	}
 	return nil
 }
