@@ -3,6 +3,8 @@
 //	POST /v1/serve        {"min_accuracy": 78, "max_latency_ms": 5,
 //	                       "deadline_ms": 20, "policy": "lat"}
 //	POST /v1/serve/batch  NDJSON queries in, NDJSON outcomes out
+//	                      (bodies past 1 MiB on /v1/serve and 32 MiB
+//	                      on /v1/serve/batch are answered 413)
 //	POST /v1/simulate     open-loop virtual-time simulation
 //	GET  /v1/replicas     per-replica hardware, cache state, queue depth
 //	GET  /v1/frontier     servable SubNets

@@ -14,6 +14,10 @@
 //	                      deadline_ms (multi-tenant deployments route by
 //	                      the model field; unknown models are 400s)
 //	POST /v1/serve/batch  NDJSON stream of queries in, NDJSON out
+//	                      (both serve endpoints cap the body, 1 MiB and
+//	                      32 MiB, answer 413 past it, and use the
+//	                      fixed-shape codec of codec.go, not
+//	                      encoding/json)
 //	POST /v1/simulate     open-loop virtual-time simulation (simq engine;
 //	                      max_batch/batch_window_ms drive the micro-batch
 //	                      former; autoscale_* knobs override the
@@ -38,12 +42,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,13 +77,16 @@ type (
 type Server struct {
 	dep *core.ClusterDeployment
 	mux *http.ServeMux
+	// modelIDs are the hosted model ids: a request naming one shares its
+	// string.
+	modelIDs []string
 	// next issues query ids.
 	next atomic.Int64
 }
 
 // New wraps a cluster deployment.
 func New(dep *core.ClusterDeployment) *Server {
-	s := &Server{dep: dep, mux: http.NewServeMux()}
+	s := &Server{dep: dep, mux: http.NewServeMux(), modelIDs: dep.Cluster.Models()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/frontier", s.handleFrontier)
 	s.mux.HandleFunc("GET /v1/cache", s.handleCache)
@@ -134,6 +145,10 @@ func ParsePolicy(name string) (sched.Policy, error) {
 	}
 }
 
+// policies is what a per-query override points into, indexed by the
+// policy's own value, so a query with one allocates nothing for it.
+var policies = [...]sched.Policy{sched.StrictAccuracy, sched.StrictLatency, sched.MinEnergy}
+
 // query validates the request and shapes it into a scheduler query.
 func (req ServeRequest) query(id int) (sched.Query, error) {
 	if req.MinAccuracy < 0 || req.MinAccuracy > 100 {
@@ -160,7 +175,7 @@ func (req ServeRequest) query(id int) (sched.Query, error) {
 		if err != nil {
 			return sched.Query{}, err
 		}
-		q.Policy = &p
+		q.Policy = &policies[p]
 	}
 	return q, nil
 }
@@ -180,30 +195,66 @@ type ServeResponse struct {
 	CacheSwapped bool    `json:"cache_swapped"`
 }
 
-func serveResponse(id int, res serving.Served) ServeResponse {
-	return ServeResponse{
-		ID:           id,
-		Model:        res.Query.Model,
-		SubNet:       res.SubNet,
-		Accuracy:     res.Accuracy,
-		LatencyMS:    res.Latency * 1e3,
-		Feasible:     res.Feasible,
-		LatencyMet:   res.LatencyMet,
-		AccuracyMet:  res.AccuracyMet,
-		HitRatio:     res.HitRatio,
-		CacheSwapped: res.CacheSwapped,
+// Request bodies are read whole before they are parsed, so they are
+// capped: an oversized body is a 413.
+const (
+	maxServeBody = 1 << 20
+	maxBatchBody = 32 << 20
+)
+
+// bodyPool holds the buffers the serve handlers read a request into and
+// then build its reply in.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// takeBody reads r's body, capped at limit bytes, into a pooled buffer
+// that the caller puts back. A failed read is answered here: 413 past
+// the cap, else 400.
+func takeBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, bool) {
+	bp := bodyPool.Get().(*[]byte)
+	b := bytes.NewBuffer((*bp)[:0])
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	*bp = b.Bytes()
+	if err == nil {
+		return bp, true
 	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Sprintf("bad request body: %v", err))
+	return bp, false
 }
 
-// decodeStrict decodes one JSON value rejecting unknown fields.
-func decodeStrict(dec *json.Decoder, req *ServeRequest) error {
-	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+// writeReplies renders one reply line per result into buf and sends
+// them in one write, returning buf as grown. No byte is written before
+// every line is rendered, so a result that cannot be rendered is a 500
+// and never a 200 cut short.
+func writeReplies(w http.ResponseWriter, contentType string, buf []byte, qs []sched.Query, rs []serving.Served) []byte {
+	buf = buf[:0]
+	for i := range rs {
+		var err error
+		if buf, err = appendServeResponse(buf, qs[i].ID, &rs[i]); err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return buf
+		}
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	_, _ = w.Write(buf) // a failed write means the client is gone
+	return buf
 }
 
 func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
+	bp, ok := takeBody(w, r, maxServeBody)
+	defer bodyPool.Put(bp)
+	if !ok {
+		return
+	}
+	body := *bp
+	// Only the first value is read; what follows it is ignored.
 	var req ServeRequest
-	if err := decodeStrict(json.NewDecoder(r.Body), &req); err != nil {
+	if _, err := decodeServeRequest(body, 0, &req, s.modelIDs); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -214,8 +265,13 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	if req.DeadlineMS > 0 {
+		// A deadline past what a Duration holds is the longest one.
+		timeout := time.Duration(math.MaxInt64)
+		if ns := req.DeadlineMS * float64(time.Millisecond); ns < math.MaxInt64 {
+			timeout = time.Duration(ns)
+		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS*float64(time.Millisecond)))
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	res, err := s.dep.Cluster.Serve(ctx, q)
@@ -223,19 +279,27 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 		serveError(w, err)
 		return
 	}
-	writeJSON(w, serveResponse(q.ID, res))
+	// The body is dead once decoded: the reply reuses its buffer.
+	*bp = writeReplies(w, "application/json", body, []sched.Query{q}, []serving.Served{res})
 }
 
 // handleServeBatch accepts an NDJSON stream of ServeRequest lines and
 // answers with one NDJSON ServeResponse line per query, in input order.
 // The whole batch is validated before any query executes, then serves
-// concurrently across the cluster's replicas.
+// concurrently across the cluster's replicas; the whole reply is built
+// before its first byte is written.
 func (s *Server) handleServeBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	var qs []sched.Query
-	for line := 1; ; line++ {
+	bp, ok := takeBody(w, r, maxBatchBody)
+	defer bodyPool.Put(bp)
+	if !ok {
+		return
+	}
+	body := *bp
+	// One value per line is the norm; a value is at least two bytes.
+	qs := make([]sched.Query, 0, min(bytes.Count(body, []byte{'\n'})+1, len(body)/2))
+	for i, line := 0, 1; ; line++ {
 		var req ServeRequest
-		err := decodeStrict(dec, &req)
+		next, err := decodeServeRequest(body, i, &req, s.modelIDs)
 		if err == io.EOF {
 			break
 		}
@@ -249,6 +313,7 @@ func (s *Server) handleServeBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		qs = append(qs, q)
+		i = next
 	}
 	if len(qs) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch")
@@ -259,13 +324,8 @@ func (s *Server) handleServeBatch(w http.ResponseWriter, r *http.Request) {
 		serveError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i, res := range rs {
-		if err := enc.Encode(serveResponse(qs[i].ID, res)); err != nil {
-			return
-		}
-	}
+	// The body is dead once decoded: the reply reuses its buffer.
+	*bp = writeReplies(w, "application/x-ndjson", body, qs, rs)
 }
 
 // TracePoint is one recorded query of a SimulateRequest trace.
