@@ -386,13 +386,6 @@ type SimOptions struct {
 	// replica count — Simulate cannot boot replicas the deployment
 	// never built.
 	Autoscale *AutoscaleOptions
-	// Shards opts into the engine's parallel mode: replicas are
-	// partitioned across up to Shards goroutines advancing in
-	// conservative virtual-time windows, with results bit-identical to
-	// the sequential engine at any shard count. Requires a shard-safe
-	// router (RoundRobin or RandomRouter) and a fixed (non-autoscaled)
-	// fleet; 0 or 1 is the sequential engine.
-	Shards int
 }
 
 // Simulate plays a timed query stream through the cluster in virtual
@@ -422,12 +415,8 @@ func (c *Cluster) Simulate(qs []TimedQuery, opt SimOptions) (*SimResult, error) 
 // billion-element arrival slice. proc must implement the workload
 // Streamer face (every built-in process — Poisson, OnOff, Diurnal,
 // TraceArrivals, Mix — does); results are bit-identical to generating
-// proc.Times(n, seed) and calling Simulate. Sharded mode needs the
-// whole stream up front, so SimOptions.Shards is rejected here.
+// proc.Times(n, seed) and calling Simulate.
 func (c *Cluster) SimulateProcess(n int, proc ArrivalProcess, seed int64, mk func(i int, t float64) Query, opt SimOptions) (*SimResult, error) {
-	if opt.Shards > 1 {
-		return nil, fmt.Errorf("sushi: SimulateProcess streams arrivals lazily and cannot shard (Shards %d); materialize with Simulate instead", opt.Shards)
-	}
 	streamer, ok := proc.(workload.Streamer)
 	if !ok {
 		return nil, fmt.Errorf("sushi: arrival process %q cannot stream lazily; materialize with Simulate instead", proc.Name())
@@ -459,11 +448,8 @@ func (c *Cluster) SimulateCohorts(n int, seed int64, opt SimOptions) (*SimResult
 
 // SimulatePopulation is SimulateCohorts over an explicit Population —
 // sweep harnesses build populations per run instead of per deployment.
-// Like SimulateProcess it streams lazily and cannot shard.
+// Like SimulateProcess it streams lazily.
 func (c *Cluster) SimulatePopulation(n int, pop Population, seed int64, opt SimOptions) (*SimResult, error) {
-	if opt.Shards > 1 {
-		return nil, fmt.Errorf("sushi: SimulatePopulation streams arrivals lazily and cannot shard (Shards %d); materialize with Population.Queries and Simulate instead", opt.Shards)
-	}
 	ls, err := pop.Labeled(seed)
 	if err != nil {
 		return nil, err
@@ -515,6 +501,5 @@ func (c *Cluster) engine(opt SimOptions) (*simq.Engine, error) {
 		Router:    router,
 		Batching:  simq.ResolveBatching(opt.Batching, c.d.Cluster.BatchPolicy()),
 		Autoscale: asc,
-		Shards:    opt.Shards,
 	})
 }

@@ -13,7 +13,7 @@
 // Experiments: fig2 fig3 fig9 fig10 fig11 fig12 fig13a fig13b fig14
 // fig15 fig15acc fig16 fig17 fig18 table1 table2 table3 table4 table5
 // table6 hitratio ablation-avg overload loadsweep hetero batchsweep
-// multitenant elastic cohortsweep decisionhot (sushi-bench list prints
+// multitenant elastic cohortsweep calibsweep (sushi-bench list prints
 // the authoritative set). The -w flag (resnet50|mobilenetv3) applies to
 // workload-parameterized experiments.
 //

@@ -86,8 +86,7 @@ type tableIndex struct {
 	// max, i.e. lowest row index among ties).
 	maxAccRow int
 	// minLat is the smallest latency anywhere in the table — the
-	// tightest lower bound on any cross-replica interaction, used to
-	// size sharded-run barrier windows.
+	// tightest lower bound on any service completing.
 	minLat float64
 	cols   []colIndex
 }
@@ -410,8 +409,7 @@ func (t *Table) MinLatencyRow(j int) int { return t.index.cols[j].minLatRow }
 func (t *Table) MaxAccuracyRow() int { return t.index.maxAccRow }
 
 // GlobalMinLatency returns the smallest latency anywhere in the table —
-// the tightest bound on any service completing, used to size the
-// sharded engine's conservative barrier windows.
+// the tightest bound on any service completing.
 func (t *Table) GlobalMinLatency() float64 { return t.index.minLat }
 
 // FastestFeasible answers the STRICT_ACCURACY per-query decision for a

@@ -217,13 +217,19 @@ func takeBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, boo
 	if err == nil {
 		return bp, true
 	}
+	badBody(w, err)
+	return bp, false
+}
+
+// badBody answers a body that could not be read or parsed: 413 past a
+// MaxBytesReader cap, else 400.
+func badBody(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		code = http.StatusRequestEntityTooLarge
 	}
 	httpError(w, code, fmt.Sprintf("bad request body: %v", err))
-	return bp, false
 }
 
 // writeReplies renders one reply line per result into buf and sends
@@ -676,11 +682,13 @@ func modelSimViews(sum serving.Summary) []ModelSimView {
 // and leave their mark on its cache state; point this at an idle
 // deployment for reproducible sweeps.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	// Capped before decoding: the trace-length check in stream runs only
+	// once the whole array has been materialized.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 	dec.DisallowUnknownFields()
 	var req SimulateRequest
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		badBody(w, err)
 		return
 	}
 	qs, err := req.stream(s.dep.Cohorts)

@@ -441,6 +441,31 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// TestSimulateBodyCap: a trace past the body cap is a 413 with the usual
+// error object — refused while still being read, not after it has been
+// materialized — and the server answers the next simulation.
+func TestSimulateBodyCap(t *testing.T) {
+	ts := testServer(t, 1, "")
+	point := `{"arrival_s":0},`
+	huge := `{"process":"trace","trace":[` + strings.Repeat(point, maxBatchBody/len(point)+1) + `{"arrival_s":0}]}`
+	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg map[string]string
+	err = json.NewDecoder(resp.Body).Decode(&msg)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte trace: status %d, want 413", len(huge), resp.StatusCode)
+	}
+	if err != nil || msg["error"] == "" {
+		t.Errorf("413 body is not the JSON error object (%v)", err)
+	}
+	if resp, out := postSimulate(t, ts, `{"queries": 4, "rate_qps": 100, "max_latency_ms": 8}`); resp.StatusCode != http.StatusOK || out.Queries != 4 {
+		t.Errorf("simulation after the 413: status %d, %d queries", resp.StatusCode, out.Queries)
+	}
+}
+
 func TestSimulateDeterministicPerSeed(t *testing.T) {
 	// Two identical requests against two fresh deployments must agree
 	// bit-for-bit; a different seed must not.

@@ -60,8 +60,7 @@ type serveOutcome struct {
 // liveBatcher is one replica's wall-clock micro-batch former: the first
 // pending query arms a Window timer, a full batch flushes immediately,
 // and the flusher groups the drained queries by their scheduled SubNet
-// (compatible queries share one ServeBatch pass; stragglers serve
-// solo). All waiting happens OUTSIDE the replica lock, so batching
+// (compatible queries share one pass; stragglers serve solo). All waiting happens OUTSIDE the replica lock, so batching
 // never blocks the accelerator — it only gives concurrent callers a
 // chance to share a weight fetch.
 type liveBatcher struct {
@@ -183,24 +182,26 @@ func (b *liveBatcher) flush(batch []*pendingServe) {
 	}
 	for _, key := range order {
 		g := groups[key]
+		// Unschedulable queries (row -1) serve one by one, so the error
+		// path stays per-query.
+		size := len(g)
 		if key.row < 0 {
-			for _, p := range g {
-				res, err := b.rep.serveReserved(p.q)
-				p.done <- serveOutcome{res, err}
-			}
-			continue
+			size = 1
 		}
-		qs := make([]sched.Query, len(g))
-		for i, p := range g {
-			qs[i] = p.q
-		}
-		rs, err := b.rep.serveBatchReserved(qs)
-		for i, p := range g {
-			if err != nil {
-				p.done <- serveOutcome{err: err}
-				continue
+		for ; len(g) > 0; g = g[size:] {
+			qs := make([]sched.Query, size)
+			for i, p := range g[:size] {
+				qs[i] = p.q
 			}
-			p.done <- serveOutcome{res: rs[i]}
+			rs := make([]Served, size)
+			err := b.rep.serveBatch(qs, rs)
+			for i, p := range g[:size] {
+				if err != nil {
+					p.done <- serveOutcome{err: err}
+					continue
+				}
+				p.done <- serveOutcome{res: rs[i]}
+			}
 		}
 	}
 }

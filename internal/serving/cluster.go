@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sushi/internal/sched"
 )
@@ -160,19 +159,9 @@ func (c *Cluster) Serve(ctx context.Context, q sched.Query) (Served, error) {
 	if c.batchers == nil {
 		return rep.serve(ctx, q)
 	}
-	if err := ctx.Err(); err != nil {
+	if err := tightenBudget(ctx, &q); err != nil {
 		rep.done()
 		return Served{}, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		remain := time.Until(dl).Seconds()
-		if remain <= 0 {
-			rep.done()
-			return Served{}, context.DeadlineExceeded
-		}
-		if q.MaxLatency <= 0 || remain < q.MaxLatency {
-			q.MaxLatency = remain
-		}
 	}
 	p := c.batchers[rep.ID()].submit(q)
 	select {

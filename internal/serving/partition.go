@@ -95,9 +95,6 @@ type partitionState struct {
 	// their modeled fill time in seconds.
 	switches  int
 	switchSec float64
-	// pendingSec is the fill cost of the latest rebalance, not yet
-	// consumed by the simq engine (Replica.TakeRecacheCost).
-	pendingSec float64
 }
 
 func newPartitionState(pol PartitionPolicy, pbBytes int64, tenants int) *partitionState {

@@ -72,7 +72,7 @@ func (o *memoOracle) recache(col int) float64 {
 	return sec
 }
 
-// serve mirrors System.ServeBatch (a batch of one being Serve).
+// serve mirrors System.ServeBatchInto (a batch of one being Serve).
 func (o *memoOracle) serve(qs []sched.Query) []Served {
 	o.t.Helper()
 	d, err := o.schd.ScheduleBatch(qs)
@@ -210,8 +210,8 @@ func TestPassMemoMatchesSimulator(t *testing.T) {
 						n = 2 + rng.Intn(3)
 					}
 					qs := randomQueries(rng, sys, op*4, n, "", randomPolicy(rng))
-					got, err := sys.ServeBatch(qs)
-					if err != nil {
+					got := make([]Served, len(qs))
+					if err := sys.ServeBatchInto(qs, got); err != nil {
 						t.Fatal(err)
 					}
 					sameServed(t, op, got, o.serve(qs))
@@ -236,6 +236,9 @@ func TestPassMemoMatchesSimulator(t *testing.T) {
 				i = 1 - i
 			}
 			tn, o := rep.tenants[i], oracles[i]
+			// returned is the switch cost the op's serve call reported (a
+			// bare Recache op serves nothing and reports none).
+			var returned float64
 			switch k := rng.Intn(20); {
 			case k == 0:
 				col := rng.Intn(tn.sys.Table().Cols())
@@ -262,7 +265,10 @@ func TestPassMemoMatchesSimulator(t *testing.T) {
 						qs[j].MinAccuracy, qs[j].MaxLatency, qs[j].Policy = 0, budget, &strictLatencyDegrade
 					}
 				}
-				got, err := rep.ServeBatchVirtual(qs, qs, degrade)
+				got := make([]Served, len(qs))
+				var err error
+				// Copies: the call normalizes and rewrites its slices in place.
+				returned, err = rep.ServeBatchVirtualInto(append([]sched.Query(nil), qs...), append([]sched.Query(nil), qs...), degrade, got)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -280,8 +286,8 @@ func TestPassMemoMatchesSimulator(t *testing.T) {
 				}
 				oracles[j].check(op, u.sys)
 			}
-			if got := rep.TakeRecacheCost(); got != cost {
-				t.Fatalf("op %d: rebalance cost %g s, oracle %g s", op, got, cost)
+			if returned != cost {
+				t.Fatalf("op %d: returned switch cost %g s, oracle %g s", op, returned, cost)
 			}
 		}
 		if rebalanced == 0 {
@@ -314,7 +320,7 @@ func TestPassMemoSurvivesCacheUpdate(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := sys.ServeBatch(qs[i : i+3]); err != nil {
+			if err := sys.ServeBatchInto(qs[i:i+3], make([]Served, 3)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -79,9 +79,6 @@ type recacheState struct {
 	// modeled fill time in seconds.
 	switches  int
 	switchSec float64
-	// pendingSec is the fill cost of the latest switch, not yet consumed
-	// by the simq engine (Replica.TakeRecacheCost).
-	pendingSec float64
 }
 
 func newRecacheState(pol RecachePolicy) *recacheState {
@@ -186,29 +183,15 @@ func (rc *recacheState) advise(sys *System, limit int64) (int, bool) {
 	return bestCol, true
 }
 
-// maybeRecache records the served query and, when the advisor finds a
-// better column within limit bytes (0 = uncapped), enacts the switch
-// through System.Recache. It returns the modeled switch cost in
-// seconds and whether a switch happened. The caller owns the replica
-// lock.
-func (rc *recacheState) maybeRecache(sys *System, q sched.Query, limit int64) (float64, bool) {
-	rc.observe(q)
-	return rc.adviseAndEnact(sys, limit)
-}
-
 // maybeRecacheBatch folds a whole served micro-batch into the window and
-// runs the advisor ONCE: a batch flush charges at most one re-cache,
-// however many Cooldown boundaries its members span. The caller owns
-// the replica lock.
+// runs the advisor ONCE within limit bytes (0 = uncapped): a batch flush
+// charges at most one re-cache, however many Cooldown boundaries its
+// members span. It returns the modeled switch cost in seconds and
+// whether a switch happened. The caller owns the replica lock.
 func (rc *recacheState) maybeRecacheBatch(sys *System, qs []sched.Query, limit int64) (float64, bool) {
 	for _, q := range qs {
 		rc.observe(q)
 	}
-	return rc.adviseAndEnact(sys, limit)
-}
-
-// adviseAndEnact runs the advisor and, on advice, switches the cache.
-func (rc *recacheState) adviseAndEnact(sys *System, limit int64) (float64, bool) {
 	col, ok := rc.advise(sys, limit)
 	if !ok {
 		return 0, false

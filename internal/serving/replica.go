@@ -384,51 +384,12 @@ func (r *Replica) RecacheStats() (switches int, seconds float64) {
 	return switches, seconds
 }
 
-// TakeRecacheCost consumes the virtual-time cost (seconds) of every
-// cache switch enacted by the most recent ServeVirtual — tenant
-// re-caches plus partition rebalances — or 0. The simq engine calls it
-// after each virtual service to extend the replica's busy interval:
-// the switches occupy the accelerator without serving.
-func (r *Replica) TakeRecacheCost() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var c float64
-	for _, t := range r.tenants {
-		if t.rec != nil {
-			c += t.rec.pendingSec
-			t.rec.pendingSec = 0
-		}
-	}
-	if r.part != nil {
-		c += r.part.pendingSec
-		r.part.pendingSec = 0
-	}
-	return c
-}
-
 // ID returns the replica's index within its cluster.
 func (r *Replica) ID() int { return r.id }
 
 // QueueDepth reports the number of queries routed to this replica that
 // have not finished (queued plus in flight).
 func (r *Replica) QueueDepth() int { return int(r.depth.Load()) }
-
-// MinServiceLatency is the shortest single-query service time this
-// replica can possibly produce — the minimum over its tenants of the
-// latency table's global minimum (seconds). The simq engine's sharded
-// mode sizes its conservative virtual-time windows from the fleet
-// minimum: no event chain can propagate between replicas faster than
-// one service. The table is immutable after build, so no lock is
-// needed.
-func (r *Replica) MinServiceLatency() float64 {
-	min := math.Inf(1)
-	for _, t := range r.tenants {
-		if l := t.sys.Table().GlobalMinLatency(); l < min {
-			min = l
-		}
-	}
-	return min
-}
 
 // Queries reports how many queries this replica has served.
 func (r *Replica) Queries() int {
@@ -478,52 +439,58 @@ func (r *Replica) reserve() { r.depth.Add(1) }
 // done releases a reservation without serving (cancelled dispatch).
 func (r *Replica) done() { r.depth.Add(-1) }
 
-// observeTenant folds one served query into the tenant's cache window
-// and the partitioner's traffic counters, enacting any advised
-// switches. Live-path convention: switch costs charge the next query
-// via chargeSwap. Returns whether the tenant's own advisor switched.
+// pass is the replica's one serve kernel, shared by every clock: one
+// accelerator pass for qs through tenant t (a batch of one is the solo
+// serve), the cache-management layer fed offered — the queries as they
+// arrived — and run at most once with Recached marked on the last
+// member (the switch follows the batch, mirroring CacheSwapped), the
+// partitioner's traffic counters bumped, and the cache republished when
+// it moved. The clocks differ only in where a switch cost goes: the
+// live path charges it to the switched tenant's next query (chargeSwap,
+// the closed-loop convention of Appendix A.1), the virtual path returns
+// the seconds for the engine to extend the replica's busy interval by.
 // The caller owns the replica lock.
-func (r *Replica) observeTenant(t *tenant, offered sched.Query) bool {
-	switched := false
+func (r *Replica) pass(t *tenant, qs, offered []sched.Query, out []Served, virtual bool) (switchSec float64, err error) {
+	if err := t.sys.ServeBatchInto(qs, out); err != nil {
+		return 0, err
+	}
+	last := &out[len(out)-1]
+	var recSec, partSec float64
 	if t.rec != nil {
-		if cost, sw := t.rec.maybeRecache(t.sys, offered, t.shareBytes); sw {
-			switched = true
-			t.sys.chargeSwap(cost)
+		if cost, switched := t.rec.maybeRecacheBatch(t.sys, offered, t.shareBytes); switched {
+			last.Recached = true
+			if virtual {
+				recSec = cost
+			} else {
+				t.sys.chargeSwap(cost)
+			}
 		}
 	}
 	if r.part != nil {
-		t.windowQueries++
+		t.windowQueries += len(qs)
 		r.part.maybeRebalance(r, func(tn *tenant, cost float64) {
-			tn.sys.chargeSwap(cost)
+			if virtual {
+				partSec += cost
+			} else {
+				tn.sys.chargeSwap(cost)
+			}
 		})
 	}
-	return switched
-}
-
-// observeTenantVirtual is observeTenant for the simq engine: switch
-// costs accumulate as pending virtual-time busy seconds consumed by
-// TakeRecacheCost. The caller owns the replica lock.
-func (r *Replica) observeTenantVirtual(t *tenant, offered sched.Query) bool {
-	switched := false
-	if t.rec != nil {
-		if cost, sw := t.rec.maybeRecache(t.sys, offered, t.shareBytes); sw {
-			switched = true
-			t.rec.pendingSec += cost
-		}
+	if last.CacheSwapped || last.Recached {
+		r.publishCache(t)
 	}
-	if r.part != nil {
-		t.windowQueries++
-		r.part.maybeRebalance(r, func(_ *tenant, cost float64) {
-			r.part.pendingSec += cost
-		})
-	}
-	return switched
+	// The two sums stay apart until here: folding rebalance costs into
+	// one running total would associate differently and move the last
+	// bit of the engine's RecacheSec.
+	return recSec + partSec, nil
 }
 
 // serve runs one reserved query: it serializes on the replica lock,
-// serves through the context-aware path of the query's model-tenant
-// and folds the outcome into the replica accumulator. The reservation
-// is released on every path.
+// tightens the budget to the context's deadline, serves through the
+// query's model-tenant and folds the outcome into the replica
+// accumulator. The cache-management layer observes the query as it
+// arrived, before the deadline tightened it. The reservation is
+// released on every path.
 func (r *Replica) serve(ctx context.Context, q sched.Query) (Served, error) {
 	defer r.depth.Add(-1)
 	if err := ctx.Err(); err != nil {
@@ -534,20 +501,19 @@ func (r *Replica) serve(ctx context.Context, q sched.Query) (Served, error) {
 		return Served{}, err
 	}
 	q.Model = t.model
+	offered := [1]sched.Query{q}
+	qs := offered
+	var out [1]Served
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	res, err := t.sys.ServeContext(ctx, q)
-	if err != nil {
+	if err := tightenBudget(ctx, &qs[0]); err != nil {
 		return Served{}, err
 	}
-	if r.observeTenant(t, q) {
-		res.Recached = true
+	if _, err := r.pass(t, qs[:], offered[:], out[:], false); err != nil {
+		return Served{}, err
 	}
-	r.acc.Add(res)
-	if res.CacheSwapped || res.Recached {
-		r.publishCache(t)
-	}
-	return res, nil
+	r.acc.Add(out[0])
+	return out[0], nil
 }
 
 // Serve runs one query directly on this replica (bypassing any router).
@@ -556,81 +522,31 @@ func (r *Replica) Serve(ctx context.Context, q sched.Query) (Served, error) {
 	return r.serve(ctx, q)
 }
 
-// serveReserved serves one already-reserved query without a context —
-// the live batcher's solo path (deadline tightening happened at submit
-// time, before the query entered the batch former). It counts as a
-// flush of one toward the batch-occupancy stats.
-func (r *Replica) serveReserved(q sched.Query) (Served, error) {
-	defer r.depth.Add(-1)
-	t, err := r.tenantFor(q.Model)
-	if err != nil {
-		return Served{}, err
-	}
-	q.Model = t.model
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	res, err := t.sys.Serve(q)
-	if err != nil {
-		return Served{}, err
-	}
-	if r.observeTenant(t, q) {
-		res.Recached = true
-	}
-	r.acc.Add(res)
-	r.acc.ObserveBatch(1)
-	if res.CacheSwapped || res.Recached {
-		r.publishCache(t)
-	}
-	return res, nil
-}
-
-// serveBatchReserved serves one already-reserved micro-batch on the
-// live path: one ServeBatch pass on the batch's model-tenant under the
-// replica lock (the former never mixes models), at most one
-// window-driven re-cache after it (cost charged to the next query
-// under ChargeSwapLatency, the closed-loop convention), per-member
-// outcomes folded into the accumulator plus one batch-occupancy
-// observation.
-func (r *Replica) serveBatchReserved(qs []sched.Query) ([]Served, error) {
+// serveBatch serves one already-reserved group of the live batch former
+// — solo stragglers and shared passes alike — as one pass on the group's
+// model-tenant (the former never mixes models; deadline tightening
+// happened at submit time). qs is normalized in place, the outcomes
+// land in out (len(out) must equal len(qs)) and fold into the
+// accumulator together with one batch-occupancy observation.
+func (r *Replica) serveBatch(qs []sched.Query, out []Served) error {
 	defer r.depth.Add(-int64(len(qs)))
 	t, err := r.tenantFor(qs[0].Model)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	normalized := make([]sched.Query, len(qs))
-	for i, q := range qs {
-		q.Model = t.model
-		normalized[i] = q
+	for i := range qs {
+		qs[i].Model = t.model
 	}
-	qs = normalized
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rs, err := t.sys.ServeBatch(qs)
-	if err != nil {
-		return nil, err
+	if _, err := r.pass(t, qs, qs, out, false); err != nil {
+		return err
 	}
-	recached := false
-	if t.rec != nil {
-		if cost, switched := t.rec.maybeRecacheBatch(t.sys, qs, t.shareBytes); switched {
-			recached = true
-			rs[len(rs)-1].Recached = true
-			t.sys.chargeSwap(cost)
-		}
-	}
-	if r.part != nil {
-		t.windowQueries += len(qs)
-		r.part.maybeRebalance(r, func(tn *tenant, cost float64) {
-			tn.sys.chargeSwap(cost)
-		})
-	}
-	for _, res := range rs {
-		r.acc.Add(res)
+	for i := range out {
+		r.acc.Add(out[i])
 	}
 	r.acc.ObserveBatch(len(qs))
-	if recached || rs[len(rs)-1].CacheSwapped {
-		r.publishCache(t)
-	}
-	return rs, nil
+	return nil
 }
 
 // Reserve marks one routed-but-unfinished query against the replica's
@@ -644,77 +560,46 @@ func (r *Replica) Reserve() { r.reserve() }
 // time).
 func (r *Replica) Release() { r.done() }
 
-// ServeVirtual serves one query at a virtual instant on behalf of the
-// simq engine: it serializes on the replica lock and publishes cache
-// state like the live path, but leaves queue-depth and accumulator
-// bookkeeping to the caller — the engine owns virtual time, so it alone
-// knows the query's queueing telemetry. offered is the query as it
-// arrived, before load-aware budget debiting: the cache-management
-// layer observes it so re-caching chases the workload's (A_t, L_t)
-// drift, not transient queue-induced budget erosion or degrade
-// rewrites. With degrade set, the query is served by the fastest
-// SubNet reachable under ITS OWN MODEL's current cache column
-// (admission control's degrade-to-fastest escape valve resolves the
-// budget against the query's own latency table): accuracy floor
+// ServeVirtual serves one query at a virtual instant — a
+// ServeBatchVirtualInto flush of one, for callers without scratch
+// buffers of their own. The switch seconds are dropped; engines that
+// charge them call ServeBatchVirtualInto.
+func (r *Replica) ServeVirtual(q, offered sched.Query, degrade bool) (Served, error) {
+	var out [1]Served
+	_, err := r.ServeBatchVirtualInto([]sched.Query{q}, []sched.Query{offered}, degrade, out[:])
+	return out[0], err
+}
+
+// ServeBatchVirtualInto serves one micro-batch at a virtual instant on
+// behalf of the simq engine: one accelerator pass through the batch's
+// model-tenant (the engine's batch former keys on the model, so a flush
+// never mixes models). It serializes on the replica lock and publishes
+// cache state like the live path, but leaves queue-depth and
+// accumulator bookkeeping to the caller — the engine owns virtual time,
+// so it alone knows the queries' queueing telemetry. offered carries
+// the queries as they arrived, before load-aware budget debiting: the
+// cache-management layer observes them so re-caching chases the
+// workload's (A_t, L_t) drift, not transient queue-induced budget
+// erosion or degrade rewrites. With degrade set, every member is served
+// by the fastest SubNet reachable under ITS OWN MODEL's current cache
+// column (admission control's degrade-to-fastest escape valve resolves
+// the budget against the query's own latency table): accuracy floor
 // dropped, budget collapsed to that column's minimum latency under a
 // per-query StrictLatency override.
-func (r *Replica) ServeVirtual(q, offered sched.Query, degrade bool) (Served, error) {
-	t, err := r.tenantFor(q.Model)
-	if err != nil {
-		return Served{}, err
-	}
-	q.Model, offered.Model = t.model, t.model
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if degrade {
-		q.MinAccuracy = 0
-		q.MaxLatency = t.sys.fastestBudget()
-		q.Policy = &strictLatencyDegrade
-	}
-	res, err := t.sys.Serve(q)
-	if err != nil {
-		return Served{}, err
-	}
-	if r.observeTenantVirtual(t, offered) {
-		res.Recached = true
-	}
-	if res.CacheSwapped || res.Recached {
-		r.publishCache(t)
-	}
-	return res, nil
-}
-
-// ServeBatchVirtual serves one micro-batch at a virtual instant on
-// behalf of the simq engine — the batched counterpart of ServeVirtual:
-// one accelerator pass through the batch's model-tenant (the engine's
-// batch former keys on the model, so a flush never mixes models),
-// queue-depth and accumulator bookkeeping left to the caller. offered
-// carries the queries as they arrived (before load-aware debiting and
-// degrade rewrites) for the cache-management layer's window; a flush
-// charges AT MOST ONE re-cache — the advisor runs once, after the
-// whole batch. With degrade set, every member is served by the fastest
-// SubNet reachable under its model's current cache column.
-func (r *Replica) ServeBatchVirtual(qs, offered []sched.Query, degrade bool) ([]Served, error) {
-	nq := append([]sched.Query(nil), qs...)
-	no := append([]sched.Query(nil), offered...)
-	out := make([]Served, len(qs))
-	if err := r.ServeBatchVirtualInto(nq, no, degrade, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ServeBatchVirtualInto is ServeBatchVirtual with caller-owned scratch:
+//
 // qs and offered are normalized (and, under degrade, rewritten) IN
 // PLACE, and the per-member outcomes land in out (len(out) must equal
-// len(qs)). The simq engine reuses one set of buffers across every
-// flush, which is what makes the steady-state serve path allocation
-// free; callers that need their query slices preserved must copy first
-// (ServeBatchVirtual does exactly that).
-func (r *Replica) ServeBatchVirtualInto(qs, offered []sched.Query, degrade bool, out []Served) error {
+// len(qs)); the engine reuses one set of buffers across every flush,
+// which is what makes the steady-state serve path allocation free.
+// switchSec is the virtual-time cost of every cache switch the flush
+// enacted — at most one tenant re-cache (the advisor runs once, after
+// the whole batch) plus any partition rebalance — or 0: the switches
+// occupy the accelerator without serving, so the engine extends the
+// replica's busy interval by it.
+func (r *Replica) ServeBatchVirtualInto(qs, offered []sched.Query, degrade bool, out []Served) (switchSec float64, err error) {
 	t, err := r.tenantFor(qs[0].Model)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for i := range qs {
 		qs[i].Model = t.model
@@ -732,27 +617,5 @@ func (r *Replica) ServeBatchVirtualInto(qs, offered []sched.Query, degrade bool,
 			qs[i].Policy = &strictLatencyDegrade
 		}
 	}
-	if err := t.sys.ServeBatchInto(qs, out); err != nil {
-		return err
-	}
-	recached := false
-	if t.rec != nil {
-		if cost, switched := t.rec.maybeRecacheBatch(t.sys, offered, t.shareBytes); switched {
-			recached = true
-			// Marked on the last member, mirroring the CacheSwapped
-			// convention: the switch follows the batch.
-			out[len(out)-1].Recached = true
-			t.rec.pendingSec += cost
-		}
-	}
-	if r.part != nil {
-		t.windowQueries += len(qs)
-		r.part.maybeRebalance(r, func(_ *tenant, cost float64) {
-			r.part.pendingSec += cost
-		})
-	}
-	if recached || out[len(out)-1].CacheSwapped {
-		r.publishCache(t)
-	}
-	return nil
+	return r.pass(t, qs, offered, out, true)
 }

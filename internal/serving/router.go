@@ -16,49 +16,6 @@ type Router interface {
 	Pick(q sched.Query, reps []*Replica) int
 }
 
-// ShardSafeRouter marks routers whose pick sequence depends only on the
-// order of Pick calls (and their own seeded state) — never on replica
-// load, cache or lifecycle state. The simq engine's sharded mode
-// pre-routes the whole arrival stream through the router before any
-// query is served; only shard-safe routers produce the same pick
-// sequence under pre-routing as under live routing, which is what makes
-// sharded runs bit-identical to sequential ones. Round-robin and random
-// qualify; least-loaded, fastest and affinity read replica state and do
-// not.
-type ShardSafeRouter interface {
-	Router
-	// ShardSafe is a marker; implementations leave it empty.
-	ShardSafe()
-}
-
-// builtinRouters constructs one instance of every router this package
-// ships, so capability listings (ShardSafeRouterNames) probe the actual
-// implementations instead of repeating their names in prose that rots
-// as routers are added.
-func builtinRouters() []Router {
-	return []Router{
-		NewRoundRobin(),
-		NewLeastLoaded(),
-		NewRandom(0),
-		NewFastest(),
-		NewAffinity(),
-	}
-}
-
-// ShardSafeRouterNames lists the names of the built-in routers that
-// implement ShardSafeRouter, in registration order. Validation errors
-// (the simq engine's sharded-mode check) quote this list so the set of
-// legal routers is derived, never hard-coded.
-func ShardSafeRouterNames() []string {
-	var names []string
-	for _, r := range builtinRouters() {
-		if _, ok := r.(ShardSafeRouter); ok {
-			names = append(names, r.Name())
-		}
-	}
-	return names
-}
-
 // NewRoundRobin cycles through replicas in order — the baseline
 // stateless dispatcher.
 func NewRoundRobin() Router { return &roundRobin{} }
@@ -66,9 +23,6 @@ func NewRoundRobin() Router { return &roundRobin{} }
 type roundRobin struct{ next int }
 
 func (r *roundRobin) Name() string { return "round-robin" }
-
-// ShardSafe marks round-robin picks as independent of replica state.
-func (r *roundRobin) ShardSafe() {}
 
 func (r *roundRobin) Pick(_ sched.Query, reps []*Replica) int {
 	i := r.next % len(reps)
@@ -103,9 +57,6 @@ func NewRandom(seed int64) Router {
 type random struct{ rng *rand.Rand }
 
 func (r *random) Name() string { return "random" }
-
-// ShardSafe marks seeded-random picks as independent of replica state.
-func (r *random) ShardSafe() {}
 
 func (r *random) Pick(_ sched.Query, reps []*Replica) int {
 	return r.rng.Intn(len(reps))

@@ -17,8 +17,8 @@
 // and Summary. Open-loop arrival-driven serving — virtual-time queueing,
 // admission control, load-aware budget debiting — lives in exactly one
 // place, the discrete-event engine of internal/simq, which drives these
-// replicas through Replica.ServeVirtual and folds outcomes back through
-// Accumulator.AddTimed.
+// replicas through Replica.ServeBatchVirtualInto and folds outcomes back
+// through Accumulator.AddTimed.
 package serving
 
 import (
@@ -534,7 +534,7 @@ func (s *System) Serve(q sched.Query) (Served, error) {
 	return out, nil
 }
 
-// ServeBatch runs a micro-batch of queries through the stack as ONE
+// ServeBatchInto runs a micro-batch of queries through the stack as ONE
 // accelerator pass: SushiSched picks the SubNet the whole batch can
 // afford under the tightest member constraints (batched SushiAbs
 // lookup), SushiAccel serves all members together — weights fetched
@@ -547,21 +547,11 @@ func (s *System) Serve(q sched.Query) (Served, error) {
 // Serve. Like Serve, a Q-boundary cache update is enacted after the
 // batch for subsequent queries (at most one enactment per batch — the
 // last boundary crossed wins).
-func (s *System) ServeBatch(qs []sched.Query) ([]Served, error) {
-	if len(qs) == 0 {
-		return nil, fmt.Errorf("serving: empty batch")
-	}
-	out := make([]Served, len(qs))
-	if err := s.ServeBatchInto(qs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ServeBatchInto is ServeBatch writing outcomes into a caller-provided
-// slice (len(out) must equal len(qs)) — the allocation-free path the
-// simq engine drives with a reused scratch buffer. The outcomes are
-// fully overwritten; the caller may retain or recycle out freely.
+//
+// Outcomes land in the caller-provided out (len(out) must equal
+// len(qs)) — the allocation-free path the replica kernel drives with
+// reused scratch. They are fully overwritten; the caller may retain or
+// recycle out freely.
 func (s *System) ServeBatchInto(qs []sched.Query, out []Served) error {
 	if len(qs) == 0 {
 		return fmt.Errorf("serving: empty batch")
@@ -640,19 +630,30 @@ func (s *System) ServeAll(qs []sched.Query) ([]Served, error) {
 // carried no latency budget). An already-expired or cancelled context
 // fails fast without touching accelerator state.
 func (s *System) ServeContext(ctx context.Context, q sched.Query) (Served, error) {
-	if err := ctx.Err(); err != nil {
+	if err := tightenBudget(ctx, &q); err != nil {
 		return Served{}, err
+	}
+	return s.Serve(q)
+}
+
+// tightenBudget is the one deadline rule of the live paths (ServeContext,
+// Replica.serve, the batcher's submit): a cancelled or expired context
+// fails, and with D seconds of wall clock remaining q.MaxLatency becomes
+// min(MaxLatency, D) — D outright when q carried no budget.
+func tightenBudget(ctx context.Context, q *sched.Query) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		remain := time.Until(dl).Seconds()
 		if remain <= 0 {
-			return Served{}, context.DeadlineExceeded
+			return context.DeadlineExceeded
 		}
 		if q.MaxLatency <= 0 || remain < q.MaxLatency {
 			q.MaxLatency = remain
 		}
 	}
-	return s.Serve(q)
+	return nil
 }
 
 // ServeAllContext runs a stream in order, checking for cancellation

@@ -1,23 +1,22 @@
 package simq
 
-// Tests for the indexed-event hot path: sharded-run determinism, lazy
-// arrival streaming, and the zero-alloc steady state.
+// Tests for the indexed-event hot path: lazy arrival streaming and the
+// zero-alloc steady state.
 
 import (
 	"math"
 	"reflect"
 	"testing"
 
-	"sushi/internal/autoscale"
 	"sushi/internal/sched"
 	"sushi/internal/serving"
 	"sushi/internal/workload"
 )
 
-// hotOptions is the load-shaped fixture shared by the determinism and
+// hotOptions is the load-shaped fixture shared by the streaming and
 // allocation tests: bounded queues, degrade admission, load-aware
 // debiting and micro-batching — every hot-path branch exercised.
-func hotOptions(router serving.Router, shards int, window float64) Options {
+func hotOptions(router serving.Router, window float64) Options {
 	return Options{
 		QueueCap:  6,
 		Admission: Degrade,
@@ -25,71 +24,6 @@ func hotOptions(router serving.Router, shards int, window float64) Options {
 		Drop:      true,
 		Router:    router,
 		Batching:  Batching{MaxBatch: 4, Window: window},
-		Shards:    shards,
-	}
-}
-
-// TestShardDeterminism pins the sharded engine's core contract: the
-// same seed and stream produce a bit-identical Result at ANY shard
-// count, for both shard-safe routers.
-func TestShardDeterminism(t *testing.T) {
-	budget := 0.0
-	run := func(router func() serving.Router, shards int) *Result {
-		reps := newReplicas(t, 4)
-		if budget == 0 {
-			budget = replicaLatHi(reps[0]) * 1.3
-		}
-		qs := timedStream(t, 160, 700, budget)
-		eng, err := New(reps, hotOptions(router(), shards, budget/3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	routers := map[string]func() serving.Router{
-		"round-robin": serving.NewRoundRobin,
-		"random":      func() serving.Router { return serving.NewRandom(7) },
-	}
-	for name, mk := range routers {
-		base := run(mk, 1)
-		for _, shards := range []int{2, 3, 4, 8} {
-			got := run(mk, shards)
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("%s router: Shards=%d diverges from sequential run:\n%+v\n%+v",
-					name, shards, base.Summary, got.Summary)
-			}
-		}
-	}
-}
-
-// TestShardValidation pins New's sharded-mode guards: state-dependent
-// routers and elastic fleets cannot shard, negative counts are
-// rejected, and shard-safe configurations are accepted.
-func TestShardValidation(t *testing.T) {
-	reps := newReplicas(t, 2)
-	if _, err := New(reps, Options{Shards: -1}); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	if _, err := New(reps, Options{Shards: 2, Router: serving.NewLeastLoaded()}); err == nil {
-		t.Error("least-loaded router accepted for a sharded run")
-	}
-	if _, err := New(reps, Options{Shards: 2, Router: serving.NewFastest()}); err == nil {
-		t.Error("fastest router accepted for a sharded run")
-	}
-	if _, err := New(reps, Options{Shards: 2, Autoscale: &autoscale.Config{
-		Min: 1, Max: 2, Interval: 0.1, Policy: autoscale.TargetUtilization{},
-	}}); err == nil {
-		t.Error("elastic fleet accepted for a sharded run")
-	}
-	if _, err := New(reps, Options{Shards: 2}); err != nil {
-		t.Errorf("default round-robin rejected for a sharded run: %v", err)
-	}
-	if _, err := New(reps, Options{Shards: 2, Router: serving.NewRandom(1)}); err != nil {
-		t.Errorf("random router rejected for a sharded run: %v", err)
 	}
 }
 
@@ -109,7 +43,7 @@ func TestRunProcessMatchesRun(t *testing.T) {
 		if budget == 0 {
 			budget = replicaLatHi(reps[0]) * 1.3
 		}
-		eng, err := New(reps, hotOptions(serving.NewRoundRobin(), 0, budget/3))
+		eng, err := New(reps, hotOptions(serving.NewRoundRobin(), budget/3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +126,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	budget = replicaLatHi(reps[0]) * 1.3
 	const n = 1000
 	qs := timedStream(t, n, 700, budget)
-	eng, err := New(reps, hotOptions(serving.NewRoundRobin(), 0, budget/3))
+	eng, err := New(reps, hotOptions(serving.NewRoundRobin(), budget/3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +166,7 @@ func TestSteadyStateAllocsCohortStream(t *testing.T) {
 			Budget: workload.Empirical{Values: []float64{budget * 2}}},
 		{Rate: 50, SLOClass: "batch", Budget: workload.Empirical{Values: []float64{budget * 3}}},
 	}}
-	eng, err := New(reps, hotOptions(serving.NewRoundRobin(), 0, budget/3))
+	eng, err := New(reps, hotOptions(serving.NewRoundRobin(), budget/3))
 	if err != nil {
 		t.Fatal(err)
 	}

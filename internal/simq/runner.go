@@ -9,17 +9,16 @@ import (
 )
 
 // arrivalSource feeds the runner its time-ordered arrival stream. The
-// three implementations are sliceSource (a materialized, validated,
-// model-normalized stream — the Run path), processSource (arrivals
-// drawn lazily from a workload stream — the RunProcess path) and
-// routedSource (one shard's pre-routed substream).
+// two implementations are sliceSource (a materialized, validated,
+// model-normalized stream — the Run path) and processSource (arrivals
+// drawn lazily from a workload stream — the RunProcess path).
 type arrivalSource interface {
 	// peek returns the next arrival instant without consuming it (+Inf
 	// when exhausted or failed).
 	peek() float64
-	// next consumes the next arrival: the timed query, its index in the
-	// result's Outcomes, and its pre-routed replica (-1 = route live).
-	next() (tq serving.TimedQuery, idx int, ri int)
+	// next consumes the next arrival: the timed query and its index in
+	// the result's Outcomes.
+	next() (tq serving.TimedQuery, idx int)
 	// err reports a mid-stream generation failure (lazy sources only).
 	err() error
 	// span reports the first and last consumed arrival instants and the
@@ -40,10 +39,10 @@ func (s *sliceSource) peek() float64 {
 	return s.qs[s.i].Arrival
 }
 
-func (s *sliceSource) next() (serving.TimedQuery, int, int) {
+func (s *sliceSource) next() (serving.TimedQuery, int) {
 	idx := s.i
 	s.i++
-	return s.qs[idx], idx, -1
+	return s.qs[idx], idx
 }
 
 func (s *sliceSource) err() error { return nil }
@@ -115,55 +114,19 @@ func (s *processSource) peek() float64 {
 	return s.buf.Arrival
 }
 
-func (s *processSource) next() (serving.TimedQuery, int, int) {
+func (s *processSource) next() (serving.TimedQuery, int) {
 	idx := s.i
 	s.i++
 	s.buffered = false
-	return s.buf, idx, -1
+	return s.buf, idx
 }
 
 func (s *processSource) err() error { return s.e }
 
 func (s *processSource) span() (float64, float64, int) { return s.first, s.last, s.i }
 
-// routedArrival is one pre-routed arrival of a sharded run.
-type routedArrival struct {
-	tq  serving.TimedQuery
-	idx int32
-	ri  int32
-}
-
-// routedSource streams one shard's substream; span is unused (the
-// sharded driver computes offered rate from the global stream).
-type routedSource struct {
-	rs []routedArrival
-	i  int
-}
-
-func (s *routedSource) peek() float64 {
-	if s.i >= len(s.rs) {
-		return math.Inf(1)
-	}
-	return s.rs[s.i].tq.Arrival
-}
-
-func (s *routedSource) next() (serving.TimedQuery, int, int) {
-	ra := &s.rs[s.i]
-	s.i++
-	return ra.tq, int(ra.idx), int(ra.ri)
-}
-
-func (s *routedSource) err() error { return nil }
-
-func (s *routedSource) span() (float64, float64, int) { return 0, 0, s.i }
-
-// runner is the engine's hot path: one event loop over (a subset of)
-// the fleet, driven by the packed event heap and an arrival source. A
-// sequential run uses one runner over the whole fleet; a sharded run
-// uses one runner per shard over disjoint replica index ranges of the
-// SHARED states/accs/res arrays (every per-replica and per-query slot
-// is touched by exactly one shard, so no synchronization beyond the
-// window barrier is needed).
+// runner is the engine's hot path: one event loop over the fleet,
+// driven by the packed event heap and an arrival source.
 //
 // All scratch buffers (batch members, debited/offered query slices,
 // served outcomes) are reused across flushes: after warm-up the
@@ -330,39 +293,27 @@ func (r *runner) flush(ri int, now float64) error {
 		n := len(r.batch)
 		r.sbuf = growServed(r.sbuf, n)
 		served := r.sbuf
-		var err error
-		if n == 1 {
-			// The solo path is the pre-batching serve, byte for byte.
-			j := r.batch[0]
+		r.qbuf, r.obuf = r.qbuf[:0], r.obuf[:0]
+		for _, j := range r.batch {
 			q := j.q
 			if r.e.opt.LoadAware {
 				q = q.Debit(now - j.arrival)
 			}
-			served[0], err = r.e.reps[ri].ServeVirtual(q, j.q, j.degraded)
-		} else {
-			r.qbuf, r.obuf = r.qbuf[:0], r.obuf[:0]
-			for _, j := range r.batch {
-				q := j.q
-				if r.e.opt.LoadAware {
-					q = q.Debit(now - j.arrival)
-				}
-				r.qbuf = append(r.qbuf, q)
-				r.obuf = append(r.obuf, j.q)
-			}
-			err = r.e.reps[ri].ServeBatchVirtualInto(r.qbuf, r.obuf, r.batch[0].degraded, served)
-		}
-		if err != nil {
-			for range r.batch {
-				r.e.reps[ri].Release()
-			}
-			return err
+			r.qbuf = append(r.qbuf, q)
+			r.obuf = append(r.obuf, j.q)
 		}
 		// A window-driven re-cache enacted after this flush occupies
 		// the accelerator for the PB fill: the switch cost extends the
 		// replica's busy interval in virtual time (the next flush
 		// waits) without inflating any member's own E2E latency. A
 		// flush charges at most one re-cache.
-		recache := r.e.reps[ri].TakeRecacheCost()
+		recache, err := r.e.reps[ri].ServeBatchVirtualInto(r.qbuf, r.obuf, r.batch[0].degraded, served)
+		if err != nil {
+			for range r.batch {
+				r.e.reps[ri].Release()
+			}
+			return err
+		}
 		// Every member shares the pass: one start, one finish.
 		finish := now + served[0].Latency
 		for i := range r.batch {
@@ -405,21 +356,18 @@ func (r *runner) flush(ri int, now float64) error {
 	return nil
 }
 
-// arrive routes and admits one arrival (ri >= 0 replays a pre-routed
-// pick; -1 routes live against the admitting set).
-func (r *runner) arrive(tq serving.TimedQuery, idx, ri int) error {
+// arrive routes one arrival against the admitting set and admits it.
+func (r *runner) arrive(tq serving.TimedQuery, idx int) error {
 	j := job{q: tq.Query, arrival: tq.Arrival, budget: tq.MaxLatency, idx: idx}
 	if r.ctl != nil {
 		r.ctl.arrivals++
 	}
-	if ri < 0 {
-		ri = r.e.router.Pick(tq.Query, r.admit)
-		if ri < 0 || ri >= len(r.admit) {
-			ri = 0
-		}
-		if r.admitIdx != nil {
-			ri = r.admitIdx[ri]
-		}
+	ri := r.e.router.Pick(tq.Query, r.admit)
+	if ri < 0 || ri >= len(r.admit) {
+		ri = 0
+	}
+	if r.admitIdx != nil {
+		ri = r.admitIdx[ri]
 	}
 	st := &r.states[ri]
 	if st.busy && r.e.opt.QueueCap > 0 && st.qlen() >= r.e.opt.QueueCap {
@@ -443,12 +391,9 @@ func (r *runner) arrive(tq serving.TimedQuery, idx, ri int) error {
 	return nil
 }
 
-// runUntil advances the event loop through every instant strictly
-// before limit (+Inf runs to completion). It returns done (stream
-// exhausted and no pending events) and the earliest pending instant at
-// the stop (+Inf when done) — the sharded driver uses the latter to
-// skip empty barrier windows.
-func (r *runner) runUntil(limit float64) (bool, float64, error) {
+// run advances the event loop until the stream is exhausted and no
+// event is pending.
+func (r *runner) run() error {
 	for {
 		// Discard stale events to find the true next event.
 		var top event
@@ -465,21 +410,11 @@ func (r *runner) runUntil(limit float64) (bool, float64, error) {
 		if !hasTop && math.IsInf(at, 1) {
 			// Autoscale evaluations are only considered while work
 			// remains, so the cadence never keeps a finished run alive.
-			return true, math.Inf(1), r.src.err()
+			return r.src.err()
 		}
 		et := math.Inf(1)
 		if r.ctl != nil {
 			et = r.ctl.nextEval
-		}
-		nextT := at
-		if hasTop && top.t < nextT {
-			nextT = top.t
-		}
-		if et < nextT {
-			nextT = et
-		}
-		if nextT >= limit {
-			return false, nextT, nil
 		}
 		// Heap events (completions, then window expiries — the heap
 		// order) fire before autoscale evaluations, which fire before
@@ -499,7 +434,7 @@ func (r *runner) runUntil(limit float64) (bool, float64, error) {
 				}
 			}
 			if err := r.flush(ri, top.t); err != nil {
-				return false, nextT, err
+				return err
 			}
 			r.maybeRetire(ri, top.t)
 			continue
@@ -513,9 +448,8 @@ func (r *runner) runUntil(limit float64) (bool, float64, error) {
 			r.ctl.nextEval += r.ctl.cfg.Interval
 			continue
 		}
-		tq, idx, ri := r.src.next()
-		if err := r.arrive(tq, idx, ri); err != nil {
-			return false, nextT, err
+		if err := r.arrive(r.src.next()); err != nil {
+			return err
 		}
 	}
 }

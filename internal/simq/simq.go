@@ -30,8 +30,6 @@
 // invalidation, arrivals streamed from a cursor (or lazily from a
 // workload stream via RunProcess), and every hot-path buffer pooled
 // across the run — the steady state allocates nothing per query.
-// Options.Shards opts into the parallel engine (shard.go), bit-identical
-// to the sequential loop at any shard count.
 //
 // ServeTimed is the single-replica entry point; cluster-level callers
 // use New/FromCluster + Run (surfaced publicly as sushi.Cluster.Simulate
@@ -42,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"sushi/internal/autoscale"
 	"sushi/internal/sched"
@@ -161,16 +158,6 @@ type Options struct {
 	// events in the run. nil, a nil Policy, or Min == Max leaves the
 	// fleet fixed and the run bit-identical to the pre-elastic engine.
 	Autoscale *autoscale.Config
-	// Shards opts into the parallel engine: replicas are partitioned
-	// across min(Shards, replicas) goroutines advancing in conservative
-	// virtual-time windows (sized from the fleet's minimum cross-shard
-	// interaction latency), with the whole stream pre-routed through the
-	// real router in arrival order. Results are bit-identical to the
-	// sequential engine at ANY shard count. Requires a shard-safe router
-	// (serving.ShardSafeRouterNames lists them — pick sequences
-	// independent of replica state) and no autoscaling; Shards <= 1 is
-	// the sequential engine.
-	Shards int
 }
 
 // Reason classifies why a query was dropped.
@@ -303,21 +290,9 @@ func New(reps []*serving.Replica, opt Options) (*Engine, error) {
 	if opt.Autoscale.Enabled() && opt.Autoscale.Max > len(reps) {
 		return nil, fmt.Errorf("simq: autoscale Max %d exceeds the %d booted replicas", opt.Autoscale.Max, len(reps))
 	}
-	if opt.Shards < 0 {
-		return nil, fmt.Errorf("simq: negative shard count %d", opt.Shards)
-	}
 	router := opt.Router
 	if router == nil {
 		router = serving.NewRoundRobin()
-	}
-	if opt.Shards > 1 {
-		if opt.Autoscale.Enabled() {
-			return nil, fmt.Errorf("simq: sharded runs cannot autoscale (Shards %d with an elastic fleet)", opt.Shards)
-		}
-		if _, ok := router.(serving.ShardSafeRouter); !ok {
-			return nil, fmt.Errorf("simq: router %q is not shard-safe (its picks depend on replica state); use %s, or Shards <= 1",
-				router.Name(), strings.Join(serving.ShardSafeRouterNames(), " or "))
-		}
 	}
 	return &Engine{reps: reps, router: router, opt: opt}, nil
 }
@@ -472,10 +447,7 @@ func (e *Engine) Run(qs []serving.TimedQuery) (*Result, error) {
 	if !nonDecreasing(ordered) {
 		sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
 	}
-	if e.opt.Shards > 1 && len(e.reps) > 1 {
-		return e.runSharded(ordered)
-	}
-	return e.runSequential(&sliceSource{qs: ordered}, len(ordered))
+	return e.run(&sliceSource{qs: ordered}, len(ordered))
 }
 
 // RunProcess plays n queries through the cluster with arrival instants
@@ -484,9 +456,7 @@ func (e *Engine) Run(qs []serving.TimedQuery) (*Result, error) {
 // finite, non-negative, non-decreasing instants (every
 // workload.Streamer does by construction); a violation aborts the run
 // mid-stream with an error, after earlier queries have already mutated
-// replica cache state — the documented price of laziness. Sharded mode
-// needs the whole routed stream up front, so RunProcess runs
-// sequentially regardless of Options.Shards.
+// replica cache state — the documented price of laziness.
 func (e *Engine) RunProcess(n int, stream func() (float64, bool), mk func(i int, t float64) sched.Query) (*Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("simq: non-positive query count %d", n)
@@ -494,7 +464,7 @@ func (e *Engine) RunProcess(n int, stream func() (float64, bool), mk func(i int,
 	if stream == nil || mk == nil {
 		return nil, fmt.Errorf("simq: RunProcess needs an arrival stream and a query maker")
 	}
-	return e.runSequential(&processSource{n: n, draw: stream, mk: mk, rep0: e.reps[0]}, n)
+	return e.run(&processSource{n: n, draw: stream, mk: mk, rep0: e.reps[0]}, n)
 }
 
 // nonDecreasing reports whether arrivals are already in time order.
@@ -527,8 +497,8 @@ func newStates(n int) []replicaState {
 	return states
 }
 
-// runSequential drives the whole fleet with one runner.
-func (e *Engine) runSequential(src arrivalSource, n int) (*Result, error) {
+// run drives the whole fleet with one runner.
+func (e *Engine) run(src arrivalSource, n int) (*Result, error) {
 	r := &runner{
 		e:      e,
 		res:    e.newResult(n),
@@ -562,10 +532,7 @@ func (e *Engine) runSequential(src arrivalSource, n int) (*Result, error) {
 		r.admit, r.admitIdx = nil, nil
 		r.rebuildAdmit()
 	}
-	if _, _, err := r.runUntil(math.Inf(1)); err != nil {
-		return nil, err
-	}
-	if err := src.err(); err != nil {
+	if err := r.run(); err != nil {
 		return nil, err
 	}
 	e.finish(r)
@@ -573,9 +540,8 @@ func (e *Engine) runSequential(src arrivalSource, n int) (*Result, error) {
 }
 
 // finish folds the per-replica accumulators and per-query outcomes into
-// the run's aggregates. Shared by the sequential and sharded drivers —
-// the fold is sequential and deterministic (replica order, then outcome
-// order) in both.
+// the run's aggregates, deterministically: replica order, then outcome
+// order.
 func (e *Engine) finish(r *runner) {
 	res := r.res
 	var merged serving.Accumulator

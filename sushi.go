@@ -486,16 +486,6 @@ var experimentRegistry = []experimentEntry{
 	// against the true table. Sigma 0 is pinned at exactly 100%
 	// (workload-insensitive: calibrated on the MobileNetV3 family).
 	{id: "calibsweep", run: fixed(func() (*core.Result, error) { return core.CalibSweep(0) })},
-	// fwdbench is the real-execution data-plane microbenchmark: the
-	// blocked/arena Forward and the blocked convolution kernel timed
-	// against the reference scans single-threaded
-	// (workload-insensitive: always times the MobileNetV3 family).
-	{id: "fwdbench", run: fixed(core.FwdBench)},
-	// decisionhot is the decision-path microbenchmark: a tight loop of
-	// router+schedule decisions with no queueing or arrival process —
-	// its ns_per_op is the per-decision cost.
-	{id: "decisionhot", workload: core.MobileNetV3,
-		run: func(w core.Workload) (*core.Result, error) { return core.DecisionHot(w, 0) }},
 }
 
 // Measured-table calibration (the offline end of WithMeasuredTable).
