@@ -1,9 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (DESIGN.md carries the per-experiment index). Each benchmark
-// runs the corresponding experiment end to end and reports the paper's
-// headline metric via b.ReportMetric, so `go test -bench=.` doubles as a
-// reproduction run. Hot-path microbenchmarks at the bottom track the
-// per-query costs SUSHI puts on the serving critical path.
+// evaluation (docs/ARCHITECTURE.md's "Paper section → code" table is the
+// per-experiment index). Each benchmark runs the corresponding
+// experiment end to end and reports the paper's headline metric via
+// b.ReportMetric, so `go test -bench=.` doubles as a reproduction run.
+// Hot-path microbenchmarks at the bottom track the per-query costs SUSHI
+// puts on the serving critical path.
 package sushi
 
 import (

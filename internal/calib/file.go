@@ -31,7 +31,7 @@ const (
 // probed fetch bandwidth), the raw per-cell wall-ns evidence, and the
 // authoritative latency table embedded as its own wire stream — so the
 // matrices ride latencytable's gob encoding losslessly and decode
-// through the exact ordering/validation machinery analytic tables use.
+// through the exact validation analytic tables use.
 type File struct {
 	// Magic must equal the package Magic constant.
 	Magic string

@@ -148,7 +148,7 @@ func Fig16(w Workload, queries int) (*Result, error) {
 		})
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("Sushi cuts average latency %.1f%% vs No-Sushi at identical served accuracy (paper: 21-25%% on its simulator; see EXPERIMENTS.md)",
+		fmt.Sprintf("Sushi cuts average latency %.1f%% vs No-Sushi at identical served accuracy (paper: 21-25%% on its simulator)",
 			100*(1-full.AvgLatency/noPB.AvgLatency)))
 	return res, nil
 }

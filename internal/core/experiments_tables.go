@@ -30,7 +30,7 @@ func Table1() (*Result, error) {
 func Table2() (*Result, error) {
 	res := &Result{
 		Name:  "table2",
-		Title: "FPGA resource comparison (estimated; paper values in EXPERIMENTS.md)",
+		Title: "FPGA resource comparison (estimated; paper values in the notes)",
 		Header: []string{"design", "LUT", "Register", "BRAM", "URAM", "DSP",
 			"PeakOps/cycle", "GFLOPS@100MHz"},
 	}

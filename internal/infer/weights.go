@@ -1,10 +1,12 @@
 // Package infer executes SubNets functionally: it materializes
 // deterministic int8 weights for the SuperNet's shared weight cells and
 // runs real quantized forward passes through the tensor kernels. This is
-// the substitution for the trained OFA checkpoints (DESIGN.md §2): the
-// weights are synthetic, but weight *sharing* is real — a weight at
-// absolute coordinate (layer, k, c, a) has the same value no matter which
-// SubNet materializes it, exactly as in a weight-shared SuperNet.
+// the substitution for the trained OFA checkpoints (the "Functional
+// validation" row of docs/ARCHITECTURE.md's "Paper section → code"
+// table): the weights are synthetic, but weight *sharing* is real — a
+// weight at absolute coordinate (layer, k, c, a) has the same value no
+// matter which SubNet materializes it, exactly as in a weight-shared
+// SuperNet.
 package infer
 
 import (

@@ -200,38 +200,6 @@ func TestNearestGraph(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	s, fr, cfg := testFixture(t)
-	cands, err := Candidates(s, fr, CandidateOptions{Budget: cfg.PBBytes, Count: 10, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := Build(cfg, fr, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := tab.Truncate(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Cols() != 4 || small.Rows() != tab.Rows() {
-		t.Fatalf("truncated to %dx%d", small.Rows(), small.Cols())
-	}
-	for i := 0; i < small.Rows(); i++ {
-		for j := 0; j < 4; j++ {
-			if small.Lookup(i, j) != tab.Lookup(i, j) {
-				t.Fatal("truncation changed values")
-			}
-		}
-	}
-	if _, err := tab.Truncate(0); err == nil {
-		t.Error("truncate(0) accepted")
-	}
-	if _, err := tab.Truncate(tab.Cols() + 1); err == nil {
-		t.Error("truncate beyond cols accepted")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s, fr, cfg := testFixture(t)
 	cands, err := Candidates(s, fr, CandidateOptions{Budget: cfg.PBBytes, Count: 8, Seed: 4})
@@ -391,9 +359,9 @@ func TestLookupBatchMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestLookupBatchSurvivesTruncateAndWire: the Item matrix must follow
-// the table through Truncate and the gob wire format.
-func TestLookupBatchSurvivesTruncateAndWire(t *testing.T) {
+// TestLookupBatchSurvivesWire: the Item matrix must follow the table
+// through the gob wire format.
+func TestLookupBatchSurvivesWire(t *testing.T) {
 	s, fr, cfg := testFixture(t)
 	cands, err := Candidates(s, fr, CandidateOptions{Budget: cfg.PBBytes, Count: 6, Seed: 1})
 	if err != nil {
@@ -402,13 +370,6 @@ func TestLookupBatchSurvivesTruncateAndWire(t *testing.T) {
 	tab, err := Build(cfg, fr, cands)
 	if err != nil {
 		t.Fatal(err)
-	}
-	tr, err := tab.Truncate(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := tr.LookupBatch(1, 2, 4), tab.LookupBatch(1, 2, 4); got != want {
-		t.Errorf("truncated LookupBatch %g != original %g", got, want)
 	}
 	var buf bytes.Buffer
 	if err := tab.Encode(&buf); err != nil {
@@ -422,10 +383,11 @@ func TestLookupBatchSurvivesTruncateAndWire(t *testing.T) {
 		t.Errorf("decoded LookupBatch %g != original %g", got, want)
 	}
 	// A stream predating the Item matrix decodes with Item nil;
-	// LookupBatch must degrade to Lookup instead of panicking. (A field
-	// copy, not a value copy: Table carries a mutex now.)
-	old := &Table{SubNets: tab.SubNets, Graphs: tab.Graphs, Lat: tab.Lat, Energy: tab.Energy}
-	old.buildIndex()
+	// LookupBatch must degrade to Lookup instead of panicking.
+	old, err := FromMatrices(tab.SubNets, tab.Graphs, tab.Lat, nil, tab.Energy)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := old.LookupBatch(1, 2, 4); got != old.Lookup(1, 2) {
 		t.Errorf("nil-Item LookupBatch %g != Lookup %g", got, old.Lookup(1, 2))
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"sushi/internal/supernet"
@@ -117,29 +116,28 @@ func checkGraphBytes(t *testing.T, tab *Table, label string) {
 	}
 }
 
-// checkOrderingInvariants asserts (a) the index's sorted arrays really
-// are sorted, and (b) every binary-searched answer is bit-identical to
-// the reference row scan, probing exactly at the tie-sensitive values
-// (each row's own accuracy/latency) plus epsilon-offset, NaN and
-// infinite constraints, for solo and batched lookups.
+// checkOrderingInvariants asserts that every selection the table answers
+// from its column-major copies is bit-identical to the reference row
+// scan over the exported matrices, probing exactly at the tie-sensitive
+// values (each row's own accuracy/latency) plus epsilon-offset, NaN and
+// infinite constraints, for solo and batched lookups, and that the
+// precomputed scalars are the matrices' own.
 func checkOrderingInvariants(t *testing.T, tab *Table, label string) {
 	t.Helper()
 	checkGraphBytes(t, tab, label)
-	idx := tab.index
-	if !sort.Float64sAreSorted(idx.accSorted) {
-		t.Fatalf("%s: accSorted not sorted", label)
-	}
+	globalMin := math.Inf(1)
 	for j := 0; j < tab.Cols(); j++ {
-		ci := &idx.cols[j]
-		if !sort.Float64sAreSorted(ci.latSorted) {
-			t.Fatalf("%s: col %d latSorted not sorted", label, j)
+		colMin := math.Inf(1)
+		for i := 0; i < tab.Rows(); i++ {
+			colMin = math.Min(colMin, tab.Lat[i][j])
 		}
-		if ci.itemSorted != nil && !sort.Float64sAreSorted(ci.itemSorted) {
-			t.Fatalf("%s: col %d itemSorted not sorted", label, j)
+		if got := tab.MinLatency(j); got != colMin {
+			t.Fatalf("%s: MinLatency(%d) = %v, column minimum %v", label, j, got, colMin)
 		}
+		globalMin = math.Min(globalMin, colMin)
 		for _, n := range []int{1, 2, 4} {
-			accProbes := []float64{math.NaN(), 0, math.Inf(1)}
-			latProbes := []float64{0, math.Inf(1)}
+			accProbes := []float64{math.NaN(), 0, math.Inf(1), math.Inf(-1)}
+			latProbes := []float64{math.NaN(), 0, math.Inf(1), math.Inf(-1)}
 			for i := 0; i < tab.Rows(); i++ {
 				a := tab.SubNets[i].Accuracy
 				accProbes = append(accProbes, a, a-1e-9, a+1e-9)
@@ -162,26 +160,27 @@ func checkOrderingInvariants(t *testing.T, tab *Table, label string) {
 						label, lat, j, n, gi, gf, wi, wf)
 				}
 			}
-			if gi, wi := tab.MinLatencyRowBatch(j, n), func() int {
-				best := 0
-				for i := 1; i < tab.Rows(); i++ {
-					if tab.LookupBatch(i, j, n) < tab.LookupBatch(best, j, n) {
-						best = i
-					}
-				}
-				return best
-			}(); gi != wi {
-				t.Fatalf("%s: MinLatencyRowBatch(%d, %d) = %d, scan %d", label, j, n, gi, wi)
-			}
 		}
+		// The solo names are the batch-of-one forms.
+		a, l := tab.SubNets[0].Accuracy, tab.Lat[0][j]
+		gi, gf := tab.FastestFeasible(a, j)
+		if wi, wf := scanFastestFeasible(tab, a, j, 1); gi != wi || gf != wf {
+			t.Fatalf("%s: FastestFeasible(%v, %d) = (%d,%v), scan (%d,%v)", label, a, j, gi, gf, wi, wf)
+		}
+		gi, gf = tab.MostAccurateWithin(l, j)
+		if wi, wf := scanMostAccurateWithin(tab, l, j, 1); gi != wi || gf != wf {
+			t.Fatalf("%s: MostAccurateWithin(%v, %d) = (%d,%v), scan (%d,%v)", label, l, j, gi, gf, wi, wf)
+		}
+	}
+	if got := tab.GlobalMinLatency(); got != globalMin {
+		t.Fatalf("%s: GlobalMinLatency = %v, table minimum %v", label, got, globalMin)
 	}
 }
 
-// TestOrderingInvariants pins the index against the row scans on a real
-// built table, then re-pins after every operation that rebuilds or must
-// preserve the index: Truncate, a gob encode/decode round trip, and
-// NearestGraphWithin queries (which share the index's vectors and must
-// not perturb it).
+// TestOrderingInvariants pins the table's selections against the row
+// scans on a real built table, then re-pins after every other way a
+// table comes to exist (a gob encode/decode round trip, FromMatrices)
+// and after NearestGraphWithin queries, which must not perturb it.
 func TestOrderingInvariants(t *testing.T) {
 	s, fr, cfg := testFixture(t)
 	cands, err := Candidates(s, fr, CandidateOptions{Budget: cfg.PBBytes, Count: 12, Seed: 1})
@@ -194,21 +193,7 @@ func TestOrderingInvariants(t *testing.T) {
 	}
 	checkOrderingInvariants(t, tab, "built")
 
-	// Truncate rebuilds the index over the surviving columns and drops
-	// any memoized batch orderings.
-	tr, err := tab.Truncate(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.batchMu.RLock()
-	stale := len(tr.batchOrders)
-	tr.batchMu.RUnlock()
-	if stale != 0 {
-		t.Fatalf("Truncate carried %d stale batch orderings", stale)
-	}
-	checkOrderingInvariants(t, tr, "truncated")
-
-	// Gob round trip: the decoded table rebuilds the index from the wire
+	// Gob round trip: the decoded table derives its copies from the wire
 	// matrices.
 	var buf bytes.Buffer
 	if err := tab.Encode(&buf); err != nil {
@@ -228,8 +213,8 @@ func TestOrderingInvariants(t *testing.T) {
 	}
 	checkOrderingInvariants(t, fm, "from matrices")
 
-	// NearestGraphWithin under a capping budget must keep answering from
-	// the same index (read-only) and cap correctly.
+	// NearestGraphWithin under a capping budget must leave the table as
+	// it was (read-only) and cap correctly.
 	v := tab.RowVector(tab.Rows() - 1)
 	budget := tab.Graphs[0].Bytes()
 	col := tab.NearestGraphWithin(v, budget)
@@ -241,8 +226,8 @@ func TestOrderingInvariants(t *testing.T) {
 
 // TestOrderingInvariantsRandomTables is the property test: random
 // matrices with deliberately heavy value ties (so tie-break order, not
-// just values, is exercised) must index to scan-identical answers, with
-// and without an Item matrix.
+// just values, is exercised) must give scan-identical answers, with and
+// without an Item matrix.
 func TestOrderingInvariantsRandomTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	super := supernet.NewOFAMobileNetV3()

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"sushi/internal/accel"
@@ -16,7 +15,12 @@ import (
 // Table is SushiAbs's black-box lookup table: Lat[i][j] is the end-to-end
 // latency (seconds) of serving SubNet i while SubGraph j is cached.
 // Row/column order matches the SubNets/Graphs slices. Lookups are O(1);
-// nearest-graph queries are O(|S|·dim) as in Algorithm 1.
+// the per-query selections walk the rows of one column and nearest-graph
+// queries are O(|S|·dim), both as in Algorithm 1.
+//
+// A Table is immutable once its constructor (Build, FromMatrices, Decode)
+// returns: nothing is built lazily, so any number of replicas may share
+// one and read it concurrently without a lock.
 type Table struct {
 	// SubNets are the serving set X (rows).
 	SubNets []*supernet.SubNet
@@ -41,81 +45,42 @@ type Table struct {
 	// graphBytes[j] is Graphs[j].Bytes(), so share checks on the serving
 	// path never re-walk a column's cell list. Read-only after build.
 	graphBytes []int64
-	// index holds the precomputed per-column feasibility structures the
-	// scheduler's hot path binary-searches instead of scanning rows.
-	index *tableIndex
-	// batchMu guards batchOrders. Tables are shared across replicas, so
-	// the lazily built per-(column, batch size) orderings need a lock;
-	// the solo index above is built before sharing and stays lock-free.
-	batchMu sync.RWMutex
-	// batchOrders memoizes batchOrderFor: one sorted ordering of the
-	// batched latencies LookupBatch(·, j, n) per (j, n) actually queried.
-	batchOrders map[batchKey]*batchOrder
-}
-
-// batchKey identifies one lazily built batched ordering.
-type batchKey struct {
-	col int
-	n   int
-}
-
-// batchOrder is the batched-latency analogue of colIndex: the same
-// sorted-order + prefix/suffix argmin/argmax structures, computed over
-// LookupBatch(i, col, n) instead of Lat[i][col], with identical
-// tie-breaks — so batched feasibility checks binary-search too.
-type batchOrder struct {
-	sufMinLat []int
-	latPerm   []int
-	latSorted []float64
-	preMaxAcc []int
-	minLatRow int
-	minLat    float64
-}
-
-// tableIndex is the precomputed feasibility index: for each policy's
-// hard constraint, the rows sorted by the constrained quantity plus
-// running argmin/argmax structures that reproduce the row-scan
-// tie-breaks (lowest original row index wins) exactly.
-type tableIndex struct {
-	// accPerm lists rows sorted by (accuracy asc, row asc); accSorted is
-	// the accuracy in that order. Accuracy is column-independent, so one
-	// permutation serves every column.
-	accPerm   []int
-	accSorted []float64
-	// maxAccRow is the scan-equivalent argmax-accuracy row (first strict
-	// max, i.e. lowest row index among ties).
+	// acc[i] is SubNets[i].Accuracy and cols[j] column j of Lat and Item,
+	// copied out contiguously so the per-query row scans touch two flat
+	// slices instead of a pointer per row. The exported matrices remain
+	// the source of truth.
+	acc  []float64
+	cols []column
+	// maxAccRow is the argmax-accuracy row (lowest row index among
+	// equals): STRICT_ACCURACY's fallback when no row meets the floor.
 	maxAccRow int
-	// minLat is the smallest latency anywhere in the table — the
-	// tightest lower bound on any service completing.
+	// minLat is the smallest latency anywhere in the table.
 	minLat float64
-	cols   []colIndex
 }
 
-// colIndex is one column's slice of the feasibility index.
-type colIndex struct {
-	// sufMinLat[p] is the min-latency row among accPerm[p:] (the rows
-	// meeting an accuracy floor that binary-searches to position p),
-	// ties resolved to the lowest row index.
-	sufMinLat []int
-	// latPerm lists rows sorted by (latency asc, row asc) under this
-	// column; latSorted is the latency in that order.
-	latPerm   []int
-	latSorted []float64
-	// preMaxAcc[p] is the max-accuracy row among latPerm[:p+1] (the rows
-	// meeting a latency budget that binary-searches past position p),
-	// ties resolved to the lowest row index.
-	preMaxAcc []int
-	// minLatRow/minLat are the column's scan-equivalent argmin latency
-	// (first strict min) and its value.
-	minLatRow int
-	minLat    float64
-	// itemPerm lists rows sorted by (per-item latency asc, row asc);
-	// itemSorted is Item in that order. Batched latencies
-	// Lat + (n-1)*Item converge to this order as n grows, so batch
-	// orderings start their sort from it (nearly sorted for large n).
-	// Nil when the table predates the Item matrix.
-	itemPerm   []int
-	itemSorted []float64
+// column is one cache state's slice of the table in row order.
+type column struct {
+	// lat[i] is Lat[i][j]; item[i] is Item[i][j], nil when the table
+	// carries no Item matrix.
+	lat, item []float64
+	// minLat is the smallest lat[i].
+	minLat float64
+}
+
+// argminLatency returns the row with the smallest batched latency
+// lat[i] + k*item[i] (k as Table.column returns it), lowest row index
+// among equals.
+func (c *column) argminLatency(k float64) int {
+	best, bestLat := 0, 0.0
+	for i, l := range c.lat {
+		if k != 0 {
+			l += k * c.item[i]
+		}
+		if i == 0 || l < bestLat {
+			best, bestLat = i, l
+		}
+	}
+	return best
 }
 
 // Build profiles every (SubNet, SubGraph) pairing and returns the
@@ -197,6 +162,8 @@ func Build(cfg accel.Config, subnets []*supernet.SubNet, graphs []*supernet.SubG
 	return t, nil
 }
 
+// buildVectors derives everything the table caches from its exported
+// fields; every constructor ends with it.
 func (t *Table) buildVectors() {
 	t.vectors = make([][]float64, len(t.Graphs))
 	t.graphBytes = make([]int64, len(t.Graphs))
@@ -208,184 +175,57 @@ func (t *Table) buildVectors() {
 	for i, sn := range t.SubNets {
 		t.rowVectors[i] = sn.Vector()
 	}
-	t.buildIndex()
+	t.buildColumns()
 }
 
-// buildIndex derives the feasibility index from the populated matrices.
-// Every constructor (Build, Truncate, Decode) runs it before the table
-// is shared, so readers never synchronize. The running argmin/argmax
-// structures use the same comparison the row scans used — strict
-// improvement, equal values resolved to the lower row index — so index
-// answers are bit-identical to scan answers.
-func (t *Table) buildIndex() {
+// buildColumns copies the accuracies and each column of Lat and Item
+// into the flat slices the row scans read, and derives the scalars the
+// serving path reads in O(1).
+func (t *Table) buildColumns() {
 	rows, cols := t.Rows(), t.Cols()
-	idx := &tableIndex{
-		accPerm:   make([]int, rows),
-		accSorted: make([]float64, rows),
-		cols:      make([]colIndex, cols),
-	}
-	for i := range idx.accPerm {
-		idx.accPerm[i] = i
-	}
-	sort.SliceStable(idx.accPerm, func(a, b int) bool {
-		return t.SubNets[idx.accPerm[a]].Accuracy < t.SubNets[idx.accPerm[b]].Accuracy
-	})
-	for p, r := range idx.accPerm {
-		idx.accSorted[p] = t.SubNets[r].Accuracy
-	}
-	for i := 1; i < rows; i++ {
-		if t.SubNets[i].Accuracy > t.SubNets[idx.maxAccRow].Accuracy {
-			idx.maxAccRow = i
+	t.acc = make([]float64, rows)
+	for i, sn := range t.SubNets {
+		t.acc[i] = sn.Accuracy
+		if sn.Accuracy > t.acc[t.maxAccRow] {
+			t.maxAccRow = i
 		}
 	}
-	idx.minLat = math.Inf(1)
-	for j := 0; j < cols; j++ {
-		ci := colIndex{
-			sufMinLat: make([]int, rows),
-			latPerm:   make([]int, rows),
-			latSorted: make([]float64, rows),
-			preMaxAcc: make([]int, rows),
-		}
-		// Suffix argmin latency over the accuracy-sorted order.
-		for p := rows - 1; p >= 0; p-- {
-			best := idx.accPerm[p]
-			if p < rows-1 {
-				if prev := ci.sufMinLat[p+1]; t.Lat[prev][j] < t.Lat[best][j] ||
-					(t.Lat[prev][j] == t.Lat[best][j] && prev < best) {
-					best = prev
-				}
-			}
-			ci.sufMinLat[p] = best
-		}
-		for i := range ci.latPerm {
-			ci.latPerm[i] = i
-		}
-		sort.SliceStable(ci.latPerm, func(a, b int) bool {
-			return t.Lat[ci.latPerm[a]][j] < t.Lat[ci.latPerm[b]][j]
-		})
-		for p, r := range ci.latPerm {
-			ci.latSorted[p] = t.Lat[r][j]
-		}
-		// Prefix argmax accuracy over the latency-sorted order.
-		for p := 0; p < rows; p++ {
-			best := ci.latPerm[p]
-			if p > 0 {
-				if prev := ci.preMaxAcc[p-1]; t.SubNets[prev].Accuracy > t.SubNets[best].Accuracy ||
-					(t.SubNets[prev].Accuracy == t.SubNets[best].Accuracy && prev < best) {
-					best = prev
-				}
-			}
-			ci.preMaxAcc[p] = best
-		}
-		ci.minLatRow = 0
-		for i := 1; i < rows; i++ {
-			if t.Lat[i][j] < t.Lat[ci.minLatRow][j] {
-				ci.minLatRow = i
-			}
-		}
-		ci.minLat = t.Lat[ci.minLatRow][j]
-		if ci.minLat < idx.minLat {
-			idx.minLat = ci.minLat
-		}
-		if t.Item != nil {
-			ci.itemPerm = make([]int, rows)
-			ci.itemSorted = make([]float64, rows)
-			for i := range ci.itemPerm {
-				ci.itemPerm[i] = i
-			}
-			sort.SliceStable(ci.itemPerm, func(a, b int) bool {
-				return t.Item[ci.itemPerm[a]][j] < t.Item[ci.itemPerm[b]][j]
-			})
-			for p, r := range ci.itemPerm {
-				ci.itemSorted[p] = t.Item[r][j]
-			}
-		}
-		idx.cols[j] = ci
+	lat := make([]float64, rows*cols)
+	var item []float64
+	if t.Item != nil {
+		item = make([]float64, rows*cols)
 	}
-	t.index = idx
-	// Any batched orderings computed over the previous matrices are
-	// stale; Truncate and Decode both land here, so they rebuild lazily.
-	t.batchMu.Lock()
-	t.batchOrders = nil
-	t.batchMu.Unlock()
+	t.cols = make([]column, cols)
+	t.minLat = math.Inf(1)
+	for j := range t.cols {
+		c := &t.cols[j]
+		c.lat = lat[j*rows : (j+1)*rows : (j+1)*rows]
+		if item != nil {
+			c.item = item[j*rows : (j+1)*rows : (j+1)*rows]
+		}
+		for i := 0; i < rows; i++ {
+			c.lat[i] = t.Lat[i][j]
+			if item != nil {
+				c.item[i] = t.Item[i][j]
+			}
+		}
+		c.minLat = c.lat[c.argminLatency(0)]
+		if c.minLat < t.minLat {
+			t.minLat = c.minLat
+		}
+	}
 }
 
-// batchOrderFor returns the batched-latency ordering for (column j,
-// batch size n), building and memoizing it on first use. Safe for
-// concurrent use across the replicas sharing the table.
-func (t *Table) batchOrderFor(j, n int) *batchOrder {
-	k := batchKey{col: j, n: n}
-	t.batchMu.RLock()
-	bo := t.batchOrders[k]
-	t.batchMu.RUnlock()
-	if bo != nil {
-		return bo
+// column returns column j and the multiplier k that turns its solo
+// latencies into LookupBatch(·, j, n) = lat[i] + k*item[i]: n-1 for a
+// batch of n, and 0 — add nothing, the solo latency exactly — when
+// n <= 1 or the table has no Item matrix.
+func (t *Table) column(j, n int) (*column, float64) {
+	c := &t.cols[j]
+	if n <= 1 || c.item == nil {
+		return c, 0
 	}
-	t.batchMu.Lock()
-	defer t.batchMu.Unlock()
-	if bo = t.batchOrders[k]; bo != nil {
-		return bo
-	}
-	rows := t.Rows()
-	idx := t.index
-	bo = &batchOrder{
-		sufMinLat: make([]int, rows),
-		latPerm:   make([]int, rows),
-		latSorted: make([]float64, rows),
-		preMaxAcc: make([]int, rows),
-	}
-	// Start from the per-item order when available: batched latencies
-	// converge to it as n grows, so the sort sees nearly sorted input.
-	// The starting permutation cannot change any answer — ties inside
-	// the prefix/suffix structures resolve by explicit row comparison.
-	if ip := idx.cols[j].itemPerm; ip != nil {
-		copy(bo.latPerm, ip)
-	} else {
-		for i := range bo.latPerm {
-			bo.latPerm[i] = i
-		}
-	}
-	sort.SliceStable(bo.latPerm, func(a, b int) bool {
-		return t.LookupBatch(bo.latPerm[a], j, n) < t.LookupBatch(bo.latPerm[b], j, n)
-	})
-	for p, r := range bo.latPerm {
-		bo.latSorted[p] = t.LookupBatch(r, j, n)
-	}
-	// Prefix argmax accuracy over the batched-latency order and suffix
-	// argmin batched latency over the accuracy order — same comparisons
-	// as buildIndex, with Lat replaced by LookupBatch.
-	for p := 0; p < rows; p++ {
-		best := bo.latPerm[p]
-		if p > 0 {
-			if prev := bo.preMaxAcc[p-1]; t.SubNets[prev].Accuracy > t.SubNets[best].Accuracy ||
-				(t.SubNets[prev].Accuracy == t.SubNets[best].Accuracy && prev < best) {
-				best = prev
-			}
-		}
-		bo.preMaxAcc[p] = best
-	}
-	for p := rows - 1; p >= 0; p-- {
-		best := idx.accPerm[p]
-		if p < rows-1 {
-			if prev := bo.sufMinLat[p+1]; t.LookupBatch(prev, j, n) < t.LookupBatch(best, j, n) ||
-				(t.LookupBatch(prev, j, n) == t.LookupBatch(best, j, n) && prev < best) {
-				best = prev
-			}
-		}
-		bo.sufMinLat[p] = best
-	}
-	bo.minLatRow = 0
-	for i := 1; i < rows; i++ {
-		if t.LookupBatch(i, j, n) < t.LookupBatch(bo.minLatRow, j, n) {
-			bo.minLatRow = i
-		}
-	}
-	bo.minLat = t.LookupBatch(bo.minLatRow, j, n)
-	if t.batchOrders == nil {
-		t.batchOrders = make(map[batchKey]*batchOrder)
-	}
-	t.batchOrders[k] = bo
-	return bo
+	return c, float64(n - 1)
 }
 
 // RowVector returns SubNet row i's precomputed encoding vector. The
@@ -397,95 +237,73 @@ func (t *Table) RowVector(i int) []float64 { return t.rowVectors[i] }
 func (t *Table) GraphBytes(j int) int64 { return t.graphBytes[j] }
 
 // MinLatency returns the smallest latency any row achieves under
-// column j — the scan-equivalent argmin value, precomputed.
-func (t *Table) MinLatency(j int) float64 { return t.index.cols[j].minLat }
-
-// MinLatencyRow returns the scan-equivalent argmin-latency row under
-// column j (lowest row index on ties).
-func (t *Table) MinLatencyRow(j int) int { return t.index.cols[j].minLatRow }
-
-// MaxAccuracyRow returns the scan-equivalent argmax-accuracy row
-// (lowest row index on ties).
-func (t *Table) MaxAccuracyRow() int { return t.index.maxAccRow }
+// column j, precomputed.
+func (t *Table) MinLatency(j int) float64 { return t.cols[j].minLat }
 
 // GlobalMinLatency returns the smallest latency anywhere in the table —
 // the tightest bound on any service completing.
-func (t *Table) GlobalMinLatency() float64 { return t.index.minLat }
+func (t *Table) GlobalMinLatency() float64 { return t.minLat }
 
 // FastestFeasible answers the STRICT_ACCURACY per-query decision for a
-// solo serve: the minimum-latency row whose accuracy meets floor A
-// under column j, with the row-scan tie-breaks, via binary search. The
-// second result reports feasibility; when false the returned row is
-// the scan-equivalent argmax-accuracy fallback.
+// solo serve: FastestFeasibleBatch for a batch of one.
 func (t *Table) FastestFeasible(acc float64, j int) (int, bool) {
-	idx := t.index
-	p := 0
-	if !math.IsNaN(acc) {
-		p = sort.SearchFloat64s(idx.accSorted, acc)
-	}
-	if p >= len(idx.accSorted) {
-		return idx.maxAccRow, false
-	}
-	return idx.cols[j].sufMinLat[p], true
+	return t.FastestFeasibleBatch(acc, j, 1)
 }
 
 // MostAccurateWithin answers the STRICT_LATENCY per-query decision for
-// a solo serve: the maximum-accuracy row whose latency fits budget L
-// under column j, with the row-scan tie-breaks, via binary search. The
-// second result reports feasibility; when false the returned row is
-// the column's argmin-latency fallback.
+// a solo serve: MostAccurateWithinBatch for a batch of one.
 func (t *Table) MostAccurateWithin(lat float64, j int) (int, bool) {
-	ci := &t.index.cols[j]
-	// First position strictly past the budget: rows latPerm[:p] fit.
-	p := sort.Search(len(ci.latSorted), func(i int) bool { return ci.latSorted[i] > lat })
-	if p == 0 {
-		return ci.minLatRow, false
-	}
-	return ci.preMaxAcc[p-1], true
+	return t.MostAccurateWithinBatch(lat, j, 1)
 }
 
-// FastestFeasibleBatch is FastestFeasible over batched latencies: the
-// minimum LookupBatch(·, j, n) row whose accuracy meets floor A, with
-// the row-scan tie-breaks. n <= 1 (or a table without Item) delegates
-// to the solo index.
+// FastestFeasibleBatch is Algorithm 1's STRICT_ACCURACY walk over X for
+// n same-SubNet queries served together under column j: the row with the
+// minimum LookupBatch(·, j, n) among those whose accuracy is not below
+// floor acc. Only a strict improvement replaces the choice, so the
+// lowest row index wins among equals; the floor is tested as
+// !(a < acc), so a NaN floor excludes no row. The second result reports
+// feasibility; when false the returned row is the argmax-accuracy
+// fallback.
 func (t *Table) FastestFeasibleBatch(acc float64, j, n int) (int, bool) {
-	if n <= 1 || t.Item == nil {
-		return t.FastestFeasible(acc, j)
+	c, k := t.column(j, n)
+	accs := t.acc[:len(c.lat)]
+	best, bestLat := -1, 0.0
+	for i, l := range c.lat {
+		if k != 0 {
+			l += k * c.item[i]
+		}
+		if !(accs[i] < acc) && (best < 0 || l < bestLat) {
+			best, bestLat = i, l
+		}
 	}
-	idx := t.index
-	p := 0
-	if !math.IsNaN(acc) {
-		p = sort.SearchFloat64s(idx.accSorted, acc)
+	if best < 0 {
+		return t.maxAccRow, false
 	}
-	if p >= len(idx.accSorted) {
-		return idx.maxAccRow, false
-	}
-	return t.batchOrderFor(j, n).sufMinLat[p], true
+	return best, true
 }
 
-// MostAccurateWithinBatch is MostAccurateWithin over batched latencies:
-// the maximum-accuracy row whose LookupBatch(·, j, n) fits budget L,
-// with the row-scan tie-breaks. n <= 1 (or a table without Item)
-// delegates to the solo index.
+// MostAccurateWithinBatch is Algorithm 1's STRICT_LATENCY walk over X
+// for n same-SubNet queries served together under column j: the row
+// with the maximum accuracy among those whose LookupBatch(·, j, n) does
+// not exceed budget lat, with the same tie-break and the same NaN rule.
+// The second result reports feasibility; when false the returned row is
+// the column's argmin batched latency.
 func (t *Table) MostAccurateWithinBatch(lat float64, j, n int) (int, bool) {
-	if n <= 1 || t.Item == nil {
-		return t.MostAccurateWithin(lat, j)
+	c, k := t.column(j, n)
+	accs := t.acc[:len(c.lat)]
+	best, bestAcc := -1, 0.0
+	for i, l := range c.lat {
+		if k != 0 {
+			l += k * c.item[i]
+		}
+		if a := accs[i]; !(l > lat) && (best < 0 || a > bestAcc) {
+			best, bestAcc = i, a
+		}
 	}
-	bo := t.batchOrderFor(j, n)
-	p := sort.Search(len(bo.latSorted), func(i int) bool { return bo.latSorted[i] > lat })
-	if p == 0 {
-		return bo.minLatRow, false
+	if best < 0 {
+		return c.argminLatency(k), false
 	}
-	return bo.preMaxAcc[p-1], true
-}
-
-// MinLatencyRowBatch returns the scan-equivalent argmin of the batched
-// latency LookupBatch(·, j, n) (lowest row index on ties).
-func (t *Table) MinLatencyRowBatch(j, n int) int {
-	if n <= 1 || t.Item == nil {
-		return t.MinLatencyRow(j)
-	}
-	return t.batchOrderFor(j, n).minLatRow
+	return best, true
 }
 
 // Rows returns |X| and Cols |S|.
@@ -548,35 +366,12 @@ func (t *Table) NearestGraphWithin(v []float64, maxBytes int64) int {
 	return smallest
 }
 
-// Truncate returns a copy of the table keeping only the first cols
-// columns (Table 5's column-budget ablation). The SubNets are shared.
-func (t *Table) Truncate(cols int) (*Table, error) {
-	if cols <= 0 || cols > t.Cols() {
-		return nil, fmt.Errorf("latencytable: truncate to %d of %d cols", cols, t.Cols())
-	}
-	n := &Table{SubNets: t.SubNets, Graphs: t.Graphs[:cols]}
-	n.Lat = make([][]float64, len(t.Lat))
-	n.Energy = make([][]float64, len(t.Energy))
-	if t.Item != nil {
-		n.Item = make([][]float64, len(t.Item))
-	}
-	for i := range t.Lat {
-		n.Lat[i] = t.Lat[i][:cols]
-		n.Energy[i] = t.Energy[i][:cols]
-		if t.Item != nil {
-			n.Item[i] = t.Item[i][:cols]
-		}
-	}
-	n.buildVectors()
-	return n, nil
-}
-
 // FromMatrices builds a table directly from externally produced
 // matrices — the constructor measured calibration uses: lat[i][j] is
 // seconds of serving latency for SubNet i under cached SubGraph j,
 // item (optional, nil allowed) its per-item share, energy (optional)
 // joules. The matrices are adopted, not copied. Dimensions and value
-// sanity are validated before the ordering index is built, so a table
+// sanity are validated before anything is derived from them, so a table
 // returned here is interchangeable with one from Build or Decode.
 func FromMatrices(subnets []*supernet.SubNet, graphs []*supernet.SubGraph, lat, item, energy [][]float64) (*Table, error) {
 	if len(subnets) == 0 {
@@ -661,7 +456,9 @@ func (t *Table) Encode(w io.Writer) error {
 }
 
 // Decode reconstructs a table over super, matching rows to subnets by
-// name. The subnets must cover every row name in the stream.
+// name. The subnets must cover every row name in the stream, each at
+// most once. The stream is outside input: whatever it holds, Decode
+// returns an error or a table that passes FromMatrices's checks.
 func Decode(r io.Reader, super *supernet.SuperNet, subnets []*supernet.SubNet) (*Table, error) {
 	var wt wireTable
 	if err := gob.NewDecoder(r).Decode(&wt); err != nil {
@@ -670,18 +467,27 @@ func Decode(r io.Reader, super *supernet.SuperNet, subnets []*supernet.SubNet) (
 	if wt.NumCells != super.NumCells() {
 		return nil, fmt.Errorf("latencytable: stream built over %d cells, supernet has %d", wt.NumCells, super.NumCells())
 	}
+	if len(wt.GraphCells) != len(wt.GraphNames) {
+		return nil, fmt.Errorf("latencytable: stream has %d graph cell lists for %d graph names", len(wt.GraphCells), len(wt.GraphNames))
+	}
 	byName := map[string]*supernet.SubNet{}
 	for _, sn := range subnets {
 		byName[sn.Name] = sn
 	}
-	t := &Table{Lat: wt.Lat, Item: wt.Item, Energy: wt.Energy}
+	rows := make([]*supernet.SubNet, 0, len(wt.SubNetNames))
+	seen := map[string]bool{}
 	for _, name := range wt.SubNetNames {
 		sn, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("latencytable: stream row %q not among supplied subnets", name)
 		}
-		t.SubNets = append(t.SubNets, sn)
+		if seen[name] {
+			return nil, fmt.Errorf("latencytable: stream names row %q twice", name)
+		}
+		seen[name] = true
+		rows = append(rows, sn)
 	}
+	graphs := make([]*supernet.SubGraph, 0, len(wt.GraphCells))
 	for gi, cells := range wt.GraphCells {
 		g := supernet.NewSubGraph(super, wt.GraphNames[gi])
 		for _, id := range cells {
@@ -690,11 +496,7 @@ func Decode(r io.Reader, super *supernet.SuperNet, subnets []*supernet.SubNet) (
 			}
 			g.Add(id)
 		}
-		t.Graphs = append(t.Graphs, g)
+		graphs = append(graphs, g)
 	}
-	if err := t.validateMatrices(); err != nil {
-		return nil, err
-	}
-	t.buildVectors()
-	return t, nil
+	return FromMatrices(rows, graphs, wt.Lat, wt.Item, wt.Energy)
 }

@@ -74,19 +74,8 @@ func (r *refSched) PeekAt(q Query, col int) (Decision, error) {
 	return r.decision(idx, feasible, col, 1), nil
 }
 
-func (r *refSched) Peek(q Query) (Decision, error) { return r.PeekAt(q, r.cacheCol) }
-
-func (r *refSched) PeekBatch(qs []Query) (Decision, error) {
-	agg, pol, err := r.pure.batchQuery(qs)
-	if err != nil {
-		return Decision{}, err
-	}
-	idx, feasible := r.selectScan(agg, pol, r.cacheCol, len(qs))
-	return r.decision(idx, feasible, r.cacheCol, len(qs)), nil
-}
-
 func (r *refSched) Schedule(q Query) (Decision, error) {
-	d, err := r.Peek(q)
+	d, err := r.PeekAt(q, r.cacheCol)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -95,10 +84,12 @@ func (r *refSched) Schedule(q Query) (Decision, error) {
 }
 
 func (r *refSched) ScheduleBatch(qs []Query) (Decision, error) {
-	d, err := r.PeekBatch(qs)
+	agg, pol, err := r.pure.batchQuery(qs)
 	if err != nil {
 		return Decision{}, err
 	}
+	idx, feasible := r.selectScan(agg, pol, r.cacheCol, len(qs))
+	d := r.decision(idx, feasible, r.cacheCol, len(qs))
 	r.consume(&d, len(qs))
 	return d, nil
 }
@@ -281,9 +272,9 @@ func (g *queryGen) batch(id int) []Query {
 }
 
 // TestFastPathMatchesSlowPath is the scheduler's differential test: the
-// production scheduler (orderings, binary search, window memo, lazy
+// production scheduler (the table's column scans, window memo, lazy
 // average) and the reference scheduler above are driven with an
-// identical randomized operation stream (single and batched peeks and
+// identical randomized operation stream (peeks, single and batched
 // schedules, policy overrides, column and budget changes, NaN and
 // infinite constraints) and must emit bit-identical Decisions and
 // identical cache-column trajectories at every step.
@@ -312,19 +303,12 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 					slow.SetCacheBudget(b)
 				case 2, 3:
 					q := draw.query(i)
-					df, ef := fast.Peek(q)
-					ds, es := slow.Peek(q)
+					df, ef := fast.PeekAt(q, fast.CacheColumn())
+					ds, es := slow.PeekAt(q, slow.cacheCol)
 					if df != ds || (ef == nil) != (es == nil) {
-						t.Fatalf("pol %v op %d: Peek divergence: %+v/%v vs %+v/%v", pol, i, df, ef, ds, es)
+						t.Fatalf("pol %v op %d: PeekAt divergence: %+v/%v vs %+v/%v", pol, i, df, ef, ds, es)
 					}
-				case 4:
-					qs := draw.batch(i)
-					df, ef := fast.PeekBatch(qs)
-					ds, es := slow.PeekBatch(qs)
-					if df != ds || (ef == nil) != (es == nil) {
-						t.Fatalf("pol %v op %d: PeekBatch divergence: %+v/%v vs %+v/%v", pol, i, df, ef, ds, es)
-					}
-				case 5:
+				case 4, 5:
 					qs := draw.batch(i)
 					df, ef := fast.ScheduleBatch(qs)
 					ds, es := slow.ScheduleBatch(qs)
@@ -459,7 +443,7 @@ func TestWindowMemoSurvivesRecache(t *testing.T) {
 
 // TestScheduleAllocs pins Schedule's steady state at zero allocations:
 // once every ring layout of the stream is in the window memo, a call is
-// a binary search, a ring push and at most a map read.
+// a walk over one table column, a ring push and at most a map read.
 func TestScheduleAllocs(t *testing.T) {
 	tab := buildTable(t)
 	s, err := New(tab, Options{Policy: StrictLatency, Q: 4, StateAware: true})

@@ -256,15 +256,6 @@ func (s *Scheduler) policyFor(q Query) (Policy, error) {
 	return p, nil
 }
 
-// Peek evaluates the per-query half of Algorithm 1 against the current
-// cache belief without consuming the query: the window, the served count
-// and the Q-periodic cache decision are untouched. Callers must
-// serialize Peek with Schedule (it reads the scheduler's cache belief);
-// use PeekAt with a previously observed column for lock-free scoring.
-func (s *Scheduler) Peek(q Query) (Decision, error) {
-	return s.PeekAt(q, s.cacheCol)
-}
-
 // PeekAt evaluates the per-query decision against an explicit cache
 // column. It reads only the scheduler's immutable configuration and
 // latency table, so — unlike every other method — it IS safe to call
@@ -326,29 +317,16 @@ func (s *Scheduler) batchQuery(qs []Query) (Query, Policy, error) {
 	return agg, pol, nil
 }
 
-// PeekBatch evaluates the SubNet choice for a micro-batch of len(qs)
-// queries served together against the current cache belief, without
-// consuming anything: the batched SushiAbs lookup (weights once,
-// per-item costs n times) is compared against the tightest member
-// budget, so the scheduler picks the SubNet the whole batch can afford.
-// PredictedLatency is the batch's total service latency. Like Peek it
-// must be serialized with Schedule/ScheduleBatch.
-func (s *Scheduler) PeekBatch(qs []Query) (Decision, error) {
-	agg, pol, err := s.batchQuery(qs)
-	if err != nil {
-		return Decision{}, err
-	}
-	return s.decide(agg, pol, s.cacheCol, len(qs)), nil
-}
-
 // ScheduleBatch makes the control decision for a micro-batch served as
-// one accelerator pass: SubNet selection uses the batched latency model
-// under the tightest member constraints (see PeekBatch), every member
-// counts as one served query toward the Q-periodic cache window, and —
-// exactly as a sequence of Schedule calls would — a cache update fires
-// for each Q boundary the batch crosses (the last one wins, enacted by
-// the caller AFTER the batch). ScheduleBatch(qs[:1]) is bit-identical
-// to Schedule(qs[0]).
+// one accelerator pass. The batched SushiAbs lookup (weights once,
+// per-item costs n times) is compared against the tightest member
+// constraints (see batchQuery), so the scheduler picks the SubNet the
+// whole batch can afford; PredictedLatency is the batch's total service
+// latency. Every member counts as one served query toward the Q-periodic
+// cache window, and — exactly as a sequence of Schedule calls would — a
+// cache update fires for each Q boundary the batch crosses (the last one
+// wins, enacted by the caller AFTER the batch). ScheduleBatch(qs[:1]) is
+// bit-identical to Schedule(qs[0]).
 func (s *Scheduler) ScheduleBatch(qs []Query) (Decision, error) {
 	agg, pol, err := s.batchQuery(qs)
 	if err != nil {
@@ -393,10 +371,9 @@ func (s *Scheduler) consume(d *Decision, n int) {
 
 // selectSubNetBatch evaluates the policy against cache column col with
 // the batched latency model for n same-SubNet queries; n = 1 is the
-// plain Algorithm 1 (LookupBatch degrades to Lookup exactly). The
-// strict policies answer from the table's precomputed orderings (binary
-// search + prefix/suffix argmin/argmax, with the tie-breaks of a row
-// scan: strict improvement, lowest row index among equals).
+// plain Algorithm 1 (LookupBatch degrades to Lookup exactly). Every
+// policy is one walk over the rows of column col: strict improvement,
+// lowest row index among equals.
 func (s *Scheduler) selectSubNetBatch(q Query, pol Policy, col, n int) (idx int, feasible bool) {
 	switch pol {
 	case MinEnergy:
@@ -413,10 +390,8 @@ func (s *Scheduler) selectSubNetBatch(q Query, pol Policy, col, n int) (idx int,
 }
 
 // selectMinEnergy is argmin energy s.t. accuracy >= A_t and latency <=
-// L_t — a row scan, because a two-constraint argmin has no single
-// ordering (lowest row index among equals). When both cannot hold,
-// accuracy remains the harder constraint: the choice falls back to the
-// strict-accuracy one, reported infeasible.
+// L_t. When both cannot hold, accuracy remains the harder constraint:
+// the choice falls back to the strict-accuracy one, reported infeasible.
 func (s *Scheduler) selectMinEnergy(q Query, col, n int) (idx int, feasible bool) {
 	best, bestE := -1, 0.0
 	for i := 0; i < s.table.Rows(); i++ {

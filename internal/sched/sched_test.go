@@ -471,22 +471,22 @@ func TestPeekDoesNotMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{ID: 0, MinAccuracy: tab.SubNets[3].Accuracy, MaxLatency: 1}
-	peek, err := s.Peek(q)
+	peek, err := s.PeekAt(q, s.CacheColumn())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Served() != 0 || s.AvgNet() != nil {
-		t.Fatal("Peek consumed the query")
+		t.Fatal("PeekAt consumed the query")
 	}
 	// Peeking many times never advances the cache belief.
 	col := s.CacheColumn()
 	for i := 0; i < 10; i++ {
-		if _, err := s.Peek(q); err != nil {
+		if _, err := s.PeekAt(q, s.CacheColumn()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s.CacheColumn() != col {
-		t.Error("Peek moved the cache column")
+		t.Error("PeekAt moved the cache column")
 	}
 	// The real decision for the same query matches the peek.
 	d, err := s.Schedule(q)
@@ -494,7 +494,7 @@ func TestPeekDoesNotMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d.SubNet != peek.SubNet || d.PredictedLatency != peek.PredictedLatency {
-		t.Errorf("Schedule %+v diverged from Peek %+v", d, peek)
+		t.Errorf("Schedule %+v diverged from PeekAt %+v", d, peek)
 	}
 }
 
@@ -535,8 +535,8 @@ func TestPerQueryPolicyOverride(t *testing.T) {
 	if _, err := s.Schedule(Query{ID: 2, Policy: &bad}); err == nil {
 		t.Error("bogus per-query policy accepted")
 	}
-	if _, err := s.Peek(Query{ID: 3, Policy: &bad}); err == nil {
-		t.Error("bogus per-query policy accepted by Peek")
+	if _, err := s.PeekAt(Query{ID: 3, Policy: &bad}, s.CacheColumn()); err == nil {
+		t.Error("bogus per-query policy accepted by PeekAt")
 	}
 }
 
@@ -606,6 +606,7 @@ func TestScheduleBatchSingletonIdentical(t *testing.T) {
 // a smaller one, because n members share one pass.
 func TestScheduleBatchTightestMember(t *testing.T) {
 	tab := buildTable(t)
+	// Not state-aware, so every decision below is made against col.
 	s, err := New(tab, Options{Policy: StrictLatency, Q: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -618,14 +619,14 @@ func TestScheduleBatchTightestMember(t *testing.T) {
 	for i := range qs {
 		qs[i] = Query{ID: i, MaxLatency: budget}
 	}
-	solo, err := s.PeekBatch(qs[:1])
+	solo, err := s.ScheduleBatch(qs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if solo.SubNet != top || !solo.Feasible {
-		t.Fatalf("solo peek picked %d (feasible=%v), want top %d", solo.SubNet, solo.Feasible, top)
+		t.Fatalf("batch of one picked %d (feasible=%v), want top %d", solo.SubNet, solo.Feasible, top)
 	}
-	batched, err := s.PeekBatch(qs)
+	batched, err := s.ScheduleBatch(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +647,7 @@ func TestScheduleBatchTightestMember(t *testing.T) {
 		mixed[i] = Query{ID: i, MaxLatency: budget * 100}
 	}
 	mixed[2].MaxLatency = tab.LookupBatch(0, col, 4) * 1.01 // only the smallest SubNet fits
-	d, err := s.PeekBatch(mixed)
+	d, err := s.ScheduleBatch(mixed)
 	if err != nil {
 		t.Fatal(err)
 	}

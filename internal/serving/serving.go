@@ -494,44 +494,15 @@ func (s *System) fastestBudget() float64 {
 }
 
 // Serve runs one query through the full stack: schedule, execute with the
-// current cache state, then enact any cache update for subsequent queries.
+// current cache state, then enact any cache update for subsequent
+// queries. It is ServeBatchInto over a batch of one.
 func (s *System) Serve(q sched.Query) (Served, error) {
-	d, err := s.schd.Schedule(q)
-	if err != nil {
+	qs := [1]sched.Query{q}
+	var out [1]Served
+	if err := s.ServeBatchInto(qs[:], out[:]); err != nil {
 		return Served{}, err
 	}
-	sn := s.table.SubNets[d.SubNet]
-	ps, err := s.passFor(d.SubNet, 1)
-	if err != nil {
-		return Served{}, err
-	}
-	lat := ps.latency
-	if s.opt.ChargeSwapLatency {
-		lat += s.pendingSwapSec
-		s.pendingSwapSec = 0
-	}
-	out := Served{
-		Query:          q,
-		SubNet:         sn.Name,
-		Row:            d.SubNet,
-		Latency:        lat,
-		Accuracy:       sn.Accuracy,
-		Feasible:       d.Feasible,
-		LatencyMet:     lat <= q.MaxLatency,
-		AccuracyMet:    sn.Accuracy >= q.MinAccuracy,
-		HitRatio:       ps.hitRatio,
-		HitBytes:       ps.hitBytes,
-		OffChipEnergyJ: ps.energyJ,
-	}
-	if d.CacheUpdate >= 0 {
-		fillSec, err := s.enact(d.CacheUpdate)
-		if err != nil {
-			return Served{}, err
-		}
-		out.CacheSwapped = true
-		s.chargeSwap(fillSec)
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // ServeBatchInto runs a micro-batch of queries through the stack as ONE
@@ -543,10 +514,10 @@ func (s *System) Serve(q sched.Query) (Served, error) {
 // start and finish; there is no intra-batch ordering). Weight-traffic
 // aggregates (HitBytes) and off-chip energy are batch-level quantities
 // charged to the FIRST member so stream sums stay physical; HitRatio,
-// being a ratio, repeats on every member. A batch of one is exactly
-// Serve. Like Serve, a Q-boundary cache update is enacted after the
-// batch for subsequent queries (at most one enactment per batch — the
-// last boundary crossed wins).
+// being a ratio, repeats on every member. A lone query is a batch like
+// any other, except that its Served.Batch stays 0. A Q-boundary cache
+// update is enacted after the batch for subsequent queries (at most one
+// enactment per batch — the last boundary crossed wins).
 //
 // Outcomes land in the caller-provided out (len(out) must equal
 // len(qs)) — the allocation-free path the replica kernel drives with
@@ -559,15 +530,18 @@ func (s *System) ServeBatchInto(qs []sched.Query, out []Served) error {
 	if len(out) != len(qs) {
 		return fmt.Errorf("serving: batch out buffer %d != %d queries", len(out), len(qs))
 	}
+	var d sched.Decision
+	var err error
+	batch := 0
 	if len(qs) == 1 {
-		r, err := s.Serve(qs[0])
-		if err != nil {
-			return err
-		}
-		out[0] = r
-		return nil
+		// Not ScheduleBatch: folding the members into one aggregate
+		// query costs a lone query about 3 % of a sim_overload serve
+		// (CHANGES.md, PR 22).
+		d, err = s.schd.Schedule(qs[0])
+	} else {
+		batch = len(qs)
+		d, err = s.schd.ScheduleBatch(qs)
 	}
-	d, err := s.schd.ScheduleBatch(qs)
 	if err != nil {
 		return err
 	}
@@ -592,7 +566,7 @@ func (s *System) ServeBatchInto(qs []sched.Query, out []Served) error {
 			LatencyMet:  lat <= q.MaxLatency,
 			AccuracyMet: sn.Accuracy >= q.MinAccuracy,
 			HitRatio:    ps.hitRatio,
-			Batch:       len(qs),
+			Batch:       batch,
 		}
 	}
 	out[0].HitBytes = ps.hitBytes

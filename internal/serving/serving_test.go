@@ -181,8 +181,8 @@ func TestFig16Ordering(t *testing.T) {
 			t.Errorf("%v: Full (%.4g) !< NoPB (%.4g)", kind, full, nopb)
 		}
 		// PB-driven latency reduction; the paper reports 21-25% on its
-		// simulator — our byte-accounting model lands lower (see
-		// EXPERIMENTS.md) but must be clearly positive.
+		// simulator — our byte-accounting model lands lower but must be
+		// clearly positive.
 		save := 1 - full/nopb
 		if save < 0.003 || save > 0.5 {
 			t.Errorf("%v: Sushi-vs-NoSushi saving %.2f%% outside (0.3%%, 50%%)", kind, save*100)
