@@ -34,7 +34,7 @@ func LoadMeasuredTable(path string) (*LatencyTable, Workload, error) {
 type RecachePolicy = serving.RecachePolicy
 
 // RouterKind names a cluster dispatch policy.
-type RouterKind string
+type RouterKind = string
 
 // Dispatch policies for WithRouter.
 const (
@@ -69,7 +69,7 @@ func WithReplicas(n int) ClusterOption {
 
 // WithRouter selects the dispatch policy (default RoundRobin).
 func WithRouter(kind RouterKind) ClusterOption {
-	return func(o *core.ClusterOptions) { o.Router = string(kind) }
+	return func(o *core.ClusterOptions) { o.Router = kind }
 }
 
 // WithRouterSeed seeds the RandomRouter (default 1).
@@ -154,8 +154,7 @@ const (
 //
 // Queries pick their model via Query.Model ("resnet50", ...); an empty
 // Model resolves to the first listed model. Without WithModels the
-// deployment is single-model (Options.Workload) and bit-identical per
-// seed to pre-multi-tenant behaviour.
+// deployment hosts the one model Options.Workload names.
 func WithModels(models ...Workload) ClusterOption {
 	return func(o *core.ClusterOptions) { o.Models = models }
 }
@@ -358,35 +357,12 @@ func (c *Cluster) Stats() Summary {
 	return c.d.Cluster.Stats()
 }
 
-// SimOptions configures Cluster.Simulate.
-type SimOptions struct {
-	// QueueCap bounds each replica's wait queue (0 = unbounded);
-	// Admission picks the overflow policy (default AdmitReject).
-	QueueCap  int
-	Admission AdmissionPolicy
-	// LoadAware debits each query's latency budget by its queueing
-	// delay before scheduling; Drop abandons queries whose budget is
-	// exhausted before service starts.
-	LoadAware, Drop bool
-	// Router is the dispatch policy for the simulated run; empty
-	// defaults to the cluster's own configured policy. A fresh router
-	// instance is built per call, so repeated simulations over fresh
-	// deployments reproduce exactly.
-	Router RouterKind
-	// RouterSeed seeds the RandomRouter.
-	RouterSeed int64
-	// Batching is the virtual-time batch former (B queries per flush,
-	// window in virtual seconds). The zero value inherits the cluster's
-	// WithBatching policy (wall-clock window carried over numerically);
-	// set MaxBatch to 1 to force an unbatched run on a batched cluster.
-	Batching Batching
-	// Autoscale overrides the deployment's elastic-fleet configuration
-	// for this run (nil inherits WithAutoscale; set Min == Max to pin
-	// the fleet for a control run). Max must not exceed the deployed
-	// replica count — Simulate cannot boot replicas the deployment
-	// never built.
-	Autoscale *AutoscaleOptions
-}
+// SimOptions configures Cluster.Simulate: the queueing discipline
+// (QueueCap, Admission, LoadAware, Drop) plus what a run may override
+// or inherit from the cluster: Router and RouterSeed (empty = the
+// cluster's own policy), Batching (zero = the WithBatching policy) and
+// Autoscale (nil = the WithAutoscale configuration).
+type SimOptions = core.SimOptions
 
 // Simulate plays a timed query stream through the cluster in virtual
 // time: the simq discrete-event engine routes each query at its arrival
@@ -401,11 +377,7 @@ type SimOptions struct {
 // Stationary behaviour under load). Run it against an otherwise idle
 // cluster for reproducible results.
 func (c *Cluster) Simulate(qs []TimedQuery, opt SimOptions) (*SimResult, error) {
-	eng, err := c.engine(opt)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(qs)
+	return c.d.Simulate(qs, opt)
 }
 
 // SimulateProcess is Simulate with arrivals drawn LAZILY from an
@@ -425,7 +397,7 @@ func (c *Cluster) SimulateProcess(n int, proc ArrivalProcess, seed int64, mk fun
 	if err != nil {
 		return nil, err
 	}
-	eng, err := c.engine(opt)
+	eng, err := c.d.Engine(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -450,56 +422,5 @@ func (c *Cluster) SimulateCohorts(n int, seed int64, opt SimOptions) (*SimResult
 // sweep harnesses build populations per run instead of per deployment.
 // Like SimulateProcess it streams lazily.
 func (c *Cluster) SimulatePopulation(n int, pop Population, seed int64, opt SimOptions) (*SimResult, error) {
-	ls, err := pop.Labeled(seed)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := c.engine(opt)
-	if err != nil {
-		return nil, err
-	}
-	// The engine calls mk immediately after each stream draw, so one
-	// buffered arrival is always the one being minted.
-	var cur workload.CohortArrival
-	stream := func() (float64, bool) {
-		a, ok := ls()
-		if !ok {
-			return 0, false
-		}
-		cur = a
-		return a.T, true
-	}
-	mk := func(i int, t float64) Query {
-		q := cur.Query
-		q.ID = i
-		return q
-	}
-	return eng.RunProcess(n, stream, mk)
-}
-
-// engine builds the simq engine for one simulated run.
-func (c *Cluster) engine(opt SimOptions) (*simq.Engine, error) {
-	kind := string(opt.Router)
-	if kind == "" {
-		kind = c.d.Cluster.RouterName()
-	}
-	router, err := core.NewRouter(kind, opt.RouterSeed)
-	if err != nil {
-		return nil, err
-	}
-	asc := c.d.Autoscale
-	if opt.Autoscale != nil {
-		if asc, err = core.ResolveAutoscale(opt.Autoscale); err != nil {
-			return nil, err
-		}
-	}
-	return simq.FromCluster(c.d.Cluster, simq.Options{
-		QueueCap:  opt.QueueCap,
-		Admission: opt.Admission,
-		LoadAware: opt.LoadAware,
-		Drop:      opt.Drop,
-		Router:    router,
-		Batching:  simq.ResolveBatching(opt.Batching, c.d.Cluster.BatchPolicy()),
-		Autoscale: asc,
-	})
+	return c.d.SimulatePopulation(n, pop, seed, opt)
 }

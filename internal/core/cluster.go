@@ -61,9 +61,8 @@ type ClusterOptions struct {
 	// empty Query.Model resolves to). Each (model, distinct hardware
 	// config) pair gets its own SuperNet and latency-table family; each
 	// replica holds one scheduler per model behind a shared Persistent
-	// Buffer the tenants partition. Empty keeps the single-model
-	// behaviour of DeployOptions.Workload — bit-identical per seed to
-	// pre-multi-tenant deployments.
+	// Buffer the tenants partition. Empty hosts the one model
+	// DeployOptions.Workload names, as a single unnamed tenant.
 	Models []Workload
 	// Partition picks the shared-PB cache-partitioning policy for
 	// multi-model fleets: nil (or the zero policy) is the static equal
@@ -205,15 +204,15 @@ type ClusterDeployment struct {
 	Cohorts *workload.Population
 }
 
-// DeployCluster builds R replica systems — homogeneous fleets share ONE
-// SushiAbs latency table (read-only after build), heterogeneous fleets
-// get one table per distinct accel.Config — and wires them behind the
-// named router. The i-th replica of each hardware group boots with
-// cache candidate column i, so deployments start with distinct cached
-// SubGraphs and affinity routing has signal from the first query; a
-// group with more replicas than table columns is rejected with a typed
-// OptionError (older versions silently wrapped around, booting two
-// replicas on the same column).
+// DeployCluster builds R replicas — homogeneous fleets share ONE
+// SushiAbs latency table per model (read-only after build),
+// heterogeneous fleets get one per distinct accel.Config — and wires
+// them behind the named router. There is one path: a single-model fleet
+// is a one-tenant fleet whose tenant is unnamed. The i-th replica of
+// each hardware group boots on its i-th fitting cache column, so
+// deployments start with distinct cached SubGraphs and affinity routing
+// has signal from the first query; a group with more replicas than
+// fitting columns is rejected with a typed OptionError.
 func DeployCluster(opt DeployOptions, copt ClusterOptions) (*ClusterDeployment, error) {
 	if copt.Replicas < 0 {
 		return nil, &OptionError{Field: "Replicas", Value: copt.Replicas,
@@ -310,44 +309,34 @@ func DeployCluster(opt DeployOptions, copt ClusterOptions) (*ClusterDeployment, 
 			cfgs[i] = base
 		}
 	}
-	var (
-		cluster *serving.Cluster
-		models  []ModelDeployment
-	)
-	if len(copt.Models) == 0 {
-		// Single-model path: unchanged, bit-identical per seed to
-		// pre-multi-tenant deployments.
-		super, frontier, err := frontierFor(opt.Workload)
+	// A single-model fleet is a one-tenant fleet whose tenant is unnamed.
+	workloads := copt.Models
+	if len(workloads) == 0 {
+		workloads = []Workload{opt.Workload}
+	}
+	models := make([]ModelDeployment, len(workloads))
+	for i, w := range workloads {
+		super, frontier, err := frontierFor(w)
 		if err != nil {
 			return nil, err
 		}
-		var systems []*serving.System
-		if copt.Table != nil {
-			if err := tableCoversFrontier(copt.Table, frontier); err != nil {
-				return nil, err
-			}
-			systems, err = BootReplicaSystems(super, frontier, opt.servingOptions(opt.accelConfig()), copt.Table, copt.Replicas)
-		} else {
-			systems, err = BootHeteroSystems(super, frontier, opt.servingOptions(opt.accelConfig()), cfgs)
+		models[i] = ModelDeployment{Super: super, Frontier: frontier}
+		if len(copt.Models) > 0 {
+			models[i].Model = string(w)
 		}
-		if err != nil {
+	}
+	if copt.Table != nil {
+		if err := tableCoversFrontier(copt.Table, models[0].Frontier); err != nil {
 			return nil, err
 		}
-		cluster, err = serving.NewCluster(systems, router)
-		if err != nil {
-			return nil, err
-		}
-		models = []ModelDeployment{{Model: "", Super: super, Frontier: frontier}}
-	} else {
-		reps, deployed, err := bootTenantReplicas(copt.Models, opt, cfgs, copt.Partition)
-		if err != nil {
-			return nil, err
-		}
-		cluster, err = serving.NewClusterFromReplicas(reps, router)
-		if err != nil {
-			return nil, err
-		}
-		models = deployed
+	}
+	reps, err := bootReplicas(models, opt.servingOptions(opt.accelConfig()), cfgs, copt.Partition, copt.Table)
+	if err != nil {
+		return nil, err
+	}
+	cluster, err := serving.NewCluster(reps, router)
+	if err != nil {
+		return nil, err
 	}
 	if copt.Recache != nil {
 		for _, rep := range cluster.Replicas() {
@@ -417,13 +406,16 @@ func TenantBudgets(pbBytes int64, m int) []int64 {
 
 // bootTenantColumn picks the boot cache column for the idx-th replica
 // of a (model, hardware) group: the idx-th column whose SubGraph fits
-// the tenant's boot-time PB share — the multi-tenant reading of the
-// bootColumn invariant (distinct cached SubGraphs per replica, typed
-// OptionError naming the offending model/hardware pair when the GROUP
-// outgrows the fitting columns — only same-hardware replicas compete
-// for a table's columns, so the count reported is the group's, not the
-// fleet's; NoPB exempt).
-func bootTenantColumn(mode serving.Mode, table *latencytable.Table, idx int, hw, model string, share int64) (int, error) {
+// the tenant's boot-time PB share (share 0, a tenant that owns the
+// whole PB, fits every column, so it is column idx). Distinct cached
+// SubGraphs per replica give affinity routing signal from the first
+// query. A group that outgrows its fitting columns is a typed
+// OptionError: an unnamed single-model fleet reports "Replicas" with
+// the fleet size, a named tenant reports "Models" with the model. Only
+// same-hardware replicas compete for a table's columns, so the count
+// in the message is the group's. NoPB fleets have no cache and all
+// boot on the table's one cold column.
+func bootTenantColumn(mode serving.Mode, table *latencytable.Table, idx, fleet int, hw, model string, share int64) (int, error) {
 	if mode == serving.NoPB {
 		return 0, nil
 	}
@@ -437,28 +429,27 @@ func bootTenantColumn(mode serving.Mode, table *latencytable.Table, idx int, hw,
 		}
 		fit++
 	}
+	if model == "" {
+		return 0, &OptionError{Field: "Replicas", Value: fleet,
+			Reason: fmt.Sprintf("%d replicas on %q exceed the latency table's %d cache columns (raise Candidates or shrink the fleet)",
+				idx+1, hw, fit)}
+	}
 	return 0, &OptionError{Field: "Models", Value: model,
 		Reason: fmt.Sprintf("model %q on %q: %d same-hardware replicas exceed its %d boot-share cache columns (raise Candidates or shrink the fleet)",
 			model, hw, idx+1, fit)}
 }
 
-// bootTenantReplicas assembles the multi-tenant fleet: ONE latency
-// table per (model, distinct hardware config) pair — same-hardware
-// replicas share each model's table — with candidate sets spanning the
-// partition ladder, one System per (replica, model) booted on a
-// distinct fitting column, and the shared-PB partitioner armed on
-// every replica (PB-backed modes only).
-func bootTenantReplicas(workloads []Workload, opt DeployOptions, cfgs []accel.Config, part *serving.PartitionPolicy) ([]*serving.Replica, []ModelDeployment, error) {
-	m := len(workloads)
-	models := make([]ModelDeployment, m)
-	for i, w := range workloads {
-		super, frontier, err := frontierFor(w)
-		if err != nil {
-			return nil, nil, err
-		}
-		models[i] = ModelDeployment{Model: string(w), Super: super, Frontier: frontier}
-	}
-	sopt := opt.servingOptions(opt.accelConfig())
+// bootReplicas is the one boot loop: it assembles a fleet of one
+// replica per entry of cfgs, every replica hosting every model. There
+// is ONE latency table per (model, distinct hardware config) pair,
+// shared by the same-hardware replicas (accel.Config is comparable, so
+// grouping is exact): the supplied table when the caller has one,
+// else a built one whose candidate set spans the partition ladder when
+// several tenants share the PB. Each (replica, model) System boots on a
+// distinct fitting column, and the shared-PB partitioner is armed on
+// every multi-tenant replica (PB-backed modes only).
+func bootReplicas(models []ModelDeployment, sopt serving.Options, cfgs []accel.Config, part *serving.PartitionPolicy, supplied *latencytable.Table) ([]*serving.Replica, error) {
+	m := len(models)
 	type group struct {
 		tables []*latencytable.Table
 		count  int
@@ -470,16 +461,19 @@ func bootTenantReplicas(workloads []Workload, opt DeployOptions, cfgs []accel.Co
 		if g == nil {
 			g = &group{tables: make([]*latencytable.Table, m)}
 			for mi, md := range models {
+				if supplied != nil {
+					g.tables[mi] = supplied
+					continue
+				}
 				o := sopt
 				o.Accel = cfg
-				o.Table = nil
 				var budgets []int64
 				if m > 1 && o.Mode != serving.NoPB {
 					budgets = TenantBudgets(cfg.PBBytes, m)
 				}
 				table, _, err := serving.BuildTenantTable(md.Super, md.Frontier, o, budgets)
 				if err != nil {
-					return nil, nil, fmt.Errorf("core: model %q on %q: %w", md.Model, cfg.Name, err)
+					return nil, fmt.Errorf("core: model %q on %q: %w", md.Model, cfg.Name, err)
 				}
 				g.tables[mi] = table
 			}
@@ -491,9 +485,9 @@ func bootTenantReplicas(workloads []Workload, opt DeployOptions, cfgs []accel.Co
 			bootShare = 2 * (cfg.PBBytes / int64(2*m))
 		}
 		for mi, md := range models {
-			col, err := bootTenantColumn(sopt.Mode, g.tables[mi], g.count, cfg.Name, md.Model, bootShare)
+			col, err := bootTenantColumn(sopt.Mode, g.tables[mi], g.count, len(cfgs), cfg.Name, md.Model, bootShare)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			o := sopt
 			o.Accel = cfg
@@ -501,13 +495,13 @@ func bootTenantReplicas(workloads []Workload, opt DeployOptions, cfgs []accel.Co
 			o.StaticColumn = col
 			sys, err := serving.New(md.Super, md.Frontier, o)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: model %q on %q: %w", md.Model, cfg.Name, err)
+				return nil, fmt.Errorf("core: model %q on %q: %w", md.Model, cfg.Name, err)
 			}
 			tenants[mi] = serving.Tenant{Model: md.Model, Sys: sys}
 		}
 		rep, err := serving.NewMultiReplica(i, tenants)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if m > 1 && sopt.Mode != serving.NoPB && cfg.PBBytes > 0 {
 			pol := serving.PartitionPolicy{}
@@ -515,13 +509,13 @@ func bootTenantReplicas(workloads []Workload, opt DeployOptions, cfgs []accel.Co
 				pol = *part
 			}
 			if err := rep.EnablePartition(pol, cfg.PBBytes); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		reps[i] = rep
 		g.count++
 	}
-	return reps, models, nil
+	return reps, nil
 }
 
 // tableCoversFrontier checks a supplied (e.g. measured) latency table
@@ -541,90 +535,4 @@ func tableCoversFrontier(t *latencytable.Table, frontier []*supernet.SubNet) err
 		}
 	}
 	return nil
-}
-
-// bootColumn is the single home of the boot-cache invariant shared by
-// BootReplicaSystems and BootHeteroSystems: the idx-th replica of a
-// hardware group boots on cache candidate column idx (distinct cached
-// SubGraphs give affinity routing signal from the first query), a
-// group outgrowing its table's columns is a typed OptionError instead
-// of the old silent wraparound, and NoPB deployments — which have no
-// cache, hence no distinctness invariant — all boot on the table's
-// single cold column.
-func bootColumn(mode serving.Mode, idx, cols, fleet int, hw string) (int, error) {
-	if mode == serving.NoPB {
-		return 0, nil
-	}
-	if idx >= cols {
-		return 0, &OptionError{Field: "Replicas", Value: fleet,
-			Reason: fmt.Sprintf("%d replicas on %q exceed the latency table's %d cache columns (raise Candidates or shrink the fleet)",
-				idx+1, hw, cols)}
-	}
-	return idx, nil
-}
-
-// BootHeteroSystems builds one serving system per entry of cfgs, with
-// ONE latency table per distinct hardware configuration (identical
-// configs share; the Config struct is comparable, so grouping is
-// exact). Boot columns follow the bootColumn invariant per hardware
-// group.
-func BootHeteroSystems(super *supernet.SuperNet, frontier []*supernet.SubNet, sopt serving.Options, cfgs []accel.Config) ([]*serving.System, error) {
-	type group struct {
-		table *latencytable.Table
-		count int
-	}
-	groups := make(map[accel.Config]*group)
-	systems := make([]*serving.System, len(cfgs))
-	for i, cfg := range cfgs {
-		g := groups[cfg]
-		if g == nil {
-			o := sopt
-			o.Accel = cfg
-			o.Table = nil
-			table, _, err := serving.BuildTable(super, frontier, o)
-			if err != nil {
-				return nil, err
-			}
-			g = &group{table: table}
-			groups[cfg] = g
-		}
-		col, err := bootColumn(sopt.Mode, g.count, g.table.Cols(), len(cfgs), cfg.Name)
-		if err != nil {
-			return nil, err
-		}
-		o := sopt
-		o.Accel = cfg
-		o.Table = g.table
-		o.StaticColumn = col
-		systems[i], err = serving.New(super, frontier, o)
-		if err != nil {
-			return nil, err
-		}
-		g.count++
-	}
-	return systems, nil
-}
-
-// BootReplicaSystems builds n serving systems over ONE shared latency
-// table. Boot columns follow the bootColumn invariant: replica i on
-// cache candidate column i (distinct cached SubGraphs), a typed
-// OptionError when the fleet outgrows the table's columns (the old
-// behaviour silently wrapped around, column i mod columns), and NoPB
-// deployments exempt — no cache, every replica boots cold.
-func BootReplicaSystems(super *supernet.SuperNet, frontier []*supernet.SubNet, sopt serving.Options, table *latencytable.Table, n int) ([]*serving.System, error) {
-	systems := make([]*serving.System, n)
-	for i := range systems {
-		col, err := bootColumn(sopt.Mode, i, table.Cols(), n, sopt.Accel.Name)
-		if err != nil {
-			return nil, err
-		}
-		o := sopt
-		o.Table = table
-		o.StaticColumn = col
-		systems[i], err = serving.New(super, frontier, o)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return systems, nil
 }

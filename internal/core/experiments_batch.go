@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sushi/internal/accel"
 	"sushi/internal/sched"
 	"sushi/internal/serving"
 	"sushi/internal/simq"
@@ -25,26 +24,14 @@ func BatchSweep(w Workload, queries int) (*Result, error) {
 		queries = 200
 	}
 	const replicas = 2
-	super, fr, err := frontierFor(w)
-	if err != nil {
-		return nil, err
-	}
-	sopt := serving.Options{
-		Accel:      accel.ZCU104(),
-		Policy:     sched.StrictLatency,
-		Q:          4,
-		Mode:       serving.Full,
-		Candidates: 16,
-		Seed:       1,
-	}
-	table, _, err := serving.BuildTable(super, fr, sopt)
+	_, latHi, err := probeLatencies(w, serving.Full)
 	if err != nil {
 		return nil, err
 	}
 	// The unbatched capacity anchor: one slowest-SubNet service per
 	// budgetBase, per replica. The per-query SLO is a multiple of it so
 	// batched passes (weights once + B items of compute) still fit.
-	budgetBase := table.Lookup(table.Rows()-1, 0) * 1.1
+	budgetBase := latHi * 1.1
 	budget := budgetBase * 4
 	capacity := replicas / budgetBase
 	rate := capacity * 2.5 // fixed offered load, all sweep points
@@ -62,9 +49,8 @@ func BatchSweep(w Workload, queries int) (*Result, error) {
 	}
 	// The effective grid: B=1 is one unbatched anchor row; B>1 points
 	// take the nonzero window. Each point is an independent seeded
-	// deployment over the shared table, so the harness runs them across
-	// workers and the order-dependent Metrics fold happens afterwards in
-	// grid order.
+	// deployment, so the harness runs them across workers and the
+	// order-dependent Metrics fold happens afterwards in grid order.
 	type bwPoint struct {
 		b   int
 		win float64
@@ -79,22 +65,11 @@ func BatchSweep(w Workload, queries int) (*Result, error) {
 	outs := make([]bsOut, len(grid))
 	err = runPoints(len(grid), func(p int) error {
 		b, win := grid[p].b, grid[p].win
-		// Fresh replicas per point over the shared table: every sweep
-		// point is an independent deployment, per-seed reproducible.
-		systems, err := BootReplicaSystems(super, fr, sopt, table, replicas)
-		if err != nil {
-			return err
-		}
-		reps := make([]*serving.Replica, len(systems))
-		for i, sys := range systems {
-			reps[i] = serving.NewReplica(i, sys)
-		}
-		eng, err := simq.New(reps, simq.Options{
-			LoadAware: true,
-			Drop:      true,
-			Router:    serving.NewLeastLoaded(),
-			Batching:  simq.Batching{MaxBatch: b, Window: win},
-		})
+		// A fresh fleet per point (the build memo shares the table):
+		// every sweep point is an independent deployment, per-seed
+		// reproducible.
+		dep, err := DeployCluster(DeployOptions{Workload: w, Policy: sched.StrictLatency},
+			ClusterOptions{Replicas: replicas})
 		if err != nil {
 			return err
 		}
@@ -105,7 +80,8 @@ func BatchSweep(w Workload, queries int) (*Result, error) {
 				Arrival: arr[i],
 			}
 		}
-		run, err := eng.Run(qs)
+		run, err := dep.Simulate(qs, SimOptions{LoadAware: true, Drop: true, Router: RouterLeastLoaded,
+			Batching: simq.Batching{MaxBatch: b, Window: win}})
 		if err != nil {
 			return err
 		}

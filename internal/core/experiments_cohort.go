@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sushi/internal/accel"
 	"sushi/internal/sched"
 	"sushi/internal/serving"
 	"sushi/internal/simq"
@@ -31,23 +30,10 @@ const (
 // the full-PB service latency so misses come from queueing, not
 // infeasibility.
 func cohortSweepCalibration() (total float64, budget workload.Empirical, latHi float64, err error) {
-	super, fr, err := frontierFor(MobileNetV3)
+	_, latHi, err = probeLatencies(MobileNetV3, serving.Full)
 	if err != nil {
 		return 0, workload.Empirical{}, 0, err
 	}
-	probe := serving.Options{
-		Policy:     sched.StrictLatency,
-		Q:          4,
-		Mode:       serving.Full,
-		Candidates: 16,
-		Seed:       1,
-	}
-	probe.Accel = accel.ZCU104()
-	table, _, err := serving.BuildTable(super, fr, probe)
-	if err != nil {
-		return 0, workload.Empirical{}, 0, err
-	}
-	latHi = table.Lookup(table.Rows()-1, 0)
 	total = cohortLoadFactor / latHi * cohortReplicas
 	// The empirical budget mix is shared by every cohort AND the
 	// Poisson baseline, so the two arms face identically distributed
@@ -97,29 +83,17 @@ func cohortSweepDeploy() (*ClusterDeployment, error) {
 		ClusterOptions{Replicas: cohortReplicas})
 }
 
-// runPopulation streams n arrivals from a population through the
-// engine, minting each cohort's query (model, class, budget draw) in
-// lockstep with its arrival — the core-level twin of
-// sushi.Cluster.SimulatePopulation.
-func runPopulation(eng *simq.Engine, n int, pop workload.Population, seed int64) (*simq.Result, error) {
-	ls, err := pop.Labeled(seed)
-	if err != nil {
-		return nil, err
+// cohortSimOptions is the cohortsweep admission discipline; the arms
+// vary only the overflow policy and the batch former.
+func cohortSimOptions(adm simq.Admission, b simq.Batching) SimOptions {
+	return SimOptions{
+		QueueCap:  cohortQueueCap,
+		Admission: adm,
+		LoadAware: true,
+		Drop:      true,
+		Router:    RouterLeastLoaded,
+		Batching:  b,
 	}
-	var cur workload.CohortArrival
-	stream := func() (float64, bool) {
-		a, ok := ls()
-		if !ok {
-			return 0, false
-		}
-		cur = a
-		return a.T, true
-	}
-	return eng.RunProcess(n, stream, func(i int, t float64) sched.Query {
-		q := cur.Query
-		q.ID = i
-		return q
-	})
 }
 
 // CohortSweep compares identical mean load arriving as (a) one smooth
@@ -171,18 +145,8 @@ func CohortSweep(queries int) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		eng, err := simq.FromCluster(dep.Cluster, simq.Options{
-			QueueCap:  cohortQueueCap,
-			Admission: arm.admission,
-			LoadAware: true,
-			Drop:      true,
-			Router:    serving.NewLeastLoaded(),
-			Batching:  arm.batching,
-		})
-		if err != nil {
-			return err
-		}
-		runs[i], err = runPopulation(eng, queries, arm.pop, cohortSeed)
+		runs[i], err = dep.SimulatePopulation(queries, arm.pop, cohortSeed,
+			cohortSimOptions(arm.admission, arm.batching))
 		return err
 	})
 	if err != nil {
@@ -266,17 +230,7 @@ func ReplayTraceV2(tr *workload.TraceV2) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := simq.FromCluster(dep.Cluster, simq.Options{
-		QueueCap:  cohortQueueCap,
-		Admission: simq.Reject,
-		LoadAware: true,
-		Drop:      true,
-		Router:    serving.NewLeastLoaded(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	run, err := eng.Run(stream)
+	run, err := dep.Simulate(stream, cohortSimOptions(simq.Reject, simq.Batching{}))
 	if err != nil {
 		return nil, err
 	}

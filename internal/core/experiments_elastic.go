@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sushi/internal/accel"
 	"sushi/internal/sched"
 	"sushi/internal/serving"
 	"sushi/internal/simq"
@@ -27,17 +26,14 @@ const (
 	elasticMax        = 8
 )
 
-// elasticSimOptions is the shared queueing discipline; asc is nil for
-// the fixed fleet.
-func elasticSimOptions(asc *ClusterDeployment) simq.Options {
-	return simq.Options{
-		QueueCap:  elasticQueueCap,
-		Admission: simq.Reject,
-		LoadAware: true,
-		Drop:      true,
-		Router:    serving.NewLeastLoaded(),
-		Autoscale: asc.Autoscale,
-	}
+// elasticSimOptions is the queueing discipline both fleets share;
+// each inherits its own deployment's autoscale configuration.
+var elasticSimOptions = SimOptions{
+	QueueCap:  elasticQueueCap,
+	Admission: simq.Reject,
+	LoadAware: true,
+	Drop:      true,
+	Router:    RouterLeastLoaded,
 }
 
 // Elastic is the autoscaling experiment: ONE diurnal MobileNetV3 stream
@@ -58,23 +54,10 @@ func Elastic(queries int) (*Result, error) {
 	// latency table (MobileNetV3 on ZCU104), mirroring the multitenant
 	// experiment: budgets leave headroom over the full-PB service
 	// latency so misses come from queueing, not infeasibility.
-	super, fr, err := frontierFor(MobileNetV3)
+	_, latHi, err := probeLatencies(MobileNetV3, serving.Full)
 	if err != nil {
 		return nil, err
 	}
-	probe := serving.Options{
-		Policy:     sched.StrictLatency,
-		Q:          4,
-		Mode:       serving.Full,
-		Candidates: 16,
-		Seed:       1,
-	}
-	probe.Accel = accel.ZCU104()
-	table, _, err := serving.BuildTable(super, fr, probe)
-	if err != nil {
-		return nil, err
-	}
-	latHi := table.Lookup(table.Rows()-1, 0)
 	budgets := workload.Range{Lo: latHi * 1.2, Hi: latHi * 1.8}
 	cap := 1 / latHi
 
@@ -132,11 +115,7 @@ func Elastic(queries int) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		eng, err := simq.FromCluster(dep.Cluster, elasticSimOptions(dep))
-		if err != nil {
-			return err
-		}
-		runs[p], err = eng.Run(stream)
+		runs[p], err = dep.Simulate(stream, elasticSimOptions)
 		return err
 	})
 	if err != nil {

@@ -26,27 +26,12 @@ func Hetero(w Workload, queries int) (*Result, error) {
 		queries = 160
 	}
 	const replicas = 4
-	super, fr, err := frontierFor(w)
-	if err != nil {
-		return nil, err
-	}
-	sopt := serving.Options{
-		Policy:     sched.StrictLatency,
-		Q:          4,
-		Mode:       serving.Full,
-		Candidates: 16,
-		Seed:       1,
-	}
 	// Budget and capacity derive from the embedded board (present in both
 	// fleets), so the two fleets face identical constraints.
-	probe := sopt
-	probe.Accel = accel.ZCU104()
-	table, _, err := serving.BuildTable(super, fr, probe)
+	latLo, latHi, err := probeLatencies(w, serving.Full)
 	if err != nil {
 		return nil, err
 	}
-	latLo := table.Lookup(0, 0)
-	latHi := table.Lookup(table.Rows()-1, 0)
 	budget := latHi * 1.1
 	capacity := replicas / budget
 
@@ -104,24 +89,14 @@ func Hetero(w Workload, queries int) (*Result, error) {
 	outs := make([]fleetOut, len(fleets))
 	err = runPoints(len(fleets), func(p int) error {
 		fl := fleets[p]
-		systems, err := BootHeteroSystems(super, fr, sopt, fl.cfgs)
-		if err != nil {
-			return err
-		}
-		reps := make([]*serving.Replica, len(systems))
-		for i, sys := range systems {
-			reps[i] = serving.NewReplica(i, sys)
-			reps[i].EnableRecache(serving.RecachePolicy{Window: 12, MinGain: 0.02, Cooldown: 12})
-		}
-		eng, err := simq.New(reps, simq.Options{
-			LoadAware: true,
-			Drop:      true,
-			Router:    serving.NewFastest(),
+		dep, err := DeployCluster(DeployOptions{Workload: w, Policy: sched.StrictLatency}, ClusterOptions{
+			Accels:  fl.cfgs,
+			Recache: &serving.RecachePolicy{Window: 12, MinGain: 0.02, Cooldown: 12},
 		})
 		if err != nil {
 			return err
 		}
-		run, err := eng.Run(stream)
+		run, err := dep.Simulate(stream, SimOptions{LoadAware: true, Drop: true, Router: RouterFastest})
 		if err != nil {
 			return err
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sushi/internal/accel"
 	"sushi/internal/sched"
 	"sushi/internal/serving"
 	"sushi/internal/simq"
@@ -87,15 +86,14 @@ func multiTenantStream(queries int, budgets map[Workload]workload.Range, caps ma
 	return stream, nil
 }
 
-// simOptions is the shared admission discipline of both fleets.
-func multiTenantSimOptions() simq.Options {
-	return simq.Options{
-		QueueCap:  multiTenantQueueCap,
-		Admission: simq.Reject,
-		LoadAware: true,
-		Drop:      true,
-		Router:    serving.NewLeastLoaded(),
-	}
+// multiTenantSimOptions is the shared admission discipline of both
+// fleets.
+var multiTenantSimOptions = SimOptions{
+	QueueCap:  multiTenantQueueCap,
+	Admission: simq.Reject,
+	LoadAware: true,
+	Drop:      true,
+	Router:    RouterLeastLoaded,
 }
 
 // MultiTenant is the consolidation-vs-isolation experiment: the SAME
@@ -117,23 +115,10 @@ func MultiTenant(queries int) (*Result, error) {
 	budgets := map[Workload]workload.Range{}
 	caps := map[Workload]float64{}
 	for _, m := range models {
-		super, fr, err := frontierFor(m)
+		_, latHi, err := probeLatencies(m, serving.Full)
 		if err != nil {
 			return nil, err
 		}
-		probe := serving.Options{
-			Policy:     sched.StrictLatency,
-			Q:          4,
-			Mode:       serving.Full,
-			Candidates: 16,
-			Seed:       1,
-		}
-		probe.Accel = accel.ZCU104()
-		table, _, err := serving.BuildTable(super, fr, probe)
-		if err != nil {
-			return nil, err
-		}
-		latHi := table.Lookup(table.Rows()-1, 0)
 		// Budgets leave headroom above the full-PB service latency: SLO
 		// misses should come from queueing and drops (the quantity the
 		// fleet topologies differ on), not from the shared fleet's
@@ -170,11 +155,7 @@ func MultiTenant(queries int) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			eng, err := simq.FromCluster(shared.Cluster, multiTenantSimOptions())
-			if err != nil {
-				return err
-			}
-			runs[p], err = eng.Run(stream)
+			runs[p], err = shared.Simulate(stream, multiTenantSimOptions)
 			return err
 		}
 		// (b) Static partition: one 2-replica single-model fleet per model,
@@ -191,11 +172,7 @@ func MultiTenant(queries int) (*Result, error) {
 				sub = append(sub, tq)
 			}
 		}
-		eng, err := simq.FromCluster(dep.Cluster, multiTenantSimOptions())
-		if err != nil {
-			return err
-		}
-		runs[p], err = eng.Run(sub)
+		runs[p], err = dep.Simulate(sub, multiTenantSimOptions)
 		return err
 	})
 	if err != nil {

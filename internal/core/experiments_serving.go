@@ -27,6 +27,53 @@ func streamFor(sys *serving.System, n int, seed int64) ([]sched.Query, error) {
 	return workload.Uniform(n, acc, lat, seed)
 }
 
+// serveUniform boots one system of workload w with opts, serves it n
+// uniform constraint queries (streamFor, seeded) in a closed loop, and
+// returns the outcomes with their summary.
+func serveUniform(w Workload, opts serving.Options, n int, seed int64) ([]serving.Served, serving.Summary, error) {
+	super, fr, err := frontierFor(w)
+	if err != nil {
+		return nil, serving.Summary{}, err
+	}
+	sys, err := serving.New(super, fr, opts)
+	if err != nil {
+		return nil, serving.Summary{}, err
+	}
+	qs, err := streamFor(sys, n, seed)
+	if err != nil {
+		return nil, serving.Summary{}, err
+	}
+	rs, err := sys.ServeAll(qs)
+	if err != nil {
+		return nil, serving.Summary{}, err
+	}
+	return rs, serving.Summarize(rs), nil
+}
+
+// probeLatencies reads the budget scale the open-loop experiments
+// calibrate from: the service latency of the frontier's fastest and
+// slowest SubNet on column 0 of the table a default ZCU104 deployment
+// of w in the given mode builds (the build memo hands the fleets the
+// same table).
+func probeLatencies(w Workload, mode serving.Mode) (latLo, latHi float64, err error) {
+	super, fr, err := frontierFor(w)
+	if err != nil {
+		return 0, 0, err
+	}
+	table, _, err := serving.BuildTable(super, fr, serving.Options{
+		Accel:      accel.ZCU104(),
+		Policy:     sched.StrictLatency,
+		Q:          4,
+		Mode:       mode,
+		Candidates: 16,
+		Seed:       1,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return table.Lookup(0, 0), table.Lookup(table.Rows()-1, 0), nil
+}
+
 // Fig15 regenerates the scheduler functional evaluation (Fig. 15):
 // served latency vs latency constraint under STRICT_LATENCY and served
 // accuracy vs accuracy constraint under STRICT_ACCURACY.
@@ -34,26 +81,14 @@ func Fig15(w Workload, policy sched.Policy, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 200
 	}
-	super, fr, err := frontierFor(w)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := serving.New(super, fr, serving.Options{
+	rs, _, err := serveUniform(w, serving.Options{
 		Accel:      accel.ZCU104(),
 		Policy:     policy,
 		Q:          4,
 		Mode:       serving.Full,
 		Candidates: 16,
 		Seed:       1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	qs, err := streamFor(sys, queries, 15)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := sys.ServeAll(qs)
+	}, queries, 15)
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +139,6 @@ func Fig16(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 200
 	}
-	super, fr, err := frontierFor(w)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "fig16",
 		Title:  fmt.Sprintf("End-to-end latency/accuracy — %s", w),
@@ -115,7 +146,7 @@ func Fig16(w Workload, queries int) (*Result, error) {
 	}
 	var noPB, full serving.Summary
 	for _, mode := range []serving.Mode{serving.NoPB, serving.StateUnaware, serving.Full} {
-		sys, err := serving.New(super, fr, serving.Options{
+		_, sum, err := serveUniform(w, serving.Options{
 			Accel:        accel.ZCU104(),
 			Policy:       sched.StrictAccuracy,
 			Q:            4,
@@ -123,19 +154,10 @@ func Fig16(w Workload, queries int) (*Result, error) {
 			Candidates:   16,
 			StaticColumn: -1,
 			Seed:         1,
-		})
+		}, queries, 16)
 		if err != nil {
 			return nil, err
 		}
-		qs, err := streamFor(sys, queries, 16)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := sys.ServeAll(qs)
-		if err != nil {
-			return nil, err
-		}
-		sum := serving.Summarize(rs)
 		switch mode {
 		case serving.NoPB:
 			noPB = sum
@@ -160,17 +182,17 @@ func Fig17(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 200
 	}
-	super, fr, err := frontierFor(w)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "fig17",
 		Title:  fmt.Sprintf("Cache-update window Q sweep (swap cost charged) — %s", w),
 		Header: []string{"Q", "avg lat(ms)", "avg acc%", "swaps", "hit"},
 	}
 	for _, q := range []int{1, 2, 4, 8, 10, 15} {
-		sys, err := serving.New(super, fr, serving.Options{
+		// A uniform random stream: the served-SubNet sequence churns, so
+		// Q=1 re-targets the cache after every query and pays a fill
+		// each time — exactly the "prohibitively expensive" regime of
+		// Appendix A.1 — while larger windows smooth the mix.
+		_, sum, err := serveUniform(w, serving.Options{
 			Accel:             accel.ZCU104(),
 			Policy:            sched.StrictAccuracy,
 			Q:                 q,
@@ -178,23 +200,10 @@ func Fig17(w Workload, queries int) (*Result, error) {
 			Candidates:        16,
 			Seed:              1,
 			ChargeSwapLatency: true,
-		})
+		}, queries, 17)
 		if err != nil {
 			return nil, err
 		}
-		// A uniform random stream: the served-SubNet sequence churns, so
-		// Q=1 re-targets the cache after every query and pays a fill
-		// each time — exactly the "prohibitively expensive" regime of
-		// Appendix A.1 — while larger windows smooth the mix.
-		qs, err := streamFor(sys, queries, 17)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := sys.ServeAll(qs)
-		if err != nil {
-			return nil, err
-		}
-		sum := serving.Summarize(rs)
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", q), ms(sum.AvgLatency), f2(sum.AvgAccuracy),
 			fmt.Sprintf("%d", sum.CacheSwaps), f2(sum.AvgHitRatio),
@@ -211,10 +220,6 @@ func Table5(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 150
 	}
-	super, fr, err := frontierFor(w)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "table5",
 		Title:  fmt.Sprintf("Avg latency improvement vs table size — %s (normalized to SUSHI w/o scheduler)", w),
@@ -223,7 +228,7 @@ func Table5(w Workload, queries int) (*Result, error) {
 	for _, cols := range []int{10, 40, 80, 100, 500} {
 		var lat [2]float64
 		for mi, mode := range []serving.Mode{serving.Full, serving.StateUnaware} {
-			sys, err := serving.New(super, fr, serving.Options{
+			_, sum, err := serveUniform(w, serving.Options{
 				Accel:        accel.ZCU104(),
 				Policy:       sched.StrictAccuracy,
 				Q:            4,
@@ -231,19 +236,11 @@ func Table5(w Workload, queries int) (*Result, error) {
 				Candidates:   cols,
 				StaticColumn: -1,
 				Seed:         2,
-			})
+			}, queries, 55)
 			if err != nil {
 				return nil, err
 			}
-			qs, err := streamFor(sys, queries, 55)
-			if err != nil {
-				return nil, err
-			}
-			rs, err := sys.ServeAll(qs)
-			if err != nil {
-				return nil, err
-			}
-			lat[mi] = serving.Summarize(rs).AvgLatency
+			lat[mi] = sum.AvgLatency
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", cols), ms(lat[0]), ms(lat[1]),
@@ -314,30 +311,17 @@ func HitRatioA4(queries int) (*Result, error) {
 		Header: []string{"workload", "avg hit ratio", "paper"},
 	}
 	for _, w := range []Workload{ResNet50, MobileNetV3} {
-		super, fr, err := frontierFor(w)
-		if err != nil {
-			return nil, err
-		}
-		sys, err := serving.New(super, fr, serving.Options{
+		_, sum, err := serveUniform(w, serving.Options{
 			Accel:      accel.ZCU104(),
 			Policy:     sched.StrictAccuracy,
 			Q:          4,
 			Mode:       serving.Full,
 			Candidates: 16,
 			Seed:       1,
-		})
+		}, queries, 44)
 		if err != nil {
 			return nil, err
 		}
-		qs, err := streamFor(sys, queries, 44)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := sys.ServeAll(qs)
-		if err != nil {
-			return nil, err
-		}
-		sum := serving.Summarize(rs)
 		paper := "0.66"
 		if w == MobileNetV3 {
 			paper = "0.78"
@@ -357,17 +341,13 @@ func AblationAvg(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 150
 	}
-	super, fr, err := frontierFor(w)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "ablation-avg",
 		Title:  fmt.Sprintf("Running average vs pure intersection for cache prediction — %s", w),
 		Header: []string{"predictor", "avg lat(ms)", "avg hit", "swaps"},
 	}
 	for _, useInter := range []bool{false, true} {
-		sys, err := serving.New(super, fr, serving.Options{
+		_, sum, err := serveUniform(w, serving.Options{
 			Accel:           accel.ZCU104(),
 			Policy:          sched.StrictAccuracy,
 			Q:               4,
@@ -375,19 +355,10 @@ func AblationAvg(w Workload, queries int) (*Result, error) {
 			Candidates:      16,
 			Seed:            1,
 			UseIntersection: useInter,
-		})
+		}, queries, 31)
 		if err != nil {
 			return nil, err
 		}
-		qs, err := streamFor(sys, queries, 31)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := sys.ServeAll(qs)
-		if err != nil {
-			return nil, err
-		}
-		sum := serving.Summarize(rs)
 		name := "running average"
 		if useInter {
 			name = "intersection"
@@ -419,11 +390,11 @@ func Overload(w Workload, queries int) (*Result, error) {
 			Mode: serving.Full, Candidates: 16, Seed: 1,
 		})
 	}
-	probe, err := mk()
+	_, latHi, err := probeLatencies(w, serving.Full)
 	if err != nil {
 		return nil, err
 	}
-	budget := probe.Table().Lookup(probe.Table().Rows()-1, 0) * 1.1
+	budget := latHi * 1.1
 	res := &Result{
 		Name:   "overload",
 		Title:  fmt.Sprintf("Transient overload: static top model vs load-aware SUSHI — %s", w),
@@ -497,10 +468,6 @@ func LoadSweep(w Workload, queries int) (*Result, error) {
 		queries = 100
 	}
 	const replicas = 2
-	super, fr, err := frontierFor(w)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "loadsweep",
 		Title:  fmt.Sprintf("Open-loop load sweep, %d replicas — %s", replicas, w),
@@ -508,33 +475,6 @@ func LoadSweep(w Workload, queries int) (*Result, error) {
 	}
 	modes := []serving.Mode{serving.NoPB, serving.StateUnaware, serving.Full}
 	factors := []float64{0.5, 1.5, 3.0}
-	// Per-mode setup (table, budget, capacity) happens up front — the
-	// tables are shared by that mode's three sweep points.
-	type modeCtx struct {
-		sopt     serving.Options
-		table    *latencytable.Table
-		budget   float64
-		capacity float64
-	}
-	mcs := make([]modeCtx, len(modes))
-	for mi, mode := range modes {
-		sopt := serving.Options{
-			Accel:      accel.ZCU104(),
-			Policy:     sched.StrictLatency,
-			Q:          4,
-			Mode:       mode,
-			Candidates: 16,
-			Seed:       1,
-		}
-		table, _, err := serving.BuildTable(super, fr, sopt)
-		if err != nil {
-			return nil, err
-		}
-		// The budget admits the slowest SubNet with 10% headroom; one
-		// replica's capacity is the inverse, the cluster's R times that.
-		budget := table.Lookup(table.Rows()-1, 0) * 1.1
-		mcs[mi] = modeCtx{sopt: sopt, table: table, budget: budget, capacity: replicas / budget}
-	}
 	// Every (mode, factor) grid point is an independent seeded
 	// deployment+run, so the harness executes them across workers; rows
 	// and the headline metrics fold in grid order below.
@@ -543,40 +483,35 @@ func LoadSweep(w Workload, queries int) (*Result, error) {
 		metrics map[string]float64
 	}
 	points := make([]lsPoint, len(modes)*len(factors))
-	err = runPoints(len(points), func(p int) error {
-		mi, fi := p/len(factors), p%len(factors)
-		mc, factor := mcs[mi], factors[fi]
-		// Fresh replicas per point: each sweep point is an
-		// independent deployment, so curves are per-seed
-		// reproducible.
-		systems, err := BootReplicaSystems(super, fr, mc.sopt, mc.table, replicas)
+	err := runPoints(len(points), func(p int) error {
+		mi, factor := p/len(factors), factors[p%len(factors)]
+		_, latHi, err := probeLatencies(w, modes[mi])
 		if err != nil {
 			return err
 		}
-		reps := make([]*serving.Replica, len(systems))
-		for i, sys := range systems {
-			reps[i] = serving.NewReplica(i, sys)
-		}
-		eng, err := simq.New(reps, simq.Options{
-			LoadAware: true,
-			Drop:      true,
-			Router:    serving.NewLeastLoaded(),
-		})
+		// The budget admits the slowest SubNet with 10% headroom; one
+		// replica's capacity is the inverse, the cluster's R times that.
+		budget := latHi * 1.1
+		capacity := replicas / budget
+		// A fresh fleet per point: each sweep point is an independent
+		// deployment, so curves are per-seed reproducible.
+		dep, err := DeployCluster(DeployOptions{Workload: w, Policy: sched.StrictLatency, Mode: modes[mi]},
+			ClusterOptions{Replicas: replicas})
 		if err != nil {
 			return err
 		}
-		arr, err := workload.Poisson{Rate: mc.capacity * factor}.Times(queries, 11)
+		arr, err := workload.Poisson{Rate: capacity * factor}.Times(queries, 11)
 		if err != nil {
 			return err
 		}
 		qs := make([]serving.TimedQuery, queries)
 		for i := range qs {
 			qs[i] = serving.TimedQuery{
-				Query:   sched.Query{ID: i, MaxLatency: mc.budget},
+				Query:   sched.Query{ID: i, MaxLatency: budget},
 				Arrival: arr[i],
 			}
 		}
-		run, err := eng.Run(qs)
+		run, err := dep.Simulate(qs, SimOptions{LoadAware: true, Drop: true, Router: RouterLeastLoaded})
 		if err != nil {
 			return err
 		}

@@ -124,3 +124,34 @@ func TestSimulateModelAndPerModel(t *testing.T) {
 		t.Errorf("/v1/stats per_model = %+v, want both models", stats.PerModel)
 	}
 }
+
+// TestStatsLiveSlicesReportServiceSLO: on live (closed-loop) traffic the
+// per-model and per-class slices of /v1/stats report the service-latency
+// SLO, the same quantity as the top-level latency_slo; end-to-end
+// attainment exists only for open-loop runs and used to read 0 there.
+func TestStatsLiveSlicesReportServiceSLO(t *testing.T) {
+	ts := testMultiServer(t)
+	for i := 0; i < 12; i++ {
+		model := []string{"resnet50", "mobilenetv3"}[i%2]
+		resp, out := postServe(t, ts, `{"model": "`+model+`", "class": "gold", "max_latency_ms": 500}`)
+		if resp.StatusCode != http.StatusOK || !out.LatencyMet {
+			t.Fatalf("serve %d: status %d, latency_met %v", i, resp.StatusCode, out.LatencyMet)
+		}
+	}
+	var stats StatsResponse
+	getJSON(t, ts, "/v1/stats", &stats)
+	if stats.LatencySLO != 1 {
+		t.Fatalf("latency_slo %g, want 1", stats.LatencySLO)
+	}
+	if len(stats.PerModel) != 2 || len(stats.PerClass) != 1 {
+		t.Fatalf("slices: %d models, %d classes, want 2 and 1", len(stats.PerModel), len(stats.PerClass))
+	}
+	for _, v := range append(stats.PerModel, stats.PerClass...) {
+		if v.SLO != 1 || v.Queries == 0 {
+			t.Errorf("slice model=%q class=%q: slo %g over %d queries, want 1", v.Model, v.Class, v.SLO, v.Queries)
+		}
+		if (v.Model == "") == (v.Class == "") {
+			t.Errorf("slice names model=%q and class=%q, want exactly one", v.Model, v.Class)
+		}
+	}
+}

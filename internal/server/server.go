@@ -429,10 +429,10 @@ type SimulateRequest struct {
 
 // autoscale resolves the request's elastic-fleet override (nil when no
 // autoscale_* field is set: the run inherits the deployment's config).
-func (req SimulateRequest) autoscale() (*core.AutoscaleOptions, bool) {
+func (req SimulateRequest) autoscale() *core.AutoscaleOptions {
 	if req.AutoscaleMin == 0 && req.AutoscaleMax == 0 && req.AutoscalePolicy == "" &&
 		req.AutoscaleIntervalS == 0 && req.AutoscaleCooldownS == 0 {
-		return nil, false
+		return nil
 	}
 	return &core.AutoscaleOptions{
 		Min:      req.AutoscaleMin,
@@ -440,7 +440,7 @@ func (req SimulateRequest) autoscale() (*core.AutoscaleOptions, bool) {
 		Policy:   req.AutoscalePolicy,
 		Interval: req.AutoscaleIntervalS,
 		Cooldown: req.AutoscaleCooldownS,
-	}, true
+	}
 }
 
 // maxSimulateQueries caps one /v1/simulate stream. The engine runs the
@@ -597,18 +597,23 @@ type SimulateResponse struct {
 	ReplicaSeconds float64 `json:"replica_seconds"`
 	// PerModel breaks the run down by model id on multi-tenant
 	// deployments (absent otherwise).
-	PerModel []ModelSimView `json:"per_model,omitempty"`
+	PerModel []SliceSimView `json:"per_model,omitempty"`
 	// PerClass breaks the run down by SLO class on cohort streams
 	// (absent while every query is unclassed); FairnessJain is the Jain
 	// index over the per-class SLO attainments, in (0, 1].
-	PerClass     []ClassSimView `json:"per_class,omitempty"`
+	PerClass     []SliceSimView `json:"per_class,omitempty"`
 	FairnessJain float64        `json:"fairness_jain,omitempty"`
 }
 
-// ModelSimView is one model's slice of a multi-tenant /v1/simulate or
-// /v1/stats response: per-model volume, tail latency and SLO.
-type ModelSimView struct {
-	Model       string  `json:"model"`
+// SliceSimView is one model's or one SLO class's slice of a
+// /v1/simulate or /v1/stats response (exactly one of Model and Class is
+// set): its volume, tail latency, drops and SLO attainment. SLO is
+// end-to-end (queueing included, drops counted as misses) when the
+// slice saw open-loop traffic, as every /v1/simulate run is, and the
+// service-latency SLO on live closed-loop traffic.
+type SliceSimView struct {
+	Model       string  `json:"model,omitempty"`
+	Class       string  `json:"class,omitempty"`
 	Queries     int     `json:"queries"`
 	Served      int     `json:"served"`
 	Dropped     int     `json:"dropped"`
@@ -619,60 +624,33 @@ type ModelSimView struct {
 	AvgAccuracy float64 `json:"avg_accuracy"`
 }
 
-// ClassSimView is one SLO class's slice of a /v1/simulate or /v1/stats
-// response: per-class volume, tail latency, drops and SLO attainment.
-type ClassSimView struct {
-	Class       string  `json:"class"`
-	Queries     int     `json:"queries"`
-	Served      int     `json:"served"`
-	Dropped     int     `json:"dropped"`
-	GoodputQPS  float64 `json:"goodput_qps"`
-	P99E2EMS    float64 `json:"p99_e2e_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	SLO         float64 `json:"slo"`
-	AvgAccuracy float64 `json:"avg_accuracy"`
-}
-
-// classSimViews renders a summary's per-SLO-class slices.
-func classSimViews(sum serving.Summary) []ClassSimView {
-	out := make([]ClassSimView, 0, len(sum.PerClass))
-	for _, cs := range sum.PerClass {
-		slo := cs.E2ESLO
-		if cs.Dropped == 0 && cs.E2ESLO == 0 && cs.AvgE2E == 0 {
-			slo = cs.LatencySLO
+// sliceViews renders a summary's per-model and per-SLO-class slices.
+func sliceViews(sum serving.Summary) (perModel, perClass []SliceSimView) {
+	view := func(model, class string, s serving.Summary) SliceSimView {
+		slo := s.E2ESLO
+		if s.Dropped == 0 && s.E2ESLO == 0 && s.AvgE2E == 0 {
+			slo = s.LatencySLO
 		}
-		out = append(out, ClassSimView{
-			Class:       cs.Class,
-			Queries:     cs.Queries,
-			Served:      cs.Queries - cs.Dropped,
-			Dropped:     cs.Dropped,
-			GoodputQPS:  cs.Goodput,
-			P99E2EMS:    cs.P99E2E * 1e3,
-			P99MS:       cs.P99Latency * 1e3,
+		return SliceSimView{
+			Model:       model,
+			Class:       class,
+			Queries:     s.Queries,
+			Served:      s.Queries - s.Dropped,
+			Dropped:     s.Dropped,
+			GoodputQPS:  s.Goodput,
+			P99E2EMS:    s.P99E2E * 1e3,
+			P99MS:       s.P99Latency * 1e3,
 			SLO:         slo,
-			AvgAccuracy: cs.AvgAccuracy,
-		})
+			AvgAccuracy: s.AvgAccuracy,
+		}
 	}
-	return out
-}
-
-// modelSimViews renders a summary's per-model slices.
-func modelSimViews(sum serving.Summary) []ModelSimView {
-	out := make([]ModelSimView, 0, len(sum.PerModel))
 	for _, ms := range sum.PerModel {
-		out = append(out, ModelSimView{
-			Model:       ms.Model,
-			Queries:     ms.Queries,
-			Served:      ms.Queries - ms.Dropped,
-			Dropped:     ms.Dropped,
-			GoodputQPS:  ms.Goodput,
-			P99E2EMS:    ms.P99E2E * 1e3,
-			P99MS:       ms.P99Latency * 1e3,
-			SLO:         ms.E2ESLO,
-			AvgAccuracy: ms.AvgAccuracy,
-		})
+		perModel = append(perModel, view(ms.Model, "", ms.Summary))
 	}
-	return out
+	for _, cs := range sum.PerClass {
+		perClass = append(perClass, view("", cs.Class, cs.Summary))
+	}
+	return perModel, perClass
 }
 
 // handleSimulate runs an open-loop virtual-time simulation on the
@@ -705,36 +683,19 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	kind := req.Router
-	if kind == "" {
-		kind = s.dep.Cluster.RouterName()
-	}
-	router, err := core.NewRouter(kind, req.RouterSeed)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	if req.MaxBatch < 0 || req.BatchWindowMS < 0 {
 		httpError(w, http.StatusBadRequest, "max_batch and batch_window_ms must be non-negative")
 		return
 	}
-	asc := s.dep.Autoscale
-	if aopt, ok := req.autoscale(); ok {
-		if asc, err = core.ResolveAutoscale(aopt); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	eng, err := simq.FromCluster(s.dep.Cluster, simq.Options{
-		QueueCap:  req.Queue,
-		Admission: adm,
-		LoadAware: req.LoadAware,
-		Drop:      req.Drop,
-		Router:    router,
-		Batching: simq.ResolveBatching(
-			simq.Batching{MaxBatch: req.MaxBatch, Window: req.BatchWindowMS * 1e-3},
-			s.dep.Cluster.BatchPolicy()),
-		Autoscale: asc,
+	eng, err := s.dep.Engine(core.SimOptions{
+		QueueCap:   req.Queue,
+		Admission:  adm,
+		LoadAware:  req.LoadAware,
+		Drop:       req.Drop,
+		Router:     req.Router,
+		RouterSeed: req.RouterSeed,
+		Batching:   simq.Batching{MaxBatch: req.MaxBatch, Window: req.BatchWindowMS * 1e-3},
+		Autoscale:  req.autoscale(),
 	})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -746,7 +707,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sum := res.Summary
-	writeJSON(w, SimulateResponse{
+	perModel, perClass := sliceViews(sum)
+	// Rates that overflow a float64 leave +Inf aggregates JSON cannot
+	// carry, and that is the request's doing (400), not the server's.
+	writeJSONOr(w, http.StatusBadRequest, SimulateResponse{
 		Queries:        res.Queries,
 		Served:         res.Served,
 		Dropped:        res.Dropped,
@@ -773,8 +737,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		ScaleUps:       res.ScaleUps,
 		ScaleDowns:     res.ScaleDowns,
 		ReplicaSeconds: res.ReplicaSeconds,
-		PerModel:       modelSimViews(sum),
-		PerClass:       classSimViews(sum),
+		PerModel:       perModel,
+		PerClass:       perClass,
 		FairnessJain:   sum.FairnessJain,
 	})
 }
@@ -814,16 +778,17 @@ type StatsResponse struct {
 	CacheSwaps   int     `json:"cache_swaps"`
 	// PerModel breaks the aggregates down by model id on multi-tenant
 	// deployments (absent otherwise).
-	PerModel []ModelSimView `json:"per_model,omitempty"`
+	PerModel []SliceSimView `json:"per_model,omitempty"`
 	// PerClass breaks the aggregates down by SLO class once classed
 	// (cohort) traffic has been served (absent otherwise); FairnessJain
 	// is the Jain index over per-class SLO attainments.
-	PerClass     []ClassSimView `json:"per_class,omitempty"`
+	PerClass     []SliceSimView `json:"per_class,omitempty"`
 	FairnessJain float64        `json:"fairness_jain,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	sum := s.dep.Cluster.Stats()
+	perModel, perClass := sliceViews(sum)
 	writeJSON(w, StatsResponse{
 		Queries:      sum.Queries,
 		Replicas:     s.dep.Cluster.Size(),
@@ -835,8 +800,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		AccuracySLO:  sum.AccuracySLO,
 		AvgHitRatio:  sum.AvgHitRatio,
 		CacheSwaps:   sum.CacheSwaps,
-		PerModel:     modelSimViews(sum),
-		PerClass:     classSimViews(sum),
+		PerModel:     perModel,
+		PerClass:     perClass,
 		FairnessJain: sum.FairnessJain,
 	})
 }
@@ -863,22 +828,32 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing more to do than log via the default
-		// error path.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	writeJSONOr(w, http.StatusInternalServerError, v)
+}
+
+// writeJSONOr renders v whole before the first byte is sent, so a value
+// JSON cannot carry (NaN, ±Inf) is answered with failCode and the usual
+// error body, never a 200 cut short.
+func writeJSONOr(w http.ResponseWriter, failCode int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, failCode, fmt.Sprintf("reply not representable: %v", err))
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
 }
 
 // serveError maps a serve-path failure to a status code: an unknown
-// model is the client's mistake (400), deadline expiry is 504, a
+// model and a simulated run whose autoscale interval is too short for
+// its stream are the client's mistake (400), deadline expiry is 504, a
 // client abort is 499 (nginx convention — nobody reads the body, but
 // logs should not blame the upstream), anything else 500.
 func serveError(w http.ResponseWriter, err error) {
 	var unknownModel *serving.UnknownModelError
+	var evalLimit *simq.EvalLimitError
 	switch {
-	case errors.As(err, &unknownModel):
+	case errors.As(err, &unknownModel), errors.As(err, &evalLimit):
 		httpError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		httpError(w, http.StatusGatewayTimeout, "deadline exceeded before the query was served")

@@ -441,6 +441,54 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// TestSimulateHostileBodies: three bodies under 120 bytes that used to
+// spin the handler forever (an autoscale interval below the virtual
+// clock's resolution), pin it (a million-cohort population) or answer a
+// plain-text 500 (a rate whose offered load overflows to +Inf) are each
+// a prompt 400 with the usual error object, and the server answers the
+// next simulation.
+func TestSimulateHostileBodies(t *testing.T) {
+	dep, err := core.DeployCluster(
+		core.DeployOptions{Workload: core.MobileNetV3},
+		core.ClusterOptions{Replicas: 2},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(dep))
+	t.Cleanup(ts.Close)
+	client := &http.Client{Timeout: 5 * time.Second}
+	for name, body := range map[string]string{
+		"autoscale interval 1e-300": `{"queries":10,"rate_qps":100,"autoscale_min":1,"autoscale_max":2,"autoscale_interval_s":1e-300}`,
+		"a million cohorts":         `{"queries":10,"process":"cohorts","cohorts":"n=1000000,rate=1"}`,
+		"rate 1e308":                `{"queries":10,"rate_qps":1e308}`,
+	} {
+		resp, err := client.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		var msg map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if err != nil || msg["error"] == "" {
+			t.Errorf("%s: body is not the JSON error object (%v)", name, err)
+		}
+	}
+	if resp, out := postSimulate(t, ts, `{"queries": 4, "rate_qps": 100, "max_latency_ms": 8}`); resp.StatusCode != http.StatusOK || out.Queries != 4 {
+		t.Errorf("simulation after the hostile bodies: status %d, %d queries", resp.StatusCode, out.Queries)
+	}
+	// The drained run released every reservation it took.
+	for _, rep := range dep.Cluster.Replicas() {
+		if n := rep.QueueDepth(); n != 0 {
+			t.Errorf("replica %d still holds %d reservations", rep.ID(), n)
+		}
+	}
+}
+
 // TestSimulateBodyCap: a trace past the body cap is a 413 with the usual
 // error object — refused while still being read, not after it has been
 // materialized — and the server answers the next simulation.

@@ -28,29 +28,12 @@ type Cluster struct {
 	batchers []*liveBatcher
 }
 
-// NewCluster builds a single-model cluster over the given systems. A
+// NewCluster builds a cluster over pre-constructed replicas
+// (core.DeployCluster assembles one Replica per fleet slot and wires
+// them here). Every replica must host the same model set, in the same
+// tenant order, so routing and model normalization agree fleet-wide. A
 // nil router defaults to round-robin.
-func NewCluster(systems []*System, router Router) (*Cluster, error) {
-	if len(systems) == 0 {
-		return nil, fmt.Errorf("serving: cluster needs at least one replica")
-	}
-	reps := make([]*Replica, len(systems))
-	for i, sys := range systems {
-		if sys == nil {
-			return nil, fmt.Errorf("serving: nil system for replica %d", i)
-		}
-		reps[i] = NewReplica(i, sys)
-	}
-	return NewClusterFromReplicas(reps, router)
-}
-
-// NewClusterFromReplicas builds a cluster over pre-constructed replicas
-// — the multi-tenant entry point (core.DeployCluster assembles one
-// multi-model Replica per fleet slot and wires them here). Every
-// replica must host the same model set, in the same tenant order, so
-// routing and model normalization agree fleet-wide. A nil router
-// defaults to round-robin.
-func NewClusterFromReplicas(reps []*Replica, router Router) (*Cluster, error) {
+func NewCluster(reps []*Replica, router Router) (*Cluster, error) {
 	if len(reps) == 0 {
 		return nil, fmt.Errorf("serving: cluster needs at least one replica")
 	}

@@ -13,6 +13,17 @@ import (
 	"sushi/internal/workload"
 )
 
+// soloReplica wraps one system as a single-model replica: the one
+// tenant whose model id is "".
+func soloReplica(t testing.TB, id int, sys *System) *Replica {
+	t.Helper()
+	rep, err := NewMultiReplica(id, []Tenant{{Sys: sys}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // newCluster builds R replicas over one shared latency table, replica i
 // booting with static column i (distinct initial cache states).
 func newCluster(t *testing.T, r int, mode Mode, router Router) *Cluster {
@@ -30,17 +41,18 @@ func newCluster(t *testing.T, r int, mode Mode, router Router) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	systems := make([]*System, r)
-	for i := range systems {
+	reps := make([]*Replica, r)
+	for i := range reps {
 		o := opt
 		o.Table = table
 		o.StaticColumn = i % table.Cols()
-		systems[i], err = New(s, fr, o)
+		sys, err := New(s, fr, o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reps[i] = soloReplica(t, i, sys)
 	}
-	c, err := NewCluster(systems, router)
+	c, err := NewCluster(reps, router)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +91,11 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster(nil, nil); err == nil {
 		t.Error("empty cluster accepted")
 	}
-	if _, err := NewCluster([]*System{nil}, nil); err == nil {
+	if _, err := NewCluster([]*Replica{nil}, nil); err == nil {
 		t.Error("nil replica accepted")
+	}
+	if _, err := NewMultiReplica(0, []Tenant{{Sys: nil}}); err == nil {
+		t.Error("nil system accepted")
 	}
 }
 

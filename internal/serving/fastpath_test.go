@@ -35,7 +35,7 @@ func newFleet(t *testing.T, r int) []*Replica {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps[i] = NewReplica(i, sys)
+		reps[i] = soloReplica(t, i, sys)
 	}
 	return reps
 }

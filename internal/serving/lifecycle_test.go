@@ -7,7 +7,7 @@ import (
 
 func newLifecycleReplica(t *testing.T) *Replica {
 	t.Helper()
-	return NewReplica(0, newRecacheSystem(t))
+	return soloReplica(t, 0, newRecacheSystem(t))
 }
 
 func TestLifecycleString(t *testing.T) {

@@ -228,7 +228,7 @@ func TestMultiReplicaValidation(t *testing.T) {
 	if _, err := NewMultiReplica(0, []Tenant{{Model: "", Sys: sys}, {Model: "b", Sys: sys}}); err == nil {
 		t.Error("unnamed tenant in multi-tenant replica accepted")
 	}
-	rep := NewReplica(0, sys)
+	rep := soloReplica(t, 0, sys)
 	if _, ok := rep.CanonicalModel(""); !ok {
 		t.Error("empty model must resolve on a single-model replica")
 	}

@@ -55,7 +55,7 @@ func drifting(t *testing.T, sys *System, n int) []sched.Query {
 // the simulator's Persistent Buffer coherently.
 func TestRecacheSwitchesUnderDrift(t *testing.T) {
 	sys := newRecacheSystem(t)
-	rep := NewReplica(0, sys)
+	rep := soloReplica(t, 0, sys)
 	rep.EnableRecache(RecachePolicy{Window: 8, MinGain: 0.01, Cooldown: 8})
 	qs := drifting(t, sys, 120)
 	sawRecached := false
@@ -94,7 +94,7 @@ func TestRecacheSwitchesUnderDrift(t *testing.T) {
 // the pre-heterogeneity behaviour per seed.
 func TestRecacheDisabledKeepsLegacyBehaviour(t *testing.T) {
 	plain := newRecacheSystem(t)
-	wrapped := NewReplica(0, newRecacheSystem(t))
+	wrapped := soloReplica(t, 0, newRecacheSystem(t))
 	qs := drifting(t, plain, 60)
 	for _, q := range qs {
 		want, err := plain.Serve(q)
@@ -118,7 +118,7 @@ func TestRecacheDisabledKeepsLegacyBehaviour(t *testing.T) {
 // window fills, none during the cooldown.
 func TestRecacheAdvisorRespectsCooldownAndWindow(t *testing.T) {
 	sys := newRecacheSystem(t)
-	rep := NewReplica(0, sys)
+	rep := soloReplica(t, 0, sys)
 	rep.EnableRecache(RecachePolicy{Window: 16, MinGain: 0.01, Cooldown: 50})
 	qs := drifting(t, sys, 15) // one short of the window
 	for _, q := range qs {
@@ -201,7 +201,7 @@ func TestFastestRouterPrefersFasterHardware(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewReplica(0, sys)
+		return soloReplica(t, 0, sys)
 	}
 	// The two boards genuinely disagree per query (§5.4.2: the derated
 	// U50 loses small SubNets, wins large ones), so the router must

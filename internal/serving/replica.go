@@ -110,22 +110,10 @@ type cacheSnapshot struct {
 	overlaps atomic.Pointer[[]float64]
 }
 
-// NewReplica wraps a single-model system as cluster member id — the
-// pre-multi-tenant constructor, byte-for-byte equivalent to a
-// one-tenant NewMultiReplica with model "".
-func NewReplica(id int, sys *System) *Replica {
-	r, err := NewMultiReplica(id, []Tenant{{Model: "", Sys: sys}})
-	if err != nil {
-		// A single non-nil system cannot fail validation; keep the old
-		// non-erroring signature.
-		panic(err)
-	}
-	return r
-}
-
 // NewMultiReplica wraps one System per co-hosted model as cluster
 // member id. Tenant 0 is the default model (empty Query.Model resolves
-// to it); model ids must be unique.
+// to it); model ids must be unique. A single-model replica is the one
+// tenant whose model id is "".
 func NewMultiReplica(id int, tenants []Tenant) (*Replica, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("serving: replica %d needs at least one tenant", id)

@@ -13,15 +13,44 @@ package simq
 // it once its queue and in-flight batch are gone.
 
 import (
+	"fmt"
 	"math"
 
 	"sushi/internal/autoscale"
 	"sushi/internal/serving"
 )
 
+// maxEvalsPerQuery bounds a run's autoscale evaluations to a fixed
+// multiple of its stream length. The cadence is k·Interval whatever the
+// arrivals do, so an Interval far below the arrival spacing would
+// otherwise spend the whole run evaluating (and one below the virtual
+// clock's float resolution would never advance it). A policy sees
+// nothing new between events, so hundreds of evaluations per query are
+// already waste: the experiments and the benchmark stay below one.
+const maxEvalsPerQuery = 256
+
+// EvalLimitError reports a run whose autoscale Interval is too short
+// for its stream: maxEvalsPerQuery evaluations per query came due. The
+// run drains on the fleet it had at that point before the error is
+// returned.
+type EvalLimitError struct {
+	// Interval is the offending evaluation cadence in virtual seconds.
+	Interval float64
+	// Queries is the run's stream length.
+	Queries int
+}
+
+// Error implements error.
+func (e *EvalLimitError) Error() string {
+	return fmt.Sprintf("simq: autoscale interval %g s is too short for this stream: %d evaluations per query came due in a %d-query run (raise the interval)",
+		e.Interval, maxEvalsPerQuery, e.Queries)
+}
+
 // elasticState is the engine's per-run autoscaling controller.
 type elasticState struct {
 	cfg *autoscale.Config
+	// evalsLeft is what remains of the run's evaluation budget.
+	evalsLeft int
 	// nextEval is the next evaluation instant (k·Interval).
 	nextEval float64
 	// lastAction is the instant of the last enacted scale action
@@ -38,9 +67,10 @@ type elasticState struct {
 	scaleUps, scaleDowns int
 }
 
-func newElasticState(cfg *autoscale.Config) *elasticState {
+func newElasticState(cfg *autoscale.Config, queries int) *elasticState {
 	return &elasticState{
 		cfg:        cfg,
+		evalsLeft:  maxEvalsPerQuery * queries,
 		nextEval:   cfg.Interval,
 		lastAction: math.Inf(-1),
 	}

@@ -1,6 +1,7 @@
 package simq
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -204,6 +205,35 @@ func TestAutoscaleOptionsValidation(t *testing.T) {
 	}
 	if _, err := New(reps, Options{Autoscale: &autoscale.Config{Min: 1, Max: 3, Interval: 0.1, Policy: pol}}); err == nil {
 		t.Error("Max beyond the built replica set accepted")
+	}
+}
+
+// TestAutoscaleEvaluationsBounded: an interval so short that the
+// cadence would never reach the first arrival (1e-300 s is below the
+// virtual clock's resolution once it has advanced at all) ends in a
+// typed EvalLimitError, after the run has drained and released every
+// reservation it took on the replicas.
+func TestAutoscaleEvaluationsBounded(t *testing.T) {
+	reps := newReplicas(t, 2)
+	eng, err := New(reps, Options{
+		Router:    serving.NewLeastLoaded(),
+		Autoscale: &autoscale.Config{Min: 1, Max: 2, Interval: 1e-300, Policy: autoscale.TargetUtilization{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = eng.Run(timedStream(t, 20, 400, replicaLatHi(reps[0])*1.4))
+	var limit *EvalLimitError
+	if !errors.As(err, &limit) {
+		t.Fatalf("want *EvalLimitError, got %v", err)
+	}
+	if limit.Queries != 20 || limit.Interval != 1e-300 {
+		t.Errorf("error carries %d queries, interval %g", limit.Queries, limit.Interval)
+	}
+	for _, rep := range reps {
+		if d := rep.QueueDepth(); d != 0 {
+			t.Errorf("replica %d still holds %d reservations", rep.ID(), d)
+		}
 	}
 }
 

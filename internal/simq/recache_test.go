@@ -34,7 +34,7 @@ func newRecacheReplica(t *testing.T, pol serving.RecachePolicy) *serving.Replica
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := serving.NewReplica(0, sys)
+	rep := soloReplica(t, 0, sys)
 	rep.EnableRecache(pol)
 	return rep
 }
@@ -141,7 +141,7 @@ func TestRecacheDisabledEngineUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep = serving.NewReplica(0, sys)
+			rep = soloReplica(t, 0, sys)
 		}
 		eng, err := New([]*serving.Replica{rep}, Options{})
 		if err != nil {

@@ -410,10 +410,16 @@ func (r *runner) run() error {
 		if !hasTop && math.IsInf(at, 1) {
 			// Autoscale evaluations are only considered while work
 			// remains, so the cadence never keeps a finished run alive.
+			if r.ctl != nil && r.ctl.evalsLeft == 0 {
+				return &EvalLimitError{Interval: r.ctl.cfg.Interval, Queries: r.res.Queries}
+			}
 			return r.src.err()
 		}
+		// An elastic run out of evaluation budget keeps the fleet it has
+		// and drains, so every reservation on the (shared) replicas is
+		// released before the limit is reported.
 		et := math.Inf(1)
-		if r.ctl != nil {
+		if r.ctl != nil && r.ctl.evalsLeft > 0 {
 			et = r.ctl.nextEval
 		}
 		// Heap events (completions, then window expiries — the heap
@@ -444,6 +450,7 @@ func (r *runner) run() error {
 			// expiries, before arrivals at the same instant. The policy
 			// sees the closed window's metrics; enacted transitions are
 			// lifecycle events at this very instant.
+			r.ctl.evalsLeft--
 			r.evaluate(et)
 			r.ctl.nextEval += r.ctl.cfg.Interval
 			continue

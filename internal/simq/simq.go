@@ -311,7 +311,11 @@ func NewSingle(sys *serving.System, opt Options) (*Engine, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("simq: nil system")
 	}
-	return New([]*serving.Replica{serving.NewReplica(0, sys)}, opt)
+	rep, err := serving.NewMultiReplica(0, []serving.Tenant{{Sys: sys}})
+	if err != nil {
+		return nil, err
+	}
+	return New([]*serving.Replica{rep}, opt)
 }
 
 // job is one admitted query waiting in (or at the head of) a replica
@@ -518,7 +522,7 @@ func (e *Engine) run(src arrivalSource, n int) (*Result, error) {
 	// the router sees exactly the engine's replica slice, and no
 	// evaluation events fire, so fixed-fleet runs stay bit-identical.
 	if e.opt.Autoscale.Enabled() {
-		r.ctl = newElasticState(e.opt.Autoscale)
+		r.ctl = newElasticState(e.opt.Autoscale, n)
 		for i := range e.reps {
 			if i < r.ctl.cfg.Min {
 				e.reps[i].SetLifecycle(serving.LifecycleActive)

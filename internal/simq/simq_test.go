@@ -40,6 +40,17 @@ func newSystem(t *testing.T, policy sched.Policy) *serving.System {
 	return sys
 }
 
+// soloReplica wraps one system as a single-model replica: the one
+// tenant whose model id is "".
+func soloReplica(t testing.TB, id int, sys *serving.System) *serving.Replica {
+	t.Helper()
+	rep, err := serving.NewMultiReplica(id, []serving.Tenant{{Sys: sys}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // newReplicas builds R systems over one shared table (the DeployCluster
 // shape) and wraps them as replicas.
 func newReplicas(t *testing.T, r int) []*serving.Replica {
@@ -66,7 +77,7 @@ func newReplicas(t *testing.T, r int) []*serving.Replica {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps[i] = serving.NewReplica(i, sys)
+		reps[i] = soloReplica(t, i, sys)
 	}
 	return reps
 }

@@ -532,6 +532,13 @@ func ZipfRates(n int, total, s float64) []float64 {
 	return out
 }
 
+// maxParsedCohorts caps the population a spec may describe. A spec is
+// outside input, n= replicates a clause for free, and every arrival of
+// the superposed stream scans all cohorts, so an unbounded count lets a
+// hundred bytes allocate without limit or pin a run; the largest
+// population in the tree (cohortsweep) holds 100.
+const maxParsedCohorts = 4096
+
 // ParsePopulation builds a Population from a compact flag/JSON-free
 // spec: semicolon-separated cohort clauses of comma-separated k=v
 // fields —
@@ -543,7 +550,9 @@ func ZipfRates(n int, total, s float64) []float64 {
 // shape (Gamma/Weibull shape), class (SLO class label), model (target
 // model id), budget (latency budgets in MILLISECONDS, '|'-separated,
 // drawn uniformly), acc (accuracy floors in top-1 percent,
-// '|'-separated). This is the grammar behind sushi-server -cohorts.
+// '|'-separated). This is the grammar behind sushi-server -cohorts and
+// POST /v1/simulate's "cohorts" field, so a spec may hold at most
+// maxParsedCohorts cohorts in total.
 func ParsePopulation(spec string) (Population, error) {
 	var pop Population
 	for ci, clause := range strings.Split(spec, ";") {
@@ -598,6 +607,9 @@ func ParsePopulation(spec string) (Population, error) {
 			if err != nil {
 				return Population{}, fmt.Errorf("workload: cohort clause %d: %s: %v", ci, k, err)
 			}
+		}
+		if count > maxParsedCohorts-len(pop.Cohorts) {
+			return Population{}, fmt.Errorf("workload: cohort clause %d: population capped at %d cohorts", ci, maxParsedCohorts)
 		}
 		for i := 0; i < count; i++ {
 			pop.Cohorts = append(pop.Cohorts, c)

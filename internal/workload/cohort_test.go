@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -261,9 +262,42 @@ func TestParsePopulation(t *testing.T) {
 		"rate=1,burst",             // not k=v
 		"rate=1,color=blue",        // unknown field
 		"rate=1,shape=-2,ia=gamma", // invalid shape
+		"n=4097,rate=1",            // past the cohort cap
 	} {
 		if _, err := ParsePopulation(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// FuzzParsePopulation is the -cohorts grammar's adversarial-input gate
+// (the spec arrives over POST /v1/simulate): parsing never panics, and
+// an accepted population passes Validate, holds at most
+// maxParsedCohorts cohorts and parses from the same spec to an equal
+// value. Seeds live in testdata/fuzz/FuzzParsePopulation, named for
+// what each holds.
+func FuzzParsePopulation(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		pop, err := ParsePopulation(spec)
+		if err != nil {
+			if len(pop.Cohorts) != 0 {
+				t.Fatalf("rejected spec returned %d cohorts", len(pop.Cohorts))
+			}
+			return
+		}
+		if err := pop.Validate(); err != nil {
+			t.Fatalf("accepted population fails Validate: %v", err)
+		}
+		if n := len(pop.Cohorts); n > maxParsedCohorts {
+			t.Fatalf("accepted population holds %d cohorts, cap %d", n, maxParsedCohorts)
+		}
+		again, err := ParsePopulation(spec)
+		if err != nil {
+			t.Fatalf("accepted spec rejected on a second parse: %v", err)
+		}
+		// Printed, not DeepEqual: an ignored shape= may be NaN.
+		if a, b := fmt.Sprintf("%#v", pop), fmt.Sprintf("%#v", again); a != b {
+			t.Fatalf("two parses of one spec differ:\n%s\n%s", a, b)
+		}
+	})
 }
