@@ -45,7 +45,7 @@ func TestAnalyticTableDiskRoundTripBitIdentical(t *testing.T) {
 	if ir.name != "homogeneous-mbv3-degrade" {
 		t.Fatalf("identityRuns[0] is %q, the pin expects homogeneous-mbv3-degrade", ir.name)
 	}
-	got := outcomeDigest(ir.run(t, sushi.WithMeasuredTable(loaded)))
+	got := outcomeDigest(t, ir.run(t, sushi.WithMeasuredTable(loaded)))
 	if got != ir.golden {
 		t.Errorf("serving from the round-tripped table diverged from the pin:\n  got    %s\n  golden %s", got, ir.golden)
 	}

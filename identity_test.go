@@ -25,13 +25,20 @@ import (
 	"sushi"
 )
 
-// outcomeDigest hashes every behavioural field of a simulated run.
-func outcomeDigest(res *sushi.SimResult) string {
+// outcomeDigest hashes every behavioural field of a simulated run (the
+// SubNet name and the service flags come back through Timed), after
+// holding the run to the engine's invariants.
+func outcomeDigest(t *testing.T, res *sushi.SimResult) string {
+	t.Helper()
+	if err := res.Check(); err != nil {
+		t.Fatal(err)
+	}
 	h := sha256.New()
-	for i, o := range res.Outcomes {
+	for i, rec := range res.Outcomes {
+		o := res.Timed(i)
 		fmt.Fprintf(h, "%d|%d|%d|%t|%d|%.12e|%.12e|%.12e|%.12e|%t\n",
-			i, o.Replica, int(o.Reason), o.Degraded, o.Batch,
-			o.Arrival, o.Start, o.Finish, o.RecacheSec, o.Dropped)
+			i, rec.Replica, int(rec.Reason), rec.Degraded, rec.Batch,
+			o.Arrival, o.Start, o.Finish, rec.RecacheSec, o.Dropped)
 		if !o.Dropped {
 			fmt.Fprintf(h, "%s|%d|%.12e|%.12e|%t|%t|%t|%t|%.12e|%d|%.12e\n",
 				o.SubNet, o.Row, o.Latency, o.Accuracy,
@@ -185,7 +192,7 @@ var identityRuns = []struct {
 func TestSingleModelBitIdentical(t *testing.T) {
 	for _, ir := range identityRuns {
 		t.Run(ir.name, func(t *testing.T) {
-			got := outcomeDigest(ir.run(t))
+			got := outcomeDigest(t, ir.run(t))
 			if got != ir.golden {
 				t.Errorf("single-model run diverged from the pre-refactor pin:\n  got    %s\n  golden %s", got, ir.golden)
 			}
@@ -246,7 +253,7 @@ func TestSingleCohortPoissonClusterIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp, ds := outcomeDigest(viaPop), outcomeDigest(viaPlain); dp != ds {
+	if dp, ds := outcomeDigest(t, viaPop), outcomeDigest(t, viaPlain); dp != ds {
 		t.Errorf("single-cohort population diverged from plain Poisson:\n  population %s\n  plain      %s", dp, ds)
 	}
 }
@@ -286,7 +293,7 @@ func TestCohortPopulationGoldenDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := outcomeDigest(res); got != golden {
+	if got := outcomeDigest(t, res); got != golden {
 		t.Errorf("cohort population run diverged from its pin:\n  got    %s\n  golden %s", got, golden)
 	}
 	// The classed breakdown must be present and cover every cohort class.
@@ -311,7 +318,7 @@ func TestAutoscaleDisabledBitIdentical(t *testing.T) {
 	})
 	for _, ir := range identityRuns {
 		t.Run(ir.name, func(t *testing.T) {
-			got := outcomeDigest(ir.run(t, pin))
+			got := outcomeDigest(t, ir.run(t, pin))
 			if got != ir.golden {
 				t.Errorf("Min == Max autoscale run diverged from the fixed-fleet pin:\n  got    %s\n  golden %s", got, ir.golden)
 			}

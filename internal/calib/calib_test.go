@@ -12,7 +12,7 @@ import (
 // tinyFixture builds a small real grid: the two smallest frontier
 // SubNets of MobileNetV3 against the cold column and the smallest
 // SubNet's own coverage.
-func tinyFixture(t *testing.T) (*supernet.SuperNet, []*supernet.SubNet, []*supernet.SubGraph) {
+func tinyFixture(t testing.TB) (*supernet.SuperNet, []*supernet.SubNet, []*supernet.SubGraph) {
 	t.Helper()
 	s := supernet.NewOFAMobileNetV3()
 	fr, err := s.Frontier()

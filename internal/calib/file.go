@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"sushi/internal/latencytable"
@@ -117,6 +118,20 @@ func (f *File) Validate() error {
 	if len(f.SubNetNames) == 0 || len(f.GraphNames) == 0 {
 		return fmt.Errorf("calib: missing row/column names")
 	}
+	if len(f.Batches) == 0 || f.Batches[0] != 1 {
+		return fmt.Errorf("calib: batches must start at 1, got %v", f.Batches)
+	}
+	for i := 1; i < len(f.Batches); i++ {
+		if f.Batches[i] <= f.Batches[i-1] {
+			return fmt.Errorf("calib: batches must be strictly ascending, got %v", f.Batches)
+		}
+	}
+	if f.CalibNs < 0 || f.Reps < 0 {
+		return fmt.Errorf("calib: negative provenance: calib_ns %d, reps %d", f.CalibNs, f.Reps)
+	}
+	if !finiteNonNeg(f.FetchNsPerByte) {
+		return fmt.Errorf("calib: fetch cost %g ns/byte is not a finite non-negative number", f.FetchNsPerByte)
+	}
 	if f.WallNs != nil {
 		if len(f.WallNs) != len(f.SubNetNames) {
 			return fmt.Errorf("calib: WallNs has %d rows for %d subnets", len(f.WallNs), len(f.SubNetNames))
@@ -129,11 +144,19 @@ func (f *File) Validate() error {
 				if len(cells) != len(f.Batches) {
 					return fmt.Errorf("calib: WallNs[%d][%d] has %d cells for %d batches", i, j, len(cells), len(f.Batches))
 				}
+				for b, ns := range cells {
+					if !finiteNonNeg(ns) {
+						return fmt.Errorf("calib: WallNs[%d][%d][%d] = %g is not a finite non-negative time", i, j, b, ns)
+					}
+				}
 			}
 		}
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x can be a measured time or cost.
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Table decodes the embedded latency table over super, matching rows
 // to the supplied subnets by name — latencytable.Decode's validation

@@ -76,6 +76,9 @@ func runShared(t *testing.T, batching simq.Batching, e float64) *simq.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := res.Check(); err != nil {
+		t.Fatal(err)
+	}
 	return res
 }
 
@@ -98,10 +101,10 @@ func TestMultiTenantPerModelAccounting(t *testing.T) {
 	res := runShared(t, simq.Batching{}, 2)
 	want := map[string]int{}
 	drops := map[string]int{}
-	for _, o := range res.Outcomes {
-		m := o.Query.Model
+	for i, o := range res.Outcomes {
+		m := res.Timed(i).Query.Model
 		if m != string(ResNet50) && m != string(MobileNetV3) {
-			t.Fatalf("outcome %d has model %q", o.Query.ID, m)
+			t.Fatalf("outcome %d has model %q", o.ID, m)
 		}
 		want[m]++
 		if o.Dropped {
@@ -135,12 +138,12 @@ func TestMultiTenantPerModelAccounting(t *testing.T) {
 func TestMultiTenantBatchingNeverMixesModels(t *testing.T) {
 	res := runShared(t, simq.Batching{MaxBatch: 8, Window: 0.05}, 5)
 	type flushKey struct {
-		replica int
+		replica uint16
 		start   float64
 	}
 	flushes := map[flushKey]map[string]bool{}
 	sawBatch := false
-	for _, o := range res.Outcomes {
+	for i, o := range res.Outcomes {
 		if o.Dropped {
 			continue
 		}
@@ -148,7 +151,7 @@ func TestMultiTenantBatchingNeverMixesModels(t *testing.T) {
 		if flushes[k] == nil {
 			flushes[k] = map[string]bool{}
 		}
-		flushes[k][o.Query.Model] = true
+		flushes[k][res.Timed(i).Query.Model] = true
 		if o.Batch > 1 {
 			sawBatch = true
 		}

@@ -30,6 +30,9 @@ const (
 	MinEnergy
 )
 
+// Valid reports whether p is one of the three policies above.
+func (p Policy) Valid() bool { return p >= StrictAccuracy && p <= MinEnergy }
+
 // String implements fmt.Stringer.
 func (p Policy) String() string {
 	switch p {
@@ -186,7 +189,7 @@ func New(table *latencytable.Table, opt Options) (*Scheduler, error) {
 	if opt.InitialColumn < 0 || opt.InitialColumn >= table.Cols() {
 		return nil, fmt.Errorf("sched: initial column %d outside [0, %d)", opt.InitialColumn, table.Cols())
 	}
-	if opt.Policy != StrictAccuracy && opt.Policy != StrictLatency && opt.Policy != MinEnergy {
+	if !opt.Policy.Valid() {
 		return nil, fmt.Errorf("sched: unknown policy %v", opt.Policy)
 	}
 	return &Scheduler{
@@ -250,7 +253,7 @@ func (s *Scheduler) policyFor(q Query) (Policy, error) {
 		return s.opt.Policy, nil
 	}
 	p := *q.Policy
-	if p != StrictAccuracy && p != StrictLatency && p != MinEnergy {
+	if !p.Valid() {
 		return 0, fmt.Errorf("sched: unknown query policy %v", p)
 	}
 	return p, nil

@@ -2,18 +2,6 @@ package serving
 
 import "sort"
 
-// modelKey extracts the accumulator bucket key of an outcome: the
-// served query's model id. Empty on single-model deployments (the
-// replica normalizes queries to the tenant's canonical model id at
-// dispatch, which is "" there), so pre-multi-tenant streams never
-// allocate buckets.
-func modelKey(r Served) string { return r.Query.Model }
-
-// classKey extracts the SLO-class bucket key of an outcome: the
-// query's class label. Empty for unclassed traffic (the pre-cohort
-// default), so existing streams never allocate class buckets.
-func classKey(r Served) string { return r.Query.Class }
-
 // maxLatencySamples caps each per-accumulator latency reservoir. Streams
 // up to the cap yield exact percentiles; beyond it, reservoir sampling
 // keeps memory and read cost bounded for long-running servers at the
@@ -108,7 +96,8 @@ type Accumulator struct {
 	// lats samples individual service latencies for percentile folding.
 	lats reservoir
 
-	// Open-loop extensions (fed by AddTimed; zero for closed-loop use).
+	// Open-loop extensions (fed by AddOpenLoop and AddDropped; zero for
+	// closed-loop use).
 	// dropped counts abandoned queries, e2eMet the queries that finished
 	// inside their original budget; e2e samples end-to-end latencies of
 	// served queries; the arrival/finish span yields goodput.
@@ -166,7 +155,7 @@ func (a *Accumulator) classBucket(class string) *Accumulator {
 
 // ObserveBatch records one micro-batch flush of n members (n = 1 for a
 // solo serve when batching is enabled). Callers fold it once per
-// accelerator pass, alongside the per-member Add/AddTimed calls.
+// accelerator pass, alongside the per-member Add/AddOpenLoop calls.
 func (a *Accumulator) ObserveBatch(n int) {
 	if n <= 0 {
 		return
@@ -179,19 +168,24 @@ func (a *Accumulator) ObserveBatch(n int) {
 }
 
 // Add folds one closed-loop outcome (into the cluster-wide aggregates
-// and, when the query carries a model id, the model's bucket).
-func (a *Accumulator) Add(r Served) {
+// and, when the query carries a model id or an SLO class, that bucket).
+// Empty keys never allocate buckets: a single-model replica normalizes
+// queries to the model id "", and unclassed traffic carries no class.
+func (a *Accumulator) Add(r Served) { a.add(&r) }
+
+// add is Add by pointer, for callers that own the record.
+func (a *Accumulator) add(r *Served) {
 	a.addServed(r)
-	if m := modelKey(r); m != "" {
+	if m := r.Query.Model; m != "" {
 		a.modelBucket(m).addServed(r)
 	}
-	if cl := classKey(r); cl != "" {
+	if cl := r.Query.Class; cl != "" {
 		a.classBucket(cl).addServed(r)
 	}
 }
 
 // addServed folds one outcome into THIS accumulator only.
-func (a *Accumulator) addServed(r Served) {
+func (a *Accumulator) addServed(r *Served) {
 	a.queries++
 	a.sumLat += r.Latency
 	a.sumAcc += r.Accuracy
@@ -216,42 +210,70 @@ func (a *Accumulator) addServed(r Served) {
 	a.lats.observe(r.Latency)
 }
 
-// AddTimed folds one open-loop outcome: service aggregates for served
-// queries (their LatencyMet is already end-to-end, judged by the
-// engine), plus queueing telemetry — E2E latency reservoir, queue
-// delay, drops, and the arrival/finish span goodput is computed over.
-// Outcomes carrying a model id (the engine populates the Served.Query
-// echo even for drops) also fold into the model's bucket, so per-model
-// SLO and tail latency stay honest about drops.
+// AddTimed folds one open-loop outcome given as a TimedServed value:
+// AddOpenLoop for a served query, AddDropped for an abandoned one.
 func (a *Accumulator) AddTimed(r TimedServed) {
-	a.addTimed(r)
-	if m := modelKey(r.Served); m != "" {
-		a.modelBucket(m).addTimed(r)
+	if r.Dropped {
+		a.AddDropped(r.Query.Model, r.Query.Class, r.Arrival, r.Finish)
+		return
 	}
-	if cl := classKey(r.Served); cl != "" {
-		a.classBucket(cl).addTimed(r)
+	a.AddOpenLoop(&r.Served, r.Arrival, r.Finish, r.QueueDelay, r.E2ELatency)
+}
+
+// AddOpenLoop folds one served open-loop query: the service aggregates
+// of r (its LatencyMet is already end-to-end, judged by the engine)
+// plus queueing telemetry — E2E latency reservoir, queue delay, and the
+// arrival/finish span goodput is computed over. The engine calls it
+// with a pointer into its own scratch; r is only read.
+func (a *Accumulator) AddOpenLoop(r *Served, arrival, finish, queueDelay, e2e float64) {
+	a.addTimed(r, arrival, finish, queueDelay, e2e)
+	if m := r.Query.Model; m != "" {
+		a.modelBucket(m).addTimed(r, arrival, finish, queueDelay, e2e)
+	}
+	if cl := r.Query.Class; cl != "" {
+		a.classBucket(cl).addTimed(r, arrival, finish, queueDelay, e2e)
 	}
 }
 
-// addTimed folds one timed outcome into THIS accumulator only.
-func (a *Accumulator) addTimed(r TimedServed) {
-	if r.Dropped {
-		a.queries++
-		a.dropped++
-	} else {
-		a.addServed(r.Served)
-		if r.LatencyMet {
-			a.e2eMet++
-		}
-		a.sumE2E += r.E2ELatency
-		a.sumQueue += r.QueueDelay
-		a.e2e.observe(r.E2ELatency)
+// AddDropped folds one abandoned open-loop query. It carries its model
+// id and class so per-model and per-class SLO and tail latency stay
+// honest about drops.
+func (a *Accumulator) AddDropped(model, class string, arrival, finish float64) {
+	a.addDropped(arrival, finish)
+	if model != "" {
+		a.modelBucket(model).addDropped(arrival, finish)
 	}
-	if !a.spanSet || r.Arrival < a.minArrival {
-		a.minArrival = r.Arrival
+	if class != "" {
+		a.classBucket(class).addDropped(arrival, finish)
 	}
-	if !a.spanSet || r.Finish > a.maxFinish {
-		a.maxFinish = r.Finish
+}
+
+// addTimed folds one served open-loop query into THIS accumulator only.
+func (a *Accumulator) addTimed(r *Served, arrival, finish, queueDelay, e2e float64) {
+	a.addServed(r)
+	if r.LatencyMet {
+		a.e2eMet++
+	}
+	a.sumE2E += e2e
+	a.sumQueue += queueDelay
+	a.e2e.observe(e2e)
+	a.span(arrival, finish)
+}
+
+// addDropped folds one abandoned query into THIS accumulator only.
+func (a *Accumulator) addDropped(arrival, finish float64) {
+	a.queries++
+	a.dropped++
+	a.span(arrival, finish)
+}
+
+// span widens the arrival/finish span by one query.
+func (a *Accumulator) span(arrival, finish float64) {
+	if !a.spanSet || arrival < a.minArrival {
+		a.minArrival = arrival
+	}
+	if !a.spanSet || finish > a.maxFinish {
+		a.maxFinish = finish
 	}
 	a.spanSet = true
 }

@@ -500,7 +500,7 @@ func (r *Replica) serve(ctx context.Context, q sched.Query) (Served, error) {
 	if _, err := r.pass(t, qs[:], offered[:], out[:], false); err != nil {
 		return Served{}, err
 	}
-	r.acc.Add(out[0])
+	r.acc.add(&out[0])
 	return out[0], nil
 }
 
@@ -531,7 +531,7 @@ func (r *Replica) serveBatch(qs []sched.Query, out []Served) error {
 		return err
 	}
 	for i := range out {
-		r.acc.Add(out[i])
+		r.acc.add(&out[i])
 	}
 	r.acc.ObserveBatch(len(qs))
 	return nil

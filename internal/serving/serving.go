@@ -18,7 +18,7 @@
 // admission control, load-aware budget debiting — lives in exactly one
 // place, the discrete-event engine of internal/simq, which drives these
 // replicas through Replica.ServeBatchVirtualInto and folds outcomes back
-// through Accumulator.AddTimed.
+// through Accumulator.AddOpenLoop and AddDropped.
 package serving
 
 import (
@@ -555,19 +555,19 @@ func (s *System) ServeBatchInto(qs []sched.Query, out []Served) error {
 		lat += s.pendingSwapSec
 		s.pendingSwapSec = 0
 	}
-	for i, q := range qs {
-		out[i] = Served{
-			Query:       q,
-			SubNet:      sn.Name,
-			Row:         d.SubNet,
-			Latency:     lat,
-			Accuracy:    sn.Accuracy,
-			Feasible:    d.Feasible,
-			LatencyMet:  lat <= q.MaxLatency,
-			AccuracyMet: sn.Accuracy >= q.MinAccuracy,
-			HitRatio:    ps.hitRatio,
-			Batch:       batch,
-		}
+	for i := range qs {
+		// Cleared and set in place: out is the caller's reused scratch,
+		// and a Served literal is built on the stack and copied over.
+		q, o := &qs[i], &out[i]
+		*o = Served{}
+		o.Query = *q
+		o.SubNet, o.Row = sn.Name, d.SubNet
+		o.Latency, o.Accuracy = lat, sn.Accuracy
+		o.Feasible = d.Feasible
+		o.LatencyMet = lat <= q.MaxLatency
+		o.AccuracyMet = sn.Accuracy >= q.MinAccuracy
+		o.HitRatio = ps.hitRatio
+		o.Batch = batch
 	}
 	out[0].HitBytes = ps.hitBytes
 	out[0].OffChipEnergyJ = ps.energyJ

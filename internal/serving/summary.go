@@ -135,13 +135,13 @@ func Summarize(rs []Served) Summary {
 	byClass := map[string][]Served{}
 	var classes []string
 	for _, r := range rs {
-		if m := modelKey(r); m != "" {
+		if m := r.Query.Model; m != "" {
 			if _, seen := byModel[m]; !seen {
 				models = append(models, m)
 			}
 			byModel[m] = append(byModel[m], r)
 		}
-		if cl := classKey(r); cl != "" {
+		if cl := r.Query.Class; cl != "" {
 			if _, seen := byClass[cl]; !seen {
 				classes = append(classes, cl)
 			}

@@ -29,28 +29,17 @@ func batchRun(t *testing.T, b Batching, n int, rateFactor float64) *Result {
 	// items), so batching trades per-query latency for goodput inside
 	// the budget rather than past it.
 	qs := timedStream(t, n, capacity*rateFactor, budget*4)
-	res, err := eng.Run(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return checked(t, eng, qs)
 }
 
-// sameOutcomes compares two outcome streams field by field (the policy
-// pointer by value).
+// sameOutcomes compares two outcome streams record by record.
 func sameOutcomes(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.Outcomes) != len(b.Outcomes) {
 		t.Fatalf("%s: outcome counts differ: %d vs %d", label, len(a.Outcomes), len(b.Outcomes))
 	}
 	for i := range a.Outcomes {
-		x, y := a.Outcomes[i], b.Outcomes[i]
-		px, py := x.Query.Policy, y.Query.Policy
-		if (px == nil) != (py == nil) || (px != nil && *px != *py) {
-			t.Fatalf("%s: outcome %d policy differs", label, i)
-		}
-		x.Query.Policy, y.Query.Policy = nil, nil
-		if x != y {
+		if x, y := a.Outcomes[i], b.Outcomes[i]; x != y {
 			t.Fatalf("%s: outcome %d differs:\n%+v\n%+v", label, i, x, y)
 		}
 	}
@@ -92,38 +81,39 @@ func TestBatchedDeterminism(t *testing.T) {
 func TestBatchedVirtualTimeExact(t *testing.T) {
 	res := batchRun(t, Batching{MaxBatch: 8, Window: 0.02}, 160, 3)
 	type flushKey struct {
-		replica int
+		replica uint16
 		start   float64
 	}
-	groups := map[flushKey][]Outcome{}
-	for _, o := range res.Outcomes {
+	groups := map[flushKey][]int{}
+	for i, o := range res.Outcomes {
 		if o.Dropped {
 			continue
 		}
 		if got := o.Finish - o.Start; math.Abs(got-o.Latency) > 1e-12 {
-			t.Fatalf("query %d: Finish-Start %g != Latency %g", o.Query.ID, got, o.Latency)
+			t.Fatalf("query %d: Finish-Start %g != Latency %g", o.ID, got, o.Latency)
 		}
 		if o.Batch < 1 || o.Batch > 8 {
-			t.Fatalf("query %d: batch size %d outside [1, 8]", o.Query.ID, o.Batch)
+			t.Fatalf("query %d: batch size %d outside [1, 8]", o.ID, o.Batch)
 		}
-		groups[flushKey{o.Replica, o.Start}] = append(groups[flushKey{o.Replica, o.Start}], o)
+		groups[flushKey{o.Replica, o.Start}] = append(groups[flushKey{o.Replica, o.Start}], i)
 	}
 	sawMulti := false
 	for k, g := range groups {
-		head := g[0]
-		if len(g) != head.Batch {
+		head := res.Outcomes[g[0]]
+		if len(g) != int(head.Batch) {
 			t.Fatalf("flush %+v: %d members but batch size %d", k, len(g), head.Batch)
 		}
 		if head.Batch > 1 {
 			sawMulti = true
 		}
 		recaches := 0
-		for _, o := range g {
+		for _, i := range g {
+			o := res.Outcomes[i]
 			if o.Finish != head.Finish || o.Batch != head.Batch {
 				t.Fatalf("flush %+v: members disagree on finish/batch", k)
 			}
-			if o.SubNet != head.SubNet {
-				t.Fatalf("flush %+v: mixed SubNets %q and %q in one pass", k, o.SubNet, head.SubNet)
+			if sn, want := res.Timed(i).SubNet, res.Timed(g[0]).SubNet; sn != want {
+				t.Fatalf("flush %+v: mixed SubNets %q and %q in one pass", k, sn, want)
 			}
 			if o.RecacheSec > 0 {
 				recaches++
@@ -181,9 +171,9 @@ func TestBatchWindowBoundsFormerWait(t *testing.T) {
 		if o.Latency > maxService {
 			maxService = o.Latency
 		}
-		if o.QueueDelay > window+10*maxService {
+		if o.QueueDelay() > window+10*maxService {
 			t.Fatalf("query %d waited %.4fs with window %.4fs at light load",
-				o.Query.ID, o.QueueDelay, window)
+				o.ID, o.QueueDelay(), window)
 		}
 	}
 	if res.Summary.Batches == 0 {

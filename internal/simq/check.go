@@ -1,0 +1,151 @@
+package simq
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+)
+
+// Check holds a finished run to the engine's invariants, one rule at a
+// time, and returns every rule that fails (joined; nil when all hold).
+// It is for tests: the shared helpers of this package's tests and the
+// root golden digests call it on every run they make.
+//
+//   - conservation: arrivals = served + each drop reason, by the
+//     result's counters and by a recount of the outcomes;
+//   - order: no query starts before it arrives or finishes before it
+//     starts;
+//   - flush: the members of one pass (same replica, same Start) share
+//     Finish, Row, model and Batch, and Batch is their number;
+//   - overlap: per replica, the busy intervals [Start, Finish +
+//     RecacheSec] of distinct passes never overlap;
+//   - drop: a dropped query has Batch 0 and no service field.
+func (r *Result) Check() error {
+	return errors.Join(r.checkConservation(), r.checkOrder(), r.checkFlush(), r.checkOverlap(), r.checkDrop())
+}
+
+func (r *Result) checkConservation() error {
+	if r.Queries != r.Served+r.Dropped || r.Dropped != r.DeadlineDrops+r.Rejected+r.Shed {
+		return fmt.Errorf("simq: check conservation: counters do not add up: %d queries, %d served, %d dropped (%d deadline, %d rejected, %d shed)",
+			r.Queries, r.Served, r.Dropped, r.DeadlineDrops, r.Rejected, r.Shed)
+	}
+	var served int
+	var byReason [ReasonShed + 1]int
+	for i := range r.Outcomes {
+		o := &r.Outcomes[i]
+		if o.Reason > ReasonShed || o.Dropped != (o.Reason != ReasonNone) {
+			return fmt.Errorf("simq: check conservation: outcome %d: dropped=%t with reason %v", i, o.Dropped, o.Reason)
+		}
+		byReason[o.Reason]++
+		if !o.Dropped {
+			served++
+		}
+	}
+	if len(r.Outcomes) != r.Queries || served != r.Served || byReason[ReasonDeadline] != r.DeadlineDrops ||
+		byReason[ReasonRejected] != r.Rejected || byReason[ReasonShed] != r.Shed {
+		return fmt.Errorf("simq: check conservation: %d outcomes recount to %d served, %d deadline, %d rejected, %d shed; the counters say %d queries, %d, %d, %d, %d",
+			len(r.Outcomes), served, byReason[ReasonDeadline], byReason[ReasonRejected], byReason[ReasonShed],
+			r.Queries, r.Served, r.DeadlineDrops, r.Rejected, r.Shed)
+	}
+	return nil
+}
+
+func (r *Result) checkOrder() error {
+	for i := range r.Outcomes {
+		if o := &r.Outcomes[i]; !(o.Arrival <= o.Start && o.Start <= o.Finish) {
+			return fmt.Errorf("simq: check order: outcome %d: arrival %g, start %g, finish %g", i, o.Arrival, o.Start, o.Finish)
+		}
+	}
+	return nil
+}
+
+// pass is one accelerator pass as the outcomes record it: the served
+// queries of one replica that share a Start.
+type pass struct {
+	passKey
+	// end is when the replica frees: Finish plus the re-cache the pass
+	// triggered. head is the first member's outcome index.
+	end           float64
+	head, members int
+}
+
+type passKey struct {
+	replica uint16
+	start   float64
+}
+
+// passes regroups the served outcomes into passes, in order of each
+// pass's first member, with the index to find an outcome's pass by.
+func (r *Result) passes() ([]pass, map[passKey]int) {
+	var ps []pass
+	at := map[passKey]int{}
+	for i := range r.Outcomes {
+		o := &r.Outcomes[i]
+		if o.Dropped {
+			continue
+		}
+		k := passKey{o.Replica, o.Start}
+		pi, ok := at[k]
+		if !ok {
+			pi = len(ps)
+			at[k] = pi
+			ps = append(ps, pass{passKey: k, head: i})
+		}
+		ps[pi].members++
+		ps[pi].end = max(ps[pi].end, o.Finish+o.RecacheSec)
+	}
+	return ps, at
+}
+
+func (r *Result) checkFlush() error {
+	ps, at := r.passes()
+	for i := range r.Outcomes {
+		o := &r.Outcomes[i]
+		if o.Dropped {
+			continue
+		}
+		p := &ps[at[passKey{o.Replica, o.Start}]]
+		if h := &r.Outcomes[p.head]; o.Finish != h.Finish || o.Row != h.Row || o.model != h.model || o.Batch != h.Batch {
+			return fmt.Errorf("simq: check flush: outcomes %d and %d share replica %d's pass at %g but differ in finish, row, model or batch:\n%+v\n%+v",
+				p.head, i, o.Replica, o.Start, *h, *o)
+		}
+		if p.members != int(o.Batch) {
+			return fmt.Errorf("simq: check flush: replica %d's pass at %g has %d members but outcome %d records batch size %d",
+				o.Replica, o.Start, p.members, i, o.Batch)
+		}
+	}
+	return nil
+}
+
+func (r *Result) checkOverlap() error {
+	ps, _ := r.passes()
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].replica != ps[j].replica {
+			return ps[i].replica < ps[j].replica
+		}
+		return ps[i].start < ps[j].start
+	})
+	for i := 1; i < len(ps); i++ {
+		if a, b := &ps[i-1], &ps[i]; a.replica == b.replica && a.end > b.start {
+			return fmt.Errorf("simq: check overlap: replica %d is busy until %g with the pass begun at %g, yet begins another at %g",
+				a.replica, a.end, a.start, b.start)
+		}
+	}
+	return nil
+}
+
+func (r *Result) checkDrop() error {
+	for i := range r.Outcomes {
+		o := &r.Outcomes[i]
+		if !o.Dropped {
+			continue
+		}
+		echo := Outcome{ID: o.ID, Arrival: o.Arrival, Start: o.Start, Finish: o.Finish, E2ELatency: o.E2ELatency,
+			MinAccuracy: o.MinAccuracy, MaxLatency: o.MaxLatency, Replica: o.Replica,
+			class: o.class, model: o.model, policy: o.policy, Reason: o.Reason, Degraded: o.Degraded, Dropped: true}
+		if *o != echo {
+			return fmt.Errorf("simq: check drop: dropped outcome %d carries service fields: %+v", i, *o)
+		}
+	}
+	return nil
+}

@@ -1,0 +1,62 @@
+package simq
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestCheckBites proves Result.Check is evidence: each seeded fault — a
+// mutation of a good run's Result, the kind of slip an engine bug would
+// leave behind — turns exactly the one rule it breaks red.
+func TestCheckBites(t *testing.T) {
+	good := batchRun(t, Batching{MaxBatch: 4, Window: 0.01}, 160, 3)
+
+	// What the faults need from the fixture: a drop, a pass of several
+	// members, and a replica's pass with a later pass behind it.
+	dropped, member, earlier := -1, -1, -1
+	lastStart := map[uint16]float64{}
+	for _, o := range good.Outcomes {
+		lastStart[o.Replica] = max(lastStart[o.Replica], o.Start)
+	}
+	for i, o := range good.Outcomes {
+		switch {
+		case o.Dropped:
+			dropped = i
+		case o.Batch > 1:
+			member = i
+		}
+		if !o.Dropped && o.Start < lastStart[o.Replica] && earlier < 0 {
+			earlier = i
+		}
+	}
+	if dropped < 0 || member < 0 || earlier < 0 {
+		t.Fatalf("fixture lacks a drop (%d), a multi-member pass (%d) or a followed pass (%d)", dropped, member, earlier)
+	}
+
+	for _, f := range []struct {
+		rule  string
+		fault func(r *Result)
+	}{
+		{"conservation", func(r *Result) { r.Served++ }},
+		{"conservation", func(r *Result) { r.Outcomes[dropped].Reason = ReasonNone }},
+		{"order", func(r *Result) { r.Outcomes[member].Arrival = r.Outcomes[member].Start + 1 }},
+		{"flush", func(r *Result) { r.Outcomes[member].Row++ }},
+		{"flush", func(r *Result) { r.Outcomes[member].Batch-- }},
+		{"overlap", func(r *Result) { r.Outcomes[earlier].RecacheSec += 1e3 }},
+		{"drop", func(r *Result) { r.Outcomes[dropped].Latency = 1e-3 }},
+		{"drop", func(r *Result) { r.Outcomes[dropped].Batch = 1 }},
+	} {
+		bad := *good
+		bad.Outcomes = append([]Outcome(nil), good.Outcomes...)
+		f.fault(&bad)
+		err := bad.Check()
+		if err == nil {
+			t.Errorf("a %s fault went unnoticed", f.rule)
+			continue
+		}
+		red := err.(interface{ Unwrap() []error }).Unwrap()
+		if len(red) != 1 || !strings.HasPrefix(red[0].Error(), "simq: check "+f.rule+":") {
+			t.Errorf("a %s fault turned %d rules red, want that one alone:\n%v", f.rule, len(red), err)
+		}
+	}
+}

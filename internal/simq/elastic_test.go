@@ -84,11 +84,7 @@ func elasticFixtureRun(t *testing.T, reps []*serving.Replica, model string) *Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return checked(t, eng, qs)
 }
 
 // TestAutoscaleLifecycleScaleUpDown is the lifecycle happy path: the
@@ -267,38 +263,34 @@ func TestElasticDrainDropsCarryQueryEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := checked(t, eng, qs)
 	if res.ScaleDowns == 0 {
 		t.Fatal("no scale-down happened; the fixture no longer exercises drains")
 	}
 	drops, deadline := 0, 0
-	for i, o := range res.Outcomes {
+	for i := range res.Outcomes {
+		o := res.Timed(i)
 		if !o.Dropped {
 			continue
 		}
 		drops++
-		if o.Reason == ReasonDeadline {
+		if res.Outcomes[i].Reason == ReasonDeadline {
 			deadline++
 		}
-		if o.Served.Query.Model != model {
-			t.Errorf("outcome %d: dropped query lost its model echo (%q)", i, o.Served.Query.Model)
+		if o.Query.Model != model {
+			t.Errorf("outcome %d: dropped query lost its model echo (%q)", i, o.Query.Model)
 		}
-		if o.Served.Query.MaxLatency != qs[o.Served.Query.ID].MaxLatency {
-			t.Errorf("outcome %d: dropped query lost its budget echo (%g)", i, o.Served.Query.MaxLatency)
+		if o.Query.MaxLatency != qs[o.Query.ID].MaxLatency {
+			t.Errorf("outcome %d: dropped query lost its budget echo (%g)", i, o.Query.MaxLatency)
 		}
-		// The drop path writes the pooled Outcome slot in place; apart
-		// from the Query echo the Served half must be zero — any stale
-		// service field here means a recycled slot leaked a previous
-		// query's record.
-		if o.Served.SubNet != "" || o.Served.Latency != 0 || o.Served.Accuracy != 0 ||
-			o.Served.Batch != 0 || o.Served.HitBytes != 0 || o.Served.CacheSwapped {
-			t.Errorf("outcome %d: dropped query carries stale service fields: %+v", i, o.Served)
+		// Apart from the Query echo the Served half of a drop must be
+		// zero (Result.Check's drop rule holds the record to the same).
+		echo := serving.Served{Query: o.Query}
+		if o.Served != echo {
+			t.Errorf("outcome %d: dropped query carries service fields: %+v", i, o.Served)
 		}
-		if o.Batch != 0 || o.RecacheSec != 0 {
-			t.Errorf("outcome %d: dropped query carries stale batch/recache fields", i)
+		if res.Outcomes[i].Batch != 0 || res.Outcomes[i].RecacheSec != 0 {
+			t.Errorf("outcome %d: dropped query carries batch/recache fields", i)
 		}
 	}
 	if drops == 0 || deadline == 0 {

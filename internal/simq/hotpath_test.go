@@ -6,7 +6,9 @@ package simq
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"sushi/internal/sched"
 	"sushi/internal/serving"
@@ -199,4 +201,51 @@ func TestSteadyStateAllocsCohortStream(t *testing.T) {
 		t.Errorf("cohort steady state allocates %.0f per run (%.3f per query); want < 0.25 per query",
 			allocs, perQuery)
 	}
+}
+
+// TestMarginalQueryCost pins what one MORE query costs a warm engine,
+// where TestSteadyStateAllocs above divides a whole short run — result
+// skeleton, accumulators, scratch growth — by its length: the
+// difference in bytes allocated between a 64 000- and a 32 000-query
+// run, per added query, may exceed the Outcome record by at most 8
+// bytes. Both
+// runs are long enough that every 4 096-sample latency reservoir has
+// stopped growing, so the difference is the record and little else: at
+// the commit before the flat record this read 233.9 bytes (232 of them
+// the record) and 0.10 allocations per added query, every one of those
+// a cacheSnapshot from Replica.publishCache on a cache swap. A record
+// that grew back, or a per-query copy that escaped to the heap, fails
+// here; the allocation COUNT stays with the two tests above.
+func TestMarginalQueryCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	reps := newReplicas(t, 4)
+	budget := replicaLatHi(reps[0]) * 1.3
+	eng, err := New(reps, hotOptions(serving.NewRoundRobin(), budget/3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesFor := func(n int) float64 {
+		stream, err := workload.Poisson{Rate: 700}.Stream(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := eng.RunProcess(n, stream, func(i int, _ float64) sched.Query {
+			return sched.Query{ID: i, MaxLatency: budget}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const short, long = 32_000, 64_000
+	bytesFor(short) // warm caches, memos and scratch
+	perQuery := (bytesFor(long) - bytesFor(short)) / (long - short)
+	if limit := float64(unsafe.Sizeof(Outcome{}) + 8); perQuery > limit {
+		t.Errorf("one more query allocates %.1f bytes; want at most the %d-byte record + 8", perQuery, unsafe.Sizeof(Outcome{}))
+	}
+	t.Logf("%.1f bytes per added query (record %d)", perQuery, unsafe.Sizeof(Outcome{}))
 }

@@ -1,0 +1,244 @@
+package simq
+
+import (
+	"fmt"
+	"math"
+
+	"sushi/internal/sched"
+	"sushi/internal/serving"
+)
+
+// Outcome is one query's fate, as a flat, fixed-size record without a
+// single pointer: a Result's Outcomes slice is the run's memory, so it
+// is allocated as one block the collector never scans, and the runner
+// fills each record exactly once, in place (fill). Numbers are the
+// engine's float64s bit for bit; small integers are narrowed to widths
+// the engine checks a configuration against before it runs (see
+// checkWidths); strings (model, SLO class, SubNet name) are indices
+// into tables the Result owns. (*Result).Timed re-inflates a record
+// into the serving.TimedServed shape, strings and policy included.
+type Outcome struct {
+	// ID is the query's sequence number as the caller passed it.
+	ID int64
+	// Arrival, Start and Finish are absolute virtual instants. Members
+	// of one flush share Start and Finish: the batch is one accelerator
+	// pass. A dropped query has Start == Finish == the drop instant.
+	Arrival, Start, Finish float64
+	// E2ELatency is Finish - Arrival (queueing + service).
+	E2ELatency float64
+	// Latency, Accuracy, HitRatio, HitBytes and OffChipEnergyJ are the
+	// service outcome (serving.Served); zero for a dropped query.
+	Latency, Accuracy, HitRatio, OffChipEnergyJ float64
+	HitBytes                                    int64
+	// RecacheSec is the modeled cache-switch cost (virtual seconds) of
+	// the window-driven re-cache this query's completion triggered, 0
+	// otherwise. The cost extends the replica's busy interval — the next
+	// query on the replica starts no earlier than Finish+RecacheSec —
+	// but is excluded from this query's own E2ELatency. A batch flush
+	// charges at most one re-cache, carried by its last member.
+	RecacheSec float64
+	// MinAccuracy and MaxLatency echo the constraints the query was
+	// served under (after load-aware debiting or the degrade rewrite);
+	// a dropped query echoes them as it arrived.
+	MinAccuracy, MaxLatency float64
+	// Row is the served SubNet's table row.
+	Row uint16
+	// Replica is the replica index the router picked.
+	Replica uint16
+	// Batch is the micro-batch size the query was served in (1 for solo
+	// service, 0 for dropped queries).
+	Batch uint16
+	// class and model index the Result's class and model tables (class 0
+	// is unclassed traffic); policy is the per-query sched.Policy
+	// override, -1 for none; flags packs the five serving.Served
+	// booleans.
+	class  uint16
+	model  uint8
+	policy int8
+	flags  uint8
+	// Reason is ReasonNone for served queries.
+	Reason Reason
+	// Degraded reports the degrade-to-fastest escape valve fired.
+	Degraded bool
+	// Dropped reports the query was abandoned: its deadline passed
+	// before service could begin, or admission control rejected or shed
+	// it.
+	Dropped bool
+}
+
+// The serving.Served booleans, packed into Outcome.flags.
+const (
+	flagFeasible = 1 << iota
+	flagLatencyMet
+	flagAccuracyMet
+	flagCacheSwapped
+	flagRecached
+)
+
+// What the record's narrowed fields can hold. An engine refuses a
+// configuration that could exceed one (checkWidths, interner.admit)
+// instead of truncating it.
+const (
+	maxBatchMembers = math.MaxUint16     // Outcome.Batch
+	maxReplicas     = math.MaxUint16 + 1 // Outcome.Replica is an index
+	maxRows         = math.MaxUint16 + 1 // Outcome.Row is an index
+	maxModels       = math.MaxUint8 + 1  // Outcome.model is an index
+	maxClasses      = math.MaxUint16     // Outcome.class, 0 taken by "unclassed"
+)
+
+// checkWidths refuses a fleet or batch former whose counts the outcome
+// record cannot index.
+func checkWidths(replicas, models, rows int, b Batching) error {
+	for _, w := range []struct {
+		n, max int
+		what   string
+	}{
+		{replicas, maxReplicas, "replicas"},
+		{models, maxModels, "co-hosted models"},
+		{rows, maxRows, "frontier SubNets in one latency table"},
+	} {
+		if w.n > w.max {
+			return fmt.Errorf("simq: %d %s, but the outcome record indexes at most %d", w.n, w.what, w.max)
+		}
+	}
+	if b.Enabled() && b.MaxBatch > maxBatchMembers {
+		return fmt.Errorf("simq: Batching.MaxBatch %d, but the outcome record counts at most %d members", b.MaxBatch, maxBatchMembers)
+	}
+	return nil
+}
+
+// QueueDelay is Start - Arrival: the time the query waited before its
+// pass began (or before it was dropped).
+func (o *Outcome) QueueDelay() float64 { return o.Start - o.Arrival }
+
+// fill writes the fate of queued query j into its (still zero) record:
+// served by replica ri as s in a pass of n members over [start,
+// finish], or — s nil — dropped at start == finish for reason why. A
+// drop carries the query's echo and no service field.
+func (o *Outcome) fill(j *job, s *serving.Served, ri int, start, finish float64, why Reason, n int) {
+	q := &j.q
+	if s != nil {
+		q = &s.Query
+		o.Row = uint16(s.Row)
+		o.Latency, o.Accuracy, o.HitRatio = s.Latency, s.Accuracy, s.HitRatio
+		o.HitBytes, o.OffChipEnergyJ = s.HitBytes, s.OffChipEnergyJ
+		if s.Feasible {
+			o.flags |= flagFeasible
+		}
+		if s.LatencyMet {
+			o.flags |= flagLatencyMet
+		}
+		if s.AccuracyMet {
+			o.flags |= flagAccuracyMet
+		}
+		if s.CacheSwapped {
+			o.flags |= flagCacheSwapped
+		}
+		if s.Recached {
+			o.flags |= flagRecached
+		}
+	}
+	o.ID = int64(q.ID)
+	o.MinAccuracy, o.MaxLatency = q.MinAccuracy, q.MaxLatency
+	o.policy = -1
+	if q.Policy != nil {
+		o.policy = int8(*q.Policy)
+	}
+	o.Arrival, o.Start, o.Finish = j.arrival, start, finish
+	o.E2ELatency = finish - j.arrival
+	o.Replica, o.Batch = uint16(ri), uint16(n)
+	o.class, o.model = j.class, j.model
+	o.Reason, o.Degraded, o.Dropped = why, j.degraded, s == nil
+}
+
+// Timed re-inflates record i into the serving.TimedServed shape
+// simq.ServeTimed returns: the query echo with its model id, SLO class
+// and policy override, the served SubNet's name, and QueueDelay.
+func (r *Result) Timed(i int) serving.TimedServed {
+	o := &r.Outcomes[i]
+	t := serving.TimedServed{
+		Served: serving.Served{
+			Query: sched.Query{
+				ID:          int(o.ID),
+				Model:       r.models[o.model],
+				MinAccuracy: o.MinAccuracy,
+				MaxLatency:  o.MaxLatency,
+			},
+			Row:            int(o.Row),
+			Latency:        o.Latency,
+			Accuracy:       o.Accuracy,
+			Feasible:       o.flags&flagFeasible != 0,
+			LatencyMet:     o.flags&flagLatencyMet != 0,
+			AccuracyMet:    o.flags&flagAccuracyMet != 0,
+			CacheSwapped:   o.flags&flagCacheSwapped != 0,
+			Recached:       o.flags&flagRecached != 0,
+			HitRatio:       o.HitRatio,
+			HitBytes:       o.HitBytes,
+			OffChipEnergyJ: o.OffChipEnergyJ,
+		},
+		Arrival: o.Arrival, Start: o.Start, Finish: o.Finish,
+		QueueDelay: o.QueueDelay(), E2ELatency: o.E2ELatency,
+		Dropped: o.Dropped,
+	}
+	if o.class > 0 {
+		t.Query.Class = r.classes[o.class-1]
+	}
+	if o.policy >= 0 {
+		p := sched.Policy(o.policy)
+		t.Query.Policy = &p
+	}
+	if !o.Dropped {
+		t.SubNet = r.subnets[o.model][o.Row]
+	}
+	if o.Batch > 1 {
+		// serving.Served.Batch is 0 for a solo pass.
+		t.Batch = int(o.Batch)
+	}
+	return t
+}
+
+// interner resolves each arriving query's strings to the indices its
+// outcome record will carry: the model against the engine's fixed
+// tenant list, the SLO class against a table grown in first-appearance
+// order (so two runs of one stream build equal tables).
+type interner struct {
+	e       *Engine
+	classes []string
+	byClass map[string]uint16
+}
+
+// admit normalizes j's model id to the tenant's canonical name and sets
+// its model and class indices. It refuses what the engine or the record
+// cannot represent: a model no replica hosts, a policy override the
+// scheduler does not know, one SLO class too many.
+func (in *interner) admit(j *job) error {
+	q := &j.q
+	if q.Model != "" {
+		mi, ok := in.e.modelIdx[q.Model]
+		if !ok {
+			return &serving.UnknownModelError{Model: q.Model, Have: in.e.models}
+		}
+		j.model = mi
+	}
+	q.Model = in.e.models[j.model]
+	if p := q.Policy; p != nil && !p.Valid() {
+		return fmt.Errorf("simq: query %d: unknown policy %v", q.ID, *p)
+	}
+	if q.Class == "" {
+		return nil
+	}
+	ci, ok := in.byClass[q.Class]
+	if !ok {
+		if len(in.classes) == maxClasses {
+			return fmt.Errorf("simq: query %d brings SLO class %q, but the outcome record indexes at most %d distinct classes", q.ID, q.Class, maxClasses)
+		}
+		if in.byClass == nil {
+			in.byClass = make(map[string]uint16)
+		}
+		in.classes = append(in.classes, q.Class)
+		ci = uint16(len(in.classes))
+		in.byClass[q.Class] = ci
+	}
+	j.class = ci
+	return nil
+}

@@ -1,0 +1,218 @@
+package simq
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"sushi/internal/sched"
+	"sushi/internal/serving"
+)
+
+// TestOutcomeLayout pins the two properties Result.Outcomes' cost rests
+// on: the record stays within 128 bytes, and it holds no pointer of any
+// kind, so the slice is one allocation the collector never scans. A
+// field added as a string fails here, not in a heap profile.
+func TestOutcomeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Outcome{}); size > 128 {
+		t.Errorf("Outcome is %d bytes; the record's budget is 128", size)
+	}
+	typ := reflect.TypeOf(Outcome{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch k := f.Type.Kind(); k {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("Outcome.%s is a %v: the record must stay flat and pointer-free (intern strings in the Result's tables)", f.Name, k)
+		}
+	}
+}
+
+// twoTenantEngine is a hand-made engine skeleton, enough for the
+// interner and Result.Timed: two co-hosted models with their own
+// frontiers, no replicas behind them.
+func twoTenantEngine() *Engine {
+	return &Engine{
+		models:   []string{"resnet50", "mobilenetv3"},
+		modelIdx: map[string]uint8{"resnet50": 0, "mobilenetv3": 1},
+		subnets:  [][]string{{"r0", "r1", "r2"}, {"m0", "m1"}},
+	}
+}
+
+// TestOutcomeRoundTrip sends hand-made queue entries and service
+// outcomes through the two functions the runner records with —
+// interner.admit as the query arrives, Outcome.fill when its fate is
+// known — and reads them back through Result.Timed, field for field.
+func TestOutcomeRoundTrip(t *testing.T) {
+	pol := func(p sched.Policy) *sched.Policy { return &p }
+	type row struct {
+		name string
+		q    sched.Query
+		// served is the service outcome (nil = dropped); its Query is
+		// filled from the admitted query unless rewrite says otherwise.
+		served *serving.Served
+		// rewrite is what the replica did to the echo before serving it:
+		// load-aware debiting or the degrade override.
+		rewrite  func(q *sched.Query)
+		degraded bool
+		why      Reason
+		n        int
+		// wantModel is the canonical model id the echo must carry.
+		wantModel string
+	}
+	rows := []row{
+		{name: "negative id, default model, solo",
+			q:      sched.Query{ID: -7, MinAccuracy: 71.5, MaxLatency: 9e-3},
+			served: &serving.Served{SubNet: "r2", Row: 2, Latency: 4e-3, Accuracy: 78.25, Feasible: true, AccuracyMet: true, HitRatio: 0.75, HitBytes: 1 << 33, OffChipEnergyJ: 2.5e-4},
+			n:      1, wantModel: "resnet50"},
+		{name: "id above 2^31, named model, batched",
+			q:      sched.Query{ID: 1<<40 + 3, Model: "mobilenetv3", Class: "gold", MaxLatency: 5e-3},
+			served: &serving.Served{SubNet: "m1", Row: 1, Latency: 6e-3, Accuracy: 75, LatencyMet: true, CacheSwapped: true, Recached: true, Batch: 4, HitRatio: 1},
+			n:      4, wantModel: "mobilenetv3"},
+		{name: "policy strict-accuracy", q: sched.Query{ID: 1, Policy: pol(sched.StrictAccuracy)},
+			served: &serving.Served{SubNet: "r0", Latency: 1e-3}, n: 1, wantModel: "resnet50"},
+		{name: "policy strict-latency", q: sched.Query{ID: 2, Policy: pol(sched.StrictLatency)},
+			served: &serving.Served{SubNet: "r0", Latency: 1e-3}, n: 1, wantModel: "resnet50"},
+		{name: "policy min-energy", q: sched.Query{ID: 3, Policy: pol(sched.MinEnergy)},
+			served: &serving.Served{SubNet: "r0", Latency: 1e-3}, n: 1, wantModel: "resnet50"},
+		{name: "debited budget echoes as served",
+			q:       sched.Query{ID: 4, MaxLatency: 8e-3},
+			served:  &serving.Served{SubNet: "r1", Row: 1, Latency: 2e-3},
+			rewrite: func(q *sched.Query) { q.MaxLatency = 3e-3 },
+			n:       1, wantModel: "resnet50"},
+		{name: "degrade override pointer",
+			q:      sched.Query{ID: 5, MinAccuracy: 77, MaxLatency: 8e-3},
+			served: &serving.Served{SubNet: "r0", Latency: 1e-3, Feasible: true},
+			rewrite: func(q *sched.Query) {
+				q.MinAccuracy, q.MaxLatency, q.Policy = 0, 1e-3, pol(sched.StrictLatency)
+			},
+			degraded: true, n: 1, wantModel: "resnet50"},
+		{name: "dropped: echo only",
+			q:        sched.Query{ID: 6, Model: "mobilenetv3", Class: "batch", MinAccuracy: 70, MaxLatency: 4e-3, Policy: pol(sched.MinEnergy)},
+			degraded: true, why: ReasonShed, wantModel: "mobilenetv3"},
+	}
+	for i := 0; i < 300; i++ {
+		// More classes than a byte indexes, each distinct.
+		rows = append(rows, row{name: fmt.Sprintf("class %d", i),
+			q:   sched.Query{ID: 100 + i, Class: fmt.Sprintf("class-%03d", i)},
+			why: ReasonRejected, wantModel: "resnet50"})
+	}
+
+	eng := twoTenantEngine()
+	in := &interner{e: eng}
+	res := &Result{Outcomes: make([]Outcome, len(rows)), models: eng.models, subnets: eng.subnets}
+	want := make([]serving.TimedServed, len(rows))
+	for i, r := range rows {
+		arrival, start := float64(i), float64(i)+0.25
+		j := job{q: r.q, arrival: arrival, idx: i, degraded: r.degraded}
+		if err := in.admit(&j); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if j.q.Model != r.wantModel {
+			t.Fatalf("%s: admitted as model %q, want %q", r.name, j.q.Model, r.wantModel)
+		}
+		finish := start
+		w := serving.TimedServed{Served: serving.Served{Query: j.q}, Dropped: true}
+		if r.served != nil {
+			s := *r.served
+			s.Query = j.q
+			if r.rewrite != nil {
+				r.rewrite(&s.Query)
+			}
+			finish = start + s.Latency
+			res.Outcomes[i].fill(&j, &s, 3, start, finish, ReasonNone, r.n)
+			w = serving.TimedServed{Served: s}
+		} else {
+			res.Outcomes[i].fill(&j, nil, 3, start, finish, r.why, 0)
+		}
+		w.Arrival, w.Start, w.Finish = arrival, start, finish
+		w.QueueDelay, w.E2ELatency = start-arrival, finish-arrival
+		want[i] = w
+	}
+	res.classes = in.classes
+	if len(res.classes) != 302 {
+		t.Fatalf("interned %d classes, want 302", len(res.classes))
+	}
+	for i, r := range rows {
+		got := res.Timed(i)
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s: Timed came back\n%+v (policy %v)\nwant\n%+v (policy %v)", r.name,
+				got, policyOf(got), want[i], policyOf(want[i]))
+		}
+		o := res.Outcomes[i]
+		if o.Replica != 3 || o.Reason != r.why || o.Degraded != r.degraded || int(o.Batch) != r.n || o.ID != int64(r.q.ID) {
+			t.Errorf("%s: record %+v lost a direct field", r.name, o)
+		}
+	}
+}
+
+func policyOf(ts serving.TimedServed) string {
+	if ts.Query.Policy == nil {
+		return "none"
+	}
+	return ts.Query.Policy.String()
+}
+
+// TestOutcomeWidthLimits: every narrowed field of the record has a
+// limit, and a configuration or stream past one is refused with an
+// error that names it — never truncated.
+func TestOutcomeWidthLimits(t *testing.T) {
+	batched := func(b int) Batching { return Batching{MaxBatch: b, Window: 1e-3} }
+	for _, c := range []struct {
+		name                   string
+		replicas, models, rows int
+		b                      Batching
+		want                   string
+	}{
+		{"at every limit", maxReplicas, maxModels, maxRows, batched(maxBatchMembers), ""},
+		{"a huge batch size that never batches", 1, 1, 1, Batching{MaxBatch: 1 << 30}, ""},
+		{"fleet size against Replica", maxReplicas + 1, 1, 7, Batching{}, "65537 replicas"},
+		{"tenant count against the model index", 4, maxModels + 1, 7, Batching{}, "257 co-hosted models"},
+		{"frontier length against Row", 4, 2, maxRows + 1, Batching{}, "65537 frontier SubNets"},
+		{"Batching.MaxBatch against Batch", 4, 2, 7, batched(maxBatchMembers + 1), "Batching.MaxBatch 65536"},
+	} {
+		err := checkWidths(c.replicas, c.models, c.rows, c.b)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: refused: %v", c.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+
+	// New is where the fleet and batch-former limits bite.
+	reps := newReplicas(t, 1)
+	if _, err := New(reps, Options{Batching: batched(maxBatchMembers + 1)}); err == nil || !strings.Contains(err.Error(), "Batching.MaxBatch") {
+		t.Errorf("New accepted a batch size the record cannot count: %v", err)
+	}
+	fleet := make([]*serving.Replica, maxReplicas+1)
+	for i := range fleet {
+		fleet[i] = reps[0]
+	}
+	if _, err := New(fleet, Options{}); err == nil || !strings.Contains(err.Error(), "replicas") {
+		t.Errorf("New accepted a fleet the record cannot index: %v", err)
+	}
+
+	// Distinct classes against the class index, and a policy override
+	// outside the scheduler's set, are refused as the query arrives.
+	in := &interner{e: twoTenantEngine()}
+	for i := 0; i < maxClasses; i++ {
+		if err := in.admit(&job{q: sched.Query{ID: i, Class: fmt.Sprintf("c%d", i)}}); err != nil {
+			t.Fatalf("class %d of %d refused: %v", i+1, maxClasses, err)
+		}
+	}
+	if err := in.admit(&job{q: sched.Query{Class: "c0"}}); err != nil {
+		t.Errorf("a known class refused at the limit: %v", err)
+	}
+	if err := in.admit(&job{q: sched.Query{ID: 9, Class: "one too many"}}); err == nil || !strings.Contains(err.Error(), "65535 distinct classes") {
+		t.Errorf("class %d accepted: %v", maxClasses+1, err)
+	}
+	bad := sched.Policy(300)
+	if err := in.admit(&job{q: sched.Query{ID: 9, Policy: &bad}}); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+		t.Errorf("policy %v accepted: %v", bad, err)
+	}
+}

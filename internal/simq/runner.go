@@ -10,15 +10,16 @@ import (
 
 // arrivalSource feeds the runner its time-ordered arrival stream. The
 // two implementations are sliceSource (a materialized, validated,
-// model-normalized stream — the Run path) and processSource (arrivals
-// drawn lazily from a workload stream — the RunProcess path).
+// interned stream — the Run path) and processSource (arrivals drawn
+// lazily from a workload stream — the RunProcess path).
 type arrivalSource interface {
 	// peek returns the next arrival instant without consuming it (+Inf
 	// when exhausted or failed).
 	peek() float64
-	// next consumes the next arrival: the timed query and its index in
-	// the result's Outcomes.
-	next() (tq serving.TimedQuery, idx int)
+	// next consumes the next arrival. The job is the source's own and
+	// stays valid until the following next; the runner copies it into a
+	// replica queue.
+	next() *job
 	// err reports a mid-stream generation failure (lazy sources only).
 	err() error
 	// span reports the first and last consumed arrival instants and the
@@ -28,46 +29,46 @@ type arrivalSource interface {
 
 // sliceSource streams a materialized arrival-ordered slice.
 type sliceSource struct {
-	qs []serving.TimedQuery
-	i  int
+	jobs []job
+	i    int
 }
 
 func (s *sliceSource) peek() float64 {
-	if s.i >= len(s.qs) {
+	if s.i >= len(s.jobs) {
 		return math.Inf(1)
 	}
-	return s.qs[s.i].Arrival
+	return s.jobs[s.i].arrival
 }
 
-func (s *sliceSource) next() (serving.TimedQuery, int) {
-	idx := s.i
+func (s *sliceSource) next() *job {
+	j := &s.jobs[s.i]
 	s.i++
-	return s.qs[idx], idx
+	return j
 }
 
 func (s *sliceSource) err() error { return nil }
 
 func (s *sliceSource) span() (float64, float64, int) {
-	if len(s.qs) == 0 {
+	if len(s.jobs) == 0 {
 		return 0, 0, 0
 	}
-	return s.qs[0].Arrival, s.qs[len(s.qs)-1].Arrival, len(s.qs)
+	return s.jobs[0].arrival, s.jobs[len(s.jobs)-1].arrival, len(s.jobs)
 }
 
 // processSource draws arrivals lazily from a generator stream, minting
-// and model-normalizing each query at its arrival instant. Invalid
-// draws (NaN, infinite, negative, decreasing) fail the run mid-stream;
-// earlier queries have already mutated replica cache state by then,
-// which is the documented price of laziness.
+// and interning each query at its arrival instant. Invalid draws (NaN,
+// infinite, negative, decreasing) and queries the interner refuses fail
+// the run mid-stream; earlier queries have already mutated replica
+// cache state by then, which is the documented price of laziness.
 type processSource struct {
 	n    int
 	i    int
 	draw func() (float64, bool)
 	mk   func(i int, t float64) sched.Query
-	rep0 *serving.Replica
+	in   *interner
 
 	buffered    bool
-	buf         serving.TimedQuery
+	buf         job
 	prev        float64
 	first, last float64
 	e           error
@@ -91,18 +92,18 @@ func (s *processSource) fill() {
 		return
 	}
 	s.prev = t
-	q := s.mk(s.i, t)
-	m, ok := s.rep0.CanonicalModel(q.Model)
-	if !ok {
-		s.e = &serving.UnknownModelError{Model: q.Model, Have: s.rep0.Models()}
+	// Field by field, in place: a job literal is built on the stack and
+	// copied over.
+	j := &s.buf
+	j.q, j.arrival, j.idx = s.mk(s.i, t), t, s.i
+	j.class, j.model, j.degraded = 0, 0, false
+	if s.e = s.in.admit(j); s.e != nil {
 		return
 	}
-	q.Model = m
 	if s.i == 0 {
 		s.first = t
 	}
 	s.last = t
-	s.buf = serving.TimedQuery{Query: q, Arrival: t}
 	s.buffered = true
 }
 
@@ -111,14 +112,13 @@ func (s *processSource) peek() float64 {
 	if !s.buffered {
 		return math.Inf(1)
 	}
-	return s.buf.Arrival
+	return s.buf.arrival
 }
 
-func (s *processSource) next() (serving.TimedQuery, int) {
-	idx := s.i
+func (s *processSource) next() *job {
 	s.i++
 	s.buffered = false
-	return s.buf, idx
+	return &s.buf
 }
 
 func (s *processSource) err() error { return s.e }
@@ -146,8 +146,9 @@ type runner struct {
 	batching bool
 	maxB     int
 
-	// scratch, reused across flushes
-	batch []job
+	// scratch, reused across flushes; batch points into the flushing
+	// replica's queue
+	batch []*job
 	qbuf  []sched.Query
 	obuf  []sched.Query
 	sbuf  []serving.Served
@@ -192,24 +193,12 @@ func (r *runner) maybeRetire(ri int, now float64) {
 	st.onTotal += now - st.onSince
 }
 
-// drop records a refused/abandoned query directly into its pooled
-// Outcome slot — the Served half stays zero apart from the query echo
-// (per-model accounting needs the model id of dropped queries too), and
-// no fresh echo is allocated per event.
-func (r *runner) drop(ri int, j job, now float64, why Reason) {
-	wait := now - j.arrival
-	o := &r.res.Outcomes[j.idx]
-	*o = Outcome{
-		TimedServed: serving.TimedServed{
-			Served:  serving.Served{Query: j.q},
-			Arrival: j.arrival, Start: now, Finish: now,
-			QueueDelay: wait, E2ELatency: wait, Dropped: true,
-		},
-		Replica:  ri,
-		Reason:   why,
-		Degraded: j.degraded,
-	}
-	r.accs[ri].AddTimed(o.TimedServed)
+// drop records a refused/abandoned query into its Outcome slot and its
+// replica's accumulator: the echo only (per-model and per-class
+// accounting need the labels of dropped queries too), no service field.
+func (r *runner) drop(ri int, j *job, now float64, why Reason) {
+	r.res.Outcomes[j.idx].fill(j, nil, ri, now, now, why, 0)
+	r.accs[ri].AddDropped(j.q.Model, j.q.Class, j.arrival, now)
 	if r.ctl != nil {
 		// Policies see drops as resolved-with-miss: the strongest
 		// scale-up signal there is.
@@ -220,8 +209,8 @@ func (r *runner) drop(ri int, j job, now float64, why Reason) {
 // keyFor computes the batch-former compatibility key for a queued query
 // as it would be served now (after load-aware debiting — that is the
 // query the scheduler will actually see).
-func (r *runner) keyFor(ri int, j job, wait float64) batchKey {
-	k := batchKey{model: j.q.Model, degraded: j.degraded, policy: -1, row: -1}
+func (r *runner) keyFor(ri int, j *job, wait float64) batchKey {
+	k := batchKey{model: j.model, degraded: j.degraded, policy: -1, row: -1}
 	if j.q.Policy != nil {
 		k.policy = int(*j.q.Policy)
 	}
@@ -259,16 +248,18 @@ func (r *runner) flush(ri int, now float64) error {
 				return nil
 			}
 		}
-		// Pop the batch: the longest compatible prefix, up to B.
-		// Deadline-expired queries drop as they surface, exactly as
-		// the unbatched loop dropped them at service start.
+		// Pick the batch in place: the longest compatible prefix, up to
+		// B. Deadline-expired queries drop as they surface, exactly as
+		// the unbatched loop dropped them at service start. k runs one
+		// past the last entry consumed; the entries leave the queue once
+		// their outcomes are recorded.
 		r.batch = r.batch[:0]
 		var headKey batchKey
-		for len(r.batch) < r.maxB && st.qlen() > 0 {
-			j := st.qfront()
+		k := st.qhead
+		for ; len(r.batch) < r.maxB && k < len(st.queue); k++ {
+			j := &st.queue[k]
 			wait := now - j.arrival
-			if r.e.opt.Drop && j.budget > 0 && j.budget-wait <= 0 {
-				st.qpop()
+			if budget := j.q.MaxLatency; r.e.opt.Drop && budget > 0 && budget-wait <= 0 {
 				r.e.reps[ri].Release()
 				r.drop(ri, j, now, ReasonDeadline)
 				continue
@@ -281,12 +272,12 @@ func (r *runner) flush(ri int, now float64) error {
 					break
 				}
 			}
-			st.qpop()
 			r.batch = append(r.batch, j)
 		}
 		if len(r.batch) == 0 {
 			// Drops consumed the head; re-evaluate the window against
 			// the new head.
+			st.qdiscard(k)
 			continue
 		}
 
@@ -316,28 +307,18 @@ func (r *runner) flush(ri int, now float64) error {
 		}
 		// Every member shares the pass: one start, one finish.
 		finish := now + served[0].Latency
-		for i := range r.batch {
-			j := &r.batch[i]
-			s := served[i]
+		for i, j := range r.batch {
+			s := &served[i]
 			e2e := finish - j.arrival
 			// SLO attainment for open-loop serving judges end-to-end
 			// time against the original budget.
-			s.LatencyMet = j.budget <= 0 || e2e <= j.budget
+			s.LatencyMet = j.q.MaxLatency <= 0 || e2e <= j.q.MaxLatency
 			o := &r.res.Outcomes[j.idx]
-			*o = Outcome{
-				TimedServed: serving.TimedServed{
-					Served:  s,
-					Arrival: j.arrival, Start: now, Finish: finish,
-					QueueDelay: now - j.arrival, E2ELatency: e2e,
-				},
-				Replica:  ri,
-				Degraded: j.degraded,
-				Batch:    n,
-			}
+			o.fill(j, s, ri, now, finish, ReasonNone, n)
 			if i == n-1 {
 				o.RecacheSec = recache
 			}
-			r.accs[ri].AddTimed(o.TimedServed)
+			r.accs[ri].AddOpenLoop(s, j.arrival, finish, now-j.arrival, e2e)
 			r.res.ReplicaQueries[ri]++
 			if r.ctl != nil {
 				r.ctl.resolved++
@@ -346,6 +327,7 @@ func (r *runner) flush(ri int, now float64) error {
 				}
 			}
 		}
+		st.qdiscard(k)
 		if r.batching {
 			r.accs[ri].ObserveBatch(n)
 		}
@@ -357,12 +339,11 @@ func (r *runner) flush(ri int, now float64) error {
 }
 
 // arrive routes one arrival against the admitting set and admits it.
-func (r *runner) arrive(tq serving.TimedQuery, idx int) error {
-	j := job{q: tq.Query, arrival: tq.Arrival, budget: tq.MaxLatency, idx: idx}
+func (r *runner) arrive(j *job) error {
 	if r.ctl != nil {
 		r.ctl.arrivals++
 	}
-	ri := r.e.router.Pick(tq.Query, r.admit)
+	ri := r.e.router.Pick(j.q, r.admit)
 	if ri < 0 || ri >= len(r.admit) {
 		ri = 0
 	}
@@ -373,12 +354,12 @@ func (r *runner) arrive(tq serving.TimedQuery, idx int) error {
 	if st.busy && r.e.opt.QueueCap > 0 && st.qlen() >= r.e.opt.QueueCap {
 		switch r.e.opt.Admission {
 		case Reject:
-			r.drop(ri, j, tq.Arrival, ReasonRejected)
+			r.drop(ri, j, j.arrival, ReasonRejected)
 			return nil
 		case ShedOldest:
-			old := st.qpop()
 			r.e.reps[ri].Release()
-			r.drop(ri, old, tq.Arrival, ReasonShed)
+			r.drop(ri, st.qfront(), j.arrival, ReasonShed)
+			st.qdiscard(st.qhead + 1)
 		case Degrade:
 			j.degraded = true
 		}
@@ -386,7 +367,7 @@ func (r *runner) arrive(tq serving.TimedQuery, idx int) error {
 	r.e.reps[ri].Reserve()
 	st.qpush(j)
 	if !st.busy {
-		return r.flush(ri, tq.Arrival)
+		return r.flush(ri, j.arrival)
 	}
 	return nil
 }

@@ -39,6 +39,7 @@ package simq
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sushi/internal/autoscale"
@@ -161,7 +162,7 @@ type Options struct {
 }
 
 // Reason classifies why a query was dropped.
-type Reason int
+type Reason uint8
 
 const (
 	// ReasonNone marks a served query.
@@ -190,33 +191,10 @@ func (r Reason) String() string {
 	}
 }
 
-// Outcome is one query's fate: the timed service record, the replica
-// that handled (or refused) it, the drop reason, and whether admission
-// control degraded it to the fastest SubNet.
-type Outcome struct {
-	serving.TimedServed
-	// Replica is the replica index the router picked.
-	Replica int
-	// Reason is ReasonNone for served queries.
-	Reason Reason
-	// Degraded reports the degrade-to-fastest escape valve fired.
-	Degraded bool
-	// RecacheSec is the modeled cache-switch cost (virtual seconds) of
-	// the window-driven re-cache this query's completion triggered, 0
-	// otherwise. The cost extends the replica's busy interval — the next
-	// query on the replica starts no earlier than Finish+RecacheSec —
-	// but is excluded from this query's own E2ELatency. A batch flush
-	// charges at most one re-cache, carried by its last member.
-	RecacheSec float64
-	// Batch is the micro-batch size the query was served in (1 for solo
-	// service, 0 for dropped queries). Members of one flush share Start
-	// and Finish: the batch is one accelerator pass.
-	Batch int
-}
-
 // Result aggregates one open-loop run.
 type Result struct {
-	// Outcomes align with the arrival-sorted input stream.
+	// Outcomes align with the arrival-sorted input stream. The records
+	// are flat (see Outcome); Timed(i) re-inflates one with its strings.
 	Outcomes []Outcome
 	// Summary folds every replica's engine accumulator: service and E2E
 	// percentiles, SLO attainment, goodput, drop counts.
@@ -247,6 +225,14 @@ type Result struct {
 	ReplicaSeconds       float64
 	// Router names the dispatch policy used.
 	Router string
+
+	// The intern tables Outcome's indices point into: the fleet's model
+	// ids in tenant order, each model's SubNet names by table row (both
+	// the engine's, shared by its runs), and the run's named SLO classes
+	// in first-appearance order (Outcome.class k > 0 is classes[k-1]).
+	models  []string
+	subnets [][]string
+	classes []string
 }
 
 // Engine is a virtual-time discrete-event simulator over replica
@@ -258,6 +244,14 @@ type Engine struct {
 	reps   []*serving.Replica
 	router serving.Router
 	opt    Options
+
+	// models, modelIdx and subnets are replica 0's tenant list, its
+	// inverse, and each tenant's SubNet names by table row: every replica
+	// hosts the same tenants over the same frontiers (New checks), so
+	// replica 0 speaks for the fleet. Immutable after New.
+	models   []string
+	modelIdx map[string]uint8
+	subnets  [][]string
 }
 
 // New builds an engine over the given replicas.
@@ -294,7 +288,46 @@ func New(reps []*serving.Replica, opt Options) (*Engine, error) {
 	if router == nil {
 		router = serving.NewRoundRobin()
 	}
-	return &Engine{reps: reps, router: router, opt: opt}, nil
+	e := &Engine{reps: reps, router: router, opt: opt}
+	if err := e.internFleet(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// internFleet builds the engine's model and SubNet-name tables from
+// replica 0 and refuses a fleet the outcome record cannot describe: one
+// wider than the record's indices, or one whose other replicas host
+// different tenants or frontiers (a record names its SubNet by model
+// and row alone).
+func (e *Engine) internFleet() error {
+	rows := 0
+	for ri, rep := range e.reps {
+		var models []string
+		var names [][]string
+		rep.InspectTenants(func(model string, _ int64, sys *serving.System) {
+			sns := sys.Table().SubNets
+			ns := make([]string, len(sns))
+			for i, sn := range sns {
+				ns[i] = sn.Name
+			}
+			models, names = append(models, model), append(names, ns)
+			rows = max(rows, len(ns))
+		})
+		if ri == 0 {
+			e.models, e.subnets = models, names
+		} else if !slices.Equal(models, e.models) || !slices.EqualFunc(names, e.subnets, slices.Equal[[]string]) {
+			return fmt.Errorf("simq: replica %d hosts other models or frontiers than replica 0 (%v)", ri, e.models)
+		}
+	}
+	if err := checkWidths(len(e.reps), len(e.models), rows, e.opt.Batching); err != nil {
+		return err
+	}
+	e.modelIdx = make(map[string]uint8, len(e.models))
+	for i, m := range e.models {
+		e.modelIdx[m] = uint8(i)
+	}
+	return nil
 }
 
 // FromCluster builds an engine over a cluster's replicas.
@@ -318,13 +351,17 @@ func NewSingle(sys *serving.System, opt Options) (*Engine, error) {
 	return New([]*serving.Replica{rep}, opt)
 }
 
-// job is one admitted query waiting in (or at the head of) a replica
-// queue.
+// job is one query on its way through the engine: minted by the arrival
+// source, copied once into a replica queue, and read there in place
+// until its outcome is recorded. q stays as the query arrived (its
+// MaxLatency is the budget end-to-end latency is judged against);
+// model and class are the outcome record's indices for q's strings.
 type job struct {
 	q        sched.Query
 	arrival  float64
-	budget   float64
 	idx      int
+	class    uint16
+	model    uint8
 	degraded bool
 }
 
@@ -332,7 +369,8 @@ type job struct {
 // head-indexed slice reused for the whole run: pops advance qhead, a
 // push compacts the live region down before appending when the backing
 // array is full, so steady-state queue churn allocates nothing once
-// capacity has grown to the high-water mark.
+// capacity has grown to the high-water mark. Dead slots keep their last
+// entry until a push overwrites it; the queue dies with the run.
 type replicaState struct {
 	queue  []job
 	qhead  int
@@ -360,31 +398,25 @@ type replicaState struct {
 // qlen is the number of queued (not in-flight) queries.
 func (st *replicaState) qlen() int { return len(st.queue) - st.qhead }
 
-// qfront peeks the head of the FIFO.
-func (st *replicaState) qfront() job { return st.queue[st.qhead] }
+// qfront is the head of the FIFO, in place.
+func (st *replicaState) qfront() *job { return &st.queue[st.qhead] }
 
-// qpop removes and returns the head.
-func (st *replicaState) qpop() job {
-	j := st.queue[st.qhead]
-	st.queue[st.qhead] = job{} // drop the Query echo so the slot retains nothing
-	st.qhead++
+// qdiscard removes the queue's entries before absolute index k.
+func (st *replicaState) qdiscard(k int) {
+	st.qhead = k
 	if st.qhead == len(st.queue) {
 		st.queue, st.qhead = st.queue[:0], 0
 	}
-	return j
 }
 
-// qpush appends to the tail, compacting the live region first when the
-// backing array is full but has dead head slots.
-func (st *replicaState) qpush(j job) {
+// qpush appends a copy of j to the tail, compacting the live region
+// first when the backing array is full but has dead head slots.
+func (st *replicaState) qpush(j *job) {
 	if st.qhead > 0 && len(st.queue) == cap(st.queue) {
 		n := copy(st.queue, st.queue[st.qhead:])
-		for i := n; i < len(st.queue); i++ {
-			st.queue[i] = job{}
-		}
 		st.queue, st.qhead = st.queue[:n], 0
 	}
-	st.queue = append(st.queue, j)
+	st.queue = append(st.queue, *j)
 }
 
 // batchKey is the engine's batch-former compatibility key: two queued
@@ -393,9 +425,8 @@ func (st *replicaState) qpush(j job) {
 // and would be served the same SubNet under the same effective policy
 // and degrade status.
 type batchKey struct {
-	// model is the query's canonical model id ("" on single-model
-	// deployments; normalized during upfront stream validation).
-	model    string
+	// model is the query's model index (job.model).
+	model    uint8
 	degraded bool
 	// policy is the per-query override (-1 = replica default).
 	policy int
@@ -423,35 +454,35 @@ func Stream(qs []sched.Query, arrivals []float64) ([]serving.TimedQuery, error) 
 // whole stream is validated before any query is served, so invalid
 // input has no side effects on accelerator state.
 func (e *Engine) Run(qs []serving.TimedQuery) (*Result, error) {
-	for _, tq := range qs {
+	jobs := make([]job, len(qs))
+	for i := range qs {
 		// Arrivals must be finite and non-negative: a NaN breaks the
 		// sort, a +Inf arrival would end the event loop with the query
 		// forever pending yet counted as served.
-		if math.IsNaN(tq.Arrival) || math.IsInf(tq.Arrival, 0) || tq.Arrival < 0 {
-			return nil, fmt.Errorf("simq: invalid arrival %g for query %d", tq.Arrival, tq.ID)
+		if t := qs[i].Arrival; math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+			return nil, fmt.Errorf("simq: invalid arrival %g for query %d", t, qs[i].ID)
 		}
-	}
-	ordered := make([]serving.TimedQuery, len(qs))
-	copy(ordered, qs)
-	// Normalize model ids upfront (every replica hosts the same tenant
-	// set, so replica 0 speaks for the fleet): an unknown model rejects
-	// the whole stream before any query is served — no side effects on
-	// accelerator state — and batch keys, per-model accumulator buckets
-	// and degrade budgets all see canonical ids.
-	for i := range ordered {
-		m, ok := e.reps[0].CanonicalModel(ordered[i].Model)
-		if !ok {
-			return nil, &serving.UnknownModelError{Model: ordered[i].Model, Have: e.reps[0].Models()}
-		}
-		ordered[i].Model = m
+		jobs[i] = job{q: qs[i].Query, arrival: qs[i].Arrival}
 	}
 	// Every generated arrival process yields non-decreasing instants;
 	// one linear pass detects that and skips the sort (trace replay
 	// stays correct: an out-of-order trace still sorts).
-	if !nonDecreasing(ordered) {
-		sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
+	if !nonDecreasing(jobs) {
+		sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].arrival < jobs[j].arrival })
 	}
-	return e.run(&sliceSource{qs: ordered}, len(ordered))
+	// Intern upfront, in arrival order: an unknown model (or policy, or
+	// one class too many) rejects the whole stream before any query is
+	// served — no side effects on accelerator state — and batch keys,
+	// per-model accumulator buckets and degrade budgets all see
+	// canonical model ids.
+	in := &interner{e: e}
+	for i := range jobs {
+		jobs[i].idx = i
+		if err := in.admit(&jobs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return e.run(&sliceSource{jobs: jobs}, len(jobs), in)
 }
 
 // RunProcess plays n queries through the cluster with arrival instants
@@ -468,13 +499,14 @@ func (e *Engine) RunProcess(n int, stream func() (float64, bool), mk func(i int,
 	if stream == nil || mk == nil {
 		return nil, fmt.Errorf("simq: RunProcess needs an arrival stream and a query maker")
 	}
-	return e.run(&processSource{n: n, draw: stream, mk: mk, rep0: e.reps[0]}, n)
+	in := &interner{e: e}
+	return e.run(&processSource{n: n, draw: stream, mk: mk, in: in}, n, in)
 }
 
 // nonDecreasing reports whether arrivals are already in time order.
-func nonDecreasing(qs []serving.TimedQuery) bool {
-	for i := 1; i < len(qs); i++ {
-		if qs[i].Arrival < qs[i-1].Arrival {
+func nonDecreasing(jobs []job) bool {
+	for i := 1; i < len(jobs); i++ {
+		if jobs[i].arrival < jobs[i-1].arrival {
 			return false
 		}
 	}
@@ -488,6 +520,8 @@ func (e *Engine) newResult(n int) *Result {
 		ReplicaQueries: make([]int, len(e.reps)),
 		Queries:        n,
 		Router:         e.router.Name(),
+		models:         e.models,
+		subnets:        e.subnets,
 	}
 }
 
@@ -501,8 +535,9 @@ func newStates(n int) []replicaState {
 	return states
 }
 
-// run drives the whole fleet with one runner.
-func (e *Engine) run(src arrivalSource, n int) (*Result, error) {
+// run drives the whole fleet with one runner; in is the interner src
+// admits its queries through.
+func (e *Engine) run(src arrivalSource, n int, in *interner) (*Result, error) {
 	r := &runner{
 		e:      e,
 		res:    e.newResult(n),
@@ -539,6 +574,7 @@ func (e *Engine) run(src arrivalSource, n int) (*Result, error) {
 	if err := r.run(); err != nil {
 		return nil, err
 	}
+	r.res.classes = in.classes
 	e.finish(r)
 	return r.res, nil
 }
@@ -571,7 +607,7 @@ func (e *Engine) finish(r *runner) {
 		if o.Degraded {
 			res.Degraded++
 		}
-		if o.Recached {
+		if o.flags&flagRecached != 0 {
 			res.Recaches++
 		}
 		res.RecacheSec += o.RecacheSec
@@ -620,8 +656,8 @@ func ServeTimed(sys *serving.System, qs []serving.TimedQuery, opt serving.TimedO
 		return nil, err
 	}
 	out := make([]serving.TimedServed, len(res.Outcomes))
-	for i, o := range res.Outcomes {
-		out[i] = o.TimedServed
+	for i := range out {
+		out[i] = res.Timed(i)
 	}
 	return out, nil
 }

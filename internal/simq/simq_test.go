@@ -266,9 +266,18 @@ func clusterRun(t *testing.T, adm Admission, queueCap, n int, rateFactor float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := timedStream(t, n, capacity*rateFactor, budget)
+	return checked(t, eng, timedStream(t, n, capacity*rateFactor, budget))
+}
+
+// checked runs qs through eng and holds the result to the engine's
+// invariants (Result.Check).
+func checked(t *testing.T, eng *Engine, qs []serving.TimedQuery) *Result {
+	t.Helper()
 	res, err := eng.Run(qs)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Check(); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -284,15 +293,7 @@ func TestClusterOpenLoopDeterminism(t *testing.T) {
 			t.Fatalf("%v: outcome counts differ", adm)
 		}
 		for i := range a.Outcomes {
-			x, y := a.Outcomes[i], b.Outcomes[i]
-			// The per-query policy override is a pointer (distinct
-			// allocations across runs); compare it by value.
-			px, py := x.Query.Policy, y.Query.Policy
-			if (px == nil) != (py == nil) || (px != nil && *px != *py) {
-				t.Fatalf("%v: outcome %d policy differs", adm, i)
-			}
-			x.Query.Policy, y.Query.Policy = nil, nil
-			if x != y {
+			if x, y := a.Outcomes[i], b.Outcomes[i]; x != y {
 				t.Fatalf("%v: outcome %d differs:\n%+v\n%+v", adm, i, x, y)
 			}
 		}

@@ -128,7 +128,7 @@ func TestTraceV2RecordReplayBitExact(t *testing.T) {
 			live.Served, live.Dropped, live.ScaleUps,
 			replay.Served, replay.Dropped, replay.ScaleUps)
 	}
-	if got := outcomeDigest(replay); got != goldenOutcomes {
+	if got := outcomeDigest(t, replay); got != goldenOutcomes {
 		t.Errorf("replay outcome digest diverged:\n  got    %s\n  golden %s", got, goldenOutcomes)
 	}
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", replay.Summary)))
