@@ -60,13 +60,14 @@
 // net/http/pprof on a SEPARATE
 // listener (e.g. -pprof localhost:6060) for live CPU/heap profiling of
 // a running server; it is off by default and should stay on loopback.
+// Both listeners drop a connection whose request headers take longer
+// than 10 s to arrive, and keep-alive connections idle for 2 min.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	_ "net/http/pprof"
 	"strings"
 	"time"
@@ -122,7 +123,7 @@ func main() {
 		// default mux, which the API server (a dedicated handler) never
 		// consults — debug endpoints stay off the public listener.
 		go func() {
-			log.Fatalf("sushi-server: -pprof: %v", http.ListenAndServe(*pprofAddr, nil))
+			log.Fatalf("sushi-server: -pprof: %v", server.NewHTTPServer(*pprofAddr, nil).ListenAndServe())
 		}()
 	}
 
@@ -225,5 +226,5 @@ func main() {
 	}
 	fmt.Printf("sushi-server: %s (%s policy) on %s, %d replicas (%s router, %s%s), %d servable SubNets\n",
 		workloads, *policy, *addr, dep.Cluster.Size(), dep.Cluster.RouterName(), batching, elastic, len(dep.Frontier))
-	log.Fatal(http.ListenAndServe(*addr, server.New(dep)))
+	log.Fatal(server.NewHTTPServer(*addr, server.New(dep)).ListenAndServe())
 }

@@ -3,39 +3,46 @@ package tensor
 import "fmt"
 
 // This file is the lane-packed int8 convolution data plane. A 64-bit
-// multiply carries two 8-bit products: the activations of two adjacent
-// output positions sit in the low and high 32-bit lanes of one int64
-// (a[p] + a[p+1]<<32), so multiplying by a sign-extended weight performs
-// both MACs and an int64 sum accumulates both outputs. Dense and grouped
-// convolutions pack the pair panel of one row block straight from the
-// input (the (c, r, s) walk of im2colInto, never a materialised patch
-// matrix) and sweep it with a 1-pair × 4-output-channel register tile,
-// the batch fused into the P (output-position) rows. Depthwise
-// convolutions lane-pack a zero-fringed copy of each plane at the column
-// stride, so one bounds-test-free tap loop yields two output columns.
-// Work is split into row blocks (dense) or planes (depthwise) executed
-// by a Pool; each pool worker owns one pack buffer in the Scratch.
+// multiply carries three 8-bit products: the activations of three
+// adjacent output positions sit in 21-bit lanes at bits 0, 21 and 42 of
+// one int64 (a[p] + a[p+1]<<21 + a[p+2]<<42), so multiplying by a
+// sign-extended weight performs three MACs and an int64 sum accumulates
+// three outputs. Dense and grouped convolutions pack the triple panel of
+// one row block straight from the input (the (c, r, s) walk of
+// im2colInto, never a materialised patch matrix) and sweep it with a
+// 1-triple × 4-output-channel register tile, the batch fused into the P
+// (output-position) rows. Depthwise convolutions lane-pack a zero-fringed
+// copy of each plane at one and two column strides, so one
+// bounds-test-free tap loop yields three output columns. Work is split
+// into row blocks (dense) or planes (depthwise) executed by a Pool; each
+// pool worker owns one pack buffer in the Scratch.
 //
 // Everything here is bit-identical to the reference Conv2D/MatMulCols
 // scans for any int8 zero point: int32 accumulation is modular, so any
 // summation order matches; the zero-point correction uses the exact
 // identity Σ(a−zp)·w = Σ a·w − zp·Σw; and the lane split is exact because
-// a lane never carries into its neighbour — every term is below 2^15 in
-// magnitude (|a·w| ≤ 2^14 dense, |(v−zp)·w| < 2^15 depthwise), so a
-// reduction is cut into chunks of laneChunk terms whose lane sums stay
-// below 2^30, and the extracted lanes are added in (wrapping) int32 as
-// the reference does. The parity suite pins this.
+// no lane sum ever leaves a signed 21-bit lane. A term is at most A·W in
+// magnitude, where A bounds a lane operand (128 for a dense activation,
+// 255 for a depthwise v−zp) and W is the largest |w| of the weight tensor
+// the kernel is handed, so a reduction is cut into chunks of
+// ⌊(2^20−1)/(A·W)⌋ terms (laneTerms) and the extracted lanes are added in
+// (wrapping) int32 as the reference does. The parity suite pins this.
 
 const (
-	// laneChunk is the longest reduction one lane-packed sum may run
-	// before its lanes are split.
-	laneChunk = 1 << 15
+	// laneBits is the width of one lane; laneMax is the largest lane
+	// sum magnitude a lane reads back exactly.
+	laneBits = 21
+	laneMax  = 1<<(laneBits-1) - 1
+	// denseLane and dwLane bound a lane operand: an int8 activation, and
+	// its distance v − zp from an int8 zero point.
+	denseLane = 128
+	dwLane    = 255
 	// gemmPanel bounds a row block's pack panel in int64 lanes, so the
 	// panel a tile re-reads for every four output channels stays
-	// L1-resident; gemmMaxPairs bounds the block for short reductions.
-	gemmPanel    = 4 << 10
-	gemmMaxPairs = 24
-	linKBlock    = 64
+	// L1-resident; gemmMaxTriples bounds the block for short reductions.
+	gemmPanel      = 4 << 10
+	gemmMaxTriples = 16
+	linKBlock      = 64
 )
 
 // Scratch holds the reusable buffers of the blocked path. The zero
@@ -46,7 +53,7 @@ type Scratch struct {
 	// Wsum is the per-output-channel weight sum used by the zero-point
 	// correction when the caller did not precompute one.
 	Wsum []int32
-	// lanes[i] is pool worker i's pack buffer: a GEMM pair panel or a
+	// lanes[i] is pool worker i's pack buffer: a GEMM triple panel or a
 	// depthwise padded plane.
 	lanes [][]int64
 	// taps is the depthwise kernel's tap offsets into the padded plane.
@@ -141,25 +148,48 @@ func dotInt8(a, b []int8) int32 {
 	return s
 }
 
-// laneHi extracts the high lane of a lane-packed sum whose low lane
-// fits int32: adding 2^31 makes the low lane non-negative, so the
-// arithmetic shift floors to exactly the high lane.
-func laneHi(s int64) int32 { return int32((s + 1<<31) >> 32) }
+// laneSums is the three int32 outputs one lane-packed accumulator
+// carries.
+type laneSums [3]int32
+
+// add splits a lane-packed sum whose lanes each fit a signed 21-bit lane
+// and adds the lanes in. The shift pair sign-extends the lowest lane;
+// adding 2^20 makes it non-negative, so the arithmetic shift floors to
+// exactly the lanes above it.
+func (l *laneSums) add(s int64) {
+	t := (s + laneMax + 1) >> laneBits
+	l[0] += int32(s << (64 - laneBits) >> (64 - laneBits))
+	l[1] += int32(t << (64 - laneBits) >> (64 - laneBits))
+	l[2] += int32((t + laneMax + 1) >> laneBits)
+}
+
+// laneTerms is the chunk length of a lane-packed reduction of d terms
+// whose lane operands are at most a in magnitude, against the weights
+// w: the most terms of magnitude a·max|w| that cannot leave a lane.
+func laneTerms(a int, w []int8, d int) int {
+	var lo, hi int8
+	for _, v := range w {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if wMax := max(-int(lo), int(hi)); wMax > 0 {
+		return min(d, laneMax/(a*wMax))
+	}
+	return d
+}
 
 // laneDot is the one-output-channel lane kernel (the K tail of the
-// 4-wide tile): both lanes of Σ a[d]·w[d].
-func laneDot(a []int64, w []int8) (lo, hi int32) {
-	for d0 := 0; d0 < len(a); d0 += laneChunk {
-		ac := a[d0:min(len(a), d0+laneChunk)]
+// 4-wide tile): the three lanes of Σ a[d]·w[d], split every chunk terms.
+func laneDot(a []int64, w []int8, chunk int) (l laneSums) {
+	for d0 := 0; d0 < len(a); d0 += chunk {
+		ac := a[d0:min(len(a), d0+chunk)]
 		wc := w[d0:][:len(ac)]
 		var s int64
 		for d, v := range ac {
 			s += v * int64(wc[d])
 		}
-		lo += int32(s)
-		hi += laneHi(s)
+		l.add(s)
 	}
-	return lo, hi
+	return l
 }
 
 // laneDot4 is the register tile's inner loop: the lane-packed sums of
@@ -200,27 +230,27 @@ type gemmArgs struct {
 	kTot           int // output channel stride context (total channels in out)
 	kOff           int // first output channel this gemm writes
 	zp             int32
-	rows           int // positions per row block (even)
+	rows           int // positions per row block (a multiple of 3)
 	nrb            int // row blocks per image
+	chunk          int // terms per lane split (laneTerms)
 }
 
 // pack fills pk with the lane-packed patch rows of image n's output
-// positions [p0, p1): pair j carries position p0+2j in its low lanes
-// and p0+2j+1 in its high lanes. Every lane starts as the zero point,
-// which is what im2colInto puts at padding (and leaves in the unused
-// high lanes of a pair p1 cuts short), and each in-bounds element then
-// adds its distance from it.
+// positions [p0, p1): triple j carries position p0+3j+i in lane i. Every
+// lane starts as the zero point, which is what im2colInto puts at
+// padding (and leaves in the unused lanes of a triple p1 cuts short),
+// and each in-bounds element then adds its distance from it.
 func (g *gemmArgs) pack(pk []int64, n, p0, p1 int) {
 	zp := int64(int8(g.zp))
 	for i := range pk {
-		pk[i] = zp + zp<<32
+		pk[i] = zp + zp<<laneBits + zp<<(2*laneBits)
 	}
 	hw := g.h * g.iw
 	img := g.in[(n*g.cTot+g.c0)*hw:][:g.c*hw]
 	y, x := p0/g.ow, p0%g.ow
 	for i := 0; i < p1-p0; i++ {
-		dst := pk[i/2*g.d:][:g.d]
-		lane := uint(i&1) * 32
+		dst := pk[i/3*g.d:][:g.d]
+		lane := uint(i%3) * laneBits
 		iy, ix := y*g.sh-g.ph, x*g.sw-g.pw
 		if g.kh == 1 && g.kw == 1 && g.ph == 0 && g.pw == 0 {
 			// Pointwise: the patch is one strided read per channel.
@@ -248,46 +278,44 @@ func (g *gemmArgs) pack(pk []int64, n, p0, p1 int) {
 	}
 }
 
-// block runs one (image, row block) tile: pack the pair panel once,
+// block runs one (image, row block) tile: pack the triple panel once,
 // then sweep it with every output channel, four at a time.
 func (g *gemmArgs) block(worker, b int) {
 	n := b / g.nrb
 	p0 := (b % g.nrb) * g.rows
 	p1 := min(g.p, p0+g.rows)
-	pairs := (p1 - p0 + 1) / 2
+	triples := (p1 - p0 + 2) / 3
 	d := g.d
-	pk := g.bufs[worker][:pairs*d]
+	pk := g.bufs[worker][:triples*d]
 	g.pack(pk, n, p0, p1)
 	out := g.out[(n*g.kTot+g.kOff)*g.p:][:g.k*g.p]
 	k := 0
 	for ; k+4 <= g.k; k += 4 {
 		c0, c1, c2, c3 := g.zp*g.wsum[k], g.zp*g.wsum[k+1], g.zp*g.wsum[k+2], g.zp*g.wsum[k+3]
-		for j := 0; j < pairs; j++ {
-			var lo0, lo1, lo2, lo3, hi0, hi1, hi2, hi3 int32
-			for d0 := 0; d0 < d; d0 += laneChunk {
-				a := pk[j*d+d0 : j*d+min(d, d0+laneChunk)]
+		for j := 0; j < triples; j++ {
+			var l0, l1, l2, l3 laneSums
+			for d0 := 0; d0 < d; d0 += g.chunk {
+				a := pk[j*d+d0 : j*d+min(d, d0+g.chunk)]
 				s0, s1, s2, s3 := laneDot4(a, g.wRows[k*d+d0:], d)
-				lo0, hi0 = lo0+int32(s0), hi0+laneHi(s0)
-				lo1, hi1 = lo1+int32(s1), hi1+laneHi(s1)
-				lo2, hi2 = lo2+int32(s2), hi2+laneHi(s2)
-				lo3, hi3 = lo3+int32(s3), hi3+laneHi(s3)
+				l0.add(s0)
+				l1.add(s1)
+				l2.add(s2)
+				l3.add(s3)
 			}
-			o := k*g.p + p0 + 2*j
-			out[o], out[o+g.p], out[o+2*g.p], out[o+3*g.p] = lo0-c0, lo1-c1, lo2-c2, lo3-c3
-			if p0+2*j+1 < p1 {
-				out[o+1], out[o+g.p+1], out[o+2*g.p+1], out[o+3*g.p+1] = hi0-c0, hi1-c1, hi2-c2, hi3-c3
+			o := k*g.p + p0 + 3*j
+			for i := range min(3, p1-p0-3*j) {
+				out[o+i], out[o+g.p+i], out[o+2*g.p+i], out[o+3*g.p+i] = l0[i]-c0, l1[i]-c1, l2[i]-c2, l3[i]-c3
 			}
 		}
 	}
 	for ; k < g.k; k++ {
 		corr := g.zp * g.wsum[k]
 		wrow := g.wRows[k*d:][:d]
-		for j := 0; j < pairs; j++ {
-			lo, hi := laneDot(pk[j*d:][:d], wrow)
-			o := k*g.p + p0 + 2*j
-			out[o] = lo - corr
-			if p0+2*j+1 < p1 {
-				out[o+1] = hi - corr
+		for j := 0; j < triples; j++ {
+			l := laneDot(pk[j*d:][:d], wrow, g.chunk)
+			o := k*g.p + p0 + 3*j
+			for i := range min(3, p1-p0-3*j) {
+				out[o+i] = l[i] - corr
 			}
 		}
 	}
@@ -319,38 +347,34 @@ type dwArgs struct {
 	kh, kw         int
 	sh, sw, ph, pw int
 	zp             int32
+	chunk          int // taps per lane split (laneTerms)
 }
 
 // block convolves plane b. The plane is copied as (v − zp) into a
-// zero-fringed buffer and lane-packed at the column stride — element i
-// gains element i+sw in its high lane — so a tap sum at output column x
-// carries column x+1 in its high lane and no tap needs a bounds test.
-// Each tap feeds two such sums (columns x..x+3); the buffer's 2·sw
-// lanes of slack keep the second in bounds at a row's end, where the
-// columns past it are dropped.
+// zero-fringed buffer, lane-packed at the column stride: element j of a
+// buffer row carries columns j, j+sw and j+2sw of that row (packRow), so
+// a tap sum at output column x carries columns x+1 and x+2 too, and no
+// tap needs a bounds test. Each tap feeds two such sums (columns
+// x..x+5); the buffer's 3·sw lanes of slack keep the second in bounds at
+// a row's end, where the columns past it are dropped.
 func (d *dwArgs) block(worker, b int) {
 	plane := d.in[b*d.h*d.iw:][:d.h*d.iw]
 	wk := d.w[b%d.c*len(d.taps):][:len(d.taps)]
 	out := d.out[b*d.oh*d.ow:][:d.oh*d.ow]
 	bw := d.iw + 2*d.pw
-	buf := d.bufs[worker][:(d.h+2*d.ph)*bw+2*d.sw]
-	clear(buf)
+	buf := d.bufs[worker][:(d.h+2*d.ph)*bw+3*d.sw]
+	clear(buf[:d.ph*bw])
 	for y := 0; y < d.h; y++ {
-		row := buf[(y+d.ph)*bw+d.pw:][:d.iw]
-		for x, v := range plane[y*d.iw:][:d.iw] {
-			row[x] = int64(int32(v) - d.zp)
-		}
+		d.packRow(buf[(y+d.ph)*bw:][:bw], plane[y*d.iw:][:d.iw])
 	}
-	for i, hi := range buf[d.sw:] {
-		buf[i] += hi << 32
-	}
+	clear(buf[(d.h+d.ph)*bw:])
 	for y := 0; y < d.oh; y++ {
-		for x := 0; x < d.ow; x += 4 {
+		for x := 0; x < d.ow; x += 6 {
 			win := buf[y*d.sh*bw+x*d.sw:]
-			win2 := win[2*d.sw:]
-			var o0, o1, o2, o3 int32
-			for t0 := 0; t0 < len(wk); t0 += laneChunk {
-				taps := d.taps[t0:min(len(wk), t0+laneChunk)]
+			win2 := win[3*d.sw:]
+			var lo, hi laneSums
+			for t0 := 0; t0 < len(wk); t0 += d.chunk {
+				taps := d.taps[t0:min(len(wk), t0+d.chunk)]
 				wc := wk[t0:][:len(taps)]
 				var s, u int64
 				for t, off := range taps {
@@ -358,20 +382,51 @@ func (d *dwArgs) block(worker, b int) {
 					s += win[off] * wv
 					u += win2[off] * wv
 				}
-				o0, o1, o2, o3 = o0+int32(s), o1+laneHi(s), o2+int32(u), o3+laneHi(u)
+				lo.add(s)
+				hi.add(u)
 			}
-			row := out[y*d.ow+x : (y+1)*d.ow]
-			row[0] = o0
-			if len(row) > 1 {
-				row[1] = o1
-			}
-			if len(row) > 2 {
-				row[2] = o2
-			}
-			if len(row) > 3 {
-				row[3] = o3
+			if row := out[y*d.ow+x : (y+1)*d.ow]; len(row) >= 6 {
+				*(*laneSums)(row) = lo
+				*(*laneSums)(row[3:]) = hi
+			} else {
+				copy(row[copy(row, lo[:]):], hi[:])
 			}
 		}
+	}
+}
+
+// packRow fills dst, one zero-fringed buffer row, from the plane row
+// src: element j carries the (v − zp) of columns j−pw, j−pw+sw and
+// j−pw+2sw in its three lanes, zero where a column is outside the row.
+// A lane that would read past the row's end feeds only a column past
+// the output's end, so it may read zero instead of the next row.
+func (d *dwArgs) packRow(dst []int64, src []int8) {
+	zp, sw := int64(d.zp), d.sw
+	// Interior: columns 0..n−1 have all three lanes inside the row.
+	n := max(0, len(src)-2*sw)
+	if n > 0 {
+		zp3 := zp + zp<<laneBits + zp<<(2*laneBits)
+		s0, s1, s2 := src[:n], src[sw:][:n], src[2*sw:][:n]
+		in := dst[d.pw:][:n]
+		for x := range in {
+			in[x] = int64(s0[x]) + int64(s1[x])<<laneBits + int64(s2[x])<<(2*laneBits) - zp3
+		}
+	}
+	// Edges: the left fringe, then the last columns and the right fringe.
+	edge := func(j int) {
+		var v int64
+		for k := range 3 {
+			if x := j - d.pw + k*sw; uint(x) < uint(len(src)) {
+				v += (int64(src[x]) - zp) << (k * laneBits)
+			}
+		}
+		dst[j] = v
+	}
+	for j := range d.pw {
+		edge(j)
+	}
+	for j := d.pw + n; j < len(dst); j++ {
+		edge(j)
 	}
 }
 
@@ -404,6 +459,13 @@ func Conv2DBlocked(in, w *Int8, zpIn int32, p ConvParams, pool *Pool) (*Int32, e
 // builds one closure). wsum may carry precomputed per-output-channel
 // weight sums (Σ_d w[k,d]); pass nil to have them computed into sc.
 func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, sc *Scratch, pool *Pool) error {
+	return conv2DBlocked(out, in, w, zpIn, p, wsum, sc, pool, 0)
+}
+
+// conv2DBlocked is Conv2DBlockedInto splitting its lanes every chunk
+// terms, or every laneTerms terms when chunk is 0. Only tests pass a
+// chunk, to show that one term past laneTerms breaks parity.
+func conv2DBlocked(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, sc *Scratch, pool *Pool, chunk int) error {
 	if p.Groups == 0 {
 		p.Groups = 1
 	}
@@ -432,13 +494,16 @@ func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum [
 		for t := range taps {
 			taps[t] = t/ws.W*bw + t%ws.W
 		}
+		if chunk == 0 {
+			chunk = laneTerms(dwLane, w.Data, len(taps))
+		}
 		d := &sc.dw
 		*d = dwArgs{
 			out: out.Data, in: in.Data, w: w.Data, taps: taps,
-			bufs: sc.laneBufs(pool.Workers(), (is.H+2*p.PadH)*bw+2*p.StrideW),
+			bufs: sc.laneBufs(pool.Workers(), (is.H+2*p.PadH)*bw+3*p.StrideW),
 			c:    is.C, h: is.H, iw: is.W, oh: oh, ow: ow,
 			kh: ws.H, kw: ws.W, sh: p.StrideH, sw: p.StrideW,
-			ph: p.PadH, pw: p.PadW, zp: zpIn,
+			ph: p.PadH, pw: p.PadW, zp: zpIn, chunk: chunk,
 		}
 		runDw(d, is.N, pool)
 		return nil
@@ -452,13 +517,16 @@ func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum [
 	cPerGroup := is.C / p.Groups
 	d := cPerGroup * ws.H * ws.W
 	pRows := oh * ow
-	// Row blocks: as many pairs as the panel bound allows, then evened
+	// Row blocks: as many triples as the panel bound allows, then evened
 	// out so an image's blocks carry the same load.
-	rows := 2 * min(gemmMaxPairs, max(1, gemmPanel/d))
+	rows := 3 * min(gemmMaxTriples, max(1, gemmPanel/d))
 	nrb := (pRows + rows - 1) / rows
 	rows = (pRows + nrb - 1) / nrb
-	rows += rows & 1
-	bufs := sc.laneBufs(pool.Workers(), rows/2*d)
+	rows = (rows + 2) / 3 * 3
+	bufs := sc.laneBufs(pool.Workers(), rows/3*d)
+	if chunk == 0 {
+		chunk = laneTerms(denseLane, w.Data, d)
+	}
 	for grp := 0; grp < p.Groups; grp++ {
 		kOff := grp * kPerGroup
 		g := &sc.gemm
@@ -470,7 +538,7 @@ func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum [
 			sh: p.StrideH, sw: p.StrideW, ph: p.PadH, pw: p.PadW,
 			p: pRows, k: kPerGroup, d: d,
 			kTot: ws.N, kOff: kOff, zp: zpIn,
-			rows: rows, nrb: nrb,
+			rows: rows, nrb: nrb, chunk: chunk,
 		}
 		runGemm(g, is.N, pool)
 	}

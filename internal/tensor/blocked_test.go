@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -250,6 +251,100 @@ func TestConv2DBlockedLongReduction(t *testing.T) {
 	checkBlockedParity(t, pool, "depthwise 257x257", in, w, 127, ConvParams{StrideH: 1, StrideW: 1, Groups: 2})
 }
 
+// TestConv2DBlockedWeightBounds pins the chunk rule at its boundary in
+// both weight regimes the kernels meet: full-range int8 weights and the
+// weight store's |w| ≤ 7, plus the bounds either side of them. Weights
+// sit at ±b and activations at the int8 extremes, so a chunk of
+// laneTerms terms brings a lane within one term of its limit; reductions
+// of chunk−1, chunk and chunk+1 terms run through the 4-wide tile, its K
+// tail (K = 5) and the depthwise taps, over P ≡ 1 and 2 (mod 3). The
+// bite: the chunk+1 case split one term late must break parity.
+func TestConv2DBlockedWeightBounds(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	// b → the dense and depthwise chunk ⌊(2^20−1)/(A·b)⌋, A = 128 and 255.
+	// b = 0 bounds nothing; it runs the full-range lengths.
+	bounds := []struct{ b, dense, dw int }{
+		{0, 63, 32}, {1, 8191, 4112}, {7, 1170, 587}, {8, 1023, 514}, {127, 64, 32}, {128, 63, 32},
+	}
+	for _, bd := range bounds {
+		lo, hi := int8(-bd.b), int8(min(bd.b, 127))
+		fills := []struct {
+			name  string
+			in, w func(i int) int8
+		}{
+			{"in=min w=lo", func(int) int8 { return -128 }, func(int) int8 { return lo }},
+			{"in=max w=lo", func(int) int8 { return 127 }, func(int) int8 { return lo }},
+			{"alternating", func(i int) int8 { return int8(127 - 255*(i&1)) }, func(i int) int8 { return []int8{hi, lo}[i&1] }},
+		}
+		if bd.b > 0 {
+			wd := filled(Shape{N: 1, C: 1, H: 1, W: 2}, func(i int) int8 { return []int8{lo, hi}[i] })
+			if got := laneTerms(denseLane, wd.Data, 1<<30); got != bd.dense {
+				t.Fatalf("|w| ≤ %d: dense chunk %d, want %d", bd.b, got, bd.dense)
+			}
+			if got := laneTerms(dwLane, wd.Data, 1<<30); got != bd.dw {
+				t.Fatalf("|w| ≤ %d: depthwise chunk %d, want %d", bd.b, got, bd.dw)
+			}
+		}
+		// 1×1 dense kernels, so D = C: pointwise (P = w) or padded by one
+		// through the (c, r, s) walk (P = 4·w).
+		dense := func(n, w, pad int) parityCase {
+			return parityCase{
+				in: Shape{N: 1, C: n, H: 1 + pad, W: w - 2*pad}, w: Shape{N: 5, C: n, H: 1, W: 1},
+				p: ConvParams{StrideH: 1, StrideW: 1, PadH: pad, PadW: pad, Groups: 1},
+			}
+		}
+		// 1×n depthwise kernels: n taps along the row, ow output columns,
+		// padding rows above and below.
+		dw := func(n, ow int) parityCase {
+			return parityCase{
+				in: Shape{N: 1, C: 2, H: 2, W: n - 1 + ow}, w: Shape{N: 2, C: 1, H: 1, W: n},
+				p: ConvParams{StrideH: 1, StrideW: 1, PadH: 1, Groups: 2},
+			}
+		}
+		var cases []parityCase
+		for i := -1; i <= 1; i++ {
+			// P and ow of 4 and 5 or 8: ≡ 1 and 2 (mod 3).
+			for _, w := range []int{4, 5} {
+				cases = append(cases, dense(bd.dense+i, w, 0), dense(bd.dense+i, w, 1))
+			}
+			cases = append(cases, dw(bd.dw+i, 4), dw(bd.dw+i, 8))
+		}
+		for _, tc := range cases {
+			for _, f := range fills {
+				for _, zp := range []int32{0, -128, 127} {
+					name := fmt.Sprintf("|w| ≤ %d %s zp=%d %v", bd.b, f.name, zp, tc)
+					checkBlockedParity(t, pool, name, filled(tc.in, f.in), filled(tc.w, f.w), zp, tc.p)
+				}
+			}
+		}
+		if bd.b == 0 {
+			continue
+		}
+		// Every term is +128·b dense and +255·b depthwise (v − zp = −255),
+		// so chunk+1 of them leave a 21-bit lane.
+		for _, bite := range []struct {
+			tc    parityCase
+			chunk int
+		}{{dense(bd.dense+1, 4, 0), bd.dense + 1}, {dw(bd.dw+1, 8), bd.dw + 1}} {
+			tc, chunk := bite.tc, bite.chunk
+			in, w := filled(tc.in, fills[0].in), filled(tc.w, fills[0].w)
+			ref, err := Conv2D(in, w, 127, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out Int32
+			var sc Scratch
+			if err := conv2DBlocked(&out, in, w, 127, tc.p, nil, &sc, nil, chunk); err != nil {
+				t.Fatal(err)
+			}
+			if slices.Equal(out.Data, ref.Data) {
+				t.Errorf("|w| ≤ %d %v: a %d-term chunk still matches the reference; the case no longer reaches the lane limit", bd.b, tc, chunk)
+			}
+		}
+	}
+}
+
 // TestConv2DBlockedScratchReuse pins that a warm Scratch/output pair
 // reproduces the cold result exactly (the arena reuse the engine
 // relies on).
@@ -465,42 +560,59 @@ func TestPoolRunCoversAllBlocks(t *testing.T) {
 	}
 }
 
-// benchConv is a mid-network ResNet-ish shape: 128 channels, 14x14
-// spatial, 3x3 kernel.
-var benchConvShapes = struct {
+// benchConvShapes are the layer shapes the benchmark's per-layer
+// tensor.* rows time: the heaviest dense 3×3 of the smallest resnet50
+// SubNet and the heaviest pointwise and depthwise layers of the smallest
+// mobilenetv3 SubNet.
+var benchConvShapes = []struct {
+	name  string
 	in, w Shape
 	p     ConvParams
 }{
-	in: Shape{N: 1, C: 128, H: 14, W: 14},
-	w:  Shape{N: 128, C: 128, H: 3, W: 3},
-	p:  ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1},
+	{"resnet50_3x3", Shape{N: 1, C: 168, H: 28, W: 28}, Shape{N: 168, C: 168, H: 3, W: 3}, ConvParams{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 1}},
+	{"mbv3_pointwise", Shape{N: 1, C: 16, H: 112, W: 112}, Shape{N: 48, C: 16, H: 1, W: 1}, ConvParams{StrideH: 1, StrideW: 1, Groups: 1}},
+	{"mbv3_depthwise", Shape{N: 1, C: 72, H: 56, W: 56}, Shape{N: 72, C: 1, H: 3, W: 3}, ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 72}},
 }
 
-// BenchmarkConv2DBlocked measures the blocked kernel (sequential; the
-// trajectory's speedup metric divides this into the reference below).
+// BenchmarkConv2DBlocked measures the blocked kernel (sequential) per
+// layer shape, with full-range int8 weights and with the weight store's
+// |w| ≤ 7, whose longer lane chunks split less often.
 func BenchmarkConv2DBlocked(b *testing.B) {
-	in := RandomInt8(benchConvShapes.in, 1)
-	w := RandomInt8(benchConvShapes.w, 2)
-	var out Int32
-	var sc Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Conv2DBlockedInto(&out, in, w, 0, benchConvShapes.p, nil, &sc, nil); err != nil {
-			b.Fatal(err)
+	for _, sh := range benchConvShapes {
+		in := RandomInt8(sh.in, 1)
+		full := RandomInt8(sh.w, 2)
+		small := filled(sh.w, func(i int) int8 { return full.Data[i] % 8 })
+		oh := OutDim(sh.in.H, sh.w.H, sh.p.StrideH, sh.p.PadH)
+		ow := OutDim(sh.in.W, sh.w.W, sh.p.StrideW, sh.p.PadW)
+		macs := float64(sh.w.Elems() * oh * ow)
+		for _, w := range []struct {
+			name string
+			t    *Int8
+		}{{"w=int8", full}, {"w=7", small}} {
+			b.Run(sh.name+"/"+w.name, func(b *testing.B) {
+				var out Int32
+				var sc Scratch
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := Conv2DBlockedInto(&out, in, w.t, 0, sh.p, nil, &sc, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
 		}
 	}
 }
 
 // BenchmarkConv2DReference measures the naive quadruple-loop scan the
-// blocked kernel replaces.
+// blocked kernel replaces, on the dense 3×3 shape.
 func BenchmarkConv2DReference(b *testing.B) {
-	in := RandomInt8(benchConvShapes.in, 1)
-	w := RandomInt8(benchConvShapes.w, 2)
+	sh := benchConvShapes[0]
+	in := RandomInt8(sh.in, 1)
+	w := RandomInt8(sh.w, 2)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Conv2D(in, w, 0, benchConvShapes.p); err != nil {
+	for b.Loop() {
+		if _, err := Conv2D(in, w, 0, sh.p); err != nil {
 			b.Fatal(err)
 		}
 	}
