@@ -5,7 +5,8 @@ package sushi_test
 // come back bit for bit and serve bit-identically to the in-memory
 // deployment, and a genuinely MEASURED sweep written by Calibrate must
 // be loadable from disk and servable interchangeably with the analytic
-// model.
+// model. A table is supplied through ClusterOptions.Table, the field
+// sushi-server -table sets.
 
 import (
 	"context"
@@ -14,7 +15,14 @@ import (
 	"testing"
 
 	"sushi"
+	"sushi/internal/core"
+	"sushi/internal/latencytable"
 )
+
+// withTable serves the whole fleet from t instead of an analytic table.
+func withTable(t *latencytable.Table) sushi.ClusterOption {
+	return func(o *core.ClusterOptions) { o.Table = t }
+}
 
 // TestAnalyticTableDiskRoundTripBitIdentical is the golden identity
 // pin: wrap the deployment's own analytic MobileNetV3 table in the
@@ -45,7 +53,7 @@ func TestAnalyticTableDiskRoundTripBitIdentical(t *testing.T) {
 	if ir.name != "homogeneous-mbv3-degrade" {
 		t.Fatalf("identityRuns[0] is %q, the pin expects homogeneous-mbv3-degrade", ir.name)
 	}
-	got := outcomeDigest(t, ir.run(t, sushi.WithMeasuredTable(loaded)))
+	got := outcomeDigest(t, ir.run(t, withTable(loaded)))
 	if got != ir.golden {
 		t.Errorf("serving from the round-tripped table diverged from the pin:\n  got    %s\n  golden %s", got, ir.golden)
 	}
@@ -81,7 +89,7 @@ func TestDeployClusterServesFromMeasuredFile(t *testing.T) {
 	if err := sushi.WriteCalibrationFile(path, f); err != nil {
 		t.Fatal(err)
 	}
-	tab, w, err := sushi.LoadMeasuredTable(path)
+	tab, w, err := core.LoadTableFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func TestDeployClusterServesFromMeasuredFile(t *testing.T) {
 	}
 
 	c, err := sushi.NewCluster(sushi.Options{Workload: w},
-		sushi.WithReplicas(2), sushi.WithMeasuredTable(tab))
+		sushi.WithReplicas(2), withTable(tab))
 	if err != nil {
 		t.Fatal(err)
 	}

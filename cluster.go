@@ -2,31 +2,12 @@ package sushi
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"sushi/internal/core"
-	"sushi/internal/latencytable"
 	"sushi/internal/serving"
 	"sushi/internal/simq"
-	"sushi/internal/workload"
 )
-
-// LatencyTable is the SushiAbs lookup table a deployment schedules
-// from: rows are the serving SubNets, columns the candidate cached
-// SubGraphs, cells predicted seconds. Tables are analytic by default
-// (derived from the simulated accelerator); LoadMeasuredTable loads
-// one calibrated on real executions instead.
-type LatencyTable = latencytable.Table
-
-// LoadMeasuredTable reads a calibration table file (written by
-// sushi-bench -calibrate -table-out) and returns the latency table it
-// embeds plus the workload it was measured for. Serve from it with
-// WithMeasuredTable; the deployment's Options.Workload must name the
-// same family.
-func LoadMeasuredTable(path string) (*LatencyTable, Workload, error) {
-	return core.LoadTableFile(path)
-}
 
 // RecachePolicy configures the replica cache-management layer enabled
 // by WithRecache: window size, minimum predicted-latency gain and
@@ -91,11 +72,6 @@ func WithRouterSeed(seed int64) ClusterOption {
 func WithHardware(cfgs ...AccelConfig) ClusterOption {
 	return func(o *core.ClusterOptions) { o.Accels = cfgs }
 }
-
-// BatchPolicy configures SubGraph-stationary micro-batching (see
-// WithBatching): up to MaxBatch same-SubNet queries share one
-// accelerator pass, waiting at most Window for the batch to fill.
-type BatchPolicy = serving.BatchPolicy
 
 // Batching holds the virtual-time batch former's knobs for
 // Cluster.Simulate: MaxBatch queries per flush, Window in VIRTUAL
@@ -201,48 +177,6 @@ func WithAutoscale(a AutoscaleOptions) ClusterOption {
 	return func(o *core.ClusterOptions) { o.Autoscale = &a }
 }
 
-// WithCohorts attaches a client-cohort population to the deployment:
-// the heterogeneous-traffic counterpart of a single arrival process.
-// Each Cohort is one homogeneous client group — a mean rate, an
-// inter-arrival law (Poisson/Gamma/Weibull burstiness), empirical
-// budget/accuracy marks, and the SLO class + model its queries carry —
-// and the population superposes them under SplitMix-derived per-cohort
-// seeds:
-//
-//	c, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3},
-//		sushi.WithReplicas(4),
-//		sushi.WithCohorts(
-//			sushi.Cohort{SLOClass: "gold", Rate: 40, Budget: sushi.Empirical{Values: []float64{2e-3}}},
-//			sushi.Cohort{SLOClass: "batch", Rate: 10, InterArrival: sushi.IAGamma, Shape: 0.4},
-//		))
-//
-// The population becomes the default workload of
-// Cluster.SimulateCohorts and POST /v1/simulate's "cohorts" process;
-// per-SLO-class breakdowns and the Jain fairness index appear in every
-// Summary the run produces. Cohorts targeting models the fleet does
-// not host are rejected at deploy time with a typed error.
-func WithCohorts(cohorts ...Cohort) ClusterOption {
-	return func(o *core.ClusterOptions) { o.Cohorts = &workload.Population{Cohorts: cohorts} }
-}
-
-// WithMeasuredTable serves the whole fleet from the given prebuilt
-// latency table instead of deriving an analytic one — the runtime end
-// of the offline-calibration loop:
-//
-//	table, w, err := sushi.LoadMeasuredTable("zcu104.sushical")
-//	c, err := sushi.NewCluster(sushi.Options{Workload: w},
-//		sushi.WithReplicas(2), sushi.WithMeasuredTable(table))
-//
-// The table's rows must cover the deployment's frontier in order (a
-// full-frontier calibration sweep; partial tables are rejected with a
-// typed error). Because one table describes one (model, hardware)
-// pair, WithMeasuredTable cannot combine with WithHardware or
-// WithModels. Analytic tables round-tripped through the measured file
-// format serve bit-identically to never-exported ones.
-func WithMeasuredTable(t *LatencyTable) ClusterOption {
-	return func(o *core.ClusterOptions) { o.Table = t }
-}
-
 // WithRecache enables the window-driven cache-management layer on every
 // replica: caches become mutable at runtime, switching to the latency
 // table column that would have served the replica's recent query mix
@@ -263,17 +197,21 @@ type Result = serving.Result
 // and Persistent Buffer state.
 type ReplicaInfo = core.ReplicaView
 
-// Cluster is a multi-replica SUSHI deployment: R systems behind a
-// dispatcher. All methods are safe for concurrent use; queries on one
-// replica serialize (a stream on one accelerator) while replicas serve
-// in parallel.
+// SubNetInfo describes one servable SubNet of the deployment.
+type SubNetInfo = core.SubNetView
+
+// Cluster is a SUSHI deployment: R replica accelerators behind a
+// dispatcher (R = 1 by default: a single accelerator is a cluster of
+// one). All methods are safe for concurrent use; queries on one replica
+// serialize (a stream on one accelerator) while replicas serve in
+// parallel.
 type Cluster struct {
 	d *core.ClusterDeployment
 }
 
-// NewCluster builds a concurrent serving deployment. Options configures
-// each replica exactly as New configures a System; ClusterOptions add
-// the replica count and router:
+// NewCluster builds a serving deployment. Options configures every
+// replica (workload, hardware, policy, mode, Q); ClusterOptions add the
+// replica count, router and fleet features:
 //
 //	c, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3},
 //		sushi.WithReplicas(4), sushi.WithRouter(sushi.Affinity))
@@ -324,21 +262,6 @@ func (c *Cluster) Size() int { return c.d.Cluster.Size() }
 // Router names the dispatch policy.
 func (c *Cluster) Router() string { return c.d.Cluster.RouterName() }
 
-// Models lists the co-hosted model ids in tenant order. Single-model
-// deployments report one empty id.
-func (c *Cluster) Models() []string { return c.d.Cluster.Models() }
-
-// FrontierOf lists the servable SubNets of one co-hosted model ("" =
-// the default model); ok is false for models the fleet does not host.
-func (c *Cluster) FrontierOf(model string) (frontier []SubNetInfo, ok bool) {
-	for i, md := range c.d.Models {
-		if md.Model == model || (model == "" && i == 0) {
-			return core.FrontierView(md.Frontier), true
-		}
-	}
-	return nil, false
-}
-
 // Frontier lists the servable SubNets (shared by every replica).
 func (c *Cluster) Frontier() []SubNetInfo {
 	return core.FrontierView(c.d.Frontier)
@@ -378,49 +301,4 @@ type SimOptions = core.SimOptions
 // cluster for reproducible results.
 func (c *Cluster) Simulate(qs []TimedQuery, opt SimOptions) (*SimResult, error) {
 	return c.d.Simulate(qs, opt)
-}
-
-// SimulateProcess is Simulate with arrivals drawn LAZILY from an
-// arrival process instead of a materialized []TimedQuery: the engine
-// pulls the process's stream one instant at a time and mints the i-th
-// query with mk at its arrival instant, so a billion-query run needs no
-// billion-element arrival slice. proc must implement the workload
-// Streamer face (every built-in process — Poisson, OnOff, Diurnal,
-// TraceArrivals, Mix — does); results are bit-identical to generating
-// proc.Times(n, seed) and calling Simulate.
-func (c *Cluster) SimulateProcess(n int, proc ArrivalProcess, seed int64, mk func(i int, t float64) Query, opt SimOptions) (*SimResult, error) {
-	streamer, ok := proc.(workload.Streamer)
-	if !ok {
-		return nil, fmt.Errorf("sushi: arrival process %q cannot stream lazily; materialize with Simulate instead", proc.Name())
-	}
-	stream, err := streamer.Stream(seed)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := c.d.Engine(opt)
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunProcess(n, stream, mk)
-}
-
-// SimulateCohorts streams n arrivals from the deployment's WithCohorts
-// population through the virtual-time engine: arrivals and their
-// minted queries (model, SLO class, budget/accuracy draws) are
-// generated lazily in lockstep, so cohort runs ride the same
-// allocation-free SimulateProcess machinery as plain processes. The
-// result's Summary carries per-SLO-class breakdowns and the Jain
-// fairness index. Deployments without WithCohorts are rejected.
-func (c *Cluster) SimulateCohorts(n int, seed int64, opt SimOptions) (*SimResult, error) {
-	if c.d.Cohorts == nil {
-		return nil, fmt.Errorf("sushi: SimulateCohorts needs a WithCohorts population on the deployment")
-	}
-	return c.SimulatePopulation(n, *c.d.Cohorts, seed, opt)
-}
-
-// SimulatePopulation is SimulateCohorts over an explicit Population —
-// sweep harnesses build populations per run instead of per deployment.
-// Like SimulateProcess it streams lazily.
-func (c *Cluster) SimulatePopulation(n int, pop Population, seed int64, opt SimOptions) (*SimResult, error) {
-	return c.d.SimulatePopulation(n, pop, seed, opt)
 }

@@ -15,7 +15,8 @@
 // table6 hitratio ablation-avg overload loadsweep hetero batchsweep
 // multitenant elastic cohortsweep calibsweep (sushi-bench list prints
 // the authoritative set). The -w flag (resnet50|mobilenetv3) applies to
-// workload-parameterized experiments.
+// workload-parameterized experiments; without it each experiment runs
+// on its own default workload.
 //
 // Independent grid points of the sweep experiments run across
 // GOMAXPROCS workers; results are folded in deterministic grid order,
@@ -31,9 +32,9 @@
 // (frontier SubNet × candidate SubGraph × batch) cell is timed through
 // the fast inference engine (median of -reps repetitions,
 // deterministically seeded by -calib-seed), the predicted-vs-measured
-// report is printed, and -table-out writes the versioned table file a
-// deployment loads back with sushi.LoadMeasuredTable or sushi-server
-// -table, plus a human-readable <file>.csv companion. -calib-rows/-calib-cols cap the grid for smoke runs. With
+// report is printed, and -table-out writes the versioned table file
+// sushi-server -table serves from, plus a human-readable <file>.csv
+// companion. -calib-rows/-calib-cols cap the grid for smoke runs. With
 // -json the run emits one NDJSON calibration record (wall time, report
 // error percentiles).
 //
@@ -53,6 +54,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -68,7 +70,8 @@ import (
 type benchRecord struct {
 	// Name is the experiment id as invoked (without workload suffix).
 	Name string `json:"name"`
-	// Workload is the resolved workload for parameterized experiments.
+	// Workload is the -w value the experiment ran with (empty without
+	// -w: the experiment's default workload applies).
 	Workload string `json:"workload,omitempty"`
 	// NsPerOp is the wall-clock time of the single run in nanoseconds.
 	NsPerOp int64 `json:"ns_per_op"`
@@ -81,6 +84,19 @@ type benchRecord struct {
 	// WallMS is the experiment's wall-clock time in milliseconds
 	// (NsPerOp in more convenient units).
 	WallMS float64 `json:"wall_ms,omitempty"`
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // parseBatches parses the -batches list ("1,2,4").
@@ -104,7 +120,7 @@ func main() {
 }
 
 func run() int {
-	w := flag.String("w", "resnet50", "workload: resnet50 or mobilenetv3")
+	w := flag.String("w", "resnet50", "workload: resnet50 or mobilenetv3 (experiments without -w run on their own default)")
 	csvDir := flag.String("csv", "", "also write each experiment as CSV into this directory")
 	asJSON := flag.Bool("json", false, "emit one NDJSON record per experiment (name, ns_per_op, metrics) instead of text tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering every experiment run to this file")
@@ -127,6 +143,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", sushi.Experiments())
 	}
 	flag.Parse()
+	wSet := false
+	flag.Visit(func(f *flag.Flag) { wSet = wSet || f.Name == "w" })
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -164,17 +182,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sushi-bench: -record-trace: %v\n", err)
 			return 1
 		}
-		f, err := os.Create(*recordTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sushi-bench: -record-trace: %v\n", err)
-			return 1
-		}
-		if err := tr.Encode(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "sushi-bench: -record-trace: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*recordTrace, tr.Encode); err != nil {
 			fmt.Fprintf(os.Stderr, "sushi-bench: -record-trace: %v\n", err)
 			return 1
 		}
@@ -195,7 +203,7 @@ func run() int {
 			return 1
 		}
 		start := time.Now()
-		out, metrics, err := sushi.ReplayTrace(tr)
+		res, err := sushi.ReplayTrace(tr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sushi-bench: -replay-trace: %v\n", err)
 			return 1
@@ -205,9 +213,9 @@ func run() int {
 			rec := benchRecord{
 				Name:       "replay",
 				NsPerOp:    elapsed.Nanoseconds(),
-				GoodputQPS: metrics["goodput_qps"],
-				P99MS:      metrics["p99_e2e_ms"],
-				Metrics:    metrics,
+				GoodputQPS: res.Metrics["goodput_qps"],
+				P99MS:      res.Metrics["p99_e2e_ms"],
+				Metrics:    res.Metrics,
 				WallMS:     float64(elapsed.Nanoseconds()) / 1e6,
 			}
 			if err := json.NewEncoder(os.Stdout).Encode(rec); err != nil {
@@ -216,7 +224,7 @@ func run() int {
 			}
 			return 0
 		}
-		fmt.Print(out)
+		fmt.Print(res.String())
 		return 0
 	}
 
@@ -246,14 +254,7 @@ func run() int {
 				return 1
 			}
 			// Human-readable companion; the gob file stays authoritative.
-			cf, err := os.Create(*tableOut + ".csv")
-			if err == nil {
-				err = f.WriteCSV(cf)
-				if cerr := cf.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
+			if err := writeFile(*tableOut+".csv", f.WriteCSV); err != nil {
 				fmt.Fprintf(os.Stderr, "sushi-bench: -table-out csv: %v\n", err)
 				return 1
 			}
@@ -311,14 +312,11 @@ func run() int {
 	exit := 0
 	for _, id := range ids {
 		full, workload := id, ""
-		switch id {
-		case "fig2", "fig9", "fig10", "fig11", "fig12", "fig13b", "fig15", "fig15acc",
-			"fig16", "fig17", "table5", "table6", "ablation-avg", "overload",
-			"loadsweep", "hetero", "batchsweep":
+		if wSet {
 			full, workload = id+":"+*w, *w
 		}
 		start := time.Now()
-		out, metrics, err := sushi.ExperimentWithMetrics(full)
+		res, err := sushi.Experiment(full)
 		elapsed := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sushi-bench: %s: %v\n", id, err)
@@ -330,9 +328,9 @@ func run() int {
 				Name:       id,
 				Workload:   workload,
 				NsPerOp:    elapsed.Nanoseconds(),
-				GoodputQPS: metrics["goodput_qps"],
-				P99MS:      metrics["p99_e2e_ms"],
-				Metrics:    metrics,
+				GoodputQPS: res.Metrics["goodput_qps"],
+				P99MS:      res.Metrics["p99_e2e_ms"],
+				Metrics:    res.Metrics,
 				WallMS:     float64(elapsed.Nanoseconds()) / 1e6,
 			}
 			if err := enc.Encode(rec); err != nil {
@@ -340,18 +338,11 @@ func run() int {
 				exit = 1
 			}
 		} else {
-			fmt.Print(out)
+			fmt.Print(res.String())
 		}
 		if *csvDir != "" {
-			csvOut, err := sushi.ExperimentCSV(full)
-			if err != nil {
+			if err := writeFile(filepath.Join(*csvDir, id+".csv"), res.WriteCSV); err != nil {
 				fmt.Fprintf(os.Stderr, "sushi-bench: %s csv: %v\n", id, err)
-				exit = 1
-				continue
-			}
-			path := filepath.Join(*csvDir, id+".csv")
-			if err := os.WriteFile(path, []byte(csvOut), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "sushi-bench: %s: %v\n", id, err)
 				exit = 1
 			}
 		}

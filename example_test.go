@@ -8,17 +8,17 @@ import (
 	"sushi"
 )
 
-// Example demonstrates the minimal serving loop: build a system, submit a
-// constrained query, read the outcome.
+// Example demonstrates the minimal serving loop: build a deployment on
+// one accelerator, submit a constrained query, read the outcome.
 func Example() {
-	sys, err := sushi.New(sushi.Options{
+	sys, err := sushi.NewCluster(sushi.Options{
 		Workload: sushi.MobileNetV3,
 		Policy:   sushi.StrictAccuracy,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := sys.Serve(sushi.Query{ID: 0, MinAccuracy: 78, MaxLatency: 10e-3})
+	r, err := sys.Serve(context.Background(), sushi.Query{ID: 0, MinAccuracy: 78, MaxLatency: 10e-3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,9 +27,9 @@ func Example() {
 	// served SubNet C at 78.59% top-1
 }
 
-// ExampleSystem_Frontier lists the servable SubNets of a deployment.
-func ExampleSystem_Frontier() {
-	sys, err := sushi.New(sushi.Options{Workload: sushi.MobileNetV3})
+// ExampleCluster_Frontier lists the servable SubNets of a deployment.
+func ExampleCluster_Frontier() {
+	sys, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,9 +40,10 @@ func ExampleSystem_Frontier() {
 	// 7 SubNets from A (75.90%) to G (80.10%)
 }
 
-// ExampleSystem_ServeAll serves a generated workload and summarizes it.
-func ExampleSystem_ServeAll() {
-	sys, err := sushi.New(sushi.Options{
+// ExampleCluster_ServeAll serves a generated workload on one accelerator
+// and summarizes it.
+func ExampleCluster_ServeAll() {
+	sys, err := sushi.NewCluster(sushi.Options{
 		Workload: sushi.MobileNetV3,
 		Policy:   sushi.StrictLatency,
 	})
@@ -56,7 +57,7 @@ func ExampleSystem_ServeAll() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := sys.ServeAll(qs)
+	rs, err := sys.ServeAll(context.Background(), qs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,7 @@ import (
 )
 
 func main() {
-	sys, err := sushi.New(sushi.Options{
+	sys, err := sushi.NewCluster(sushi.Options{
 		Workload: sushi.ResNet50,
 		Policy:   sushi.StrictLatency, // deadlines are hard in an AV
 		Q:        4,
@@ -22,15 +23,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 
 	// Learn the deployment's latency scale from the frontier extremes:
 	// an impossible budget falls back to the fastest SubNet, a generous
 	// one serves the most accurate.
-	fast, err := sys.Serve(sushi.Query{MinAccuracy: 0, MaxLatency: 1e-9})
+	fast, err := sys.Serve(ctx, sushi.Query{MinAccuracy: 0, MaxLatency: 1e-9})
 	if err != nil {
 		log.Fatal(err)
 	}
-	slow, err := sys.Serve(sushi.Query{MinAccuracy: 0, MaxLatency: 1})
+	slow, err := sys.Serve(ctx, sushi.Query{MinAccuracy: 0, MaxLatency: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	results, err := sys.ServeAll(trace)
+	results, err := sys.ServeAll(ctx, trace)
 	if err != nil {
 		log.Fatal(err)
 	}

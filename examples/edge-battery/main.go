@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func main() {
 	// MinEnergy serves the cheapest SubNet that satisfies BOTH the
 	// accuracy floor and the latency budget — the natural policy for a
 	// battery-constrained device.
-	sys, err := sushi.New(sushi.Options{
+	sys, err := sushi.NewCluster(sushi.Options{
 		Workload: sushi.MobileNetV3,
 		Policy:   sushi.MinEnergy,
 		Q:        4,
@@ -38,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := sys.ServeAll(trace)
+	rs, err := sys.ServeAll(context.Background(), trace)
 	if err != nil {
 		log.Fatal(err)
 	}

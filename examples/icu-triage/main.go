@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,8 +15,9 @@ import (
 )
 
 func main() {
-	mkSystem := func(mode sushi.Mode) *sushi.System {
-		sys, err := sushi.New(sushi.Options{
+	ctx := context.Background()
+	mkSystem := func(mode sushi.Mode) *sushi.Cluster {
+		sys, err := sushi.NewCluster(sushi.Options{
 			Workload: sushi.MobileNetV3, // edge-class model at the bedside
 			Policy:   sushi.StrictAccuracy,
 			Mode:     mode,
@@ -29,7 +31,7 @@ func main() {
 
 	probe := mkSystem(sushi.Full)
 	fr := probe.Frontier()
-	mid, err := probe.Serve(sushi.Query{MinAccuracy: fr[3].Accuracy, MaxLatency: 1})
+	mid, err := probe.Serve(ctx, sushi.Query{MinAccuracy: fr[3].Accuracy, MaxLatency: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func main() {
 
 	for _, mode := range []sushi.Mode{sushi.Full, sushi.NoPB} {
 		sys := mkSystem(mode)
-		rs, err := sys.ServeAll(trace)
+		rs, err := sys.ServeAll(ctx, trace)
 		if err != nil {
 			log.Fatal(err)
 		}

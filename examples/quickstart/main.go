@@ -1,8 +1,10 @@
-// Quickstart: build a SUSHI system, look at its Pareto frontier, and
-// serve a handful of queries with different constraints.
+// Quickstart: build a SUSHI deployment on one accelerator (a cluster of
+// one replica), look at its Pareto frontier, and serve a handful of
+// queries with different constraints.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,7 +12,7 @@ import (
 )
 
 func main() {
-	sys, err := sushi.New(sushi.Options{
+	sys, err := sushi.NewCluster(sushi.Options{
 		Workload: sushi.MobileNetV3,
 		Policy:   sushi.StrictLatency,
 	})
@@ -31,7 +33,7 @@ func main() {
 	}
 	fmt.Println("\nserving:")
 	for _, q := range queries {
-		r, err := sys.Serve(q)
+		r, err := sys.Serve(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +42,7 @@ func main() {
 			r.SubNet, r.Accuracy, r.Latency*1e3, r.HitRatio)
 	}
 
-	st := sys.Cache()
+	st := sys.Replicas()[0].Cache
 	fmt.Printf("\nPersistent Buffer: %s (%.2f MB cached)\n",
 		st.Name, float64(st.Bytes)/(1<<20))
 }

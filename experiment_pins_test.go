@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// experimentPins holds the sha256 of Experiment(id)'s rendered text for
+// experimentPins holds the sha256 of Experiment(id)'s String() text for
 // every registry id but table6 (its cells are wall-clock), on the
 // default workload and, where the id takes one, on the other family
 // too. A refactor that moves a reproduced number fails here.
@@ -66,10 +66,11 @@ func TestExperimentTextPinned(t *testing.T) {
 		name, _ := splitID(p.id)
 		pinned[name] = true
 		t.Run(p.id, func(t *testing.T) {
-			text, err := Experiment(p.id)
+			res, err := Experiment(p.id)
 			if err != nil {
 				t.Fatal(err)
 			}
+			text := res.String()
 			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != p.want {
 				t.Errorf("experiment text moved: sha256 %s, pinned %s\n%s", got, p.want, text)
 			}

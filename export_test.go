@@ -6,13 +6,14 @@ package sushi
 import (
 	"sushi/internal/calib"
 	"sushi/internal/core"
+	"sushi/internal/latencytable"
 	"sushi/internal/serving"
 )
 
 // ClusterTableForTest returns replica 0's latency table — the exact
 // table the deployment decides from, analytic or measured.
-func ClusterTableForTest(c *Cluster) *LatencyTable {
-	var t *LatencyTable
+func ClusterTableForTest(c *Cluster) *latencytable.Table {
+	var t *latencytable.Table
 	c.d.Cluster.Replicas()[0].Inspect(func(s *serving.System) { t = s.Table() })
 	return t
 }
@@ -22,7 +23,7 @@ func ClusterTableForTest(c *Cluster) *LatencyTable {
 // same decoder sushi-server -table uses — the full disk round trip a
 // measured table would take, applied to an analytic table so identity
 // can be pinned.
-func AnalyticRoundTripForTest(t *LatencyTable, w Workload, path string) (*LatencyTable, error) {
+func AnalyticRoundTripForTest(t *latencytable.Table, w Workload, path string) (*latencytable.Table, error) {
 	f, err := calib.FromTable(t, string(w))
 	if err != nil {
 		return nil, err

@@ -23,6 +23,8 @@ import (
 	"time"
 
 	"sushi"
+	"sushi/internal/core"
+	"sushi/internal/workload"
 )
 
 // outcomeDigest hashes every behavioural field of a simulated run (the
@@ -164,7 +166,7 @@ var identityRuns = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
-			arr, err := sushi.PoissonArrivals(300, 250, 11)
+			arr, err := (sushi.Poisson{Rate: 250}).Times(300, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +204,8 @@ func TestSingleModelBitIdentical(t *testing.T) {
 
 // TestSingleCohortPoissonClusterIdentity is PR 8's inert-layer pin at
 // cluster level: a one-cohort Poisson Population driven through
-// SimulatePopulation must reproduce — bit for bit — a plain Simulate
+// core's SimulatePopulation (the path behind sushi-server -cohorts)
+// must reproduce — bit for bit — a plain Simulate
 // over Poisson arrivals carrying the same constant budget/accuracy
 // marks. Single-value Empiricals make the marks deterministic, so the
 // two runs present identical streams; any digest divergence means the
@@ -213,13 +216,13 @@ func TestSingleCohortPoissonClusterIdentity(t *testing.T) {
 		rate = 400.0
 		seed = int64(19)
 	)
-	deploy := func() *sushi.Cluster {
-		c, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3},
-			sushi.WithReplicas(4))
+	deploy := func() *core.ClusterDeployment {
+		dep, err := core.DeployCluster(core.DeployOptions{Workload: core.MobileNetV3},
+			core.ClusterOptions{Replicas: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
+		return dep
 	}
 	opt := sushi.SimOptions{
 		QueueCap:  4,
@@ -227,18 +230,18 @@ func TestSingleCohortPoissonClusterIdentity(t *testing.T) {
 		LoadAware: true,
 		Drop:      true,
 	}
-	pop := sushi.Population{Cohorts: []sushi.Cohort{{
+	pop := workload.Population{Cohorts: []workload.Cohort{{
 		Rate:     rate,
 		SLOClass: "gold",
-		Budget:   sushi.Empirical{Values: []float64{12e-3}},
-		Accuracy: sushi.Empirical{Values: []float64{65}},
+		Budget:   workload.Empirical{Values: []float64{12e-3}},
+		Accuracy: workload.Empirical{Values: []float64{65}},
 	}}}
 	viaPop, err := deploy().SimulatePopulation(n, pop, seed, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	arr, err := sushi.PoissonArrivals(n, rate, seed)
+	arr, err := (sushi.Poisson{Rate: rate}).Times(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,32 +262,33 @@ func TestSingleCohortPoissonClusterIdentity(t *testing.T) {
 }
 
 // TestCohortPopulationGoldenDigest pins the full cohort path — a
-// skewed multi-class population over a multi-tenant fleet via the
-// WithCohorts knob and SimulateCohorts — to a digest captured on the
-// tree that introduced it. Any change to cohort RNG derivation, mark
+// skewed multi-class population attached to a multi-tenant fleet
+// (ClusterOptions.Cohorts, the field sushi-server -cohorts sets) and
+// simulated from the deployment's own population — to a digest
+// captured on the tree that introduced it. Any change to cohort RNG derivation, mark
 // drawing, label threading or merge order shows up here.
 func TestCohortPopulationGoldenDigest(t *testing.T) {
 	const golden = "9749e4d9b6577059f619c541db7db4ea3171dc45dec5b15a2f95a94556a72290"
-	c, err := sushi.NewCluster(sushi.Options{},
-		sushi.WithModels(sushi.ResNet50, sushi.MobileNetV3),
-		sushi.WithReplicas(4),
-		sushi.WithRouter(sushi.LeastLoaded),
-		sushi.WithCohorts(
-			sushi.Cohort{Rate: 120, SLOClass: "gold", Model: string(sushi.MobileNetV3),
-				InterArrival: sushi.IAGamma, Shape: 0.3,
-				Budget: sushi.Empirical{Values: []float64{10e-3, 20e-3}, Weights: []float64{3, 1}}},
-			sushi.Cohort{Rate: 60, SLOClass: "silver", Model: string(sushi.ResNet50),
-				InterArrival: sushi.IAWeibull, Shape: 0.7,
-				Budget: sushi.Empirical{Values: []float64{60e-3}}},
-			sushi.Cohort{Rate: 40, SLOClass: "batch", Model: string(sushi.MobileNetV3),
-				Budget:   sushi.Empirical{Values: []float64{40e-3}},
-				Accuracy: sushi.Empirical{Values: []float64{60, 70}}},
-		),
-	)
+	dep, err := core.DeployCluster(core.DeployOptions{}, core.ClusterOptions{
+		Models:   []core.Workload{core.ResNet50, core.MobileNetV3},
+		Replicas: 4,
+		Router:   core.RouterLeastLoaded,
+		Cohorts: &workload.Population{Cohorts: []workload.Cohort{
+			{Rate: 120, SLOClass: "gold", Model: string(core.MobileNetV3),
+				InterArrival: workload.IAGamma, Shape: 0.3,
+				Budget: workload.Empirical{Values: []float64{10e-3, 20e-3}, Weights: []float64{3, 1}}},
+			{Rate: 60, SLOClass: "silver", Model: string(core.ResNet50),
+				InterArrival: workload.IAWeibull, Shape: 0.7,
+				Budget: workload.Empirical{Values: []float64{60e-3}}},
+			{Rate: 40, SLOClass: "batch", Model: string(core.MobileNetV3),
+				Budget:   workload.Empirical{Values: []float64{40e-3}},
+				Accuracy: workload.Empirical{Values: []float64{60, 70}}},
+		}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.SimulateCohorts(400, 31, sushi.SimOptions{
+	res, err := dep.SimulatePopulation(400, *dep.Cohorts, 31, sushi.SimOptions{
 		QueueCap:  4,
 		Admission: sushi.AdmitReject,
 		LoadAware: true,

@@ -86,8 +86,8 @@ type ClusterOptions struct {
 	// fleets derive per-config tables) and Models (each tenant needs
 	// its own family).
 	Table *latencytable.Table
-	// Cohorts attaches a client-cohort population to the deployment:
-	// the default workload for Cluster.SimulateCohorts and POST
+	// Cohorts attaches a client-cohort population to the deployment
+	// (sushi-server -cohorts): the default workload for POST
 	// /v1/simulate's "cohorts" process. Validated at deploy time
 	// (malformed cohorts and cohorts targeting unhosted models are
 	// typed OptionErrors); nil leaves the deployment population-free.
@@ -180,8 +180,8 @@ type ModelDeployment struct {
 }
 
 // ClusterDeployment bundles the co-hosted models' SuperNets, their
-// serving frontiers and a running replica cluster — the
-// multi-accelerator counterpart of Deployment.
+// serving frontiers and a running replica cluster — every deployment,
+// a single accelerator being a cluster of one replica.
 type ClusterDeployment struct {
 	// Super is the DEFAULT model's weight-shared network (one copy,
 	// shared: SubGraph weights are identical across replicas). For the
@@ -199,8 +199,8 @@ type ClusterDeployment struct {
 	// fixed fleets); Cluster.Simulate and POST /v1/simulate inherit it.
 	Autoscale *autoscale.Config
 	// Cohorts is the deployment's client-cohort population (nil when
-	// none was configured); Cluster.SimulateCohorts and POST
-	// /v1/simulate's "cohorts" process draw from it.
+	// none was configured); POST /v1/simulate's "cohorts" process
+	// draws from it.
 	Cohorts *workload.Population
 }
 

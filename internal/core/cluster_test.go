@@ -25,7 +25,7 @@ func TestDeployOptionValidation(t *testing.T) {
 		{"bogus Workload", DeployOptions{Workload: "alexnet"}},
 	}
 	for _, tc := range cases {
-		_, err := Deploy(tc.opt)
+		_, err := DeployCluster(tc.opt, ClusterOptions{})
 		if err == nil {
 			t.Errorf("%s accepted", tc.name)
 			continue
@@ -199,7 +199,7 @@ func TestDeployClusterServes(t *testing.T) {
 }
 
 func TestViewHelpersMatchDeployment(t *testing.T) {
-	dep, err := Deploy(DeployOptions{Workload: MobileNetV3})
+	dep, err := DeployCluster(DeployOptions{Workload: MobileNetV3}, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestViewHelpersMatchDeployment(t *testing.T) {
 			t.Errorf("entry %d: %+v", i, v)
 		}
 	}
-	cv := NewCacheView(dep.System)
+	cv := NewCacheView(soloSystem(dep))
 	if cv.Name == "" || cv.Bytes <= 0 || !cv.HasBuffer {
 		t.Errorf("cache view %+v", cv)
 	}

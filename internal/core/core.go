@@ -53,17 +53,6 @@ func BuildSuperNet(w Workload) (*supernet.SuperNet, error) {
 	}
 }
 
-// Deployment bundles a SuperNet, its serving frontier and a running
-// SUSHI system — everything a caller needs to serve queries.
-type Deployment struct {
-	// Super is the weight-shared network.
-	Super *supernet.SuperNet
-	// Frontier is the serving set X (SubNets "A".."G").
-	Frontier []*supernet.SubNet
-	// System is the vertically integrated serving stack.
-	System *serving.System
-}
-
 // DeployOptions selects the deployment's hardware and policy.
 type DeployOptions struct {
 	// Workload picks the SuperNet family (default ResNet50).
@@ -141,30 +130,4 @@ func (opt DeployOptions) accelConfig() accel.Config {
 		return *opt.Accel
 	}
 	return accel.ZCU104()
-}
-
-// Deploy builds a ready-to-serve SUSHI deployment.
-func Deploy(opt DeployOptions) (*Deployment, error) {
-	if err := opt.normalize(); err != nil {
-		return nil, err
-	}
-	super, frontier, err := frontierFor(opt.Workload)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := serving.New(super, frontier, opt.servingOptions(opt.accelConfig()))
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{Super: super, Frontier: frontier, System: sys}, nil
-}
-
-// Serve forwards one query to the system.
-func (d *Deployment) Serve(q sched.Query) (serving.Served, error) {
-	return d.System.Serve(q)
-}
-
-// ServeAll forwards a stream.
-func (d *Deployment) ServeAll(qs []sched.Query) ([]serving.Served, error) {
-	return d.System.ServeAll(qs)
 }

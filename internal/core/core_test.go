@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,22 +24,32 @@ func TestBuildSuperNet(t *testing.T) {
 	}
 }
 
+// soloSystem returns the one system of a single-model deployment's
+// replica 0.
+func soloSystem(dep *ClusterDeployment) *serving.System {
+	var sys *serving.System
+	dep.Cluster.Replicas()[0].Inspect(func(s *serving.System) { sys = s })
+	return sys
+}
+
+// TestDeployDefaultsAndServe: a default deployment is one accelerator.
 func TestDeployDefaultsAndServe(t *testing.T) {
-	d, err := Deploy(DeployOptions{Workload: MobileNetV3})
+	d, err := DeployCluster(DeployOptions{Workload: MobileNetV3}, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Frontier) != 7 {
-		t.Fatalf("frontier size %d", len(d.Frontier))
+	if len(d.Frontier) != 7 || d.Cluster.Size() != 1 {
+		t.Fatalf("frontier size %d, %d replicas", len(d.Frontier), d.Cluster.Size())
 	}
-	r, err := d.Serve(sched.Query{ID: 0, MinAccuracy: 77, MaxLatency: 1})
+	ctx := context.Background()
+	r, err := d.Cluster.Serve(ctx, sched.Query{ID: 0, MinAccuracy: 77, MaxLatency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.SubNet == "" || r.Latency <= 0 {
 		t.Fatalf("degenerate result %+v", r)
 	}
-	rs, err := d.ServeAll([]sched.Query{
+	rs, err := d.Cluster.ServeAll(ctx, []sched.Query{
 		{ID: 1, MinAccuracy: 76, MaxLatency: 1},
 		{ID: 2, MinAccuracy: 79, MaxLatency: 1},
 	})
@@ -56,15 +67,15 @@ func TestDeployDefaultsAndServe(t *testing.T) {
 
 func TestDeployModes(t *testing.T) {
 	for _, m := range []serving.Mode{serving.Full, serving.StateUnaware, serving.NoPB} {
-		d, err := Deploy(DeployOptions{Workload: MobileNetV3, Mode: m})
+		d, err := DeployCluster(DeployOptions{Workload: MobileNetV3, Mode: m}, ClusterOptions{})
 		if err != nil {
 			t.Fatalf("mode %v: %v", m, err)
 		}
-		if d.System.Mode() != m {
+		if soloSystem(d).Mode() != m {
 			t.Errorf("mode %v mismatch", m)
 		}
 	}
-	if _, err := Deploy(DeployOptions{Workload: "bogus"}); err == nil {
+	if _, err := DeployCluster(DeployOptions{Workload: "bogus"}, ClusterOptions{}); err == nil {
 		t.Error("bogus workload accepted")
 	}
 }

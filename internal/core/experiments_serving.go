@@ -8,7 +8,6 @@ import (
 	"sushi/internal/latencytable"
 	"sushi/internal/sched"
 	"sushi/internal/serving"
-	"sushi/internal/simq"
 	"sushi/internal/workload"
 )
 
@@ -375,20 +374,16 @@ func AblationAvg(w Workload, queries int) (*Result, error) {
 // Overload regenerates §1's motivating claim as a measurable experiment:
 // under transient overload, the single static high-accuracy model drops
 // queries and misses deadlines, while SUSHI's load-aware navigation of
-// the latency/accuracy space keeps serving (at reduced accuracy).
+// the latency/accuracy space keeps serving (at reduced accuracy). Each
+// arm runs on its own single accelerator: a fresh one-replica
+// deployment.
 func Overload(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 120
 	}
-	super, fr, err := frontierFor(w)
+	_, fr, err := frontierFor(w)
 	if err != nil {
 		return nil, err
-	}
-	mk := func() (*serving.System, error) {
-		return serving.New(super, fr, serving.Options{
-			Accel: accel.ZCU104(), Policy: sched.StrictLatency, Q: 4,
-			Mode: serving.Full, Candidates: 16, Seed: 1,
-		})
 	}
 	_, latHi, err := probeLatencies(w, serving.Full)
 	if err != nil {
@@ -402,50 +397,37 @@ func Overload(w Workload, queries int) (*Result, error) {
 	}
 	capacity := 1.0 / budget // top-model service rate
 	for _, factor := range []float64{0.5, 1.5, 3.0} {
-		arr, err := workload.PoissonArrivals(queries, capacity*factor, 11)
+		arr, err := workload.Poisson{Rate: capacity * factor}.Times(queries, 11)
 		if err != nil {
 			return nil, err
 		}
-		mkStream := func(staticTop bool) []serving.TimedQuery {
+		for _, arm := range []struct {
+			name      string
+			staticTop bool
+		}{{"static top model", true}, {"load-aware SUSHI", false}} {
 			qs := make([]serving.TimedQuery, queries)
 			for i := range qs {
 				q := sched.Query{ID: i, MaxLatency: budget}
-				if staticTop {
+				if arm.staticTop {
 					q.MinAccuracy = fr[len(fr)-1].Accuracy
 				}
 				qs[i] = serving.TimedQuery{Query: q, Arrival: arr[i]}
 			}
-			return qs
-		}
-		sysStatic, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		stRs, err := simq.ServeTimed(sysStatic, mkStream(true), serving.TimedOptions{Drop: true})
-		if err != nil {
-			return nil, err
-		}
-		sysAdaptive, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		adRs, err := simq.ServeTimed(sysAdaptive, mkStream(false), serving.TimedOptions{Drop: true, LoadAware: true})
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range []struct {
-			name string
-			sum  serving.TimedSummary
-		}{
-			{"static top model", serving.SummarizeTimed(stRs)},
-			{"load-aware SUSHI", serving.SummarizeTimed(adRs)},
-		} {
+			dep, err := DeployCluster(DeployOptions{Workload: w, Policy: sched.StrictLatency}, ClusterOptions{})
+			if err != nil {
+				return nil, err
+			}
+			run, err := dep.Simulate(qs, SimOptions{Drop: true, LoadAware: !arm.staticTop})
+			if err != nil {
+				return nil, err
+			}
+			sum := run.Summary
 			res.Rows = append(res.Rows, []string{
-				fmt.Sprintf("%.1fx", factor), row.name,
-				f1(row.sum.E2ESLO * 100),
-				fmt.Sprintf("%d", row.sum.Dropped),
-				f2(row.sum.AvgAccuracy),
-				ms(row.sum.AvgQueueDelay),
+				fmt.Sprintf("%.1fx", factor), arm.name,
+				f1(sum.E2ESLO * 100),
+				fmt.Sprintf("%d", sum.Dropped),
+				f2(sum.AvgAccuracy),
+				ms(sum.AvgQueueDelay),
 			})
 		}
 	}

@@ -210,16 +210,6 @@ func (a *Accumulator) addServed(r *Served) {
 	a.lats.observe(r.Latency)
 }
 
-// AddTimed folds one open-loop outcome given as a TimedServed value:
-// AddOpenLoop for a served query, AddDropped for an abandoned one.
-func (a *Accumulator) AddTimed(r TimedServed) {
-	if r.Dropped {
-		a.AddDropped(r.Query.Model, r.Query.Class, r.Arrival, r.Finish)
-		return
-	}
-	a.AddOpenLoop(&r.Served, r.Arrival, r.Finish, r.QueueDelay, r.E2ELatency)
-}
-
 // AddOpenLoop folds one served open-loop query: the service aggregates
 // of r (its LatencyMet is already end-to-end, judged by the engine)
 // plus queueing telemetry — E2E latency reservoir, queue delay, and the

@@ -143,29 +143,18 @@ func TestMergedReservoirPercentileTolerance(t *testing.T) {
 	}
 }
 
-// TestAddTimedAggregates pins the open-loop fold: drops count against
-// SLO and goodput, E2E percentiles come from served queries only, and
-// merge propagates the span.
+// TestAddTimedAggregates pins the open-loop fold (AddOpenLoop and
+// AddDropped, the engine's two calls): drops count against SLO and
+// goodput, averages and E2E percentiles come from served queries only,
+// and merge propagates the span.
 func TestAddTimedAggregates(t *testing.T) {
 	var a, b Accumulator
 	// Replica a: two served (one in budget), one dropped.
-	a.AddTimed(TimedServed{
-		Served:  Served{Latency: 2e-3, Accuracy: 80, LatencyMet: true},
-		Arrival: 0, Start: 0, Finish: 2e-3, E2ELatency: 2e-3,
-	})
-	a.AddTimed(TimedServed{
-		Served:  Served{Latency: 2e-3, Accuracy: 70},
-		Arrival: 1e-3, Start: 5e-3, Finish: 7e-3, QueueDelay: 4e-3, E2ELatency: 6e-3,
-	})
-	a.AddTimed(TimedServed{
-		Arrival: 2e-3, Start: 9e-3, Finish: 9e-3, QueueDelay: 7e-3, E2ELatency: 7e-3,
-		Dropped: true,
-	})
+	a.AddOpenLoop(&Served{Latency: 2e-3, Accuracy: 80, LatencyMet: true}, 0, 2e-3, 0, 2e-3)
+	a.AddOpenLoop(&Served{Latency: 2e-3, Accuracy: 70}, 1e-3, 7e-3, 4e-3, 6e-3)
+	a.AddDropped("", "", 2e-3, 9e-3)
 	// Replica b: one served in budget, later finish.
-	b.AddTimed(TimedServed{
-		Served:  Served{Latency: 3e-3, Accuracy: 75, LatencyMet: true},
-		Arrival: 4e-3, Start: 4e-3, Finish: 10e-3, E2ELatency: 6e-3,
-	})
+	b.AddOpenLoop(&Served{Latency: 3e-3, Accuracy: 75, LatencyMet: true}, 4e-3, 10e-3, 0, 6e-3)
 	m := a.Snapshot()
 	m.Merge(&b)
 	sum := m.Summary()
@@ -181,6 +170,9 @@ func TestAddTimedAggregates(t *testing.T) {
 	if !relClose(sum.AvgE2E, (2e-3+6e-3+6e-3)/3, 1e-9) {
 		t.Errorf("avg E2E %g", sum.AvgE2E)
 	}
+	if !relClose(sum.AvgQueueDelay, 4e-3/3, 1e-9) {
+		t.Errorf("avg queue delay %g over served only, want %g", sum.AvgQueueDelay, 4e-3/3)
+	}
 	// Span 0 → 10 ms, 2 SLO-met completions → 200 goodput.
 	if !relClose(sum.Goodput, 200, 1e-9) {
 		t.Errorf("goodput %g, want 200", sum.Goodput)
@@ -188,8 +180,12 @@ func TestAddTimedAggregates(t *testing.T) {
 	if sum.P99E2E != 6e-3 {
 		t.Errorf("P99 E2E %g from served queries, want 6e-3", sum.P99E2E)
 	}
-	// A closed-loop accumulator reports no open-loop aggregates.
+	// An empty accumulator reports nothing.
 	var c Accumulator
+	if s := c.Summary(); s.Queries != 0 || s.E2ESLO != 0 {
+		t.Errorf("empty summary %+v", s)
+	}
+	// A closed-loop accumulator reports no open-loop aggregates.
 	c.Add(Served{Latency: 1e-3, LatencyMet: true})
 	if s := c.Summary(); s.E2ESLO != 0 || s.Goodput != 0 || s.P99E2E != 0 {
 		t.Errorf("closed-loop summary leaked open-loop fields: %+v", s)

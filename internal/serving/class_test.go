@@ -7,19 +7,14 @@ import (
 	"sushi/internal/sched"
 )
 
-// classServed mints a timed outcome for one SLO class.
-func classServed(class string, e2e float64, met, dropped bool) TimedServed {
-	r := TimedServed{
-		Served:     Served{Query: sched.Query{Class: class}, Latency: e2e / 2, LatencyMet: met},
-		Arrival:    0,
-		Finish:     e2e,
-		E2ELatency: e2e,
-	}
-	r.Dropped = dropped
+// addClassed folds one open-loop outcome for an SLO class: a drop, or
+// a query served with the given E2E latency.
+func addClassed(a *Accumulator, class string, e2e float64, met, dropped bool) {
 	if dropped {
-		r.Served.LatencyMet = false
+		a.AddDropped("", class, 0, e2e)
+		return
 	}
-	return r
+	a.AddOpenLoop(&Served{Query: sched.Query{Class: class}, Latency: e2e / 2, LatencyMet: met}, 0, e2e, 0, e2e)
 }
 
 // TestAccumulatorPerClass: classed outcomes land in per-class buckets
@@ -29,11 +24,11 @@ func TestAccumulatorPerClass(t *testing.T) {
 	var a Accumulator
 	// gold: 2 served in SLO; batch: 1 served missing SLO + 1 drop;
 	// one unclassed outcome that must not create a bucket.
-	a.AddTimed(classServed("gold", 5e-3, true, false))
-	a.AddTimed(classServed("gold", 6e-3, true, false))
-	a.AddTimed(classServed("batch", 50e-3, false, false))
-	a.AddTimed(classServed("batch", 0, false, true))
-	a.AddTimed(classServed("", 1e-3, true, false))
+	addClassed(&a, "gold", 5e-3, true, false)
+	addClassed(&a, "gold", 6e-3, true, false)
+	addClassed(&a, "batch", 50e-3, false, false)
+	addClassed(&a, "batch", 0, false, true)
+	addClassed(&a, "", 1e-3, true, false)
 
 	s := a.Summary()
 	if len(s.PerClass) != 2 {
@@ -56,7 +51,7 @@ func TestAccumulatorPerClass(t *testing.T) {
 
 	// Merge and snapshot must preserve the class buckets.
 	var b2 Accumulator
-	b2.AddTimed(classServed("silver", 2e-3, true, false))
+	addClassed(&b2, "silver", 2e-3, true, false)
 	a.Merge(b2.Snapshot())
 	s = a.Summary()
 	if len(s.PerClass) != 3 || s.PerClass[2].Class != "silver" {

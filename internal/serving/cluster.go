@@ -130,9 +130,8 @@ func (c *Cluster) route(q sched.Query) *Replica {
 // replica's batch former: concurrent callers landing on the same
 // replica within the batching window share one accelerator pass when
 // they resolve to the same SubNet. Context deadlines tighten the
-// latency budget at submit time (the ServeContext convention) and
-// cancellation abandons the wait — the batch former then skips the
-// query at flush.
+// latency budget at submit time (tightenBudget) and cancellation
+// abandons the wait — the batch former then skips the query at flush.
 func (c *Cluster) Serve(ctx context.Context, q sched.Query) (Served, error) {
 	q, err := c.normalize(q)
 	if err != nil {

@@ -301,11 +301,13 @@ func TestClusterServeAllCancelled(t *testing.T) {
 	}
 }
 
+// TestServeContextDeadlineTightensBudget pins tightenBudget on a
+// one-replica cluster, the shape of a single accelerator.
 func TestServeContextDeadlineTightensBudget(t *testing.T) {
-	sys := newSystem(t, supernet.MobileNetV3, Full, sched.StrictLatency)
+	c := newCluster(t, 1, Full, NewRoundRobin())
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	res, err := sys.ServeContext(ctx, sched.Query{ID: 0, MinAccuracy: 0, MaxLatency: 10})
+	res, err := c.Serve(ctx, sched.Query{ID: 0, MinAccuracy: 0, MaxLatency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +317,11 @@ func TestServeContextDeadlineTightensBudget(t *testing.T) {
 	expired, cancelExp := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancelExp()
 	time.Sleep(time.Millisecond)
-	if _, err := sys.ServeContext(expired, sched.Query{ID: 1, MaxLatency: 1}); err == nil {
+	if _, err := c.Serve(expired, sched.Query{ID: 1, MaxLatency: 1}); err == nil {
 		t.Error("expired context served")
+	}
+	if n := c.Stats().Queries; n != 1 {
+		t.Errorf("%d queries folded, want 1 (the expired one must not serve)", n)
 	}
 }
 

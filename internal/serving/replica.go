@@ -325,8 +325,8 @@ func (r *Replica) EnablePartition(pol PartitionPolicy, pbBytes int64) error {
 	return nil
 }
 
-// PartitionShares reports each tenant's current PB share in bytes, in
-// tenant order (nil while partitioning is off).
+// PartitionShares reports each tenant's current PB share in bytes,
+// keyed by model id (nil while partitioning is off).
 func (r *Replica) PartitionShares() map[string]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -597,21 +597,8 @@ func (s *System) ServeAll(qs []sched.Query) ([]Served, error) {
 	return out, nil
 }
 
-// ServeContext is the context-aware serve path. A context deadline
-// tightens the query's latency budget: with D seconds of wall clock
-// remaining, a SubNet slower than D cannot produce a useful answer, so
-// MaxLatency becomes min(MaxLatency, D) (and D outright when the query
-// carried no latency budget). An already-expired or cancelled context
-// fails fast without touching accelerator state.
-func (s *System) ServeContext(ctx context.Context, q sched.Query) (Served, error) {
-	if err := tightenBudget(ctx, &q); err != nil {
-		return Served{}, err
-	}
-	return s.Serve(q)
-}
-
-// tightenBudget is the one deadline rule of the live paths (ServeContext,
-// Replica.serve, the batcher's submit): a cancelled or expired context
+// tightenBudget is the one deadline rule of the live paths
+// (Replica.serve, the batcher's submit): a cancelled or expired context
 // fails, and with D seconds of wall clock remaining q.MaxLatency becomes
 // min(MaxLatency, D) — D outright when q carried no budget.
 func tightenBudget(ctx context.Context, q *sched.Query) error {
@@ -628,22 +615,4 @@ func tightenBudget(ctx context.Context, q *sched.Query) error {
 		}
 	}
 	return nil
-}
-
-// ServeAllContext runs a stream in order, checking for cancellation
-// between queries. On cancellation it returns the outcomes served so far
-// together with the context's error.
-func (s *System) ServeAllContext(ctx context.Context, qs []sched.Query) ([]Served, error) {
-	out := make([]Served, 0, len(qs))
-	for _, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		r, err := s.ServeContext(ctx, q)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -34,8 +34,8 @@ type Summary struct {
 	Recaches int
 
 	// Open-loop aggregates, populated only for timed (arrival-driven)
-	// sessions folded through Accumulator.AddTimed; all zero for
-	// closed-loop streams.
+	// sessions folded through Accumulator.AddOpenLoop/AddDropped; all
+	// zero for closed-loop streams.
 
 	// Dropped counts queries abandoned before service (deadline expiry,
 	// admission rejection, or shedding).

@@ -4,15 +4,15 @@ import "sushi/internal/sched"
 
 // Timed serving data types — the ONE authoritative note on where
 // open-loop queueing lives. This file defines only the data shapes
-// (TimedQuery in, TimedServed out, TimedOptions/TimedSummary); the
-// queueing semantics themselves — FIFO arrival-order service, bounded
-// queues, admission control, load-aware budget debiting, and the
-// micro-batch former (flush on full batch or window expiry) — live in
-// exactly one place: the virtual-time discrete-event engine in
-// internal/simq. Single-replica callers enter through simq.ServeTimed,
-// clusters through simq.New/FromCluster + Run (surfaced publicly as
-// sushi.System.ServeTimed and sushi.Cluster.Simulate). There is no
-// wall-clock queueing loop anywhere in this package.
+// (TimedQuery in, TimedServed out); the queueing semantics themselves —
+// FIFO arrival-order service, bounded queues, admission control,
+// load-aware budget debiting, and the micro-batch former (flush on full
+// batch or window expiry) — live in exactly one place: the virtual-time
+// discrete-event engine in internal/simq, entered through simq.New or
+// FromCluster + Run (surfaced publicly as sushi.Cluster.Simulate and
+// POST /v1/simulate). A single accelerator is a one-replica engine, and
+// its aggregates come from the engine's Accumulator like any other run.
+// There is no wall-clock queueing loop anywhere in this package.
 
 // TimedQuery is a query with an arrival time (seconds since stream start).
 type TimedQuery struct {
@@ -34,64 +34,4 @@ type TimedServed struct {
 	// it (§1's transient-overload failure mode). Dropped queries have a
 	// zero Served.
 	Dropped bool
-}
-
-// TimedOptions is the single-replica (simq.ServeTimed) subset of the
-// engine's queueing discipline: an unbounded FIFO with optional budget
-// debiting and deadline drops. The full surface — bounded queues,
-// admission policies, routers, the micro-batch former's B and W — is
-// simq.Options; cluster callers use it directly.
-type TimedOptions struct {
-	// LoadAware shrinks each query's effective latency budget by the
-	// time it already waited (sched.Query.Debit), so the scheduler picks
-	// a faster SubNet under load — the dynamic navigation of the
-	// trade-off space the paper motivates. Only meaningful under
-	// StrictLatency.
-	LoadAware bool
-	// Drop abandons queries whose remaining budget is exhausted before
-	// service starts (instead of serving them hopelessly late).
-	Drop bool
-}
-
-// TimedSummary aggregates a timed session.
-type TimedSummary struct {
-	// Queries, Served, Dropped count the stream.
-	Queries, ServedCount, Dropped int
-	// AvgE2E and AvgQueueDelay are in seconds (served queries only).
-	AvgE2E, AvgQueueDelay float64
-	// E2ESLO is the fraction of all queries (dropped count as misses)
-	// finishing within their original budget.
-	E2ESLO float64
-	// AvgAccuracy is over served queries.
-	AvgAccuracy float64
-}
-
-// SummarizeTimed folds a timed session.
-func SummarizeTimed(rs []TimedServed) TimedSummary {
-	var s TimedSummary
-	s.Queries = len(rs)
-	if len(rs) == 0 {
-		return s
-	}
-	met := 0
-	for _, r := range rs {
-		if r.Dropped {
-			s.Dropped++
-			continue
-		}
-		s.ServedCount++
-		s.AvgE2E += r.E2ELatency
-		s.AvgQueueDelay += r.QueueDelay
-		s.AvgAccuracy += r.Accuracy
-		if r.LatencyMet {
-			met++
-		}
-	}
-	if s.ServedCount > 0 {
-		s.AvgE2E /= float64(s.ServedCount)
-		s.AvgQueueDelay /= float64(s.ServedCount)
-		s.AvgAccuracy /= float64(s.ServedCount)
-	}
-	s.E2ESLO = float64(met) / float64(len(rs))
-	return s
 }

@@ -151,9 +151,9 @@ func (o *Outcome) fill(j *job, s *serving.Served, ri int, start, finish float64,
 	o.Reason, o.Degraded, o.Dropped = why, j.degraded, s == nil
 }
 
-// Timed re-inflates record i into the serving.TimedServed shape
-// simq.ServeTimed returns: the query echo with its model id, SLO class
-// and policy override, the served SubNet's name, and QueueDelay.
+// Timed re-inflates record i into the full serving.TimedServed shape:
+// the query echo with its model id, SLO class and policy override, the
+// served SubNet's name, and QueueDelay.
 func (r *Result) Timed(i int) serving.TimedServed {
 	o := &r.Outcomes[i]
 	t := serving.TimedServed{

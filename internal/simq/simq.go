@@ -31,9 +31,9 @@
 // workload stream via RunProcess), and every hot-path buffer pooled
 // across the run — the steady state allocates nothing per query.
 //
-// ServeTimed is the single-replica entry point; cluster-level callers
-// use New/FromCluster + Run (surfaced publicly as sushi.Cluster.Simulate
-// and POST /v1/simulate).
+// Callers enter through New/FromCluster + Run (surfaced publicly as
+// sushi.Cluster.Simulate and POST /v1/simulate); a single accelerator is
+// a one-replica engine.
 package simq
 
 import (
@@ -338,19 +338,6 @@ func FromCluster(c *serving.Cluster, opt Options) (*Engine, error) {
 	return New(c.Replicas(), opt)
 }
 
-// NewSingle wraps one system as a single-replica engine — the modern
-// form of the old ServeTimed FIFO.
-func NewSingle(sys *serving.System, opt Options) (*Engine, error) {
-	if sys == nil {
-		return nil, fmt.Errorf("simq: nil system")
-	}
-	rep, err := serving.NewMultiReplica(0, []serving.Tenant{{Sys: sys}})
-	if err != nil {
-		return nil, err
-	}
-	return New([]*serving.Replica{rep}, opt)
-}
-
 // job is one query on its way through the engine: minted by the arrival
 // source, copied once into a replica queue, and read there in place
 // until its outcome is recorded. q stays as the query arrived (its
@@ -489,9 +476,10 @@ func (e *Engine) Run(qs []serving.TimedQuery) (*Result, error) {
 // drawn LAZILY from stream — no materialized arrival slice — and the
 // i-th query minted by mk at its arrival instant. stream must yield
 // finite, non-negative, non-decreasing instants (every
-// workload.Streamer does by construction); a violation aborts the run
-// mid-stream with an error, after earlier queries have already mutated
-// replica cache state — the documented price of laziness.
+// workload.ArrivalProcess stream does by construction); a violation
+// aborts the run mid-stream with an error, after earlier queries have
+// already mutated replica cache state — the documented price of
+// laziness.
 func (e *Engine) RunProcess(n int, stream func() (float64, bool), mk func(i int, t float64) sched.Query) (*Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("simq: non-positive query count %d", n)
@@ -640,24 +628,4 @@ func (e *Engine) finish(r *runner) {
 	res.Summary.ScaleUps = res.ScaleUps
 	res.Summary.ScaleDowns = res.ScaleDowns
 	res.Summary.ReplicaSeconds = res.ReplicaSeconds
-}
-
-// ServeTimed runs a timed stream through a single system in arrival
-// order — the single-replica entry point: FIFO, non-preemptive,
-// unbounded queue, unbatched, with the TimedOptions disciplines mapped
-// onto the engine.
-func ServeTimed(sys *serving.System, qs []serving.TimedQuery, opt serving.TimedOptions) ([]serving.TimedServed, error) {
-	eng, err := NewSingle(sys, Options{LoadAware: opt.LoadAware, Drop: opt.Drop})
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Run(qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]serving.TimedServed, len(res.Outcomes))
-	for i := range out {
-		out[i] = res.Timed(i)
-	}
-	return out, nil
 }

@@ -92,7 +92,7 @@ func latHi(sys *serving.System) float64 {
 // latency budget.
 func timedStream(t *testing.T, n int, rate, budget float64) []serving.TimedQuery {
 	t.Helper()
-	arr, err := workload.PoissonArrivals(n, rate, 3)
+	arr, err := workload.Poisson{Rate: rate}.Times(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +106,28 @@ func timedStream(t *testing.T, n int, rate, budget float64) []serving.TimedQuery
 	return qs
 }
 
-func TestServeTimedFIFOInvariants(t *testing.T) {
-	sys := newSystem(t, sched.StrictLatency)
-	budget := latHi(sys) * 1.1
-	qs := timedStream(t, 60, 300, budget) // moderate load
-	rs, err := ServeTimed(sys, qs, serving.TimedOptions{})
+// soloRun plays qs through a one-replica engine over sys — the shape of
+// a single accelerator — and holds the result to the engine's
+// invariants.
+func soloRun(t *testing.T, sys *serving.System, qs []serving.TimedQuery, opt Options) *Result {
+	t.Helper()
+	eng, err := New([]*serving.Replica{soloReplica(t, 0, sys)}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 60 {
-		t.Fatalf("%d results", len(rs))
+	return checked(t, eng, qs)
+}
+
+func TestServeTimedFIFOInvariants(t *testing.T) {
+	sys := newSystem(t, sched.StrictLatency)
+	budget := latHi(sys) * 1.1
+	res := soloRun(t, sys, timedStream(t, 60, 300, budget), Options{}) // moderate load
+	if len(res.Outcomes) != 60 {
+		t.Fatalf("%d results", len(res.Outcomes))
 	}
 	prevFinish := 0.0
-	for i, r := range rs {
+	for i := range res.Outcomes {
+		r := res.Timed(i)
 		if r.Start < r.Arrival-1e-12 {
 			t.Fatalf("query %d started before arriving", i)
 		}
@@ -139,17 +148,13 @@ func TestServeTimedOverloadBuildsQueue(t *testing.T) {
 	sys := newSystem(t, sched.StrictLatency)
 	budget := latHi(sys) * 1.1
 	// Far beyond capacity: service ~2-6 ms -> capacity ~200-400 qps; feed 5000 qps.
-	over := timedStream(t, 80, 5000, budget)
-	rs, err := ServeTimed(sys, over, serving.TimedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := serving.SummarizeTimed(rs)
+	res := soloRun(t, sys, timedStream(t, 80, 5000, budget), Options{})
+	sum := res.Summary
 	if sum.AvgQueueDelay <= 0 {
 		t.Error("overload produced no queueing delay")
 	}
 	// Under heavy overload the tail queries must wait many service times.
-	if last := rs[len(rs)-1]; last.QueueDelay < 5*budget {
+	if last := res.Timed(len(res.Outcomes) - 1); last.QueueDelay < 5*budget {
 		t.Errorf("tail queue delay %.4f s too small for 25x overload", last.QueueDelay)
 	}
 	if sum.E2ESLO > 0.6 {
@@ -174,16 +179,8 @@ func TestServeTimedLoadAwareBeatsStatic(t *testing.T) {
 		static[i].MinAccuracy = fr[len(fr)-1].Accuracy
 		static[i].MaxLatency = budget
 	}
-	staticRs, err := ServeTimed(mk(), static, serving.TimedOptions{Drop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptiveRs, err := ServeTimed(mk(), qs, serving.TimedOptions{Drop: true, LoadAware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := serving.SummarizeTimed(staticRs)
-	ad := serving.SummarizeTimed(adaptiveRs)
+	st := soloRun(t, mk(), static, Options{Drop: true}).Summary
+	ad := soloRun(t, mk(), qs, Options{Drop: true, LoadAware: true}).Summary
 	t.Logf("static-top: SLO %.2f drops %d | load-aware: SLO %.2f drops %d",
 		st.E2ESLO, st.Dropped, ad.E2ESLO, ad.Dropped)
 	if ad.E2ESLO <= st.E2ESLO {
@@ -203,47 +200,47 @@ func TestServeTimedDropSemantics(t *testing.T) {
 		{Query: sched.Query{ID: 0, MaxLatency: budget}, Arrival: 0},
 		{Query: sched.Query{ID: 1, MaxLatency: budget}, Arrival: 0},
 	}
-	rs, err := ServeTimed(sys, qs, serving.TimedOptions{Drop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0].Dropped {
+	res := soloRun(t, sys, qs, Options{Drop: true})
+	if res.Timed(0).Dropped {
 		t.Error("first query dropped")
 	}
-	if !rs[1].Dropped {
+	if !res.Timed(1).Dropped {
 		t.Error("second query not dropped despite exhausted budget")
 	}
-	sum := serving.SummarizeTimed(rs)
-	if sum.Dropped != 1 || sum.ServedCount != 1 {
-		t.Errorf("summary %+v", sum)
+	if res.Summary.Dropped != 1 || res.Served != 1 {
+		t.Errorf("summary %+v, served %d", res.Summary, res.Served)
 	}
 }
 
 // TestValidationHasNoSideEffects pins the hoisted-validation bugfix: a
 // negative arrival anywhere in the stream must fail before ANY query is
 // served, leaving scheduler and cache state untouched (the old
-// System.ServeTimed validated mid-loop, after mutating cache state for
-// earlier queries).
+// single-system timed loop validated mid-loop, after mutating cache
+// state for earlier queries).
 func TestValidationHasNoSideEffects(t *testing.T) {
 	sys := newSystem(t, sched.StrictLatency)
 	budget := latHi(sys)
+	eng, err := New([]*serving.Replica{soloReplica(t, 0, sys)}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	qs := []serving.TimedQuery{
 		{Query: sched.Query{ID: 0, MaxLatency: budget}, Arrival: 0},
 		{Query: sched.Query{ID: 1, MaxLatency: budget}, Arrival: 0.01},
 		{Query: sched.Query{ID: 2, MaxLatency: budget}, Arrival: -1}, // invalid, late in stream
 	}
-	if _, err := ServeTimed(sys, qs, serving.TimedOptions{}); err == nil {
+	if _, err := eng.Run(qs); err == nil {
 		t.Fatal("negative arrival accepted")
 	}
 	if n := sys.Scheduler().Served(); n != 0 {
 		t.Errorf("%d queries served before validation failed (side effects!)", n)
 	}
-	if _, err := ServeTimed(sys, []serving.TimedQuery{{Arrival: math.NaN()}}, serving.TimedOptions{}); err == nil {
+	if _, err := eng.Run([]serving.TimedQuery{{Arrival: math.NaN()}}); err == nil {
 		t.Error("NaN arrival accepted")
 	}
 	// A +Inf arrival would end the event loop with the query forever
 	// pending yet counted as served.
-	if _, err := ServeTimed(sys, []serving.TimedQuery{{Arrival: math.Inf(1)}}, serving.TimedOptions{}); err == nil {
+	if _, err := eng.Run([]serving.TimedQuery{{Arrival: math.Inf(1)}}); err == nil {
 		t.Error("+Inf arrival accepted")
 	}
 }
@@ -421,9 +418,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 	if _, err := New(reps, Options{Admission: Admission(9)}); err == nil {
 		t.Error("bogus admission accepted")
-	}
-	if _, err := NewSingle(nil, Options{}); err == nil {
-		t.Error("nil system accepted")
 	}
 	if _, err := FromCluster(nil, Options{}); err == nil {
 		t.Error("nil cluster accepted")

@@ -9,7 +9,7 @@ import (
 )
 
 // ArrivalProcess generates open-loop arrival times for the simq engine:
-// n non-decreasing, non-negative instants (seconds since stream start),
+// non-decreasing, non-negative instants (seconds since stream start),
 // deterministic given the seed. The paper's premise is dynamically
 // variable deployment conditions (§1); the concrete processes model the
 // regimes its motivating applications face — steady Poisson traffic,
@@ -19,24 +19,18 @@ type ArrivalProcess interface {
 	Name() string
 	// Times draws the first n arrival instants.
 	Times(n int, seed int64) ([]float64, error)
+	// Stream validates the parameters once and returns a lazy drawer
+	// that consumes the seed's RNG in exactly the order Times does, so
+	// the k-th draw equals Times(n, seed)[k] bit for bit. The simq
+	// engine streams arrivals through it instead of materializing them
+	// up front (Times is a thin collector over Stream).
+	Stream(seed int64) (ArrivalStream, error)
 }
 
 // ArrivalStream draws one arrival instant at a time, in non-decreasing
 // order; ok is false when the stream is exhausted (generative processes
 // never exhaust, trace replay does).
 type ArrivalStream func() (t float64, ok bool)
-
-// Streamer is the incremental face of an ArrivalProcess: Stream
-// validates the parameters once and returns a lazy drawer that consumes
-// the seed's RNG in exactly the order Times does, so the k-th draw
-// equals Times(n, seed)[k] bit for bit. The simq engine streams
-// arrivals through this instead of materializing them up front. Every
-// process in this package implements it (Times is a thin collector
-// over Stream).
-type Streamer interface {
-	ArrivalProcess
-	Stream(seed int64) (ArrivalStream, error)
-}
 
 // collect materializes the first n draws of a stream — the shared Times
 // implementation.
@@ -59,8 +53,7 @@ func collect(n int, stream ArrivalStream, err error) ([]float64, error) {
 }
 
 // Poisson is the memoryless constant-rate arrival process, the standard
-// open-loop load generator for serving experiments. PoissonArrivals is
-// its function form.
+// open-loop load generator for serving experiments.
 type Poisson struct {
 	// Rate is the arrival intensity in queries/second.
 	Rate float64
@@ -75,7 +68,7 @@ func (p Poisson) Times(n int, seed int64) ([]float64, error) {
 	return collect(n, stream, err)
 }
 
-// Stream implements Streamer.
+// Stream implements ArrivalProcess.
 func (p Poisson) Stream(seed int64) (ArrivalStream, error) {
 	if !(p.Rate > 0) {
 		return nil, fmt.Errorf("workload: non-positive rate %g", p.Rate)
@@ -116,7 +109,7 @@ func (p OnOff) Times(n int, seed int64) ([]float64, error) {
 	return collect(n, stream, err)
 }
 
-// Stream implements Streamer.
+// Stream implements ArrivalProcess.
 func (p OnOff) Stream(seed int64) (ArrivalStream, error) {
 	if !(p.OnRate > 0) {
 		return nil, fmt.Errorf("workload: non-positive on-rate %g", p.OnRate)
@@ -195,7 +188,7 @@ func (p Diurnal) Times(n int, seed int64) ([]float64, error) {
 	return collect(n, stream, err)
 }
 
-// Stream implements Streamer.
+// Stream implements ArrivalProcess.
 func (p Diurnal) Stream(seed int64) (ArrivalStream, error) {
 	if !(p.BaseRate > 0) {
 		return nil, fmt.Errorf("workload: non-positive base rate %g", p.BaseRate)
@@ -285,8 +278,8 @@ func (p Trace) Times(n int, _ int64) ([]float64, error) {
 	return out, nil
 }
 
-// Stream implements Streamer: recorded arrivals replayed in order, the
-// stream exhausting at the trace's end (the seed is ignored).
+// Stream implements ArrivalProcess: recorded arrivals replayed in
+// order, the stream exhausting at the trace's end (the seed is ignored).
 func (p Trace) Stream(_ int64) (ArrivalStream, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ func (p Gamma) Times(n int, seed int64) ([]float64, error) {
 	return collect(n, stream, err)
 }
 
-// Stream implements Streamer.
+// Stream implements ArrivalProcess.
 func (p Gamma) Stream(seed int64) (ArrivalStream, error) {
 	if !(p.Rate > 0) {
 		return nil, fmt.Errorf("workload: non-positive rate %g", p.Rate)
@@ -99,7 +99,7 @@ func (p Weibull) Times(n int, seed int64) ([]float64, error) {
 	return collect(n, stream, err)
 }
 
-// Stream implements Streamer.
+// Stream implements ArrivalProcess.
 func (p Weibull) Stream(seed int64) (ArrivalStream, error) {
 	if !(p.Rate > 0) {
 		return nil, fmt.Errorf("workload: non-positive rate %g", p.Rate)
@@ -279,8 +279,8 @@ type Cohort struct {
 	Accuracy Empirical
 }
 
-// process resolves the cohort's arrival law to a Streamer.
-func (c Cohort) process() (Streamer, error) {
+// process resolves the cohort's arrival law to an ArrivalProcess.
+func (c Cohort) process() (ArrivalProcess, error) {
 	shape := c.Shape
 	if shape == 0 {
 		shape = 1
@@ -373,7 +373,7 @@ func (p Population) Times(n int, seed int64) ([]float64, error) {
 	return collect(n, stream, err)
 }
 
-// Stream implements Streamer: the lazy superposed stream, instants
+// Stream implements ArrivalProcess: the lazy superposed stream, instants
 // only. The underlying merge still advances each cohort's mark stream,
 // but marks draw from separate RNGs, so the instants equal Labeled's
 // bit for bit.

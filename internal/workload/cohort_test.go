@@ -87,7 +87,7 @@ func TestGammaShapeSemantics(t *testing.T) {
 	if !(regular < 0.7) {
 		t.Errorf("shape 5 CV = %.2f, want clearly under-dispersed (< 0.7)", regular)
 	}
-	for _, bad := range []Streamer{
+	for _, bad := range []ArrivalProcess{
 		Gamma{Rate: 0, Shape: 1}, Gamma{Rate: 10, Shape: 0}, Gamma{Rate: 10, Shape: math.Inf(1)},
 		Weibull{Rate: -1, Shape: 1}, Weibull{Rate: 10, Shape: 0},
 	} {

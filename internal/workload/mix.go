@@ -72,9 +72,9 @@ func (m Mix) Times(n int, seed int64) ([]float64, error) {
 	return times, err
 }
 
-// Stream implements Streamer: the lazy superposition of the component
-// streams, merged in time order with ties breaking toward the lower
-// component index — the same order Labeled produces, so the k-th draw
+// Stream implements ArrivalProcess: the lazy superposition of the
+// component streams, merged in time order with ties breaking toward the
+// lower component index — the same order Labeled produces, so the k-th draw
 // equals Times(n, seed)[k] for any n > k (as long as no finite
 // component exhausts early). Model labels are discarded; multi-tenant
 // callers want Labeled.
@@ -86,11 +86,7 @@ func (m Mix) Stream(seed int64) (ArrivalStream, error) {
 	next := make([]float64, len(m.Components))
 	live := make([]bool, len(m.Components))
 	for i, c := range m.Components {
-		s, ok := c.Process.(Streamer)
-		if !ok {
-			return nil, fmt.Errorf("workload: mix component %d (%q) cannot stream lazily", i, c.Model)
-		}
-		st, err := s.Stream(componentSeed(seed, i))
+		st, err := c.Process.Stream(componentSeed(seed, i))
 		if err != nil {
 			return nil, fmt.Errorf("workload: mix component %d (%q): %w", i, c.Model, err)
 		}

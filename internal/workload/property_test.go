@@ -69,11 +69,7 @@ func TestArrivalProcessProperties(t *testing.T) {
 			// Lazy/materialized equivalence: the k-th Stream draw must be
 			// Times(n)[k] bit for bit — the contract that lets the simq
 			// process engine consume any generator without materializing.
-			s, ok := tc.proc.(Streamer)
-			if !ok {
-				t.Fatalf("%s does not implement Streamer", tc.proc.Name())
-			}
-			st, err := s.Stream(7)
+			st, err := tc.proc.Stream(7)
 			if err != nil {
 				t.Fatal(err)
 			}

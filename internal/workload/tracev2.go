@@ -78,7 +78,7 @@ type TraceV2Record struct {
 }
 
 // TraceV2 is a decoded (or to-be-encoded) trace. It implements
-// ArrivalProcess and Streamer — replay is deterministic by
+// ArrivalProcess — replay is deterministic by
 // construction, the seed parameter is ignored — and Queries mints the
 // recorded query stream with sequential IDs.
 type TraceV2 struct {
@@ -189,7 +189,7 @@ func (t *TraceV2) Times(n int, _ int64) ([]float64, error) {
 	return out, nil
 }
 
-// Stream implements Streamer: recorded arrivals replayed in order,
+// Stream implements ArrivalProcess: recorded arrivals replayed in order,
 // exhausting at the trace's end.
 func (t *TraceV2) Stream(_ int64) (ArrivalStream, error) {
 	if err := t.Validate(); err != nil {

@@ -187,11 +187,3 @@ func Drifting(n int, accStart, accEnd, latStart, latEnd Range, seed int64) ([]sc
 	}
 	return out, nil
 }
-
-// PoissonArrivals draws n arrival times with exponential inter-arrival
-// gaps at the given rate (queries/second) — the function form of the
-// Poisson ArrivalProcess, kept for callers that don't need the
-// abstraction. Deterministic given the seed.
-func PoissonArrivals(n int, rate float64, seed int64) ([]float64, error) {
-	return Poisson{Rate: rate}.Times(n, seed)
-}

@@ -198,7 +198,7 @@ func TestDriftingSingleQuery(t *testing.T) {
 }
 
 func TestPoissonArrivals(t *testing.T) {
-	arr, err := PoissonArrivals(1000, 100, 7)
+	arr, err := Poisson{Rate: 100}.Times(1000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestPoissonArrivals(t *testing.T) {
 		t.Errorf("mean inter-arrival %.5f, want ~0.01", mean)
 	}
 	// Determinism.
-	arr2, err := PoissonArrivals(1000, 100, 7)
+	arr2, err := Poisson{Rate: 100}.Times(1000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +227,10 @@ func TestPoissonArrivals(t *testing.T) {
 			t.Fatal("same seed differs")
 		}
 	}
-	if _, err := PoissonArrivals(0, 100, 1); err == nil {
+	if _, err := (Poisson{Rate: 100}).Times(0, 1); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := PoissonArrivals(10, 0, 1); err == nil {
+	if _, err := (Poisson{Rate: 0}).Times(10, 1); err == nil {
 		t.Error("rate=0 accepted")
 	}
 }

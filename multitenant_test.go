@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sushi/internal/core"
 	"sushi/internal/serving"
 )
 
@@ -29,15 +30,17 @@ func testMultiCluster(t *testing.T, opts ...ClusterOption) *Cluster {
 // feasible.
 func modelBudget(t *testing.T, c *Cluster, model string) float64 {
 	t.Helper()
-	fr, ok := c.FrontierOf(model)
-	if !ok {
-		t.Fatalf("model %q not hosted", model)
+	var fr []core.SubNetView
+	for _, md := range c.d.Models {
+		if md.Model == model {
+			fr = core.FrontierView(md.Frontier)
+		}
 	}
 	if len(fr) == 0 {
-		t.Fatalf("model %q has an empty frontier", model)
+		t.Fatalf("model %q not hosted or has an empty frontier", model)
 	}
-	// A generous budget derived from model size: FrontierOf is sorted
-	// smallest-first; probe via Serve instead of internal tables.
+	// A generous budget rather than one derived from the frontier
+	// (sorted smallest-first).
 	return 0.5 // 500ms: every SubNet of either family fits comfortably
 }
 
@@ -46,7 +49,7 @@ func modelBudget(t *testing.T, c *Cluster, model string) float64 {
 // typed errors, and Stats carries per-model slices.
 func TestMultiTenantPublicServe(t *testing.T) {
 	c := testMultiCluster(t)
-	if got := c.Models(); len(got) != 2 || got[0] != "resnet50" || got[1] != "mobilenetv3" {
+	if got := c.d.Cluster.Models(); len(got) != 2 || got[0] != "resnet50" || got[1] != "mobilenetv3" {
 		t.Fatalf("Models() = %v", got)
 	}
 	ctx := context.Background()

@@ -8,26 +8,26 @@
 // (SubGraph Stationary, SGS). A state-aware scheduler decides per query
 // which SubNet to activate and, every Q queries, which SubGraph to cache.
 //
-// Quickstart (single accelerator):
+// Quickstart (a single accelerator is a cluster of one replica):
 //
-//	sys, err := sushi.New(sushi.Options{Workload: sushi.MobileNetV3})
+//	c, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3})
 //	if err != nil { ... }
-//	res, err := sys.Serve(sushi.Query{MinAccuracy: 78, MaxLatency: 5e-3})
+//	res, err := c.Serve(ctx, sushi.Query{MinAccuracy: 78, MaxLatency: 5e-3})
 //	fmt.Printf("served %s at %.2f ms\n", res.SubNet, res.Latency*1e3)
 //
-// Concurrent serving scales the same stack to N replica accelerators —
-// each with its own Persistent Buffer — behind a pluggable router. The
-// Affinity router steers each query to the replica whose cached SubGraph
-// already covers the SubNet it would serve, maximizing cross-query SGS
-// reuse at cluster scale:
+// The same stack scales to N replica accelerators — each with its own
+// Persistent Buffer — behind a pluggable router. The Affinity router
+// steers each query to the replica whose cached SubGraph already covers
+// the SubNet it would serve, maximizing cross-query SGS reuse at
+// cluster scale:
 //
 //	c, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3},
 //		sushi.WithReplicas(4), sushi.WithRouter(sushi.Affinity))
 //	if err != nil { ... }
 //	rs, err := c.ServeAll(ctx, queries) // or c.ServeStream(ctx, ch)
 //
-// Every cluster serve path is context-aware: a context deadline tightens
-// the query's latency budget and cancellation drains cleanly.
+// Every serve path is context-aware: a context deadline tightens the
+// query's latency budget and cancellation drains cleanly.
 //
 // Fleets may be heterogeneous: WithHardware assigns per-replica
 // accelerator configurations (mixed ZCU104/AlveoU50 deployments get one
@@ -51,18 +51,18 @@
 // Persistent Buffer, partitioned statically or by observed traffic
 // (WithPartition) — a hot model steals cache from a cold one. Queries
 // pick their model via Query.Model, routers and the batch formers are
-// model-aware, workload.Mix interleaves per-model arrival streams, and
+// model-aware, Mix interleaves per-model arrival streams, and
 // Summary.PerModel / GET /v1/replicas report per-model tails and SLO.
 //
-// The deeper layers are available for direct use in advanced scenarios:
-// the experiment harness regenerating every figure and table of the paper
-// lives behind Experiment; the cmd/sushi-bench tool wraps it.
+// The package exports what the cmd/ tools and examples/ use. Client
+// cohorts and measured latency tables are served by sushi-server
+// (-cohorts, -table); the experiment harness regenerating every figure
+// and table of the paper lives behind Experiment, which cmd/sushi-bench
+// wraps.
 package sushi
 
 import (
-	"context"
 	"fmt"
-	"strings"
 
 	"sushi/internal/accel"
 	"sushi/internal/calib"
@@ -90,7 +90,7 @@ type (
 	AccelConfig = accel.Config
 	// Workload names a SuperNet family.
 	Workload = core.Workload
-	// Options configures New.
+	// Options configures each replica of NewCluster.
 	Options = core.DeployOptions
 	// Range is a constraint-sampling interval for workload generators.
 	Range = workload.Range
@@ -133,8 +133,6 @@ var (
 	ZCU104 = accel.ZCU104
 	// AlveoU50 is the datacenter-card configuration (§5.4).
 	AlveoU50 = accel.AlveoU50
-	// RooflineStudy is the analytic-model configuration (§5.2).
-	RooflineStudy = accel.RooflineStudy
 )
 
 // Workload generators (seeded, deterministic).
@@ -152,87 +150,35 @@ var (
 // Summarize folds a served stream into aggregate statistics.
 var Summarize = serving.Summarize
 
-// Timed serving (open-loop arrivals with queueing, §1's transient
-// overload regime).
+// Open-loop simulation (§1's transient overload regime). Arrival
+// processes generate deterministic seeded arrival streams;
+// Cluster.Simulate plays them through the virtual-time discrete-event
+// engine (internal/simq) with bounded queues and admission control.
 type (
 	// TimedQuery is a query plus its arrival time.
 	TimedQuery = serving.TimedQuery
-	// TimedServed is a timed query's outcome (service + queueing).
+	// TimedServed is a timed query's outcome (service + queueing), as
+	// SimResult.Timed returns it.
 	TimedServed = serving.TimedServed
-	// TimedOptions controls the queueing discipline.
-	TimedOptions = serving.TimedOptions
-	// TimedSummary aggregates a timed session.
-	TimedSummary = serving.TimedSummary
-)
-
-// SummarizeTimed folds a timed session.
-var SummarizeTimed = serving.SummarizeTimed
-
-// PoissonArrivals draws open-loop arrival times at the given rate.
-var PoissonArrivals = workload.PoissonArrivals
-
-// Open-loop simulation. Arrival processes generate deterministic
-// seeded arrival streams; Cluster.Simulate plays them through the
-// virtual-time discrete-event engine (internal/simq) with bounded
-// queues and admission control.
-type (
-	// ArrivalProcess generates open-loop arrival instants.
-	ArrivalProcess = workload.ArrivalProcess
 	// Poisson is the constant-rate memoryless process.
 	Poisson = workload.Poisson
 	// OnOff is the two-state bursty (MMPP) process.
 	OnOff = workload.OnOff
 	// Diurnal is the sinusoidal-rate day/night process.
 	Diurnal = workload.Diurnal
-	// TraceArrivals replays recorded (arrival, A_t, L_t) tuples.
-	TraceArrivals = workload.Trace
-	// TraceEntry is one recorded tuple of a TraceArrivals.
-	TraceEntry = workload.TraceEntry
 	// Mix superposes per-model arrival processes into one merged,
 	// labelled stream — the multi-tenant workload combinator (e.g. a
 	// diurnal MobileNetV3 stream interleaved with bursty ResNet50).
 	Mix = workload.Mix
 	// MixComponent is one model's arrival stream inside a Mix.
 	MixComponent = workload.MixComponent
-	// Gamma is the Gamma-renewal arrival process (shape < 1 bursty,
-	// shape > 1 regular, mean rate pinned).
-	Gamma = workload.Gamma
-	// Weibull is the Weibull-renewal arrival process (shape 1 is
-	// bit-identical to Poisson per seed).
-	Weibull = workload.Weibull
-	// Empirical is a weighted discrete distribution over observed
-	// budget/accuracy marks (the zero value means "no constraint").
-	Empirical = workload.Empirical
-	// Cohort is one homogeneous client group: rate, inter-arrival law,
-	// empirical marks, SLO class and target model.
-	Cohort = workload.Cohort
-	// Population superposes N seeded cohorts into one arrival stream —
-	// the heterogeneous-client workload combinator (see WithCohorts).
-	Population = workload.Population
-	// InterArrival names a Cohort's inter-arrival law.
-	InterArrival = workload.InterArrival
 	// TraceV2 is the versioned replay trace: header (version, seed,
 	// cohort table) plus records carrying arrival, model, cohort id,
 	// SLO class and the constraint pair — recorded simulations replay
 	// bit-exactly through it.
 	TraceV2 = workload.TraceV2
-	// TraceV2Record is one recorded arrival of a TraceV2.
-	TraceV2Record = workload.TraceV2Record
-	// CohortLabel is one row of a TraceV2's cohort table.
-	CohortLabel = workload.CohortLabel
-	// TraceVersionError reports a trace whose version the decoder does
-	// not speak.
-	TraceVersionError = workload.TraceVersionError
-	// TraceDecodeError reports malformed or truncated trace input.
-	TraceDecodeError = workload.TraceDecodeError
-	// ModelSummary is one model's slice of a multi-tenant Summary.
-	ModelSummary = serving.ModelSummary
-	// ClassSummary is one SLO class's slice of a cohort Summary.
-	ClassSummary = serving.ClassSummary
 	// SimResult aggregates one open-loop run.
 	SimResult = simq.Result
-	// SimOutcome is one query's fate in an open-loop run.
-	SimOutcome = simq.Outcome
 	// AdmissionPolicy selects the bounded-queue overflow behaviour.
 	AdmissionPolicy = simq.Admission
 )
@@ -248,160 +194,58 @@ const (
 	AdmitDegrade = simq.Degrade
 )
 
-// Inter-arrival laws for Cohort.InterArrival.
-const (
-	// IAExp is memoryless exponential spacing (the zero value: a lone
-	// cohort is a Poisson stream).
-	IAExp = workload.IAExp
-	// IAGamma is Gamma-distributed spacing with Cohort.Shape.
-	IAGamma = workload.IAGamma
-	// IAWeibull is Weibull-distributed spacing with Cohort.Shape.
-	IAWeibull = workload.IAWeibull
-)
-
-// Cohort-workload and trace v2 helpers.
-var (
-	// ParsePopulation builds a Population from the compact k=v spec
-	// behind sushi-server -cohorts (see workload.ParsePopulation).
-	ParsePopulation = workload.ParsePopulation
-	// ZipfRates apportions a total rate across n cohorts by a Zipf law
-	// — the canonical skewed-client decomposition.
-	ZipfRates = workload.ZipfRates
-	// DecodeTraceV2 reads one trace v2 stream (typed errors, never
-	// panics).
-	DecodeTraceV2 = workload.DecodeTraceV2
-	// RecordTraceQueries captures an already-timed query stream as a
-	// trace v2 for bit-exact replay.
-	RecordTraceQueries = workload.RecordQueries
-)
-
-// RecordCohortTrace records the cohortsweep experiment's skewed
-// 100-cohort population (the canonical heterogeneous workload) as a
-// replayable trace v2 — the sushi-bench -record-trace path. queries <= 0
-// records the experiment's default stream length.
-func RecordCohortTrace(queries int) (*TraceV2, error) {
-	return core.CohortSweepTrace(queries)
-}
-
-// ReplayTrace plays a recorded trace v2 through a fresh cohortsweep
-// fleet and reports the run (rendered table + headline metrics) — the
-// sushi-bench -replay-trace path. Replaying a RecordCohortTrace capture
-// reproduces the cohortsweep skewed arm bit for bit.
-func ReplayTrace(tr *TraceV2) (string, map[string]float64, error) {
-	res, err := core.ReplayTraceV2(tr)
-	if err != nil {
-		return "", nil, err
-	}
-	return res.String(), res.Metrics, nil
-}
-
 // TimedStream pairs a query stream with arrival times, element-wise.
 var TimedStream = simq.Stream
 
-// ServeTimed runs a timed stream through the system's single accelerator
-// in arrival order (FIFO, non-preemptive). It is a thin wrapper over the
-// simq discrete-event engine — the same queueing semantics that drive
-// Cluster.Simulate. The whole stream is validated before any query is
-// served, so invalid input has no side effects on accelerator state.
-func (s *System) ServeTimed(qs []TimedQuery, opt TimedOptions) ([]TimedServed, error) {
-	return simq.ServeTimed(s.d.System, qs, opt)
-}
+// Trace v2 capture and replay (the sushi-bench -record-trace and
+// -replay-trace paths).
+var (
+	// DecodeTraceV2 reads one trace v2 stream (typed errors, never
+	// panics).
+	DecodeTraceV2 = workload.DecodeTraceV2
+	// RecordCohortTrace records the cohortsweep experiment's skewed
+	// 100-cohort population (the canonical heterogeneous workload) as a
+	// replayable trace v2. queries <= 0 records the experiment's default
+	// stream length.
+	RecordCohortTrace = core.CohortSweepTrace
+	// ReplayTrace plays a recorded trace v2 through a fresh cohortsweep
+	// fleet and reports the run. Replaying a RecordCohortTrace capture
+	// reproduces the cohortsweep skewed arm bit for bit.
+	ReplayTrace = core.ReplayTraceV2
+)
 
-// System is a ready-to-serve SUSHI deployment.
-type System struct {
-	d *core.Deployment
-}
-
-// New builds a SUSHI system. Zero-valued options select ResNet50 on a
-// ZCU104 with the full stack, STRICT_ACCURACY... see Options for fields.
-func New(opt Options) (*System, error) {
-	d, err := core.Deploy(opt)
-	if err != nil {
-		return nil, err
-	}
-	return &System{d: d}, nil
-}
-
-// Serve runs one query through the stack. It is the back-compat wrapper
-// over ServeContext with a background context.
-func (s *System) Serve(q Query) (Served, error) { return s.d.Serve(q) }
-
-// ServeAll runs a query stream in order (back-compat wrapper over
-// ServeAllContext with a background context).
-func (s *System) ServeAll(qs []Query) ([]Served, error) { return s.d.ServeAll(qs) }
-
-// ServeContext runs one query with deadline and cancellation awareness:
-// a context deadline tightens the query's MaxLatency to the remaining
-// wall-clock budget, and an expired or cancelled context fails fast
-// without touching accelerator state.
-func (s *System) ServeContext(ctx context.Context, q Query) (Served, error) {
-	return s.d.System.ServeContext(ctx, q)
-}
-
-// ServeAllContext runs a stream in order, checking for cancellation
-// between queries.
-func (s *System) ServeAllContext(ctx context.Context, qs []Query) ([]Served, error) {
-	return s.d.System.ServeAllContext(ctx, qs)
-}
-
-// SubNetInfo describes one servable SubNet of the deployment.
-type SubNetInfo = core.SubNetView
-
-// Frontier lists the deployment's servable SubNets, smallest first.
-func (s *System) Frontier() []SubNetInfo {
-	return core.FrontierView(s.d.Frontier)
-}
-
-// CacheState describes a Persistent Buffer's contents.
-type CacheState = core.CacheView
-
-// Cache reports the current Persistent Buffer state.
-func (s *System) Cache() CacheState {
-	return core.NewCacheView(s.d.System)
-}
+// ExperimentResult is one regenerated table or figure: String renders
+// it as an aligned text table, WriteCSV as CSV (notes as trailing '#'
+// lines), and Metrics holds its headline numbers in machine-readable
+// form ("goodput_qps", "p99_e2e_ms"; nil for experiments without a
+// scalar headline).
+type ExperimentResult = core.Result
 
 // Experiment regenerates one of the paper's tables or figures by id
 // (fig2, fig3, fig9..fig18, table1..table6, hitratio, ...; see
-// Experiments for the full list) and returns its rendered text.
-// Workload-parameterized experiments accept "fig10:mobilenetv3" style
-// suffixes; the default is resnet50 unless the entry says otherwise.
-func Experiment(id string) (string, error) {
-	res, err := runExperiment(id)
-	if err != nil {
-		return "", err
+// Experiments for the full list). Workload-parameterized experiments
+// accept "fig10:mobilenetv3" style suffixes; without one the registry
+// entry's default applies (resnet50 unless the entry says otherwise).
+// Workload-insensitive experiments ignore the suffix.
+func Experiment(id string) (*ExperimentResult, error) {
+	name, w := splitID(id)
+	for _, e := range experimentRegistry {
+		if e.id != name {
+			continue
+		}
+		if w == "" {
+			w = e.workload
+			if w == "" {
+				w = core.ResNet50
+			}
+		}
+		return e.run(w)
 	}
-	return res.String(), nil
-}
-
-// ExperimentCSV regenerates an experiment and renders it as CSV (with
-// notes as trailing '#' comment lines).
-func ExperimentCSV(id string) (string, error) {
-	res, err := runExperiment(id)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	if err := res.WriteCSV(&b); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
-// ExperimentWithMetrics regenerates an experiment and returns its
-// rendered text together with its headline metrics in machine-readable
-// form (canonical keys like "goodput_qps" and "p99_e2e_ms"; nil for
-// experiments without a scalar headline) — the hook behind sushi-bench
-// -json, which records the bench trajectory as JSON instead of prose.
-func ExperimentWithMetrics(id string) (string, map[string]float64, error) {
-	res, err := runExperiment(id)
-	if err != nil {
-		return "", nil, err
-	}
-	return res.String(), res.Metrics, nil
+	return nil, fmt.Errorf("sushi: unknown experiment %q (have %v)", id, Experiments())
 }
 
 // experimentEntry couples an experiment id with its runner and default
-// workload. Experiments and runExperiment both read experimentRegistry,
+// workload. Experiments and Experiment both read experimentRegistry,
 // so the advertised list and the dispatch can never diverge (the old
 // hand-written switch once dispatched "fig18" without listing it).
 type experimentEntry struct {
@@ -488,7 +332,8 @@ var experimentRegistry = []experimentEntry{
 	{id: "calibsweep", run: fixed(func() (*core.Result, error) { return core.CalibSweep(0) })},
 }
 
-// Measured-table calibration (the offline end of WithMeasuredTable).
+// Measured-table calibration (sushi-bench -calibrate; sushi-server
+// -table serves from the file it writes).
 type (
 	// CalibrateOptions configures Calibrate: workload, candidate count,
 	// repetitions, batch sizes, seed, and smoke-grid row/column caps.
@@ -506,12 +351,10 @@ type (
 // Calibrate executes the workload's frontier SubNets through the fast
 // inference engine and sweeps a measured (SubNet × cached SubGraph ×
 // batch) latency table on THIS machine, returning the file (write it
-// with WriteCalibrationFile, serve from it with LoadMeasuredTable +
-// WithMeasuredTable) and the report comparing it against the analytic
-// table a deployment would otherwise build.
-func Calibrate(opt CalibrateOptions) (*CalibrationFile, *CalibrationReport, error) {
-	return core.Calibrate(opt)
-}
+// with WriteCalibrationFile, serve from it with sushi-server -table) and
+// the report comparing it against the analytic table a deployment would
+// otherwise build.
+var Calibrate = core.Calibrate
 
 // WriteCalibrationFile writes a calibration table file to path.
 var WriteCalibrationFile = calib.WriteFile
@@ -523,23 +366,6 @@ func Experiments() []string {
 		out[i] = e.id
 	}
 	return out
-}
-
-func runExperiment(id string) (*core.Result, error) {
-	name, w := splitID(id)
-	for _, e := range experimentRegistry {
-		if e.id != name {
-			continue
-		}
-		if w == "" {
-			w = e.workload
-			if w == "" {
-				w = core.ResNet50
-			}
-		}
-		return e.run(w)
-	}
-	return nil, fmt.Errorf("sushi: unknown experiment %q (have %v)", id, Experiments())
 }
 
 // splitID separates an "id:workload" suffix; the workload is empty when

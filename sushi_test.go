@@ -1,12 +1,17 @@
 package sushi
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"sushi/internal/accel"
 )
 
+// TestNewDefaultsServe: a default deployment is one accelerator that
+// serves from the full MobileNetV3 frontier.
 func TestNewDefaultsServe(t *testing.T) {
-	sys, err := New(Options{Workload: MobileNetV3})
+	sys, err := NewCluster(Options{Workload: MobileNetV3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +24,7 @@ func TestNewDefaultsServe(t *testing.T) {
 			t.Errorf("frontier not monotone at %d: %+v vs %+v", i, fr[i-1], fr[i])
 		}
 	}
-	res, err := sys.Serve(Query{ID: 0, MinAccuracy: fr[2].Accuracy, MaxLatency: 1})
+	res, err := sys.Serve(context.Background(), Query{ID: 0, MinAccuracy: fr[2].Accuracy, MaxLatency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +34,7 @@ func TestNewDefaultsServe(t *testing.T) {
 }
 
 func TestServeAllAndSummarize(t *testing.T) {
-	sys, err := New(Options{Workload: MobileNetV3, Policy: StrictLatency})
+	sys, err := NewCluster(Options{Workload: MobileNetV3, Policy: StrictLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +42,7 @@ func TestServeAllAndSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sys.ServeAll(qs)
+	rs, err := sys.ServeAll(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +53,19 @@ func TestServeAllAndSummarize(t *testing.T) {
 }
 
 func TestCacheState(t *testing.T) {
-	sys, err := New(Options{Workload: MobileNetV3})
+	sys, err := NewCluster(Options{Workload: MobileNetV3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sys.Cache()
+	st := sys.Replicas()[0].Cache
 	if st.Name == "" || st.Bytes <= 0 {
 		t.Fatalf("full system should boot with a cached SubGraph: %+v", st)
 	}
-	noPB, err := New(Options{Workload: MobileNetV3, Mode: NoPB})
+	noPB, err := NewCluster(Options{Workload: MobileNetV3, Mode: NoPB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := noPB.Cache(); st.Name != "" || st.Bytes != 0 {
+	if st := noPB.Replicas()[0].Cache; st.Name != "" || st.Bytes != 0 {
 		t.Fatalf("NoPB system should have an empty cache: %+v", st)
 	}
 }
@@ -69,11 +74,11 @@ func TestExperimentDispatch(t *testing.T) {
 	// Smoke-test the cheap experiments through the public API; the
 	// expensive ones are exercised in internal/core and the benchmarks.
 	for _, id := range []string{"table1", "table2", "table3", "table4", "fig3"} {
-		out, err := Experiment(id)
+		res, err := Experiment(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if !strings.Contains(out, "==") {
+		if out := res.String(); !strings.Contains(out, "==") {
 			t.Errorf("%s: output not rendered: %q", id, out[:40])
 		}
 	}
@@ -93,11 +98,11 @@ func TestEveryListedExperimentRuns(t *testing.T) {
 	for _, id := range Experiments() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			out, err := Experiment(id)
+			res, err := Experiment(id)
 			if err != nil {
 				t.Fatalf("listed experiment does not run: %v", err)
 			}
-			if !strings.Contains(out, "==") {
+			if out := res.String(); !strings.Contains(out, "==") {
 				t.Errorf("output not rendered: %.40q", out)
 			}
 		})
@@ -105,11 +110,11 @@ func TestEveryListedExperimentRuns(t *testing.T) {
 }
 
 func TestExperimentWorkloadSuffix(t *testing.T) {
-	out, err := Experiment("fig2:mobilenetv3")
+	res, err := Experiment("fig2:mobilenetv3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "MobV3") {
+	if out := res.String(); !strings.Contains(out, "MobV3") {
 		t.Errorf("workload suffix ignored: %s", out[:80])
 	}
 	if _, err := Experiment("fig2:alexnet"); err == nil {
@@ -118,7 +123,7 @@ func TestExperimentWorkloadSuffix(t *testing.T) {
 }
 
 func TestPresetsExposed(t *testing.T) {
-	for _, cfg := range []AccelConfig{ZCU104(), AlveoU50(), RooflineStudy()} {
+	for _, cfg := range []AccelConfig{ZCU104(), AlveoU50(), accel.RooflineStudy()} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}

@@ -19,40 +19,43 @@ import (
 	"testing"
 
 	"sushi"
+	"sushi/internal/core"
+	"sushi/internal/workload"
 )
 
 // tracePopulation targets both fleet models with mixed inter-arrival
 // laws and empirical marks — every field the trace format carries.
-func tracePopulation() sushi.Population {
-	return sushi.Population{Cohorts: []sushi.Cohort{
-		{Rate: 150, SLOClass: "gold", Model: string(sushi.MobileNetV3),
-			InterArrival: sushi.IAGamma, Shape: 0.35,
-			Budget: sushi.Empirical{Values: []float64{8e-3, 15e-3}, Weights: []float64{2, 1}}},
-		{Rate: 50, SLOClass: "silver", Model: string(sushi.ResNet50),
-			InterArrival: sushi.IAWeibull, Shape: 0.8,
-			Budget:   sushi.Empirical{Values: []float64{60e-3}},
-			Accuracy: sushi.Empirical{Values: []float64{70, 74}}},
-		{Rate: 50, SLOClass: "batch", Model: string(sushi.MobileNetV3),
-			Budget: sushi.Empirical{Values: []float64{40e-3}}},
+func tracePopulation() workload.Population {
+	return workload.Population{Cohorts: []workload.Cohort{
+		{Rate: 150, SLOClass: "gold", Model: string(core.MobileNetV3),
+			InterArrival: workload.IAGamma, Shape: 0.35,
+			Budget: workload.Empirical{Values: []float64{8e-3, 15e-3}, Weights: []float64{2, 1}}},
+		{Rate: 50, SLOClass: "silver", Model: string(core.ResNet50),
+			InterArrival: workload.IAWeibull, Shape: 0.8,
+			Budget:   workload.Empirical{Values: []float64{60e-3}},
+			Accuracy: workload.Empirical{Values: []float64{70, 74}}},
+		{Rate: 50, SLOClass: "batch", Model: string(core.MobileNetV3),
+			Budget: workload.Empirical{Values: []float64{40e-3}}},
 	}}
 }
 
 // traceDeploy builds the multi-tenant ELASTIC fleet the round trip
-// runs on; each call is fresh (runs mutate cache state).
-func traceDeploy(t *testing.T) *sushi.Cluster {
+// runs on; each call is fresh (runs mutate cache state). Population
+// runs are core's (the path behind sushi-server -cohorts).
+func traceDeploy(t *testing.T) *core.ClusterDeployment {
 	t.Helper()
-	c, err := sushi.NewCluster(sushi.Options{},
-		sushi.WithModels(sushi.ResNet50, sushi.MobileNetV3),
-		sushi.WithReplicas(6),
-		sushi.WithRouter(sushi.LeastLoaded),
-		sushi.WithAutoscale(sushi.AutoscaleOptions{
+	dep, err := core.DeployCluster(core.DeployOptions{}, core.ClusterOptions{
+		Models:   []core.Workload{core.ResNet50, core.MobileNetV3},
+		Replicas: 6,
+		Router:   core.RouterLeastLoaded,
+		Autoscale: &core.AutoscaleOptions{
 			Min: 2, Max: 6, Policy: "utilization", Interval: 0.05,
-		}),
-	)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return dep
 }
 
 func traceSimOpts() sushi.SimOptions {
@@ -143,8 +146,9 @@ func TestTraceV2RecordReplayBitExact(t *testing.T) {
 }
 
 // TestTraceV2TypedErrorsPublic re-states the decoder's error contract
-// at the public face: foreign versions and truncated files surface as
-// the exported typed errors, usable with errors.As from client code.
+// at the public face: foreign versions and truncated files read through
+// sushi.DecodeTraceV2 surface as workload's typed errors, usable with
+// errors.As.
 func TestTraceV2TypedErrorsPublic(t *testing.T) {
 	tr, err := tracePopulation().Record(10, 3)
 	if err != nil {
@@ -159,13 +163,13 @@ func TestTraceV2TypedErrorsPublic(t *testing.T) {
 	versioned := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint16(versioned[8:10], 7)
 	_, err = sushi.DecodeTraceV2(bytes.NewReader(versioned))
-	var verr *sushi.TraceVersionError
+	var verr *workload.TraceVersionError
 	if !errors.As(err, &verr) || verr.Got != 7 {
 		t.Errorf("version mismatch: got %v, want *TraceVersionError{Got: 7}", err)
 	}
 
 	_, err = sushi.DecodeTraceV2(bytes.NewReader(raw[:len(raw)-3]))
-	var derr *sushi.TraceDecodeError
+	var derr *workload.TraceDecodeError
 	if !errors.As(err, &derr) {
 		t.Errorf("truncation: got %v, want *TraceDecodeError", err)
 	}
