@@ -16,14 +16,16 @@ import (
 // whole pipeline is deterministic and data-independent — the property the
 // tests rely on.
 //
-// The engine owns an arena of reusable activation/accumulator/pack
-// buffers (ping-pong x/y activations, a dedicated shortcut copy, an
-// in-place requantize + saturating residual add) and memoizes each
-// SubNet's plan — per layer, its role, parameters, materialized weights
-// and per-channel weight sums — so the steady state of ForwardBatchInto
-// allocates nothing, derives nothing and runs through the blocked
-// kernels. Results are bit-identical to ForwardReference,
-// the original unblocked pipeline kept as the oracle.
+// The engine owns an arena of reusable buffers (three rotating int8
+// activations, one of which a residual block holds as its shortcut; an
+// int32 accumulator for the fully-connected and pooling layers only,
+// since convolutions requantize in their kernels' epilogue; the
+// kernels' pack buffers) and memoizes each SubNet's plan — per layer,
+// its role, parameters, materialized weights, per-channel weight sums
+// and weight bound — so the steady state of ForwardBatchInto allocates
+// nothing, derives nothing and runs through the blocked kernels.
+// Results are bit-identical to ForwardReference, the original unblocked
+// pipeline kept as the oracle.
 //
 // An Engine is NOT safe for concurrent use; give each goroutine its
 // own (they share nothing but the WeightStore, which is read-only).
@@ -44,7 +46,9 @@ type Engine struct {
 type prepared struct {
 	steps []step
 	// Per-image (batch=1) element maxima over the layer walk; the arena
-	// is sized once per (SubNet, batch) from these.
+	// is sized once per (SubNet, batch) from these. accMax counts only
+	// the layers that requantize through the accumulator (Linear and
+	// global-average Pool).
 	actMax, accMax int
 }
 
@@ -54,45 +58,41 @@ type step struct {
 	l *nn.Layer
 	// entry marks a residual block's first layer, whose input is kept as
 	// the shortcut; downsample marks the conv that transforms that
-	// shortcut instead of x.
+	// shortcut instead of x (prepare ensures the block's add follows it).
 	entry, downsample bool
 	cp                tensor.ConvParams
 	// q requantizes the layer's accumulators.
 	q tensor.QuantParams
 	// w is the materialized weight tensor (a flattened row-major [K][D]
 	// panel — KCRS storage is already the GEMM layout) and wsum its
-	// per-output-channel sums for the zero-point correction.
+	// per-output-channel sums for the zero-point correction; wMax is
+	// its largest |w|, which sets the kernels' lane chunks.
 	w    *tensor.Int8
 	wsum []int32
+	wMax int
 }
 
-// arena is the engine's reusable buffer set. act[0]/act[1] ping-pong as
-// layer input/output; shortcut holds a copy of the residual operand
-// (the ping-pong buffer underneath it is overwritten two layers later,
-// so the operand must own its bytes); down holds the downsampled
-// shortcut; acc is the int32 accumulator; sc carries the kernels' pack
-// buffers.
+// arena is the engine's reusable buffer set. act rotates through layer
+// input and output; a residual block holds its input buffer as the
+// shortcut (then the downsample's output, which replaces it) until its
+// add folds it into x in place, so each layer writes to the one buffer
+// that is neither its input nor the held shortcut. acc is the int32
+// accumulator of the Linear and global-average Pool layers; sc carries
+// the kernels' pack buffers.
 type arena struct {
-	act      [2]tensor.Int8
-	shortcut tensor.Int8
-	down     tensor.Int8
-	acc      tensor.Int32
-	sc       tensor.Scratch
-}
-
-func growInt8(t *tensor.Int8, n int) {
-	if cap(t.Data) < n {
-		t.Data = make([]int8, n)
-	}
+	act [3]tensor.Int8
+	acc tensor.Int32
+	sc  tensor.Scratch
 }
 
 // presize grows every arena buffer to the SubNet×batch high-water mark
 // in one step, honoring the "sized once per SubNet" arena rule.
 func (a *arena) presize(p *prepared, batch int) {
-	growInt8(&a.act[0], batch*p.actMax)
-	growInt8(&a.act[1], batch*p.actMax)
-	growInt8(&a.shortcut, batch*p.actMax)
-	growInt8(&a.down, batch*p.actMax)
+	for i := range a.act {
+		if cap(a.act[i].Data) < batch*p.actMax {
+			a.act[i].Data = make([]int8, batch*p.actMax)
+		}
+	}
 	if cap(a.acc.Data) < batch*p.accMax {
 		a.acc.Data = make([]int32, batch*p.accMax)
 	}
@@ -158,6 +158,7 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 		if st.w != nil {
 			st.wsum = make([]int32, st.w.Shape.N)
 			tensor.WeightSums(st.wsum, st.w)
+			st.wMax = tensor.WeightBound(st.w)
 		}
 		if strings.HasSuffix(l.Name, ".conv1") || strings.HasSuffix(l.Name, ".expand") {
 			st.entry, shortcut = true, true
@@ -175,14 +176,20 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 			if st.downsample = strings.HasSuffix(l.Name, ".downsample"); st.downsample && !shortcut {
 				return nil, fmt.Errorf("infer: %s: no shortcut to downsample", l.Name)
 			}
-			p.accMax = maxInt(p.accMax, outC*l.OutH*l.OutW)
+			// Three buffers hold x, the shortcut and the downsample's
+			// output only if the add consumes that output next.
+			if st.downsample && (i+1 == len(sn.Model.Layers) || sn.Model.Layers[i+1].Kind != nn.Add) {
+				return nil, fmt.Errorf("infer: %s: downsample not followed by its add", l.Name)
+			}
 		case nn.Linear:
 			st.q = e.staticScale(l.C)
 			p.accMax = maxInt(p.accMax, l.K)
 		case nn.Pool:
 			outC = l.C
 			st.q = tensor.QuantParams{Scale: 1.0 / float64(l.InH*l.InW), ZeroPoint: 0}
-			p.accMax = maxInt(p.accMax, l.C)
+			if l.OutH == 1 && l.OutW == 1 {
+				p.accMax = maxInt(p.accMax, l.C)
+			}
 		case nn.Add:
 			if !shortcut {
 				return nil, fmt.Errorf("infer: %s: no residual operand", l.Name)
@@ -255,8 +262,8 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 	a := &e.a
 	a.presize(p, batch)
 
-	// Stage the input into the ping-pong arena (tiling one image across
-	// the batch when needed); the caller's tensor is never aliased.
+	// Stage the input into the arena (tiling one image across the batch
+	// when needed); the caller's tensor is never aliased.
 	cur := 0
 	x := &a.act[cur]
 	tensor.EnsureInt8(x, tensor.Shape{N: batch, C: input.Shape.C, H: input.Shape.H, W: input.Shape.W})
@@ -269,31 +276,32 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 		}
 	}
 
-	// Residual bookkeeping: entering a block copies the shortcut input
-	// into its own buffer; a downsample transforms it; an add folds it
-	// back in, saturating in place.
-	var shortcut, down *tensor.Int8
+	// Residual bookkeeping: entering a block holds x's buffer as the
+	// shortcut; a downsample replaces it with its output; an add folds it
+	// back into x, saturating in place, and releases it.
+	held := -1
 	for i := range p.steps {
 		st := &p.steps[i]
 		l := st.l
 		if st.entry {
-			tensor.EnsureInt8(&a.shortcut, x.Shape)
-			copy(a.shortcut.Data, x.Data)
-			shortcut, down = &a.shortcut, nil
+			held = cur
 		}
-		y := &a.act[1-cur]
+		next := (cur + 1) % 3
+		if next == held {
+			next = (next + 1) % 3
+		}
+		y := &a.act[next]
 		switch l.Kind {
 		case nn.Conv, nn.DepthwiseConv:
 			src := x
 			if st.downsample {
-				src, y = shortcut, &a.down
+				src = &a.act[held]
 			}
-			if err := tensor.Conv2DBlockedInto(&a.acc, src, st.w, e.zp, st.cp, st.wsum, &a.sc, e.pool); err != nil {
+			if err := tensor.Conv2DRequantInto(y, src, st.w, e.zp, st.cp, st.wsum, st.wMax, st.q, &a.sc, e.pool); err != nil {
 				return fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
-			tensor.RequantizeInto(y, &a.acc, st.q)
 			if st.downsample {
-				down = y
+				held = next
 				continue
 			}
 		case nn.Linear:
@@ -309,17 +317,13 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 				tensor.MaxPoolInto(y, x, l.R, l.Stride, l.Pad)
 			}
 		case nn.Add:
-			other := down
-			if other == nil {
-				other = shortcut
-			}
-			if err := tensor.AddSatInt8(x, x, other); err != nil {
+			if err := tensor.AddSatInt8(x, x, &a.act[held]); err != nil {
 				return fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
-			shortcut, down = nil, nil
+			held = -1
 			continue
 		}
-		x, cur = y, 1-cur
+		x, cur = y, next
 	}
 	tensor.EnsureInt8(dst, x.Shape)
 	copy(dst.Data, x.Data)

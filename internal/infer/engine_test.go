@@ -5,8 +5,11 @@ package infer
 // the zero-alloc steady state.
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"sushi/internal/nn"
 	"sushi/internal/supernet"
 	"sushi/internal/tensor"
 )
@@ -202,9 +205,106 @@ func TestForwardAllocsSwitching(t *testing.T) {
 	}
 }
 
+// arenaBytes is the arena's activation and accumulator footprint (the
+// kernels' per-worker pack buffers aside).
+func arenaBytes(a *arena) int {
+	n := 4 * cap(a.acc.Data)
+	for i := range a.act {
+		n += cap(a.act[i].Data)
+	}
+	return n
+}
+
+// TestEngineArenaFootprint pins the arena's shape: three activation
+// buffers of batch·actMax bytes each, and an int32 accumulator no
+// larger than the fully-connected and global-pool layers need, because
+// convolutions requantize in their kernels' epilogue. It runs the
+// mobilenetv3 S, L, S@4 switch on one engine and resnet50 on another.
+func TestEngineArenaFootprint(t *testing.T) {
+	mbv3, resnet := supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()
+	mf, err := mbv3.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := resnet.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		sn    *supernet.SubNet
+		batch int
+	}
+	in := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 47)
+	for _, tc := range []struct {
+		net  *supernet.SuperNet
+		runs []run
+	}{
+		{mbv3, []run{{mf[0], 1}, {mf[len(mf)-1], 1}, {mf[0], 4}}},
+		{resnet, []run{{rf[0], 1}}},
+	} {
+		e := NewEngine(NewWeightStore(tc.net, 1))
+		e.SetWorkers(1)
+		var out tensor.Int8
+		var act, acc int
+		for _, r := range tc.runs {
+			if err := e.ForwardBatchInto(r.sn, in, r.batch, &out); err != nil {
+				t.Fatal(err)
+			}
+			act = max(act, r.batch*e.prep[r.sn].actMax)
+			for _, l := range r.sn.Model.Layers {
+				switch {
+				case l.Kind == nn.Linear:
+					acc = max(acc, r.batch*l.K)
+				case l.Kind == nn.Pool && l.OutH == 1 && l.OutW == 1:
+					acc = max(acc, r.batch*l.C)
+				}
+			}
+		}
+		e.Close()
+		for i := range e.a.act {
+			if got := cap(e.a.act[i].Data); got != act {
+				t.Errorf("%s: activation buffer %d holds %d bytes, want batch·actMax = %d", tc.net.Name, i, got, act)
+			}
+		}
+		if got := cap(e.a.acc.Data); got > acc {
+			t.Errorf("%s: accumulator holds %d int32, want at most batch·max(FC K, pooled C) = %d", tc.net.Name, got, acc)
+		}
+	}
+}
+
+// TestPrepareRejectsDetachedDownsample: three rotating buffers hold a
+// block's input, the shortcut and the downsample's output only if the
+// add consumes that output next, so prepare refuses a downsample that
+// does not directly precede its add.
+func TestPrepareRejectsDetachedDownsample(t *testing.T) {
+	s := supernet.NewOFAResNet50()
+	fr, err := s.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, model := *fr[0], *fr[0].Model
+	model.Layers = slices.Clone(model.Layers)
+	sn.Model = &model
+	i := slices.IndexFunc(model.Layers, func(l nn.Layer) bool { return strings.HasSuffix(l.Name, ".downsample") })
+	if i < 1 || model.Layers[i+1].Kind != nn.Add {
+		t.Fatalf("resnet50 layer %d: want a downsample followed by its add", i)
+	}
+	// conv1 → conv2 → downsample → conv3 → add.
+	model.Layers[i-1], model.Layers[i] = model.Layers[i], model.Layers[i-1]
+	e := NewEngine(NewWeightStore(s, 1))
+	defer e.Close()
+	if _, err := e.prepare(fr[0]); err != nil {
+		t.Fatalf("canonical order rejected: %v", err)
+	}
+	if _, err := e.prepare(&sn); err == nil || !strings.Contains(err.Error(), "not followed by its add") {
+		t.Fatalf("detached downsample: err = %v", err)
+	}
+}
+
 // BenchmarkForward measures the arena/blocked forward (single image,
 // sequential) — the number the ≥5× acceptance criterion compares
-// against BenchmarkForwardReference.
+// against BenchmarkForwardReference — and reports the warm arena's
+// activation and accumulator footprint as arena_MB.
 func BenchmarkForward(b *testing.B) {
 	s := supernet.NewOFAMobileNetV3()
 	fr, err := s.Frontier()
@@ -226,6 +326,7 @@ func BenchmarkForward(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(arenaBytes(&e.a))/(1<<20), "arena_MB")
 }
 
 // BenchmarkForwardReference measures the pre-blocking pipeline the

@@ -15,7 +15,11 @@ import "fmt"
 // copy of each plane at one and two column strides, so one
 // bounds-test-free tap loop yields three output columns. Work is split
 // into row blocks (dense) or planes (depthwise) executed by a Pool; each
-// pool worker owns one pack buffer in the Scratch.
+// pool worker owns one pack buffer in the Scratch. Both kernels end in
+// one epilogue with two stores: the corrected int32 sums
+// (Conv2DBlockedInto), or those sums requantized straight to int8
+// (Conv2DRequantInto), so a fused layer never materialises its int32
+// accumulators.
 //
 // Everything here is bit-identical to the reference Conv2D/MatMulCols
 // scans for any int8 zero point: int32 accumulation is modular, so any
@@ -24,9 +28,10 @@ import "fmt"
 // no lane sum ever leaves a signed 21-bit lane. A term is at most A·W in
 // magnitude, where A bounds a lane operand (128 for a dense activation,
 // 255 for a depthwise v−zp) and W is the largest |w| of the weight tensor
-// the kernel is handed, so a reduction is cut into chunks of
-// ⌊(2^20−1)/(A·W)⌋ terms (laneTerms) and the extracted lanes are added in
-// (wrapping) int32 as the reference does. The parity suite pins this.
+// (WeightBound: scanned per call by Conv2DBlockedInto, passed in by the
+// engine's plan to Conv2DRequantInto), so a reduction is cut into chunks
+// of ⌊(2^20−1)/(A·W)⌋ terms (laneTerms) and the extracted lanes are added
+// in (wrapping) int32 as the reference does. The parity suite pins this.
 
 const (
 	// laneBits is the width of one lane; laneMax is the largest lane
@@ -163,18 +168,48 @@ func (l *laneSums) add(s int64) {
 	l[2] += int32((t + laneMax + 1) >> laneBits)
 }
 
-// laneTerms is the chunk length of a lane-packed reduction of d terms
-// whose lane operands are at most a in magnitude, against the weights
-// w: the most terms of magnitude a·max|w| that cannot leave a lane.
-func laneTerms(a int, w []int8, d int) int {
+// WeightBound is max|w| over a weight tensor: the W of the lane rule.
+func WeightBound(w *Int8) int {
 	var lo, hi int8
-	for _, v := range w {
+	for _, v := range w.Data {
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	if wMax := max(-int(lo), int(hi)); wMax > 0 {
+	return max(-int(lo), int(hi))
+}
+
+// laneTerms is the chunk length of a lane-packed reduction of d terms
+// whose lane operands are at most a in magnitude, against weights of
+// magnitude at most wMax: the most terms of magnitude a·wMax that
+// cannot leave a lane.
+func laneTerms(a, wMax, d int) int {
+	if wMax > 0 {
 		return min(d, laneMax/(a*wMax))
 	}
 	return d
+}
+
+// epilogue is where a conv kernel stores its corrected sums: as int32
+// into acc, or, when q8 is set, requantized to int8 into q8.
+type epilogue struct {
+	acc   []int32
+	q8    []int8
+	scale float64
+	zp    int64
+}
+
+// store writes the first n lanes of l, less corr, at output index o.
+func (e *epilogue) store(o int, l *laneSums, corr int32, n int) {
+	if e.q8 != nil {
+		q := e.q8[o:][:n]
+		for i := range q {
+			q[i] = requant(l[i]-corr, e.scale, e.zp)
+		}
+		return
+	}
+	a := e.acc[o:][:n]
+	for i := range a {
+		a[i] = l[i] - corr
+	}
 }
 
 // laneDot is the one-output-channel lane kernel (the K tail of the
@@ -209,11 +244,12 @@ func laneDot4(a []int64, w []int8, stride int) (s0, s1, s2, s3 int64) {
 	return
 }
 
-// gemmArgs is one group's lane-packed convolution: out[(n·kTot+kOff+k)·P
-// + p] = Σ_d patch(n, p)[d]·w[k][d] − zp·wsum[k] for k in [0, K), where
-// patch is the (c, r, s) im2col row over input channels [c0, c0+c).
+// gemmArgs is one group's lane-packed convolution: output
+// (n·kTot+kOff+k)·P + p stores Σ_d patch(n, p)[d]·w[k][d] − zp·wsum[k]
+// for k in [0, K), where patch is the (c, r, s) im2col row over input
+// channels [c0, c0+c).
 type gemmArgs struct {
-	out   []int32
+	epilogue
 	in    []int8
 	wRows []int8
 	wsum  []int32
@@ -288,7 +324,7 @@ func (g *gemmArgs) block(worker, b int) {
 	d := g.d
 	pk := g.bufs[worker][:triples*d]
 	g.pack(pk, n, p0, p1)
-	out := g.out[(n*g.kTot+g.kOff)*g.p:][:g.k*g.p]
+	base := (n*g.kTot + g.kOff) * g.p
 	k := 0
 	for ; k+4 <= g.k; k += 4 {
 		c0, c1, c2, c3 := g.zp*g.wsum[k], g.zp*g.wsum[k+1], g.zp*g.wsum[k+2], g.zp*g.wsum[k+3]
@@ -302,10 +338,11 @@ func (g *gemmArgs) block(worker, b int) {
 				l2.add(s2)
 				l3.add(s3)
 			}
-			o := k*g.p + p0 + 3*j
-			for i := range min(3, p1-p0-3*j) {
-				out[o+i], out[o+g.p+i], out[o+2*g.p+i], out[o+3*g.p+i] = l0[i]-c0, l1[i]-c1, l2[i]-c2, l3[i]-c3
-			}
+			o, m := base+k*g.p+p0+3*j, min(3, p1-p0-3*j)
+			g.store(o, &l0, c0, m)
+			g.store(o+g.p, &l1, c1, m)
+			g.store(o+2*g.p, &l2, c2, m)
+			g.store(o+3*g.p, &l3, c3, m)
 		}
 	}
 	for ; k < g.k; k++ {
@@ -313,10 +350,7 @@ func (g *gemmArgs) block(worker, b int) {
 		wrow := g.wRows[k*d:][:d]
 		for j := 0; j < triples; j++ {
 			l := laneDot(pk[j*d:][:d], wrow, g.chunk)
-			o := k*g.p + p0 + 3*j
-			for i := range min(3, p1-p0-3*j) {
-				out[o+i] = l[i] - corr
-			}
+			g.store(base+k*g.p+p0+3*j, &l, corr, min(3, p1-p0-3*j))
 		}
 	}
 }
@@ -338,7 +372,7 @@ func runGemm(g *gemmArgs, n int, pool *Pool) {
 // dwArgs is the depthwise specialization: one block is one (image,
 // channel) plane convolved by its own kh×kw kernel.
 type dwArgs struct {
-	out            []int32
+	epilogue
 	in, w          []int8
 	bufs           [][]int64
 	taps           []int // tap t reads padded-plane offset taps[t]
@@ -360,7 +394,7 @@ type dwArgs struct {
 func (d *dwArgs) block(worker, b int) {
 	plane := d.in[b*d.h*d.iw:][:d.h*d.iw]
 	wk := d.w[b%d.c*len(d.taps):][:len(d.taps)]
-	out := d.out[b*d.oh*d.ow:][:d.oh*d.ow]
+	base := b * d.oh * d.ow
 	bw := d.iw + 2*d.pw
 	buf := d.bufs[worker][:(d.h+2*d.ph)*bw+3*d.sw]
 	clear(buf[:d.ph*bw])
@@ -385,11 +419,10 @@ func (d *dwArgs) block(worker, b int) {
 				lo.add(s)
 				hi.add(u)
 			}
-			if row := out[y*d.ow+x : (y+1)*d.ow]; len(row) >= 6 {
-				*(*laneSums)(row) = lo
-				*(*laneSums)(row[3:]) = hi
-			} else {
-				copy(row[copy(row, lo[:]):], hi[:])
+			o, m := base+y*d.ow+x, min(6, d.ow-x)
+			d.store(o, &lo, 0, min(3, m))
+			if m > 3 {
+				d.store(o+3, &hi, 0, m-3)
 			}
 		}
 	}
@@ -459,13 +492,23 @@ func Conv2DBlocked(in, w *Int8, zpIn int32, p ConvParams, pool *Pool) (*Int32, e
 // builds one closure). wsum may carry precomputed per-output-channel
 // weight sums (Σ_d w[k,d]); pass nil to have them computed into sc.
 func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, sc *Scratch, pool *Pool) error {
-	return conv2DBlocked(out, in, w, zpIn, p, wsum, sc, pool, 0)
+	return conv2DBlocked(out, nil, QuantParams{}, in, w, zpIn, p, wsum, WeightBound(w), sc, pool, 0)
 }
 
-// conv2DBlocked is Conv2DBlockedInto splitting its lanes every chunk
-// terms, or every laneTerms terms when chunk is 0. Only tests pass a
-// chunk, to show that one term past laneTerms breaks parity.
-func conv2DBlocked(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, sc *Scratch, pool *Pool, chunk int) error {
+// Conv2DRequantInto is Conv2DBlockedInto fused with RequantizeInto: the
+// epilogue requantizes each corrected sum under q and writes int8
+// straight into dst, byte-identical to the two passes and without their
+// int32 tensor. wMax must be WeightBound(w), which a caller that runs
+// the same weights repeatedly computes once.
+func Conv2DRequantInto(dst *Int8, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, wMax int, q QuantParams, sc *Scratch, pool *Pool) error {
+	return conv2DBlocked(nil, dst, q, in, w, zpIn, p, wsum, wMax, sc, pool, 0)
+}
+
+// conv2DBlocked runs the convolution into acc, or requantized under q
+// into dst when acc is nil, splitting its lanes every chunk terms, or
+// every laneTerms terms when chunk is 0. Only tests pass a chunk, to
+// show that one term past laneTerms breaks parity.
+func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, wMax int, sc *Scratch, pool *Pool, chunk int) error {
 	if p.Groups == 0 {
 		p.Groups = 1
 	}
@@ -481,7 +524,15 @@ func conv2DBlocked(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int
 	if oh <= 0 || ow <= 0 {
 		return fmt.Errorf("%w: non-positive output %dx%d", ErrShapeMismatch, oh, ow)
 	}
-	EnsureInt32(out, Shape{N: is.N, C: ws.N, H: oh, W: ow})
+	os := Shape{N: is.N, C: ws.N, H: oh, W: ow}
+	var ep epilogue
+	if acc != nil {
+		EnsureInt32(acc, os)
+		ep.acc = acc.Data
+	} else {
+		EnsureInt8(dst, os)
+		ep = epilogue{q8: dst.Data, scale: q.Scale, zp: int64(q.ZeroPoint)}
+	}
 
 	// Depthwise: direct per-plane taps; a patch row would be C·kh·kw
 	// long just to multiply one kernel's worth of it.
@@ -495,11 +546,11 @@ func conv2DBlocked(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int
 			taps[t] = t/ws.W*bw + t%ws.W
 		}
 		if chunk == 0 {
-			chunk = laneTerms(dwLane, w.Data, len(taps))
+			chunk = laneTerms(dwLane, wMax, len(taps))
 		}
 		d := &sc.dw
 		*d = dwArgs{
-			out: out.Data, in: in.Data, w: w.Data, taps: taps,
+			epilogue: ep, in: in.Data, w: w.Data, taps: taps,
 			bufs: sc.laneBufs(pool.Workers(), (is.H+2*p.PadH)*bw+3*p.StrideW),
 			c:    is.C, h: is.H, iw: is.W, oh: oh, ow: ow,
 			kh: ws.H, kw: ws.W, sh: p.StrideH, sw: p.StrideW,
@@ -525,13 +576,13 @@ func conv2DBlocked(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int
 	rows = (rows + 2) / 3 * 3
 	bufs := sc.laneBufs(pool.Workers(), rows/3*d)
 	if chunk == 0 {
-		chunk = laneTerms(denseLane, w.Data, d)
+		chunk = laneTerms(denseLane, wMax, d)
 	}
 	for grp := 0; grp < p.Groups; grp++ {
 		kOff := grp * kPerGroup
 		g := &sc.gemm
 		*g = gemmArgs{
-			out: out.Data, in: in.Data, bufs: bufs,
+			epilogue: ep, in: in.Data, bufs: bufs,
 			wRows: w.Data[kOff*d:], wsum: wsum[kOff:],
 			cTot: is.C, c0: grp * cPerGroup, c: cPerGroup,
 			h: is.H, iw: is.W, ow: ow, kh: ws.H, kw: ws.W,

@@ -279,10 +279,10 @@ func TestConv2DBlockedWeightBounds(t *testing.T) {
 		}
 		if bd.b > 0 {
 			wd := filled(Shape{N: 1, C: 1, H: 1, W: 2}, func(i int) int8 { return []int8{lo, hi}[i] })
-			if got := laneTerms(denseLane, wd.Data, 1<<30); got != bd.dense {
+			if got := laneTerms(denseLane, WeightBound(wd), 1<<30); got != bd.dense {
 				t.Fatalf("|w| ≤ %d: dense chunk %d, want %d", bd.b, got, bd.dense)
 			}
-			if got := laneTerms(dwLane, wd.Data, 1<<30); got != bd.dw {
+			if got := laneTerms(dwLane, WeightBound(wd), 1<<30); got != bd.dw {
 				t.Fatalf("|w| ≤ %d: depthwise chunk %d, want %d", bd.b, got, bd.dw)
 			}
 		}
@@ -335,7 +335,7 @@ func TestConv2DBlockedWeightBounds(t *testing.T) {
 			}
 			var out Int32
 			var sc Scratch
-			if err := conv2DBlocked(&out, in, w, 127, tc.p, nil, &sc, nil, chunk); err != nil {
+			if err := conv2DBlocked(&out, nil, QuantParams{}, in, w, 127, tc.p, nil, WeightBound(w), &sc, nil, chunk); err != nil {
 				t.Fatal(err)
 			}
 			if slices.Equal(out.Data, ref.Data) {
@@ -413,6 +413,94 @@ func TestConv2DBlockedRejectsBadShapes(t *testing.T) {
 	w2 := RandomInt8(Shape{N: 3, C: 3, H: 3, W: 3}, 2)
 	if _, err := Conv2DBlocked(in, w2, 0, ConvParams{StrideH: 1, StrideW: 1, Groups: 2}, nil); err == nil {
 		t.Fatal("expected groups divisibility error")
+	}
+}
+
+// checkRequantParity pins Conv2DRequantInto byte-identical to
+// RequantizeInto over Conv2DBlockedInto on one configuration,
+// sequentially and under pool, and returns the fused output.
+func checkRequantParity(t *testing.T, pool *Pool, name string, in, w *Int8, zp int32, p ConvParams, q QuantParams) []int8 {
+	t.Helper()
+	var acc Int32
+	var want, got Int8
+	var sc Scratch
+	if err := Conv2DBlockedInto(&acc, in, w, zp, p, nil, &sc, nil); err != nil {
+		t.Fatalf("%s: blocked: %v", name, err)
+	}
+	RequantizeInto(&want, &acc, q)
+	wsum := make([]int32, w.Shape.N)
+	WeightSums(wsum, w)
+	for _, pl := range []*Pool{nil, pool} {
+		if err := Conv2DRequantInto(&got, in, w, zp, p, wsum, WeightBound(w), q, &sc, pl); err != nil {
+			t.Fatalf("%s: fused (workers=%d): %v", name, pl.Workers(), err)
+		}
+		if got.Shape != want.Shape {
+			t.Fatalf("%s: shape %v != %v", name, got.Shape, want.Shape)
+		}
+		for j := range want.Data {
+			if got.Data[j] != want.Data[j] {
+				t.Fatalf("%s q=%+v: fused (workers=%d)[%d]=%d != two-pass %d", name, q, pl.Workers(), j, got.Data[j], want.Data[j])
+			}
+		}
+	}
+	return got.Data
+}
+
+// TestConv2DRequantParity pins the fused requantizing epilogue
+// byte-identical to the two-pass int32 store + RequantizeInto: over the
+// random parity cases; the 4-wide tile's K tail; depthwise rows whose
+// ow is below the 6-column step or ≡ 1 and 2 (mod 3); activation zero
+// points at both int8 extremes; a non-zero output zero point; scales that
+// saturate at both ends; and the 2^17+3-term wrapping reduction.
+func TestConv2DRequantParity(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	qs := []QuantParams{
+		{Scale: 1.0 / 64},
+		{Scale: 0.5, ZeroPoint: -7}, // odd sums land on ties
+		{Scale: 3, ZeroPoint: 100},  // saturates at both ends
+		{Scale: 1e-4, ZeroPoint: -128},
+	}
+	for i, tc := range randomParityCases(t, 60) {
+		in := RandomInt8(tc.in, uint64(100+i))
+		w := RandomInt8(tc.w, uint64(200+i))
+		checkRequantParity(t, pool, fmt.Sprintf("case %d (%v)", i, tc), in, w, tc.zp, tc.p, qs[i%len(qs)])
+	}
+	shapes := []parityCase{
+		// Dense and grouped, K tails of 3, 2 and 1 per group.
+		{in: Shape{N: 2, C: 5, H: 9, W: 10}, w: Shape{N: 7, C: 5, H: 3, W: 3}, p: ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}},
+		{in: Shape{N: 1, C: 33, H: 7, W: 10}, w: Shape{N: 6, C: 33, H: 1, W: 1}, p: ConvParams{StrideH: 1, StrideW: 1, Groups: 1}},
+		{in: Shape{N: 3, C: 4, H: 7, W: 7}, w: Shape{N: 10, C: 2, H: 3, W: 3}, p: ConvParams{StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 2}},
+	}
+	// Depthwise, ow = 1, 2, 4, 5, 7 and 8.
+	for _, ow := range []int{1, 2, 4, 5, 7, 8} {
+		shapes = append(shapes, parityCase{
+			in: Shape{N: 2, C: 3, H: 6, W: ow + 2}, w: Shape{N: 3, C: 1, H: 3, W: 3},
+			p: ConvParams{StrideH: 1, StrideW: 1, PadH: 1, Groups: 3},
+		})
+	}
+	for i, tc := range shapes {
+		in := RandomInt8(tc.in, uint64(600+i))
+		w := RandomInt8(tc.w, uint64(700+i))
+		for _, zp := range []int32{0, -128, 127} {
+			for _, q := range qs {
+				checkRequantParity(t, pool, fmt.Sprintf("zp=%d %v", zp, tc), in, w, zp, tc.p, q)
+			}
+		}
+	}
+	// The saturating scale must reach both ends, or it tests nothing.
+	tc := shapes[0]
+	out := checkRequantParity(t, pool, "saturation", RandomInt8(tc.in, 1), RandomInt8(tc.w, 2), 0, tc.p, qs[2])
+	if !slices.Contains(out, 127) || !slices.Contains(out, -128) {
+		t.Fatal("scale 3 saturated at most one end")
+	}
+	// 2^17+3 terms of (-128)·(-128) wrap int32 before requantizing.
+	min8 := func(int) int8 { return -128 }
+	for _, q := range qs {
+		checkRequantParity(t, pool, "dense 2^17+3", filled(Shape{N: 1, C: 2675, H: 7, W: 8}, min8),
+			filled(Shape{N: 5, C: 2675, H: 7, W: 7}, min8), 0, ConvParams{StrideH: 1, StrideW: 1, Groups: 1}, q)
+		checkRequantParity(t, pool, "depthwise 257x257", filled(Shape{N: 1, C: 2, H: 257, W: 259}, min8),
+			filled(Shape{N: 2, C: 1, H: 257, W: 257}, min8), 127, ConvParams{StrideH: 1, StrideW: 1, Groups: 2}, q)
 	}
 }
 
@@ -576,7 +664,9 @@ var benchConvShapes = []struct {
 
 // BenchmarkConv2DBlocked measures the blocked kernel (sequential) per
 // layer shape, with full-range int8 weights and with the weight store's
-// |w| ≤ 7, whose longer lane chunks split less often.
+// |w| ≤ 7, whose longer lane chunks split less often, storing int32 sums
+// and (requant) requantizing them to int8 in the epilogue as the engine
+// does.
 func BenchmarkConv2DBlocked(b *testing.B) {
 	for _, sh := range benchConvShapes {
 		in := RandomInt8(sh.in, 1)
@@ -595,6 +685,20 @@ func BenchmarkConv2DBlocked(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
 					if err := Conv2DBlockedInto(&out, in, w.t, 0, sh.p, nil, &sc, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+			b.Run(sh.name+"/"+w.name+"/requant", func(b *testing.B) {
+				var out Int8
+				var sc Scratch
+				wsum := make([]int32, sh.w.N)
+				WeightSums(wsum, w.t)
+				wMax, q := WeightBound(w.t), QuantParams{Scale: 1.0 / 64}
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := Conv2DRequantInto(&out, in, w.t, 0, sh.p, wsum, wMax, q, &sc, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

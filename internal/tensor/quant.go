@@ -82,32 +82,40 @@ func RequantizeTensor(acc *Int32, combined QuantParams) *Int8 {
 const requantLimit = 1 << 62
 
 // RequantizeInto applies Requantize into dst, reusing dst's backing
-// array — the in-place variant the inference arena uses so steady-state
-// forwards allocate nothing. math.Round is not an intrinsic on amd64,
-// so it rounds by truncation instead: with t = trunc(v), the remainder
-// f = v − t is exact, and trunc(2f) is +1, 0 or −1 exactly when v's
-// fraction is ≥ ½, in between, or ≤ −½. Accumulator rounding and
-// saturation are data-dependent coin flips, so neither is a branch: the
-// only branches are the never-taken float-domain limits.
+// array. The engine's conv layers requantize in the kernels' epilogue
+// (Conv2DRequantInto); this pass serves the fully-connected and pooling
+// accumulators.
 func RequantizeInto(dst *Int8, acc *Int32, combined QuantParams) {
 	EnsureInt8(dst, acc.Shape)
 	scale, zp := combined.Scale, int64(combined.ZeroPoint)
 	out := dst.Data[:len(acc.Data)]
 	for i, a := range acc.Data {
-		v := float64(a) * scale
-		if !(v < requantLimit) {
-			v = requantLimit
-		}
-		if v < -requantLimit {
-			v = -requantLimit
-		}
-		t := int64(v)
-		f := v - float64(t)
-		r := t + int64(f+f) + zp
-		r = min(r, 127)
-		r = max(r, -128)
-		out[i] = int8(r)
+		out[i] = requant(a, scale, zp)
 	}
+}
+
+// requant is Requantize with the scale and zero point unpacked, the one
+// rounding every requantizing store shares. math.Round is not an
+// intrinsic on amd64, so it rounds by truncation instead: with
+// t = trunc(v), the remainder f = v − t is exact, and trunc(2f) is +1, 0
+// or −1 exactly when v's fraction is ≥ ½, in between, or ≤ −½.
+// Accumulator rounding and saturation are data-dependent coin flips, so
+// neither is a branch: the only branches are the never-taken
+// float-domain limits.
+func requant(a int32, scale float64, zp int64) int8 {
+	v := float64(a) * scale
+	if !(v < requantLimit) {
+		v = requantLimit
+	}
+	if v < -requantLimit {
+		v = -requantLimit
+	}
+	t := int64(v)
+	f := v - float64(t)
+	r := t + int64(f+f) + zp
+	r = min(r, 127)
+	r = max(r, -128)
+	return int8(r)
 }
 
 // QuantizeSlice quantizes a float64 slice into a fresh int8 slice.

@@ -232,30 +232,6 @@ func (t *TraceV2) Queries(n int) ([]sched.Query, error) {
 	return out, nil
 }
 
-// RecordQueries builds a trace v2 from an already-timed query stream
-// (no cohort attribution): times and qs align by index. This is how a
-// simulation over arbitrary arrivals is captured for bit-exact replay.
-func RecordQueries(seed int64, times []float64, qs []sched.Query) (*TraceV2, error) {
-	if len(times) != len(qs) {
-		return nil, fmt.Errorf("workload: %d arrival times for %d queries", len(times), len(qs))
-	}
-	tr := &TraceV2{Seed: seed, Records: make([]TraceV2Record, len(qs))}
-	for i, q := range qs {
-		tr.Records[i] = TraceV2Record{
-			Arrival:     times[i],
-			Cohort:      -1,
-			Model:       q.Model,
-			Class:       q.Class,
-			MinAccuracy: q.MinAccuracy,
-			MaxLatency:  q.MaxLatency,
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // Encode writes the trace in the versioned wire format. The trace is
 // validated first, so a stream that encodes successfully always
 // decodes to an equal trace.

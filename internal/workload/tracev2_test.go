@@ -8,8 +8,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"sushi/internal/sched"
 )
 
 // sampleTrace records a small skewed population — cohort table, mixed
@@ -70,45 +68,6 @@ func TestTraceV2RoundTrip(t *testing.T) {
 			times[i] != r.Arrival {
 			t.Fatalf("replay record %d mismatch: %+v vs %+v", i, qs[i], r)
 		}
-	}
-}
-
-// TestTraceV2RecordQueries covers the no-cohort capture path used by
-// the bench record flags: an arbitrary timed query stream round-trips
-// with cohort -1 everywhere.
-func TestTraceV2RecordQueries(t *testing.T) {
-	times := []float64{0, 0.5e-3, 0.5e-3, 2e-3}
-	qs := []sched.Query{
-		{ID: 0, Model: "resnet50", Class: "gold", MaxLatency: 5e-3},
-		{ID: 1, MinAccuracy: 70},
-		{ID: 2, Class: "batch"},
-		{ID: 3, Model: "resnet50", MaxLatency: 9e-3},
-	}
-	tr, err := RecordQueries(9, times, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range tr.Records {
-		if r.Cohort != -1 || r.Arrival != times[i] {
-			t.Fatalf("record %d: %+v", i, r)
-		}
-	}
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeTraceV2(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatal("RecordQueries trace does not round-trip")
-	}
-	if _, err := RecordQueries(1, []float64{0, 1}, qs[:1]); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := RecordQueries(1, []float64{1, 0}, qs[:2]); err == nil {
-		t.Error("out-of-order capture accepted")
 	}
 }
 
