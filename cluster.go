@@ -27,8 +27,9 @@ const (
 	// best covers the SubNet it would serve, maximizing cross-query
 	// SubGraph-Stationary reuse (the paper's core idea) at cluster scale.
 	Affinity = RouterKind(core.RouterAffinity)
-	// RandomRouter spreads load with a seeded uniform draw (see
-	// WithRouterSeed); reproducible baseline for experiments.
+	// RandomRouter spreads load with a seeded uniform draw (seed 1, or
+	// SimOptions.RouterSeed for a simulated run); reproducible baseline
+	// for experiments.
 	RandomRouter = RouterKind(core.RouterRandom)
 	// Fastest is the hardware-aware policy for heterogeneous fleets: it
 	// scores each replica by the service latency its OWN latency table
@@ -51,11 +52,6 @@ func WithReplicas(n int) ClusterOption {
 // WithRouter selects the dispatch policy (default RoundRobin).
 func WithRouter(kind RouterKind) ClusterOption {
 	return func(o *core.ClusterOptions) { o.Router = kind }
-}
-
-// WithRouterSeed seeds the RandomRouter (default 1).
-func WithRouterSeed(seed int64) ClusterOption {
-	return func(o *core.ClusterOptions) { o.RouterSeed = seed }
 }
 
 // WithHardware assigns per-replica hardware: replica i runs on cfgs[i],

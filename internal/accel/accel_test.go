@@ -505,7 +505,7 @@ func TestReportAggregationInvariants(t *testing.T) {
 // of n same-SubNet queries pays the weight traffic (off-chip fetches,
 // on-chip supply, bytes, and their share of energy) ONCE, and only
 // compute + activation traffic n times. Three properties: (1)
-// ServeBatch(sn, 1) is bit-identical to Run(sn); (2) batched total
+// ServeBatchInto(sn, 1) is bit-identical to Run(sn); (2) batched total
 // latency equals weights + n x per-item (within float tolerance); (3)
 // batched weight bytes are <= the sum of n solo runs, with equality
 // only at n = 1.
@@ -529,21 +529,22 @@ func TestServeBatchAmortizesWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	one, err := sim.ServeBatch(sn, 1)
-	if err != nil {
+	var one Report
+	if err := sim.ServeBatchInto(&one, sn, 1); err != nil {
 		t.Fatal(err)
 	}
 	if one.Total() != solo.Total() || one.OffChipBytes != solo.OffChipBytes ||
 		one.OnChipBytes != solo.OnChipBytes || one.HitBytes != solo.HitBytes ||
 		one.DistinctBytes != solo.DistinctBytes || one.OffChipEnergyJ != solo.OffChipEnergyJ {
-		t.Errorf("ServeBatch(sn, 1) differs from Run(sn): %+v vs %+v", one, solo)
+		t.Errorf("ServeBatchInto(sn, 1) differs from Run(sn): %+v vs %+v", one, solo)
 	}
 
 	weights := solo.WeightsOffChip + solo.WeightsOnChip
 	perItem := solo.Compute + solo.IActOffChip + solo.OActOffChip
+	// One scratch report across batch sizes: each call overwrites it.
+	var rep Report
 	for _, n := range []int{2, 4, 8} {
-		rep, err := sim.ServeBatch(sn, n)
-		if err != nil {
+		if err := sim.ServeBatchInto(&rep, sn, n); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Batch != n {
@@ -582,10 +583,10 @@ func TestServeBatchAmortizesWeights(t *testing.T) {
 			t.Errorf("n=%d: layer totals %g != Total %g", n, layerTotal, rep.Total())
 		}
 	}
-	if _, err := sim.ServeBatch(sn, 0); err == nil {
+	if err := sim.ServeBatchInto(&rep, sn, 0); err == nil {
 		t.Error("batch size 0 accepted")
 	}
-	if _, err := sim.ServeBatch(nil, 2); err == nil {
+	if err := sim.ServeBatchInto(&rep, nil, 2); err == nil {
 		t.Error("nil SubNet accepted")
 	}
 }

@@ -54,9 +54,6 @@ func (r *Report) PerItem() float64 {
 	return (r.Compute + r.IActOffChip + r.OActOffChip) / float64(r.Batch)
 }
 
-// TotalEnergyJ returns combined data-movement energy.
-func (r *Report) TotalEnergyJ() float64 { return r.OffChipEnergyJ + r.OnChipEnergyJ }
-
 // Simulator is a SushiAccel instance: a hardware configuration plus the
 // mutable Persistent Buffer state (the cached SubGraph). It is not safe
 // for concurrent use; SUSHI serves queries sequentially per accelerator.
@@ -153,26 +150,17 @@ func (s *Simulator) Run(sn *supernet.SubNet) (*Report, error) {
 	return s.run(sn, 1, nil)
 }
 
-// ServeBatch simulates serving a micro-batch of n same-SubNet queries
-// back to back given the current cache state: the SubNet's weights are
-// brought to the array once — Persistent-Buffer hits and DRAM fetches
-// alike — and every member pays only its own compute and activation
-// traffic on top. WeightsOffChip/WeightsOnChip (and HitBytes/
-// DistinctBytes and their energy) are therefore charged once per batch,
-// while Compute, IActOffChip and OActOffChip scale by n. ServeBatch(sn,
-// 1) is exactly Run(sn). The cache state is not modified.
-func (s *Simulator) ServeBatch(sn *supernet.SubNet, n int) (*Report, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("accel %s: non-positive batch size %d", s.cfg.Name, n)
-	}
-	return s.run(sn, n, nil)
-}
-
-// ServeBatchInto is ServeBatch writing the report into rep, reusing
-// rep's Layers backing array — the allocation-free path for callers
-// that simulate passes in a hot loop with a scratch report (the serving
-// layer's memoized-pass misses). rep is fully overwritten; n == 1 is
-// exactly Run.
+// ServeBatchInto simulates serving a micro-batch of n same-SubNet
+// queries back to back given the current cache state, writing the
+// report into rep: the SubNet's weights are brought to the array once —
+// Persistent-Buffer hits and DRAM fetches alike — and every member pays
+// only its own compute and activation traffic on top.
+// WeightsOffChip/WeightsOnChip (and HitBytes/DistinctBytes and their
+// energy) are therefore charged once per batch, while Compute,
+// IActOffChip and OActOffChip scale by n. rep is fully overwritten,
+// reusing its Layers backing array, so a hot loop with a scratch report
+// (the serving layer's memoized-pass misses) allocates nothing; n == 1
+// is exactly Run. The cache state is not modified.
 func (s *Simulator) ServeBatchInto(rep *Report, sn *supernet.SubNet, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("accel %s: non-positive batch size %d", s.cfg.Name, n)
@@ -186,7 +174,7 @@ func (s *Simulator) RunLayers(sn *supernet.SubNet, keep func(i int) bool) (*Repo
 	return s.run(sn, 1, keep)
 }
 
-// run is the shared core of Run, ServeBatch and RunLayers: the layer
+// run is the shared core of Run and RunLayers: the layer
 // loop with batch scaling applied per layer, so the per-layer
 // decomposition still sums to the batch's Total.
 func (s *Simulator) run(sn *supernet.SubNet, n int, keep func(i int) bool) (*Report, error) {

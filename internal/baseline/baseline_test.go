@@ -141,27 +141,3 @@ func TestFig14DPUComparisonShape(t *testing.T) {
 		}
 	}
 }
-
-func TestDPUModelLatencyAggregates(t *testing.T) {
-	s := supernet.NewOFAMobileNetV3()
-	fr, err := s.Frontier()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpu := XilinxDPU()
-	var sum float64
-	for i := range fr[0].Model.Layers {
-		sum += dpu.LayerLatency(&fr[0].Model.Layers[i])
-	}
-	if got := dpu.ModelLatency(fr[0].Model); math.Abs(got-sum)/sum > 1e-12 {
-		t.Errorf("ModelLatency %g != sum of layers %g", got, sum)
-	}
-	cpu := IntelI7_10750H()
-	var cpuSum float64
-	for i := range fr[0].Model.Layers {
-		cpuSum += cpu.LayerLatency(&fr[0].Model.Layers[i])
-	}
-	if got := cpu.ModelLatency(fr[0].Model); math.Abs(got-cpuSum)/cpuSum > 1e-12 {
-		t.Errorf("CPU ModelLatency %g != sum %g", got, cpuSum)
-	}
-}

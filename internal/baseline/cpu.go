@@ -57,15 +57,6 @@ func (c CPUConfig) LayerLatency(l *nn.Layer) float64 {
 	return t + c.PerLayerOverhead
 }
 
-// ModelLatency sums LayerLatency over the model.
-func (c CPUConfig) ModelLatency(m *nn.Model) float64 {
-	var t float64
-	for i := range m.Layers {
-		t += c.LayerLatency(&m.Layers[i])
-	}
-	return t
-}
-
 // LayersLatency sums LayerLatency over the selected layers.
 func (c CPUConfig) LayersLatency(m *nn.Model, keep func(i int) bool) float64 {
 	var t float64

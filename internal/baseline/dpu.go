@@ -95,15 +95,6 @@ func (c DPUConfig) LayerLatency(l *nn.Layer) float64 {
 	return tCompute + tFill + excess
 }
 
-// ModelLatency sums LayerLatency over the model.
-func (c DPUConfig) ModelLatency(m *nn.Model) float64 {
-	var t float64
-	for i := range m.Layers {
-		t += c.LayerLatency(&m.Layers[i])
-	}
-	return t
-}
-
 func ceilDiv(a, b int64) int64 {
 	if b == 0 {
 		return 0

@@ -65,14 +65,10 @@ type frontierEntry struct {
 	err   error
 }
 
-// frontierCacheCap bounds the frontier memo (unknown workload names
-// from API callers must not grow it without bound).
-const frontierCacheCap = 16
-
-var (
-	frontierMu    sync.Mutex
-	frontierCache = map[Workload]*frontierEntry{}
-)
+// frontierCache holds one entry per workload family BuildSuperNet
+// accepts. The map is never written, so lookups take no lock, and an
+// unknown name can never occupy it.
+var frontierCache = map[Workload]*frontierEntry{ResNet50: {}, MobileNetV3: {}}
 
 // frontierFor builds (supernet, frontier) for a workload, memoized
 // process-wide: supernets and frontiers are immutable after
@@ -82,31 +78,15 @@ var (
 // serving's table-build memo effective — equal workloads present
 // pointer-equal (super, frontier) keys.
 func frontierFor(w Workload) (*supernet.SuperNet, []*supernet.SubNet, error) {
-	frontierMu.Lock()
 	e := frontierCache[w]
 	if e == nil {
-		if len(frontierCache) >= frontierCacheCap {
-			frontierMu.Unlock()
-			return frontierForUncached(w)
-		}
-		e = &frontierEntry{}
-		frontierCache[w] = e
+		_, err := BuildSuperNet(w)
+		return nil, nil, err
 	}
-	frontierMu.Unlock()
 	e.once.Do(func() {
-		e.super, e.fr, e.err = frontierForUncached(w)
+		if e.super, e.err = BuildSuperNet(w); e.err == nil {
+			e.fr, e.err = e.super.Frontier()
+		}
 	})
 	return e.super, e.fr, e.err
-}
-
-func frontierForUncached(w Workload) (*supernet.SuperNet, []*supernet.SubNet, error) {
-	super, err := BuildSuperNet(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	fr, err := super.Frontier()
-	if err != nil {
-		return nil, nil, err
-	}
-	return super, fr, nil
 }

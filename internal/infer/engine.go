@@ -219,23 +219,14 @@ func (e *Engine) Forward(sn *supernet.SubNet, input *tensor.Int8) (*tensor.Int8,
 	return &out, nil
 }
 
-// ForwardBatch runs a batch of n images. An input with N == n supplies
-// every image; an input with N == 1 is tiled across the batch (the
-// calibration sweep's shape). The logits are [n, classes, 1, 1],
-// freshly allocated.
-func (e *Engine) ForwardBatch(sn *supernet.SubNet, input *tensor.Int8, n int) (*tensor.Int8, error) {
-	var out tensor.Int8
-	if err := e.ForwardBatchInto(sn, input, n, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ForwardBatchInto is the zero-alloc entry: it writes the logits into
-// dst, reusing dst's backing array across calls. batch <= 0 means
-// input.Shape.N. A warm (SubNet, batch, dst) triple allocates nothing
-// on the sequential path (TestForwardAllocs pins this); a parallel pool
-// adds a bounded handful of closure allocations per layer.
+// ForwardBatchInto runs a batch of images and writes the logits
+// [batch, classes, 1, 1] into dst, reusing dst's backing array across
+// calls. An input with N == batch supplies every image; an input with
+// N == 1 is tiled across the batch (the calibration sweep's shape).
+// batch <= 0 means input.Shape.N. A warm (SubNet, batch, dst) triple
+// allocates nothing on the sequential path (TestForwardAllocs pins
+// this); a parallel pool adds a bounded handful of closure allocations
+// per layer.
 func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch int, dst *tensor.Int8) error {
 	if sn == nil || sn.Model == nil || len(sn.Model.Layers) == 0 {
 		return fmt.Errorf("infer: nil or empty SubNet")

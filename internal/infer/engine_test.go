@@ -85,7 +85,7 @@ func TestForwardMatchesReference(t *testing.T) {
 	}
 }
 
-// TestForwardBatchSemantics pins ForwardBatch: a single image tiled
+// TestForwardBatchSemantics pins ForwardBatchInto: a single image tiled
 // across the batch yields the single-image logits in every batch slot,
 // and a true N=n input yields each image's own logits.
 func TestForwardBatchSemantics(t *testing.T) {
@@ -97,8 +97,8 @@ func TestForwardBatchSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	classes := single.Shape.C
-	batched, err := e.ForwardBatch(sn, one, 3)
-	if err != nil {
+	var batched tensor.Int8
+	if err := e.ForwardBatchInto(sn, one, 3, &batched); err != nil {
 		t.Fatal(err)
 	}
 	if batched.Shape != (tensor.Shape{N: 3, C: classes, H: 1, W: 1}) {
@@ -120,8 +120,8 @@ func TestForwardBatchSemantics(t *testing.T) {
 	img := 3 * 224 * 224
 	copy(two.Data[:img], imgA.Data)
 	copy(two.Data[img:], imgB.Data)
-	both, err := e.ForwardBatch(sn, two, 2)
-	if err != nil {
+	var both tensor.Int8
+	if err := e.ForwardBatchInto(sn, two, 2, &both); err != nil {
 		t.Fatal(err)
 	}
 	outA, err := e.Forward(sn, imgA)
@@ -139,7 +139,7 @@ func TestForwardBatchSemantics(t *testing.T) {
 	}
 
 	// Incompatible batch/input combinations are rejected.
-	if _, err := e.ForwardBatch(sn, two, 3); err == nil {
+	if err := e.ForwardBatchInto(sn, two, 3, &both); err == nil {
 		t.Fatal("N=2 input accepted for batch 3")
 	}
 }

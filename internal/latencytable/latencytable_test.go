@@ -341,8 +341,8 @@ func TestLookupBatchMatchesSimulator(t *testing.T) {
 				t.Fatalf("LookupBatch(%d,%d,1) = %g != Lookup %g", i, j, got, tab.Lookup(i, j))
 			}
 			for _, n := range []int{2, 5} {
-				rep, err := sim.ServeBatch(sn, n)
-				if err != nil {
+				var rep accel.Report
+				if err := sim.ServeBatchInto(&rep, sn, n); err != nil {
 					t.Fatal(err)
 				}
 				got, want := tab.LookupBatch(i, j, n), rep.Total()

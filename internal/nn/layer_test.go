@@ -165,23 +165,16 @@ func TestModelAggregates(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var macs, flops, wb int64
+	var flops, wb int64
 	for i := range m.Layers {
-		macs += m.Layers[i].MACs()
 		flops += m.Layers[i].FLOPs()
 		wb += m.Layers[i].WeightBytes()
-	}
-	if m.TotalMACs() != macs {
-		t.Errorf("TotalMACs = %d, want %d", m.TotalMACs(), macs)
 	}
 	if m.TotalFLOPs() != flops {
 		t.Errorf("TotalFLOPs = %d, want %d", m.TotalFLOPs(), flops)
 	}
 	if m.TotalWeightBytes() != wb {
 		t.Errorf("TotalWeightBytes = %d, want %d", m.TotalWeightBytes(), wb)
-	}
-	if got := m.WeightLayers(); len(got) != 3 {
-		t.Errorf("WeightLayers = %v, want 3 entries", got)
 	}
 	if got := m.ConvLayers(); len(got) != 2 {
 		t.Errorf("ConvLayers = %v, want 2 entries", got)

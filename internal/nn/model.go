@@ -26,15 +26,6 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// TotalMACs sums MACs over all layers.
-func (m *Model) TotalMACs() int64 {
-	var t int64
-	for i := range m.Layers {
-		t += m.Layers[i].MACs()
-	}
-	return t
-}
-
 // TotalFLOPs sums FLOPs over all layers.
 func (m *Model) TotalFLOPs() int64 {
 	var t int64
@@ -51,17 +42,6 @@ func (m *Model) TotalWeightBytes() int64 {
 		t += m.Layers[i].WeightBytes()
 	}
 	return t
-}
-
-// WeightLayers returns the indices of layers that carry weights, in order.
-func (m *Model) WeightLayers() []int {
-	var idx []int
-	for i := range m.Layers {
-		if m.Layers[i].WeightBytes() > 0 {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // ConvLayers returns indices of Conv/DepthwiseConv layers, the population

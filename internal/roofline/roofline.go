@@ -71,23 +71,6 @@ func (m *Model) Attainable(intensity float64) float64 {
 	return v
 }
 
-// AttainableSGS returns the roofline value with the SGS-boosted effective
-// bandwidth: hitting the PB for a fraction h of off-chip traffic scales
-// the effective bandwidth by 1/(1-h).
-func (m *Model) AttainableSGS(intensity, hitFraction float64) float64 {
-	if hitFraction < 0 {
-		hitFraction = 0
-	}
-	if hitFraction > 0.99 {
-		hitFraction = 0.99
-	}
-	v := intensity * m.cfg.OffChipBW / (1 - hitFraction)
-	if p := m.cfg.PeakFLOPS(); v > p {
-		return p
-	}
-	return v
-}
-
 // LayerProfile computes Fig. 2: the arithmetic intensity of every conv
 // layer of a model, flagged memory/compute bound against this roofline.
 func (m *Model) LayerProfile(mod *nn.Model) []LayerPoint {
@@ -141,18 +124,4 @@ func (m *Model) SubNetPoint(sn *supernet.SubNet, cached *supernet.SubGraph) (Mod
 		AttainableTFLOPS:    m.Attainable(ai) / 1e12,
 		AttainableSGSTFLOPS: m.Attainable(aiSGS) / 1e12,
 	}, nil
-}
-
-// FrontierPoints evaluates SubNetPoint for every frontier SubNet with the
-// given cache state (Fig. 11's A..G dots).
-func (m *Model) FrontierPoints(frontier []*supernet.SubNet, cached *supernet.SubGraph) ([]ModelPoint, error) {
-	out := make([]ModelPoint, 0, len(frontier))
-	for _, sn := range frontier {
-		p, err := m.SubNetPoint(sn, cached)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

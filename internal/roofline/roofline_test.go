@@ -46,22 +46,6 @@ func TestAttainableClampsAtPeak(t *testing.T) {
 	}
 }
 
-func TestAttainableSGSBoost(t *testing.T) {
-	m := newModel(t)
-	base := m.Attainable(10)
-	boosted := m.AttainableSGS(10, 0.5)
-	if math.Abs(boosted-2*base)/base > 1e-12 {
-		t.Errorf("50%% hit should double attainable below peak: %g vs %g", boosted, base)
-	}
-	// Clamps: negative hit behaves like zero, huge hit stays below peak cap.
-	if m.AttainableSGS(10, -1) != base {
-		t.Error("negative hit fraction must behave like 0")
-	}
-	if m.AttainableSGS(1e6, 0.9) != accel.RooflineStudy().PeakFLOPS() {
-		t.Error("SGS attainable must clamp at peak")
-	}
-}
-
 func TestLayerProfileFig2Shape(t *testing.T) {
 	// Fig. 2's claim: MobV3 (and latter ResNet50) layers have low
 	// arithmetic intensity -> memory-bound; early/mid dense convs are
@@ -174,14 +158,11 @@ func TestFrontierPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := m.FrontierPoints(fr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(fr) {
-		t.Fatalf("%d points for %d subnets", len(pts), len(fr))
-	}
-	for _, p := range pts {
+	for _, sn := range fr {
+		p, err := m.SubNetPoint(sn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if p.Intensity <= 0 || p.AttainableTFLOPS <= 0 {
 			t.Errorf("point %s degenerate: %+v", p.Name, p)
 		}

@@ -115,6 +115,13 @@ func budgetFor(rep *Replica, model string) float64 {
 	return budget
 }
 
+// sharesOf reads each tenant's current PB share, keyed by model.
+func sharesOf(rep *Replica) map[string]int64 {
+	shares := map[string]int64{}
+	rep.InspectTenants(func(m string, share int64, _ *System) { shares[m] = share })
+	return shares
+}
+
 // TestPartitionTrafficSteals: under one-sided traffic the hot tenant's
 // share grows to the cap, the cold tenant shrinks to the floor, the
 // enacted cache states respect the new shares, and the switch cost is
@@ -130,7 +137,7 @@ func TestPartitionTrafficSteals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shares := rep.PartitionShares()
+	shares := sharesOf(rep)
 	if shares["resnet50"] != 3*halfSlot {
 		t.Errorf("hot tenant share = %d, want cap %d", shares["resnet50"], 3*halfSlot)
 	}
@@ -159,7 +166,7 @@ func TestPartitionTrafficSteals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shares = rep.PartitionShares()
+	shares = sharesOf(rep)
 	if shares["mobilenetv3"] != 3*halfSlot || shares["resnet50"] != halfSlot {
 		t.Errorf("reversal did not steal back: %v", shares)
 	}
@@ -177,7 +184,7 @@ func TestPartitionStaticHolds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shares := rep.PartitionShares()
+	shares := sharesOf(rep)
 	if shares["resnet50"] != pb/2 || shares["mobilenetv3"] != pb/2 {
 		t.Errorf("static split moved: %v", shares)
 	}

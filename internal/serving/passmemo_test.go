@@ -91,8 +91,8 @@ func (o *memoOracle) serve(qs []sched.Query) []Served {
 		}
 		hitRatio = supernet.Overlap(sn.Graph, o.table.Graphs[o.col])
 	}
-	rep, err := sim.ServeBatch(sn, len(qs))
-	if err != nil {
+	var rep accel.Report
+	if err := sim.ServeBatchInto(&rep, sn, len(qs)); err != nil {
 		o.t.Fatal(err)
 	}
 	lat := rep.Total()

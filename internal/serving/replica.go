@@ -325,21 +325,6 @@ func (r *Replica) EnablePartition(pol PartitionPolicy, pbBytes int64) error {
 	return nil
 }
 
-// PartitionShares reports each tenant's current PB share in bytes,
-// keyed by model id (nil while partitioning is off).
-func (r *Replica) PartitionShares() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.part == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(r.tenants))
-	for _, t := range r.tenants {
-		out[t.model] = t.shareBytes
-	}
-	return out
-}
-
 // PartitionStats reports the partitioner's enacted share-driven cache
 // switches and their total modeled fill time in seconds (0, 0 while
 // partitioning is off or static).

@@ -10,8 +10,7 @@ import (
 // Persistent Buffer caches exactly one SubGraph at a time.
 //
 // The representation is a bitset over the global cell table, which makes
-// the cross-query set algebra (intersection for reuse, union for
-// candidates) O(cells/64).
+// the cross-query set algebra (intersection for reuse) O(cells/64).
 type SubGraph struct {
 	super *SuperNet
 	bits  []uint64
@@ -44,11 +43,6 @@ func (g *SubGraph) Contains(id int) bool {
 // Add inserts cell id.
 func (g *SubGraph) Add(id int) {
 	g.bits[id/64] |= 1 << (uint(id) % 64)
-}
-
-// Remove deletes cell id.
-func (g *SubGraph) Remove(id int) {
-	g.bits[id/64] &^= 1 << (uint(id) % 64)
 }
 
 // Clone returns a deep copy.
@@ -101,18 +95,6 @@ func (g *SubGraph) Intersect(o *SubGraph) (*SubGraph, error) {
 	return r, nil
 }
 
-// Union returns g ∪ o. Both must share a SuperNet.
-func (g *SubGraph) Union(o *SubGraph) (*SubGraph, error) {
-	if g.super != o.super {
-		return nil, fmt.Errorf("supernet: union across different supernets (%s vs %s)", g.super.Name, o.super.Name)
-	}
-	r := NewSubGraph(g.super, g.name+"∪"+o.name)
-	for i := range r.bits {
-		r.bits[i] = g.bits[i] | o.bits[i]
-	}
-	return r, nil
-}
-
 // IntersectBytes returns the byte footprint of g ∩ o without allocating
 // the intersection — the hot path of cache-hit accounting.
 func (g *SubGraph) IntersectBytes(o *SubGraph) int64 {
@@ -133,17 +115,6 @@ func (g *SubGraph) LayerHitBytes(li int, cache *SubGraph) int64 {
 	var t int64
 	for _, id := range g.super.LayerCells(li) {
 		if g.Contains(id) && cache.Contains(id) {
-			t += g.super.Cells[id].Bytes
-		}
-	}
-	return t
-}
-
-// LayerBytes returns the bytes of layer li's cells present in g.
-func (g *SubGraph) LayerBytes(li int) int64 {
-	var t int64
-	for _, id := range g.super.LayerCells(li) {
-		if g.Contains(id) {
 			t += g.super.Cells[id].Bytes
 		}
 	}

@@ -19,7 +19,7 @@ func randomGraph(s *SuperNet, seed int64, density float64) *SubGraph {
 	return g
 }
 
-func TestSubGraphAddRemoveContains(t *testing.T) {
+func TestSubGraphAddContains(t *testing.T) {
 	s := NewOFAMobileNetV3()
 	g := NewSubGraph(s, "t")
 	if g.Count() != 0 {
@@ -33,10 +33,6 @@ func TestSubGraphAddRemoveContains(t *testing.T) {
 	if g.Count() != 2 {
 		t.Fatalf("count = %d, want 2", g.Count())
 	}
-	g.Remove(0)
-	if g.Contains(0) || !g.Contains(100) {
-		t.Fatal("contains wrong after remove")
-	}
 }
 
 func TestSubGraphCloneIndependent(t *testing.T) {
@@ -46,11 +42,13 @@ func TestSubGraphCloneIndependent(t *testing.T) {
 	if c.Count() != g.Count() {
 		t.Fatal("clone count differs")
 	}
-	c.Add(0)
-	c.Remove(1)
 	// Mutating the clone must not affect the original.
-	g2 := randomGraph(s, 1, 0.5)
-	if g.Count() != g2.Count() {
+	id := 0
+	for g.Contains(id) {
+		id++
+	}
+	c.Add(id)
+	if g.Contains(id) || g.Count() != c.Count()-1 {
 		t.Fatal("original mutated by clone operations")
 	}
 }
@@ -64,9 +62,11 @@ func TestSubGraphSetAlgebraProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		uni, err := a.Union(b)
-		if err != nil {
-			return false
+		uni := NewSubGraph(s, "a∪b")
+		for id := range s.Cells {
+			if a.Contains(id) || b.Contains(id) {
+				uni.Add(id)
+			}
 		}
 		// |A| + |B| == |A∪B| + |A∩B| (inclusion-exclusion on bytes too).
 		if a.Count()+b.Count() != uni.Count()+inter.Count() {
@@ -104,9 +104,6 @@ func TestSubGraphCrossSuperNetRejected(t *testing.T) {
 	if _, err := a.Intersect(b); err == nil {
 		t.Fatal("intersect across supernets must fail")
 	}
-	if _, err := a.Union(b); err == nil {
-		t.Fatal("union across supernets must fail")
-	}
 }
 
 func TestLayerBytesSumsToGraphBytes(t *testing.T) {
@@ -118,7 +115,7 @@ func TestLayerBytesSumsToGraphBytes(t *testing.T) {
 	g := fr[2].Graph
 	var sum int64
 	for li := 0; li < s.NumLayers(); li++ {
-		sum += g.LayerBytes(li)
+		sum += g.LayerHitBytes(li, g) // a graph hits all of itself
 	}
 	if sum != g.Bytes() {
 		t.Fatalf("per-layer bytes sum %d != total %d", sum, g.Bytes())
@@ -135,9 +132,9 @@ func TestLayerHitBytes(t *testing.T) {
 	// A ⊆ F, so caching F means every A layer fully hits.
 	for li := 0; li < s.NumLayers(); li++ {
 		hit := a.Graph.LayerHitBytes(li, f.Graph)
-		if hit != a.Graph.LayerBytes(li) {
+		if own := a.Graph.LayerHitBytes(li, a.Graph); hit != own {
 			t.Fatalf("layer %d: hit %d != layer bytes %d under superset cache",
-				li, hit, a.Graph.LayerBytes(li))
+				li, hit, own)
 		}
 	}
 	// Empty cache hits nothing.

@@ -21,8 +21,8 @@ import "fmt"
 // (Conv2DRequantInto), so a fused layer never materialises its int32
 // accumulators.
 //
-// Everything here is bit-identical to the reference Conv2D/MatMulCols
-// scans for any int8 zero point: int32 accumulation is modular, so any
+// Everything here is bit-identical to the reference Conv2D
+// scan for any int8 zero point: int32 accumulation is modular, so any
 // summation order matches; the zero-point correction uses the exact
 // identity Σ(a−zp)·w = Σ a·w − zp·Σw; and the lane split is exact because
 // no lane sum ever leaves a signed 21-bit lane. A term is at most A·W in

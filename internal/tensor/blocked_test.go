@@ -389,7 +389,7 @@ func TestConv2DBlockedPrecomputedWsum(t *testing.T) {
 		t.Fatal(err)
 	}
 	wsum := make([]int32, tc.w.N)
-	WeightSums(wsum, FlattenWeights(w))
+	WeightSums(wsum, w)
 	var out Int32
 	var sc Scratch
 	if err := Conv2DBlockedInto(&out, in, w, tc.zp, tc.p, wsum, &sc, nil); err != nil {

@@ -93,44 +93,3 @@ func im2colInto(dst []int8, in *Int8, c0, c1, kh, kw int, zp int8, p ConvParams,
 		}
 	}
 }
-
-// MatMulCols multiplies an im2col matrix [N, P, D, 1] by weights
-// [K, D, 1, 1] (D = C*R*S flattened in KCRS order), subtracting zpIn from
-// every activation, producing [N, K, P, 1] accumulators. Together with
-// Im2Col it forms the second half of the lowered convolution used to
-// cross-check Conv2D.
-func MatMulCols(cols *Int8, w *Int8, zpIn int32) (*Int32, error) {
-	cs, ws := cols.Shape, w.Shape
-	if cs.H != ws.C {
-		return nil, ErrShapeMismatch
-	}
-	out := NewInt32(Shape{N: cs.N, C: ws.N, H: cs.C, W: 1})
-	for n := 0; n < cs.N; n++ {
-		for k := 0; k < ws.N; k++ {
-			for p := 0; p < cs.C; p++ {
-				var acc int32
-				for d := 0; d < cs.H; d++ {
-					acc += (int32(cols.At(n, p, d, 0)) - zpIn) * int32(w.At(k, d, 0, 0))
-				}
-				out.Set(n, k, p, 0, acc)
-			}
-		}
-	}
-	return out, nil
-}
-
-// ReshapeConvOut views a [N, K, OH*OW, 1] matmul result as [N, K, OH, OW].
-func ReshapeConvOut(m *Int32, oh, ow int) (*Int32, error) {
-	s := m.Shape
-	if s.H != oh*ow || s.W != 1 {
-		return nil, ErrShapeMismatch
-	}
-	out := &Int32{Shape: Shape{N: s.N, C: s.C, H: oh, W: ow}, Data: m.Data}
-	return out, nil
-}
-
-// FlattenWeights views KCRS weights as [K, C*R*S, 1, 1] without copying.
-func FlattenWeights(w *Int8) *Int8 {
-	s := w.Shape
-	return &Int8{Shape: Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}, Data: w.Data}
-}

@@ -35,16 +35,9 @@ func TestIm2ColMatchesDirectConv(t *testing.T) {
 			}
 			zp8 := int8(tc.zp)
 			cols := Im2Col(in, tc.w.H, tc.w.W, zp8, tc.params)
-			lowered, err := MatMulCols(cols, FlattenWeights(w), tc.zp)
-			if err != nil {
-				t.Fatal(err)
-			}
 			oh := OutDim(tc.in.H, tc.w.H, tc.params.StrideH, tc.params.PadH)
 			ow := OutDim(tc.in.W, tc.w.W, tc.params.StrideW, tc.params.PadW)
-			reshaped, err := ReshapeConvOut(lowered, oh, ow)
-			if err != nil {
-				t.Fatal(err)
-			}
+			reshaped := matMulCols(cols, w, tc.zp, oh, ow)
 			if reshaped.Shape != direct.Shape {
 				t.Fatalf("shape %v != %v", reshaped.Shape, direct.Shape)
 			}
@@ -78,15 +71,8 @@ func TestIm2ColMatchesDirectConvQuick(t *testing.T) {
 			return false
 		}
 		cols := Im2Col(in, kern, kern, zpRaw, p)
-		lowered, err := MatMulCols(cols, FlattenWeights(w), int32(zpRaw))
-		if err != nil {
-			return false
-		}
 		oh := OutDim(h, kern, stride, pad)
-		reshaped, err := ReshapeConvOut(lowered, oh, oh)
-		if err != nil {
-			return false
-		}
+		reshaped := matMulCols(cols, w, int32(zpRaw), oh, oh)
 		for i := range direct.Data {
 			if direct.Data[i] != reshaped.Data[i] {
 				return false
@@ -100,29 +86,22 @@ func TestIm2ColMatchesDirectConvQuick(t *testing.T) {
 	}
 }
 
-func TestMatMulColsShapeMismatch(t *testing.T) {
-	cols := RandomInt8(Shape{1, 4, 9, 1}, 1)
-	w := RandomInt8(Shape{2, 8, 1, 1}, 2)
-	if _, err := MatMulCols(cols, w, 0); err == nil {
-		t.Fatal("expected shape mismatch")
+// matMulCols finishes the lowered convolution: it multiplies Im2Col's
+// [N, OH·OW, C·R·S, 1] rows by the KCRS weights flattened to
+// [K, C·R·S], subtracting zp from every activation, into
+// [N, K, OH, OW] accumulators.
+func matMulCols(cols, w *Int8, zp int32, oh, ow int) *Int32 {
+	n, p, d, k := cols.Shape.N, cols.Shape.C, cols.Shape.H, w.Shape.N
+	out := NewInt32(Shape{N: n, C: k, H: oh, W: ow})
+	for i := 0; i < n*p; i++ {
+		row := cols.Data[i*d : i*d+d]
+		for kk := 0; kk < k; kk++ {
+			var acc int32
+			for j, v := range row {
+				acc += (int32(v) - zp) * int32(w.Data[kk*d+j])
+			}
+			out.Data[((i/p)*k+kk)*p+i%p] = acc
+		}
 	}
-}
-
-func TestReshapeConvOutMismatch(t *testing.T) {
-	m := NewInt32(Shape{1, 2, 9, 1})
-	if _, err := ReshapeConvOut(m, 2, 2); err == nil {
-		t.Fatal("expected mismatch for 9 != 4")
-	}
-}
-
-func TestFlattenWeightsAliases(t *testing.T) {
-	w := RandomInt8(Shape{2, 3, 3, 3}, 9)
-	f := FlattenWeights(w)
-	if f.Shape != (Shape{2, 27, 1, 1}) {
-		t.Fatalf("flatten shape = %v", f.Shape)
-	}
-	f.Data[0] = 99
-	if w.Data[0] != 99 {
-		t.Fatal("FlattenWeights must alias, not copy")
-	}
+	return out
 }

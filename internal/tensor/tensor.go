@@ -1,12 +1,14 @@
-// Package tensor provides the minimal dense-tensor substrate used by the
-// SUSHI reproduction: int8 quantized tensors with int32 accumulators,
-// shape bookkeeping, and reference convolution kernels that serve as the
-// golden model for the accelerator simulator's functional mode.
+// Package tensor is the int8 data plane of the SUSHI reproduction: dense
+// NCHW/KCRS int8 tensors with int32 accumulators, the production
+// lane-packed conv, fully-connected and requantize kernels the inference
+// engine runs (blocked.go, on a worker Pool), their in-place elementwise
+// and pooling ops, and the direct-loop reference kernels (Conv2D, Linear,
+// GlobalAvgPool, MaxPool) that the engine's ForwardReference and the
+// parity tests pin the production kernels against.
 //
-// The package is deliberately small and allocation-conscious: SUSHI's
-// control plane (scheduler, latency table) never touches tensor data, and
-// the data plane only needs enough machinery to validate that the
-// simulated dataflow computes real convolutions correctly.
+// SUSHI's control plane (scheduler, latency table) never touches tensor
+// data; only the engine in internal/infer and the accelerator's
+// functional mode do.
 package tensor
 
 import (
@@ -206,18 +208,6 @@ func GlobalAvgPool(in *Int8, zpIn int32) *Int32 {
 		}
 	}
 	return out
-}
-
-// AddInt32 returns a + b elementwise.
-func AddInt32(a, b *Int32) (*Int32, error) {
-	if a.Shape != b.Shape {
-		return nil, fmt.Errorf("%w: %v vs %v", ErrShapeMismatch, a.Shape, b.Shape)
-	}
-	out := NewInt32(a.Shape)
-	for i, v := range a.Data {
-		out.Data[i] = v + b.Data[i]
-	}
-	return out, nil
 }
 
 // MaxPool computes max pooling over kxk windows with the given stride and

@@ -221,26 +221,6 @@ func TestGlobalAvgPool(t *testing.T) {
 	}
 }
 
-func TestAddInt32(t *testing.T) {
-	a := NewInt32(Shape{1, 1, 1, 3})
-	b := NewInt32(Shape{1, 1, 1, 3})
-	copy(a.Data, []int32{1, 2, 3})
-	copy(b.Data, []int32{10, 20, 30})
-	out, err := AddInt32(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int32{11, 22, 33} {
-		if out.Data[i] != want {
-			t.Errorf("add[%d] = %d, want %d", i, out.Data[i], want)
-		}
-	}
-	c := NewInt32(Shape{1, 1, 3, 1})
-	if _, err := AddInt32(a, c); err == nil {
-		t.Fatal("expected shape mismatch")
-	}
-}
-
 func TestFillRandomDeterministic(t *testing.T) {
 	a := RandomInt8(Shape{1, 2, 3, 4}, 42)
 	b := RandomInt8(Shape{1, 2, 3, 4}, 42)

@@ -176,26 +176,6 @@ func (e Empirical) Validate() error {
 	return nil
 }
 
-// Mean returns the weighted mean of the distribution (0 when unset).
-func (e Empirical) Mean() float64 {
-	if e.Zero() {
-		return 0
-	}
-	sum, total := 0.0, 0.0
-	for i, v := range e.Values {
-		w := 1.0
-		if e.Weights != nil {
-			w = e.Weights[i]
-		}
-		sum += v * w
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	return sum / total
-}
-
 // draw picks one value. A non-zero distribution consumes exactly one
 // uniform variate per draw (whatever its size), so mark streams stay
 // reproducible as distributions are edited.
@@ -355,15 +335,6 @@ func (p Population) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalRate is the population's aggregate mean load in queries/second.
-func (p Population) TotalRate() float64 {
-	total := 0.0
-	for _, c := range p.Cohorts {
-		total += c.Rate
-	}
-	return total
 }
 
 // Times implements ArrivalProcess: the merged arrival instants, cohort
