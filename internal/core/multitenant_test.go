@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -240,6 +241,8 @@ func TestDeployClusterInvalidOptions(t *testing.T) {
 		{"invalid accel config", valid, ClusterOptions{Accels: []accel.Config{{}}}, "Accels"},
 		{"recache MinGain out of range", valid,
 			ClusterOptions{Recache: &serving.RecachePolicy{MinGain: 1.5}}, "Recache"},
+		{"recache MinGain NaN", valid,
+			ClusterOptions{Recache: &serving.RecachePolicy{MinGain: math.NaN()}}, "Recache"},
 		{"negative batch", valid,
 			ClusterOptions{Batch: &serving.BatchPolicy{MaxBatch: -1}}, "Batch"},
 		{"negative batch window", valid,

@@ -240,6 +240,10 @@ func (t *Table) GraphBytes(j int) int64 { return t.graphBytes[j] }
 // column j, precomputed.
 func (t *Table) MinLatency(j int) float64 { return t.cols[j].minLat }
 
+// MostAccurateRow returns the argmax-accuracy row (lowest row index
+// among equals), precomputed: STRICT_ACCURACY's fallback.
+func (t *Table) MostAccurateRow() int { return t.maxAccRow }
+
 // GlobalMinLatency returns the smallest latency anywhere in the table —
 // the tightest bound on any service completing.
 func (t *Table) GlobalMinLatency() float64 { return t.minLat }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sushi/internal/latencytable"
+	"sushi/internal/supernet"
 )
 
 // refSched is the test oracle for Scheduler: Algorithm 1 written the
@@ -360,6 +361,96 @@ func TestPeekAtMatchesSlowPath(t *testing.T) {
 			ds, es := slow.PeekAt(q, col)
 			if df != ds || (ef == nil) != (es == nil) {
 				t.Fatalf("pol %v col %d: PeekAt divergence: %+v/%v vs %+v/%v", pol, col, df, ef, ds, es)
+			}
+		}
+	}
+}
+
+// TestPeekColsMatchesSlowPath pins PeekCols — the re-cache advisor's
+// one-walk rating of many columns — against the reference PeekAt on
+// every column it is given (random subsets in random order). Constraints
+// are drawn from NaN, ±Inf, negative and zero values plus every row
+// accuracy and every table cell, so the strict comparisons decide at the
+// boundaries; a quarter of the queries override the policy, and some
+// carry an invalid one, which must fail with PeekAt's error. A second
+// table with three accuracy, three latency and two energy levels makes
+// ties the rule.
+func TestPeekColsMatchesSlowPath(t *testing.T) {
+	tab := buildTable(t)
+	rng := rand.New(rand.NewSource(29))
+	subnets := make([]*supernet.SubNet, tab.Rows())
+	lat := make([][]float64, tab.Rows())
+	energy := make([][]float64, tab.Rows())
+	for i := range lat {
+		sn := *tab.SubNets[i]
+		sn.Accuracy = float64(70 + rng.Intn(3))
+		subnets[i] = &sn
+		lat[i] = make([]float64, tab.Cols())
+		energy[i] = make([]float64, tab.Cols())
+		for j := range lat[i] {
+			lat[i][j] = float64(1+rng.Intn(3)) * 1e-3
+			energy[i][j] = float64(1 + rng.Intn(2))
+		}
+	}
+	ties, err := latencytable.FromMatrices(subnets, tab.Graphs, lat, nil, energy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := Policy(7)
+	for _, tc := range []struct {
+		name string
+		tab  *latencytable.Table
+	}{{"mobilenetv3", tab}, {"ties", ties}} {
+		name, tab := tc.name, tc.tab
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0}
+		accs := append([]float64(nil), special...)
+		for _, sn := range tab.SubNets {
+			accs = append(accs, sn.Accuracy)
+		}
+		lats := append([]float64(nil), special...)
+		for _, row := range tab.Lat {
+			lats = append(lats, row...)
+		}
+		out := make([]ColPeek, tab.Cols())
+		for _, pol := range allPolicies {
+			opt := Options{Policy: pol, Q: 4, StateAware: true}
+			fast, err := New(tab, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow := newRef(t, tab, opt)
+			for i := 0; i < 500; i++ {
+				q := Query{ID: i, MinAccuracy: accs[rng.Intn(len(accs))], MaxLatency: lats[rng.Intn(len(lats))]}
+				switch rng.Intn(8) {
+				case 0, 1:
+					p := allPolicies[rng.Intn(len(allPolicies))]
+					q.Policy = &p
+				case 2:
+					q.Policy = &invalid
+				}
+				cols := rng.Perm(tab.Cols())[:1+rng.Intn(tab.Cols())]
+				err := fast.PeekCols(&q, cols, out)
+				for c, col := range cols {
+					want, werr := slow.PeekAt(q, col)
+					if werr != nil || err != nil {
+						if werr == nil || err == nil || err.Error() != werr.Error() {
+							t.Fatalf("%s pol %v query %+v: PeekCols error %v, PeekAt error %v", name, pol, q, err, werr)
+						}
+						continue
+					}
+					got := out[c]
+					if math.Float64bits(got.Latency) != math.Float64bits(want.PredictedLatency) || got.Feasible != want.Feasible {
+						t.Fatalf("%s pol %v query %+v col %d: PeekCols (%v, %v), PeekAt (%v, %v)",
+							name, pol, q, col, got.Latency, got.Feasible, want.PredictedLatency, want.Feasible)
+					}
+				}
+			}
+			q := Query{}
+			for _, col := range []int{-1, tab.Cols()} {
+				_, werr := fast.PeekAt(q, col)
+				if err := fast.PeekCols(&q, []int{0, col}, out); err == nil || werr == nil || err.Error() != werr.Error() {
+					t.Errorf("%s pol %v: column %d: PeekCols error %v, PeekAt error %v", name, pol, col, err, werr)
+				}
 			}
 		}
 	}

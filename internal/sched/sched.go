@@ -275,6 +275,106 @@ func (s *Scheduler) PeekAt(q Query, col int) (Decision, error) {
 	return s.decide(q, pol, col, 1), nil
 }
 
+// ColPeek is one candidate column's answer from PeekCols: the
+// PredictedLatency and Feasible that PeekAt reports for that column.
+// The unexported fields are the walk's running state.
+type ColPeek struct {
+	Latency  float64
+	Feasible bool
+	// key is the kept row's policy key: its accuracy (STRICT_LATENCY)
+	// or energy (MIN_ENERGY). During the walk Feasible means "a row is
+	// kept", and under STRICT_ACCURACY Latency is the key.
+	key float64
+	// fast is MIN_ENERGY's strict-accuracy fallback, walked alongside:
+	// the smallest latency among rows meeting the floor (fastOK: any).
+	fast   float64
+	fastOK bool
+}
+
+// PeekCols is PeekAt for many columns in one walk: out[c] receives the
+// PredictedLatency and Feasible of PeekAt(*q, cols[c]), bit for bit. The
+// policy is resolved once, then the rows of Lat (and Energy for
+// MIN_ENERGY) are walked once, each row's cells compared against one
+// running best per column under PeekAt's rules: strict improvement (the
+// lowest row wins a tie), a row skipped only when acc < floor or
+// latency > budget (so NaN constraints exclude nothing), and PeekAt's
+// fallbacks — the most accurate row, the column's MinLatency, or the
+// strict-accuracy answer. Like PeekAt it reads only immutable state.
+// out must hold len(cols) entries.
+func (s *Scheduler) PeekCols(q *Query, cols []int, out []ColPeek) error {
+	pol, err := s.policyFor(*q)
+	if err != nil {
+		return err
+	}
+	t := s.table
+	for _, j := range cols {
+		if j < 0 || j >= t.Cols() {
+			return fmt.Errorf("sched: peek column %d outside [0, %d)", j, t.Cols())
+		}
+	}
+	out = out[:len(cols)]
+	clear(out)
+	minAcc, maxLat := q.MinAccuracy, q.MaxLatency
+	switch pol {
+	case StrictAccuracy:
+		for i, row := range t.Lat {
+			if t.SubNets[i].Accuracy < minAcc {
+				continue
+			}
+			for c, j := range cols {
+				if o, l := &out[c], row[j]; !o.Feasible || l < o.Latency {
+					o.Latency, o.Feasible = l, true
+				}
+			}
+		}
+		for c, j := range cols {
+			if !out[c].Feasible {
+				out[c].Latency = t.Lat[t.MostAccurateRow()][j]
+			}
+		}
+	case StrictLatency:
+		for i, row := range t.Lat {
+			a := t.SubNets[i].Accuracy
+			for c, j := range cols {
+				if o, l := &out[c], row[j]; !(l > maxLat) && (!o.Feasible || a > o.key) {
+					o.Latency, o.key, o.Feasible = l, a, true
+				}
+			}
+		}
+		for c, j := range cols {
+			if !out[c].Feasible {
+				out[c].Latency = t.MinLatency(j)
+			}
+		}
+	default: // MinEnergy
+		for i, row := range t.Lat {
+			if t.SubNets[i].Accuracy < minAcc {
+				continue
+			}
+			erow := t.Energy[i]
+			for c, j := range cols {
+				o, l := &out[c], row[j]
+				if !o.fastOK || l < o.fast {
+					o.fast, o.fastOK = l, true
+				}
+				if e := erow[j]; !(l > maxLat) && (!o.Feasible || e < o.key) {
+					o.Latency, o.key, o.Feasible = l, e, true
+				}
+			}
+		}
+		for c, j := range cols {
+			switch o := &out[c]; {
+			case o.Feasible:
+			case o.fastOK:
+				o.Latency = o.fast
+			default:
+				o.Latency = t.Lat[t.MostAccurateRow()][j]
+			}
+		}
+	}
+	return nil
+}
+
 // Schedule makes the two-part control decision for one query.
 func (s *Scheduler) Schedule(q Query) (Decision, error) {
 	pol, err := s.policyFor(q)

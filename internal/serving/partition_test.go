@@ -49,7 +49,7 @@ func TestApportion(t *testing.T) {
 // newTenantReplica builds a two-model replica (ResNet50 + MobileNetV3)
 // on one ZCU104 with share-laddered tables, mirroring the core boot
 // path.
-func newTenantReplica(t *testing.T, part *PartitionPolicy) *Replica {
+func newTenantReplica(t testing.TB, part *PartitionPolicy) *Replica {
 	t.Helper()
 	cfg := accel.ZCU104()
 	tenants := make([]Tenant, 0, 2)

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 
 	"sushi/internal/sched"
 )
@@ -29,22 +30,23 @@ type RecachePolicy struct {
 	// switch when feasibility is tied, as a fraction in (0, 1) — e.g.
 	// 0.05 demands 5% lower total predicted latency. Zero or negative
 	// selects the default 0.05 (to accept any improvement, use a tiny
-	// positive value); values >= 1 are rejected by deployment validation
-	// (no column can cut latency by 100%). A column that makes strictly
-	// more window queries feasible wins regardless of MinGain.
+	// positive value); values >= 1 and NaN are rejected by deployment
+	// validation (no column can cut latency by 100%). A column that makes
+	// strictly more window queries feasible wins regardless of MinGain.
 	MinGain float64
 	// Cooldown is the number of served queries between advisor
 	// evaluations (default Window): the window is re-scored at most once
 	// per Cooldown queries, which bounds both how often the fleet pays
-	// fill traffic and the advisor's own O(Window x columns) replay cost
-	// on the serve path.
+	// fill traffic and the advisor's own replay cost on the serve path:
+	// one O(Window x rows x columns) pass over the table.
 	Cooldown int
 }
 
 // Validate rejects option values the layer would otherwise misread;
 // zero values are valid (they select defaults).
 func (p RecachePolicy) Validate() error {
-	if p.MinGain >= 1 {
+	// Written so NaN fails too: it would let any latency gain switch.
+	if !(p.MinGain < 1) {
 		return fmt.Errorf("serving: recache MinGain %g outside (0, 1)", p.MinGain)
 	}
 	return nil
@@ -79,6 +81,12 @@ type recacheState struct {
 	// modeled fill time in seconds.
 	switches  int
 	switchSec float64
+	// cands, peeks and scores are advise's scratch: the candidate
+	// columns, one window query's rating of each, and each candidate's
+	// running window score.
+	cands  []int
+	peeks  []sched.ColPeek
+	scores []windowScore
 }
 
 func newRecacheState(pol RecachePolicy) *recacheState {
@@ -117,18 +125,21 @@ func (s windowScore) better(o windowScore) bool {
 	return s.latency < o.latency
 }
 
-// advise replays the observed window against every cache column of the
-// system's latency table (sched.Scheduler.PeekAt — pure, no scheduler
-// state touched) and returns the column to switch to, if any: the
-// best-scoring column when it differs from the current one and either
-// serves strictly more window queries feasibly or cuts total predicted
-// latency by at least MinGain. A positive limit caps the candidate set
-// to columns whose SubGraph fits limit bytes — the tenant's share of a
-// partitioned Persistent Buffer; 0 considers every column (the
-// single-model behaviour). It runs at most once per Cooldown observed
-// queries — the caller resets sinceEval after every full evaluation,
-// so a stable workload pays the O(Window x columns) replay once per
-// Cooldown, not per query. The caller owns the replica lock.
+// advise replays the observed window against the cache columns of the
+// system's latency table and returns the column to switch to, if any:
+// the best-scoring column when it differs from the current one and
+// either serves strictly more window queries feasibly or cuts total
+// predicted latency by at least MinGain. The candidates are the current
+// column, then every other column in ascending order whose SubGraph fits
+// limit bytes — the tenant's share of a partitioned Persistent Buffer;
+// a non-positive limit admits every column (the single-model
+// behaviour). Each window query is rated against all candidates in one
+// walk of the table (sched.Scheduler.PeekCols — pure, no scheduler state
+// touched, and equal to PeekAt per column), and each candidate's score
+// sums its queries in ring-slot order. It runs at most once per Cooldown
+// observed queries — the caller resets sinceEval after every full
+// evaluation — so a stable workload pays the replay once per Cooldown,
+// not per query. The caller owns the replica lock.
 func (rc *recacheState) advise(sys *System, limit int64) (int, bool) {
 	if rc.filled < rc.pol.Window || rc.sinceEval < rc.pol.Cooldown {
 		return 0, false
@@ -139,48 +150,45 @@ func (rc *recacheState) advise(sys *System, limit int64) (int, bool) {
 		return 0, false
 	}
 	cur := schd.CacheColumn()
-	score := func(col int) (windowScore, bool) {
-		var s windowScore
-		for _, q := range rc.recent[:rc.filled] {
-			d, err := schd.PeekAt(q, col)
-			if err != nil {
-				return s, false
-			}
-			if !d.Feasible {
-				s.infeasible++
-			}
-			s.latency += d.PredictedLatency
-		}
-		return s, true
-	}
-	curScore, ok := score(cur)
-	if !ok {
-		return 0, false
-	}
-	bestCol, bestScore := cur, curScore
+	cands := append(rc.cands[:0], cur)
 	for j := 0; j < tab.Cols(); j++ {
-		if j == cur {
-			continue
-		}
-		if limit > 0 && tab.GraphBytes(j) > limit {
-			continue
-		}
-		s, ok := score(j)
-		if !ok {
-			continue
-		}
-		if s.better(bestScore) {
-			bestCol, bestScore = j, s
+		if j != cur && (limit <= 0 || tab.GraphBytes(j) <= limit) {
+			cands = append(cands, j)
 		}
 	}
-	if bestCol == cur {
+	rc.cands = cands
+	if len(cands) < 2 {
 		return 0, false
 	}
-	if bestScore.infeasible == curScore.infeasible &&
-		bestScore.latency > curScore.latency*(1-rc.pol.MinGain) {
+	peeks := slices.Grow(rc.peeks[:0], len(cands))[:len(cands)]
+	scores := slices.Grow(rc.scores[:0], len(cands))[:len(cands)]
+	rc.peeks, rc.scores = peeks, scores
+	clear(scores)
+	for i := range rc.recent[:rc.filled] {
+		if err := schd.PeekCols(&rc.recent[i], cands, peeks); err != nil {
+			return 0, false
+		}
+		for c, p := range peeks {
+			if !p.Feasible {
+				scores[c].infeasible++
+			}
+			scores[c].latency += p.Latency
+		}
+	}
+	best := 0
+	for c := 1; c < len(cands); c++ {
+		if scores[c].better(scores[best]) {
+			best = c
+		}
+	}
+	if best == 0 {
 		return 0, false
 	}
-	return bestCol, true
+	if scores[best].infeasible == scores[0].infeasible &&
+		scores[best].latency > scores[0].latency*(1-rc.pol.MinGain) {
+		return 0, false
+	}
+	return cands[best], true
 }
 
 // maybeRecacheBatch folds a whole served micro-batch into the window and

@@ -2,9 +2,12 @@ package serving
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"sushi/internal/accel"
+	"sushi/internal/latencytable"
 	"sushi/internal/sched"
 	"sushi/internal/supernet"
 	"sushi/internal/workload"
@@ -246,5 +249,241 @@ func TestFastestRouterPrefersFasterHardware(t *testing.T) {
 	}
 	if !split {
 		t.Error("fixture never produced a feasibility split; the feasibility-first rule went unexercised")
+	}
+}
+
+// TestRecachePolicyValidate: MinGain must lie below 1; NaN fails too,
+// because a NaN MinGain would let any latency gain trigger a switch.
+func TestRecachePolicyValidate(t *testing.T) {
+	for _, g := range []float64{-1, 0, 0.05, 0.999} {
+		if err := (RecachePolicy{MinGain: g}).Validate(); err != nil {
+			t.Errorf("MinGain %g rejected: %v", g, err)
+		}
+	}
+	for _, g := range []float64{1, 1.5, math.Inf(1), math.NaN()} {
+		if err := (RecachePolicy{MinGain: g}).Validate(); err == nil {
+			t.Errorf("MinGain %g accepted", g)
+		}
+	}
+}
+
+// refAdvise is the advisor's oracle: advise as written before
+// Scheduler.PeekCols, each candidate column scored by its own replay of
+// the window, one PeekAt per (query, column). It leaves out advise's
+// window and cooldown gates (TestRecacheAdvisorRespectsCooldownAndWindow
+// covers those).
+func refAdvise(rc *recacheState, sys *System, limit int64) (int, bool) {
+	schd, tab := sys.Scheduler(), sys.Table()
+	if tab.Cols() < 2 || !sys.Simulator().Config().HasPB() {
+		return 0, false
+	}
+	cur := schd.CacheColumn()
+	score := func(col int) (windowScore, bool) {
+		var s windowScore
+		for _, q := range rc.recent[:rc.filled] {
+			d, err := schd.PeekAt(q, col)
+			if err != nil {
+				return s, false
+			}
+			if !d.Feasible {
+				s.infeasible++
+			}
+			s.latency += d.PredictedLatency
+		}
+		return s, true
+	}
+	curScore, ok := score(cur)
+	if !ok {
+		return 0, false
+	}
+	bestCol, bestScore := cur, curScore
+	for j := 0; j < tab.Cols(); j++ {
+		if j == cur || limit > 0 && tab.GraphBytes(j) > limit {
+			continue
+		}
+		if s, ok := score(j); ok && s.better(bestScore) {
+			bestCol, bestScore = j, s
+		}
+	}
+	if bestCol == cur {
+		return 0, false
+	}
+	if bestScore.infeasible == curScore.infeasible &&
+		bestScore.latency > curScore.latency*(1-rc.pol.MinGain) {
+		return 0, false
+	}
+	return bestCol, true
+}
+
+// adviseWindow draws n window queries for model on sys: continuous
+// constraints over the table's range, a per-query policy override on
+// most, and a NaN floor or budget on one in ten.
+func adviseWindow(rng *rand.Rand, sys *System, n int, model string) []sched.Query {
+	qs := randomQueries(rng, sys, 0, n, model, nil)
+	for i := range qs {
+		qs[i].Policy = randomPolicy(rng)
+		switch rng.Intn(20) {
+		case 0:
+			qs[i].MaxLatency = math.NaN()
+		case 1:
+			qs[i].MinAccuracy = math.NaN()
+		}
+	}
+	return qs
+}
+
+// TestAdviseMatchesReference holds advise to refAdvise on randomized
+// windows: mixed policies (an invalid one now and then), NaN
+// constraints, random window lengths and MinGains, random current
+// columns, and share limits that admit every column, exclude some, or
+// leave only the current one. A third system's table has two latency
+// and two energy levels, both powers of two, so window scores tie
+// exactly and the candidate order and the MinGain boundary decide.
+// Every evaluation must return the same (column, ok).
+func TestAdviseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	solo := newRecacheSystem(t)
+	lat := make([][]float64, solo.Table().Rows())
+	energy := make([][]float64, len(lat))
+	for i := range lat {
+		for range solo.Table().Cols() {
+			lat[i] = append(lat[i], float64(1+rng.Intn(2))/1024)
+			energy[i] = append(energy[i], float64(1+rng.Intn(2)))
+		}
+	}
+	tied, err := latencytable.FromMatrices(solo.Table().SubNets, solo.Table().Graphs, lat, nil, energy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, fr := fixtures(t, supernet.MobileNetV3)
+	ties, err := New(s, fr, Options{
+		Accel: accel.ZCU104(), Policy: sched.StrictLatency, Q: 4, Mode: StateUnaware, Table: tied, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := sched.Policy(9)
+	switched, kept, onlyCur := 0, 0, 0
+	for _, sys := range []*System{
+		solo,
+		newSystem(t, supernet.ResNet50, Full, sched.StrictAccuracy),
+		ties,
+	} {
+		tab := sys.Table()
+		for eval := 0; eval < 300; eval++ {
+			gain := []float64{0, 0.001, 0.05, 0.3, 0.5}[rng.Intn(5)]
+			rc := newRecacheState(RecachePolicy{Window: 1 + rng.Intn(24), MinGain: gain})
+			for _, q := range adviseWindow(rng, sys, rc.pol.Window, "") {
+				if rng.Intn(100) == 0 {
+					q.Policy = &invalid
+				}
+				rc.observe(q)
+			}
+			if _, err := sys.Recache(rng.Intn(tab.Cols())); err != nil {
+				t.Fatal(err)
+			}
+			cur := sys.Scheduler().CacheColumn()
+			var limit int64
+			switch rng.Intn(3) {
+			case 1:
+				limit = tab.GraphBytes(rng.Intn(tab.Cols()))
+			case 2:
+				// One byte below every other column's SubGraph.
+				limit = math.MaxInt64
+				for j := 0; j < tab.Cols(); j++ {
+					if j != cur {
+						limit = min(limit, tab.GraphBytes(j)-1)
+					}
+				}
+				if limit > 0 {
+					onlyCur++
+				}
+			}
+			wantCol, wantOK := refAdvise(rc, sys, limit)
+			gotCol, gotOK := rc.advise(sys, limit)
+			if gotCol != wantCol || gotOK != wantOK {
+				t.Fatalf("eval %d (cur %d, limit %d): advise (%d, %v), reference (%d, %v)",
+					eval, cur, limit, gotCol, gotOK, wantCol, wantOK)
+			}
+			if gotOK {
+				switched++
+			} else {
+				kept++
+			}
+		}
+	}
+	if switched == 0 || kept == 0 || onlyCur == 0 {
+		t.Errorf("evaluations left a branch untested: %d switched, %d kept, %d with only the current column",
+			switched, kept, onlyCur)
+	}
+}
+
+// TestAdviseAllocs pins a warm advisor evaluation at zero allocations:
+// the candidate list, the per-column ratings and the window scores live
+// in recacheState.
+func TestAdviseAllocs(t *testing.T) {
+	sys := newRecacheSystem(t)
+	rc := newRecacheState(RecachePolicy{})
+	for _, q := range adviseWindow(rand.New(rand.NewSource(3)), sys, rc.pol.Window, "") {
+		rc.observe(q)
+	}
+	eval := func() {
+		rc.sinceEval = rc.pol.Cooldown
+		rc.advise(sys, 0)
+	}
+	eval()
+	if allocs := testing.AllocsPerRun(100, eval); allocs != 0 {
+		t.Errorf("a warm advisor evaluation allocates %.0f times; want 0", allocs)
+	}
+}
+
+// BenchmarkAdvise times one full advisor evaluation per op for each
+// tenant of a two-model (ResNet50 + MobileNetV3) replica under a static
+// PB partition: a default 16-query window of mixed policies replayed
+// against every column that fits the tenant's share.
+func BenchmarkAdvise(b *testing.B) {
+	rep := newTenantReplica(b, &PartitionPolicy{Mode: PartitionStatic})
+	rng := rand.New(rand.NewSource(29))
+	for _, tn := range rep.tenants {
+		b.Run(tn.model, func(b *testing.B) {
+			rc := newRecacheState(RecachePolicy{})
+			for _, q := range adviseWindow(rng, tn.sys, rc.pol.Window, tn.model) {
+				rc.observe(q)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc.sinceEval = rc.pol.Cooldown
+				rc.advise(tn.sys, tn.shareBytes)
+			}
+		})
+	}
+}
+
+// BenchmarkFastestPick times the fastest router's pick over four
+// replicas alternating ZCU104 and Alveo U50 hardware: one PeekAt per
+// replica against its published cache column, on mixed-policy queries.
+func BenchmarkFastestPick(b *testing.B) {
+	s, fr := fixtures(b, supernet.MobileNetV3)
+	reps := make([]*Replica, 4)
+	for i := range reps {
+		cfg := accel.ZCU104()
+		if i%2 == 1 {
+			cfg = accel.AlveoU50()
+		}
+		sys, err := New(s, fr, Options{
+			Accel: cfg, Policy: sched.StrictLatency, Q: 4, Mode: Full, Candidates: 12, StaticColumn: i, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reps[i] = soloReplica(b, i, sys)
+	}
+	qs := adviseWindow(rand.New(rand.NewSource(29)), reps[0].tenants[0].sys, 1024, "")
+	router := NewFastest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		router.Pick(qs[i%len(qs)], reps)
 	}
 }

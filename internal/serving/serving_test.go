@@ -11,7 +11,7 @@ import (
 )
 
 // fixtures caches the expensive supernet/frontier construction per run.
-func fixtures(t *testing.T, kind supernet.Kind) (*supernet.SuperNet, []*supernet.SubNet) {
+func fixtures(t testing.TB, kind supernet.Kind) (*supernet.SuperNet, []*supernet.SubNet) {
 	t.Helper()
 	var s *supernet.SuperNet
 	if kind == supernet.ResNet50 {
