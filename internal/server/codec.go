@@ -308,8 +308,8 @@ func scanNumber(b []byte, i int) (float64, int, error) {
 
 // appendServeResponse appends one reply line, byte for byte what
 // json.Encoder writes for serveResponse(id, *res), newline included.
-// Like it, a NaN or infinite float is an error.
-func appendServeResponse(dst []byte, id int, res *serving.Served) ([]byte, error) {
+// Like it, a NaN or infinite float is an error. m renders the floats.
+func appendServeResponse(dst []byte, m *floatMemo, id int, res *serving.Served) ([]byte, error) {
 	latencyMS := res.Latency * 1e3
 	for _, f := range [...]float64{res.Accuracy, latencyMS, res.HitRatio} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -321,14 +321,49 @@ func appendServeResponse(dst []byte, id int, res *serving.Served) ([]byte, error
 		dst = appendString(append(dst, `,"model":`...), res.Query.Model)
 	}
 	dst = appendString(append(dst, `,"subnet":`...), res.SubNet)
-	dst = appendFloat(append(dst, `,"accuracy":`...), res.Accuracy)
-	dst = appendFloat(append(dst, `,"latency_ms":`...), latencyMS)
+	dst = m.appendFloat(append(dst, `,"accuracy":`...), res.Accuracy)
+	dst = m.appendFloat(append(dst, `,"latency_ms":`...), latencyMS)
 	dst = strconv.AppendBool(append(dst, `,"feasible":`...), res.Feasible)
 	dst = strconv.AppendBool(append(dst, `,"latency_met":`...), res.LatencyMet)
 	dst = strconv.AppendBool(append(dst, `,"accuracy_met":`...), res.AccuracyMet)
-	dst = appendFloat(append(dst, `,"hit_ratio":`...), res.HitRatio)
+	dst = m.appendFloat(append(dst, `,"hit_ratio":`...), res.HitRatio)
 	dst = strconv.AppendBool(append(dst, `,"cache_swapped":`...), res.CacheSwapped)
 	return append(dst, '}', '\n'), nil
+}
+
+// floatMemo is a direct-mapped memo of appendFloat's output, keyed by
+// all 64 bits of the value, so a hit copies exactly what a miss wrote.
+// Reply numbers are SushiAbs table cells and hit ratios, a few hundred
+// values a fleet repeats, so nearly every one hits. Each 32-byte slot
+// holds n bytes of text for the value with bits, or nothing while n is
+// 0, so the zero value is empty.
+type floatMemo [1 << memoBits]struct {
+	bits uint64
+	n    uint8
+	text [23]byte
+}
+
+const memoBits = 10
+
+// memoSlot picks a value's slot by Fibonacci hashing of its bits less
+// the sign, which reply values never set: x and -x share a slot.
+func memoSlot(bits uint64) uint64 { return (bits << 1) * 0x9e3779b97f4a7c15 >> (64 - memoBits) }
+
+// appendFloat is appendFloat through the memo. A rendering longer than a
+// slot is written but not kept.
+func (m *floatMemo) appendFloat(dst []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	s := &m[memoSlot(bits)]
+	if s.n != 0 && s.bits == bits {
+		return append(dst, s.text[:s.n]...)
+	}
+	start := len(dst)
+	dst = appendFloat(dst, f)
+	if n := len(dst) - start; n <= len(s.text) {
+		s.bits, s.n = bits, uint8(n)
+		copy(s.text[:], dst[start:])
+	}
+	return dst
 }
 
 // appendFloat writes a finite float64 the way encoding/json does:

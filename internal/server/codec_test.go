@@ -161,6 +161,9 @@ func FuzzAppendServeResponse(f *testing.F) {
 	f.Fuzz(compareReplies)
 }
 
+// compareReplies renders the reply twice through one fresh memo, so its
+// floats are written once on a miss and once copied from a hit, and
+// holds both renderings to json.Encoder.
 func compareReplies(t *testing.T, id int, model, subnet string, accuracy, latency, hitRatio float64, flags byte) {
 	res := serving.Served{
 		Query:        sched.Query{Model: model},
@@ -175,12 +178,49 @@ func compareReplies(t *testing.T, id int, model, subnet string, accuracy, latenc
 	}
 	var want bytes.Buffer
 	wantErr := json.NewEncoder(&want).Encode(serveResponse(id, res))
-	got, gotErr := appendServeResponse(nil, id, &res)
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("%+v: codec error %v, encoding/json error %v", res, gotErr, wantErr)
+	memo := new(floatMemo)
+	for _, pass := range []string{"miss", "hit"} {
+		got, gotErr := appendServeResponse(nil, memo, id, &res)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%+v (%s): codec error %v, encoding/json error %v", res, pass, gotErr, wantErr)
+		}
+		if gotErr == nil && !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%+v (%s):\ncodec         %q\nencoding/json %q", res, pass, got, want.Bytes())
+		}
 	}
-	if gotErr == nil && !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("%+v:\ncodec         %q\nencoding/json %q", res, got, want.Bytes())
+}
+
+// TestFloatMemoCollisions alternates pairs of values that share a memo
+// slot, each rendered twice in a row (a miss that evicts the other's
+// text, then a hit): +0 and -0, equal as floats but not as bits, and two
+// neighbouring floats with the same float32 rounding. A memo keyed on
+// anything less than all 64 bits, or copying other than the stored
+// length, renders one of them wrong.
+func TestFloatMemoCollisions(t *testing.T) {
+	memo := new(floatMemo)
+	slot := func(f float64) uint64 { return memoSlot(math.Float64bits(f)) }
+	a := 77.1
+	b := math.Nextafter(a, 100)
+	for slot(b) != slot(a) {
+		b = math.Nextafter(b, 100)
+	}
+	if float32(a) != float32(b) {
+		t.Fatalf("%v and %v share a slot but not a float32", a, b)
+	}
+	for _, pair := range [][2]float64{{0, math.Copysign(0, -1)}, {a, b}} {
+		if slot(pair[0]) != slot(pair[1]) {
+			t.Fatalf("%v and %v do not share a slot", pair[0], pair[1])
+		}
+		for i := range 8 {
+			f := pair[i/2%2]
+			want, err := json.Marshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := memo.appendFloat(nil, f); !bytes.Equal(got, want) {
+				t.Errorf("rendering %d of %v: %q, want %q", i, f, got, want)
+			}
+		}
 	}
 }
 
@@ -250,16 +290,21 @@ func TestDecodeServeRequestTraps(t *testing.T) {
 
 // benchLines renders n request lines of the shape bench/ sends (model,
 // two shortest-form floats, policy) and the results a fleet would give.
+// As on the server, a reply's numbers are cells of a small table: the
+// accuracy of one of 12 SubNet rows, and its latency and hit ratio under
+// one of 4 cache columns.
 func benchLines(n int) ([]byte, []serving.Served) {
+	const rows, cols = 12, 4
 	var body []byte
 	rs := make([]serving.Served, n)
 	for i := range rs {
 		model := testModels[i%2]
 		body = fmt.Appendf(body, `{"model":%q,"min_accuracy":%v,"max_latency_ms":%v,"policy":%q}`+"\n",
 			model, 70+float64(i)/17, 1+float64(i)/3, policyNames[i%3])
-		rs[i] = serving.Served{Query: sched.Query{Model: model}, SubNet: "mbv3-B", Accuracy: 77.1 + float64(i%5),
-			Latency: 1.83e-3 + float64(i)*1e-7, Feasible: true, LatencyMet: i%3 != 0, AccuracyMet: true,
-			HitRatio: float64(i%9) / 9, CacheSwapped: i%16 == 0}
+		row, col := i*7%rows, i/16%cols
+		rs[i] = serving.Served{Query: sched.Query{Model: model}, SubNet: "mbv3-B", Accuracy: 71.3 + 0.61*float64(row),
+			Latency: (1.83e-3 + 2.9e-4*float64(row)) * (1 - 0.07*float64(col)), Feasible: true, LatencyMet: i%3 != 0,
+			AccuracyMet: true, HitRatio: float64(row+col) / (rows + cols), CacheSwapped: i%16 == 0}
 	}
 	return body, rs
 }
@@ -296,10 +341,11 @@ func TestServeCodecAllocs(t *testing.T) {
 		t.Errorf("decode of hosted models: %.2f allocs/line, want 0", per)
 	}
 	buf := make([]byte, 0, 256*n)
+	memo := new(floatMemo)
 	if per := testing.AllocsPerRun(20, func() {
 		out := buf
 		for i := range rs {
-			out, _ = appendServeResponse(out, i, &rs[i])
+			out, _ = appendServeResponse(out, memo, i, &rs[i])
 		}
 	}); per != 0 {
 		t.Errorf("encode: %.2f allocs per %d replies, want 0", per, n)
@@ -307,13 +353,15 @@ func TestServeCodecAllocs(t *testing.T) {
 }
 
 // BenchmarkServeCodec is the layer's before/after row: one 256-line
-// batch decoded and its 256 replies rendered, by the codec and by
-// encoding/json as the handlers used it.
+// batch decoded and its 256 replies rendered, by the codec (its memo
+// warm, as a pooled one is on the server) and by encoding/json as the
+// handlers used it.
 func BenchmarkServeCodec(b *testing.B) {
 	body, rs := benchLines(256)
 	b.Run("codec", func(b *testing.B) {
 		b.ReportAllocs()
 		var out []byte
+		memo := new(floatMemo)
 		for b.Loop() {
 			for i := 0; ; {
 				var req ServeRequest
@@ -325,7 +373,7 @@ func BenchmarkServeCodec(b *testing.B) {
 			}
 			out = out[:0]
 			for i := range rs {
-				out, _ = appendServeResponse(out, i, &rs[i])
+				out, _ = appendServeResponse(out, memo, i, &rs[i])
 			}
 		}
 	})
@@ -376,7 +424,7 @@ func TestUnencodableReplyIs500(t *testing.T) {
 		rs := []serving.Served{good, good, good}
 		mutate(&rs[1])
 		rec := httptest.NewRecorder()
-		writeReplies(rec, "application/x-ndjson", nil, make([]sched.Query, len(rs)), rs)
+		writeReplies(rec, "application/x-ndjson", new(exchange), make([]sched.Query, len(rs)), rs)
 		var body map[string]string
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
 			t.Errorf("%s: body %q is not the JSON error object (%v)", name, rec.Body, err)

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -73,5 +77,92 @@ func TestHTTPServerClosesHalfHeader(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || string(body) != "ok" {
 		t.Fatalf("next request: %d %q %v", resp.StatusCode, body, err)
+	}
+}
+
+// syncBuffer is a log sink the server's goroutines and the test share.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestHTTPServerContainsPanics: a handler that panics before its reply
+// starts is answered 500 with the JSON error body, and the panic is
+// logged with its stack. One that panics mid-reply, or panics with
+// http.ErrAbortHandler, has its reply aborted. After each, the server
+// answers the next request.
+func TestHTTPServerContainsPanics(t *testing.T) {
+	var logs syncBuffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logs)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/before", func(http.ResponseWriter, *http.Request) { panic("boom before the reply") })
+	mux.HandleFunc("/during", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, "partial")
+		panic("boom during the reply")
+	})
+	mux.HandleFunc("/abort", func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
+	mux.HandleFunc("/ok", func(w http.ResponseWriter, _ *http.Request) { _, _ = io.WriteString(w, "ok") })
+	srv := NewHTTPServer("", mux)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+		if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	get := func(path string) (*http.Response, []byte, error) {
+		resp, err := http.Get("http://" + ln.Addr().String() + path)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return resp, body, err
+	}
+
+	for _, path := range []string{"/before", "/during", "/abort"} {
+		resp, body, err := get(path)
+		if path == "/before" {
+			var msg map[string]string
+			if err != nil || resp.StatusCode != http.StatusInternalServerError ||
+				resp.Header.Get("Content-Type") != "application/json" || json.Unmarshal(body, &msg) != nil || msg["error"] == "" {
+				t.Errorf("%s: want a 500 with the JSON error body, got %v %q (%v)", path, resp, body, err)
+			}
+		} else if err == nil {
+			t.Errorf("%s: reply %d %q, want it aborted", path, resp.StatusCode, body)
+		}
+		if resp, body, err := get("/ok"); err != nil || resp.StatusCode != http.StatusOK || string(body) != "ok" {
+			t.Fatalf("request after %s: %v %q %v", path, resp, body, err)
+		}
+	}
+	out := logs.String()
+	for _, want := range []string{"panic serving GET /before: boom before the reply", "panic serving GET /during: boom during the reply", "runtime/debug.Stack"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("log lacks %q:\n%s", want, out)
+		}
+	}
+	// net/http logs the panics that reach it as "http: panic serving".
+	if strings.Contains(out, "/abort") || strings.Contains(out, "http: panic serving") {
+		t.Errorf("a panic reached net/http or http.ErrAbortHandler was logged:\n%s", out)
 	}
 }

@@ -202,23 +202,28 @@ const (
 	maxBatchBody = 32 << 20
 )
 
-// bodyPool holds the buffers the serve handlers read a request into and
-// then build its reply in.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+// exchange is a serve handler's pooled scratch: the buffer that holds
+// the request and then its reply, and a float memo warm from past ones.
+type exchange struct {
+	buf  []byte
+	memo floatMemo
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(exchange) }}
 
 // takeBody reads r's body, capped at limit bytes, into a pooled buffer
 // that the caller puts back. A failed read is answered here: 413 past
 // the cap, else 400.
-func takeBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, bool) {
-	bp := bodyPool.Get().(*[]byte)
-	b := bytes.NewBuffer((*bp)[:0])
+func takeBody(w http.ResponseWriter, r *http.Request, limit int64) (*exchange, bool) {
+	x := bodyPool.Get().(*exchange)
+	b := bytes.NewBuffer(x.buf[:0])
 	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	*bp = b.Bytes()
+	x.buf = b.Bytes()
 	if err == nil {
-		return bp, true
+		return x, true
 	}
 	badBody(w, err)
-	return bp, false
+	return x, false
 }
 
 // badBody answers a body that could not be read or parsed: 413 past a
@@ -232,32 +237,32 @@ func badBody(w http.ResponseWriter, err error) {
 	httpError(w, code, fmt.Sprintf("bad request body: %v", err))
 }
 
-// writeReplies renders one reply line per result into buf and sends
-// them in one write, returning buf as grown. No byte is written before
-// every line is rendered, so a result that cannot be rendered is a 500
-// and never a 200 cut short.
-func writeReplies(w http.ResponseWriter, contentType string, buf []byte, qs []sched.Query, rs []serving.Served) []byte {
-	buf = buf[:0]
+// writeReplies renders one reply line per result into x's buffer and
+// sends them in one write. No byte is written before every line is
+// rendered, so a result that cannot be rendered is a 500 and never a 200
+// cut short. The body is dead once decoded: the reply reuses its buffer.
+func writeReplies(w http.ResponseWriter, contentType string, x *exchange, qs []sched.Query, rs []serving.Served) {
+	buf := x.buf[:0]
 	for i := range rs {
 		var err error
-		if buf, err = appendServeResponse(buf, qs[i].ID, &rs[i]); err != nil {
+		if buf, err = appendServeResponse(buf, &x.memo, qs[i].ID, &rs[i]); err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
-			return buf
+			return
 		}
 	}
+	x.buf = buf
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	_, _ = w.Write(buf) // a failed write means the client is gone
-	return buf
 }
 
 func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
-	bp, ok := takeBody(w, r, maxServeBody)
-	defer bodyPool.Put(bp)
+	x, ok := takeBody(w, r, maxServeBody)
+	defer bodyPool.Put(x)
 	if !ok {
 		return
 	}
-	body := *bp
+	body := x.buf
 	// Only the first value is read; what follows it is ignored.
 	var req ServeRequest
 	if _, err := decodeServeRequest(body, 0, &req, s.modelIDs); err != nil {
@@ -285,8 +290,7 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 		serveError(w, err)
 		return
 	}
-	// The body is dead once decoded: the reply reuses its buffer.
-	*bp = writeReplies(w, "application/json", body, []sched.Query{q}, []serving.Served{res})
+	writeReplies(w, "application/json", x, []sched.Query{q}, []serving.Served{res})
 }
 
 // handleServeBatch accepts an NDJSON stream of ServeRequest lines and
@@ -295,12 +299,12 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 // concurrently across the cluster's replicas; the whole reply is built
 // before its first byte is written.
 func (s *Server) handleServeBatch(w http.ResponseWriter, r *http.Request) {
-	bp, ok := takeBody(w, r, maxBatchBody)
-	defer bodyPool.Put(bp)
+	x, ok := takeBody(w, r, maxBatchBody)
+	defer bodyPool.Put(x)
 	if !ok {
 		return
 	}
-	body := *bp
+	body := x.buf
 	// One value per line is the norm; a value is at least two bytes.
 	qs := make([]sched.Query, 0, min(bytes.Count(body, []byte{'\n'})+1, len(body)/2))
 	for i, line := 0, 1; ; line++ {
@@ -330,8 +334,7 @@ func (s *Server) handleServeBatch(w http.ResponseWriter, r *http.Request) {
 		serveError(w, err)
 		return
 	}
-	// The body is dead once decoded: the reply reuses its buffer.
-	*bp = writeReplies(w, "application/x-ndjson", body, qs, rs)
+	writeReplies(w, "application/x-ndjson", x, qs, rs)
 }
 
 // TracePoint is one recorded query of a SimulateRequest trace.

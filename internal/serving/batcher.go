@@ -167,7 +167,7 @@ func (b *liveBatcher) flush(batch []*pendingServe) {
 	for _, p := range batch {
 		select {
 		case <-p.cancelled:
-			b.rep.done()
+			b.rep.Release()
 			continue
 		default:
 		}

@@ -69,11 +69,11 @@ func (c *Cluster) Models() []string { return c.reps[0].Models() }
 // with a typed UnknownModelError — before routing, so model-aware
 // routers always score the right tenant.
 func (c *Cluster) normalize(q sched.Query) (sched.Query, error) {
-	m, ok := c.reps[0].CanonicalModel(q.Model)
-	if !ok {
-		return q, &UnknownModelError{Model: q.Model, Have: c.reps[0].Models()}
+	t, err := c.reps[0].tenantFor(q.Model)
+	if err != nil {
+		return q, err
 	}
-	q.Model = m
+	q.Model = t.model
 	return q, nil
 }
 
@@ -121,7 +121,7 @@ func (c *Cluster) route(q sched.Query) *Replica {
 		i = 0
 	}
 	rep := c.reps[i]
-	rep.reserve()
+	rep.Reserve()
 	return rep
 }
 
@@ -142,7 +142,7 @@ func (c *Cluster) Serve(ctx context.Context, q sched.Query) (Served, error) {
 		return rep.serve(ctx, q)
 	}
 	if err := tightenBudget(ctx, &q); err != nil {
-		rep.done()
+		rep.Release()
 		return Served{}, err
 	}
 	p := c.batchers[rep.ID()].submit(q)
@@ -188,7 +188,7 @@ func (c *Cluster) ServeAll(ctx context.Context, qs []sched.Query) ([]Served, err
 		if ri < 0 || ri >= len(c.reps) {
 			ri = 0
 		}
-		c.reps[ri].reserve()
+		c.reps[ri].Reserve()
 		groups[ri] = append(groups[ri], item{i, q})
 	}
 	c.mu.Unlock()
@@ -213,12 +213,7 @@ func (c *Cluster) ServeAll(ctx context.Context, qs []sched.Query) ([]Served, err
 			defer wg.Done()
 			for _, it := range g {
 				if failed.Load() {
-					rep.done()
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					rep.done()
-					record(err)
+					rep.Release()
 					continue
 				}
 				res, err := rep.serve(ctx, it.q)
@@ -298,7 +293,7 @@ func (c *Cluster) ServeStream(ctx context.Context, in <-chan sched.Query) <-chan
 				select {
 				case queues[rep.ID()] <- q:
 				case <-ctx.Done():
-					rep.done()
+					rep.Release()
 					return
 				}
 			}

@@ -2,8 +2,10 @@ package serving
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -170,8 +172,8 @@ func TestClusterStatsMatchSummarize(t *testing.T) {
 func TestLeastLoadedAvoidsBusyReplica(t *testing.T) {
 	c := newCluster(t, 2, Full, NewLeastLoaded())
 	// Pin load on replica 0: reservations count as depth.
-	c.Replicas()[0].reserve()
-	defer c.Replicas()[0].done()
+	c.Replicas()[0].Reserve()
+	defer c.Replicas()[0].Release()
 	q := clusterWorkload(t, c, 1)[0]
 	if _, err := c.Serve(context.Background(), q); err != nil {
 		t.Fatal(err)
@@ -289,15 +291,30 @@ func TestClusterServeStreamCancel(t *testing.T) {
 func TestClusterServeAllCancelled(t *testing.T) {
 	c := newCluster(t, 2, Full, NewRoundRobin())
 	qs := clusterWorkload(t, c, 10)
+	columns := func() (cols []int) {
+		for _, rep := range c.Replicas() {
+			rep.InspectTenants(func(_ string, _ int64, sys *System) {
+				cols = append(cols, sys.Scheduler().CacheColumn())
+			})
+		}
+		return cols
+	}
+	before := columns()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.ServeAll(ctx, qs); err == nil {
-		t.Error("cancelled ServeAll returned no error")
+	if _, err := c.ServeAll(ctx, qs); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ServeAll returned %v, want context.Canceled", err)
 	}
 	for i, rep := range c.Replicas() {
 		if rep.QueueDepth() != 0 {
 			t.Errorf("replica %d queue depth %d after cancelled ServeAll", i, rep.QueueDepth())
 		}
+	}
+	if n := c.Stats().Queries; n != 0 {
+		t.Errorf("cancelled ServeAll folded %d queries, want 0", n)
+	}
+	if after := columns(); !slices.Equal(after, before) {
+		t.Errorf("cancelled ServeAll moved the tenant cache columns %v to %v", before, after)
 	}
 }
 

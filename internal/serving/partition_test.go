@@ -236,18 +236,18 @@ func TestMultiReplicaValidation(t *testing.T) {
 		t.Error("unnamed tenant in multi-tenant replica accepted")
 	}
 	rep := soloReplica(t, 0, sys)
-	if _, ok := rep.CanonicalModel(""); !ok {
+	if _, err := rep.tenantFor(""); err != nil {
 		t.Error("empty model must resolve on a single-model replica")
 	}
-	if _, ok := rep.CanonicalModel("resnet50"); ok {
+	if _, err := rep.tenantFor("resnet50"); err == nil {
 		t.Error("unknown model resolved on a single-model replica")
 	}
 	if err := rep.EnablePartition(PartitionPolicy{}, 1<<20); err == nil {
 		t.Error("partitioning accepted on a single-tenant replica")
 	}
 	two := newTenantReplica(t, nil)
-	if m, ok := two.CanonicalModel(""); !ok || m != "resnet50" {
-		t.Errorf("default tenant resolution = (%q, %t), want (resnet50, true)", m, ok)
+	if tn, err := two.tenantFor(""); err != nil || tn.model != "resnet50" {
+		t.Errorf("empty model did not resolve to resnet50 on a two-model replica (%v)", err)
 	}
 	if _, err := two.ServeVirtual(sched.Query{Model: "nope"}, sched.Query{Model: "nope"}, false); err == nil {
 		t.Error("unknown model served")

@@ -461,12 +461,14 @@ func BenchmarkAdvise(b *testing.B) {
 }
 
 // BenchmarkFastestPick times the fastest router's pick over four
-// replicas alternating ZCU104 and Alveo U50 hardware: one PeekAt per
-// replica against its published cache column, on mixed-policy queries.
+// replicas: one PeekAt per replica against its published cache column,
+// on mixed-policy queries. The solo replicas alternate ZCU104 and Alveo
+// U50 hardware; the tenants replicas each host two models, and their
+// queries name either one, so every score also resolves a tenant.
 func BenchmarkFastestPick(b *testing.B) {
 	s, fr := fixtures(b, supernet.MobileNetV3)
-	reps := make([]*Replica, 4)
-	for i := range reps {
+	solo, tenants := make([]*Replica, 4), make([]*Replica, 4)
+	for i := range solo {
 		cfg := accel.ZCU104()
 		if i%2 == 1 {
 			cfg = accel.AlveoU50()
@@ -477,13 +479,27 @@ func BenchmarkFastestPick(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reps[i] = soloReplica(b, i, sys)
+		solo[i] = soloReplica(b, i, sys)
+		tenants[i] = newTenantReplica(b, nil)
 	}
-	qs := adviseWindow(rand.New(rand.NewSource(29)), reps[0].tenants[0].sys, 1024, "")
-	router := NewFastest()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		router.Pick(qs[i%len(qs)], reps)
+	soloQs := adviseWindow(rand.New(rand.NewSource(29)), solo[0].tenants[0].sys, 1024, "")
+	rng := rand.New(rand.NewSource(29))
+	var tenantQs []sched.Query
+	for _, tn := range tenants[0].tenants {
+		tenantQs = append(tenantQs, adviseWindow(rng, tn.sys, 512, tn.model)...)
+	}
+	rng.Shuffle(len(tenantQs), func(i, j int) { tenantQs[i], tenantQs[j] = tenantQs[j], tenantQs[i] })
+	for _, c := range []struct {
+		name string
+		reps []*Replica
+		qs   []sched.Query
+	}{{"solo", solo, soloQs}, {"tenants", tenants, tenantQs}} {
+		b.Run(c.name, func(b *testing.B) {
+			router := NewFastest()
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				router.Pick(c.qs[i%len(c.qs)], c.reps)
+			}
+		})
 	}
 }

@@ -81,7 +81,6 @@ type Replica struct {
 	// is the default model. Immutable after construction, so model
 	// resolution is lock-free.
 	tenants []*tenant
-	byModel map[string]*tenant
 	// mu owns every tenant's mutable state (scheduler, simulator,
 	// recache window, PB shares) and acc.
 	mu  sync.Mutex
@@ -118,11 +117,7 @@ func NewMultiReplica(id int, tenants []Tenant) (*Replica, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("serving: replica %d needs at least one tenant", id)
 	}
-	r := &Replica{
-		id:      id,
-		tenants: make([]*tenant, len(tenants)),
-		byModel: make(map[string]*tenant, len(tenants)),
-	}
+	r := &Replica{id: id, tenants: make([]*tenant, len(tenants))}
 	for i, tn := range tenants {
 		if tn.Sys == nil {
 			return nil, fmt.Errorf("serving: replica %d: nil system for model %q", id, tn.Model)
@@ -130,38 +125,31 @@ func NewMultiReplica(id int, tenants []Tenant) (*Replica, error) {
 		if tn.Model == "" && len(tenants) > 1 {
 			return nil, fmt.Errorf("serving: replica %d: multi-tenant replicas need named models", id)
 		}
-		if _, dup := r.byModel[tn.Model]; dup {
-			return nil, fmt.Errorf("serving: replica %d: duplicate model %q", id, tn.Model)
+		for _, prev := range r.tenants[:i] {
+			if prev.model == tn.Model {
+				return nil, fmt.Errorf("serving: replica %d: duplicate model %q", id, tn.Model)
+			}
 		}
 		t := &tenant{model: tn.Model, sys: tn.Sys}
 		r.tenants[i] = t
-		r.byModel[tn.Model] = t
 		r.publishCache(t)
 	}
 	return r, nil
 }
 
-// tenantFor resolves a model id ("" = the default tenant). Lock-free:
-// the tenant set is immutable after construction.
+// tenantFor resolves a model id ("" = the default tenant). A replica
+// hosts a handful of models, so a scan of their names beats hashing one.
+// Lock-free: the tenant set is immutable after construction.
 func (r *Replica) tenantFor(model string) (*tenant, error) {
 	if model == "" {
 		return r.tenants[0], nil
 	}
-	if t, ok := r.byModel[model]; ok {
-		return t, nil
+	for _, t := range r.tenants {
+		if t.model == model {
+			return t, nil
+		}
 	}
 	return nil, &UnknownModelError{Model: model, Have: r.Models()}
-}
-
-// CanonicalModel resolves a query's model id to the tenant's canonical
-// name ("" stays "" on single-model replicas — the default tenant's
-// id). The second result reports whether the model is hosted at all.
-func (r *Replica) CanonicalModel(model string) (string, bool) {
-	t, err := r.tenantFor(model)
-	if err != nil {
-		return "", false
-	}
-	return t.model, true
 }
 
 // Models lists the co-hosted model ids in tenant order (a single
@@ -405,13 +393,6 @@ func (r *Replica) InspectTenants(f func(model string, shareBytes int64, sys *Sys
 	}
 }
 
-// reserve marks one routed query; serve's completion releases it.
-// Routers read QueueDepth, so reservation happens at routing time.
-func (r *Replica) reserve() { r.depth.Add(1) }
-
-// done releases a reservation without serving (cancelled dispatch).
-func (r *Replica) done() { r.depth.Add(-1) }
-
 // pass is the replica's one serve kernel, shared by every clock: one
 // accelerator pass for qs through tenant t (a batch of one is the solo
 // serve), the cache-management layer fed offered — the queries as they
@@ -459,16 +440,14 @@ func (r *Replica) pass(t *tenant, qs, offered []sched.Query, out []Served, virtu
 }
 
 // serve runs one reserved query: it serializes on the replica lock,
-// tightens the budget to the context's deadline, serves through the
-// query's model-tenant and folds the outcome into the replica
-// accumulator. The cache-management layer observes the query as it
-// arrived, before the deadline tightened it. The reservation is
+// tightens the budget to the context's deadline (a cancelled or expired
+// context fails there, before the pass mutates anything), serves
+// through the query's model-tenant and folds the outcome into the
+// replica accumulator. The cache-management layer observes the query as
+// it arrived, before the deadline tightened it. The reservation is
 // released on every path.
 func (r *Replica) serve(ctx context.Context, q sched.Query) (Served, error) {
 	defer r.depth.Add(-1)
-	if err := ctx.Err(); err != nil {
-		return Served{}, err
-	}
 	t, err := r.tenantFor(q.Model)
 	if err != nil {
 		return Served{}, err
@@ -491,7 +470,7 @@ func (r *Replica) serve(ctx context.Context, q sched.Query) (Served, error) {
 
 // Serve runs one query directly on this replica (bypassing any router).
 func (r *Replica) Serve(ctx context.Context, q sched.Query) (Served, error) {
-	r.reserve()
+	r.Reserve()
 	return r.serve(ctx, q)
 }
 
@@ -523,15 +502,16 @@ func (r *Replica) serveBatch(qs []sched.Query, out []Served) error {
 }
 
 // Reserve marks one routed-but-unfinished query against the replica's
-// queue depth; Release undoes it. The simq engine uses the pair to
-// expose *virtual* queue depth to routers while it serializes service
-// in virtual time — the same depth live dispatch maintains, so every
-// Router implementation works unchanged against simulated load.
-func (r *Replica) Reserve() { r.reserve() }
+// queue depth; Release undoes it. Routers read QueueDepth, so live
+// dispatch reserves at routing time and serve releases on completion.
+// The simq engine uses the pair to expose *virtual* queue depth to
+// routers while it serializes service in virtual time — the same depth
+// live dispatch maintains, so every Router implementation works
+// unchanged against simulated load.
+func (r *Replica) Reserve() { r.depth.Add(1) }
 
-// Release drops one reservation (completed, dropped or shed in virtual
-// time).
-func (r *Replica) Release() { r.done() }
+// Release drops one reservation (completed, dropped, shed or cancelled).
+func (r *Replica) Release() { r.depth.Add(-1) }
 
 // ServeVirtual serves one query at a virtual instant — a
 // ServeBatchVirtualInto flush of one, for callers without scratch
