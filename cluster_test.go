@@ -230,9 +230,9 @@ func TestClusterHomogeneousHardwareBitIdentical(t *testing.T) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(plain.Outcomes), len(hw.Outcomes))
 	}
 	for i := range plain.Outcomes {
-		if plain.Outcomes[i] != hw.Outcomes[i] {
-			t.Fatalf("outcome %d diverged:\nWithReplicas: %+v\nWithHardware: %+v",
-				i, plain.Outcomes[i], hw.Outcomes[i])
+		if plain.Outcomes[i] != hw.Outcomes[i] || plain.Service(i) != hw.Service(i) {
+			t.Fatalf("outcome %d diverged:\nWithReplicas: %+v %+v\nWithHardware: %+v %+v",
+				i, plain.Outcomes[i], plain.Service(i), hw.Outcomes[i], hw.Service(i))
 		}
 	}
 	if hw.Recaches != 0 || hw.RecacheSec != 0 {

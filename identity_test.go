@@ -40,7 +40,7 @@ func outcomeDigest(t *testing.T, res *sushi.SimResult) string {
 		o := res.Timed(i)
 		fmt.Fprintf(h, "%d|%d|%d|%t|%d|%.12e|%.12e|%.12e|%.12e|%t\n",
 			i, rec.Replica, int(rec.Reason), rec.Degraded, rec.Batch,
-			o.Arrival, o.Start, o.Finish, rec.RecacheSec, o.Dropped)
+			o.Arrival, o.Start, o.Finish, res.Service(i).RecacheSec, o.Dropped)
 		if !o.Dropped {
 			fmt.Fprintf(h, "%s|%d|%.12e|%.12e|%t|%t|%t|%t|%.12e|%d|%.12e\n",
 				o.SubNet, o.Row, o.Latency, o.Accuracy,

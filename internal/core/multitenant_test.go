@@ -90,6 +90,11 @@ func TestMultiTenantSimulateDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
 		t.Fatal("multi-tenant runs diverge across identical fresh deployments")
 	}
+	for i := range a.Outcomes {
+		if a.Service(i) != b.Service(i) {
+			t.Fatalf("multi-tenant runs diverge in outcome %d's service: %+v vs %+v", i, a.Service(i), b.Service(i))
+		}
+	}
 	if !reflect.DeepEqual(a.Summary, b.Summary) {
 		t.Error("multi-tenant summaries diverge")
 	}

@@ -32,15 +32,16 @@ func batchRun(t *testing.T, b Batching, n int, rateFactor float64) *Result {
 	return checked(t, eng, qs)
 }
 
-// sameOutcomes compares two outcome streams record by record.
+// sameOutcomes compares two outcome streams record by record, service
+// tuples included.
 func sameOutcomes(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.Outcomes) != len(b.Outcomes) {
 		t.Fatalf("%s: outcome counts differ: %d vs %d", label, len(a.Outcomes), len(b.Outcomes))
 	}
 	for i := range a.Outcomes {
-		if x, y := a.Outcomes[i], b.Outcomes[i]; x != y {
-			t.Fatalf("%s: outcome %d differs:\n%+v\n%+v", label, i, x, y)
+		if x, y := a.Outcomes[i], b.Outcomes[i]; x != y || a.Service(i) != b.Service(i) {
+			t.Fatalf("%s: outcome %d differs:\n%+v %+v\n%+v %+v", label, i, x, a.Service(i), y, b.Service(i))
 		}
 	}
 	if !reflect.DeepEqual(a.Summary, b.Summary) {
@@ -89,8 +90,8 @@ func TestBatchedVirtualTimeExact(t *testing.T) {
 		if o.Dropped {
 			continue
 		}
-		if got := o.Finish - o.Start; math.Abs(got-o.Latency) > 1e-12 {
-			t.Fatalf("query %d: Finish-Start %g != Latency %g", o.ID, got, o.Latency)
+		if got, lat := o.Finish-o.Start, res.Service(i).Latency; math.Abs(got-lat) > 1e-12 {
+			t.Fatalf("query %d: Finish-Start %g != Latency %g", o.ID, got, lat)
 		}
 		if o.Batch < 1 || o.Batch > 8 {
 			t.Fatalf("query %d: batch size %d outside [1, 8]", o.ID, o.Batch)
@@ -115,7 +116,7 @@ func TestBatchedVirtualTimeExact(t *testing.T) {
 			if sn, want := res.Timed(i).SubNet, res.Timed(g[0]).SubNet; sn != want {
 				t.Fatalf("flush %+v: mixed SubNets %q and %q in one pass", k, sn, want)
 			}
-			if o.RecacheSec > 0 {
+			if res.Service(i).RecacheSec > 0 {
 				recaches++
 			}
 		}
@@ -160,7 +161,7 @@ func TestBatchingImprovesGoodput(t *testing.T) {
 func TestBatchWindowBoundsFormerWait(t *testing.T) {
 	const window = 0.02
 	res := batchRun(t, Batching{MaxBatch: 8, Window: window}, 60, 0.3)
-	for _, o := range res.Outcomes {
+	for i, o := range res.Outcomes {
 		if o.Dropped {
 			continue
 		}
@@ -168,8 +169,8 @@ func TestBatchWindowBoundsFormerWait(t *testing.T) {
 		// their start must come within window (+ a possible in-service
 		// pass) of arrival.
 		var maxService float64
-		if o.Latency > maxService {
-			maxService = o.Latency
+		if lat := res.Service(i).Latency; lat > maxService {
+			maxService = lat
 		}
 		if o.QueueDelay() > window+10*maxService {
 			t.Fatalf("query %d waited %.4fs with window %.4fs at light load",

@@ -19,9 +19,11 @@ import (
 //     Finish, Row, model and Batch, and Batch is their number;
 //   - overlap: per replica, the busy intervals [Start, Finish +
 //     RecacheSec] of distinct passes never overlap;
-//   - drop: a dropped query has Batch 0 and no service field.
+//   - drop: a dropped query has Batch 0 and no service field;
+//   - service: the service table starts with the zero tuple and holds
+//     each tuple once, and every record's index is in it.
 func (r *Result) Check() error {
-	return errors.Join(r.checkConservation(), r.checkOrder(), r.checkFlush(), r.checkOverlap(), r.checkDrop())
+	return errors.Join(r.checkConservation(), r.checkOrder(), r.checkFlush(), r.checkOverlap(), r.checkDrop(), r.checkService())
 }
 
 func (r *Result) checkConservation() error {
@@ -92,7 +94,11 @@ func (r *Result) passes() ([]pass, map[passKey]int) {
 			ps = append(ps, pass{passKey: k, head: i})
 		}
 		ps[pi].members++
-		ps[pi].end = max(ps[pi].end, o.Finish+o.RecacheSec)
+		end := o.Finish
+		if int(o.svc) < len(r.services) { // else the service rule's to report
+			end += r.services[o.svc].RecacheSec
+		}
+		ps[pi].end = max(ps[pi].end, end)
 	}
 	return ps, at
 }
@@ -145,6 +151,23 @@ func (r *Result) checkDrop() error {
 			class: o.class, model: o.model, policy: o.policy, Reason: o.Reason, Degraded: o.Degraded, Dropped: true}
 		if *o != echo {
 			return fmt.Errorf("simq: check drop: dropped outcome %d carries service fields: %+v", i, *o)
+		}
+	}
+	return nil
+}
+
+func (r *Result) checkService() error {
+	seen := map[svcKey]int{}
+	for i := range r.services {
+		k := r.services[i].key()
+		if j, ok := seen[k]; ok || i == 0 && k != (svcKey{}) {
+			return fmt.Errorf("simq: check service: entry %d, %+v, repeats entry %d or is a nonzero entry 0", i, r.services[i], j)
+		}
+		seen[k] = i
+	}
+	for i := range r.Outcomes {
+		if o := &r.Outcomes[i]; int(o.svc) >= len(r.services) {
+			return fmt.Errorf("simq: check service: outcome %d points at entry %d of a %d-entry table", i, o.svc, len(r.services))
 		}
 	}
 	return nil

@@ -33,6 +33,14 @@ func TestCheckBites(t *testing.T) {
 		t.Fatalf("fixture lacks a drop (%d), a multi-member pass (%d) or a followed pass (%d)", dropped, member, earlier)
 	}
 
+	// repoint gives record i a service tuple of its own: edit's change to
+	// a copy of its entry, appended. Other records may share the entry.
+	repoint := func(r *Result, i int, edit func(s *Service)) {
+		s := r.services[r.Outcomes[i].svc]
+		edit(&s)
+		r.services = append(r.services, s)
+		r.Outcomes[i].svc = uint32(len(r.services) - 1)
+	}
 	for _, f := range []struct {
 		rule  string
 		fault func(r *Result)
@@ -42,12 +50,15 @@ func TestCheckBites(t *testing.T) {
 		{"order", func(r *Result) { r.Outcomes[member].Arrival = r.Outcomes[member].Start + 1 }},
 		{"flush", func(r *Result) { r.Outcomes[member].Row++ }},
 		{"flush", func(r *Result) { r.Outcomes[member].Batch-- }},
-		{"overlap", func(r *Result) { r.Outcomes[earlier].RecacheSec += 1e3 }},
-		{"drop", func(r *Result) { r.Outcomes[dropped].Latency = 1e-3 }},
+		{"overlap", func(r *Result) { repoint(r, earlier, func(s *Service) { s.RecacheSec += 1e3 }) }},
+		{"drop", func(r *Result) { r.Outcomes[dropped].svc = 1 }},
 		{"drop", func(r *Result) { r.Outcomes[dropped].Batch = 1 }},
+		{"service", func(r *Result) { r.Outcomes[member].svc = uint32(len(r.services)) }},
+		{"service", func(r *Result) { repoint(r, member, func(*Service) {}) }},
 	} {
 		bad := *good
 		bad.Outcomes = append([]Outcome(nil), good.Outcomes...)
+		bad.services = append([]Service(nil), good.services...)
 		f.fault(&bad)
 		err := bad.Check()
 		if err == nil {

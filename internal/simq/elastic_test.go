@@ -289,7 +289,7 @@ func TestElasticDrainDropsCarryQueryEcho(t *testing.T) {
 		if o.Served != echo {
 			t.Errorf("outcome %d: dropped query carries service fields: %+v", i, o.Served)
 		}
-		if res.Outcomes[i].Batch != 0 || res.Outcomes[i].RecacheSec != 0 {
+		if res.Outcomes[i].Batch != 0 || res.Service(i).RecacheSec != 0 {
 			t.Errorf("outcome %d: dropped query carries batch/recache fields", i)
 		}
 	}

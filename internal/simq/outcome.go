@@ -14,9 +14,9 @@ import (
 // fills each record exactly once, in place (fill). Numbers are the
 // engine's float64s bit for bit; small integers are narrowed to widths
 // the engine checks a configuration against before it runs (see
-// checkWidths); strings (model, SLO class, SubNet name) are indices
-// into tables the Result owns. (*Result).Timed re-inflates a record
-// into the serving.TimedServed shape, strings and policy included.
+// checkWidths); strings and the service outcome are indices into tables
+// the Result owns. (*Result).Timed re-inflates a record into the
+// serving.TimedServed shape.
 type Outcome struct {
 	// ID is the query's sequence number as the caller passed it.
 	ID int64
@@ -26,21 +26,12 @@ type Outcome struct {
 	Arrival, Start, Finish float64
 	// E2ELatency is Finish - Arrival (queueing + service).
 	E2ELatency float64
-	// Latency, Accuracy, HitRatio, HitBytes and OffChipEnergyJ are the
-	// service outcome (serving.Served); zero for a dropped query.
-	Latency, Accuracy, HitRatio, OffChipEnergyJ float64
-	HitBytes                                    int64
-	// RecacheSec is the modeled cache-switch cost (virtual seconds) of
-	// the window-driven re-cache this query's completion triggered, 0
-	// otherwise. The cost extends the replica's busy interval — the next
-	// query on the replica starts no earlier than Finish+RecacheSec —
-	// but is excluded from this query's own E2ELatency. A batch flush
-	// charges at most one re-cache, carried by its last member.
-	RecacheSec float64
 	// MinAccuracy and MaxLatency echo the constraints the query was
 	// served under (after load-aware debiting or the degrade rewrite);
 	// a dropped query echoes them as it arrived.
 	MinAccuracy, MaxLatency float64
+	// svc indexes the Result's service table; 0 for a dropped query.
+	svc uint32
 	// Row is the served SubNet's table row.
 	Row uint16
 	// Replica is the replica index the router picked.
@@ -64,6 +55,66 @@ type Outcome struct {
 	// before service could begin, or admission control rejected or shed
 	// it.
 	Dropped bool
+}
+
+// Service is a served query's pass result. A stream keeps landing on a
+// few (SubNet, cached SubGraph) pairs, so a Result keeps each distinct
+// tuple once, bit for bit, the zero tuple first. A pass's non-first
+// members fetch no weights: their HitBytes and energy are zero.
+type Service struct {
+	Latency, Accuracy, HitRatio, OffChipEnergyJ float64
+	HitBytes                                    int64
+	// RecacheSec is the modeled switch cost (virtual seconds) of the
+	// re-cache this query's completion triggered: it delays the
+	// replica's next start past Finish but is not in this query's
+	// E2ELatency. A flush charges it once, on its last member.
+	RecacheSec float64
+}
+
+// svcKey is a Service's bits: the table tells +0 from -0.
+type svcKey [6]uint64
+
+func (s *Service) key() svcKey {
+	return svcKey{math.Float64bits(s.Latency), math.Float64bits(s.Accuracy), math.Float64bits(s.HitRatio),
+		math.Float64bits(s.OffChipEnergyJ), uint64(s.HitBytes), math.Float64bits(s.RecacheSec)}
+}
+
+// svcSlot hashes k to one of serviceIndex's 256 front slots.
+func svcSlot(k *svcKey) uint8 {
+	return uint8((k[0] + k[1] + k[2] + k[3] + k[4] + k[5]) * 0x9e3779b97f4a7c15 >> 56)
+}
+
+// serviceIndex interns one run's tuples into its service table: a
+// direct-mapped front of (tuple, table index) pairs answers repeats,
+// and the exact map, not an append, answers a front miss. A zero front
+// slot maps the zero tuple to entry 0, as it should.
+type serviceIndex struct {
+	front [256]struct {
+		k svcKey
+		i uint32
+	}
+	exact map[svcKey]uint32
+}
+
+// intern returns the index of s's tuple, charged recache, in *tab.
+func (x *serviceIndex) intern(tab *[]Service, s *serving.Served, recache float64) uint32 {
+	sv := Service{s.Latency, s.Accuracy, s.HitRatio, s.OffChipEnergyJ, s.HitBytes, recache}
+	k := sv.key()
+	f := &x.front[svcSlot(&k)]
+	if f.k == k {
+		return f.i
+	}
+	if x.exact == nil {
+		x.exact = map[svcKey]uint32{{}: 0}
+	}
+	i, ok := x.exact[k]
+	if !ok {
+		i = uint32(len(*tab))
+		*tab = append(*tab, sv)
+		x.exact[k] = i
+	}
+	f.k, f.i = k, i
+	return i
 }
 
 // The serving.Served booleans, packed into Outcome.flags.
@@ -112,16 +163,14 @@ func checkWidths(replicas, models, rows int, b Batching) error {
 func (o *Outcome) QueueDelay() float64 { return o.Start - o.Arrival }
 
 // fill writes the fate of queued query j into its (still zero) record:
-// served by replica ri as s in a pass of n members over [start,
-// finish], or — s nil — dropped at start == finish for reason why. A
-// drop carries the query's echo and no service field.
-func (o *Outcome) fill(j *job, s *serving.Served, ri int, start, finish float64, why Reason, n int) {
+// served by replica ri as s (tuple svc) in a pass of n members over
+// [start, finish], or — s nil — dropped at start == finish for reason
+// why. A drop carries the query's echo and no service field.
+func (o *Outcome) fill(j *job, s *serving.Served, svc uint32, ri int, start, finish float64, why Reason, n int) {
 	q := &j.q
 	if s != nil {
 		q = &s.Query
-		o.Row = uint16(s.Row)
-		o.Latency, o.Accuracy, o.HitRatio = s.Latency, s.Accuracy, s.HitRatio
-		o.HitBytes, o.OffChipEnergyJ = s.HitBytes, s.OffChipEnergyJ
+		o.Row, o.svc = uint16(s.Row), svc
 		if s.Feasible {
 			o.flags |= flagFeasible
 		}
@@ -151,11 +200,14 @@ func (o *Outcome) fill(j *job, s *serving.Served, ri int, start, finish float64,
 	o.Reason, o.Degraded, o.Dropped = why, j.degraded, s == nil
 }
 
+// Service returns record i's pass result, zero for a dropped query.
+func (r *Result) Service(i int) Service { return r.services[r.Outcomes[i].svc] }
+
 // Timed re-inflates record i into the full serving.TimedServed shape:
 // the query echo with its model id, SLO class and policy override, the
 // served SubNet's name, and QueueDelay.
 func (r *Result) Timed(i int) serving.TimedServed {
-	o := &r.Outcomes[i]
+	o, sv := &r.Outcomes[i], r.Service(i)
 	t := serving.TimedServed{
 		Served: serving.Served{
 			Query: sched.Query{
@@ -165,16 +217,16 @@ func (r *Result) Timed(i int) serving.TimedServed {
 				MaxLatency:  o.MaxLatency,
 			},
 			Row:            int(o.Row),
-			Latency:        o.Latency,
-			Accuracy:       o.Accuracy,
+			Latency:        sv.Latency,
+			Accuracy:       sv.Accuracy,
 			Feasible:       o.flags&flagFeasible != 0,
 			LatencyMet:     o.flags&flagLatencyMet != 0,
 			AccuracyMet:    o.flags&flagAccuracyMet != 0,
 			CacheSwapped:   o.flags&flagCacheSwapped != 0,
 			Recached:       o.flags&flagRecached != 0,
-			HitRatio:       o.HitRatio,
-			HitBytes:       o.HitBytes,
-			OffChipEnergyJ: o.OffChipEnergyJ,
+			HitRatio:       sv.HitRatio,
+			HitBytes:       sv.HitBytes,
+			OffChipEnergyJ: sv.OffChipEnergyJ,
 		},
 		Arrival: o.Arrival, Start: o.Start, Finish: o.Finish,
 		QueueDelay: o.QueueDelay(), E2ELatency: o.E2ELatency,

@@ -12,12 +12,13 @@ import (
 )
 
 // TestOutcomeLayout pins the two properties Result.Outcomes' cost rests
-// on: the record stays within 128 bytes, and it holds no pointer of any
+// on: the record stays within 80 bytes, and it holds no pointer of any
 // kind, so the slice is one allocation the collector never scans. A
-// field added as a string fails here, not in a heap profile.
+// field added as a string, or a service number stored per record
+// instead of in the service table, fails here, not in a heap profile.
 func TestOutcomeLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Outcome{}); size > 128 {
-		t.Errorf("Outcome is %d bytes; the record's budget is 128", size)
+	if size := unsafe.Sizeof(Outcome{}); size > 80 {
+		t.Errorf("Outcome is %d bytes; the record's budget is 80", size)
 	}
 	typ := reflect.TypeOf(Outcome{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -43,9 +44,10 @@ func twoTenantEngine() *Engine {
 }
 
 // TestOutcomeRoundTrip sends hand-made queue entries and service
-// outcomes through the two functions the runner records with —
-// interner.admit as the query arrives, Outcome.fill when its fate is
-// known — and reads them back through Result.Timed, field for field.
+// outcomes through the functions the runner records with —
+// interner.admit as the query arrives, serviceIndex.intern and
+// Outcome.fill when its fate is known — and reads them back through
+// Result.Timed, field for field.
 func TestOutcomeRoundTrip(t *testing.T) {
 	pol := func(p sched.Policy) *sched.Policy { return &p }
 	type row struct {
@@ -70,7 +72,18 @@ func TestOutcomeRoundTrip(t *testing.T) {
 			n:      1, wantModel: "resnet50"},
 		{name: "id above 2^31, named model, batched",
 			q:      sched.Query{ID: 1<<40 + 3, Model: "mobilenetv3", Class: "gold", MaxLatency: 5e-3},
-			served: &serving.Served{SubNet: "m1", Row: 1, Latency: 6e-3, Accuracy: 75, LatencyMet: true, CacheSwapped: true, Recached: true, Batch: 4, HitRatio: 1},
+			served: &serving.Served{SubNet: "m1", Row: 1, Latency: 6e-3, Accuracy: 75, LatencyMet: true, CacheSwapped: true, Recached: true, Batch: 4, HitRatio: 1, HitBytes: 1 << 20, OffChipEnergyJ: 1e-4},
+			n:      4, wantModel: "mobilenetv3"},
+		// Rows 2 and 3 revisit the two above: equal service values share
+		// row 0's table entry, and a non-first member of row 1's pass,
+		// which fetched no weights, gets an entry of its own.
+		{name: "equal service values",
+			q:      sched.Query{ID: 8, MinAccuracy: 60},
+			served: &serving.Served{SubNet: "r2", Row: 2, Latency: 4e-3, Accuracy: 78.25, HitRatio: 0.75, HitBytes: 1 << 33, OffChipEnergyJ: 2.5e-4},
+			n:      1, wantModel: "resnet50"},
+		{name: "batched non-first member",
+			q:      sched.Query{ID: 9, Model: "mobilenetv3", MaxLatency: 5e-3},
+			served: &serving.Served{SubNet: "m1", Row: 1, Latency: 6e-3, Accuracy: 75, Batch: 4, HitRatio: 1},
 			n:      4, wantModel: "mobilenetv3"},
 		{name: "policy strict-accuracy", q: sched.Query{ID: 1, Policy: pol(sched.StrictAccuracy)},
 			served: &serving.Served{SubNet: "r0", Latency: 1e-3}, n: 1, wantModel: "resnet50"},
@@ -103,7 +116,8 @@ func TestOutcomeRoundTrip(t *testing.T) {
 
 	eng := twoTenantEngine()
 	in := &interner{e: eng}
-	res := &Result{Outcomes: make([]Outcome, len(rows)), models: eng.models, subnets: eng.subnets}
+	var svcs serviceIndex
+	res := &Result{Outcomes: make([]Outcome, len(rows)), models: eng.models, subnets: eng.subnets, services: []Service{{}}}
 	want := make([]serving.TimedServed, len(rows))
 	for i, r := range rows {
 		arrival, start := float64(i), float64(i)+0.25
@@ -123,10 +137,10 @@ func TestOutcomeRoundTrip(t *testing.T) {
 				r.rewrite(&s.Query)
 			}
 			finish = start + s.Latency
-			res.Outcomes[i].fill(&j, &s, 3, start, finish, ReasonNone, r.n)
+			res.Outcomes[i].fill(&j, &s, svcs.intern(&res.services, &s, 0), 3, start, finish, ReasonNone, r.n)
 			w = serving.TimedServed{Served: s}
 		} else {
-			res.Outcomes[i].fill(&j, nil, 3, start, finish, r.why, 0)
+			res.Outcomes[i].fill(&j, nil, 0, 3, start, finish, r.why, 0)
 		}
 		w.Arrival, w.Start, w.Finish = arrival, start, finish
 		w.QueueDelay, w.E2ELatency = start-arrival, finish-arrival
@@ -135,6 +149,13 @@ func TestOutcomeRoundTrip(t *testing.T) {
 	res.classes = in.classes
 	if len(res.classes) != 302 {
 		t.Fatalf("interned %d classes, want 302", len(res.classes))
+	}
+	if o := res.Outcomes; o[2].svc != o[0].svc || o[3].svc == o[1].svc {
+		t.Errorf("service indices %d, %d, %d, %d: want rows 0 and 2 to share one, rows 1 and 3 to differ",
+			o[0].svc, o[1].svc, o[2].svc, o[3].svc)
+	}
+	if err := res.checkService(); err != nil {
+		t.Error(err)
 	}
 	for i, r := range rows {
 		got := res.Timed(i)
@@ -146,6 +167,43 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		if o.Replica != 3 || o.Reason != r.why || o.Degraded != r.degraded || int(o.Batch) != r.n || o.ID != int64(r.q.ID) {
 			t.Errorf("%s: record %+v lost a direct field", r.name, o)
 		}
+	}
+}
+
+// TestServiceInternSharedSlot alternates two tuples that hash to one
+// front slot: each evicts the other from the front, so every call after
+// the first two misses it, and only the exact map keeps the table at the
+// zero tuple plus the two.
+func TestServiceInternSharedSlot(t *testing.T) {
+	// sharing returns a tuple other than s whose front slot is s's.
+	sharing := func(s serving.Served) *serving.Served {
+		slot := func() uint8 {
+			sv := Service{s.Latency, s.Accuracy, s.HitRatio, s.OffChipEnergyJ, s.HitBytes, 0}
+			k := sv.key()
+			return svcSlot(&k)
+		}
+		want := slot()
+		for s.HitBytes++; slot() != want; s.HitBytes++ {
+		}
+		return &s
+	}
+	a := &serving.Served{Latency: 1e-3, Accuracy: 75}
+	b := sharing(*a)
+	var x serviceIndex
+	tab := []Service{{}}
+	for i := 0; i < 1000; i++ {
+		if ia, ib := x.intern(&tab, a, 0), x.intern(&tab, b, 0); ia != 1 || ib != 2 {
+			t.Fatalf("round %d: interned at %d and %d, want 1 and 2", i, ia, ib)
+		}
+	}
+	if len(tab) != 3 {
+		t.Errorf("table grew to %d entries, want 3", len(tab))
+	}
+	// The zero tuple, never appended, is found at entry 0 even with its
+	// front slot taken.
+	x.intern(&tab, sharing(serving.Served{}), 0)
+	if i := x.intern(&tab, &serving.Served{}, 0); i != 0 || len(tab) != 4 {
+		t.Errorf("zero tuple interned at %d, table %d entries; want 0 and 4", i, len(tab))
 	}
 }
 

@@ -92,19 +92,20 @@ func TestRecacheCostChargedInVirtualTime(t *testing.T) {
 	// service (plus any charged fill) ends.
 	var wantTotal float64
 	for i, o := range res.Outcomes {
-		wantTotal += o.Latency + o.RecacheSec
+		sv := res.Service(i)
+		wantTotal += sv.Latency + sv.RecacheSec
 		if i+1 < len(res.Outcomes) {
 			next := res.Outcomes[i+1]
-			wantStart := o.Finish + o.RecacheSec
+			wantStart := o.Finish + sv.RecacheSec
 			if math.Abs(next.Start-wantStart) > 1e-12 {
 				t.Fatalf("query %d starts at %g, want %g (prev finish %g + recache %g)",
-					i+1, next.Start, wantStart, o.Finish, o.RecacheSec)
+					i+1, next.Start, wantStart, o.Finish, sv.RecacheSec)
 			}
 		}
 	}
-	last := res.Outcomes[len(res.Outcomes)-1]
-	if diff := math.Abs(last.Finish - (wantTotal - last.RecacheSec)); diff > 1e-9 {
-		t.Errorf("virtual time leaked: last finish %g, charged total %g", last.Finish, wantTotal-last.RecacheSec)
+	last, lastRecache := res.Outcomes[n-1], res.Service(n-1).RecacheSec
+	if diff := math.Abs(last.Finish - (wantTotal - lastRecache)); diff > 1e-9 {
+		t.Errorf("virtual time leaked: last finish %g, charged total %g", last.Finish, wantTotal-lastRecache)
 	}
 	// The tail queries queued behind every switch, so tail E2E must
 	// exceed pure service latency by at least the total charged fill.
@@ -157,12 +158,12 @@ func TestRecacheDisabledEngineUnchanged(t *testing.T) {
 	same := run(false)
 	inert := run(true)
 	for i := range base.Outcomes {
-		if base.Outcomes[i] != same.Outcomes[i] {
+		if base.Outcomes[i] != same.Outcomes[i] || base.Service(i) != same.Service(i) {
 			t.Fatalf("identical deployments diverged at outcome %d", i)
 		}
-		if base.Outcomes[i] != inert.Outcomes[i] {
-			t.Fatalf("inert re-cache layer changed outcome %d: %+v vs %+v",
-				i, inert.Outcomes[i], base.Outcomes[i])
+		if base.Outcomes[i] != inert.Outcomes[i] || base.Service(i) != inert.Service(i) {
+			t.Fatalf("inert re-cache layer changed outcome %d: %+v %+v vs %+v %+v",
+				i, inert.Outcomes[i], inert.Service(i), base.Outcomes[i], base.Service(i))
 		}
 	}
 	if inert.Recaches != 0 || inert.RecacheSec != 0 {

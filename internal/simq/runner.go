@@ -146,6 +146,8 @@ type runner struct {
 	batching bool
 	maxB     int
 
+	svcs serviceIndex
+
 	// scratch, reused across flushes; batch points into the flushing
 	// replica's queue
 	batch []*job
@@ -193,11 +195,22 @@ func (r *runner) maybeRetire(ri int, now float64) {
 	st.onTotal += now - st.onSince
 }
 
-// drop records a refused/abandoned query into its Outcome slot and its
-// replica's accumulator: the echo only (per-model and per-class
+// drop records a refused/abandoned query into its Outcome slot, counters
+// and replica's accumulator: the echo only (per-model and per-class
 // accounting need the labels of dropped queries too), no service field.
 func (r *runner) drop(ri int, j *job, now float64, why Reason) {
-	r.res.Outcomes[j.idx].fill(j, nil, ri, now, now, why, 0)
+	res := r.res
+	res.Outcomes[j.idx].fill(j, nil, 0, ri, now, now, why, 0)
+	res.Dropped++
+	switch why {
+	case ReasonDeadline:
+		res.DeadlineDrops++
+	case ReasonRejected:
+		res.Rejected++
+	case ReasonShed:
+		res.Shed++
+	}
+	res.Makespan = max(res.Makespan, now)
 	r.accs[ri].AddDropped(j.q.Model, j.q.Class, j.arrival, now)
 	if r.ctl != nil {
 		// Policies see drops as resolved-with-miss: the strongest
@@ -307,19 +320,24 @@ func (r *runner) flush(ri int, now float64) error {
 		}
 		// Every member shares the pass: one start, one finish.
 		finish := now + served[0].Latency
+		res := r.res
 		for i, j := range r.batch {
 			s := &served[i]
 			e2e := finish - j.arrival
 			// SLO attainment for open-loop serving judges end-to-end
 			// time against the original budget.
 			s.LatencyMet = j.q.MaxLatency <= 0 || e2e <= j.q.MaxLatency
-			o := &r.res.Outcomes[j.idx]
-			o.fill(j, s, ri, now, finish, ReasonNone, n)
+			rc := 0.0
 			if i == n-1 {
-				o.RecacheSec = recache
+				rc = recache
+			}
+			res.Outcomes[j.idx].fill(j, s, r.svcs.intern(&res.services, s, rc), ri, now, finish, ReasonNone, n)
+			res.Served++
+			if s.Recached {
+				res.Recaches++
 			}
 			r.accs[ri].AddOpenLoop(s, j.arrival, finish, now-j.arrival, e2e)
-			r.res.ReplicaQueries[ri]++
+			res.ReplicaQueries[ri]++
 			if r.ctl != nil {
 				r.ctl.resolved++
 				if s.LatencyMet {
@@ -327,6 +345,8 @@ func (r *runner) flush(ri int, now float64) error {
 				}
 			}
 		}
+		res.RecacheSec += recache
+		res.Makespan = max(res.Makespan, finish)
 		st.qdiscard(k)
 		if r.batching {
 			r.accs[ri].ObserveBatch(n)
@@ -361,7 +381,9 @@ func (r *runner) arrive(j *job) error {
 			r.drop(ri, st.qfront(), j.arrival, ReasonShed)
 			st.qdiscard(st.qhead + 1)
 		case Degrade:
+			// Counted here: each admission ends in one record, served or not.
 			j.degraded = true
+			r.res.Degraded++
 		}
 	}
 	r.e.reps[ri].Reserve()

@@ -194,7 +194,7 @@ func (r Reason) String() string {
 // Result aggregates one open-loop run.
 type Result struct {
 	// Outcomes align with the arrival-sorted input stream. The records
-	// are flat (see Outcome); Timed(i) re-inflates one with its strings.
+	// are flat (see Outcome); Service(i) and Timed(i) read one back.
 	Outcomes []Outcome
 	// Summary folds every replica's engine accumulator: service and E2E
 	// percentiles, SLO attainment, goodput, drop counts.
@@ -213,7 +213,7 @@ type Result struct {
 	// Recaches counts window-driven cache switches enacted during the
 	// run; RecacheSec totals their modeled fill time in virtual seconds
 	// (time replicas spent refilling the Persistent Buffer instead of
-	// serving).
+	// serving), summed in event order as each pass is recorded.
 	Recaches   int
 	RecacheSec float64
 	// ScaleUps and ScaleDowns count enacted replica lifecycle
@@ -228,11 +228,13 @@ type Result struct {
 
 	// The intern tables Outcome's indices point into: the fleet's model
 	// ids in tenant order, each model's SubNet names by table row (both
-	// the engine's, shared by its runs), and the run's named SLO classes
-	// in first-appearance order (Outcome.class k > 0 is classes[k-1]).
-	models  []string
-	subnets [][]string
-	classes []string
+	// the engine's, shared by its runs), the run's named SLO classes in
+	// first-appearance order (Outcome.class k > 0 is classes[k-1]) and
+	// its distinct service tuples, zero first.
+	models   []string
+	subnets  [][]string
+	classes  []string
+	services []Service
 }
 
 // Engine is a virtual-time discrete-event simulator over replica
@@ -510,6 +512,7 @@ func (e *Engine) newResult(n int) *Result {
 		Router:         e.router.Name(),
 		models:         e.models,
 		subnets:        e.subnets,
+		services:       []Service{{}},
 	}
 }
 
@@ -567,9 +570,8 @@ func (e *Engine) run(src arrivalSource, n int, in *interner) (*Result, error) {
 	return r.res, nil
 }
 
-// finish folds the per-replica accumulators and per-query outcomes into
-// the run's aggregates, deterministically: replica order, then outcome
-// order.
+// finish folds the per-replica accumulators into the run's aggregates,
+// in replica order (drop and flush keep the per-query counters).
 func (e *Engine) finish(r *runner) {
 	res := r.res
 	var merged serving.Accumulator
@@ -577,32 +579,6 @@ func (e *Engine) finish(r *runner) {
 		merged.Merge(&r.accs[i])
 	}
 	res.Summary = merged.Summary()
-	for i := range res.Outcomes {
-		o := &res.Outcomes[i]
-		switch o.Reason {
-		case ReasonDeadline:
-			res.DeadlineDrops++
-		case ReasonRejected:
-			res.Rejected++
-		case ReasonShed:
-			res.Shed++
-		}
-		if o.Dropped {
-			res.Dropped++
-		} else {
-			res.Served++
-		}
-		if o.Degraded {
-			res.Degraded++
-		}
-		if o.flags&flagRecached != 0 {
-			res.Recaches++
-		}
-		res.RecacheSec += o.RecacheSec
-		if o.Finish > res.Makespan {
-			res.Makespan = o.Finish
-		}
-	}
 	if first, last, n := r.src.span(); n > 1 {
 		if span := last - first; span > 0 {
 			res.OfferedRate = float64(n-1) / span

@@ -13,7 +13,7 @@ import (
 )
 
 // fixtures caches the expensive supernet/frontier construction per call.
-func fixtures(t *testing.T) (*supernet.SuperNet, []*supernet.SubNet) {
+func fixtures(t testing.TB) (*supernet.SuperNet, []*supernet.SubNet) {
 	t.Helper()
 	s := supernet.NewOFAMobileNetV3()
 	fr, err := s.Frontier()
@@ -53,7 +53,7 @@ func soloReplica(t testing.TB, id int, sys *serving.System) *serving.Replica {
 
 // newReplicas builds R systems over one shared table (the DeployCluster
 // shape) and wraps them as replicas.
-func newReplicas(t *testing.T, r int) []*serving.Replica {
+func newReplicas(t testing.TB, r int) []*serving.Replica {
 	t.Helper()
 	s, fr := fixtures(t)
 	opt := serving.Options{
@@ -290,8 +290,8 @@ func TestClusterOpenLoopDeterminism(t *testing.T) {
 			t.Fatalf("%v: outcome counts differ", adm)
 		}
 		for i := range a.Outcomes {
-			if x, y := a.Outcomes[i], b.Outcomes[i]; x != y {
-				t.Fatalf("%v: outcome %d differs:\n%+v\n%+v", adm, i, x, y)
+			if x, y := a.Outcomes[i], b.Outcomes[i]; x != y || a.Service(i) != b.Service(i) {
+				t.Fatalf("%v: outcome %d differs:\n%+v %+v\n%+v %+v", adm, i, x, a.Service(i), y, b.Service(i))
 			}
 		}
 		if !reflect.DeepEqual(a.Summary, b.Summary) {
