@@ -10,13 +10,10 @@
 //	sushi-bench -replay-trace f [-json]
 //	sushi-bench -calibrate [-w workload] [-table-out f] [-reps k] [-batches 1,2,4] [-calib-seed n] [-json]
 //
-// Experiments: fig2 fig3 fig9 fig10 fig11 fig12 fig13a fig13b fig14
-// fig15 fig15acc fig16 fig17 fig18 table1 table2 table3 table4 table5
-// table6 hitratio ablation-avg overload loadsweep hetero batchsweep
-// multitenant elastic cohortsweep calibsweep (sushi-bench list prints
-// the authoritative set). The -w flag (resnet50|mobilenetv3) applies to
-// workload-parameterized experiments; without it each experiment runs
-// on its own default workload.
+// sushi-bench list prints the experiment ids; sushi-bench fidelity
+// scores every reproduced number against the paper's. The -w flag
+// (resnet50|mobilenetv3) applies to workload-parameterized experiments;
+// without it each experiment runs on its own default workload.
 //
 // Independent grid points of the sweep experiments run across
 // GOMAXPROCS workers; results are folded in deterministic grid order,
@@ -24,9 +21,9 @@
 //
 // With -json, the human-readable tables are replaced by one NDJSON
 // record per experiment on stdout — name, ns_per_op (wall time of the
-// run) and the experiment's headline metrics (goodput_qps, p99_e2e_ms
-// where applicable) — so results can be read by machines instead of
-// scraped from prose.
+// run) and the experiment's metrics (its reproduced values, or
+// goodput_qps and p99_e2e_ms for the open-loop ones) — so results can
+// be read by machines instead of scraped from prose.
 //
 // -calibrate sweeps a MEASURED latency table on this machine: every
 // (frontier SubNet × candidate SubGraph × batch) cell is timed through
@@ -75,15 +72,8 @@ type benchRecord struct {
 	Workload string `json:"workload,omitempty"`
 	// NsPerOp is the wall-clock time of the single run in nanoseconds.
 	NsPerOp int64 `json:"ns_per_op"`
-	// GoodputQPS and P99MS surface the canonical open-loop headline
-	// metrics when the experiment reports them (0 otherwise).
-	GoodputQPS float64 `json:"goodput_qps,omitempty"`
-	P99MS      float64 `json:"p99_ms,omitempty"`
-	// Metrics carries every headline metric the experiment exported.
+	// Metrics carries every metric the experiment exported.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// WallMS is the experiment's wall-clock time in milliseconds
-	// (NsPerOp in more convenient units).
-	WallMS float64 `json:"wall_ms,omitempty"`
 }
 
 // writeFile creates path and fills it with write.
@@ -210,14 +200,7 @@ func run() int {
 		}
 		if *asJSON {
 			elapsed := time.Since(start)
-			rec := benchRecord{
-				Name:       "replay",
-				NsPerOp:    elapsed.Nanoseconds(),
-				GoodputQPS: res.Metrics["goodput_qps"],
-				P99MS:      res.Metrics["p99_e2e_ms"],
-				Metrics:    res.Metrics,
-				WallMS:     float64(elapsed.Nanoseconds()) / 1e6,
-			}
+			rec := benchRecord{Name: "replay", NsPerOp: elapsed.Nanoseconds(), Metrics: res.Metrics}
 			if err := json.NewEncoder(os.Stdout).Encode(rec); err != nil {
 				fmt.Fprintf(os.Stderr, "sushi-bench: -replay-trace: %v\n", err)
 				return 1
@@ -264,7 +247,6 @@ func run() int {
 				Name:     "calibrate",
 				Workload: *w,
 				NsPerOp:  elapsed.Nanoseconds(),
-				WallMS:   float64(elapsed.Nanoseconds()) / 1e6,
 				Metrics: map[string]float64{
 					"rows":              float64(len(f.SubNetNames)),
 					"cols":              float64(len(f.GraphNames)),
@@ -324,15 +306,7 @@ func run() int {
 			continue
 		}
 		if *asJSON {
-			rec := benchRecord{
-				Name:       id,
-				Workload:   workload,
-				NsPerOp:    elapsed.Nanoseconds(),
-				GoodputQPS: res.Metrics["goodput_qps"],
-				P99MS:      res.Metrics["p99_e2e_ms"],
-				Metrics:    res.Metrics,
-				WallMS:     float64(elapsed.Nanoseconds()) / 1e6,
-			}
+			rec := benchRecord{Name: id, Workload: workload, NsPerOp: elapsed.Nanoseconds(), Metrics: res.Metrics}
 			if err := enc.Encode(rec); err != nil {
 				fmt.Fprintf(os.Stderr, "sushi-bench: %s: %v\n", id, err)
 				exit = 1

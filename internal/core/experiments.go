@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sushi/internal/accel"
 	"sushi/internal/baseline"
@@ -163,12 +164,9 @@ func Fig10(w Workload) (*Result, error) {
 			ms(repBase.Total()), ms(repSGS.Total()), f1(save),
 		})
 	}
-	paper := "5.7-7.92%"
-	if w == MobileNetV3 {
-		paper = "6-23.6%"
-	}
+	res.Metrics = map[string]float64{"save_min_pct": lo, "save_max_pct": hi}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("measured potential reduction %.1f-%.1f%% (paper: %s)", lo, hi, paper))
+		fmt.Sprintf("measured potential reduction %.1f-%.1f%% (paper: %s%%)", lo, hi, published(w, "save_min_pct").band()))
 	return res, nil
 }
 
@@ -271,12 +269,13 @@ func Fig13a() (*Result, error) {
 		Title:  "Latency (ms) on ResNet50 3x3 conv layers: CPU vs SushiAccel boards",
 		Header: []string{"SubNet", "CPU", "ZCU104", "ZCU104+PB", "U50", "U50+PB", "speedup(ZCU104+PB)"},
 	}
+	var noPB, withPB []float64
 	for _, sn := range fr {
 		keep := is3x3(sn.Model)
 		cpuT := cpu.LayersLatency(sn.Model, keep)
 		row := []string{sn.Name, ms(cpuT)}
-		var zcuPB float64
-		for _, b := range boards {
+		totals := make([]float64, len(boards))
+		for bi, b := range boards {
 			sim, err := accel.NewSimulator(b.cfg)
 			if err != nil {
 				return nil, err
@@ -293,15 +292,20 @@ func Fig13a() (*Result, error) {
 			}
 			total := rep.Total() + b.hostSec
 			row = append(row, ms(total))
-			if b.name == "ZCU104 w/ PB" {
-				zcuPB = total
-			}
+			totals[bi] = total
 		}
-		row = append(row, f2(cpuT/zcuPB)+"x")
+		// boards[0] and boards[1] are the ZCU104 without and with PB.
+		noPB, withPB = append(noPB, cpuT/totals[0]), append(withPB, cpuT/totals[1])
+		row = append(row, f2(cpuT/totals[1])+"x")
 		res.Rows = append(res.Rows, row)
 	}
+	res.Metrics = map[string]float64{
+		"speedup_nopb_min_x": slices.Min(noPB), "speedup_nopb_max_x": slices.Max(noPB),
+		"speedup_min_x": slices.Min(withPB), "speedup_max_x": slices.Max(withPB),
+	}
 	res.Notes = append(res.Notes,
-		"paper: ZCU104 1.81-3.04x (w/o PB) and 1.87-3.17x (w/ PB) over CPU; U50 slower on small SubNets due to off-chip contention",
+		fmt.Sprintf("paper: ZCU104 %sx (w/o PB) and %sx (w/ PB) over CPU; U50 slower on small SubNets due to off-chip contention",
+			published("", "speedup_nopb_min_x").band(), published("", "speedup_min_x").band()),
 		"board latencies include host dispatch: 0.2 ms (embedded ZCU104) / 4 ms (datacenter U50 PCIe under contention)")
 	return res, nil
 }
@@ -390,12 +394,9 @@ func Fig13b(w Workload) (*Result, error) {
 			f1(save),
 		})
 	}
-	paper := "14-52.6%"
-	if w == MobileNetV3 {
-		paper = "43.6-78.7%"
-	}
+	res.Metrics = map[string]float64{"energy_save_min_pct": lo, "energy_save_max_pct": hi}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("measured off-chip weight-energy saving %.1f-%.1f%% (paper: %s)", lo, hi, paper))
+		fmt.Sprintf("measured off-chip weight-energy saving %.1f-%.1f%% (paper: %s%%)", lo, hi, published(w, "energy_save_min_pct").band()))
 	return res, nil
 }
 
@@ -438,8 +439,10 @@ func Fig14() (*Result, error) {
 		})
 	}
 	geo := math.Exp(logSum / float64(n))
+	res.Metrics = map[string]float64{"geomean_speedup_x": geo}
+	paper := published("", "geomean_speedup_x")
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("geomean speedup %.2fx over %d layers (paper: 1.251x / 25.1%%)", geo, n),
+		fmt.Sprintf("geomean speedup %.2fx over %d layers (paper: %sx / %.1f%%)", geo, n, paper.band(), 100*(paper.lo-1)),
 		"layers where the DPU wins have high X/Y (its pixel parallelism), matching §5.5")
 	return res, nil
 }

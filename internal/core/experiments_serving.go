@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sushi/internal/accel"
@@ -126,6 +127,7 @@ func Fig15(w Workload, policy sched.Policy, queries int) (*Result, error) {
 			})
 		}
 	}
+	res.Metrics = map[string]float64{"violations": float64(violations)}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("%d/%d feasible queries met the hard constraint (%d violations)", feasible-violations, feasible, violations),
 		"paper: all dots sit on the feasible side of y=x when the constraint is satisfiable")
@@ -168,9 +170,11 @@ func Fig16(w Workload, queries int) (*Result, error) {
 			f1(sum.LatencySLO * 100), f2(sum.AvgHitRatio), fmt.Sprintf("%d", sum.CacheSwaps),
 		})
 	}
+	cut := 100 * (1 - full.AvgLatency/noPB.AvgLatency)
+	res.Metrics = map[string]float64{"latency_cut_pct": cut}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("Sushi cuts average latency %.1f%% vs No-Sushi at identical served accuracy (paper: 21-25%% on its simulator)",
-			100*(1-full.AvgLatency/noPB.AvgLatency)))
+		fmt.Sprintf("Sushi cuts average latency %.1f%% vs No-Sushi at identical served accuracy (paper: %s%% on its simulator)",
+			cut, published(w, "latency_cut_pct").band()))
 	return res, nil
 }
 
@@ -186,6 +190,7 @@ func Fig17(w Workload, queries int) (*Result, error) {
 		Title:  fmt.Sprintf("Cache-update window Q sweep (swap cost charged) — %s", w),
 		Header: []string{"Q", "avg lat(ms)", "avg acc%", "swaps", "hit"},
 	}
+	bestQ, bestLat := 0, math.Inf(1)
 	for _, q := range []int{1, 2, 4, 8, 10, 15} {
 		// A uniform random stream: the served-SubNet sequence churns, so
 		// Q=1 re-targets the cache after every query and pays a fill
@@ -203,13 +208,18 @@ func Fig17(w Workload, queries int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		if sum.AvgLatency < bestLat {
+			bestQ, bestLat = q, sum.AvgLatency
+		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", q), ms(sum.AvgLatency), f2(sum.AvgAccuracy),
 			fmt.Sprintf("%d", sum.CacheSwaps), f2(sum.AvgHitRatio),
 		})
 	}
+	res.Metrics = map[string]float64{"best_q": float64(bestQ)}
 	res.Notes = append(res.Notes,
-		"paper: very small Q pays frequent off-chip cache fills; very large Q serves a stale cache — the best window is in between (Q≈4-10)")
+		fmt.Sprintf("paper: very small Q pays frequent off-chip cache fills; very large Q serves a stale cache — the best window is in between (Q≈%s)",
+			published(w, "best_q").band()))
 	return res, nil
 }
 
@@ -224,6 +234,7 @@ func Table5(w Workload, queries int) (*Result, error) {
 		Title:  fmt.Sprintf("Avg latency improvement vs table size — %s (normalized to SUSHI w/o scheduler)", w),
 		Header: []string{"cols", "Sushi(ms)", "w/oSched(ms)", "improvement%"},
 	}
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, cols := range []int{10, 40, 80, 100, 500} {
 		var lat [2]float64
 		for mi, mode := range []serving.Mode{serving.Full, serving.StateUnaware} {
@@ -241,13 +252,17 @@ func Table5(w Workload, queries int) (*Result, error) {
 			}
 			lat[mi] = sum.AvgLatency
 		}
+		imp := 100 * (1 - lat[0]/lat[1])
+		lo, hi = math.Min(lo, imp), math.Max(hi, imp)
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", cols), ms(lat[0]), ms(lat[1]),
-			f2(100 * (1 - lat[0]/lat[1])),
+			fmt.Sprintf("%d", cols), ms(lat[0]), ms(lat[1]), f2(imp),
 		})
 	}
+	res.Metrics = map[string]float64{"improvement_min_pct": lo, "improvement_max_pct": hi}
+	rn, mb := published(ResNet50, "improvement_min_pct"), published(MobileNetV3, "improvement_min_pct")
 	res.Notes = append(res.Notes,
-		"paper: ResNet50 improves 4%->9% and saturates; MobV3 stays ~1% because the PB already holds most of each SubNet")
+		fmt.Sprintf("paper: ResNet50 improves %g%%->%g%% and saturates; MobV3 stays ~%s%% because the PB already holds most of each SubNet",
+			rn.lo, rn.hi, mb.band()))
 	return res, nil
 }
 
@@ -264,6 +279,7 @@ func Table6(w Workload) (*Result, error) {
 		Title:  fmt.Sprintf("Column-search time vs table size — %s", w),
 		Header: []string{"cols", "nearest-graph(us)", "lookup(ns)"},
 	}
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, cols := range []int{100, 200, 500, 1000, 2000} {
 		cands, err := latencytable.Candidates(super, fr, latencytable.CandidateOptions{
 			Budget: cfg.PBBytes, Count: cols, Seed: 3,
@@ -282,6 +298,7 @@ func Table6(w Workload) (*Result, error) {
 			tab.NearestGraph(v)
 		}
 		nearestUS := float64(time.Since(start).Microseconds()) / iters
+		lo, hi = math.Min(lo, nearestUS), math.Max(hi, nearestUS)
 		start = time.Now()
 		const lookups = 1 << 16
 		sink := 0.0
@@ -294,8 +311,10 @@ func Table6(w Workload) (*Result, error) {
 			fmt.Sprintf("%d", tab.Cols()), f2(nearestUS), f2(lookupNS),
 		})
 	}
+	res.Metrics = map[string]float64{"nearest_min_us": lo, "nearest_max_us": hi}
 	res.Notes = append(res.Notes,
-		"paper: 2-17 us for 100-2000 columns — under 1/1000 of inference time; ours is the same order")
+		fmt.Sprintf("paper: %s us for 100-2000 columns — under 1/1000 of inference time; ours is the same order",
+			published("", "nearest_min_us").band()))
 	return res, nil
 }
 
@@ -305,9 +324,10 @@ func HitRatioA4(queries int) (*Result, error) {
 		queries = 150
 	}
 	res := &Result{
-		Name:   "hitratio",
-		Title:  "Cache-hit ratio ||SN∩G||2/||SN||2 (Appendix A.4)",
-		Header: []string{"workload", "avg hit ratio", "paper"},
+		Name:    "hitratio",
+		Title:   "Cache-hit ratio ||SN∩G||2/||SN||2 (Appendix A.4)",
+		Header:  []string{"workload", "avg hit ratio", "paper"},
+		Metrics: map[string]float64{},
 	}
 	for _, w := range []Workload{ResNet50, MobileNetV3} {
 		_, sum, err := serveUniform(w, serving.Options{
@@ -321,11 +341,9 @@ func HitRatioA4(queries int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		paper := "0.66"
-		if w == MobileNetV3 {
-			paper = "0.78"
-		}
-		res.Rows = append(res.Rows, []string{string(w), f2(sum.AvgHitRatio), paper})
+		key := "hit_ratio_" + string(w)
+		res.Metrics[key] = sum.AvgHitRatio
+		res.Rows = append(res.Rows, []string{string(w), f2(sum.AvgHitRatio), published("", key).band()})
 	}
 	res.Notes = append(res.Notes,
 		"the ratio is higher for smaller models: the PB holds a larger fraction of their SubNets")

@@ -61,9 +61,15 @@ func Table2() (*Result, error) {
 		"Xilinx DPU DPUCZDX8G", "41640*", "69180*", "0*", "60*", "438*",
 		fmt.Sprintf("%d", dpu.PeakOpsPerCycle()), f1(float64(dpu.PeakOpsPerCycle()) * dpu.FreqMHz / 1e3),
 	})
+	e := accel.EstimateResources(accel.ZCU104())
+	res.Metrics = map[string]float64{
+		"lut": float64(e.LUT), "ff": float64(e.Register), "bram": float64(e.BRAM), "uram": float64(e.URAM), "dsp": float64(e.DSP),
+	}
+	paper := func(key string) string { return published("", key).band() }
 	res.Notes = append(res.Notes,
 		"* DPU row reproduces the paper's reported synthesis numbers (no estimator for third-party IP)",
-		"paper ZCU104 w/ PB: 64307 LUT, 117724 FF, 198.5 BRAM, 96 URAM, 1459 DSP")
+		fmt.Sprintf("paper ZCU104 w/ PB: %s LUT, %s FF, %s BRAM, %s URAM, %s DSP",
+			paper("lut"), paper("ff"), paper("bram"), paper("uram"), paper("dsp")))
 	return res, nil
 }
 
@@ -96,8 +102,12 @@ func Table3() (*Result, error) {
 			fmt.Sprintf("%d", r.with>>10),
 		})
 	}
+	res.Metrics = map[string]float64{
+		"overall_nopb_kb": float64(without.TotalBufferBytes() >> 10),
+		"overall_kb":      float64(with.TotalBufferBytes() >> 10),
+	}
 	res.Notes = append(res.Notes,
-		"both designs use the same overall on-chip storage (paper: 397 KB BRAM + 3456 KB URAM)")
+		fmt.Sprintf("both designs use the same overall on-chip storage (paper: %d KB BRAM + %d KB URAM)", bramKB, uramKB))
 	return res, nil
 }
 

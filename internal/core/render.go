@@ -20,10 +20,10 @@ type Result struct {
 	Rows [][]string
 	// Notes carry paper-vs-measured commentary.
 	Notes []string
-	// Metrics carries the experiment's headline numbers in machine-
-	// readable form (e.g. "goodput_qps", "p99_e2e_ms") for the bench
-	// trajectory (sushi-bench -json). Nil for experiments without a
-	// scalar headline.
+	// Metrics carries the experiment's numbers in machine-readable form:
+	// the reproduced values the fidelity scoreboard reads, or headlines
+	// such as "goodput_qps" (sushi-bench -json). Nil for experiments
+	// without a number.
 	Metrics map[string]float64
 }
 

@@ -42,7 +42,7 @@ var stdlibMethods = map[string]bool{
 // The match is by name, so this is a ratchet against test-only API, not
 // a proof of use.
 func TestExportsHaveCallers(t *testing.T) {
-	decls, refs := scanSurface(t, ".")
+	decls, refs, _ := scanSurface(t, ".")
 	for _, e := range surfaceErrors(decls, refs, testOnlyAPI) {
 		t.Error(e)
 	}
@@ -68,7 +68,7 @@ func TestSurfaceRuleBites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decls, refs := scanSurface(t, root)
+	decls, refs, _ := scanSurface(t, root)
 	got := surfaceErrors(decls, refs, map[string]string{"a.Allowed": "", "a.Gone": ""})
 	want := []string{
 		"a.Allowed has a production caller now: drop it from testOnlyAPI",
@@ -107,10 +107,12 @@ func surfaceErrors(decls map[string]string, refs map[string]bool, allow map[stri
 // scanSurface parses the non-test Go files under root. decls maps each
 // exported func ("pkg.Name") or method ("pkg.Type.Name") declared
 // outside bench/ to its slash-separated path; refs holds every
-// identifier name the files use, func declarations' own names excluded.
-func scanSurface(t *testing.T, root string) (decls map[string]string, refs map[string]bool) {
+// identifier name the files use, func declarations' own names excluded;
+// top holds every func, method, type, var and const declared at the top
+// level outside bench/, as "pkg.Name" (a method by its bare name).
+func scanSurface(t *testing.T, root string) (decls map[string]string, refs, top map[string]bool) {
 	t.Helper()
-	decls, refs = map[string]string{}, map[string]bool{}
+	decls, refs, top = map[string]string{}, map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -135,13 +137,25 @@ func scanSurface(t *testing.T, root string) (decls map[string]string, refs map[s
 		}
 		rel = filepath.ToSlash(rel)
 		declared := map[*ast.Ident]bool{}
+		bench := strings.HasPrefix(rel, "bench/")
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok {
+				for _, spec := range d.(*ast.GenDecl).Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						top[f.Name.Name+"."+sp.Name.Name] = !bench
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							top[f.Name.Name+"."+id.Name] = !bench
+						}
+					}
+				}
 				continue
 			}
 			declared[fn.Name] = true
-			if strings.HasPrefix(rel, "bench/") || !fn.Name.IsExported() {
+			top[f.Name.Name+"."+fn.Name.Name] = !bench
+			if bench || !fn.Name.IsExported() {
 				continue
 			}
 			name := f.Name.Name + "."
@@ -161,7 +175,7 @@ func scanSurface(t *testing.T, root string) (decls map[string]string, refs map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls, refs
+	return decls, refs, top
 }
 
 // recvType names a method receiver's base type: T for T, *T, T[P] and

@@ -62,8 +62,6 @@
 package sushi
 
 import (
-	"fmt"
-
 	"sushi/internal/accel"
 	"sushi/internal/calib"
 	"sushi/internal/core"
@@ -216,121 +214,18 @@ var (
 
 // ExperimentResult is one regenerated table or figure: String renders
 // it as an aligned text table, WriteCSV as CSV (notes as trailing '#'
-// lines), and Metrics holds its headline numbers in machine-readable
-// form ("goodput_qps", "p99_e2e_ms"; nil for experiments without a
-// scalar headline).
+// lines), and Metrics holds its numbers in machine-readable form (nil
+// for experiments without one).
 type ExperimentResult = core.Result
 
-// Experiment regenerates one of the paper's tables or figures by id
-// (fig2, fig3, fig9..fig18, table1..table6, hitratio, ...; see
-// Experiments for the full list). Workload-parameterized experiments
-// accept "fig10:mobilenetv3" style suffixes; without one the registry
-// entry's default applies (resnet50 unless the entry says otherwise).
-// Workload-insensitive experiments ignore the suffix.
-func Experiment(id string) (*ExperimentResult, error) {
-	name, w := splitID(id)
-	for _, e := range experimentRegistry {
-		if e.id != name {
-			continue
-		}
-		if w == "" {
-			w = e.workload
-			if w == "" {
-				w = core.ResNet50
-			}
-		}
-		return e.run(w)
-	}
-	return nil, fmt.Errorf("sushi: unknown experiment %q (have %v)", id, Experiments())
-}
-
-// experimentEntry couples an experiment id with its runner and default
-// workload. Experiments and Experiment both read experimentRegistry,
-// so the advertised list and the dispatch can never diverge (the old
-// hand-written switch once dispatched "fig18" without listing it).
-type experimentEntry struct {
-	id string
-	// workload is the default when the id carries no ":workload" suffix
-	// ("" means ResNet50). Workload-insensitive runners ignore it.
-	workload core.Workload
-	run      func(core.Workload) (*core.Result, error)
-}
-
-// fixed adapts a workload-insensitive experiment to the registry shape.
-func fixed(run func() (*core.Result, error)) func(core.Workload) (*core.Result, error) {
-	return func(core.Workload) (*core.Result, error) { return run() }
-}
-
-var experimentRegistry = []experimentEntry{
-	{id: "fig2", run: core.Fig2},
-	{id: "fig3", run: fixed(core.Fig3)},
-	{id: "fig9", run: core.Fig9},
-	{id: "fig10", run: core.Fig10},
-	{id: "fig11", run: core.Fig11},
-	{id: "fig12", run: core.Fig12},
-	{id: "fig13a", run: fixed(core.Fig13a)},
-	{id: "fig13b", run: core.Fig13b},
-	{id: "fig14", run: fixed(core.Fig14)},
-	{id: "fig15", run: func(w core.Workload) (*core.Result, error) {
-		return core.Fig15(w, sched.StrictLatency, 0)
-	}},
-	{id: "fig15acc", run: func(w core.Workload) (*core.Result, error) {
-		return core.Fig15(w, sched.StrictAccuracy, 0)
-	}},
-	{id: "fig16", run: func(w core.Workload) (*core.Result, error) { return core.Fig16(w, 0) }},
-	{id: "fig17", run: func(w core.Workload) (*core.Result, error) { return core.Fig17(w, 0) }},
-	// fig18 is fig17's companion Q-sweep on the MobileNetV3 family.
-	{id: "fig18", workload: core.MobileNetV3,
-		run: func(w core.Workload) (*core.Result, error) { return core.Fig17(w, 0) }},
-	{id: "table1", run: fixed(core.Table1)},
-	{id: "table2", run: fixed(core.Table2)},
-	{id: "table3", run: fixed(core.Table3)},
-	{id: "table4", run: fixed(core.Table4)},
-	{id: "table5", run: func(w core.Workload) (*core.Result, error) { return core.Table5(w, 0) }},
-	{id: "table6", run: core.Table6},
-	{id: "hitratio", run: fixed(func() (*core.Result, error) { return core.HitRatioA4(0) })},
-	{id: "ablation-avg", run: func(w core.Workload) (*core.Result, error) {
-		return core.AblationAvg(w, 0)
-	}},
-	{id: "overload", run: func(w core.Workload) (*core.Result, error) { return core.Overload(w, 0) }},
-	// loadsweep is the open-loop analogue of fig16: offered load vs tail
-	// latency/SLO/goodput per system variant, through the simq engine.
-	{id: "loadsweep", run: func(w core.Workload) (*core.Result, error) { return core.LoadSweep(w, 0) }},
-	// hetero compares homogeneous vs mixed ZCU104+AlveoU50 fleets with
-	// per-replica latency tables, hardware-aware routing and dynamic
-	// re-caching under identical seeded arrivals (Table 2 / §5.4.2 at
-	// cluster scale).
-	{id: "hetero", run: func(w core.Workload) (*core.Result, error) { return core.Hetero(w, 0) }},
-	// batchsweep is the micro-batching payoff curve: goodput/p99 vs the
-	// batch former's B x W grid at fixed Poisson offered load beyond
-	// unbatched capacity (weights fetched once per batch).
-	{id: "batchsweep", workload: core.MobileNetV3,
-		run: func(w core.Workload) (*core.Result, error) { return core.BatchSweep(w, 0) }},
-	// multitenant is the consolidation-vs-isolation experiment: one
-	// shared multi-model fleet vs a static per-model hardware split at
-	// identical hardware and seeds, under anti-correlated per-model
-	// bursts (workload-insensitive: it always runs both families).
-	{id: "multitenant", run: fixed(func() (*core.Result, error) { return core.MultiTenant(0) })},
-	// elastic is the autoscaling experiment: one diurnal stream served
-	// by a fixed 6-replica fleet vs an elastic 2..8 fleet whose
-	// scale-ups pay the cold Persistent Buffer fill in virtual time —
-	// the elastic fleet wins on both replica-seconds and SLO
-	// (workload-insensitive: calibrated on the MobileNetV3 family).
-	{id: "elastic", run: fixed(func() (*core.Result, error) { return core.Elastic(0) })},
-	// cohortsweep is the heterogeneous-clients experiment: identical
-	// mean load arriving as one smooth Poisson stream vs a Zipf-skewed
-	// population of 100 bursty cohorts (p99/SLO gap at unchanged mean
-	// load), plus a degrade+batching arm recovering part of the gap
-	// (workload-insensitive: calibrated on the MobileNetV3 family).
-	{id: "cohortsweep", run: fixed(func() (*core.Result, error) { return core.CohortSweep(0) })},
-	// calibsweep is the calibration-noise experiment: multiplicative
-	// seeded per-cell noise on the latency table (a simulated
-	// miscalibrated sweep) vs decision-level SLO attainment — the
-	// scheduler decides from its noisy belief, violations are judged
-	// against the true table. Sigma 0 is pinned at exactly 100%
-	// (workload-insensitive: calibrated on the MobileNetV3 family).
-	{id: "calibsweep", run: fixed(func() (*core.Result, error) { return core.CalibSweep(0) })},
-}
+// Experiment regenerates one of the paper's tables or figures by id,
+// "fig10:mobilenetv3" style suffixes picking the workload; "fidelity"
+// scores every reproduced number against the paper's. Experiments lists
+// the ids in registry order.
+var (
+	Experiment  = core.Experiment
+	Experiments = core.Experiments
+)
 
 // Measured-table calibration (sushi-bench -calibrate; sushi-server
 // -table serves from the file it writes).
@@ -358,23 +253,3 @@ var Calibrate = core.Calibrate
 
 // WriteCalibrationFile writes a calibration table file to path.
 var WriteCalibrationFile = calib.WriteFile
-
-// Experiments lists the available experiment ids, in registry order.
-func Experiments() []string {
-	out := make([]string, len(experimentRegistry))
-	for i, e := range experimentRegistry {
-		out[i] = e.id
-	}
-	return out
-}
-
-// splitID separates an "id:workload" suffix; the workload is empty when
-// absent (the registry entry's default applies).
-func splitID(id string) (string, core.Workload) {
-	for i := 0; i < len(id); i++ {
-		if id[i] == ':' {
-			return id[:i], core.Workload(id[i+1:])
-		}
-	}
-	return id, ""
-}
