@@ -151,11 +151,8 @@ var policies = [...]sched.Policy{sched.StrictAccuracy, sched.StrictLatency, sche
 
 // query validates the request and shapes it into a scheduler query.
 func (req ServeRequest) query(id int) (sched.Query, error) {
-	if req.MinAccuracy < 0 || req.MinAccuracy > 100 {
-		return sched.Query{}, errors.New("min_accuracy must be in [0, 100]")
-	}
-	if req.MaxLatencyMS < 0 {
-		return sched.Query{}, errors.New("max_latency_ms must be non-negative")
+	if err := checkConstraints(req.MinAccuracy, req.MaxLatencyMS); err != nil {
+		return sched.Query{}, err
 	}
 	if req.DeadlineMS < 0 {
 		return sched.Query{}, errors.New("deadline_ms must be non-negative")
@@ -178,6 +175,18 @@ func (req ServeRequest) query(id int) (sched.Query, error) {
 		q.Policy = &policies[p]
 	}
 	return q, nil
+}
+
+// checkConstraints holds one (A_t, L_t) pair of a request body to the
+// ranges every endpoint accepts.
+func checkConstraints(minAccuracy, maxLatencyMS float64) error {
+	if minAccuracy < 0 || minAccuracy > 100 {
+		return errors.New("min_accuracy must be in [0, 100]")
+	}
+	if maxLatencyMS < 0 {
+		return errors.New("max_latency_ms must be non-negative")
+	}
+	return nil
 }
 
 // ServeResponse is the /v1/serve response body (one NDJSON line of
@@ -452,15 +461,14 @@ func (req SimulateRequest) autoscale() *core.AutoscaleOptions {
 // the server for minutes; 100k queries stays in low seconds.
 const maxSimulateQueries = 100_000
 
-// stream materializes the request's arrival process and query stream.
+// stream materializes the request's arrival process and query stream:
+// trace points, cohort arrivals and generated arrivals alike become a
+// trace v2 that is read back the way a recorded one is.
 // dflt is the deployment's -cohorts population (nil when none), the
 // fallback for process "cohorts" without an inline spec.
 func (req SimulateRequest) stream(dflt *workload.Population) ([]serving.TimedQuery, error) {
-	if req.MinAccuracy < 0 || req.MinAccuracy > 100 {
-		return nil, errors.New("min_accuracy must be in [0, 100]")
-	}
-	if req.MaxLatencyMS < 0 {
-		return nil, errors.New("max_latency_ms must be non-negative")
+	if err := checkConstraints(req.MinAccuracy, req.MaxLatencyMS); err != nil {
+		return nil, err
 	}
 	if req.Queries > maxSimulateQueries || len(req.Trace) > maxSimulateQueries {
 		return nil, fmt.Errorf("stream length capped at %d queries", maxSimulateQueries)
@@ -473,32 +481,11 @@ func (req SimulateRequest) stream(dflt *workload.Population) ([]serving.TimedQue
 		if len(req.Trace) == 0 {
 			return nil, errors.New("process \"trace\" needs a non-empty trace")
 		}
-		tr := workload.Trace{Entries: make([]workload.TraceEntry, len(req.Trace))}
-		for i, p := range req.Trace {
-			model := p.Model
-			if model == "" {
-				model = req.Model
-			}
-			tr.Entries[i] = workload.TraceEntry{
-				Arrival:     p.ArrivalS,
-				Model:       model,
-				MinAccuracy: p.MinAccuracy,
-				MaxLatency:  p.MaxLatencyMS * 1e-3,
-			}
-		}
 		n := req.Queries
 		if n == 0 {
-			n = len(tr.Entries)
+			n = len(req.Trace)
 		}
-		qs, err := tr.Queries(n)
-		if err != nil {
-			return nil, err
-		}
-		arr, err := tr.Times(n, seed)
-		if err != nil {
-			return nil, err
-		}
-		return simq.Stream(qs, arr)
+		return req.replay(req.Trace, n)
 	}
 	if len(req.Trace) > 0 {
 		return nil, fmt.Errorf("trace given but process is %q (want \"trace\")", req.Process)
@@ -518,11 +505,11 @@ func (req SimulateRequest) stream(dflt *workload.Population) ([]serving.TimedQue
 		if pop == nil {
 			return nil, errors.New("process \"cohorts\" needs a cohorts spec (inline or the deployment's -cohorts population)")
 		}
-		qs, arr, err := pop.Queries(req.Queries, seed)
+		tr, err := pop.Record(req.Queries, seed)
 		if err != nil {
 			return nil, err
 		}
-		return simq.Stream(qs, arr)
+		return replayTrace(tr, req.Queries)
 	}
 	if req.Cohorts != "" {
 		return nil, fmt.Errorf("cohorts given but process is %q (want \"cohorts\")", req.Process)
@@ -551,19 +538,48 @@ func (req SimulateRequest) stream(dflt *workload.Population) ([]serving.TimedQue
 	if err != nil {
 		return nil, err
 	}
-	qs := make([]serving.TimedQuery, req.Queries)
-	for i := range qs {
-		qs[i] = serving.TimedQuery{
-			Query: sched.Query{
-				ID:          i,
-				Model:       req.Model,
-				MinAccuracy: req.MinAccuracy,
-				MaxLatency:  req.MaxLatencyMS * 1e-3,
-			},
-			Arrival: arr[i],
+	points := make([]TracePoint, len(arr))
+	for i, t := range arr {
+		points[i] = TracePoint{ArrivalS: t, MinAccuracy: req.MinAccuracy, MaxLatencyMS: req.MaxLatencyMS}
+	}
+	return req.replay(points, len(points))
+}
+
+// replay records points as a trace v2, one record per point (a point
+// without a model targets the request's), and replays its first n.
+func (req SimulateRequest) replay(points []TracePoint, n int) ([]serving.TimedQuery, error) {
+	tr := &workload.TraceV2{Records: make([]workload.TraceV2Record, len(points))}
+	for i, p := range points {
+		if err := checkConstraints(p.MinAccuracy, p.MaxLatencyMS); err != nil {
+			return nil, fmt.Errorf("trace point %d: %w", i, err)
+		}
+		model := p.Model
+		if model == "" {
+			model = req.Model
+		}
+		tr.Records[i] = workload.TraceV2Record{
+			Arrival:     p.ArrivalS,
+			Cohort:      -1,
+			Model:       model,
+			MinAccuracy: p.MinAccuracy,
+			MaxLatency:  p.MaxLatencyMS * 1e-3,
 		}
 	}
-	return qs, nil
+	return replayTrace(tr, n)
+}
+
+// replayTrace pairs the first n records of a trace with their arrivals,
+// the way core.ReplayTraceV2 reads one.
+func replayTrace(tr *workload.TraceV2, n int) ([]serving.TimedQuery, error) {
+	qs, err := tr.Queries(n)
+	if err != nil {
+		return nil, err
+	}
+	arr, err := tr.Times(n, 0)
+	if err != nil {
+		return nil, err
+	}
+	return simq.Stream(qs, arr)
 }
 
 // SimulateResponse is /v1/simulate's body.

@@ -419,34 +419,61 @@ func TestSimulateTraceReplay(t *testing.T) {
 	}
 }
 
+// badSimulateBodies are /v1/simulate bodies the handler must refuse
+// with a 400; FuzzSimulateStream seeds its corpus with them.
+var badSimulateBodies = map[string]string{
+	"missing queries":        `{"process": "poisson", "rate_qps": 100}`,
+	"bad process":            `{"queries": 5, "process": "lunar", "rate_qps": 100}`,
+	"zero rate":              `{"queries": 5, "process": "poisson"}`,
+	"negative queue":         `{"queries": 5, "rate_qps": 100, "queue": -1}`,
+	"bad admission":          `{"queries": 5, "rate_qps": 100, "admission": "lifo"}`,
+	"bad router":             `{"queries": 5, "rate_qps": 100, "router": "carousel"}`,
+	"unknown field":          `{"queries": 5, "rate_qps": 100, "turbo": true}`,
+	"bad accuracy":           `{"queries": 5, "rate_qps": 100, "min_accuracy": 120}`,
+	"trace wrong mode":       `{"queries": 2, "rate_qps": 100, "trace": [{"arrival_s": 0}]}`,
+	"empty trace":            `{"process": "trace"}`,
+	"bad trace order":        `{"process": "trace", "trace": [{"arrival_s": 1}, {"arrival_s": 0}]}`,
+	"trace point negative":   `{"process": "trace", "trace": [{"arrival_s": 0, "min_accuracy": -5, "max_latency_ms": -1}]}`,
+	"trace point accuracy":   `{"process": "trace", "trace": [{"arrival_s": 0}, {"arrival_s": 1, "min_accuracy": 500}]}`,
+	"negative cohort budget": `{"queries": 5, "process": "cohorts", "cohorts": "rate=10,budget=-5"}`,
+}
+
 func TestSimulateValidation(t *testing.T) {
 	ts := testServer(t, 1, "")
-	for name, body := range map[string]string{
-		"missing queries":  `{"process": "poisson", "rate_qps": 100}`,
-		"bad process":      `{"queries": 5, "process": "lunar", "rate_qps": 100}`,
-		"zero rate":        `{"queries": 5, "process": "poisson"}`,
-		"negative queue":   `{"queries": 5, "rate_qps": 100, "queue": -1}`,
-		"bad admission":    `{"queries": 5, "rate_qps": 100, "admission": "lifo"}`,
-		"bad router":       `{"queries": 5, "rate_qps": 100, "router": "carousel"}`,
-		"unknown field":    `{"queries": 5, "rate_qps": 100, "turbo": true}`,
-		"bad accuracy":     `{"queries": 5, "rate_qps": 100, "min_accuracy": 120}`,
-		"trace wrong mode": `{"queries": 2, "rate_qps": 100, "trace": [{"arrival_s": 0}]}`,
-		"empty trace":      `{"process": "trace"}`,
-		"bad trace order":  `{"process": "trace", "trace": [{"arrival_s": 1}, {"arrival_s": 0}]}`,
-	} {
+	for name, body := range badSimulateBodies {
 		resp, _ := postSimulate(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
+	// A bad trace point is named by its index.
+	var req SimulateRequest
+	if err := json.Unmarshal([]byte(badSimulateBodies["trace point accuracy"]), &req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := req.stream(nil); err == nil || !strings.Contains(err.Error(), "trace point 1") {
+		t.Errorf("bad trace point: error %v, want one naming trace point 1", err)
+	}
 }
 
-// TestSimulateHostileBodies: three bodies under 120 bytes that used to
-// spin the handler forever (an autoscale interval below the virtual
-// clock's resolution), pin it (a million-cohort population) or answer a
-// plain-text 500 (a rate whose offered load overflows to +Inf) are each
-// a prompt 400 with the usual error object, and the server answers the
-// next simulation.
+// hostileSimulateBodies used to spin, pin or crash the handler; each is
+// now a prompt 400.
+var hostileSimulateBodies = map[string]string{
+	"autoscale interval 1e-300": `{"queries":10,"rate_qps":100,"autoscale_min":1,"autoscale_max":2,"autoscale_interval_s":1e-300}`,
+	"a million cohorts":         `{"queries":10,"process":"cohorts","cohorts":"n=1000000,rate=1"}`,
+	"rate 1e308":                `{"queries":10,"rate_qps":1e308}`,
+	"diurnal rate 1e-310":       `{"queries":1,"process":"diurnal","rate_qps":1e-310,"amplitude":0.5,"period_s":1}`,
+	"diurnal rate 1e308":        `{"queries":1,"process":"diurnal","rate_qps":1e308,"amplitude":1,"period_s":1}`,
+	"onoff burst 1e-300":        `{"queries":1,"process":"onoff","burst_rate_qps":1e-300,"mean_on_s":1,"mean_off_s":1}`,
+}
+
+// TestSimulateHostileBodies: bodies under 120 bytes that used to spin
+// the handler forever (an autoscale interval below the virtual clock's
+// resolution; diurnal and on/off rates whose draws overflow or never
+// land), pin it (a million-cohort population) or answer a plain-text
+// 500 (a rate whose offered load overflows to +Inf) are each a prompt
+// 400 with the usual error object, and the server answers the next
+// simulation.
 func TestSimulateHostileBodies(t *testing.T) {
 	dep, err := core.DeployCluster(
 		core.DeployOptions{Workload: core.MobileNetV3},
@@ -458,11 +485,7 @@ func TestSimulateHostileBodies(t *testing.T) {
 	ts := httptest.NewServer(New(dep))
 	t.Cleanup(ts.Close)
 	client := &http.Client{Timeout: 5 * time.Second}
-	for name, body := range map[string]string{
-		"autoscale interval 1e-300": `{"queries":10,"rate_qps":100,"autoscale_min":1,"autoscale_max":2,"autoscale_interval_s":1e-300}`,
-		"a million cohorts":         `{"queries":10,"process":"cohorts","cohorts":"n=1000000,rate=1"}`,
-		"rate 1e308":                `{"queries":10,"rate_qps":1e308}`,
-	} {
+	for name, body := range hostileSimulateBodies {
 		resp, err := client.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)

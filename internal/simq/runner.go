@@ -8,58 +8,12 @@ import (
 	"sushi/internal/serving"
 )
 
-// arrivalSource feeds the runner its time-ordered arrival stream. The
-// two implementations are sliceSource (a materialized, validated,
-// interned stream — the Run path) and processSource (arrivals drawn
-// lazily from a workload stream — the RunProcess path).
-type arrivalSource interface {
-	// peek returns the next arrival instant without consuming it (+Inf
-	// when exhausted or failed).
-	peek() float64
-	// next consumes the next arrival. The job is the source's own and
-	// stays valid until the following next; the runner copies it into a
-	// replica queue.
-	next() *job
-	// err reports a mid-stream generation failure (lazy sources only).
-	err() error
-	// span reports the first and last consumed arrival instants and the
-	// consumed count, for the offered-rate aggregate.
-	span() (first, last float64, n int)
-}
-
-// sliceSource streams a materialized arrival-ordered slice.
-type sliceSource struct {
-	jobs []job
-	i    int
-}
-
-func (s *sliceSource) peek() float64 {
-	if s.i >= len(s.jobs) {
-		return math.Inf(1)
-	}
-	return s.jobs[s.i].arrival
-}
-
-func (s *sliceSource) next() *job {
-	j := &s.jobs[s.i]
-	s.i++
-	return j
-}
-
-func (s *sliceSource) err() error { return nil }
-
-func (s *sliceSource) span() (float64, float64, int) {
-	if len(s.jobs) == 0 {
-		return 0, 0, 0
-	}
-	return s.jobs[0].arrival, s.jobs[len(s.jobs)-1].arrival, len(s.jobs)
-}
-
-// processSource draws arrivals lazily from a generator stream, minting
-// and interning each query at its arrival instant. Invalid draws (NaN,
-// infinite, negative, decreasing) and queries the interner refuses fail
-// the run mid-stream; earlier queries have already mutated replica
-// cache state by then, which is the documented price of laziness.
+// processSource feeds the runner arrivals drawn lazily from a stream,
+// minting and interning each query at its arrival instant. Invalid
+// draws (NaN, infinite, negative, decreasing) and queries the interner
+// refuses fail the run mid-stream; earlier queries have already mutated
+// replica cache state by then, which is the documented price of
+// laziness (Run validates its whole stream before feeding it here).
 type processSource struct {
 	n    int
 	i    int
@@ -69,8 +23,7 @@ type processSource struct {
 
 	buffered    bool
 	buf         job
-	prev        float64
-	first, last float64
+	first, prev float64 // first and latest drawn instants
 	e           error
 }
 
@@ -103,10 +56,11 @@ func (s *processSource) fill() {
 	if s.i == 0 {
 		s.first = t
 	}
-	s.last = t
 	s.buffered = true
 }
 
+// peek returns the next arrival instant without consuming it (+Inf
+// when exhausted or failed).
 func (s *processSource) peek() float64 {
 	s.fill()
 	if !s.buffered {
@@ -115,18 +69,17 @@ func (s *processSource) peek() float64 {
 	return s.buf.arrival
 }
 
+// next consumes the next arrival. The job is the source's own and stays
+// valid until the following next; the runner copies it into a replica
+// queue.
 func (s *processSource) next() *job {
 	s.i++
 	s.buffered = false
 	return &s.buf
 }
 
-func (s *processSource) err() error { return s.e }
-
-func (s *processSource) span() (float64, float64, int) { return s.first, s.last, s.i }
-
 // runner is the engine's hot path: one event loop over the fleet,
-// driven by the packed event heap and an arrival source.
+// driven by the packed event heap and the arrival source.
 //
 // All scratch buffers (batch members, debited/offered query slices,
 // served outcomes) are reused across flushes: after warm-up the
@@ -137,7 +90,7 @@ type runner struct {
 	states []replicaState
 	accs   []serving.Accumulator
 	heap   eventHeap
-	src    arrivalSource
+	src    *processSource
 
 	ctl      *elasticState
 	admit    []*serving.Replica
@@ -416,7 +369,7 @@ func (r *runner) run() error {
 			if r.ctl != nil && r.ctl.evalsLeft == 0 {
 				return &EvalLimitError{Interval: r.ctl.cfg.Interval, Queries: r.res.Queries}
 			}
-			return r.src.err()
+			return r.src.e
 		}
 		// An elastic run out of evaluation budget keeps the fleet it has
 		// and drains, so every reservation on the (shared) replicas is

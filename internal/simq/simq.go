@@ -456,8 +456,9 @@ func (e *Engine) Run(qs []serving.TimedQuery) (*Result, error) {
 	// Every generated arrival process yields non-decreasing instants;
 	// one linear pass detects that and skips the sort (trace replay
 	// stays correct: an out-of-order trace still sorts).
-	if !nonDecreasing(jobs) {
-		sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].arrival < jobs[j].arrival })
+	less := func(i, j int) bool { return jobs[i].arrival < jobs[j].arrival }
+	if !sort.SliceIsSorted(jobs, less) {
+		sort.SliceStable(jobs, less)
 	}
 	// Intern upfront, in arrival order: an unknown model (or policy, or
 	// one class too many) rejects the whole stream before any query is
@@ -466,12 +467,22 @@ func (e *Engine) Run(qs []serving.TimedQuery) (*Result, error) {
 	// canonical model ids.
 	in := &interner{e: e}
 	for i := range jobs {
-		jobs[i].idx = i
 		if err := in.admit(&jobs[i]); err != nil {
 			return nil, err
 		}
 	}
-	return e.run(&sliceSource{jobs: jobs}, len(jobs), in)
+	// The sorted, interned jobs replay through the lazy path: their
+	// queries come back canonical, so admitting them again is a no-op.
+	k := 0
+	return e.run(&processSource{
+		n:  len(jobs),
+		in: in,
+		draw: func() (float64, bool) {
+			k++
+			return jobs[k-1].arrival, true
+		},
+		mk: func(i int, _ float64) sched.Query { return jobs[i].q },
+	})
 }
 
 // RunProcess plays n queries through the cluster with arrival instants
@@ -489,18 +500,7 @@ func (e *Engine) RunProcess(n int, stream func() (float64, bool), mk func(i int,
 	if stream == nil || mk == nil {
 		return nil, fmt.Errorf("simq: RunProcess needs an arrival stream and a query maker")
 	}
-	in := &interner{e: e}
-	return e.run(&processSource{n: n, draw: stream, mk: mk, in: in}, n, in)
-}
-
-// nonDecreasing reports whether arrivals are already in time order.
-func nonDecreasing(jobs []job) bool {
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i].arrival < jobs[i-1].arrival {
-			return false
-		}
-	}
-	return true
+	return e.run(&processSource{n: n, draw: stream, mk: mk, in: &interner{e: e}})
 }
 
 // newResult preallocates the per-run result skeleton.
@@ -526,9 +526,9 @@ func newStates(n int) []replicaState {
 	return states
 }
 
-// run drives the whole fleet with one runner; in is the interner src
-// admits its queries through.
-func (e *Engine) run(src arrivalSource, n int, in *interner) (*Result, error) {
+// run drives the whole fleet with one runner over src's n queries.
+func (e *Engine) run(src *processSource) (*Result, error) {
+	n := src.n
 	r := &runner{
 		e:      e,
 		res:    e.newResult(n),
@@ -565,7 +565,7 @@ func (e *Engine) run(src arrivalSource, n int, in *interner) (*Result, error) {
 	if err := r.run(); err != nil {
 		return nil, err
 	}
-	r.res.classes = in.classes
+	r.res.classes = src.in.classes
 	e.finish(r)
 	return r.res, nil
 }
@@ -579,9 +579,10 @@ func (e *Engine) finish(r *runner) {
 		merged.Merge(&r.accs[i])
 	}
 	res.Summary = merged.Summary()
-	if first, last, n := r.src.span(); n > 1 {
-		if span := last - first; span > 0 {
-			res.OfferedRate = float64(n-1) / span
+	// Every draw was consumed, so the latest one is the last arrival.
+	if src := r.src; src.i > 1 {
+		if span := src.prev - src.first; span > 0 {
+			res.OfferedRate = float64(src.i-1) / span
 		}
 	}
 	// Fleet cost: admitting-capacity integral in replica-seconds. A

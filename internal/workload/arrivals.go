@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"sushi/internal/sched"
 )
 
 // ArrivalProcess generates open-loop arrival times for the simq engine:
@@ -120,6 +118,11 @@ func (p OnOff) Stream(seed int64) (ArrivalStream, error) {
 	if !(p.MeanOn > 0) || !(p.MeanOff > 0) {
 		return nil, fmt.Errorf("workload: non-positive sojourn means (%g, %g)", p.MeanOn, p.MeanOff)
 	}
+	// A draw that falls past a state boundary costs one sojourn: a cycle
+	// expecting under 1/256 arrivals would spin on every draw.
+	if perCycle := p.OnRate*p.MeanOn + p.OffRate*p.MeanOff; !(perCycle*256 >= 1) {
+		return nil, fmt.Errorf("workload: an on/off cycle expects %g arrivals, under 1/256", perCycle)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	t := 0.0
 	on := !p.StartOff
@@ -202,119 +205,22 @@ func (p Diurnal) Stream(seed int64) (ArrivalStream, error) {
 	if math.IsNaN(p.Phase) || math.IsInf(p.Phase, 0) {
 		return nil, fmt.Errorf("workload: non-finite phase %g", p.Phase)
 	}
-	rng := rand.New(rand.NewSource(seed))
 	lambdaMax := p.BaseRate * (1 + p.Amplitude)
+	if math.IsInf(lambdaMax, 0) {
+		return nil, fmt.Errorf("workload: peak rate %g overflows", lambdaMax)
+	}
+	rng := rand.New(rand.NewSource(seed))
 	t := 0.0
 	return func() (float64, bool) {
 		for {
 			t += rng.ExpFloat64() / lambdaMax
+			if math.IsInf(t, 1) {
+				return t, true // no candidate past +Inf is ever accepted
+			}
 			lambda := p.BaseRate * (1 + p.Amplitude*math.Sin(2*math.Pi*t/p.Period+p.Phase))
 			if rng.Float64()*lambdaMax <= lambda {
 				return t, true
 			}
 		}
 	}, nil
-}
-
-// TraceEntry is one recorded query of a replayable trace: its arrival
-// instant, the model it targeted and the (A_t, L_t) constraint pair it
-// carried.
-type TraceEntry struct {
-	// Arrival is seconds since stream start.
-	Arrival float64
-	// Model is the query's target model on multi-tenant fleets (""
-	// resolves to the deployment default) — a trace with per-entry
-	// models replays a multi-tenant production log.
-	Model string
-	// MinAccuracy is A_t in top-1 percent.
-	MinAccuracy float64
-	// MaxLatency is L_t in seconds.
-	MaxLatency float64
-}
-
-// Trace replays recorded (arrival, A_t, L_t) tuples — the path from a
-// production log (or a previous simulation) back into the engine. It is
-// deterministic by construction; the seed is ignored.
-type Trace struct {
-	Entries []TraceEntry
-}
-
-// Name implements ArrivalProcess.
-func (p Trace) Name() string { return "trace" }
-
-// Validate rejects empty, negative or out-of-order traces.
-func (p Trace) Validate() error {
-	if len(p.Entries) == 0 {
-		return fmt.Errorf("workload: empty trace")
-	}
-	prev := 0.0
-	for i, e := range p.Entries {
-		if !(e.Arrival >= 0) {
-			return fmt.Errorf("workload: trace entry %d has invalid arrival %g", i, e.Arrival)
-		}
-		if e.Arrival < prev {
-			return fmt.Errorf("workload: trace entry %d arrives before its predecessor (%g < %g)", i, e.Arrival, prev)
-		}
-		prev = e.Arrival
-	}
-	return nil
-}
-
-// Times implements ArrivalProcess: the first n recorded arrivals.
-func (p Trace) Times(n int, _ int64) ([]float64, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: non-positive count %d", n)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if n > len(p.Entries) {
-		return nil, fmt.Errorf("workload: trace has %d entries, %d requested", len(p.Entries), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = p.Entries[i].Arrival
-	}
-	return out, nil
-}
-
-// Stream implements ArrivalProcess: recorded arrivals replayed in
-// order, the stream exhausting at the trace's end (the seed is ignored).
-func (p Trace) Stream(_ int64) (ArrivalStream, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	i := 0
-	return func() (float64, bool) {
-		if i >= len(p.Entries) {
-			return 0, false
-		}
-		t := p.Entries[i].Arrival
-		i++
-		return t, true
-	}, nil
-}
-
-// Queries shapes the trace's constraint tuples into a query stream
-// aligned with Times.
-func (p Trace) Queries(n int) ([]sched.Query, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: non-positive count %d", n)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if n > len(p.Entries) {
-		return nil, fmt.Errorf("workload: trace has %d entries, %d requested", len(p.Entries), n)
-	}
-	out := make([]sched.Query, n)
-	for i := range out {
-		out[i] = sched.Query{
-			ID:          i,
-			Model:       p.Entries[i].Model,
-			MinAccuracy: p.Entries[i].MinAccuracy,
-			MaxLatency:  p.Entries[i].MaxLatency,
-		}
-	}
-	return out, nil
 }

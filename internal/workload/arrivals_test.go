@@ -41,7 +41,7 @@ func checkDeterministic(t *testing.T, p ArrivalProcess, n int) {
 			t.Fatalf("%s: same seed differs at %d", p.Name(), i)
 		}
 	}
-	if _, isTrace := p.(Trace); isTrace {
+	if _, isTrace := p.(*TraceV2); isTrace {
 		return // traces ignore the seed by design
 	}
 	c, err := p.Times(n, 8)
@@ -119,6 +119,7 @@ func TestOnOffProcess(t *testing.T) {
 		{OnRate: 10, OffRate: -1, MeanOn: 1, MeanOff: 1},
 		{OnRate: 10, OffRate: 1, MeanOn: 0, MeanOff: 1},
 		{OnRate: 10, OffRate: 1, MeanOn: 1, MeanOff: 0},
+		{OnRate: 1e-300, OffRate: 0, MeanOn: 1, MeanOff: 1}, // a draw would never land
 	} {
 		if _, err := bad.Times(10, 1); err == nil {
 			t.Errorf("invalid %+v accepted", bad)
@@ -159,6 +160,7 @@ func TestDiurnalProcess(t *testing.T) {
 		{BaseRate: 10, Amplitude: -0.1, Period: 1},
 		{BaseRate: 10, Amplitude: 1.1, Period: 1},
 		{BaseRate: 10, Amplitude: 0.5, Period: 0},
+		{BaseRate: 1e308, Amplitude: 1, Period: 1}, // peak rate overflows
 	} {
 		if _, err := bad.Times(10, 1); err == nil {
 			t.Errorf("invalid %+v accepted", bad)
@@ -167,10 +169,10 @@ func TestDiurnalProcess(t *testing.T) {
 }
 
 func TestTraceProcess(t *testing.T) {
-	tr := Trace{Entries: []TraceEntry{
-		{Arrival: 0, MinAccuracy: 70, MaxLatency: 5e-3},
-		{Arrival: 0.01, MinAccuracy: 75, MaxLatency: 4e-3},
-		{Arrival: 0.02, MinAccuracy: 80, MaxLatency: 3e-3},
+	tr := &TraceV2{Records: []TraceV2Record{
+		{Arrival: 0, Cohort: -1, MinAccuracy: 70, MaxLatency: 5e-3},
+		{Arrival: 0.01, Cohort: -1, MinAccuracy: 75, MaxLatency: 4e-3},
+		{Arrival: 0.02, Cohort: -1, MinAccuracy: 80, MaxLatency: 3e-3},
 	}}
 	arr, err := tr.Times(3, 99)
 	if err != nil {
@@ -188,14 +190,14 @@ func TestTraceProcess(t *testing.T) {
 	if _, err := tr.Times(4, 1); err == nil {
 		t.Error("overlong request accepted")
 	}
-	if _, err := (Trace{}).Times(1, 1); err == nil {
+	if _, err := (&TraceV2{}).Times(1, 1); err == nil {
 		t.Error("empty trace accepted")
 	}
-	bad := Trace{Entries: []TraceEntry{{Arrival: 1}, {Arrival: 0.5}}}
+	bad := &TraceV2{Records: []TraceV2Record{{Arrival: 1, Cohort: -1}, {Arrival: 0.5, Cohort: -1}}}
 	if _, err := bad.Times(2, 1); err == nil {
 		t.Error("out-of-order trace accepted")
 	}
-	neg := Trace{Entries: []TraceEntry{{Arrival: -1}}}
+	neg := &TraceV2{Records: []TraceV2Record{{Arrival: -1, Cohort: -1}}}
 	if _, err := neg.Times(1, 1); err == nil {
 		t.Error("negative arrival accepted")
 	}

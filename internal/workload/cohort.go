@@ -294,6 +294,16 @@ func (c Cohort) Validate() error {
 	if err := c.Accuracy.Validate(); err != nil {
 		return fmt.Errorf("workload: cohort accuracy: %w", err)
 	}
+	for _, v := range c.Budget.Values {
+		if v < 0 {
+			return fmt.Errorf("workload: negative cohort budget %g", v)
+		}
+	}
+	for _, v := range c.Accuracy.Values {
+		if v < 0 || v > 100 {
+			return fmt.Errorf("workload: cohort accuracy floor %g outside [0, 100]", v)
+		}
+	}
 	return nil
 }
 
@@ -371,8 +381,6 @@ func (p Population) Labeled(seed int64) (func() (CohortArrival, bool), error) {
 	n := len(p.Cohorts)
 	streams := make([]ArrivalStream, n)
 	marks := make([]*rand.Rand, n)
-	next := make([]float64, n)
-	live := make([]bool, n)
 	for i, c := range p.Cohorts {
 		proc, err := c.process()
 		if err != nil {
@@ -385,63 +393,29 @@ func (p Population) Labeled(seed int64) (func() (CohortArrival, bool), error) {
 		if n > 1 {
 			s = componentSeed(seed, i)
 		}
-		st, err := proc.Stream(s)
-		if err != nil {
+		if streams[i], err = proc.Stream(s); err != nil {
 			return nil, fmt.Errorf("workload: population cohort %d: %w", i, err)
 		}
-		streams[i] = st
 		marks[i] = rand.New(rand.NewSource(componentSeed(seed, n+i)))
-		next[i], live[i] = st()
 	}
+	mg := newMerge(streams)
 	return func() (CohortArrival, bool) {
-		best := -1
-		for i := range streams {
-			if live[i] && (best < 0 || next[i] < next[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
+		i, t, ok := mg.pop()
+		if !ok {
 			return CohortArrival{}, false
 		}
-		c := &p.Cohorts[best]
-		a := CohortArrival{
-			T:      next[best],
-			Cohort: best,
+		c := &p.Cohorts[i]
+		return CohortArrival{
+			T:      t,
+			Cohort: i,
 			Query: sched.Query{
 				Model:       c.Model,
 				Class:       c.SLOClass,
-				MaxLatency:  c.Budget.draw(marks[best]),
-				MinAccuracy: c.Accuracy.draw(marks[best]),
+				MaxLatency:  c.Budget.draw(marks[i]),
+				MinAccuracy: c.Accuracy.draw(marks[i]),
 			},
-		}
-		next[best], live[best] = streams[best]()
-		return a, true
+		}, true
 	}, nil
-}
-
-// Queries materializes the first n arrivals as a query stream with
-// sequential IDs, aligned with the returned arrival instants.
-func (p Population) Queries(n int, seed int64) ([]sched.Query, []float64, error) {
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("workload: non-positive count %d", n)
-	}
-	ls, err := p.Labeled(seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	qs := make([]sched.Query, n)
-	ts := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a, ok := ls()
-		if !ok {
-			return nil, nil, fmt.Errorf("workload: population stream exhausted after %d of %d arrivals", i, n)
-		}
-		q := a.Query
-		q.ID = i
-		qs[i] = q
-		ts[i] = a.T
-	}
-	return qs, ts, nil
 }
 
 // Record materializes the first n arrivals into a replayable trace v2:

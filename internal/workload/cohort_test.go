@@ -115,7 +115,11 @@ func TestEmpiricalDistribution(t *testing.T) {
 	// Draw through a single-cohort population (the only draw path): the
 	// empirical mix of budgets must track the weights.
 	pop := Population{Cohorts: []Cohort{{Rate: 100, Budget: e}}}
-	qs, _, err := pop.Queries(4000, 5)
+	tr, err := pop.Record(4000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := tr.Queries(4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +261,8 @@ func TestParsePopulation(t *testing.T) {
 		"rate=1,color=blue",        // unknown field
 		"rate=1,shape=-2,ia=gamma", // invalid shape
 		"n=4097,rate=1",            // past the cohort cap
+		"rate=1,budget=8|-5",       // negative budget
+		"rate=1,acc=70|500",        // accuracy floor past 100
 	} {
 		if _, err := ParsePopulation(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)

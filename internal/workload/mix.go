@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -72,81 +71,94 @@ func (m Mix) Times(n int, seed int64) ([]float64, error) {
 	return times, err
 }
 
-// Stream implements ArrivalProcess: the lazy superposition of the
-// component streams, merged in time order with ties breaking toward the
-// lower component index — the same order Labeled produces, so the k-th draw
-// equals Times(n, seed)[k] for any n > k (as long as no finite
-// component exhausts early). Model labels are discarded; multi-tenant
-// callers want Labeled.
-func (m Mix) Stream(seed int64) (ArrivalStream, error) {
+// merge is the lazy superposition behind Mix and Population: each pop
+// yields the earliest pending arrival of its streams, ties going to the
+// lower stream index, and advances that stream.
+type merge struct {
+	streams []ArrivalStream
+	next    []float64
+	live    []bool
+}
+
+// newMerge primes every stream with its first draw.
+func newMerge(streams []ArrivalStream) *merge {
+	m := &merge{streams: streams, next: make([]float64, len(streams)), live: make([]bool, len(streams))}
+	for i, st := range streams {
+		m.next[i], m.live[i] = st()
+	}
+	return m
+}
+
+// pop returns the earliest pending arrival and the index of the stream
+// it came from; ok is false once every stream is exhausted.
+func (m *merge) pop() (i int, t float64, ok bool) {
+	i = -1
+	for k := range m.streams {
+		if m.live[k] && (i < 0 || m.next[k] < m.next[i]) {
+			i = k
+		}
+	}
+	if i < 0 {
+		return -1, 0, false
+	}
+	t = m.next[i]
+	m.next[i], m.live[i] = m.streams[i]()
+	return i, t, true
+}
+
+// merged validates the mix and merges its seeded component streams.
+func (m Mix) merged(seed int64) (*merge, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	streams := make([]ArrivalStream, len(m.Components))
-	next := make([]float64, len(m.Components))
-	live := make([]bool, len(m.Components))
 	for i, c := range m.Components {
 		st, err := c.Process.Stream(componentSeed(seed, i))
 		if err != nil {
 			return nil, fmt.Errorf("workload: mix component %d (%q): %w", i, c.Model, err)
 		}
 		streams[i] = st
-		next[i], live[i] = st()
+	}
+	return newMerge(streams), nil
+}
+
+// Stream implements ArrivalProcess: the lazy superposition of the
+// component streams, in the order Labeled produces, so the k-th draw
+// equals Times(n, seed)[k] for any n > k. Model labels are discarded;
+// multi-tenant callers want Labeled.
+func (m Mix) Stream(seed int64) (ArrivalStream, error) {
+	mg, err := m.merged(seed)
+	if err != nil {
+		return nil, err
 	}
 	return func() (float64, bool) {
-		best := -1
-		for i := range streams {
-			if live[i] && (best < 0 || next[i] < next[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		t := next[best]
-		next[best], live[best] = streams[best]()
-		return t, true
+		_, t, ok := mg.pop()
+		return t, ok
 	}, nil
 }
 
 // Labeled draws the first n arrivals of the superposed mix together
 // with the model label of each arrival, both aligned by index. Ties in
 // arrival time break toward the lower component index, so the merge is
-// deterministic.
+// deterministic. A finite component (a trace) that runs out early only
+// stops contributing: the call fails only when the union of all
+// components holds fewer than n arrivals.
 func (m Mix) Labeled(n int, seed int64) ([]float64, []string, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("workload: non-positive count %d", n)
 	}
-	if err := m.Validate(); err != nil {
+	mg, err := m.merged(seed)
+	if err != nil {
 		return nil, nil, err
 	}
-	type labelled struct {
-		t    float64
-		comp int
-	}
-	all := make([]labelled, 0, n*len(m.Components))
-	for i, c := range m.Components {
-		// Each component draws n arrivals: the union then always holds at
-		// least n, whatever the rate imbalance.
-		ts, err := c.Process.Times(n, componentSeed(seed, i))
-		if err != nil {
-			return nil, nil, fmt.Errorf("workload: mix component %d (%q): %w", i, c.Model, err)
-		}
-		for _, t := range ts {
-			all = append(all, labelled{t, i})
-		}
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].t != all[b].t {
-			return all[a].t < all[b].t
-		}
-		return all[a].comp < all[b].comp
-	})
 	times := make([]float64, n)
 	models := make([]string, n)
-	for i := 0; i < n; i++ {
-		times[i] = all[i].t
-		models[i] = m.Components[all[i].comp].Model
+	for k := range times {
+		i, t, ok := mg.pop()
+		if !ok {
+			return nil, nil, fmt.Errorf("workload: stream exhausted after %d of %d arrivals", k, n)
+		}
+		times[k], models[k] = t, m.Components[i].Model
 	}
 	return times, models, nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +108,43 @@ func TestMixValidation(t *testing.T) {
 	}
 	if _, _, err := (Mix{Components: []MixComponent{{Model: "a", Process: Poisson{}}}}).Labeled(5, 1); err == nil {
 		t.Error("invalid component process accepted")
+	}
+}
+
+// TestMixShortComponent: a finite component (a 3-record trace) that
+// runs out early only stops contributing; the mix fails only once the
+// union of its components runs dry.
+func TestMixShortComponent(t *testing.T) {
+	trace := &TraceV2{Records: []TraceV2Record{
+		{Arrival: 0, Cohort: -1},
+		{Arrival: 0.001, Cohort: -1},
+		{Arrival: 0.002, Cohort: -1},
+	}}
+	m := Mix{Components: []MixComponent{
+		{Model: "trace", Process: trace},
+		{Model: "poisson", Process: Poisson{Rate: 100}},
+	}}
+	ts, ls, err := m.Labeled(10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStream(t, ts, 10)
+	fromTrace := 0
+	for _, l := range ls {
+		if l == "trace" {
+			fromTrace++
+		}
+	}
+	if fromTrace != 3 {
+		t.Errorf("%d of 10 arrivals from the 3-record trace, want 3", fromTrace)
+	}
+	dry := Mix{Components: []MixComponent{
+		{Model: "a", Process: trace},
+		{Model: "b", Process: trace},
+	}}
+	_, _, err = dry.Labeled(10, 1)
+	if err == nil || !strings.Contains(err.Error(), "exhausted after 6 of 10") {
+		t.Errorf("two 3-record traces asked for 10 arrivals: err %v, want the exhaustion error", err)
 	}
 }
 

@@ -10,14 +10,13 @@ import (
 	"sushi/internal/sched"
 )
 
-// Trace v2 is the versioned, self-describing replay format superseding
-// the bare (arrival, A_t, L_t) tuples of Trace: a header carrying the
-// format version, the generating seed and the cohort table, then one
-// fixed-shape record per arrival with the instant, the producing
-// cohort, the target model, the SLO class and the drawn constraint
-// pair. Floats travel as IEEE-754 bits, so a recorded simulation
-// replays bit-exactly; strings are interned in a table so
-// million-record traces stay compact.
+// Trace v2 is the package's one replay format, versioned and
+// self-describing: a header carrying the format version, the generating
+// seed and the cohort table, then one fixed-shape record per arrival
+// with the instant, the producing cohort, the target model, the SLO
+// class and the drawn constraint pair. Floats travel as IEEE-754 bits,
+// so a recorded simulation replays bit-exactly; strings are interned in
+// a table so million-record traces stay compact.
 //
 // Wire layout (little-endian):
 //
@@ -172,21 +171,9 @@ func (t *TraceV2) Validate() error {
 
 // Times implements ArrivalProcess: the first n recorded arrivals (the
 // seed is ignored; replay is deterministic by construction).
-func (t *TraceV2) Times(n int, _ int64) ([]float64, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: non-positive count %d", n)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if n > len(t.Records) {
-		return nil, fmt.Errorf("workload: trace has %d records, %d requested", len(t.Records), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = t.Records[i].Arrival
-	}
-	return out, nil
+func (t *TraceV2) Times(n int, seed int64) ([]float64, error) {
+	stream, err := t.Stream(seed)
+	return collect(n, stream, err)
 }
 
 // Stream implements ArrivalProcess: recorded arrivals replayed in order,
