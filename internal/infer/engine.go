@@ -21,11 +21,15 @@ import (
 // int32 accumulator for the fully-connected and pooling layers only,
 // since convolutions requantize in their kernels' epilogue; the
 // kernels' pack buffers) and memoizes each SubNet's plan — per layer,
-// its role, parameters, materialized weights, per-channel weight sums
-// and weight bound — so the steady state of ForwardBatchInto allocates
+// its role, parameters, weight panel, per-channel weight sums and
+// weight bound — so the steady state of ForwardBatchInto allocates
 // nothing, derives nothing and runs through the blocked kernels.
 // Results are bit-identical to ForwardReference, the original unblocked
 // pipeline kept as the oracle.
+//
+// Weights are Subgraph Stationary: one image per (elastic layer, kernel
+// size) holds the union of the SubNets' weights, not their sum, and
+// every plan's panel is a view of an image's top-left corner.
 //
 // An Engine is NOT safe for concurrent use; give each goroutine its
 // own (they share nothing but the WeightStore, which is read-only).
@@ -38,7 +42,23 @@ type Engine struct {
 	workers int
 	pool    *tensor.Pool
 	prep    map[*supernet.SubNet]*prepared
+	images  map[imageKey]*image
 	a       arena
+}
+
+// imageKey names one weight image: an elastic layer at one kernel
+// size. A kernel crop (a 3x3 under a 7x7) gets its own image, since its
+// weights are not a corner of the larger kernel's rows.
+type imageKey struct{ layer, kern int }
+
+// image is the packed [k, c, kern, kern] weights of one imageKey: the
+// bounding box of every panel the engine has prepared from it, rows
+// c·kern² apart. views lists the steps whose panels are its corners, so
+// growing the box re-points them.
+type image struct {
+	k, c  int
+	data  []int8
+	views []*step
 }
 
 // prepared is the per-SubNet state the engine computes once: the layer
@@ -63,13 +83,53 @@ type step struct {
 	cp                tensor.ConvParams
 	// q requantizes the layer's accumulators.
 	q tensor.QuantParams
-	// w is the materialized weight tensor (a flattened row-major [K][D]
-	// panel — KCRS storage is already the GEMM layout) and wsum its
-	// per-output-channel sums for the zero-point correction; wMax is
-	// its largest |w|, which sets the kernels' lane chunks.
-	w    *tensor.Int8
+	// w is the layer's [K, C, kern, kern] weight panel, a view of its
+	// image whose rows (KCRS storage is already the GEMM layout) sit ld
+	// apart; wsum is its per-output-channel sums for the zero-point
+	// correction and wMax its largest |w|, which sets the kernels' lane
+	// chunks.
+	w    tensor.Int8
+	ld   int
 	wsum []int32
 	wMax int
+}
+
+// point re-slices st's panel out of im.
+func (st *step) point(im *image) {
+	s := st.w.Shape
+	st.ld = im.c * s.H * s.W
+	st.w.Data = im.data[:(s.N-1)*st.ld+s.C*s.H*s.W]
+}
+
+// view makes st's weight panel a corner of its layer's image, growing
+// the image (and re-pointing its other views) when the panel falls
+// outside the box prepared so far.
+func (e *Engine) view(st *step) error {
+	l := st.l
+	d := panelDims(l)
+	key := imageKey{l.BlockID, l.R}
+	im := e.images[key]
+	if im == nil {
+		im = &image{}
+		e.images[key] = im
+	}
+	if d.K > im.k || d.C > im.c {
+		box := supernet.LayerDims{K: max(d.K, im.k), C: max(d.C, im.c)}
+		w, err := e.ws.LayerWeights(l.BlockID, box, l.R)
+		if err != nil {
+			return err
+		}
+		im.k, im.c, im.data = box.K, box.C, w.Data
+		for _, v := range im.views {
+			v.point(im)
+		}
+	}
+	st.w.Shape = tensor.Shape{N: d.K, C: d.C, H: l.R, W: l.R}
+	st.point(im)
+	im.views = append(im.views, st)
+	st.wsum = make([]int32, d.K)
+	st.wMax = tensor.WeightSums(st.wsum, &st.w, st.ld)
+	return nil
 }
 
 // arena is the engine's reusable buffer set. act rotates through layer
@@ -101,7 +161,8 @@ func (a *arena) presize(p *prepared, batch int) {
 // NewEngine builds an engine over a weight store. The kernel pool
 // defaults to GOMAXPROCS workers (SetWorkers overrides).
 func NewEngine(ws *WeightStore) *Engine {
-	return &Engine{ws: ws, zp: 0, workers: runtime.GOMAXPROCS(0)}
+	return &Engine{ws: ws, zp: 0, workers: runtime.GOMAXPROCS(0),
+		prep: map[*supernet.SubNet]*prepared{}, images: map[imageKey]*image{}}
 }
 
 // SetWorkers bounds the kernel worker pool (n <= 0 resets to
@@ -145,21 +206,12 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 	if p, ok := e.prep[sn]; ok {
 		return p, nil
 	}
-	weights, err := e.ws.SubNetWeights(sn)
-	if err != nil {
-		return nil, err
-	}
 	p := &prepared{steps: make([]step, len(sn.Model.Layers))}
 	shortcut := false
 	for i := range sn.Model.Layers {
 		l := &sn.Model.Layers[i]
 		st := &p.steps[i]
-		*st = step{l: l, w: weights[i]}
-		if st.w != nil {
-			st.wsum = make([]int32, st.w.Shape.N)
-			tensor.WeightSums(st.wsum, st.w)
-			st.wMax = tensor.WeightBound(st.w)
-		}
+		st.l = l
 		if strings.HasSuffix(l.Name, ".conv1") || strings.HasSuffix(l.Name, ".expand") {
 			st.entry, shortcut = true, true
 		}
@@ -183,12 +235,12 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 			}
 		case nn.Linear:
 			st.q = e.staticScale(l.C)
-			p.accMax = maxInt(p.accMax, l.K)
+			p.accMax = max(p.accMax, l.K)
 		case nn.Pool:
 			outC = l.C
 			st.q = tensor.QuantParams{Scale: 1.0 / float64(l.InH*l.InW), ZeroPoint: 0}
 			if l.OutH == 1 && l.OutW == 1 {
-				p.accMax = maxInt(p.accMax, l.C)
+				p.accMax = max(p.accMax, l.C)
 			}
 		case nn.Add:
 			if !shortcut {
@@ -198,10 +250,16 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 		default:
 			return nil, fmt.Errorf("infer: %s: unsupported kind %v", l.Name, l.Kind)
 		}
-		p.actMax = maxInt(p.actMax, maxInt(inElems, outC*l.OutH*l.OutW))
+		p.actMax = max(p.actMax, max(inElems, outC*l.OutH*l.OutW))
 	}
-	if e.prep == nil {
-		e.prep = make(map[*supernet.SubNet]*prepared)
+	// Panels are viewed only once the plan is valid, so a plan rejected
+	// for its structure leaves no view behind.
+	for i := range p.steps {
+		if st := &p.steps[i]; st.l.WeightBytes() > 0 {
+			if err := e.view(st); err != nil {
+				return nil, fmt.Errorf("infer: %s: %w", st.l.Name, err)
+			}
+		}
 	}
 	e.prep[sn] = p
 	return p, nil
@@ -228,16 +286,11 @@ func (e *Engine) Forward(sn *supernet.SubNet, input *tensor.Int8) (*tensor.Int8,
 // this); a parallel pool adds a bounded handful of closure allocations
 // per layer.
 func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch int, dst *tensor.Int8) error {
-	if sn == nil || sn.Model == nil || len(sn.Model.Layers) == 0 {
-		return fmt.Errorf("infer: nil or empty SubNet")
+	if err := checkInput(sn, input); err != nil {
+		return err
 	}
 	if batch <= 0 {
 		batch = input.Shape.N
-	}
-	first := &sn.Model.Layers[0]
-	if input.Shape.C != first.C || input.Shape.H != first.InH || input.Shape.W != first.InW {
-		return fmt.Errorf("infer: input %v does not match first layer (C=%d, %dx%d)",
-			input.Shape, first.C, first.InH, first.InW)
 	}
 	if input.Shape.N != batch && input.Shape.N != 1 {
 		return fmt.Errorf("infer: input batch %d incompatible with requested batch %d",
@@ -288,7 +341,7 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 			if st.downsample {
 				src = &a.act[held]
 			}
-			if err := tensor.Conv2DRequantInto(y, src, st.w, e.zp, st.cp, st.wsum, st.wMax, st.q, &a.sc, e.pool); err != nil {
+			if err := tensor.Conv2DRequantInto(y, src, &st.w, st.ld, e.zp, st.cp, st.wsum, st.wMax, st.q, &a.sc, e.pool); err != nil {
 				return fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
 			if st.downsample {
@@ -296,7 +349,7 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 				continue
 			}
 		case nn.Linear:
-			if err := tensor.LinearBlockedInto(&a.acc, x, st.w, e.zp, st.wsum, &a.sc, e.pool); err != nil {
+			if err := tensor.LinearBlockedInto(&a.acc, x, &st.w, st.ld, e.zp, st.wsum, &a.sc, e.pool); err != nil {
 				return fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
 			tensor.RequantizeInto(y, &a.acc, st.q)
@@ -321,21 +374,30 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 	return nil
 }
 
-// ForwardReference runs the original pre-blocking pipeline — naive
-// kernels, a fresh weight materialization and an allocation per layer.
-// It is kept verbatim as the oracle the parity tests (and the
-// calibration speedup yardstick) compare the fast path against.
-func (e *Engine) ForwardReference(sn *supernet.SubNet, input *tensor.Int8) (*tensor.Int8, error) {
+// checkInput rejects an empty SubNet, and an input that does not match
+// its first layer's geometry or whose data does not hold its shape.
+func checkInput(sn *supernet.SubNet, input *tensor.Int8) error {
 	if sn == nil || sn.Model == nil || len(sn.Model.Layers) == 0 {
-		return nil, fmt.Errorf("infer: nil or empty SubNet")
+		return fmt.Errorf("infer: nil or empty SubNet")
 	}
 	first := &sn.Model.Layers[0]
 	if input.Shape.C != first.C || input.Shape.H != first.InH || input.Shape.W != first.InW {
-		return nil, fmt.Errorf("infer: input %v does not match first layer (C=%d, %dx%d)",
+		return fmt.Errorf("infer: input %v does not match first layer (C=%d, %dx%d)",
 			input.Shape, first.C, first.InH, first.InW)
 	}
-	weights, err := e.ws.SubNetWeights(sn)
-	if err != nil {
+	if len(input.Data) != input.Shape.Elems() {
+		return fmt.Errorf("infer: input %v holds %d values, want %d", input.Shape, len(input.Data), input.Shape.Elems())
+	}
+	return nil
+}
+
+// ForwardReference runs the original pre-blocking pipeline — naive
+// kernels, a fresh weight materialization per layer and an allocation
+// per layer. It is kept verbatim as the oracle the parity tests (and
+// the calibration speedup yardstick) compare the fast path against; its
+// weights come from LayerWeights, never from the engine's images.
+func (e *Engine) ForwardReference(sn *supernet.SubNet, input *tensor.Int8) (*tensor.Int8, error) {
+	if err := checkInput(sn, input); err != nil {
 		return nil, err
 	}
 	x := input
@@ -360,18 +422,26 @@ func (e *Engine) ForwardReference(sn *supernet.SubNet, input *tensor.Int8) (*ten
 			if l.Kind == nn.DepthwiseConv {
 				p.Groups = l.C
 			}
-			acc, err := tensor.Conv2D(src, weights[i], e.zp, p)
+			w, err := e.ws.LayerWeights(l.BlockID, panelDims(l), l.R)
 			if err != nil {
 				return nil, fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
-			y := tensor.RequantizeTensor(acc, e.staticScale(l.C/maxInt(1, p.Groups)*l.R*l.S))
+			acc, err := tensor.Conv2D(src, w, e.zp, p)
+			if err != nil {
+				return nil, fmt.Errorf("infer: %s: %w", l.Name, err)
+			}
+			y := tensor.RequantizeTensor(acc, e.staticScale(l.C/max(1, p.Groups)*l.R*l.S))
 			if strings.HasSuffix(l.Name, ".downsample") {
 				downsampled = y
 			} else {
 				x = y
 			}
 		case nn.Linear:
-			acc, err := tensor.Linear(x, weights[i], e.zp)
+			w, err := e.ws.LayerWeights(l.BlockID, panelDims(l), l.R)
+			if err != nil {
+				return nil, fmt.Errorf("infer: %s: %w", l.Name, err)
+			}
+			acc, err := tensor.Linear(x, w, e.zp)
 			if err != nil {
 				return nil, fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
@@ -423,11 +493,4 @@ func addInt8(a, b *tensor.Int8) (*tensor.Int8, error) {
 		out.Data[i] = int8(v)
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,6 +5,7 @@ package infer
 // the zero-alloc steady state.
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -24,6 +25,29 @@ func mobv3Fixture(t *testing.T) (*Engine, *supernet.SubNet) {
 	e := NewEngine(NewWeightStore(s, 1))
 	t.Cleanup(e.Close)
 	return e, fr[0]
+}
+
+// referenceInput is the image the reference comparisons forward, and
+// referenceLogits memoizes ForwardReference on it by SuperNet and
+// SubNet name: the oracle takes seconds per SubNet, and several tests
+// pin against it. The package's tests run sequentially.
+var (
+	referenceInput  = tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 17)
+	referenceLogits = map[string]*tensor.Int8{}
+)
+
+func reference(t *testing.T, s *supernet.SuperNet, sn *supernet.SubNet) *tensor.Int8 {
+	t.Helper()
+	key := s.Name + "/" + sn.Name
+	if ref, ok := referenceLogits[key]; ok {
+		return ref
+	}
+	ref, err := NewEngine(NewWeightStore(s, 1)).ForwardReference(sn, referenceInput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenceLogits[key] = ref
+	return ref
 }
 
 // TestForwardMatchesReference pins the arena/blocked pipeline
@@ -60,15 +84,11 @@ func TestForwardMatchesReference(t *testing.T) {
 			}
 			e := NewEngine(NewWeightStore(tc.net, 1))
 			defer e.Close()
-			in := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 17)
-			ref, err := e.ForwardReference(sn, in)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := reference(t, tc.net, sn)
 			// workers=1 == workers=K at the full-forward level too.
 			for _, workers := range []int{1, 4} {
 				e.SetWorkers(workers)
-				fast, err := e.Forward(sn, in)
+				fast, err := e.Forward(sn, referenceInput)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,6 +161,21 @@ func TestForwardBatchSemantics(t *testing.T) {
 	// Incompatible batch/input combinations are rejected.
 	if err := e.ForwardBatchInto(sn, two, 3, &both); err == nil {
 		t.Fatal("N=2 input accepted for batch 3")
+	}
+}
+
+// TestForwardRejectsShortData: an input whose data does not hold its
+// shape is an error, not a pass over stale arena bytes (batch 1) or a
+// slice-bounds panic (one image tiled across batch 4).
+func TestForwardRejectsShortData(t *testing.T) {
+	e, sn := mobv3Fixture(t)
+	in := &tensor.Int8{Shape: tensor.Shape{N: 1, C: 3, H: 224, W: 224}, Data: make([]int8, 100)}
+	if _, err := e.Forward(sn, in); err == nil {
+		t.Error("Forward accepted 100 values for a 1x3x224x224 input")
+	}
+	var out tensor.Int8
+	if err := e.ForwardBatchInto(sn, in, 4, &out); err == nil {
+		t.Error("ForwardBatchInto accepted 100 values tiled across batch 4")
 	}
 }
 
@@ -301,10 +336,157 @@ func TestPrepareRejectsDetachedDownsample(t *testing.T) {
 	}
 }
 
+// residentBytes is the engine's weight footprint: the bytes of its
+// (layer, kernel) images.
+func residentBytes(e *Engine) int {
+	n := 0
+	for _, im := range e.images {
+		n += len(im.data)
+	}
+	return n
+}
+
+// privateBytes is what the plans' panels would hold as private copies.
+func privateBytes(ps ...*prepared) int {
+	n := 0
+	for _, p := range ps {
+		for _, st := range p.steps {
+			n += st.w.Shape.Elems()
+		}
+	}
+	return n
+}
+
+// checkViews fails unless every weight panel of p is the top-left
+// corner of its (layer, kernel) image as the image stands now: same
+// backing array, rows one image row apart.
+func checkViews(t *testing.T, e *Engine, name string, p *prepared) {
+	t.Helper()
+	for _, st := range p.steps {
+		if st.l.WeightBytes() == 0 {
+			continue
+		}
+		im := e.images[imageKey{st.l.BlockID, st.l.R}]
+		if im == nil || &st.w.Data[0] != &im.data[0] || st.ld != im.c*st.l.R*st.l.R {
+			t.Fatalf("%s: %s does not view its layer's current image", name, st.l.Name)
+		}
+	}
+}
+
+// TestSharedImagesMatchReference runs SubNets whose panels are strided
+// views of images another SubNet grew — S, then L, then S again on one
+// engine; L, S and S at batch 4 on another — and pins each against
+// ForwardReference bit for bit. L's reference takes seconds, so -short
+// and -race runs check only the S calls.
+func TestSharedImagesMatchReference(t *testing.T) {
+	s := supernet.NewOFAMobileNetV3()
+	fr, err := s.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	S, L := fr[0], fr[len(fr)-1]
+	ref := map[*supernet.SubNet]*tensor.Int8{S: reference(t, s, S)}
+	if !raceEnabled && !testing.Short() {
+		ref[L] = reference(t, s, L)
+	}
+	type call struct {
+		sn    *supernet.SubNet
+		batch int
+	}
+	for _, order := range [][]call{{{S, 1}, {L, 1}, {S, 1}}, {{L, 1}, {S, 1}, {S, 4}}} {
+		e := NewEngine(NewWeightStore(s, 1))
+		e.SetWorkers(2)
+		var out tensor.Int8
+		for i, c := range order {
+			if err := e.ForwardBatchInto(c.sn, referenceInput, c.batch, &out); err != nil {
+				t.Fatal(err)
+			}
+			want := ref[c.sn]
+			if want == nil {
+				continue
+			}
+			for b := 0; b < c.batch; b++ {
+				if !slices.Equal(out.Data[b*len(want.Data):][:len(want.Data)], want.Data) {
+					t.Fatalf("call %d (%s, batch %d): slot %d differs from ForwardReference", i, c.sn.Name, c.batch, b)
+				}
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestSharedImagesResident pins the engine's weight footprint: after
+// mobilenetv3's smallest and largest SubNets, both plans' panels view
+// one set of 76 images holding 5,127,408 bytes, where private copies
+// held 8,229,360.
+func TestSharedImagesResident(t *testing.T) {
+	s := supernet.NewOFAMobileNetV3()
+	fr, err := s.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(NewWeightStore(s, 1))
+	pS, err := e.prepare(fr[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pL, err := e.prepare(fr[len(fr)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkViews(t, e, "S", pS)
+	checkViews(t, e, "L", pL)
+	if n, got, priv := len(e.images), residentBytes(e), privateBytes(pS, pL); n != 76 || got != 5127408 || priv != 8229360 {
+		t.Fatalf("%d images hold %d bytes for %d private; want 76 images, 5127408 bytes for 8229360", n, got, priv)
+	}
+}
+
+// TestSharedImagesPairs prepares every ordered pair of distinct frontier
+// SubNets on a fresh engine: the second plan's growth re-points the
+// first's panels, and the images never hold more than the two private
+// copies would. resnet50's pairs take seconds, so -short and -race runs
+// keep mobilenetv3's.
+func TestSharedImagesPairs(t *testing.T) {
+	for _, s := range []*supernet.SuperNet{supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()} {
+		if s.Name != "ofa-mobilenetv3" && (raceEnabled || testing.Short()) {
+			continue
+		}
+		fr, err := s.Frontier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := NewWeightStore(s, 1)
+		for i, a := range fr {
+			for j, b := range fr {
+				if i == j {
+					continue
+				}
+				e := NewEngine(ws)
+				pa, err := e.prepare(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pb, err := e.prepare(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s frontier %d then %d", s.Name, i, j)
+				checkViews(t, e, name, pa)
+				checkViews(t, e, name, pb)
+				if got, priv := residentBytes(e), privateBytes(pa, pb); got > priv {
+					t.Fatalf("%s: images hold %d bytes, private copies %d", name, got, priv)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkForward measures the arena/blocked forward (single image,
 // sequential) — the number the ≥5× acceptance criterion compares
-// against BenchmarkForwardReference — and reports the warm arena's
-// activation and accumulator footprint as arena_MB.
+// against BenchmarkForwardReference. The largest SubNet runs first, so
+// the timed smallest one reads its panels as strided views of the
+// larger images. It reports the warm arena's activation and
+// accumulator footprint as arena_MB and the images' as weights_MB.
 func BenchmarkForward(b *testing.B) {
 	s := supernet.NewOFAMobileNetV3()
 	fr, err := s.Frontier()
@@ -316,8 +498,10 @@ func BenchmarkForward(b *testing.B) {
 	e.SetWorkers(1)
 	in := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 99)
 	var out tensor.Int8
-	if err := e.ForwardBatchInto(fr[0], in, 1, &out); err != nil {
-		b.Fatal(err)
+	for _, sn := range []*supernet.SubNet{fr[len(fr)-1], fr[0]} {
+		if err := e.ForwardBatchInto(sn, in, 1, &out); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -327,6 +511,7 @@ func BenchmarkForward(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(arenaBytes(&e.a))/(1<<20), "arena_MB")
+	b.ReportMetric(float64(residentBytes(e))/(1<<20), "weights_MB")
 }
 
 // BenchmarkForwardReference measures the pre-blocking pipeline the

@@ -59,28 +59,28 @@ func TestWeightSharingAcrossSubNets(t *testing.T) {
 	}
 	ws := NewWeightStore(s, 1)
 	small, large := fr[0], fr[len(fr)-1]
-	wSmall, err := ws.SubNetWeights(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wLarge, err := ws.SubNetWeights(large)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Match layers by elastic index (BlockID).
 	largeByBlock := map[int]*tensor.Int8{}
 	for i := range large.Model.Layers {
-		if tns, ok := wLarge[i]; ok {
-			largeByBlock[large.Model.Layers[i].BlockID] = tns
+		if l := &large.Model.Layers[i]; l.WeightBytes() > 0 {
+			tns, err := ws.LayerWeights(l.BlockID, panelDims(l), l.R)
+			if err != nil {
+				t.Fatal(err)
+			}
+			largeByBlock[l.BlockID] = tns
 		}
 	}
 	checked := 0
 	for i := range small.Model.Layers {
-		tSmall, ok := wSmall[i]
-		if !ok {
+		l := &small.Model.Layers[i]
+		if l.WeightBytes() == 0 {
 			continue
 		}
-		bid := small.Model.Layers[i].BlockID
+		bid := l.BlockID
+		tSmall, err := ws.LayerWeights(bid, panelDims(l), l.R)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tLarge, ok := largeByBlock[bid]
 		if !ok {
 			continue // layer absent in the larger SubNet's depth? impossible for MobV3 A⊂G, but be safe

@@ -4,9 +4,9 @@
 // the substitution for the trained OFA checkpoints (the "Functional
 // validation" row of docs/ARCHITECTURE.md's "Paper section → code"
 // table): the weights are synthetic, but weight *sharing* is real — a
-// weight at absolute coordinate (layer, k, c, a) has the same value no
-// matter which SubNet materializes it, exactly as in a weight-shared
-// SuperNet.
+// weight at absolute coordinate (layer, k, c, a) has one value whichever
+// SubNet reads it, exactly as in a weight-shared SuperNet, so an Engine
+// holds it once and each SubNet's weight panel is a view.
 package infer
 
 import (
@@ -117,28 +117,12 @@ func (ws *WeightStore) LayerWeights(li int, d supernet.LayerDims, kern int) (*te
 	return w, nil
 }
 
-// SubNetWeights materializes every weight tensor of a SubNet's model,
-// keyed by model-layer index. Only weight-carrying layers get entries.
-func (ws *WeightStore) SubNetWeights(sn *supernet.SubNet) (map[int]*tensor.Int8, error) {
-	out := map[int]*tensor.Int8{}
-	for i := range sn.Model.Layers {
-		l := &sn.Model.Layers[i]
-		if l.WeightBytes() == 0 || l.BlockID < 0 {
-			continue
-		}
-		d := sn.Dims[l.BlockID]
-		var t *tensor.Int8
-		var err error
-		switch l.Kind {
-		case nn.DepthwiseConv:
-			t, err = ws.LayerWeights(l.BlockID, supernet.LayerDims{K: l.C, C: 1, Area: d.Area}, l.R)
-		default:
-			t, err = ws.LayerWeights(l.BlockID, supernet.LayerDims{K: l.K, C: l.C, Area: d.Area}, l.R)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("infer: %s: %w", l.Name, err)
-		}
-		out[i] = t
+// panelDims is the (K, C) of model layer l's weight panel in its
+// elastic layer's weight universe: a depthwise layer holds one kern²
+// row per channel.
+func panelDims(l *nn.Layer) supernet.LayerDims {
+	if l.Kind == nn.DepthwiseConv {
+		return supernet.LayerDims{K: l.C, C: 1}
 	}
-	return out, nil
+	return supernet.LayerDims{K: l.K, C: l.C}
 }

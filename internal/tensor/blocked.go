@@ -117,19 +117,24 @@ func EnsureInt32(t *Int32, s Shape) {
 }
 
 // WeightSums fills dst[k] with Σ_d w[k,d] over flattened KCRS rows —
-// the zero-point correction term of the blocked kernels. dst must have
-// w.Shape.N elements.
-func WeightSums(dst []int32, w *Int8) {
+// the zero-point correction term of the blocked kernels — and returns
+// the rows' WeightBound. Row k starts at k·ld (0 means packed rows);
+// dst must have w.Shape.N elements.
+func WeightSums(dst []int32, w *Int8, ld int) (wMax int) {
 	ws := w.Shape
 	d := ws.C * ws.H * ws.W
+	if ld == 0 {
+		ld = d
+	}
 	for k := 0; k < ws.N; k++ {
-		row := w.Data[k*d : k*d+d]
 		var s int32
-		for _, v := range row {
+		for _, v := range w.Data[k*ld:][:d] {
 			s += int32(v)
+			wMax = max(wMax, int(v), -int(v))
 		}
 		dst[k] = s
 	}
+	return wMax
 }
 
 // dotInt8 is the unrolled int8→int32 inner kernel of the fully-connected
@@ -247,7 +252,7 @@ func laneDot4(a []int64, w []int8, stride int) (s0, s1, s2, s3 int64) {
 // gemmArgs is one group's lane-packed convolution: output
 // (n·kTot+kOff+k)·P + p stores Σ_d patch(n, p)[d]·w[k][d] − zp·wsum[k]
 // for k in [0, K), where patch is the (c, r, s) im2col row over input
-// channels [c0, c0+c).
+// channels [c0, c0+c) and weight row k starts at wRows[k·ld].
 type gemmArgs struct {
 	epilogue
 	in    []int8
@@ -263,6 +268,7 @@ type gemmArgs struct {
 	p              int // output positions per image
 	k              int // output channels in this gemm
 	d              int // reduction length c·kh·kw
+	ld             int // weight row stride, at least d
 	kTot           int // output channel stride context (total channels in out)
 	kOff           int // first output channel this gemm writes
 	zp             int32
@@ -321,7 +327,7 @@ func (g *gemmArgs) block(worker, b int) {
 	p0 := (b % g.nrb) * g.rows
 	p1 := min(g.p, p0+g.rows)
 	triples := (p1 - p0 + 2) / 3
-	d := g.d
+	d, ld := g.d, g.ld
 	pk := g.bufs[worker][:triples*d]
 	g.pack(pk, n, p0, p1)
 	base := (n*g.kTot + g.kOff) * g.p
@@ -332,7 +338,7 @@ func (g *gemmArgs) block(worker, b int) {
 			var l0, l1, l2, l3 laneSums
 			for d0 := 0; d0 < d; d0 += g.chunk {
 				a := pk[j*d+d0 : j*d+min(d, d0+g.chunk)]
-				s0, s1, s2, s3 := laneDot4(a, g.wRows[k*d+d0:], d)
+				s0, s1, s2, s3 := laneDot4(a, g.wRows[k*ld+d0:], ld)
 				l0.add(s0)
 				l1.add(s1)
 				l2.add(s2)
@@ -347,7 +353,7 @@ func (g *gemmArgs) block(worker, b int) {
 	}
 	for ; k < g.k; k++ {
 		corr := g.zp * g.wsum[k]
-		wrow := g.wRows[k*d:][:d]
+		wrow := g.wRows[k*ld:][:d]
 		for j := 0; j < triples; j++ {
 			l := laneDot(pk[j*d:][:d], wrow, g.chunk)
 			g.store(base+k*g.p+p0+3*j, &l, corr, min(3, p1-p0-3*j))
@@ -492,23 +498,38 @@ func Conv2DBlocked(in, w *Int8, zpIn int32, p ConvParams, pool *Pool) (*Int32, e
 // builds one closure). wsum may carry precomputed per-output-channel
 // weight sums (Σ_d w[k,d]); pass nil to have them computed into sc.
 func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, sc *Scratch, pool *Pool) error {
-	return conv2DBlocked(out, nil, QuantParams{}, in, w, zpIn, p, wsum, WeightBound(w), sc, pool, 0)
+	return conv2DBlocked(out, nil, QuantParams{}, in, w, 0, zpIn, p, wsum, WeightBound(w), sc, pool, 0)
 }
 
 // Conv2DRequantInto is Conv2DBlockedInto fused with RequantizeInto: the
 // epilogue requantizes each corrected sum under q and writes int8
 // straight into dst, byte-identical to the two passes and without their
-// int32 tensor. wMax must be WeightBound(w), which a caller that runs
-// the same weights repeatedly computes once.
-func Conv2DRequantInto(dst *Int8, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, wMax int, q QuantParams, sc *Scratch, pool *Pool) error {
-	return conv2DBlocked(nil, dst, q, in, w, zpIn, p, wsum, wMax, sc, pool, 0)
+// int32 tensor. Weight row k (the C·kh·kw weights of output channel k)
+// starts at w.Data[k·ld], so w may be the top-left corner of a larger
+// panel; ld 0 means packed rows. wsum and wMax must be WeightSums(w, ld)
+// and its bound, which a caller that runs the same weights repeatedly
+// computes once.
+func Conv2DRequantInto(dst *Int8, in, w *Int8, ld int, zpIn int32, p ConvParams, wsum []int32, wMax int, q QuantParams, sc *Scratch, pool *Pool) error {
+	return conv2DBlocked(nil, dst, q, in, w, ld, zpIn, p, wsum, wMax, sc, pool, 0)
+}
+
+// weightRows checks that w's n rows of d weights, ld apart (0 means d),
+// fit its data, and returns the stride.
+func weightRows(w *Int8, n, d, ld int) (int, error) {
+	if ld == 0 {
+		ld = d
+	}
+	if ld < d || len(w.Data) < (n-1)*ld+d {
+		return 0, fmt.Errorf("%w: %d weight rows of %d, %d apart, in %d weights", ErrShapeMismatch, n, d, ld, len(w.Data))
+	}
+	return ld, nil
 }
 
 // conv2DBlocked runs the convolution into acc, or requantized under q
 // into dst when acc is nil, splitting its lanes every chunk terms, or
 // every laneTerms terms when chunk is 0. Only tests pass a chunk, to
 // show that one term past laneTerms breaks parity.
-func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, wMax int, sc *Scratch, pool *Pool, chunk int) error {
+func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, ld int, zpIn int32, p ConvParams, wsum []int32, wMax int, sc *Scratch, pool *Pool, chunk int) error {
 	if p.Groups == 0 {
 		p.Groups = 1
 	}
@@ -518,6 +539,11 @@ func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, zpIn int32
 	}
 	if ws.C != is.C/p.Groups {
 		return fmt.Errorf("%w: weight channels %d != input channels %d / groups %d", ErrShapeMismatch, ws.C, is.C, p.Groups)
+	}
+	d := ws.C * ws.H * ws.W
+	ld, err := weightRows(w, ws.N, d, ld)
+	if err != nil {
+		return err
 	}
 	oh := OutDim(is.H, ws.H, p.StrideH, p.PadH)
 	ow := OutDim(is.W, ws.W, p.StrideW, p.PadW)
@@ -536,7 +562,7 @@ func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, zpIn int32
 
 	// Depthwise: direct per-plane taps; a patch row would be C·kh·kw
 	// long just to multiply one kernel's worth of it.
-	if p.Groups > 1 && p.Groups == is.C && ws.C == 1 && ws.N == is.C {
+	if p.Groups > 1 && p.Groups == is.C && ws.C == 1 && ws.N == is.C && ld == d {
 		bw := is.W + 2*p.PadW
 		if cap(sc.taps) < ws.H*ws.W {
 			sc.taps = make([]int, ws.H*ws.W)
@@ -562,11 +588,10 @@ func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, zpIn int32
 
 	if wsum == nil {
 		wsum = sc.wsumBuf(ws.N)
-		WeightSums(wsum, w)
+		WeightSums(wsum, w, ld)
 	}
 	kPerGroup := ws.N / p.Groups
 	cPerGroup := is.C / p.Groups
-	d := cPerGroup * ws.H * ws.W
 	pRows := oh * ow
 	// Row blocks: as many triples as the panel bound allows, then evened
 	// out so an image's blocks carry the same load.
@@ -583,11 +608,11 @@ func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, zpIn int32
 		g := &sc.gemm
 		*g = gemmArgs{
 			epilogue: ep, in: in.Data, bufs: bufs,
-			wRows: w.Data[kOff*d:], wsum: wsum[kOff:],
+			wRows: w.Data[kOff*ld:], wsum: wsum[kOff:],
 			cTot: is.C, c0: grp * cPerGroup, c: cPerGroup,
 			h: is.H, iw: is.W, ow: ow, kh: ws.H, kw: ws.W,
 			sh: p.StrideH, sw: p.StrideW, ph: p.PadH, pw: p.PadW,
-			p: pRows, k: kPerGroup, d: d,
+			p: pRows, k: kPerGroup, d: d, ld: ld,
 			kTot: ws.N, kOff: kOff, zp: zpIn,
 			rows: rows, nrb: nrb, chunk: chunk,
 		}
@@ -597,12 +622,13 @@ func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, zpIn int32
 }
 
 // linArgs is the fully-connected kernel: out[n·K+k] = dot(in row n,
-// w row k) − zp·wsum[k], blocked over output channels.
+// w row k) − zp·wsum[k], blocked over output channels; w row k starts
+// at w[k·ld].
 type linArgs struct {
 	out   []int32
 	in, w []int8
 	n, k  int
-	c     int
+	c, ld int
 	zp    int32
 	wsum  []int32
 }
@@ -613,25 +639,30 @@ func (l *linArgs) block(_, b int) {
 	for n := 0; n < l.n; n++ {
 		row := l.in[n*l.c : n*l.c+l.c]
 		for k := k0; k < k1; k++ {
-			l.out[n*l.k+k] = dotInt8(row, l.w[k*l.c:k*l.c+l.c]) - l.zp*l.wsum[k]
+			l.out[n*l.k+k] = dotInt8(row, l.w[k*l.ld:][:l.c]) - l.zp*l.wsum[k]
 		}
 	}
 }
 
 // LinearBlockedInto is the blocked counterpart of Linear ([N,C,1,1] ×
-// [K,C,1,1] → [N,K,1,1]), bit-identical, writing into out.
-func LinearBlockedInto(out *Int32, in, w *Int8, zpIn int32, wsum []int32, sc *Scratch, pool *Pool) error {
+// [K,C,1,1] → [N,K,1,1]), bit-identical, writing into out. Weight row k
+// starts at w.Data[k·ld], as in Conv2DRequantInto.
+func LinearBlockedInto(out *Int32, in, w *Int8, ld int, zpIn int32, wsum []int32, sc *Scratch, pool *Pool) error {
 	is, ws := in.Shape, w.Shape
 	if is.C != ws.C {
 		return fmt.Errorf("%w: in C=%d w C=%d", ErrShapeMismatch, is.C, ws.C)
 	}
+	ld, err := weightRows(w, ws.N, ws.C, ld)
+	if err != nil {
+		return err
+	}
 	EnsureInt32(out, Shape{N: is.N, C: ws.N, H: 1, W: 1})
 	if wsum == nil {
 		wsum = sc.wsumBuf(ws.N)
-		WeightSums(wsum, w)
+		WeightSums(wsum, w, ld)
 	}
 	l := &sc.lin
-	*l = linArgs{out: out.Data, in: in.Data, w: w.Data, n: is.N, k: ws.N, c: is.C, zp: zpIn, wsum: wsum}
+	*l = linArgs{out: out.Data, in: in.Data, w: w.Data, n: is.N, k: ws.N, c: is.C, ld: ld, zp: zpIn, wsum: wsum}
 	nb := (ws.N + linKBlock - 1) / linKBlock
 	if pool.parallel() && nb > 1 {
 		pool.Run(nb, l.block)

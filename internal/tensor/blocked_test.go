@@ -335,7 +335,7 @@ func TestConv2DBlockedWeightBounds(t *testing.T) {
 			}
 			var out Int32
 			var sc Scratch
-			if err := conv2DBlocked(&out, nil, QuantParams{}, in, w, 127, tc.p, nil, WeightBound(w), &sc, nil, chunk); err != nil {
+			if err := conv2DBlocked(&out, nil, QuantParams{}, in, w, 0, 127, tc.p, nil, WeightBound(w), &sc, nil, chunk); err != nil {
 				t.Fatal(err)
 			}
 			if slices.Equal(out.Data, ref.Data) {
@@ -389,7 +389,7 @@ func TestConv2DBlockedPrecomputedWsum(t *testing.T) {
 		t.Fatal(err)
 	}
 	wsum := make([]int32, tc.w.N)
-	WeightSums(wsum, w)
+	WeightSums(wsum, w, 0)
 	var out Int32
 	var sc Scratch
 	if err := Conv2DBlockedInto(&out, in, w, tc.zp, tc.p, wsum, &sc, nil); err != nil {
@@ -429,9 +429,9 @@ func checkRequantParity(t *testing.T, pool *Pool, name string, in, w *Int8, zp i
 	}
 	RequantizeInto(&want, &acc, q)
 	wsum := make([]int32, w.Shape.N)
-	WeightSums(wsum, w)
+	WeightSums(wsum, w, 0)
 	for _, pl := range []*Pool{nil, pool} {
-		if err := Conv2DRequantInto(&got, in, w, zp, p, wsum, WeightBound(w), q, &sc, pl); err != nil {
+		if err := Conv2DRequantInto(&got, in, w, 0, zp, p, wsum, WeightBound(w), q, &sc, pl); err != nil {
 			t.Fatalf("%s: fused (workers=%d): %v", name, pl.Workers(), err)
 		}
 		if got.Shape != want.Shape {
@@ -548,7 +548,7 @@ func TestLinearBlockedParity(t *testing.T) {
 	var sc Scratch
 	for _, pl := range []*Pool{nil, pool} {
 		var out Int32
-		if err := LinearBlockedInto(&out, in, w, 2, nil, &sc, pl); err != nil {
+		if err := LinearBlockedInto(&out, in, w, 0, 2, nil, &sc, pl); err != nil {
 			t.Fatal(err)
 		}
 		if out.Shape != ref.Shape {
@@ -558,6 +558,94 @@ func TestLinearBlockedParity(t *testing.T) {
 			if out.Data[j] != ref.Data[j] {
 				t.Fatalf("linear blocked[%d]=%d != reference %d", j, out.Data[j], ref.Data[j])
 			}
+		}
+	}
+}
+
+// cornerView returns the top-left k×c corner of a [K, C, kh, kw] panel
+// as a view whose rows stay ld = C·kh·kw apart, and a packed copy of it.
+func cornerView(panel *Int8, k, c int) (view, packed *Int8, ld int) {
+	ps := panel.Shape
+	s := Shape{N: k, C: c, H: ps.H, W: ps.W}
+	ld, d := ps.C*ps.H*ps.W, c*ps.H*ps.W
+	view, packed = &Int8{Shape: s, Data: panel.Data[:(k-1)*ld+d]}, NewInt8(s)
+	for r := 0; r < k; r++ {
+		copy(packed.Data[r*d:][:d], panel.Data[r*ld:])
+	}
+	return view, packed, ld
+}
+
+// TestStridedWeightParity pins the kernels' weight row stride: dense
+// 3x3, pointwise and fully-connected layers run on the top-left corner
+// of a larger panel (ld > d, and K' % 4 != 0 so the 4-wide tile's tail
+// runs) bit-identical to the reference kernels on a packed copy of that
+// corner, sequentially and under a pool.
+func TestStridedWeightParity(t *testing.T) {
+	pool := NewPool(3)
+	defer pool.Close()
+	q := QuantParams{Scale: 1.0 / 64, ZeroPoint: 3}
+	unit := ConvParams{StrideH: 1, StrideW: 1}
+	for _, tc := range []struct {
+		name      string
+		in, panel Shape
+		k         int
+		p         ConvParams
+	}{
+		{"dense3x3", Shape{N: 2, C: 5, H: 9, W: 11}, Shape{N: 16, C: 9, H: 3, W: 3}, 7, ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+		{"pointwise", Shape{N: 1, C: 6, H: 7, W: 7}, Shape{N: 12, C: 10, H: 1, W: 1}, 9, unit},
+		{"linear", Shape{N: 3, C: 37, H: 1, W: 1}, Shape{N: 140, C: 50, H: 1, W: 1}, 129, ConvParams{}},
+	} {
+		in := RandomInt8(tc.in, 51)
+		view, packed, ld := cornerView(RandomInt8(tc.panel, 52), tc.k, tc.in.C)
+		wsum, want := make([]int32, tc.k), make([]int32, tc.k)
+		wMax := WeightSums(wsum, view, ld)
+		if WeightSums(want, packed, 0) != wMax || wMax != WeightBound(packed) || !slices.Equal(wsum, want) {
+			t.Fatalf("%s: strided WeightSums disagree with the packed copy's", tc.name)
+		}
+		var sc Scratch
+		for _, pl := range []*Pool{nil, pool} {
+			if tc.p == (ConvParams{}) {
+				ref, err := Linear(in, packed, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out Int32
+				if err := LinearBlockedInto(&out, in, view, ld, 2, wsum, &sc, pl); err != nil {
+					t.Fatal(err)
+				}
+				if out.Shape != ref.Shape || !slices.Equal(out.Data, ref.Data) {
+					t.Fatalf("%s (workers=%d): strided linear differs from the packed reference", tc.name, pl.Workers())
+				}
+				continue
+			}
+			ref, err := Conv2D(in, packed, 2, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acc Int32
+			if err := conv2DBlocked(&acc, nil, QuantParams{}, in, view, ld, 2, tc.p, wsum, wMax, &sc, pl, 0); err != nil {
+				t.Fatal(err)
+			}
+			if acc.Shape != ref.Shape || !slices.Equal(acc.Data, ref.Data) {
+				t.Fatalf("%s (workers=%d): strided conv differs from the packed reference", tc.name, pl.Workers())
+			}
+			var got Int8
+			if err := Conv2DRequantInto(&got, in, view, ld, 2, tc.p, wsum, wMax, q, &sc, pl); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Data, RequantizeTensor(ref, q).Data) {
+				t.Fatalf("%s (workers=%d): strided requantizing conv differs from the packed reference", tc.name, pl.Workers())
+			}
+		}
+	}
+	// A stride below the row length, or rows past the data, is rejected.
+	in := RandomInt8(Shape{N: 1, C: 4, H: 5, W: 5}, 53)
+	view, _, ld := cornerView(RandomInt8(Shape{N: 6, C: 8, H: 3, W: 3}, 54), 5, 4)
+	var got Int8
+	var sc Scratch
+	for _, bad := range []int{4*9 - 1, ld + 1} {
+		if err := Conv2DRequantInto(&got, in, view, bad, 0, unit, nil, 7, q, &sc, nil); err == nil {
+			t.Errorf("weight row stride %d accepted for rows of %d in %d weights", bad, 4*9, len(view.Data))
 		}
 	}
 }
@@ -694,11 +782,11 @@ func BenchmarkConv2DBlocked(b *testing.B) {
 				var out Int8
 				var sc Scratch
 				wsum := make([]int32, sh.w.N)
-				WeightSums(wsum, w.t)
+				WeightSums(wsum, w.t, 0)
 				wMax, q := WeightBound(w.t), QuantParams{Scale: 1.0 / 64}
 				b.ReportAllocs()
 				for b.Loop() {
-					if err := Conv2DRequantInto(&out, in, w.t, 0, sh.p, wsum, wMax, q, &sc, nil); err != nil {
+					if err := Conv2DRequantInto(&out, in, w.t, 0, 0, sh.p, wsum, wMax, q, &sc, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
