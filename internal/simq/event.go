@@ -92,6 +92,3 @@ func (h *eventHeap) pop() event {
 	}
 	return top
 }
-
-// reset empties the heap, keeping the backing slice.
-func (h *eventHeap) reset() { h.ev = h.ev[:0] }

@@ -55,156 +55,34 @@ func NewOFAMobileNetV3() *SuperNet {
 		accLo:         75.9,
 		accHi:         80.1,
 	}
-	buildMBV3Layers(s, cfg)
-	s.buildCells()
-	s.build = func(sp SubNetSpec) (*nn.Model, []LayerDims, error) {
-		return buildMBV3SubNet(s, cfg, sp)
-	}
-	calibrateFLOPsRange(s)
+	s.walk = func(w *walker, sp SubNetSpec) { walkMBV3(w, s.Name, cfg, sp) }
+	s.finish()
 	return s
 }
 
-// mbv3Mids returns the distinct expanded-channel options for a block input.
-func mbv3Mids(in int, cfg mbv3Config) []int {
-	var out []int
-	for _, e := range cfg.expand {
-		out = append(out, round8(float64(in)*e))
-	}
-	return out
-}
-
-func mbv3AreaCuts(kernels []int) []int {
-	out := make([]int, len(kernels))
-	for i, k := range kernels {
-		out[i] = k * k
-	}
-	return out
-}
-
-func buildMBV3Layers(s *SuperNet, cfg mbv3Config) {
-	res := cfg.inputRes
-	stemOut := res / 2
-	// Stem: 3x3/2 conv, then a non-elastic 3x3 depthwise+pointwise "first
-	// block" at stem channels (MobileNetV3's first 1x expand block).
-	s.Layers = append(s.Layers, ElasticLayer{
-		Name: "stem.conv", Kind: nn.Conv, Stage: -1, Block: -1,
-		KMax: cfg.stemCh, CMax: 3, RMax: 3, SMax: 3,
-		InH: res, InW: res, OutH: stemOut, OutW: stemOut, Stride: 2, Pad: 1,
-		KCuts: []int{cfg.stemCh}, CCuts: []int{3}, ACuts: []int{9},
-	})
-	// Depthwise weight tensors have a per-group channel extent of 1, so
-	// the channel axis of their cell grid is the single cut {1}.
-	s.Layers = append(s.Layers, ElasticLayer{
-		Name: "stem.dw", Kind: nn.DepthwiseConv, Stage: -1, Block: -1,
-		KMax: cfg.stemCh, CMax: 1, RMax: 3, SMax: 3,
-		InH: stemOut, InW: stemOut, OutH: stemOut, OutW: stemOut, Stride: 1, Pad: 1,
-		KCuts: []int{cfg.stemCh}, CCuts: []int{1}, ACuts: []int{9},
-	})
-	s.Layers = append(s.Layers, ElasticLayer{
-		Name: "stem.pw", Kind: nn.Conv, Stage: -1, Block: -1,
-		KMax: cfg.stemCh, CMax: cfg.stemCh, RMax: 1, SMax: 1,
-		InH: stemOut, InW: stemOut, OutH: stemOut, OutW: stemOut, Stride: 1, Pad: 0,
-		KCuts: []int{cfg.stemCh}, CCuts: []int{cfg.stemCh}, ACuts: []int{1},
-	})
-
-	areaCuts := mbv3AreaCuts(cfg.kernels)
-	kMax := cfg.kernels[len(cfg.kernels)-1]
-	inCh := cfg.stemCh
-	inRes := stemOut
-	for st, outCh := range cfg.stageOut {
-		stride := cfg.stageStride[st]
-		outRes := inRes / stride
-		for b := 0; b < cfg.stageBlocks[st]; b++ {
-			blkIn := outCh
-			blkStride := 1
-			blkInRes := outRes
-			if b == 0 {
-				blkIn = inCh
-				blkStride = stride
-				blkInRes = inRes
-			}
-			mids := mbv3Mids(blkIn, cfg)
-			midMax := mids[len(mids)-1]
-			prefix := fmt.Sprintf("stage%d.block%d", st+1, b)
-			// expand 1x1: C = blkIn, K = mid.
-			s.Layers = append(s.Layers, ElasticLayer{
-				Name: prefix + ".expand", Kind: nn.Conv, Stage: st, Block: b,
-				KMax: midMax, CMax: blkIn, RMax: 1, SMax: 1,
-				InH: blkInRes, InW: blkInRes, OutH: blkInRes, OutW: blkInRes, Stride: 1, Pad: 0,
-				KCuts: mids, CCuts: []int{blkIn}, ACuts: []int{1},
-			})
-			// depthwise kxk with elastic kernel area.
-			s.Layers = append(s.Layers, ElasticLayer{
-				Name: prefix + ".dw", Kind: nn.DepthwiseConv, Stage: st, Block: b,
-				KMax: midMax, CMax: 1, RMax: kMax, SMax: kMax,
-				InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride, Pad: kMax / 2,
-				KCuts: mids, CCuts: []int{1}, ACuts: areaCuts,
-			})
-			// project 1x1: C = mid, K = outCh.
-			s.Layers = append(s.Layers, ElasticLayer{
-				Name: prefix + ".project", Kind: nn.Conv, Stage: st, Block: b,
-				KMax: outCh, CMax: midMax, RMax: 1, SMax: 1,
-				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1, Pad: 0,
-				KCuts: []int{outCh}, CCuts: mids, ACuts: []int{1},
-			})
-		}
-		inCh = outCh
-		inRes = outRes
-	}
-
-	// Head: 1x1 conv to headCh, GAP, 1x1 feature mix to featCh, classifier.
-	s.Layers = append(s.Layers, ElasticLayer{
-		Name: "head.conv", Kind: nn.Conv, Stage: -1, Block: -1,
-		KMax: cfg.headCh, CMax: inCh, RMax: 1, SMax: 1,
-		InH: inRes, InW: inRes, OutH: inRes, OutW: inRes, Stride: 1, Pad: 0,
-		KCuts: []int{cfg.headCh}, CCuts: []int{inCh}, ACuts: []int{1},
-	})
-	s.Layers = append(s.Layers, ElasticLayer{
-		Name: "head.feature", Kind: nn.Linear, Stage: -1, Block: -1,
-		KMax: cfg.featCh, CMax: cfg.headCh, RMax: 1, SMax: 1,
-		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1, Pad: 0,
-		KCuts: []int{cfg.featCh}, CCuts: []int{cfg.headCh}, ACuts: []int{1},
-	})
-	s.Layers = append(s.Layers, ElasticLayer{
-		Name: "fc", Kind: nn.Linear, Stage: -1, Block: -1,
-		KMax: cfg.classes, CMax: cfg.featCh, RMax: 1, SMax: 1,
-		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1, Pad: 0,
-		KCuts: []int{cfg.classes}, CCuts: []int{cfg.featCh}, ACuts: []int{1},
-	})
-
-	for i := range s.Layers {
-		l := &s.Layers[i]
-		l.KCuts = normalizeCuts(l.KCuts, l.KMax)
-		l.CCuts = normalizeCuts(l.CCuts, l.CMax)
-		l.ACuts = normalizeCuts(l.ACuts, l.RMax*l.SMax)
-	}
-}
-
-func buildMBV3SubNet(s *SuperNet, cfg mbv3Config, sp SubNetSpec) (*nn.Model, []LayerDims, error) {
-	dims := make([]LayerDims, s.NumLayers())
-	m := &nn.Model{Name: fmt.Sprintf("%s/d%v-e%v-k%v", s.Name, sp.Depth, sp.ExpandIdx, sp.KernelIdx)}
-	li := 0
+// walkMBV3 emits the MobileNetV3 SubNet at sp: a 3x3/2 stem conv and a
+// non-elastic 3x3 depthwise + pointwise first block at stem channels
+// (MobileNetV3's first 1x expand block), five stages of MBConv blocks
+// (1x1 expand, kxk depthwise strided in the first block, 1x1 project,
+// residual add after the first block), then a 1x1 head conv, global
+// average pool, 1x1 feature mix and classifier.
+func walkMBV3(w *walker, name string, cfg mbv3Config, sp SubNetSpec) {
+	w.m.Name = fmt.Sprintf("%s/d%v-e%v-k%v", name, sp.Depth, sp.ExpandIdx, sp.KernelIdx)
 
 	res := cfg.inputRes
 	stemOut := res / 2
-	dims[li] = LayerDims{K: cfg.stemCh, C: 3, Area: 9}
-	m.Layers = append(m.Layers, nn.Layer{
+	w.weight(true, nn.Layer{
 		Name: "stem.conv", Kind: nn.Conv, C: 3, K: cfg.stemCh, R: 3, S: 3,
-		InH: res, InW: res, OutH: stemOut, OutW: stemOut, Stride: 2, Pad: 1, BlockID: li,
+		InH: res, InW: res, OutH: stemOut, OutW: stemOut, Stride: 2, Pad: 1,
 	})
-	li++
-	dims[li] = LayerDims{K: cfg.stemCh, C: 1, Area: 9}
-	m.Layers = append(m.Layers, nn.Layer{
+	w.weight(true, nn.Layer{
 		Name: "stem.dw", Kind: nn.DepthwiseConv, C: cfg.stemCh, K: cfg.stemCh, R: 3, S: 3,
-		InH: stemOut, InW: stemOut, OutH: stemOut, OutW: stemOut, Stride: 1, Pad: 1, BlockID: li,
+		InH: stemOut, InW: stemOut, OutH: stemOut, OutW: stemOut, Stride: 1, Pad: 1,
 	})
-	li++
-	dims[li] = LayerDims{K: cfg.stemCh, C: cfg.stemCh, Area: 1}
-	m.Layers = append(m.Layers, nn.Layer{
+	w.weight(true, nn.Layer{
 		Name: "stem.pw", Kind: nn.Conv, C: cfg.stemCh, K: cfg.stemCh, R: 1, S: 1,
-		InH: stemOut, InW: stemOut, OutH: stemOut, OutW: stemOut, Stride: 1, BlockID: li,
+		InH: stemOut, InW: stemOut, OutH: stemOut, OutW: stemOut, Stride: 1,
 	})
-	li++
 
 	inCh := cfg.stemCh
 	inRes := stemOut
@@ -213,7 +91,7 @@ func buildMBV3SubNet(s *SuperNet, cfg mbv3Config, sp SubNetSpec) (*nn.Model, []L
 		outRes := inRes / stride
 		kernel := cfg.kernels[sp.KernelIdx[st]]
 		for b := 0; b < cfg.stageBlocks[st]; b++ {
-			included := b < sp.Depth[st]
+			on := b < sp.Depth[st]
 			blkIn := outCh
 			blkStride := 1
 			blkInRes := outRes
@@ -223,65 +101,45 @@ func buildMBV3SubNet(s *SuperNet, cfg mbv3Config, sp SubNetSpec) (*nn.Model, []L
 				blkInRes = inRes
 			}
 			mid := round8(float64(blkIn) * cfg.expand[sp.ExpandIdx[st]])
-			prefix := fmt.Sprintf("stage%d.block%d", st+1, b)
-			expand, dw, project := li, li+1, li+2
-			li += 3
-			if !included {
-				continue
+			prefix := "" // a block the spec leaves out needs no names
+			if on {
+				prefix = fmt.Sprintf("stage%d.block%d", st+1, b)
 			}
-			dims[expand] = LayerDims{K: mid, C: blkIn, Area: 1}
-			m.Layers = append(m.Layers, nn.Layer{
+			w.weight(on, nn.Layer{
 				Name: prefix + ".expand", Kind: nn.Conv, C: blkIn, K: mid, R: 1, S: 1,
-				InH: blkInRes, InW: blkInRes, OutH: blkInRes, OutW: blkInRes, Stride: 1, BlockID: expand,
+				InH: blkInRes, InW: blkInRes, OutH: blkInRes, OutW: blkInRes, Stride: 1,
 			})
-			dims[dw] = LayerDims{K: mid, C: 1, Area: kernel * kernel}
-			m.Layers = append(m.Layers, nn.Layer{
+			w.weight(on, nn.Layer{
 				Name: prefix + ".dw", Kind: nn.DepthwiseConv, C: mid, K: mid, R: kernel, S: kernel,
-				InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride, Pad: kernel / 2, BlockID: dw,
+				InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride, Pad: kernel / 2,
 			})
-			dims[project] = LayerDims{K: outCh, C: mid, Area: 1}
-			m.Layers = append(m.Layers, nn.Layer{
+			w.weight(on, nn.Layer{
 				Name: prefix + ".project", Kind: nn.Conv, C: mid, K: outCh, R: 1, S: 1,
-				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1, BlockID: project,
+				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1,
 			})
-			if b > 0 {
-				m.Layers = append(m.Layers, nn.Layer{
-					Name: prefix + ".add", Kind: nn.Add, C: outCh, K: outCh, R: 1, S: 1,
-					InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1, BlockID: -1,
-				})
-			}
+			w.op(on && b > 0, nn.Layer{
+				Name: prefix + ".add", Kind: nn.Add, C: outCh, K: outCh, R: 1, S: 1,
+				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1,
+			})
 		}
 		inCh = outCh
 		inRes = outRes
 	}
 
-	dims[li] = LayerDims{K: cfg.headCh, C: inCh, Area: 1}
-	m.Layers = append(m.Layers, nn.Layer{
+	w.weight(true, nn.Layer{
 		Name: "head.conv", Kind: nn.Conv, C: inCh, K: cfg.headCh, R: 1, S: 1,
-		InH: inRes, InW: inRes, OutH: inRes, OutW: inRes, Stride: 1, BlockID: li,
+		InH: inRes, InW: inRes, OutH: inRes, OutW: inRes, Stride: 1,
 	})
-	li++
-	m.Layers = append(m.Layers, nn.Layer{
+	w.op(true, nn.Layer{
 		Name: "gap", Kind: nn.Pool, C: cfg.headCh, K: cfg.headCh, R: inRes, S: inRes,
-		InH: inRes, InW: inRes, OutH: 1, OutW: 1, Stride: 1, BlockID: -1,
+		InH: inRes, InW: inRes, OutH: 1, OutW: 1, Stride: 1,
 	})
-	dims[li] = LayerDims{K: cfg.featCh, C: cfg.headCh, Area: 1}
-	m.Layers = append(m.Layers, nn.Layer{
+	w.weight(true, nn.Layer{
 		Name: "head.feature", Kind: nn.Linear, C: cfg.headCh, K: cfg.featCh, R: 1, S: 1,
-		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1, BlockID: li,
+		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1,
 	})
-	li++
-	dims[li] = LayerDims{K: cfg.classes, C: cfg.featCh, Area: 1}
-	m.Layers = append(m.Layers, nn.Layer{
+	w.weight(true, nn.Layer{
 		Name: "fc", Kind: nn.Linear, C: cfg.featCh, K: cfg.classes, R: 1, S: 1,
-		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1, BlockID: li,
+		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1,
 	})
-	li++
-	if li != s.NumLayers() {
-		return nil, nil, fmt.Errorf("mbv3 builder walked %d elastic layers, supernet has %d", li, s.NumLayers())
-	}
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return m, dims, nil
 }

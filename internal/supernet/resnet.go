@@ -48,148 +48,30 @@ func NewOFAResNet50() *SuperNet {
 		accLo:         75.4,
 		accHi:         79.9,
 	}
-	buildResNetLayers(s, cfg)
-	s.buildCells()
-	s.build = func(sp SubNetSpec) (*nn.Model, []LayerDims, error) {
-		return buildResNetSubNet(s, cfg, sp)
-	}
-	calibrateFLOPsRange(s)
+	s.walk = func(w *walker, sp SubNetSpec) { walkResNet(w, s.Name, cfg, sp) }
+	s.finish()
 	return s
 }
 
-// resnetChannels returns per-width-choice channel options for a base count.
-func resnetChannels(base int, widths []float64) []int {
-	out := make([]int, len(widths))
-	for i, w := range widths {
-		out[i] = round8(float64(base) * w)
-	}
-	return out
-}
+// walkResNet emits the ResNet50 SubNet at sp: a 7x7/2 stem conv and 3x3/2
+// max pool, four stages of bottleneck blocks (1x1 reduce, 3x3 spatial
+// strided in the first block, 1x1 expand, plus a strided 1x1 downsample
+// shortcut in the first block), then global average pool and classifier.
+func walkResNet(w *walker, name string, cfg resnetConfig, sp SubNetSpec) {
+	width := cfg.width[sp.WidthIdx]
+	w.m.Name = fmt.Sprintf("%s/d%v-e%v-w%.2f", name, sp.Depth, sp.ExpandIdx, width)
 
-// resnetMids returns all distinct mid-channel options for a stage: every
-// (width, expand) combination.
-func resnetMids(baseOut int, cfg resnetConfig) []int {
-	var out []int
-	for _, w := range cfg.width {
-		for _, e := range cfg.expand {
-			out = append(out, round8(float64(baseOut)*w*e))
-		}
-	}
-	return out
-}
-
-// buildResNetLayers populates s.Layers with every weight-carrying elastic
-// layer at maximal configuration, with cut points at all elastic extents.
-func buildResNetLayers(s *SuperNet, cfg resnetConfig) {
-	maxW := cfg.width[len(cfg.width)-1]
-	res := cfg.inputRes
-
-	// Stem: 7x7/2 conv from RGB, then 3x3/2 max pool (pool carries no
-	// weights so it appears only in instantiated models).
-	stemK := resnetChannels(64, cfg.width)
-	stemOut := res / 2 // 112
-	s.Layers = append(s.Layers, ElasticLayer{
-		Name: "stem.conv", Kind: nn.Conv, Stage: -1, Block: -1,
-		KMax: stemK[len(stemK)-1], CMax: 3, RMax: 7, SMax: 7,
-		InH: res, InW: res, OutH: stemOut, OutW: stemOut, Stride: 2, Pad: 3,
-		KCuts: stemK, CCuts: []int{3}, ACuts: []int{49},
-	})
-
-	inRes := stemOut / 2 // 56 after pool
-	prevOutBase := 64
-	for st, outBase := range cfg.stageOut {
-		stride := cfg.stageStride[st]
-		outRes := inRes / stride
-		mids := resnetMids(outBase, cfg)
-		midMax := round8(float64(outBase) * maxW * cfg.expand[len(cfg.expand)-1])
-		outCh := resnetChannels(outBase, cfg.width)
-		outMax := outCh[len(outCh)-1]
-		inCh := resnetChannels(prevOutBase, cfg.width)
-		inMax := inCh[len(inCh)-1]
-		for b := 0; b < cfg.stageBlocks[st]; b++ {
-			blkStride := 1
-			blkInCh, blkInMax := outCh, outMax
-			blkInRes := outRes
-			if b == 0 {
-				blkStride = stride
-				blkInCh, blkInMax = inCh, inMax
-				blkInRes = inRes
-			}
-			prefix := fmt.Sprintf("stage%d.block%d", st+1, b)
-			// conv1: 1x1 reduce, C = block input channels, K = mid.
-			s.Layers = append(s.Layers, ElasticLayer{
-				Name: prefix + ".conv1", Kind: nn.Conv, Stage: st, Block: b,
-				KMax: midMax, CMax: blkInMax, RMax: 1, SMax: 1,
-				InH: blkInRes, InW: blkInRes, OutH: blkInRes, OutW: blkInRes, Stride: 1, Pad: 0,
-				KCuts: mids, CCuts: blkInCh, ACuts: []int{1},
-			})
-			// conv2: 3x3 spatial, strided in the first block.
-			s.Layers = append(s.Layers, ElasticLayer{
-				Name: prefix + ".conv2", Kind: nn.Conv, Stage: st, Block: b,
-				KMax: midMax, CMax: midMax, RMax: 3, SMax: 3,
-				InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride, Pad: 1,
-				KCuts: mids, CCuts: mids, ACuts: []int{9},
-			})
-			// conv3: 1x1 expand, K = block output channels.
-			s.Layers = append(s.Layers, ElasticLayer{
-				Name: prefix + ".conv3", Kind: nn.Conv, Stage: st, Block: b,
-				KMax: outMax, CMax: midMax, RMax: 1, SMax: 1,
-				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1, Pad: 0,
-				KCuts: outCh, CCuts: mids, ACuts: []int{1},
-			})
-			if b == 0 {
-				// Downsample shortcut 1x1 conv (stride matches conv2).
-				s.Layers = append(s.Layers, ElasticLayer{
-					Name: prefix + ".downsample", Kind: nn.Conv, Stage: st, Block: b,
-					KMax: outMax, CMax: blkInMax, RMax: 1, SMax: 1,
-					InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride, Pad: 0,
-					KCuts: outCh, CCuts: blkInCh, ACuts: []int{1},
-				})
-			}
-		}
-		prevOutBase = outBase
-		inRes = outRes
-	}
-
-	// Classifier over global-average-pooled features.
-	lastCh := resnetChannels(cfg.stageOut[len(cfg.stageOut)-1], cfg.width)
-	s.Layers = append(s.Layers, ElasticLayer{
-		Name: "fc", Kind: nn.Linear, Stage: -1, Block: -1,
-		KMax: cfg.classes, CMax: lastCh[len(lastCh)-1], RMax: 1, SMax: 1,
-		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1, Pad: 0,
-		KCuts: []int{cfg.classes}, CCuts: lastCh, ACuts: []int{1},
-	})
-
-	for i := range s.Layers {
-		l := &s.Layers[i]
-		l.KCuts = normalizeCuts(l.KCuts, l.KMax)
-		l.CCuts = normalizeCuts(l.CCuts, l.CMax)
-		l.ACuts = normalizeCuts(l.ACuts, l.RMax*l.SMax)
-	}
-}
-
-// buildResNetSubNet produces the concrete model and per-elastic-layer dims
-// for a spec. The elastic layer ordering here must match
-// buildResNetLayers exactly.
-func buildResNetSubNet(s *SuperNet, cfg resnetConfig, sp SubNetSpec) (*nn.Model, []LayerDims, error) {
-	w := cfg.width[sp.WidthIdx]
-	dims := make([]LayerDims, s.NumLayers())
-	m := &nn.Model{Name: fmt.Sprintf("%s/d%v-e%v-w%.2f", s.Name, sp.Depth, sp.ExpandIdx, w)}
-	li := 0 // walks s.Layers in construction order
-
-	stemCh := round8(64 * w)
+	stemCh := round8(64 * width)
 	res := cfg.inputRes
 	stemOut := res / 2
-	dims[li] = LayerDims{K: stemCh, C: 3, Area: 49}
-	m.Layers = append(m.Layers, nn.Layer{
+	w.weight(true, nn.Layer{
 		Name: "stem.conv", Kind: nn.Conv, C: 3, K: stemCh, R: 7, S: 7,
-		InH: res, InW: res, OutH: stemOut, OutW: stemOut, Stride: 2, Pad: 3, BlockID: li,
+		InH: res, InW: res, OutH: stemOut, OutW: stemOut, Stride: 2, Pad: 3,
 	})
-	li++
 	poolOut := stemOut / 2
-	m.Layers = append(m.Layers, nn.Layer{
+	w.op(true, nn.Layer{
 		Name: "stem.pool", Kind: nn.Pool, C: stemCh, K: stemCh, R: 3, S: 3,
-		InH: stemOut, InW: stemOut, OutH: poolOut, OutW: poolOut, Stride: 2, Pad: 1, BlockID: -1,
+		InH: stemOut, InW: stemOut, OutH: poolOut, OutW: poolOut, Stride: 2, Pad: 1,
 	})
 
 	inRes := poolOut
@@ -197,11 +79,10 @@ func buildResNetSubNet(s *SuperNet, cfg resnetConfig, sp SubNetSpec) (*nn.Model,
 	for st, outBase := range cfg.stageOut {
 		stride := cfg.stageStride[st]
 		outRes := inRes / stride
-		outCh := round8(float64(outBase) * w)
-		mid := round8(float64(outBase) * w * cfg.expand[sp.ExpandIdx[st]])
-		depth := sp.Depth[st]
+		outCh := round8(float64(outBase) * width)
+		mid := round8(float64(outBase) * width * cfg.expand[sp.ExpandIdx[st]])
 		for b := 0; b < cfg.stageBlocks[st]; b++ {
-			included := b < depth
+			on := b < sp.Depth[st]
 			blkStride := 1
 			blkInCh := outCh
 			blkInRes := outRes
@@ -210,84 +91,43 @@ func buildResNetSubNet(s *SuperNet, cfg resnetConfig, sp SubNetSpec) (*nn.Model,
 				blkInCh = inCh
 				blkInRes = inRes
 			}
-			prefix := fmt.Sprintf("stage%d.block%d", st+1, b)
-			conv1, conv2, conv3 := li, li+1, li+2
-			down := -1
-			li += 3
-			if b == 0 {
-				down = li
-				li++
+			prefix := "" // a block the spec leaves out needs no names
+			if on {
+				prefix = fmt.Sprintf("stage%d.block%d", st+1, b)
 			}
-			if !included {
-				continue
-			}
-			dims[conv1] = LayerDims{K: mid, C: blkInCh, Area: 1}
-			m.Layers = append(m.Layers, nn.Layer{
+			w.weight(on, nn.Layer{
 				Name: prefix + ".conv1", Kind: nn.Conv, C: blkInCh, K: mid, R: 1, S: 1,
-				InH: blkInRes, InW: blkInRes, OutH: blkInRes, OutW: blkInRes, Stride: 1, BlockID: conv1,
+				InH: blkInRes, InW: blkInRes, OutH: blkInRes, OutW: blkInRes, Stride: 1,
 			})
-			dims[conv2] = LayerDims{K: mid, C: mid, Area: 9}
-			m.Layers = append(m.Layers, nn.Layer{
+			w.weight(on, nn.Layer{
 				Name: prefix + ".conv2", Kind: nn.Conv, C: mid, K: mid, R: 3, S: 3,
-				InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride, Pad: 1, BlockID: conv2,
+				InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride, Pad: 1,
 			})
-			dims[conv3] = LayerDims{K: outCh, C: mid, Area: 1}
-			m.Layers = append(m.Layers, nn.Layer{
+			w.weight(on, nn.Layer{
 				Name: prefix + ".conv3", Kind: nn.Conv, C: mid, K: outCh, R: 1, S: 1,
-				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1, BlockID: conv3,
+				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1,
 			})
-			if down >= 0 {
-				dims[down] = LayerDims{K: outCh, C: blkInCh, Area: 1}
-				m.Layers = append(m.Layers, nn.Layer{
+			if b == 0 {
+				w.weight(on, nn.Layer{
 					Name: prefix + ".downsample", Kind: nn.Conv, C: blkInCh, K: outCh, R: 1, S: 1,
-					InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride, BlockID: down,
+					InH: blkInRes, InW: blkInRes, OutH: outRes, OutW: outRes, Stride: blkStride,
 				})
 			}
-			m.Layers = append(m.Layers, nn.Layer{
+			w.op(on, nn.Layer{
 				Name: prefix + ".add", Kind: nn.Add, C: outCh, K: outCh, R: 1, S: 1,
-				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1, BlockID: -1,
+				InH: outRes, InW: outRes, OutH: outRes, OutW: outRes, Stride: 1,
 			})
 		}
 		inCh = outCh
 		inRes = outRes
 	}
 
-	// Global average pool + classifier.
-	m.Layers = append(m.Layers, nn.Layer{
+	w.op(true, nn.Layer{
 		Name: "gap", Kind: nn.Pool, C: inCh, K: inCh, R: inRes, S: inRes,
-		InH: inRes, InW: inRes, OutH: 1, OutW: 1, Stride: 1, BlockID: -1,
+		InH: inRes, InW: inRes, OutH: 1, OutW: 1, Stride: 1,
 	})
-	dims[li] = LayerDims{K: cfg.classes, C: inCh, Area: 1}
-	m.Layers = append(m.Layers, nn.Layer{
+	w.weight(true, nn.Layer{
 		Name: "fc", Kind: nn.Linear, C: inCh, K: cfg.classes, R: 1, S: 1,
-		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1, BlockID: li,
+		InH: 1, InW: 1, OutH: 1, OutW: 1, Stride: 1,
 	})
-	li++
-	if li != s.NumLayers() {
-		return nil, nil, fmt.Errorf("resnet builder walked %d elastic layers, supernet has %d", li, s.NumLayers())
-	}
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return m, dims, nil
-}
-
-// calibrateFLOPsRange instantiates the extreme uniform SubNets to fix the
-// accuracy curve's FLOPs normalization.
-func calibrateFLOPsRange(s *SuperNet) {
-	specs := s.EnumerateUniform()
-	s.flopsLo, s.flopsHi = 0, 0
-	for _, sp := range specs {
-		m, _, err := s.build(sp)
-		if err != nil {
-			continue
-		}
-		f := m.TotalFLOPs()
-		if s.flopsLo == 0 || f < s.flopsLo {
-			s.flopsLo = f
-		}
-		if f > s.flopsHi {
-			s.flopsHi = f
-		}
-	}
 }

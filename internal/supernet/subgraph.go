@@ -3,6 +3,7 @@ package supernet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // SubGraph is a subset of SuperNet weight cells. Any SubNet's weight set
@@ -56,7 +57,7 @@ func (g *SubGraph) Clone() *SubGraph {
 func (g *SubGraph) Count() int {
 	n := 0
 	for _, w := range g.bits {
-		n += popcount(w)
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -182,9 +183,9 @@ func (g *SubGraph) TruncateToBudget(budget int64, priority []int) *SubGraph {
 // ‖SN ∩ G‖₂ / ‖SN‖₂ over the vectorized encodings. It is computed
 // without materializing the intersection or either vector — this sits
 // on the serving hot path (every memoized-pass miss) — by accumulating
-// the squared per-layer covered extents in exactly the order l2 walks
-// the [K1, C1, K2, C2, ...] encoding, so the result is bit-identical
-// to intersecting and vectorizing.
+// the squared per-layer covered extents in the element order of the
+// [K1, C1, K2, C2, ...] encoding, so the result is bit-identical to
+// intersecting, vectorizing and taking the two L2 norms.
 func Overlap(sn *SubGraph, cache *SubGraph) float64 {
 	if sn.super != cache.super {
 		return 0
@@ -212,7 +213,7 @@ func Overlap(sn *SubGraph, cache *SubGraph) float64 {
 				}
 			}
 		}
-		// Two separate adds per layer, K then C, matching l2's
+		// Two separate adds per layer, K then C, matching an
 		// element-order summation over the encoding vector.
 		numS += float64(ik) * float64(ik)
 		numS += float64(ic) * float64(ic)
@@ -246,21 +247,4 @@ func Distance(a, b []float64) float64 {
 		s += b[i] * b[i]
 	}
 	return math.Sqrt(s)
-}
-
-func l2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

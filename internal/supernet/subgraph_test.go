@@ -146,11 +146,21 @@ func TestLayerHitBytes(t *testing.T) {
 	}
 }
 
+// TestCoveredExtentMatchesDims checks that every dimension a SubNet takes
+// is one of its layer's cut points, on the frontier and on random specs:
+// a dimension between cuts would cover a smaller prefix than it uses.
 func TestCoveredExtentMatchesDims(t *testing.T) {
 	for _, s := range []*SuperNet{NewOFAResNet50(), NewOFAMobileNetV3()} {
 		fr, err := s.Frontier()
 		if err != nil {
 			t.Fatal(err)
+		}
+		for seed := int64(0); seed < 50; seed++ {
+			sn, err := s.Instantiate(s.RandomSpec(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr = append(fr, sn)
 		}
 		for _, sn := range fr {
 			for li, d := range sn.Dims {

@@ -1,7 +1,6 @@
 package supernet
 
 import (
-	"fmt"
 	"math"
 
 	"sushi/internal/nn"
@@ -51,12 +50,9 @@ func (s *SuperNet) Instantiate(sp SubNetSpec) (*SubNet, error) {
 	if err := s.Validate(sp); err != nil {
 		return nil, err
 	}
-	model, dims, err := s.build(sp)
+	model, dims, err := s.subnet(sp)
 	if err != nil {
 		return nil, err
-	}
-	if len(dims) != s.NumLayers() {
-		return nil, fmt.Errorf("supernet %s: builder returned %d dims, want %d", s.Name, len(dims), s.NumLayers())
 	}
 	g := NewSubGraph(s, model.Name)
 	for li, d := range dims {

@@ -11,11 +11,14 @@
 // a SubNet covers the prefix rectangle of cells implied by its concrete
 // dimensions, and any union/intersection of such coverages is a SubGraph.
 // Cells are the atomic unit of the Persistent Buffer's caching decisions.
+// Each family is written once, as a walk that emits the SubNet at a spec;
+// the SuperNet's elastic layers, cut points and FLOPs range are derived
+// from the SubNets at its uniform specs.
 package supernet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sushi/internal/nn"
 )
@@ -50,15 +53,9 @@ type ElasticLayer struct {
 	Name string
 	// Kind is the operator type (Conv, DepthwiseConv or Linear).
 	Kind nn.LayerKind
-	// Stage and Block locate the layer in the elastic structure;
-	// Stage == -1 marks stem/head layers that exist in every SubNet.
-	Stage, Block int
 	// KMax, CMax are the maximal kernel (output channel) and input
 	// channel counts; RMax, SMax the maximal kernel window.
 	KMax, CMax, RMax, SMax int
-	// InH, InW, OutH, OutW, Stride, Pad fix the spatial geometry, which
-	// is not elastic in OFA supernets.
-	InH, InW, OutH, OutW, Stride, Pad int
 	// KCuts, CCuts, ACuts are the ascending elastic cut points along the
 	// kernel, channel and kernel-area (R*S) axes. The last element always
 	// equals the maximal extent. A concrete SubNet dimension is always
@@ -107,10 +104,10 @@ type SuperNet struct {
 	WidthChoices  []float64
 	// accLo, accHi calibrate the accuracy model (top-1 %).
 	accLo, accHi float64
-	// flopsLo, flopsHi are the min/max SubNet FLOPs, filled by finalize.
+	// flopsLo, flopsHi are the min/max SubNet FLOPs, filled by finish.
 	flopsLo, flopsHi int64
-	// build instantiates the concrete model + per-layer dims for a spec.
-	build func(sp SubNetSpec) (*nn.Model, []LayerDims, error)
+	// walk emits the family's SubNet at a spec into a walker.
+	walk func(w *walker, sp SubNetSpec)
 }
 
 // LayerDims gives a SubNet's concrete extents for one elastic layer.
@@ -138,8 +135,90 @@ func (s *SuperNet) TotalBytes() int64 {
 	return t
 }
 
-// buildCells derives the cell table from the layer cut points. Called once
-// by the architecture builders after Layers is populated.
+// walker records one SubNet walk: the concrete layers in forward order
+// and, for every elastic weight layer the family declares, the dims the
+// walked spec gives it (zero when the spec leaves its block out).
+type walker struct {
+	m    *nn.Model
+	dims []LayerDims
+}
+
+// weight declares the next elastic weight layer; it keeps its SuperNet
+// index even when on is false and the spec leaves it out.
+func (w *walker) weight(on bool, l nn.Layer) {
+	var d LayerDims
+	if on {
+		l.BlockID = len(w.dims)
+		w.m.Layers = append(w.m.Layers, l)
+		d = LayerDims{K: l.K, C: l.C, Area: l.R * l.S}
+		if l.Kind == nn.DepthwiseConv {
+			// A depthwise weight tensor's per-group channel extent is 1.
+			d.C = 1
+		}
+	}
+	w.dims = append(w.dims, d)
+}
+
+// op appends a weightless layer (pool or add) when on is true.
+func (w *walker) op(on bool, l nn.Layer) {
+	if on {
+		l.BlockID = -1
+		w.m.Layers = append(w.m.Layers, l)
+	}
+}
+
+// subnet walks the family at sp: the concrete model and the dims of every
+// elastic layer.
+func (s *SuperNet) subnet(sp SubNetSpec) (*nn.Model, []LayerDims, error) {
+	// Layers is known after finish's first walk; sizing dims to it keeps
+	// a SubNet's Dims free of spare capacity.
+	w := walker{m: &nn.Model{}, dims: make([]LayerDims, 0, len(s.Layers))}
+	s.walk(&w, sp)
+	return w.m, w.dims, w.m.Validate()
+}
+
+// finish derives the SuperNet from its SubNets at the uniform specs: a
+// layer's maxima are the largest extents they give it and its cut points
+// the distinct ones. OFA choices are set per stage and width is global,
+// so the uniform SubNets reach every extent any spec can. The same walks
+// fix the FLOPs range the accuracy curve is normalized to.
+func (s *SuperNet) finish() {
+	for _, sp := range s.EnumerateUniform() {
+		m, dims, err := s.subnet(sp)
+		if err != nil {
+			panic(fmt.Sprintf("supernet %s: %v", s.Name, err))
+		}
+		if s.Layers == nil {
+			s.Layers = make([]ElasticLayer, len(dims))
+		}
+		for _, l := range m.Layers {
+			if l.BlockID < 0 {
+				continue
+			}
+			e, d := &s.Layers[l.BlockID], dims[l.BlockID]
+			e.Name, e.Kind = l.Name, l.Kind
+			e.KMax, e.CMax = max(e.KMax, d.K), max(e.CMax, d.C)
+			e.RMax, e.SMax = max(e.RMax, l.R), max(e.SMax, l.S)
+			e.KCuts = addCut(e.KCuts, d.K)
+			e.CCuts = addCut(e.CCuts, d.C)
+			e.ACuts = addCut(e.ACuts, d.Area)
+		}
+		f := m.TotalFLOPs()
+		if s.flopsLo == 0 || f < s.flopsLo {
+			s.flopsLo = f
+		}
+		s.flopsHi = max(s.flopsHi, f)
+	}
+	for i := range s.Layers {
+		l := &s.Layers[i]
+		l.KCuts = normalizeCuts(l.KCuts, l.KMax)
+		l.CCuts = normalizeCuts(l.CCuts, l.CMax)
+		l.ACuts = normalizeCuts(l.ACuts, l.RMax*l.SMax)
+	}
+	s.buildCells()
+}
+
+// buildCells derives the cell table from the layer cut points.
 func (s *SuperNet) buildCells() {
 	s.Cells = s.Cells[:0]
 	s.layerCells = make([][]int, len(s.Layers))
@@ -174,21 +253,24 @@ func (s *SuperNet) buildCells() {
 	}
 }
 
+// addCut appends c to cuts unless it is already there.
+func addCut(cuts []int, c int) []int {
+	if slices.Contains(cuts, c) {
+		return cuts
+	}
+	return append(cuts, c)
+}
+
 // normalizeCuts sorts, dedups and validates cut points ending at max.
 func normalizeCuts(cuts []int, max int) []int {
-	m := map[int]bool{}
+	out := append(make([]int, 0, len(cuts)+1), max)
 	for _, c := range cuts {
-		if c > 0 && c <= max {
-			m[c] = true
+		if c > 0 && c < max {
+			out = append(out, c)
 		}
 	}
-	m[max] = true
-	out := make([]int, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // round8 rounds n to the nearest positive multiple of 8, the channel

@@ -1,6 +1,9 @@
 package supernet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -344,6 +347,76 @@ func TestRandomSpecAccuracyWithinBand(t *testing.T) {
 			}
 			if sn.Accuracy < 74 || sn.Accuracy > 81 {
 				t.Errorf("%s seed %d: accuracy %.2f outside [74, 81]", s.Name, seed, sn.Accuracy)
+			}
+		}
+	}
+}
+
+// structureDigest hashes everything a SuperNet family's construction
+// decides: each elastic layer's extents and cut points, the cell table,
+// and the SubNet (name, model layers, dims, covered cells, accuracy) at
+// every uniform spec, at RandomSpec(0..199) and on the frontier.
+func structureDigest(t *testing.T, s *SuperNet) string {
+	t.Helper()
+	h := sha256.New()
+	for _, l := range s.Layers {
+		fmt.Fprintf(h, "%s|%v|%d %d %d %d|%v %v %v\n",
+			l.Name, l.Kind, l.KMax, l.CMax, l.RMax, l.SMax, l.KCuts, l.CCuts, l.ACuts)
+	}
+	for _, c := range s.Cells {
+		fmt.Fprintf(h, "%+v\n", c)
+	}
+	specs := s.EnumerateUniform()
+	for seed := int64(0); seed < 200; seed++ {
+		specs = append(specs, s.RandomSpec(seed))
+	}
+	var subnets []*SubNet
+	for _, sp := range specs {
+		sn, err := s.Instantiate(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		subnets = append(subnets, sn)
+	}
+	fr, err := s.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sn := range append(subnets, fr...) {
+		fmt.Fprintf(h, "%s\n", sn.Name)
+		for _, l := range sn.Model.Layers {
+			fmt.Fprintf(h, "%+v\n", l)
+		}
+		fmt.Fprintf(h, "%v\n%v\n%v\n", sn.Dims, sn.Graph.Cells(), sn.Accuracy)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSuperNetStructurePinned pins each family's construction, so a
+// change to how the SuperNet is derived from its SubNets cannot move a
+// layer, a cut point, a cell or a SubNet unnoticed.
+func TestSuperNetStructurePinned(t *testing.T) {
+	for _, tc := range []struct {
+		s    *SuperNet
+		want string
+	}{
+		{NewOFAResNet50(), "7e76e103e2c4eac37bc4f28dfca3c1fb5b1b9fdeef39559b14a4a3e0ab75286b"},
+		{NewOFAMobileNetV3(), "3b81bc106698d017c89453c12d21d2f748e307ed0e22e86a8e960bbc3d4bd6b7"},
+	} {
+		if got := structureDigest(t, tc.s); got != tc.want {
+			t.Errorf("%s structure digest = %s, want %s", tc.s.Name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkSuperNetBuild measures SuperNet construction: both families
+// and their frontiers, once per op, as each process does at setup.
+func BenchmarkSuperNetBuild(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, s := range []*SuperNet{NewOFAResNet50(), NewOFAMobileNetV3()} {
+			if _, err := s.Frontier(); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func (r Range) sample(rng *rand.Rand) float64 {
 
 // Validate reports an inverted or non-finite range.
 func (r Range) Validate() error {
-	if math.IsNaN(r.Lo) || math.IsNaN(r.Hi) || r.Lo > r.Hi {
+	if math.IsNaN(r.Lo) || math.IsNaN(r.Hi) || math.IsInf(r.Lo, 0) || math.IsInf(r.Hi, 0) || r.Lo > r.Hi {
 		return fmt.Errorf("workload: invalid range [%g, %g]", r.Lo, r.Hi)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,12 @@ func TestUniformValidation(t *testing.T) {
 	}
 	if _, err := Uniform(5, Range{0, 1}, Range{2, 1}, 1); err == nil {
 		t.Error("inverted latency range accepted")
+	}
+	if _, err := Uniform(4, Range{0, math.Inf(1)}, Range{1e-3, 2e-3}, 1); err == nil {
+		t.Error("infinite accuracy bound accepted")
+	}
+	if _, err := Uniform(4, Range{70, 80}, Range{math.Inf(-1), math.Inf(1)}, 1); err == nil {
+		t.Error("infinite latency range accepted")
 	}
 }
 
