@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 
 	"sushi/internal/nn"
@@ -16,13 +17,15 @@ import (
 // whole pipeline is deterministic and data-independent — the property the
 // tests rely on.
 //
-// The engine owns an arena of reusable buffers (three rotating int8
-// activations, one of which a residual block holds as its shortcut; an
-// int32 accumulator for the fully-connected and pooling layers only,
-// since convolutions requantize in their kernels' epilogue; the
-// kernels' pack buffers) and memoizes each SubNet's plan — per layer,
-// its role, parameters, weight panel, per-channel weight sums and
-// weight bound — so the steady state of ForwardBatchInto allocates
+// Each SubNet's plan is built once: per layer its role, parameters,
+// weight panel, per-channel weight sums and weight bound, and the
+// activation plan — every tensor (the staged input and each non-Add
+// layer's output) gets a per-image offset in one int8 slab, placed so
+// that no two tensors live at the same time share a byte. The engine's
+// arena is that slab (batch · the plan's size, batch outermost), an
+// int32 accumulator for the fully-connected and pooling layers only
+// (convolutions requantize in their kernels' epilogue) and the kernels'
+// pack buffers, so the steady state of ForwardBatchInto allocates
 // nothing, derives nothing and runs through the blocked kernels.
 // Results are bit-identical to ForwardReference, the original unblocked
 // pipeline kept as the oracle.
@@ -62,25 +65,34 @@ type image struct {
 }
 
 // prepared is the per-SubNet state the engine computes once: the layer
-// plan and the arena's per-image high-water marks.
+// plan, its activation tensors and the arena's per-image sizes.
 type prepared struct {
 	steps []step
-	// Per-image (batch=1) element maxima over the layer walk; the arena
-	// is sized once per (SubNet, batch) from these. accMax counts only
-	// the layers that requantize through the accumulator (Linear and
-	// global-average Pool).
-	actMax, accMax int
+	// spans are the activation tensors; spans[0] is the staged input.
+	spans []span
+	// slab is the activation plan's per-image size: every span lies in
+	// [0, slab). accMax counts the accumulator elements of the layers
+	// that requantize through it (Linear and global-average Pool).
+	slab, accMax int
+}
+
+// span is one activation tensor of a plan: its per-image shape, the
+// steps that write it (-1 for the staged input) and last read it, and
+// its per-image offset in the slab.
+type span struct {
+	shape         tensor.Shape
+	def, end, off int
 }
 
 // step is one layer of a SubNet's plan: everything ForwardBatchInto
 // would otherwise re-derive from the layer on every call.
 type step struct {
 	l *nn.Layer
-	// entry marks a residual block's first layer, whose input is kept as
-	// the shortcut; downsample marks the conv that transforms that
-	// shortcut instead of x (prepare ensures the block's add follows it).
-	entry, downsample bool
-	cp                tensor.ConvParams
+	// in, out and sc index the spans the layer reads, writes and (an
+	// Add only) folds in as the residual operand. An Add writes in
+	// place, so its out is its in; a downsample reads its block's input.
+	in, out, sc int
+	cp          tensor.ConvParams
 	// q requantizes the layer's accumulators.
 	q tensor.QuantParams
 	// w is the layer's [K, C, kern, kern] weight panel, a view of its
@@ -103,7 +115,8 @@ func (st *step) point(im *image) {
 
 // view makes st's weight panel a corner of its layer's image, growing
 // the image (and re-pointing its other views) when the panel falls
-// outside the box prepared so far.
+// outside the box prepared so far. An image is stored only once it
+// holds weights.
 func (e *Engine) view(st *step) error {
 	l := st.l
 	d := panelDims(l)
@@ -111,7 +124,6 @@ func (e *Engine) view(st *step) error {
 	im := e.images[key]
 	if im == nil {
 		im = &image{}
-		e.images[key] = im
 	}
 	if d.K > im.k || d.C > im.c {
 		box := supernet.LayerDims{K: max(d.K, im.k), C: max(d.C, im.c)}
@@ -124,6 +136,7 @@ func (e *Engine) view(st *step) error {
 			v.point(im)
 		}
 	}
+	e.images[key] = im
 	st.w.Shape = tensor.Shape{N: d.K, C: d.C, H: l.R, W: l.R}
 	st.point(im)
 	im.views = append(im.views, st)
@@ -132,30 +145,41 @@ func (e *Engine) view(st *step) error {
 	return nil
 }
 
-// arena is the engine's reusable buffer set. act rotates through layer
-// input and output; a residual block holds its input buffer as the
-// shortcut (then the downsample's output, which replaces it) until its
-// add folds it into x in place, so each layer writes to the one buffer
-// that is neither its input nor the held shortcut. acc is the int32
+// arena is the engine's reusable buffer set. slab holds every
+// activation of the running plan; x, y and res are the current step's
+// views of its input, output and residual operand, kept here so that
+// handing them to the kernels allocates nothing. acc is the int32
 // accumulator of the Linear and global-average Pool layers; sc carries
 // the kernels' pack buffers.
 type arena struct {
-	act [3]tensor.Int8
-	acc tensor.Int32
-	sc  tensor.Scratch
+	slab      []int8
+	x, y, res tensor.Int8
+	acc       tensor.Int32
+	sc        tensor.Scratch
 }
 
-// presize grows every arena buffer to the SubNet×batch high-water mark
-// in one step, honoring the "sized once per SubNet" arena rule.
+// presize grows the slab and the accumulator to the SubNet×batch
+// high-water mark in one step, honoring the "sized once per SubNet"
+// arena rule.
 func (a *arena) presize(p *prepared, batch int) {
-	for i := range a.act {
-		if cap(a.act[i].Data) < batch*p.actMax {
-			a.act[i].Data = make([]int8, batch*p.actMax)
-		}
+	if len(a.slab) < batch*p.slab {
+		a.slab = make([]int8, batch*p.slab)
 	}
 	if cap(a.acc.Data) < batch*p.accMax {
 		a.acc.Data = make([]int32, batch*p.accMax)
 	}
+}
+
+// view points t at span s for a batch. Batch is the outermost
+// dimension, so the span's offset and size scale by it; the full slice
+// expression caps t at its own region, so a kernel's EnsureInt8 can
+// never grow it into a neighbour.
+func (a *arena) view(t *tensor.Int8, s *span, batch int) *tensor.Int8 {
+	t.Shape = s.shape
+	t.Shape.N = batch
+	o, n := batch*s.off, t.Shape.Elems()
+	t.Data = a.slab[o : o+n : o+n]
+	return t
 }
 
 // NewEngine builds an engine over a weight store. The kernel pool
@@ -199,24 +223,64 @@ func (e *Engine) staticScale(reduction int) tensor.QuantParams {
 	return tensor.QuantParams{Scale: 1.0 / (math.Sqrt(float64(reduction)) * sigmaW), ZeroPoint: 0}
 }
 
-// prepare memoizes the SubNet's layer plan and arena maxima. The
-// residual bookkeeping is resolved here, by the same name suffixes
-// ForwardReference matches on every call.
+// prepare memoizes the SubNet's plan. Every weight layer is checked
+// against the engine's SuperNet before the first panel is viewed, so a
+// rejected plan leaves the images as they were.
 func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 	if p, ok := e.prep[sn]; ok {
 		return p, nil
 	}
-	p := &prepared{steps: make([]step, len(sn.Model.Layers))}
-	shortcut := false
-	for i := range sn.Model.Layers {
-		l := &sn.Model.Layers[i]
+	p, err := e.plan(sn)
+	if err != nil {
+		return nil, err
+	}
+	for i := range p.steps {
+		if l := p.steps[i].l; l.WeightBytes() > 0 {
+			el, err := e.ws.layer(l.BlockID, panelDims(l), l.R)
+			if err == nil && el.Name != l.Name {
+				err = fmt.Errorf("infer: elastic layer %d is %s", l.BlockID, el.Name)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("infer: %s: %w", l.Name, err)
+			}
+		}
+	}
+	for i := range p.steps {
+		if st := &p.steps[i]; st.l.WeightBytes() > 0 {
+			if err := e.view(st); err != nil {
+				return nil, fmt.Errorf("infer: %s: %w", st.l.Name, err)
+			}
+		}
+	}
+	e.prep[sn] = p
+	return p, nil
+}
+
+// plan builds the SubNet's layer plan and activation plan from its
+// layer walk alone; no weight is read. The residual bookkeeping is
+// resolved here, by the same name suffixes ForwardReference matches on
+// every call: a block's entry holds its input as the shortcut, a
+// downsample replaces it with its output, and the add folds it into x
+// in place. Each span lives from the step that writes it to its last
+// reader, the logits until the copy-out.
+func (e *Engine) plan(sn *supernet.SubNet) (*prepared, error) {
+	layers := sn.Model.Layers
+	first := &layers[0]
+	p := &prepared{steps: make([]step, len(layers)),
+		spans: []span{{shape: tensor.Shape{N: 1, C: first.C, H: first.InH, W: first.InW}, def: -1}}}
+	read := func(s, i int) int {
+		p.spans[s].end = i
+		return s
+	}
+	x, held := 0, -1
+	for i := range layers {
+		l := &layers[i]
 		st := &p.steps[i]
 		st.l = l
 		if strings.HasSuffix(l.Name, ".conv1") || strings.HasSuffix(l.Name, ".expand") {
-			st.entry, shortcut = true, true
+			held = x
 		}
-		outC := l.K
-		inElems := l.C * l.InH * l.InW
+		src, outC, down := x, l.K, false
 		switch l.Kind {
 		case nn.Conv, nn.DepthwiseConv:
 			st.cp = tensor.ConvParams{StrideH: l.Stride, StrideW: l.Stride, PadH: l.Pad, PadW: l.Pad}
@@ -225,13 +289,17 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 				st.cp.Groups, outC, reduction = l.C, l.C, l.R*l.S
 			}
 			st.q = e.staticScale(reduction)
-			if st.downsample = strings.HasSuffix(l.Name, ".downsample"); st.downsample && !shortcut {
-				return nil, fmt.Errorf("infer: %s: no shortcut to downsample", l.Name)
-			}
-			// Three buffers hold x, the shortcut and the downsample's
-			// output only if the add consumes that output next.
-			if st.downsample && (i+1 == len(sn.Model.Layers) || sn.Model.Layers[i+1].Kind != nn.Add) {
-				return nil, fmt.Errorf("infer: %s: downsample not followed by its add", l.Name)
+			if down = strings.HasSuffix(l.Name, ".downsample"); down {
+				if held < 0 {
+					return nil, fmt.Errorf("infer: %s: no shortcut to downsample", l.Name)
+				}
+				// The add must consume the downsample's output next: a
+				// second downsample would read it, where ForwardReference
+				// reads the block's input.
+				if i+1 == len(layers) || layers[i+1].Kind != nn.Add {
+					return nil, fmt.Errorf("infer: %s: downsample not followed by its add", l.Name)
+				}
+				src = held
 			}
 		case nn.Linear:
 			st.q = e.staticScale(l.C)
@@ -243,26 +311,58 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 				p.accMax = max(p.accMax, l.C)
 			}
 		case nn.Add:
-			if !shortcut {
+			if held < 0 {
 				return nil, fmt.Errorf("infer: %s: no residual operand", l.Name)
 			}
-			shortcut = false
+			st.in, st.out, st.sc = read(x, i), x, read(held, i)
+			held = -1
+			continue
 		default:
 			return nil, fmt.Errorf("infer: %s: unsupported kind %v", l.Name, l.Kind)
 		}
-		p.actMax = max(p.actMax, max(inElems, outC*l.OutH*l.OutW))
-	}
-	// Panels are viewed only once the plan is valid, so a plan rejected
-	// for its structure leaves no view behind.
-	for i := range p.steps {
-		if st := &p.steps[i]; st.l.WeightBytes() > 0 {
-			if err := e.view(st); err != nil {
-				return nil, fmt.Errorf("infer: %s: %w", st.l.Name, err)
-			}
+		st.in, st.out = read(src, i), len(p.spans)
+		p.spans = append(p.spans, span{shape: tensor.Shape{N: 1, C: outC, H: l.OutH, W: l.OutW}, def: i, end: i})
+		if down {
+			held = st.out
+		} else {
+			x = st.out
 		}
 	}
-	e.prep[sn] = p
+	read(x, len(layers))
+	p.slab = place(p.spans)
 	return p, nil
+}
+
+// place gives each span, largest first, the lowest per-image offset at
+// which it overlaps no placed span whose lifetime overlaps its own, and
+// returns the slab size.
+func place(spans []span) int {
+	order := make([]int, len(spans))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return spans[b].shape.Elems() - spans[a].shape.Elems() })
+	slab := 0
+	var live []*span
+	for k, i := range order {
+		s := &spans[i]
+		live = live[:0]
+		for _, j := range order[:k] {
+			if t := &spans[j]; t.def <= s.end && s.def <= t.end {
+				live = append(live, t)
+			}
+		}
+		slices.SortFunc(live, func(a, b *span) int { return a.off - b.off })
+		n := s.shape.Elems()
+		for _, t := range live {
+			if s.off+n <= t.off {
+				break
+			}
+			s.off = max(s.off, t.off+t.shape.Elems())
+		}
+		slab = max(slab, s.off+n)
+	}
+	return slab
 }
 
 // Forward runs input through the SubNet and returns the logits tensor
@@ -306,53 +406,29 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 	a := &e.a
 	a.presize(p, batch)
 
-	// Stage the input into the arena (tiling one image across the batch
+	// Stage the input into its span (tiling one image across the batch
 	// when needed); the caller's tensor is never aliased.
-	cur := 0
-	x := &a.act[cur]
-	tensor.EnsureInt8(x, tensor.Shape{N: batch, C: input.Shape.C, H: input.Shape.H, W: input.Shape.W})
+	staged := a.view(&a.x, &p.spans[0], batch)
 	if input.Shape.N == batch {
-		copy(x.Data, input.Data)
+		copy(staged.Data, input.Data)
 	} else {
-		img := input.Shape.C * input.Shape.H * input.Shape.W
+		img := len(input.Data)
 		for b := 0; b < batch; b++ {
-			copy(x.Data[b*img:(b+1)*img], input.Data[:img])
+			copy(staged.Data[b*img:(b+1)*img], input.Data)
 		}
 	}
 
-	// Residual bookkeeping: entering a block holds x's buffer as the
-	// shortcut; a downsample replaces it with its output; an add folds it
-	// back into x, saturating in place, and releases it.
-	held := -1
 	for i := range p.steps {
 		st := &p.steps[i]
 		l := st.l
-		if st.entry {
-			held = cur
-		}
-		next := (cur + 1) % 3
-		if next == held {
-			next = (next + 1) % 3
-		}
-		y := &a.act[next]
+		x, y := a.view(&a.x, &p.spans[st.in], batch), a.view(&a.y, &p.spans[st.out], batch)
 		switch l.Kind {
 		case nn.Conv, nn.DepthwiseConv:
-			src := x
-			if st.downsample {
-				src = &a.act[held]
-			}
-			if err := tensor.Conv2DRequantInto(y, src, &st.w, st.ld, e.zp, st.cp, st.wsum, st.wMax, st.q, &a.sc, e.pool); err != nil {
-				return fmt.Errorf("infer: %s: %w", l.Name, err)
-			}
-			if st.downsample {
-				held = next
-				continue
-			}
+			err = tensor.Conv2DRequantInto(y, x, &st.w, st.ld, e.zp, st.cp, st.wsum, st.wMax, st.q, &a.sc, e.pool)
 		case nn.Linear:
-			if err := tensor.LinearBlockedInto(&a.acc, x, &st.w, st.ld, e.zp, st.wsum, &a.sc, e.pool); err != nil {
-				return fmt.Errorf("infer: %s: %w", l.Name, err)
+			if err = tensor.LinearBlockedInto(&a.acc, x, &st.w, st.ld, e.zp, st.wsum, &a.sc, e.pool); err == nil {
+				tensor.RequantizeInto(y, &a.acc, st.q)
 			}
-			tensor.RequantizeInto(y, &a.acc, st.q)
 		case nn.Pool:
 			if l.OutH == 1 && l.OutW == 1 {
 				tensor.GlobalAvgPoolInto(&a.acc, x, e.zp)
@@ -361,16 +437,15 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 				tensor.MaxPoolInto(y, x, l.R, l.Stride, l.Pad)
 			}
 		case nn.Add:
-			if err := tensor.AddSatInt8(x, x, &a.act[held]); err != nil {
-				return fmt.Errorf("infer: %s: %w", l.Name, err)
-			}
-			held = -1
-			continue
+			err = tensor.AddSatInt8(y, x, a.view(&a.res, &p.spans[st.sc], batch))
 		}
-		x, cur = y, next
+		if err != nil {
+			return fmt.Errorf("infer: %s: %w", l.Name, err)
+		}
 	}
-	tensor.EnsureInt8(dst, x.Shape)
-	copy(dst.Data, x.Data)
+	// The last step's output is the logits.
+	tensor.EnsureInt8(dst, a.y.Shape)
+	copy(dst.Data, a.y.Data)
 	return nil
 }
 

@@ -105,6 +105,40 @@ func TestForwardMatchesReference(t *testing.T) {
 	}
 }
 
+// TestForwardBatchMatchesReference runs two distinct images through a
+// random mobilenetv3 SubNet at batch 2 and pins each slot against
+// ForwardReference on its image, so the slab offsets are checked at a
+// batch other than the 1 and 4 the other parity tests use.
+func TestForwardBatchMatchesReference(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the reference forward takes seconds")
+	}
+	s := supernet.NewOFAMobileNetV3()
+	sn, err := s.Instantiate(s.RandomSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(NewWeightStore(s, 1))
+	defer e.Close()
+	imgs := []*tensor.Int8{referenceInput, tensor.RandomInt8(referenceInput.Shape, 19)}
+	in := tensor.NewInt8(tensor.Shape{N: 2, C: 3, H: 224, W: 224})
+	copy(in.Data, imgs[0].Data)
+	copy(in.Data[len(imgs[0].Data):], imgs[1].Data)
+	var out tensor.Int8
+	if err := e.ForwardBatchInto(sn, in, 2, &out); err != nil {
+		t.Fatal(err)
+	}
+	for b, img := range imgs {
+		ref, err := e.ForwardReference(sn, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(ref.Data); !slices.Equal(out.Data[b*n:(b+1)*n], ref.Data) {
+			t.Fatalf("%s: batch slot %d differs from ForwardReference", sn.Name, b)
+		}
+	}
+}
+
 // TestForwardBatchSemantics pins ForwardBatchInto: a single image tiled
 // across the batch yields the single-image logits in every batch slot,
 // and a true N=n input yields each image's own logits.
@@ -243,18 +277,16 @@ func TestForwardAllocsSwitching(t *testing.T) {
 // arenaBytes is the arena's activation and accumulator footprint (the
 // kernels' per-worker pack buffers aside).
 func arenaBytes(a *arena) int {
-	n := 4 * cap(a.acc.Data)
-	for i := range a.act {
-		n += cap(a.act[i].Data)
-	}
-	return n
+	return cap(a.slab) + 4*cap(a.acc.Data)
 }
 
-// TestEngineArenaFootprint pins the arena's shape: three activation
-// buffers of batch·actMax bytes each, and an int32 accumulator no
-// larger than the fully-connected and global-pool layers need, because
-// convolutions requantize in their kernels' epilogue. It runs the
-// mobilenetv3 S, L, S@4 switch on one engine and resnet50 on another.
+// TestEngineArenaFootprint pins the arena's shape: one activation slab
+// of the largest batch·slab the SubNets run reach — 3,211,264 bytes
+// after the mobilenetv3 S, L, S@4 switch (three batch·actMax buffers
+// held 7,225,344) and 1,179,136 after resnet50's smallest SubNet
+// (1,580,544) — and an int32 accumulator no larger than the
+// fully-connected and global-pool layers need, because convolutions
+// requantize in their kernels' epilogue.
 func TestEngineArenaFootprint(t *testing.T) {
 	mbv3, resnet := supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()
 	mf, err := mbv3.Frontier()
@@ -273,19 +305,20 @@ func TestEngineArenaFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		net  *supernet.SuperNet
 		runs []run
+		slab int
 	}{
-		{mbv3, []run{{mf[0], 1}, {mf[len(mf)-1], 1}, {mf[0], 4}}},
-		{resnet, []run{{rf[0], 1}}},
+		{mbv3, []run{{mf[0], 1}, {mf[len(mf)-1], 1}, {mf[0], 4}}, 3211264},
+		{resnet, []run{{rf[0], 1}}, 1179136},
 	} {
 		e := NewEngine(NewWeightStore(tc.net, 1))
 		e.SetWorkers(1)
 		var out tensor.Int8
-		var act, acc int
+		var slab, acc int
 		for _, r := range tc.runs {
 			if err := e.ForwardBatchInto(r.sn, in, r.batch, &out); err != nil {
 				t.Fatal(err)
 			}
-			act = max(act, r.batch*e.prep[r.sn].actMax)
+			slab = max(slab, r.batch*e.prep[r.sn].slab)
 			for _, l := range r.sn.Model.Layers {
 				switch {
 				case l.Kind == nn.Linear:
@@ -296,10 +329,8 @@ func TestEngineArenaFootprint(t *testing.T) {
 			}
 		}
 		e.Close()
-		for i := range e.a.act {
-			if got := cap(e.a.act[i].Data); got != act {
-				t.Errorf("%s: activation buffer %d holds %d bytes, want batch·actMax = %d", tc.net.Name, i, got, act)
-			}
+		if got := cap(e.a.slab); got != tc.slab || got != slab {
+			t.Errorf("%s: activation slab holds %d bytes, want %d (largest batch·slab %d)", tc.net.Name, got, tc.slab, slab)
 		}
 		if got := cap(e.a.acc.Data); got > acc {
 			t.Errorf("%s: accumulator holds %d int32, want at most batch·max(FC K, pooled C) = %d", tc.net.Name, got, acc)
@@ -307,10 +338,10 @@ func TestEngineArenaFootprint(t *testing.T) {
 	}
 }
 
-// TestPrepareRejectsDetachedDownsample: three rotating buffers hold a
-// block's input, the shortcut and the downsample's output only if the
-// add consumes that output next, so prepare refuses a downsample that
-// does not directly precede its add.
+// TestPrepareRejectsDetachedDownsample: a downsample's output replaces
+// the shortcut, which is only ForwardReference's operand if the add
+// consumes it next, so prepare refuses a downsample that does not
+// directly precede its add.
 func TestPrepareRejectsDetachedDownsample(t *testing.T) {
 	s := supernet.NewOFAResNet50()
 	fr, err := s.Frontier()
@@ -333,6 +364,143 @@ func TestPrepareRejectsDetachedDownsample(t *testing.T) {
 	}
 	if _, err := e.prepare(&sn); err == nil || !strings.Contains(err.Error(), "not followed by its add") {
 		t.Fatalf("detached downsample: err = %v", err)
+	}
+}
+
+// TestPlanInvariants checks the activation plans of the frontier and
+// 50 RandomSpecs of each family, built from the layer walk alone (no
+// weight is materialized). Lifetimes are recomputed from the steps'
+// reads: a span lives from the step that writes it to the last step
+// that reads it, the logits to the copy-out. Then spans whose lifetimes
+// overlap never share a byte, every span's view at batch 1 and 4 is its
+// own region of the batch·slab arena, and the slab equals the largest
+// live set.
+func TestPlanInvariants(t *testing.T) {
+	for _, s := range []*supernet.SuperNet{supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()} {
+		sns, err := s.Frontier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(0); seed < 50; seed++ {
+			sn, err := s.Instantiate(s.RandomSpec(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sns = append(sns, sn)
+		}
+		e := NewEngine(NewWeightStore(s, 1))
+		for _, sn := range sns {
+			p, err := e.plan(sn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPlan(t, sn.Name, p)
+			for _, batch := range []int{1, 4} {
+				e.a.presize(p, batch)
+				for i := range p.spans {
+					sp := &p.spans[i]
+					v := e.a.view(&e.a.x, sp, batch)
+					if o := batch * sp.off; cap(v.Data) != batch*sp.shape.Elems() || &v.Data[0] != &e.a.slab[o] || o+cap(v.Data) > batch*p.slab {
+						t.Fatalf("%s batch %d: span %d's view is not its region of the slab", sn.Name, batch, i)
+					}
+				}
+			}
+		}
+		if len(e.images) != 0 {
+			t.Fatalf("%s: planning materialized %d weight images", s.Name, len(e.images))
+		}
+	}
+}
+
+// checkPlan fails unless p's spans, with lifetimes recomputed from its
+// steps, are placed without conflicts into a slab of the live-set bound.
+func checkPlan(t *testing.T, name string, p *prepared) {
+	t.Helper()
+	def, end := make([]int, len(p.spans)), make([]int, len(p.spans))
+	for i := range def {
+		def[i], end[i] = len(p.steps)+1, -1
+	}
+	def[0] = -1
+	for i, st := range p.steps {
+		end[st.in] = i
+		if st.l.Kind == nn.Add {
+			end[st.sc] = i
+		} else if def[st.out] <= len(p.steps) {
+			t.Fatalf("%s: span %d written twice", name, st.out)
+		} else {
+			def[st.out], end[st.out] = i, i
+		}
+	}
+	end[p.steps[len(p.steps)-1].out] = len(p.steps)
+	peak := 0
+	for at := -1; at <= len(p.steps); at++ {
+		live := 0
+		for i, sp := range p.spans {
+			if def[i] <= at && at <= end[i] {
+				live += sp.shape.Elems()
+			}
+		}
+		peak = max(peak, live)
+	}
+	if p.slab != peak {
+		t.Errorf("%s: slab %d, live-set bound %d", name, p.slab, peak)
+	}
+	for i, a := range p.spans {
+		if a.off < 0 || a.off+a.shape.Elems() > p.slab {
+			t.Fatalf("%s: span %d at [%d, %d) outside the %d-byte slab", name, i, a.off, a.off+a.shape.Elems(), p.slab)
+		}
+		for j, b := range p.spans[:i] {
+			if def[i] <= end[j] && def[j] <= end[i] && a.off < b.off+b.shape.Elems() && b.off < a.off+a.shape.Elems() {
+				t.Fatalf("%s: spans %d and %d live together and share bytes", name, j, i)
+			}
+		}
+	}
+}
+
+// TestPrepareRejectsForeignPlan: a SubNet of another SuperNet is
+// refused before any panel is viewed — a resnet50 SubNet on a
+// mobilenetv3 engine at stem.conv's dims, a mobilenetv3 SubNet on a
+// resnet50 engine at stem.dw's name — and three tries leave the
+// engine's images, their bytes and their views as they were.
+func TestPrepareRejectsForeignPlan(t *testing.T) {
+	mbv3, resnet := supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()
+	mf, err := mbv3.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := resnet.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := func(e *Engine) int {
+		n := 0
+		for _, im := range e.images {
+			n += len(im.views)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		net          *supernet.SuperNet
+		own, foreign *supernet.SubNet
+		layer        string
+	}{
+		{mbv3, mf[0], rf[0], "stem.conv"},
+		{resnet, rf[0], mf[0], "stem.dw"},
+	} {
+		e := NewEngine(NewWeightStore(tc.net, 1))
+		if _, err := e.prepare(tc.own); err != nil {
+			t.Fatal(err)
+		}
+		n, b, v := len(e.images), residentBytes(e), views(e)
+		for range 3 {
+			if _, err := e.prepare(tc.foreign); err == nil || !strings.HasPrefix(err.Error(), "infer: "+tc.layer+": ") {
+				t.Fatalf("%s on %s: err = %v, want one naming %s", tc.foreign.Name, tc.net.Name, err, tc.layer)
+			}
+		}
+		if n2, b2, v2 := len(e.images), residentBytes(e), views(e); n2 != n || b2 != b || v2 != v {
+			t.Errorf("%s on %s: %d images, %d bytes, %d views after the rejected plans; want %d, %d, %d",
+				tc.foreign.Name, tc.net.Name, n2, b2, v2, n, b, v)
+		}
 	}
 }
 
@@ -485,8 +653,10 @@ func TestSharedImagesPairs(t *testing.T) {
 // sequential) — the number the ≥5× acceptance criterion compares
 // against BenchmarkForwardReference. The largest SubNet runs first, so
 // the timed smallest one reads its panels as strided views of the
-// larger images. It reports the warm arena's activation and
-// accumulator footprint as arena_MB and the images' as weights_MB.
+// larger images, and the smallest at batch 4 next, so the arena stands
+// at the high-water mark of forward_switch's mobilenetv3 engine. It
+// reports the arena's activation slab and accumulator as arena_MB and
+// the images' footprint as weights_MB.
 func BenchmarkForward(b *testing.B) {
 	s := supernet.NewOFAMobileNetV3()
 	fr, err := s.Frontier()
@@ -498,8 +668,11 @@ func BenchmarkForward(b *testing.B) {
 	e.SetWorkers(1)
 	in := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 99)
 	var out tensor.Int8
-	for _, sn := range []*supernet.SubNet{fr[len(fr)-1], fr[0]} {
-		if err := e.ForwardBatchInto(sn, in, 1, &out); err != nil {
+	for _, w := range []struct {
+		sn    *supernet.SubNet
+		batch int
+	}{{fr[len(fr)-1], 1}, {fr[0], 4}, {fr[0], 1}} {
+		if err := e.ForwardBatchInto(w.sn, in, w.batch, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -93,15 +93,9 @@ func kernelAreaIndex(kmax, k, r, s int) int {
 // SubNet's concrete dims: [K, C, kern, kern] for convs ([K, 1, kern,
 // kern] depthwise, [K, C, 1, 1] for 1x1/linear).
 func (ws *WeightStore) LayerWeights(li int, d supernet.LayerDims, kern int) (*tensor.Int8, error) {
-	if li < 0 || li >= ws.super.NumLayers() {
-		return nil, fmt.Errorf("infer: layer %d out of range", li)
-	}
-	l := &ws.super.Layers[li]
-	if d.K <= 0 || d.C <= 0 || kern <= 0 {
-		return nil, fmt.Errorf("infer: layer %s: empty dims %+v kern %d", l.Name, d, kern)
-	}
-	if d.K > l.KMax || d.C > l.CMax || kern > l.RMax {
-		return nil, fmt.Errorf("infer: layer %s: dims %+v kern %d exceed maxima", l.Name, d, kern)
+	l, err := ws.layer(li, d, kern)
+	if err != nil {
+		return nil, err
 	}
 	w := tensor.NewInt8(tensor.Shape{N: d.K, C: d.C, H: kern, W: kern})
 	for k := 0; k < d.K; k++ {
@@ -115,6 +109,21 @@ func (ws *WeightStore) LayerWeights(li int, d supernet.LayerDims, kern int) (*te
 		}
 	}
 	return w, nil
+}
+
+// layer returns elastic layer li if LayerWeights accepts (li, d, kern).
+func (ws *WeightStore) layer(li int, d supernet.LayerDims, kern int) (*supernet.ElasticLayer, error) {
+	if li < 0 || li >= ws.super.NumLayers() {
+		return nil, fmt.Errorf("infer: layer %d out of range", li)
+	}
+	l := &ws.super.Layers[li]
+	if d.K <= 0 || d.C <= 0 || kern <= 0 {
+		return nil, fmt.Errorf("infer: layer %s: empty dims %+v kern %d", l.Name, d, kern)
+	}
+	if d.K > l.KMax || d.C > l.CMax || kern > l.RMax {
+		return nil, fmt.Errorf("infer: layer %s: dims %+v kern %d exceed maxima", l.Name, d, kern)
+	}
+	return l, nil
 }
 
 // panelDims is the (K, C) of model layer l's weight panel in its
