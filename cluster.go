@@ -84,8 +84,10 @@ type Batching = simq.Batching
 // weight-traffic analysis implies: amortizing the dominant cost across
 // queries. The policy applies to the live Serve path (window = wall
 // clock) and is the default batch former for Cluster.Simulate (window
-// reinterpreted as virtual seconds). b <= 1 or window <= 0 leaves
-// serving unbatched and bit-identical to a plain deployment.
+// reinterpreted as virtual seconds). ServeAll and ServeStream, and so
+// sushi-server's /v1/serve/batch, never batch: each query is its own
+// pass. b <= 1 or window <= 0 leaves serving unbatched and
+// bit-identical to a plain deployment.
 func WithBatching(b int, window time.Duration) ClusterOption {
 	return func(o *core.ClusterOptions) {
 		o.Batch = &serving.BatchPolicy{MaxBatch: b, Window: window}

@@ -94,7 +94,7 @@ func main() {
 		recache = flag.Bool("recache", false,
 			"enable runtime SubGraph re-caching (window-driven cache switching) on every replica")
 		batch = flag.Int("batch", 0,
-			"micro-batch size B: group up to B concurrent same-SubNet queries per replica into one accelerator pass (0/1 = off)")
+			"micro-batch size B: group up to B concurrent same-SubNet /v1/serve queries per replica into one accelerator pass (/v1/serve/batch never batches; 0/1 = off)")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond,
 			"longest a forming micro-batch waits to fill (wall clock; virtual seconds for /v1/simulate)")
 		models = flag.String("models", "",

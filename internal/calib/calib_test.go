@@ -26,6 +26,10 @@ func tinyFixture(t testing.TB) (*supernet.SuperNet, []*supernet.SubNet, []*super
 	return s, subnets, graphs
 }
 
+// zeros is a 2x2 Item or Energy matrix for the fixture's tables that
+// leave it unmeasured.
+func zeros() [][]float64 { return [][]float64{{0, 0}, {0, 0}} }
+
 // TestSweepTinyGrid runs a real (2 subnets x 2 graphs x 2 batches)
 // sweep through the fast engine and pins the structural invariants of
 // the measurement: positive latencies, the cold column paying a strict
@@ -116,7 +120,7 @@ func TestFileRoundTrip(t *testing.T) {
 func TestValidateRejects(t *testing.T) {
 	_, subnets, graphs := tinyFixture(t)
 	tab, err := latencytable.FromMatrices(subnets, graphs,
-		[][]float64{{1, 1}, {1, 1}}, nil, nil)
+		[][]float64{{1, 1}, {1, 1}}, zeros(), zeros())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,18 +155,22 @@ func TestValidateRejects(t *testing.T) {
 // value checks the measured path relies on.
 func TestFromMatricesValidates(t *testing.T) {
 	_, subnets, graphs := tinyFixture(t)
-	if _, err := latencytable.FromMatrices(subnets, graphs, [][]float64{{1, 1}}, nil, nil); err == nil {
+	if _, err := latencytable.FromMatrices(subnets, graphs, [][]float64{{1, 1}}, zeros(), zeros()); err == nil {
 		t.Error("short Lat accepted")
 	}
-	if _, err := latencytable.FromMatrices(subnets, graphs, [][]float64{{1}, {1}}, nil, nil); err == nil {
+	if _, err := latencytable.FromMatrices(subnets, graphs, [][]float64{{1}, {1}}, zeros(), zeros()); err == nil {
 		t.Error("ragged Lat accepted")
 	}
-	if _, err := latencytable.FromMatrices(subnets, graphs, [][]float64{{1, -2}, {1, 1}}, nil, nil); err == nil {
+	if _, err := latencytable.FromMatrices(subnets, graphs, [][]float64{{1, -2}, {1, 1}}, zeros(), zeros()); err == nil {
 		t.Error("negative latency accepted")
 	}
 	if _, err := latencytable.FromMatrices(subnets, graphs, [][]float64{{1, 1}, {1, 1}},
-		[][]float64{{1, 1}}, nil); err == nil {
+		[][]float64{{1, 1}}, zeros()); err == nil {
 		t.Error("short Item accepted")
+	}
+	// A table without Energy used to build, then panic under MIN_ENERGY.
+	if _, err := latencytable.FromMatrices(subnets, graphs, [][]float64{{1, 1}, {1, 1}}, zeros(), nil); err == nil {
+		t.Error("missing Energy accepted")
 	}
 }
 
@@ -172,7 +180,7 @@ func TestFromMatricesValidates(t *testing.T) {
 func TestReport(t *testing.T) {
 	_, subnets, graphs := tinyFixture(t)
 	lat := [][]float64{{1e-3, 2e-3}, {3e-3, 4e-3}}
-	analytic, err := latencytable.FromMatrices(subnets, graphs, lat, nil, nil)
+	analytic, err := latencytable.FromMatrices(subnets, graphs, lat, zeros(), zeros())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +192,7 @@ func TestReport(t *testing.T) {
 		}
 	}
 	mlat[1][0] *= 1.5
-	measured, err := latencytable.FromMatrices(subnets, graphs, mlat, nil, nil)
+	measured, err := latencytable.FromMatrices(subnets, graphs, mlat, zeros(), zeros())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 func envelopeSeeds(t testing.TB) map[string][]byte {
 	_, subnets, graphs := tinyFixture(t)
 	tab, err := latencytable.FromMatrices(subnets, graphs,
-		[][]float64{{3e-3, 1e-3}, {5e-3, 4.5e-3}}, [][]float64{{1e-4, 1e-4}, {2.5e-4, 2.5e-4}}, nil)
+		[][]float64{{3e-3, 1e-3}, {5e-3, 4.5e-3}}, [][]float64{{1e-4, 1e-4}, {2.5e-4, 2.5e-4}}, zeros())
 	if err != nil {
 		t.Fatal(err)
 	}

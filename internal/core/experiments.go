@@ -39,16 +39,22 @@ func Fig2(w Workload) (*Result, error) {
 		Title:  fmt.Sprintf("Arithmetic intensity per conv layer — %s (largest SubNet)", super.Kind),
 		Header: []string{"layer", "name", "kind", "FLOPs/Byte", "bound"},
 	}
-	memBound := 0
-	for _, p := range prof {
+	memBound, late, half := 0, 0, len(prof)/2
+	for i, p := range prof {
 		bound := "compute"
 		if p.MemoryBound {
 			bound = "MEMORY"
 			memBound++
+			if i >= half {
+				late++
+			}
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", p.Index), p.Name, p.Kind.String(), f1(p.Intensity), bound,
 		})
+	}
+	res.Metrics = map[string]float64{
+		"memory_bound_rise_pp": 100*float64(late)/float64(len(prof)-half) - 100*float64(memBound-late)/float64(half),
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("machine balance %.1f FLOPs/Byte; %d/%d conv layers memory-bound", model.BalancePoint(), memBound, len(prof)),
@@ -92,9 +98,10 @@ func Fig3() (*Result, error) {
 		Title:  "Latency of two SubNets as a function of the cached SubGraph shape",
 		Header: append([]string{"served \\ cached"}, names...),
 	}
-	for _, sn := range []*supernet.SubNet{deep, wide} {
+	own, lats := 0.0, make([]float64, len(caches))
+	for si, sn := range []*supernet.SubNet{deep, wide} {
 		row := []string{sn.Name}
-		for _, g := range caches {
+		for gi, g := range caches {
 			if err := sim.SetCached(g); err != nil {
 				return nil, err
 			}
@@ -102,10 +109,16 @@ func Fig3() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			lats[gi] = rep.Total()
 			row = append(row, ms(rep.Total())+" ms")
+		}
+		// deep&thin's own shape is the first column, wide&shallow's the last.
+		if slices.Index(lats, slices.Min(lats)) == si*(len(caches)-1) {
+			own++
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	res.Metrics = map[string]float64{"own_shape_fastest": own}
 	res.Notes = append(res.Notes,
 		"paper: different cached SubGraphs are optimal for different served SubNets (shape similarity)")
 	return res, nil
@@ -187,16 +200,19 @@ func Fig11(w Workload) (*Result, error) {
 		Title:  fmt.Sprintf("SGS pushes SubNets toward compute-bound — %s", w),
 		Header: []string{"SubNet", "AI", "TFLOPS", "AI+SGS", "TFLOPS+SGS"},
 	}
+	gain := math.Inf(1)
 	for _, sn := range fr {
 		cache := sn.Graph.TruncateToBudget(accel.RooflineStudy().PBBytes, prio)
 		p, err := model.SubNetPoint(sn, cache)
 		if err != nil {
 			return nil, err
 		}
+		gain = math.Min(gain, p.IntensitySGS/p.Intensity)
 		res.Rows = append(res.Rows, []string{
 			p.Name, f1(p.Intensity), f3(p.AttainableTFLOPS), f1(p.IntensitySGS), f3(p.AttainableSGSTFLOPS),
 		})
 	}
+	res.Metrics = map[string]float64{"sgs_intensity_gain_min_x": gain}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("machine balance %.1f FLOPs/Byte; SGS raises effective intensity by removing cached weight traffic", model.BalancePoint()))
 	return res, nil
@@ -208,7 +224,8 @@ func Fig12(w Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts, err := dse.Sweep(super, fr, dse.DefaultOptions())
+	opt := dse.DefaultOptions()
+	pts, err := dse.Sweep(super, fr, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -217,11 +234,28 @@ func Fig12(w Workload) (*Result, error) {
 		Title:  fmt.Sprintf("DSE: latency saving vs PB size, bandwidth, throughput — %s", w),
 		Header: []string{"PB(MB)", "BW(GB/s)", "TFLOPS", "base(ms)", "cached(ms)", "save%"},
 	}
-	for _, p := range pts {
+	// Sweep returns the grid bandwidth-major and PB-minor, with the same
+	// PB sizes under every (bandwidth, throughput). A break is a step to
+	// the next PB size or throughput, or to the lower bandwidth, that
+	// lowers the saving.
+	nt := len(opt.Throughputs)
+	npb := len(pts) / (len(opt.Bandwidths) * nt)
+	res.Metrics = map[string]float64{"pb_breaks": 0, "compute_breaks": 0, "bandwidth_breaks": 0, "save_min_pct": math.Inf(1)}
+	for i, p := range pts {
 		res.Rows = append(res.Rows, []string{
 			mb(p.PBBytes), f1(p.OffChipBW / 1e9), f2(p.PeakFLOPS / 1e12),
 			ms(p.BaseLatency), ms(p.CachedLatency), f2(p.TimeSavePct),
 		})
+		res.Metrics["save_min_pct"] = math.Min(res.Metrics["save_min_pct"], p.TimeSavePct)
+		if i%npb+1 < npb && pts[i+1].TimeSavePct < p.TimeSavePct {
+			res.Metrics["pb_breaks"]++
+		}
+		if i/npb%nt+1 < nt && pts[i+npb].TimeSavePct < p.TimeSavePct {
+			res.Metrics["compute_breaks"]++
+		}
+		if j := i + nt*npb; j < len(pts) && pts[j].TimeSavePct > p.TimeSavePct {
+			res.Metrics["bandwidth_breaks"]++
+		}
 	}
 	best, err := dse.Best(pts)
 	if err != nil {
@@ -269,7 +303,8 @@ func Fig13a() (*Result, error) {
 		Title:  "Latency (ms) on ResNet50 3x3 conv layers: CPU vs SushiAccel boards",
 		Header: []string{"SubNet", "CPU", "ZCU104", "ZCU104+PB", "U50", "U50+PB", "speedup(ZCU104+PB)"},
 	}
-	var noPB, withPB []float64
+	var noPB, withPB, u50 []float64
+	pbSlowdowns := 0.0
 	for _, sn := range fr {
 		keep := is3x3(sn.Model)
 		cpuT := cpu.LayersLatency(sn.Model, keep)
@@ -296,12 +331,18 @@ func Fig13a() (*Result, error) {
 		}
 		// boards[0] and boards[1] are the ZCU104 without and with PB.
 		noPB, withPB = append(noPB, cpuT/totals[0]), append(withPB, cpuT/totals[1])
+		u50 = append(u50, totals[3]/totals[1])
+		if totals[1] > totals[0] || totals[3] > totals[2] {
+			pbSlowdowns++
+		}
 		row = append(row, f2(cpuT/totals[1])+"x")
 		res.Rows = append(res.Rows, row)
 	}
 	res.Metrics = map[string]float64{
 		"speedup_nopb_min_x": slices.Min(noPB), "speedup_nopb_max_x": slices.Max(noPB),
 		"speedup_min_x": slices.Min(withPB), "speedup_max_x": slices.Max(withPB),
+		"u50_vs_zcu104_smallest_x": u50[0], "u50_vs_zcu104_largest_x": u50[len(u50)-1],
+		"pb_slowdowns": pbSlowdowns,
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("paper: ZCU104 %sx (w/o PB) and %sx (w/ PB) over CPU; U50 slower on small SubNets due to off-chip contention",
@@ -418,7 +459,7 @@ func Fig14() (*Result, error) {
 		Title:  "Per-layer latency: SushiAccel w/o PB vs Xilinx DPU (ResNet50 min SubNet, 3x3 convs)",
 		Header: []string{"layer", "K", "C", "XY", "DPU(ms)", "Sushi(ms)", "speedup"},
 	}
-	logSum, n := 0.0, 0
+	logSum, n, won := 0.0, 0, 0.0
 	for i := range minSN.Model.Layers {
 		l := &minSN.Model.Layers[i]
 		if l.Kind != nn.Conv || l.R != 3 || l.S != 3 {
@@ -432,6 +473,9 @@ func Fig14() (*Result, error) {
 		ratio := d / rep.Total()
 		logSum += math.Log(ratio)
 		n++
+		if ratio > 1 {
+			won++
+		}
 		res.Rows = append(res.Rows, []string{
 			l.Name, fmt.Sprintf("%d", l.K), fmt.Sprintf("%d", l.C),
 			fmt.Sprintf("%dx%d", l.OutH, l.OutW),
@@ -439,7 +483,7 @@ func Fig14() (*Result, error) {
 		})
 	}
 	geo := math.Exp(logSum / float64(n))
-	res.Metrics = map[string]float64{"geomean_speedup_x": geo}
+	res.Metrics = map[string]float64{"geomean_speedup_x": geo, "layers_won": won, "layers_lost": float64(n) - won}
 	paper := published("", "geomean_speedup_x")
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("geomean speedup %.2fx over %d layers (paper: %sx / %.1f%%)", geo, n, paper.band(), 100*(paper.lo-1)),
@@ -484,10 +528,12 @@ func Fig9(w Workload) (*Result, error) {
 		return fmt.Sprintf("[%.1f, %.1f]", lo*1e6, hi*1e6)
 	}
 	cold := accel.Timeline(&cfg, pick, 0)
+	nHidden := 0.0
 	for _, e := range cold {
 		hidden := "no"
 		if e.Hidden {
 			hidden = "yes"
+			nHidden++
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", e.Tile),
@@ -522,6 +568,10 @@ func Fig9(w Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The first fetch is never hidden. A one-tile layer has no later
+	// fetch, and its share reads 0, not NaN, which JSON cannot carry.
+	later := float64(len(cold) - 1)
+	res.Metrics = map[string]float64{"later_fetches": later, "later_fetches_hidden_share": nHidden / max(later, 1)}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("cold makespan %.1f µs; every post-first fetch hidden behind compute (Fig. 9b)",
 			accel.Makespan(cold)*1e6),

@@ -57,10 +57,9 @@ func BatchSweep(w Workload, queries int) (*Result, error) {
 	}
 	grid := []bwPoint{{1, 0}, {2, budgetBase / 2}, {4, budgetBase / 2}, {8, budgetBase / 2}}
 	type bsOut struct {
-		row         []string
-		goodput     float64
-		p99ms       float64
-		isUnbatched bool
+		row                                []string
+		b                                  int
+		goodput, p99ms, avgBatch, energyUJ float64
 	}
 	outs := make([]bsOut, len(grid))
 	err = runPoints(len(grid), func(p int) error {
@@ -100,9 +99,7 @@ func BatchSweep(w Workload, queries int) (*Result, error) {
 				ms(sum.P50E2E), ms(sum.P99E2E), f1(sum.E2ESLO * 100),
 				fmt.Sprintf("%d", run.Dropped), f2(energyPerQ),
 			},
-			goodput:     sum.Goodput,
-			p99ms:       sum.P99E2E * 1e3,
-			isUnbatched: b == 1,
+			b: b, goodput: sum.Goodput, p99ms: sum.P99E2E * 1e3, avgBatch: avgBatch, energyUJ: energyPerQ,
 		}
 		return nil
 	})
@@ -111,8 +108,10 @@ func BatchSweep(w Workload, queries int) (*Result, error) {
 	}
 	for _, out := range outs {
 		res.Rows = append(res.Rows, out.row)
-		if out.isUnbatched {
-			res.Metrics["goodput_b1_qps"] = out.goodput
+		res.Metrics[fmt.Sprintf("goodput_b%d_qps", out.b)] = out.goodput
+		res.Metrics[fmt.Sprintf("avg_batch_b%d", out.b)] = out.avgBatch
+		res.Metrics[fmt.Sprintf("energy_b%d_uj", out.b)] = out.energyUJ
+		if out.b == 1 {
 			res.Metrics["p99_b1_ms"] = out.p99ms
 		}
 		// Canonical headline keys track the best sweep point.

@@ -101,56 +101,64 @@ func Experiments() []string {
 }
 
 // claim is one statement of the paper next to the Result.Metrics keys
-// that carry its reproduction. A claim without keys is a trend the tree
-// holds no number for.
+// that carry its reproduction. A claim without keys has nothing the tree
+// can measure; its text says why.
 type claim struct {
 	section, text string
 	// runs are the registry ids ("id:workload") that reproduce it.
 	runs, keys []string
 	unit       string
-	// lo and hi bound the published value; lo == hi for a point claim.
-	// neutral is the no-effect value: 0 for a saving, 1 for a speedup.
+	// lo and hi bound the published value; lo == hi for a point claim,
+	// and a trend, which states only a direction, leaves one end open
+	// (±Inf). neutral is the no-effect value: 0 for a saving, 1 for a
+	// speedup.
 	lo, hi, neutral float64
 }
 
 // Table 3's on-chip storage of both designs, BRAM and URAM.
 const bramKB, uramKB = 397, 3456
 
-// claims holds every number the paper publishes, each typed once: the
-// experiments' notes quote it from here, and the fidelity experiment
-// scores each run against it.
+var inf = math.Inf(1)
+
+// claims holds every statement the paper makes that the tree can score,
+// each typed once: the experiments' notes quote the numbers from here,
+// and the fidelity experiment scores each run against it.
 var claims = []claim{
-	{section: "Fig. 2", text: "latter layers are memory-bound", runs: []string{"fig2"}},
-	{section: "Fig. 3", text: "each SubNet is fastest under its own cache shape", runs: []string{"fig3"}},
-	{section: "Fig. 9", text: "the ping-pong DB hides every later fetch", runs: []string{"fig9"}},
+	{"Fig. 2", "latter layers are memory-bound: later-half share minus earlier-half", []string{"fig2", "fig2:mobilenetv3"}, []string{"memory_bound_rise_pp"}, "pp", 0, inf, 0},
+	{"Fig. 3", "SubNets fastest under their own cache shape", []string{"fig3"}, []string{"own_shape_fastest"}, "of 2", 2, 2, 0},
+	// A share of 1 is every fetch; the count rules out a vacuous one.
+	{"Fig. 9", "the ping-pong DB hides every later fetch: how many, share hidden", []string{"fig9", "fig9:mobilenetv3"}, []string{"later_fetches", "later_fetches_hidden_share"}, "", 1, inf, 0},
 	{"Sec. 5.2, Fig. 10", "potential saving across SubNets", []string{"fig10:resnet50"}, []string{"save_min_pct", "save_max_pct"}, "%", 5.7, 7.92, 0},
 	{"Sec. 5.2, Fig. 10", "potential saving across SubNets", []string{"fig10:mobilenetv3"}, []string{"save_min_pct", "save_max_pct"}, "%", 6, 23.6, 0},
-	{section: "Fig. 11", text: "SGS raises effective intensity", runs: []string{"fig11"}},
-	{section: "Sec. 5.3, Fig. 12", text: "bigger PB, more compute, less bandwidth save more", runs: []string{"fig12"}},
+	{"Fig. 11", "SGS raises effective intensity: smallest AI+SGS / AI", []string{"fig11", "fig11:mobilenetv3"}, []string{"sgs_intensity_gain_min_x"}, "x", 1, inf, 1},
+	{"Sec. 5.3, Fig. 12", "neighbours breaking bigger PB, more compute, less bandwidth save more", []string{"fig12", "fig12:mobilenetv3"}, []string{"pb_breaks", "compute_breaks", "bandwidth_breaks"}, "", 0, 0, 0},
 	{"Sec. 5.4, Fig. 13a", "ZCU104 speedup over the CPU, w/o PB", []string{"fig13a"}, []string{"speedup_nopb_min_x", "speedup_nopb_max_x"}, "x", 1.81, 3.04, 1},
 	{"Sec. 5.4, Fig. 13a", "ZCU104 speedup over the CPU, w/ PB", []string{"fig13a"}, []string{"speedup_min_x", "speedup_max_x"}, "x", 1.87, 3.17, 1},
+	{"Sec. 5.4.2, Fig. 13a", "U50 / ZCU104 latency w/ PB, smallest SubNet", []string{"fig13a"}, []string{"u50_vs_zcu104_smallest_x"}, "x", 1, inf, 1},
+	{"Sec. 5.4.2, Fig. 13a", "U50 / ZCU104 latency w/ PB, largest SubNet", []string{"fig13a"}, []string{"u50_vs_zcu104_largest_x"}, "x", -inf, 1, 1},
 	{"Sec. 5.4.3, Fig. 13b", "off-chip weight-energy saving", []string{"fig13b:resnet50"}, []string{"energy_save_min_pct", "energy_save_max_pct"}, "%", 14, 52.6, 0},
 	{"Sec. 5.4.3, Fig. 13b", "off-chip weight-energy saving", []string{"fig13b:mobilenetv3"}, []string{"energy_save_min_pct", "energy_save_max_pct"}, "%", 43.6, 78.7, 0},
 	{"Sec. 5.5, Fig. 14", "geomean speedup over the DPU", []string{"fig14"}, []string{"geomean_speedup_x"}, "x", 1.251, 1.251, 1},
-	{"Sec. 5.6, Fig. 15", "violations of a satisfiable constraint", []string{"fig15", "fig15acc"}, []string{"violations"}, "", 0, 0, 0},
+	{"Sec. 5.5, Fig. 14", "layers won and lost against the DPU", []string{"fig14"}, []string{"layers_won", "layers_lost"}, "", 1, inf, 0},
+	{"Sec. 5.6, Fig. 15", "violations of a satisfiable constraint", []string{"fig15", "fig15acc", "fig15:mobilenetv3", "fig15acc:mobilenetv3"}, []string{"violations"}, "", 0, 0, 0},
 	{"Sec. 5.7, Fig. 16", "avg latency cut vs No-Sushi", []string{"fig16:resnet50", "fig16:mobilenetv3"}, []string{"latency_cut_pct"}, "%", 21, 25, 0},
 	// Q=1 re-targets the cache after every query: no window at all.
 	{"App. A.1, Fig. 17/18", "best cache-update window Q", []string{"fig17:resnet50", "fig18:mobilenetv3"}, []string{"best_q"}, "", 4, 10, 1},
-	{section: "Table 1", text: "minimum buffer widths", runs: []string{"table1"}},
+	{section: "Table 1", text: "minimum buffer widths; no number to score: the paper gives each as a rule", runs: []string{"table1"}},
 	{"Table 2", "ZCU104 w/ PB LUTs", []string{"table2"}, []string{"lut"}, "", 64307, 64307, 0},
 	{"Table 2", "ZCU104 w/ PB registers", []string{"table2"}, []string{"ff"}, "", 117724, 117724, 0},
 	{"Table 2", "ZCU104 w/ PB BRAMs", []string{"table2"}, []string{"bram"}, "", 198.5, 198.5, 0},
 	{"Table 2", "ZCU104 w/ PB URAMs", []string{"table2"}, []string{"uram"}, "", 96, 96, 0},
 	{"Table 2", "ZCU104 w/ PB DSPs", []string{"table2"}, []string{"dsp"}, "", 1459, 1459, 0},
 	{"Table 3", "overall on-chip storage, w/o and w/ PB", []string{"table3"}, []string{"overall_nopb_kb", "overall_kb"}, "KB", bramKB + uramKB, bramKB + uramKB, 0},
-	{section: "Table 4", text: "SubGraph reuse is a new reuse class", runs: []string{"table4"}},
+	{section: "Table 4", text: "SubGraph reuse is a new reuse class; no number to score: a feature matrix", runs: []string{"table4"}},
 	{"Table 5", "improvement from 10 to 500 columns", []string{"table5:resnet50"}, []string{"improvement_min_pct", "improvement_max_pct"}, "%", 4, 9, 0},
 	{"Table 5", "improvement from 10 to 500 columns", []string{"table5:mobilenetv3"}, []string{"improvement_min_pct", "improvement_max_pct"}, "%", 1, 1, 0},
 	{"Table 6", "column search, 100-2000 columns", []string{"table6"}, []string{"nearest_min_us", "nearest_max_us"}, "us", 2, 17, 0},
 	{"App. A.4", "avg cache-hit ratio, ResNet50", []string{"hitratio"}, []string{"hit_ratio_resnet50"}, "", 0.66, 0.66, 0},
 	{"App. A.4", "avg cache-hit ratio, MobileNetV3", []string{"hitratio"}, []string{"hit_ratio_mobilenetv3"}, "", 0.78, 0.78, 0},
-	{section: "Sec. 3.3", text: "a running average beats intersection", runs: []string{"ablation-avg"}},
-	{section: "Sec. 1", text: "a static top model drops queries in overload", runs: []string{"overload"}},
+	{"Sec. 3.3", "running average's latency gain over intersection", []string{"ablation-avg", "ablation-avg:mobilenetv3"}, []string{"avg_gain_pct"}, "%", 0, inf, 0},
+	{"Sec. 1", "static top model minus SUSHI drops, least over the ≥ 1.5x rates", []string{"overload", "overload:mobilenetv3"}, []string{"drop_gap_min"}, "queries", 0, inf, 0},
 }
 
 // published returns the claim whose keys hold key on a run of workload w
@@ -167,19 +175,26 @@ func published(w Workload, key string) claim {
 	panic("core: no published claim for " + key + " on " + string(w))
 }
 
-// band renders the published value as typed: "5.7-7.92", or "1.251" for
-// a point claim.
+// band renders the published value as typed: "5.7-7.92", "1.251" for a
+// point claim, or "≥ 0" and "≤ 1" for a band with an open end.
 func (c claim) band() string {
-	lo := strconv.FormatFloat(c.lo, 'g', -1, 64)
-	if c.hi == c.lo {
+	lo, hi := strconv.FormatFloat(c.lo, 'g', -1, 64), strconv.FormatFloat(c.hi, 'g', -1, 64)
+	switch {
+	case math.IsInf(c.hi, 1):
+		return "≥ " + lo
+	case math.IsInf(c.lo, -1):
+		return "≤ " + hi
+	case c.hi == c.lo:
 		return lo
 	}
-	return lo + "-" + strconv.FormatFloat(c.hi, 'g', -1, 64)
+	return lo + "-" + hi
 }
 
 // verdict scores reproduced values against the claim: "inside" when each
-// lies in [lo, hi]; "same direction" when each lies on the band's side
-// of the neutral value; "opposite" otherwise, NaN included.
+// lies in [lo, hi] and, unless the band is a point, differs from the
+// neutral value (a trend's open band states a strict direction); "same
+// direction" when each lies on the band's side of the neutral value;
+// "opposite" otherwise, NaN included.
 func (c claim) verdict(vals []float64) string {
 	if len(c.keys) == 0 {
 		return "trend only"
@@ -187,7 +202,7 @@ func (c claim) verdict(vals []float64) string {
 	up, down := c.lo > c.neutral, c.hi < c.neutral
 	in, same := true, up || down
 	for _, v := range vals {
-		in = in && v >= c.lo && v <= c.hi
+		in = in && v >= c.lo && v <= c.hi && (v != c.neutral || c.lo == c.hi)
 		same = same && (up && v > c.neutral || down && v < c.neutral)
 	}
 	switch {
@@ -200,7 +215,7 @@ func (c claim) verdict(vals []float64) string {
 }
 
 // fidelity scores every claim on each of its runs, running each claimed
-// registry id once; trend-only claims are not run.
+// registry id once; claims without keys are not run.
 func fidelity() (*Result, error) {
 	res := &Result{
 		Name:   "fidelity",
@@ -234,6 +249,7 @@ func fidelity() (*Result, error) {
 		}
 	}
 	res.Notes = append(res.Notes,
-		"inside: every reproduced value in the published band; same direction: each on the band's side of no effect (0 % saving, 1x speedup)")
+		"inside: every reproduced value in the published band; same direction: each on the band's side of no effect (0 % saving, 1x speedup)",
+		"an open band (≥ x, ≤ x) is a trend: its no-effect end is never inside")
 	return res, nil
 }

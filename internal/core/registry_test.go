@@ -12,20 +12,29 @@ import (
 // call the move out in the change's notes. Table 6's row is wall-clock
 // time, so it is printed but not gated.
 var fidelityPins = []struct{ id, verdict string }{
-	{"fig2", "trend only"},
-	{"fig3", "trend only"},
-	{"fig9", "trend only"},
+	{"fig2", "opposite"},
+	{"fig2:mobilenetv3", "opposite"},
+	{"fig3", "inside"},
+	{"fig9", "inside"},
+	{"fig9:mobilenetv3", "opposite"}, // one tile: no later fetch
 	{"fig10:resnet50", "same direction"},
 	{"fig10:mobilenetv3", "inside"},
-	{"fig11", "trend only"},
-	{"fig12", "trend only"},
+	{"fig11", "inside"},
+	{"fig11:mobilenetv3", "inside"},
+	{"fig12", "opposite"},
+	{"fig12:mobilenetv3", "inside"},
 	{"fig13a", "inside"}, // w/o PB
 	{"fig13a", "inside"}, // w/ PB
+	{"fig13a", "inside"}, // U50 slower, smallest SubNet
+	{"fig13a", "inside"}, // U50 faster, largest SubNet
 	{"fig13b:resnet50", "same direction"},
 	{"fig13b:mobilenetv3", "same direction"},
-	{"fig14", "same direction"},
+	{"fig14", "same direction"}, // geomean
+	{"fig14", "inside"},         // wins and losses
 	{"fig15", "inside"},
 	{"fig15acc", "inside"},
+	{"fig15:mobilenetv3", "inside"},
+	{"fig15acc:mobilenetv3", "inside"},
 	{"fig16:resnet50", "same direction"},
 	{"fig16:mobilenetv3", "same direction"},
 	{"fig17:resnet50", "same direction"},
@@ -43,8 +52,10 @@ var fidelityPins = []struct{ id, verdict string }{
 	{"table6", ""},
 	{"hitratio", "same direction"}, // ResNet50
 	{"hitratio", "same direction"}, // MobileNetV3
-	{"ablation-avg", "trend only"},
-	{"overload", "trend only"},
+	{"ablation-avg", "opposite"},
+	{"ablation-avg:mobilenetv3", "opposite"},
+	{"overload", "inside"},
+	{"overload:mobilenetv3", "inside"},
 }
 
 // TestPaperFidelity runs the scoreboard and pins each row's verdict. It
@@ -84,13 +95,17 @@ func TestPaperFidelity(t *testing.T) {
 	}
 }
 
-// TestClaimVerdict pins the verdict rule at its edges.
+// TestClaimVerdict pins the verdict rule at its edges, and the band
+// renderer's forms.
 func TestClaimVerdict(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
+	nan := math.NaN()
 	saving := claim{keys: []string{"k"}, lo: 21, hi: 25}
 	speedup := claim{keys: []string{"k"}, lo: 1.87, hi: 3.17, neutral: 1}
 	slowdown := claim{keys: []string{"k"}, lo: 0.5, hi: 0.8, neutral: 1}
 	zero := claim{keys: []string{"k"}}
+	rise := claim{keys: []string{"k"}, lo: 0, hi: inf}              // a trend: > 0
+	fall := claim{keys: []string{"k"}, lo: -inf, hi: 1, neutral: 1} // a trend: < 1
+	some := claim{keys: []string{"k"}, lo: 1, hi: inf}              // at least one
 	for _, tc := range []struct {
 		name string
 		c    claim
@@ -112,9 +127,24 @@ func TestClaimVerdict(t *testing.T) {
 		{"band below neutral, +Inf", slowdown, []float64{inf}, "opposite"},
 		{"point at neutral", zero, []float64{0}, "inside"},
 		{"no keys", claim{}, nil, "trend only"},
+		{"open up", rise, []float64{0.01, inf}, "inside"},
+		{"open up, neutral", rise, []float64{0}, "opposite"},
+		{"open up, past neutral", rise, []float64{-62.5}, "opposite"},
+		{"open up, NaN", rise, []float64{nan}, "opposite"},
+		{"open down", fall, []float64{0.57, -inf}, "inside"},
+		{"open down, neutral", fall, []float64{1}, "opposite"},
+		{"open down, past neutral", fall, []float64{1.5}, "opposite"},
+		{"open down, NaN", fall, []float64{nan}, "opposite"},
+		{"open up from past neutral, short", some, []float64{0.5}, "same direction"},
+		{"open up from past neutral, neutral", some, []float64{0, 6}, "opposite"},
 	} {
 		if got := tc.c.verdict(tc.vals); got != tc.want {
 			t.Errorf("%s: verdict(%v) = %q, want %q", tc.name, tc.vals, got, tc.want)
+		}
+	}
+	for c, want := range map[*claim]string{&saving: "21-25", &speedup: "1.87-3.17", &zero: "0", &rise: "≥ 0", &fall: "≤ 1", &some: "≥ 1"} {
+		if got := c.band(); got != want {
+			t.Errorf("band() = %q, want %q", got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Result is one regenerated table or figure: a named grid of cells plus
@@ -31,14 +32,15 @@ type Result struct {
 func (r *Result) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s — %s ==\n", r.Name, r.Title)
+	// Widths count runes, so cells such as "≥ 1" stay aligned.
 	widths := make([]int, len(r.Header))
 	for i, h := range r.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range r.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -49,7 +51,7 @@ func (r *Result) WriteTo(w io.Writer) (int64, error) {
 			}
 			pad := 0
 			if i < len(widths) {
-				pad = widths[i] - len(c)
+				pad = widths[i] - utf8.RuneCountInString(c)
 			}
 			b.WriteString(c)
 			b.WriteString(strings.Repeat(" ", pad))

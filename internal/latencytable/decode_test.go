@@ -51,8 +51,9 @@ func encodeWire(t testing.TB, wt wireTable) []byte {
 }
 
 // corruptStreams are the streams Decode must refuse, by the name of the
-// fuzz corpus seed that holds the same bytes. The first four used to
-// panic or decode into a table nothing downstream could use.
+// fuzz corpus seed that holds the same bytes. The first four, and the
+// two missing matrices, used to panic or decode into a table nothing
+// downstream could use.
 func corruptStreams(t testing.TB, s *supernet.SuperNet, fr []*supernet.SubNet) map[string][]byte {
 	mutate := func(f func(wt *wireTable)) []byte {
 		wt := validWire(s, fr)
@@ -89,6 +90,9 @@ func corruptStreams(t testing.TB, s *supernet.SuperNet, fr []*supernet.SubNet) m
 		"cell-inf":          mutate(setCell(math.Inf(1))),
 		"ragged-lat-matrix": mutate(func(wt *wireTable) { wt.Lat[3] = wt.Lat[3][:1] }),
 		"item-matrix-short": mutate(func(wt *wireTable) { wt.Item = wt.Item[:2] }),
+		// MIN_ENERGY indexes Energy, and batching Item, for every row.
+		"item-matrix-missing":   mutate(func(wt *wireTable) { wt.Item = nil }),
+		"energy-matrix-missing": mutate(func(wt *wireTable) { wt.Energy = nil }),
 		"cell-id-out-of-range": mutate(func(wt *wireTable) {
 			wt.GraphCells[0] = append(wt.GraphCells[0], wt.NumCells)
 		}),
@@ -118,34 +122,25 @@ func TestDecodeRejectsCorruptStreams(t *testing.T) {
 	}
 }
 
-// FuzzTableDecode feeds Decode arbitrary bytes. It must never panic,
-// and a table it does return must be usable: non-empty, and answering
-// both selections as the row scans over its exported matrices do, solo
-// and batched. The committed corpus (testdata/fuzz/FuzzTableDecode) is
-// validWire's stream plus every entry of corruptStreams.
-func FuzzTableDecode(f *testing.F) {
-	s, fr := wireFixture(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, err := Decode(bytes.NewReader(data), s, fr)
-		if err != nil {
-			return
-		}
-		if tab.Rows() == 0 || tab.Cols() == 0 {
-			t.Fatalf("decoded an empty %dx%d table", tab.Rows(), tab.Cols())
-		}
-		for j := 0; j < tab.Cols(); j++ {
-			i := j % tab.Rows()
-			for _, n := range []int{1, 4} {
-				acc, lat := tab.SubNets[i].Accuracy, tab.LookupBatch(i, j, n)
-				gi, gf := tab.FastestFeasibleBatch(acc, j, n)
-				if wi, wf := scanFastestFeasible(tab, acc, j, n); gi != wi || gf != wf {
-					t.Fatalf("FastestFeasibleBatch(%v, %d, %d) = (%d,%v), scan (%d,%v)", acc, j, n, gi, gf, wi, wf)
-				}
-				gi, gf = tab.MostAccurateWithinBatch(lat, j, n)
-				if wi, wf := scanMostAccurateWithin(tab, lat, j, n); gi != wi || gf != wf {
-					t.Fatalf("MostAccurateWithinBatch(%v, %d, %d) = (%d,%v), scan (%d,%v)", lat, j, n, gi, gf, wi, wf)
-				}
+// CheckDecoded fails t unless a decoded table is non-empty and answers
+// both selections, solo and batched, as the row scans do. It is exported
+// for FuzzTableDecode, which lives outside the package to import sched.
+func CheckDecoded(t *testing.T, tab *Table) {
+	if tab.Rows() == 0 || tab.Cols() == 0 {
+		t.Fatalf("decoded an empty %dx%d table", tab.Rows(), tab.Cols())
+	}
+	for j := 0; j < tab.Cols(); j++ {
+		i := j % tab.Rows()
+		for _, n := range []int{1, 4} {
+			acc, lat := tab.SubNets[i].Accuracy, tab.LookupBatch(i, j, n)
+			gi, gf := tab.FastestFeasibleBatch(acc, j, n)
+			if wi, wf := scanFastestFeasible(tab, acc, j, n); gi != wi || gf != wf {
+				t.Fatalf("FastestFeasibleBatch(%v, %d, %d) = (%d,%v), scan (%d,%v)", acc, j, n, gi, gf, wi, wf)
+			}
+			gi, gf = tab.MostAccurateWithinBatch(lat, j, n)
+			if wi, wf := scanMostAccurateWithin(tab, lat, j, n); gi != wi || gf != wf {
+				t.Fatalf("MostAccurateWithinBatch(%v, %d, %d) = (%d,%v), scan (%d,%v)", lat, j, n, gi, gf, wi, wf)
 			}
 		}
-	})
+	}
 }

@@ -382,13 +382,4 @@ func TestLookupBatchSurvivesWire(t *testing.T) {
 	if got, want := dec.LookupBatch(1, 2, 4), tab.LookupBatch(1, 2, 4); got != want {
 		t.Errorf("decoded LookupBatch %g != original %g", got, want)
 	}
-	// A stream predating the Item matrix decodes with Item nil;
-	// LookupBatch must degrade to Lookup instead of panicking.
-	old, err := FromMatrices(tab.SubNets, tab.Graphs, tab.Lat, nil, tab.Energy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := old.LookupBatch(1, 2, 4); got != old.Lookup(1, 2) {
-		t.Errorf("nil-Item LookupBatch %g != Lookup %g", got, old.Lookup(1, 2))
-	}
 }

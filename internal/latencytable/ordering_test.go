@@ -226,8 +226,8 @@ func TestOrderingInvariants(t *testing.T) {
 
 // TestOrderingInvariantsRandomTables is the property test: random
 // matrices with deliberately heavy value ties (so tie-break order, not
-// just values, is exercised) must give scan-identical answers, with and
-// without an Item matrix.
+// just values, is exercised) must give scan-identical answers, with a
+// random and with a zero Item matrix.
 func TestOrderingInvariantsRandomTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	super := supernet.NewOFAMobileNetV3()
@@ -238,20 +238,16 @@ func TestOrderingInvariantsRandomTables(t *testing.T) {
 			SubNets: make([]*supernet.SubNet, rows),
 			Graphs:  make([]*supernet.SubGraph, cols),
 			Lat:     make([][]float64, rows),
+			Item:    make([][]float64, rows),
 			Energy:  make([][]float64, rows),
 		}
 		withItem := trial%3 != 2
-		if withItem {
-			tab.Item = make([][]float64, rows)
-		}
 		for i := 0; i < rows; i++ {
 			// Coarse quantization forces duplicate accuracies/latencies.
 			tab.SubNets[i] = &supernet.SubNet{Accuracy: 70 + float64(rng.Intn(8))}
 			tab.Lat[i] = make([]float64, cols)
+			tab.Item[i] = make([]float64, cols)
 			tab.Energy[i] = make([]float64, cols)
-			if withItem {
-				tab.Item[i] = make([]float64, cols)
-			}
 			for j := 0; j < cols; j++ {
 				tab.Lat[i][j] = float64(1+rng.Intn(6)) * 1e-3
 				tab.Energy[i][j] = 1e-3

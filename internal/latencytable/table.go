@@ -60,8 +60,7 @@ type Table struct {
 
 // column is one cache state's slice of the table in row order.
 type column struct {
-	// lat[i] is Lat[i][j]; item[i] is Item[i][j], nil when the table
-	// carries no Item matrix.
+	// lat[i] is Lat[i][j]; item[i] is Item[i][j].
 	lat, item []float64
 	// minLat is the smallest lat[i].
 	minLat float64
@@ -190,24 +189,15 @@ func (t *Table) buildColumns() {
 			t.maxAccRow = i
 		}
 	}
-	lat := make([]float64, rows*cols)
-	var item []float64
-	if t.Item != nil {
-		item = make([]float64, rows*cols)
-	}
+	lat, item := make([]float64, rows*cols), make([]float64, rows*cols)
 	t.cols = make([]column, cols)
 	t.minLat = math.Inf(1)
 	for j := range t.cols {
 		c := &t.cols[j]
 		c.lat = lat[j*rows : (j+1)*rows : (j+1)*rows]
-		if item != nil {
-			c.item = item[j*rows : (j+1)*rows : (j+1)*rows]
-		}
+		c.item = item[j*rows : (j+1)*rows : (j+1)*rows]
 		for i := 0; i < rows; i++ {
-			c.lat[i] = t.Lat[i][j]
-			if item != nil {
-				c.item[i] = t.Item[i][j]
-			}
+			c.lat[i], c.item[i] = t.Lat[i][j], t.Item[i][j]
 		}
 		c.minLat = c.lat[c.argminLatency(0)]
 		if c.minLat < t.minLat {
@@ -219,13 +209,9 @@ func (t *Table) buildColumns() {
 // column returns column j and the multiplier k that turns its solo
 // latencies into LookupBatch(·, j, n) = lat[i] + k*item[i]: n-1 for a
 // batch of n, and 0 — add nothing, the solo latency exactly — when
-// n <= 1 or the table has no Item matrix.
+// n <= 1.
 func (t *Table) column(j, n int) (*column, float64) {
-	c := &t.cols[j]
-	if n <= 1 || c.item == nil {
-		return c, 0
-	}
-	return c, float64(n - 1)
+	return &t.cols[j], float64(max(n, 1) - 1)
 }
 
 // RowVector returns SubNet row i's precomputed encoding vector. The
@@ -325,10 +311,9 @@ func (t *Table) Lookup(i, j int) float64 { return t.Lat[i][j] }
 //
 //	L_batch(i, j, n) = L[i][j] + (n-1) * Item[i][j]
 //
-// For n <= 1 (including tables decoded from streams predating the Item
-// matrix, where Item is nil) it degrades to Lookup(i, j) exactly.
+// For n <= 1 it is Lookup(i, j) exactly.
 func (t *Table) LookupBatch(i, j, n int) float64 {
-	if n <= 1 || t.Item == nil {
+	if n <= 1 {
 		return t.Lat[i][j]
 	}
 	return t.Lat[i][j] + float64(n-1)*t.Item[i][j]
@@ -373,8 +358,8 @@ func (t *Table) NearestGraphWithin(v []float64, maxBytes int64) int {
 // FromMatrices builds a table directly from externally produced
 // matrices — the constructor measured calibration uses: lat[i][j] is
 // seconds of serving latency for SubNet i under cached SubGraph j,
-// item (optional, nil allowed) its per-item share, energy (optional)
-// joules. The matrices are adopted, not copied. Dimensions and value
+// item its per-item share, energy its off-chip joules; all three are
+// required. The matrices are adopted, not copied. Dimensions and value
 // sanity are validated before anything is derived from them, so a table
 // returned here is interchangeable with one from Build or Decode.
 func FromMatrices(subnets []*supernet.SubNet, graphs []*supernet.SubGraph, lat, item, energy [][]float64) (*Table, error) {
@@ -392,9 +377,9 @@ func FromMatrices(subnets []*supernet.SubNet, graphs []*supernet.SubGraph, lat, 
 	return t, nil
 }
 
-// validateMatrices checks that Lat (required) and Item/Energy
-// (optional) are rows×cols with finite non-negative entries. Run by
-// every constructor that accepts matrices it did not compute itself.
+// validateMatrices checks that Lat, Item and Energy are rows×cols with
+// finite non-negative entries. Run by every constructor that accepts
+// matrices it did not compute itself.
 func (t *Table) validateMatrices() error {
 	rows, cols := len(t.SubNets), len(t.Graphs)
 	check := func(name string, m [][]float64) error {
@@ -416,17 +401,10 @@ func (t *Table) validateMatrices() error {
 	if err := check("Lat", t.Lat); err != nil {
 		return err
 	}
-	if t.Item != nil {
-		if err := check("Item", t.Item); err != nil {
-			return err
-		}
+	if err := check("Item", t.Item); err != nil {
+		return err
 	}
-	if t.Energy != nil {
-		if err := check("Energy", t.Energy); err != nil {
-			return err
-		}
-	}
-	return nil
+	return check("Energy", t.Energy)
 }
 
 // wireTable is the gob wire format: SubGraphs travel as cell-ID lists and
@@ -437,11 +415,8 @@ type wireTable struct {
 	GraphCells  [][]int
 	NumCells    int
 	Lat         [][]float64
-	// Item is the per-item (batch-scaling) share of Lat; nil in streams
-	// written before micro-batching, where LookupBatch degrades to
-	// Lookup.
-	Item   [][]float64
-	Energy [][]float64
+	Item        [][]float64
+	Energy      [][]float64
 }
 
 // Encode serializes the table (without SubNet bodies; rows are identified

@@ -379,20 +379,18 @@ func TestPeekColsMatchesSlowPath(t *testing.T) {
 	tab := buildTable(t)
 	rng := rand.New(rand.NewSource(29))
 	subnets := make([]*supernet.SubNet, tab.Rows())
-	lat := make([][]float64, tab.Rows())
-	energy := make([][]float64, tab.Rows())
+	lat, item, energy := make([][]float64, tab.Rows()), make([][]float64, tab.Rows()), make([][]float64, tab.Rows())
 	for i := range lat {
 		sn := *tab.SubNets[i]
 		sn.Accuracy = float64(70 + rng.Intn(3))
 		subnets[i] = &sn
-		lat[i] = make([]float64, tab.Cols())
-		energy[i] = make([]float64, tab.Cols())
+		lat[i], item[i], energy[i] = make([]float64, tab.Cols()), make([]float64, tab.Cols()), make([]float64, tab.Cols())
 		for j := range lat[i] {
 			lat[i][j] = float64(1+rng.Intn(3)) * 1e-3
 			energy[i][j] = float64(1 + rng.Intn(2))
 		}
 	}
-	ties, err := latencytable.FromMatrices(subnets, tab.Graphs, lat, nil, energy)
+	ties, err := latencytable.FromMatrices(subnets, tab.Graphs, lat, item, energy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -344,14 +344,15 @@ func TestAdviseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	solo := newRecacheSystem(t)
 	lat := make([][]float64, solo.Table().Rows())
-	energy := make([][]float64, len(lat))
+	item, energy := make([][]float64, len(lat)), make([][]float64, len(lat))
 	for i := range lat {
+		item[i] = make([]float64, solo.Table().Cols())
 		for range solo.Table().Cols() {
 			lat[i] = append(lat[i], float64(1+rng.Intn(2))/1024)
 			energy[i] = append(energy[i], float64(1+rng.Intn(2)))
 		}
 	}
-	tied, err := latencytable.FromMatrices(solo.Table().SubNets, solo.Table().Graphs, lat, nil, energy)
+	tied, err := latencytable.FromMatrices(solo.Table().SubNets, solo.Table().Graphs, lat, item, energy)
 	if err != nil {
 		t.Fatal(err)
 	}
