@@ -3,6 +3,7 @@ package sushi
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -230,9 +231,12 @@ func TestClusterHomogeneousHardwareBitIdentical(t *testing.T) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(plain.Outcomes), len(hw.Outcomes))
 	}
 	for i := range plain.Outcomes {
-		if plain.Outcomes[i] != hw.Outcomes[i] || plain.Service(i) != hw.Service(i) {
-			t.Fatalf("outcome %d diverged:\nWithReplicas: %+v %+v\nWithHardware: %+v %+v",
-				i, plain.Outcomes[i], plain.Service(i), hw.Outcomes[i], hw.Service(i))
+		// A query's ID and floor live outside the record; Timed reads them.
+		p, h := plain.Timed(i).Query, hw.Timed(i).Query
+		if plain.Outcomes[i] != hw.Outcomes[i] || plain.Service(i) != hw.Service(i) ||
+			p.ID != h.ID || math.Float64bits(p.MinAccuracy) != math.Float64bits(h.MinAccuracy) {
+			t.Fatalf("outcome %d diverged:\nWithReplicas: %+v %+v %+v\nWithHardware: %+v %+v %+v",
+				i, plain.Outcomes[i], plain.Service(i), p, hw.Outcomes[i], hw.Service(i), h)
 		}
 	}
 	if hw.Recaches != 0 || hw.RecacheSec != 0 {

@@ -94,6 +94,10 @@ func TestMultiTenantSimulateDeterministic(t *testing.T) {
 		if a.Service(i) != b.Service(i) {
 			t.Fatalf("multi-tenant runs diverge in outcome %d's service: %+v vs %+v", i, a.Service(i), b.Service(i))
 		}
+		// A query's ID and floor live outside the record; Timed reads them.
+		if qa, qb := a.Timed(i).Query, b.Timed(i).Query; qa.ID != qb.ID || math.Float64bits(qa.MinAccuracy) != math.Float64bits(qb.MinAccuracy) {
+			t.Fatalf("multi-tenant runs diverge in outcome %d's query: %+v vs %+v", i, qa, qb)
+		}
 	}
 	if !reflect.DeepEqual(a.Summary, b.Summary) {
 		t.Error("multi-tenant summaries diverge")
@@ -110,7 +114,7 @@ func TestMultiTenantPerModelAccounting(t *testing.T) {
 	for i, o := range res.Outcomes {
 		m := res.Timed(i).Query.Model
 		if m != string(ResNet50) && m != string(MobileNetV3) {
-			t.Fatalf("outcome %d has model %q", o.ID, m)
+			t.Fatalf("outcome %d has model %q", i, m)
 		}
 		want[m]++
 		if o.Dropped {

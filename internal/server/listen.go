@@ -4,6 +4,7 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 )
 
@@ -28,6 +29,10 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: recoverPanics(h), ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }
 
+// panics counts the handler panics recoverPanics contained, on every
+// listener of the process; GET /metrics exports it.
+var panics atomic.Int64
+
 // recoverPanics logs a handler's panic with its stack and answers it
 // with a 500 and the usual JSON error body, so the connection serves on.
 // A reply already begun cannot be taken back: it is aborted instead with
@@ -40,6 +45,7 @@ func recoverPanics(h http.Handler) http.Handler {
 			if p := recover(); p == http.ErrAbortHandler {
 				panic(p)
 			} else if p != nil {
+				panics.Add(1)
 				log.Printf("sushi-server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 				if tw.wrote {
 					panic(http.ErrAbortHandler)

@@ -140,6 +140,7 @@ func TestHTTPServerContainsPanics(t *testing.T) {
 		return resp, body, err
 	}
 
+	panicked := panics.Load()
 	for _, path := range []string{"/before", "/during", "/abort"} {
 		resp, body, err := get(path)
 		if path == "/before" {
@@ -156,6 +157,11 @@ func TestHTTPServerContainsPanics(t *testing.T) {
 		}
 	}
 	out := logs.String()
+	// /metrics counts each panic the listener contained, as it logs it
+	// (the client may retry the aborted GET, which panics again).
+	if n, logged := panics.Load()-panicked, strings.Count(out, "sushi-server: panic serving"); n < 2 || n != int64(logged) {
+		t.Errorf("panic counter grew by %d with %d panics logged, want them equal and at least 2", n, logged)
+	}
 	for _, want := range []string{"panic serving GET /before: boom before the reply", "panic serving GET /during: boom during the reply", "runtime/debug.Stack"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("log lacks %q:\n%s", want, out)

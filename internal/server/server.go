@@ -38,6 +38,9 @@
 //	GET  /v1/cache        replica 0's Persistent Buffer state
 //	GET  /v1/stats        cluster-wide aggregates incl. per-model and
 //	                      per-SLO-class slices + fairness index
+//	GET  /metrics         Prometheus text: served/dropped per model and
+//	                      SLO class, batches, cache swaps, re-caches,
+//	                      contained handler panics
 //	GET  /healthz         status, replicas, router, hosted models
 package server
 
@@ -91,6 +94,7 @@ func New(dep *core.ClusterDeployment) *Server {
 	s.mux.HandleFunc("GET /v1/frontier", s.handleFrontier)
 	s.mux.HandleFunc("GET /v1/cache", s.handleCache)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/replicas", s.handleReplicas)
 	s.mux.HandleFunc("POST /v1/serve", s.handleServe)
 	s.mux.HandleFunc("POST /v1/serve/batch", s.handleServeBatch)

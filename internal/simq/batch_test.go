@@ -32,15 +32,24 @@ func batchRun(t *testing.T, b Batching, n int, rateFactor float64) *Result {
 	return checked(t, eng, qs)
 }
 
+// sameRecord reports whether outcome i reads the same in a and b: the
+// record, its service tuple, and its ID and floor (bit for bit), which
+// live in the Result's columns.
+func sameRecord(a, b *Result, i int) bool {
+	qa, qb := a.Timed(i).Query, b.Timed(i).Query
+	return a.Outcomes[i] == b.Outcomes[i] && a.Service(i) == b.Service(i) &&
+		qa.ID == qb.ID && math.Float64bits(qa.MinAccuracy) == math.Float64bits(qb.MinAccuracy)
+}
+
 // sameOutcomes compares two outcome streams record by record, service
-// tuples included.
+// tuples, IDs and floors included.
 func sameOutcomes(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.Outcomes) != len(b.Outcomes) {
 		t.Fatalf("%s: outcome counts differ: %d vs %d", label, len(a.Outcomes), len(b.Outcomes))
 	}
 	for i := range a.Outcomes {
-		if x, y := a.Outcomes[i], b.Outcomes[i]; x != y || a.Service(i) != b.Service(i) {
+		if x, y := a.Outcomes[i], b.Outcomes[i]; !sameRecord(a, b, i) {
 			t.Fatalf("%s: outcome %d differs:\n%+v %+v\n%+v %+v", label, i, x, a.Service(i), y, b.Service(i))
 		}
 	}
@@ -91,10 +100,10 @@ func TestBatchedVirtualTimeExact(t *testing.T) {
 			continue
 		}
 		if got, lat := o.Finish-o.Start, res.Service(i).Latency; math.Abs(got-lat) > 1e-12 {
-			t.Fatalf("query %d: Finish-Start %g != Latency %g", o.ID, got, lat)
+			t.Fatalf("outcome %d: Finish-Start %g != Latency %g", i, got, lat)
 		}
 		if o.Batch < 1 || o.Batch > 8 {
-			t.Fatalf("query %d: batch size %d outside [1, 8]", o.ID, o.Batch)
+			t.Fatalf("outcome %d: batch size %d outside [1, 8]", i, o.Batch)
 		}
 		groups[flushKey{o.Replica, o.Start}] = append(groups[flushKey{o.Replica, o.Start}], i)
 	}
@@ -173,8 +182,8 @@ func TestBatchWindowBoundsFormerWait(t *testing.T) {
 			maxService = lat
 		}
 		if o.QueueDelay() > window+10*maxService {
-			t.Fatalf("query %d waited %.4fs with window %.4fs at light load",
-				o.ID, o.QueueDelay(), window)
+			t.Fatalf("outcome %d waited %.4fs with window %.4fs at light load",
+				i, o.QueueDelay(), window)
 		}
 	}
 	if res.Summary.Batches == 0 {

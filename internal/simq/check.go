@@ -21,9 +21,11 @@ import (
 //     RecacheSec] of distinct passes never overlap;
 //   - drop: a dropped query has Batch 0 and no service field;
 //   - service: the service table starts with the zero tuple and holds
-//     each tuple once, and every record's index is in it.
+//     each tuple once, and every record's index is in it;
+//   - columns: the ID-offset and accuracy-floor columns are each nil or
+//     one slot per record.
 func (r *Result) Check() error {
-	return errors.Join(r.checkConservation(), r.checkOrder(), r.checkFlush(), r.checkOverlap(), r.checkDrop(), r.checkService())
+	return errors.Join(r.checkConservation(), r.checkOrder(), r.checkFlush(), r.checkOverlap(), r.checkDrop(), r.checkService(), r.checkColumns())
 }
 
 func (r *Result) checkConservation() error {
@@ -146,8 +148,8 @@ func (r *Result) checkDrop() error {
 		if !o.Dropped {
 			continue
 		}
-		echo := Outcome{ID: o.ID, Arrival: o.Arrival, Start: o.Start, Finish: o.Finish, E2ELatency: o.E2ELatency,
-			MinAccuracy: o.MinAccuracy, MaxLatency: o.MaxLatency, Replica: o.Replica,
+		echo := Outcome{Arrival: o.Arrival, Start: o.Start, Finish: o.Finish, E2ELatency: o.E2ELatency,
+			MaxLatency: o.MaxLatency, Replica: o.Replica,
 			class: o.class, model: o.model, policy: o.policy, Reason: o.Reason, Degraded: o.Degraded, Dropped: true}
 		if *o != echo {
 			return fmt.Errorf("simq: check drop: dropped outcome %d carries service fields: %+v", i, *o)
@@ -169,6 +171,13 @@ func (r *Result) checkService() error {
 		if o := &r.Outcomes[i]; int(o.svc) >= len(r.services) {
 			return fmt.Errorf("simq: check service: outcome %d points at entry %d of a %d-entry table", i, o.svc, len(r.services))
 		}
+	}
+	return nil
+}
+
+func (r *Result) checkColumns() error {
+	if n := len(r.Outcomes); r.idOff != nil && len(r.idOff) != n || r.minAcc != nil && len(r.minAcc) != n {
+		return fmt.Errorf("simq: check columns: %d outcomes, but the ID column has %d slots and the floor column %d (0 while nil)", n, len(r.idOff), len(r.minAcc))
 	}
 	return nil
 }

@@ -29,8 +29,8 @@ func TestCheckBites(t *testing.T) {
 			earlier = i
 		}
 	}
-	if dropped < 0 || member < 0 || earlier < 0 {
-		t.Fatalf("fixture lacks a drop (%d), a multi-member pass (%d) or a followed pass (%d)", dropped, member, earlier)
+	if dropped < 0 || member < 0 || earlier < 0 || good.idOff != nil || good.minAcc != nil {
+		t.Fatalf("fixture lacks a drop (%d), a multi-member pass (%d) or a followed pass (%d), or has a column", dropped, member, earlier)
 	}
 
 	// repoint gives record i a service tuple of its own: edit's change to
@@ -55,6 +55,10 @@ func TestCheckBites(t *testing.T) {
 		{"drop", func(r *Result) { r.Outcomes[dropped].Batch = 1 }},
 		{"service", func(r *Result) { r.Outcomes[member].svc = uint32(len(r.services)) }},
 		{"service", func(r *Result) { repoint(r, member, func(*Service) {}) }},
+		// The fixture numbers its queries by index and sets no floor, so
+		// both columns are nil; a column one slot short is the fault.
+		{"columns", func(r *Result) { r.idOff = make([]int64, len(r.Outcomes)-1) }},
+		{"columns", func(r *Result) { r.minAcc = make([]float64, len(r.Outcomes)-1) }},
 	} {
 		bad := *good
 		bad.Outcomes = append([]Outcome(nil), good.Outcomes...)

@@ -245,16 +245,17 @@ func BenchmarkRunProcess(b *testing.B) {
 // skeleton, accumulators, scratch growth — by its length: the
 // difference in bytes allocated between a 64 000- and a 32 000-query
 // run, per added query, may exceed the Outcome record by at most 8
-// bytes. Both
-// runs are long enough that every 4 096-sample latency reservoir has
-// stopped growing, so the difference is the record and little else: at
-// the commit before the flat record this read 233.9 bytes (232 of them
-// the record) and 0.10 allocations per added query, every one of those
-// a cacheSnapshot from Replica.publishCache on a cache swap; with the
-// 120-byte record it read 121.9, and with the service tuples interned
-// into the Result's table (an 80-byte record) ~82. A record that grew
-// back, or a per-query copy that escaped to the heap, fails here; the
-// allocation COUNT stays with the two tests above.
+// bytes. Both runs are long enough that every 4 096-sample latency
+// reservoir has stopped growing, so the difference is the record and
+// little else: at the commit before the flat record this read 233.9
+// bytes (232 of them the record) and 0.10 allocations per added query,
+// every one of those a cacheSnapshot from Replica.publishCache on a
+// cache swap; with the 120-byte record it read 121.9, with the service
+// tuples interned into the Result's table (80 bytes) ~82, and with the
+// ID and floor moved to columns this index-numbered, floor-free stream
+// never allocates (64 bytes) 65.8. A record that grew back, a column
+// allocated for nothing, or a per-query copy that escaped to the heap
+// fails here; the allocation COUNT stays with the two tests above.
 func TestMarginalQueryCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

@@ -15,21 +15,22 @@ import (
 // engine's float64s bit for bit; small integers are narrowed to widths
 // the engine checks a configuration against before it runs (see
 // checkWidths); strings and the service outcome are indices into tables
-// the Result owns. (*Result).Timed re-inflates a record into the
-// serving.TimedServed shape.
+// the Result owns. The query's ID and accuracy floor are not in the
+// record: nearly every stream numbers its queries by arrival index and
+// sets no floor, so the Result keeps them in columns allocated only
+// once a run needs them (see Result). (*Result).Timed re-inflates a
+// record into the serving.TimedServed shape.
 type Outcome struct {
-	// ID is the query's sequence number as the caller passed it.
-	ID int64
 	// Arrival, Start and Finish are absolute virtual instants. Members
 	// of one flush share Start and Finish: the batch is one accelerator
 	// pass. A dropped query has Start == Finish == the drop instant.
 	Arrival, Start, Finish float64
 	// E2ELatency is Finish - Arrival (queueing + service).
 	E2ELatency float64
-	// MinAccuracy and MaxLatency echo the constraints the query was
-	// served under (after load-aware debiting or the degrade rewrite);
-	// a dropped query echoes them as it arrived.
-	MinAccuracy, MaxLatency float64
+	// MaxLatency echoes the latency budget the query was served under
+	// (after load-aware debiting or the degrade rewrite); a dropped query
+	// echoes it as it arrived. Timed reads the accuracy floor's echo.
+	MaxLatency float64
 	// svc indexes the Result's service table; 0 for a dropped query.
 	svc uint32
 	// Row is the served SubNet's table row.
@@ -166,8 +167,8 @@ func (o *Outcome) QueueDelay() float64 { return o.Start - o.Arrival }
 // served by replica ri as s (tuple svc) in a pass of n members over
 // [start, finish], or — s nil — dropped at start == finish for reason
 // why. A drop carries the query's echo and no service field.
-func (o *Outcome) fill(j *job, s *serving.Served, svc uint32, ri int, start, finish float64, why Reason, n int) {
-	q := &j.q
+func (r *Result) fill(j *job, s *serving.Served, svc uint32, ri int, start, finish float64, why Reason, n int) {
+	o, q := &r.Outcomes[j.idx], &j.q
 	if s != nil {
 		q = &s.Query
 		o.Row, o.svc = uint16(s.Row), svc
@@ -187,8 +188,19 @@ func (o *Outcome) fill(j *job, s *serving.Served, svc uint32, ri int, start, fin
 			o.flags |= flagRecached
 		}
 	}
-	o.ID = int64(q.ID)
-	o.MinAccuracy, o.MaxLatency = q.MinAccuracy, q.MaxLatency
+	if off := int64(q.ID) - int64(j.idx); off != 0 {
+		if r.idOff == nil {
+			r.idOff = make([]int64, len(r.Outcomes))
+		}
+		r.idOff[j.idx] = off
+	}
+	if math.Float64bits(q.MinAccuracy) != 0 {
+		if r.minAcc == nil {
+			r.minAcc = make([]float64, len(r.Outcomes))
+		}
+		r.minAcc[j.idx] = q.MinAccuracy
+	}
+	o.MaxLatency = q.MaxLatency
 	o.policy = -1
 	if q.Policy != nil {
 		o.policy = int8(*q.Policy)
@@ -208,13 +220,16 @@ func (r *Result) Service(i int) Service { return r.services[r.Outcomes[i].svc] }
 // served SubNet's name, and QueueDelay.
 func (r *Result) Timed(i int) serving.TimedServed {
 	o, sv := &r.Outcomes[i], r.Service(i)
+	id := int64(i)
+	if r.idOff != nil {
+		id += r.idOff[i]
+	}
 	t := serving.TimedServed{
 		Served: serving.Served{
 			Query: sched.Query{
-				ID:          int(o.ID),
-				Model:       r.models[o.model],
-				MinAccuracy: o.MinAccuracy,
-				MaxLatency:  o.MaxLatency,
+				ID:         int(id),
+				Model:      r.models[o.model],
+				MaxLatency: o.MaxLatency,
 			},
 			Row:            int(o.Row),
 			Latency:        sv.Latency,
@@ -231,6 +246,9 @@ func (r *Result) Timed(i int) serving.TimedServed {
 		Arrival: o.Arrival, Start: o.Start, Finish: o.Finish,
 		QueueDelay: o.QueueDelay(), E2ELatency: o.E2ELatency,
 		Dropped: o.Dropped,
+	}
+	if r.minAcc != nil {
+		t.Query.MinAccuracy = r.minAcc[i]
 	}
 	if o.class > 0 {
 		t.Query.Class = r.classes[o.class-1]

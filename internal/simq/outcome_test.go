@@ -1,7 +1,9 @@
 package simq
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,16 +11,18 @@ import (
 
 	"sushi/internal/sched"
 	"sushi/internal/serving"
+	"sushi/internal/workload"
 )
 
 // TestOutcomeLayout pins the two properties Result.Outcomes' cost rests
-// on: the record stays within 80 bytes, and it holds no pointer of any
+// on: the record stays within 64 bytes, and it holds no pointer of any
 // kind, so the slice is one allocation the collector never scans. A
-// field added as a string, or a service number stored per record
-// instead of in the service table, fails here, not in a heap profile.
+// field added as a string, or a service number (or a query ID) stored
+// per record instead of in the Result's tables and columns, fails here,
+// not in a heap profile.
 func TestOutcomeLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Outcome{}); size > 80 {
-		t.Errorf("Outcome is %d bytes; the record's budget is 80", size)
+	if size := unsafe.Sizeof(Outcome{}); size > 64 {
+		t.Errorf("Outcome is %d bytes; the record's budget is 64", size)
 	}
 	typ := reflect.TypeOf(Outcome{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -46,8 +50,11 @@ func twoTenantEngine() *Engine {
 // TestOutcomeRoundTrip sends hand-made queue entries and service
 // outcomes through the functions the runner records with —
 // interner.admit as the query arrives, serviceIndex.intern and
-// Outcome.fill when its fate is known — and reads them back through
-// Result.Timed, field for field.
+// Result.fill when its fate is known — and reads them back through
+// Result.Timed, field for field. The first rows number their queries by
+// arrival index and set no accuracy floor, so the ID and floor columns
+// are allocated mid-run (the floor's by a -0 floor); every later
+// index-valued ID and +0 floor must still come back as it went in.
 func TestOutcomeRoundTrip(t *testing.T) {
 	pol := func(p sched.Policy) *sched.Policy { return &p }
 	type row struct {
@@ -65,8 +72,16 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		// wantModel is the canonical model id the echo must carry.
 		wantModel string
 	}
+	negZero := math.Copysign(0, -1)
 	rows := []row{
-		{name: "negative id, default model, solo",
+		{name: "index id, no floor, before either column",
+			q:      sched.Query{ID: 0, MaxLatency: 9e-3},
+			served: &serving.Served{SubNet: "r0", Latency: 1e-3, Feasible: true},
+			n:      1, wantModel: "resnet50"},
+		{name: "index id, -0 floor allocates the floor column",
+			q:   sched.Query{ID: 1, MinAccuracy: negZero},
+			why: ReasonDeadline, wantModel: "resnet50"},
+		{name: "negative id allocates the ID column, default model, solo",
 			q:      sched.Query{ID: -7, MinAccuracy: 71.5, MaxLatency: 9e-3},
 			served: &serving.Served{SubNet: "r2", Row: 2, Latency: 4e-3, Accuracy: 78.25, Feasible: true, AccuracyMet: true, HitRatio: 0.75, HitBytes: 1 << 33, OffChipEnergyJ: 2.5e-4},
 			n:      1, wantModel: "resnet50"},
@@ -74,9 +89,10 @@ func TestOutcomeRoundTrip(t *testing.T) {
 			q:      sched.Query{ID: 1<<40 + 3, Model: "mobilenetv3", Class: "gold", MaxLatency: 5e-3},
 			served: &serving.Served{SubNet: "m1", Row: 1, Latency: 6e-3, Accuracy: 75, LatencyMet: true, CacheSwapped: true, Recached: true, Batch: 4, HitRatio: 1, HitBytes: 1 << 20, OffChipEnergyJ: 1e-4},
 			n:      4, wantModel: "mobilenetv3"},
-		// Rows 2 and 3 revisit the two above: equal service values share
-		// row 0's table entry, and a non-first member of row 1's pass,
-		// which fetched no weights, gets an entry of its own.
+		// These two revisit the two above: equal service values share the
+		// negative-id row's table entry, and a non-first member of the
+		// batched row's pass, which fetched no weights, gets an entry of
+		// its own.
 		{name: "equal service values",
 			q:      sched.Query{ID: 8, MinAccuracy: 60},
 			served: &serving.Served{SubNet: "r2", Row: 2, Latency: 4e-3, Accuracy: 78.25, HitRatio: 0.75, HitBytes: 1 << 33, OffChipEnergyJ: 2.5e-4},
@@ -108,9 +124,10 @@ func TestOutcomeRoundTrip(t *testing.T) {
 			degraded: true, why: ReasonShed, wantModel: "mobilenetv3"},
 	}
 	for i := 0; i < 300; i++ {
-		// More classes than a byte indexes, each distinct.
+		// More classes than a byte indexes, each distinct; index-valued
+		// ids and +0 floors after both columns exist.
 		rows = append(rows, row{name: fmt.Sprintf("class %d", i),
-			q:   sched.Query{ID: 100 + i, Class: fmt.Sprintf("class-%03d", i)},
+			q:   sched.Query{ID: len(rows), Class: fmt.Sprintf("class-%03d", i)},
 			why: ReasonRejected, wantModel: "resnet50"})
 	}
 
@@ -137,10 +154,14 @@ func TestOutcomeRoundTrip(t *testing.T) {
 				r.rewrite(&s.Query)
 			}
 			finish = start + s.Latency
-			res.Outcomes[i].fill(&j, &s, svcs.intern(&res.services, &s, 0), 3, start, finish, ReasonNone, r.n)
+			res.fill(&j, &s, svcs.intern(&res.services, &s, 0), 3, start, finish, ReasonNone, r.n)
 			w = serving.TimedServed{Served: s}
 		} else {
-			res.Outcomes[i].fill(&j, nil, 0, 3, start, finish, r.why, 0)
+			res.fill(&j, nil, 0, 3, start, finish, r.why, 0)
+		}
+		if i < 2 && (res.idOff != nil || (res.minAcc != nil) != (i == 1)) {
+			t.Fatalf("%s: after it, ID column allocated %t and floor column %t; want false and %t",
+				r.name, res.idOff != nil, res.minAcc != nil, i == 1)
 		}
 		w.Arrival, w.Start, w.Finish = arrival, start, finish
 		w.QueueDelay, w.E2ELatency = start-arrival, finish-arrival
@@ -150,11 +171,11 @@ func TestOutcomeRoundTrip(t *testing.T) {
 	if len(res.classes) != 302 {
 		t.Fatalf("interned %d classes, want 302", len(res.classes))
 	}
-	if o := res.Outcomes; o[2].svc != o[0].svc || o[3].svc == o[1].svc {
-		t.Errorf("service indices %d, %d, %d, %d: want rows 0 and 2 to share one, rows 1 and 3 to differ",
+	if o := res.Outcomes[2:]; o[2].svc != o[0].svc || o[3].svc == o[1].svc {
+		t.Errorf("service indices %d, %d, %d, %d: want rows 2 and 4 to share one, rows 3 and 5 to differ",
 			o[0].svc, o[1].svc, o[2].svc, o[3].svc)
 	}
-	if err := res.checkService(); err != nil {
+	if err := errors.Join(res.checkService(), res.checkColumns()); err != nil {
 		t.Error(err)
 	}
 	for i, r := range rows {
@@ -163,9 +184,65 @@ func TestOutcomeRoundTrip(t *testing.T) {
 			t.Errorf("%s: Timed came back\n%+v (policy %v)\nwant\n%+v (policy %v)", r.name,
 				got, policyOf(got), want[i], policyOf(want[i]))
 		}
+		// DeepEqual takes -0 for +0; the floor's bits must come back too.
+		if g, w := got.Query.MinAccuracy, want[i].Query.MinAccuracy; math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: floor came back %g (sign bit %t), want %g (sign bit %t)", r.name, g, math.Signbit(g), w, math.Signbit(w))
+		}
 		o := res.Outcomes[i]
-		if o.Replica != 3 || o.Reason != r.why || o.Degraded != r.degraded || int(o.Batch) != r.n || o.ID != int64(r.q.ID) {
-			t.Errorf("%s: record %+v lost a direct field", r.name, o)
+		if o.Replica != 3 || o.Reason != r.why || o.Degraded != r.degraded || int(o.Batch) != r.n || got.Query.ID != r.q.ID {
+			t.Errorf("%s: record %+v (ID %d) lost a direct field", r.name, o, got.Query.ID)
+		}
+	}
+}
+
+// TestRunColumnsOnlyWhenNeeded: a RunProcess stream numbered by arrival
+// index with no accuracy floor, the kind every in-tree producer makes,
+// leaves both columns nil; one query off that pattern allocates its
+// column alone, and Timed reads every query back as it was minted.
+func TestRunColumnsOnlyWhenNeeded(t *testing.T) {
+	reps := newReplicas(t, 2)
+	budget := replicaLatHi(reps[0]) * 1.3
+	eng, err := New(reps, Options{LoadAware: true, Drop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, odd = 400, 250
+	for _, c := range []struct {
+		name        string
+		edit        func(q *sched.Query)
+		wantID, acc bool
+	}{
+		{"index ids, no floor", func(*sched.Query) {}, false, false},
+		{"one id off its index", func(q *sched.Query) { q.ID = -1 }, true, false},
+		{"one floor", func(q *sched.Query) { q.MinAccuracy = 70 }, false, true},
+	} {
+		stream, err := workload.Poisson{Rate: 700}.Stream(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk := func(i int, _ float64) sched.Query {
+			q := sched.Query{ID: i, MaxLatency: budget}
+			if i == odd {
+				c.edit(&q)
+			}
+			return q
+		}
+		res, err := eng.RunProcess(n, stream, mk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if (res.idOff != nil) != c.wantID || (res.minAcc != nil) != c.acc {
+			t.Errorf("%s: ID column allocated %t, floor column %t; want %t and %t",
+				c.name, res.idOff != nil, res.minAcc != nil, c.wantID, c.acc)
+		}
+		for i := range res.Outcomes {
+			q := res.Timed(i).Query
+			if want := mk(i, 0); q.ID != want.ID || q.MinAccuracy != want.MinAccuracy {
+				t.Fatalf("%s: outcome %d came back as query %d, floor %g; want %d, %g", c.name, i, q.ID, q.MinAccuracy, want.ID, want.MinAccuracy)
+			}
 		}
 	}
 }

@@ -158,10 +158,10 @@ func TestRecacheDisabledEngineUnchanged(t *testing.T) {
 	same := run(false)
 	inert := run(true)
 	for i := range base.Outcomes {
-		if base.Outcomes[i] != same.Outcomes[i] || base.Service(i) != same.Service(i) {
+		if !sameRecord(base, same, i) {
 			t.Fatalf("identical deployments diverged at outcome %d", i)
 		}
-		if base.Outcomes[i] != inert.Outcomes[i] || base.Service(i) != inert.Service(i) {
+		if !sameRecord(base, inert, i) {
 			t.Fatalf("inert re-cache layer changed outcome %d: %+v %+v vs %+v %+v",
 				i, inert.Outcomes[i], inert.Service(i), base.Outcomes[i], base.Service(i))
 		}

@@ -153,7 +153,7 @@ func (r *runner) maybeRetire(ri int, now float64) {
 // accounting need the labels of dropped queries too), no service field.
 func (r *runner) drop(ri int, j *job, now float64, why Reason) {
 	res := r.res
-	res.Outcomes[j.idx].fill(j, nil, 0, ri, now, now, why, 0)
+	res.fill(j, nil, 0, ri, now, now, why, 0)
 	res.Dropped++
 	switch why {
 	case ReasonDeadline:
@@ -284,7 +284,7 @@ func (r *runner) flush(ri int, now float64) error {
 			if i == n-1 {
 				rc = recache
 			}
-			res.Outcomes[j.idx].fill(j, s, r.svcs.intern(&res.services, s, rc), ri, now, finish, ReasonNone, n)
+			res.fill(j, s, r.svcs.intern(&res.services, s, rc), ri, now, finish, ReasonNone, n)
 			res.Served++
 			if s.Recached {
 				res.Recaches++

@@ -235,6 +235,13 @@ type Result struct {
 	subnets  [][]string
 	classes  []string
 	services []Service
+	// idOff and minAcc are the query ID's offset from the arrival index
+	// and the accuracy floor's echo, by outcome. Each stays nil until a
+	// query brings a nonzero value (by its bits, so a -0 floor counts)
+	// and is then allocated at len(Outcomes): a zero slot reads as "ID
+	// = index" and "floor +0", so none needs a back-fill.
+	idOff  []int64
+	minAcc []float64
 }
 
 // Engine is a virtual-time discrete-event simulator over replica

@@ -290,7 +290,7 @@ func TestClusterOpenLoopDeterminism(t *testing.T) {
 			t.Fatalf("%v: outcome counts differ", adm)
 		}
 		for i := range a.Outcomes {
-			if x, y := a.Outcomes[i], b.Outcomes[i]; x != y || a.Service(i) != b.Service(i) {
+			if x, y := a.Outcomes[i], b.Outcomes[i]; !sameRecord(a, b, i) {
 				t.Fatalf("%v: outcome %d differs:\n%+v %+v\n%+v %+v", adm, i, x, a.Service(i), y, b.Service(i))
 			}
 		}
