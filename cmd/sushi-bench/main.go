@@ -15,15 +15,10 @@
 // (resnet50|mobilenetv3) applies to workload-parameterized experiments;
 // without it each experiment runs on its own default workload.
 //
-// Independent grid points of the sweep experiments run across
-// GOMAXPROCS workers; results are folded in deterministic grid order,
-// so output does not depend on the worker count.
-//
 // With -json, the human-readable tables are replaced by one NDJSON
 // record per experiment on stdout — name, ns_per_op (wall time of the
-// run) and the experiment's metrics (its reproduced values, or
-// goodput_qps and p99_e2e_ms for the open-loop ones) — so results can
-// be read by machines instead of scraped from prose.
+// run) and the experiment's metrics (its reproduced values) — so
+// results can be read by machines instead of scraped from prose.
 //
 // -calibrate sweeps a MEASURED latency table on this machine: every
 // (frontier SubNet × candidate SubGraph × batch) cell is timed through
@@ -35,11 +30,11 @@
 // -json the run emits one NDJSON calibration record (wall time, report
 // error percentiles).
 //
-// -record-trace captures the cohortsweep experiment's skewed
-// 100-cohort population as a versioned trace v2 file (-trace-queries
-// sets the stream length, default 600); -replay-trace plays such a
-// file back through a fresh cohortsweep fleet — same seed, same fleet,
-// bit-exact outcomes — so a recorded workload reproduces anywhere.
+// -record-trace captures the skewed 100-cohort population as a
+// versioned trace v2 file (-trace-queries sets the stream length,
+// default 600); -replay-trace plays such a file back through a fresh
+// 4-replica MobileNetV3 fleet — same seed, same fleet, bit-exact
+// outcomes — so a recorded workload reproduces anywhere.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the whole
 // experiment batch (the CPU profile spans every run; the heap profile
@@ -115,9 +110,9 @@ func run() int {
 	asJSON := flag.Bool("json", false, "emit one NDJSON record per experiment (name, ns_per_op, metrics) instead of text tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering every experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file at exit")
-	recordTrace := flag.String("record-trace", "", "record the cohortsweep skewed population as a trace v2 file and exit")
-	traceQueries := flag.Int("trace-queries", 0, "stream length for -record-trace (0 = the experiment default)")
-	replayTrace := flag.String("replay-trace", "", "replay a trace v2 file through a fresh cohortsweep fleet and exit")
+	recordTrace := flag.String("record-trace", "", "record the skewed 100-cohort population as a trace v2 file and exit")
+	traceQueries := flag.Int("trace-queries", 0, "stream length for -record-trace (0 = 600)")
+	replayTrace := flag.String("replay-trace", "", "replay a trace v2 file through a fresh 4-replica MobileNetV3 fleet and exit")
 	doCalibrate := flag.Bool("calibrate", false, "sweep a measured latency table on this machine and print the calibration report")
 	tableOut := flag.String("table-out", "", "write the measured table file here (with -calibrate)")
 	calibReps := flag.Int("reps", 3, "median-of-k repetitions per calibration cell (with -calibrate)")

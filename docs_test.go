@@ -1,20 +1,25 @@
 package sushi
 
 import (
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
 
 // TestDocsReferencesResolve holds README.md and docs/ARCHITECTURE.md to
 // the tree. README links ARCHITECTURE; ARCHITECTURE names no missing
-// internal package and covers every existing one; and every backticked
+// internal package and covers every existing one; every backticked
 // pkg.Name in either document, where pkg is sushi or an internal
 // package (with or without its internal/ prefix), is a top-level
-// declaration of that package. A rename without a docs update fails
-// here.
+// declaration of that package; and every backticked *.go path names
+// exactly one file (goPathErrors). A rename or deletion without a docs
+// update fails here.
 func TestDocsReferencesResolve(t *testing.T) {
 	_, _, top := scanSurface(t, ".")
 	docs := map[string]string{}
@@ -47,6 +52,9 @@ func TestDocsReferencesResolve(t *testing.T) {
 			t.Errorf("docs/ARCHITECTURE.md references missing package %s", p)
 		}
 	}
+	for _, e := range goPathErrors(t, ".", docs) {
+		t.Error(e)
+	}
 	ref := regexp.MustCompile(`\b(?:internal/)?([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 	for name, doc := range docs {
 		for _, span := range regexp.MustCompile("`[^`\n]+`").FindAllString(doc, -1) {
@@ -57,4 +65,79 @@ func TestDocsReferencesResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocsGoPathRuleBites runs goPathErrors on a tree whose document
+// names a file that exists, one that does not, a bare name two files
+// share, and a bare name only one file has.
+func TestDocsGoPathRuleBites(t *testing.T) {
+	root := t.TempDir()
+	for _, name := range []string{"a/main.go", "b/main.go", "a/event.go", "c/d/weights.go"} {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("package x\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := "`a/event.go` and `event.go`, `d/weights.go`, `a/gone.go`, `main.go`"
+	got := goPathErrors(t, root, map[string]string{"DOC.md": doc})
+	want := []string{
+		"DOC.md: `a/gone.go` names a/gone.go, which matches no file",
+		"DOC.md: `main.go` names main.go, which matches 2 files: [a/main.go b/main.go]",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("goPathErrors =\n%q\nwant\n%q", got, want)
+	}
+}
+
+// goPathErrors checks every backticked *.go path in docs (name → text)
+// against the files under root: a path must match exactly one file, by
+// its whole slash path from root or by a trailing run of its path
+// elements, so a bare name such as event.go must be unique in the tree.
+func goPathErrors(t *testing.T, root string, docs map[string]string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
+			}
+			files = append(files, filepath.ToSlash(rel))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goPath := regexp.MustCompile(`[\w./-]+\.go\b`)
+	var errs []string
+	for name, doc := range docs {
+		for _, span := range regexp.MustCompile("`[^`\n]+`").FindAllString(doc, -1) {
+			for _, ref := range goPath.FindAllString(span, -1) {
+				var hits []string
+				for _, f := range files {
+					if f == ref || strings.HasSuffix(f, "/"+ref) {
+						hits = append(hits, f)
+					}
+				}
+				switch {
+				case len(hits) == 0:
+					errs = append(errs, fmt.Sprintf("%s: %s names %s, which matches no file", name, span, ref))
+				case len(hits) > 1:
+					errs = append(errs, fmt.Sprintf("%s: %s names %s, which matches %d files: %v", name, span, ref, len(hits), hits))
+				}
+			}
+		}
+	}
+	sort.Strings(errs)
+	return errs
 }

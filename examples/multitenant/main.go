@@ -12,7 +12,9 @@
 // sees near-constant combined load and lends each model the other's
 // idle capacity. Meanwhile the traffic-weighted partitioner re-splits
 // each replica's Persistent Buffer as the mix swings, so the bursting
-// model also holds the larger SubGraph cache.
+// model also holds the larger SubGraph cache. (internal/core's
+// TestMultiTenantExperiment pins the shared fleet beating the static
+// 2+2 split on goodput at identical hardware and seeds.)
 package main
 
 import (
@@ -98,6 +100,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Println("\nthe 'multitenant' experiment (sushi-bench multitenant) runs the full")
-	fmt.Println("comparison against a static 2+2 hardware split at identical seeds.")
 }

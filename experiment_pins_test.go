@@ -47,16 +47,6 @@ var experimentPins = []struct{ id, want string }{
 	{"ablation-avg:mobilenetv3", "5327853985fbd30f98089c96b0a29ec363d241c9510c6fd76c823ac694526900"},
 	{"overload", "3b988bb3abbe1be9f018b5ed626d3ed9fcc814e9c5f48b11dcb84c2f704b03ac"},
 	{"overload:mobilenetv3", "7d92d9a053ebb840244e342e575092b9afea1a265f161ed4cf75078fc0828f49"},
-	{"loadsweep", "3fe0201591c0a7af11212934a06762e92d47d71745cb3637c98360a78f5bc301"},
-	{"loadsweep:mobilenetv3", "67c46ec8b3829ad97714605ca618e620719baccf39bef74b54649b76ea1d3c48"},
-	{"hetero", "34d6439499279904690c863540ecce094b6086339cb4a812a339885878bd43ae"},
-	{"hetero:mobilenetv3", "375daf24f8e929bd59450d9521cda40701b42bd1f08972398d322ab93e2f6dbc"},
-	{"batchsweep:resnet50", "0545484dc686f8e0de7af96654586f2d9bfc46774e15571f89ced73c36f0effb"},
-	{"batchsweep", "5d68abc67e0b90c6b887777f72fff382a33a36a57d67655f815c6da13c782bda"},
-	{"multitenant", "8846b32dd9ff12ab5239f3558fb8a0d90d0686fd84639878c3f92bee9d415fff"},
-	{"elastic", "5c950f30e6307d119a3e96fb5616a853e84b1d5ea3831227d935fed55da67946"},
-	{"cohortsweep", "7d0efe7c0e97d9fbbfa1bb88ebc43885c78bb2f98bb3c5e030967f54a399e0d2"},
-	{"calibsweep", "5d1742ce7a800b2d0dfb099f360e530ba6e8be93516a207342ead0fdf7bccaf8"},
 }
 
 // TestExperimentTextPinned regenerates every pinned experiment and

@@ -204,10 +204,9 @@ func TestSingleModelBitIdentical(t *testing.T) {
 
 // TestSingleCohortPoissonClusterIdentity is PR 8's inert-layer pin at
 // cluster level: a one-cohort Poisson Population driven through
-// core's SimulatePopulation (the path behind sushi-server -cohorts)
-// must reproduce — bit for bit — a plain Simulate
-// over Poisson arrivals carrying the same constant budget/accuracy
-// marks. Single-value Empiricals make the marks deterministic, so the
+// core's lazy SimulatePopulation path must reproduce — bit for bit —
+// a plain Simulate over Poisson arrivals carrying the same constant
+// budget/accuracy marks. Single-value Empiricals make the marks deterministic, so the
 // two runs present identical streams; any digest divergence means the
 // cohort layer perturbed arrival or mint order.
 func TestSingleCohortPoissonClusterIdentity(t *testing.T) {

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,98 @@ import (
 	"sushi/internal/nn"
 	"sushi/internal/tensor"
 )
+
+// ExecStats counts the work the functional executor performed, used to
+// cross-check the analytic latency model: the scheduled cycle count must
+// be able to accommodate the MACs actually executed.
+type ExecStats struct {
+	// MACs is the number of multiply-accumulates executed.
+	MACs int64
+	// Tiles is the number of (kernel-tile, channel-tile) steps.
+	Tiles int64
+	// OBAccumulations counts in-place partial-sum accumulations in the
+	// Output Buffer (oAct reuse, Fig. 8c).
+	OBAccumulations int64
+}
+
+// ExecuteConv runs a 2-D convolution exactly the way the DPE array
+// schedules it (§4.2.1, Fig. 7): kernels are partitioned into KP-row
+// tiles kept weight-stationary, input channels into CP-column tiles, and
+// each DPE reduces one R*S kernel slice per output pixel while partial
+// sums accumulate in place in the Output Buffer. The result must be
+// bit-identical to the tensor.Conv2D golden reference — the functional
+// proof that the SGS dataflow computes real convolutions.
+func ExecuteConv(cfg *Config, in *tensor.Int8, w *tensor.Int8, zp int32, p tensor.ConvParams) (*tensor.Int32, ExecStats, error) {
+	var st ExecStats
+	if err := cfg.Validate(); err != nil {
+		return nil, st, err
+	}
+	if p.Groups == 0 {
+		p.Groups = 1
+	}
+	is, ws := in.Shape, w.Shape
+	if ws.C != is.C/p.Groups || is.C%p.Groups != 0 {
+		return nil, st, fmt.Errorf("accel: functional conv shape mismatch in=%v w=%v groups=%d", is, ws, p.Groups)
+	}
+	oh := tensor.OutDim(is.H, ws.H, p.StrideH, p.PadH)
+	ow := tensor.OutDim(is.W, ws.W, p.StrideW, p.PadW)
+	if oh <= 0 || ow <= 0 {
+		return nil, st, fmt.Errorf("accel: functional conv non-positive output %dx%d", oh, ow)
+	}
+	ob := tensor.NewInt32(tensor.Shape{N: is.N, C: ws.N, H: oh, W: ow})
+	cPerGroup := is.C / p.Groups
+	kPerGroup := ws.N / p.Groups
+
+	for n := 0; n < is.N; n++ {
+		// Kernel-level parallelism: KP kernels per weight-stationary tile.
+		for kt := 0; kt < ws.N; kt += cfg.KP {
+			kEnd := kt + cfg.KP
+			if kEnd > ws.N {
+				kEnd = ws.N
+			}
+			// Channel-level parallelism: CP input channels per tile.
+			for ct := 0; ct < cPerGroup; ct += cfg.CP {
+				cEnd := ct + cfg.CP
+				if cEnd > cPerGroup {
+					cEnd = cPerGroup
+				}
+				st.Tiles++
+				for k := kt; k < kEnd; k++ {
+					g := k / kPerGroup
+					for c := ct; c < cEnd; c++ {
+						ic := g*cPerGroup + c
+						for y := 0; y < oh; y++ {
+							for x := 0; x < ow; x++ {
+								// One DPE reduction: the R*S kernel slice.
+								var acc int32
+								for r := 0; r < ws.H; r++ {
+									ih := y*p.StrideH + r - p.PadH
+									if ih < 0 || ih >= is.H {
+										continue
+									}
+									for s := 0; s < ws.W; s++ {
+										iw := x*p.StrideW + s - p.PadW
+										if iw < 0 || iw >= is.W {
+											continue
+										}
+										acc += (int32(in.At(n, ic, ih, iw)) - zp) *
+											int32(w.At(k, c, r, s))
+										st.MACs++
+									}
+								}
+								// In-place OB accumulation across channel
+								// tiles (final oActs leave once).
+								ob.Set(n, k, y, x, ob.At(n, k, y, x)+acc)
+								st.OBAccumulations++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return ob, st, nil
+}
 
 func smallConfig() Config {
 	c := ZCU104()

@@ -50,12 +50,11 @@ func serveUniform(w Workload, opts serving.Options, n int, seed int64) ([]servin
 	return rs, serving.Summarize(rs), nil
 }
 
-// probeLatencies reads the budget scale the open-loop experiments
-// calibrate from: the service latency of the frontier's fastest and
-// slowest SubNet on column 0 of the table a default ZCU104 deployment
-// of w in the given mode builds (the build memo hands the fleets the
-// same table).
-func probeLatencies(w Workload, mode serving.Mode) (latLo, latHi float64, err error) {
+// probeLatencies reads the budget scale the open-loop runs calibrate
+// from: the service latency of the frontier's fastest and slowest
+// SubNet on column 0 of the table a default ZCU104 deployment of w
+// builds (the build memo hands the fleets the same table).
+func probeLatencies(w Workload) (latLo, latHi float64, err error) {
 	super, fr, err := frontierFor(w)
 	if err != nil {
 		return 0, 0, err
@@ -64,7 +63,7 @@ func probeLatencies(w Workload, mode serving.Mode) (latLo, latHi float64, err er
 		Accel:      accel.ZCU104(),
 		Policy:     sched.StrictLatency,
 		Q:          4,
-		Mode:       mode,
+		Mode:       serving.Full,
 		Candidates: 16,
 		Seed:       1,
 	})
@@ -406,7 +405,7 @@ func Overload(w Workload, queries int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, latHi, err := probeLatencies(w, serving.Full)
+	_, latHi, err := probeLatencies(w)
 	if err != nil {
 		return nil, err
 	}
@@ -465,97 +464,5 @@ func Overload(w Workload, queries int) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"§1: \"a higher accuracy model may result in dropped queries during periods of transient overloads\" — reproduced",
 		"load-aware SUSHI trades accuracy for deadline attainment exactly when the queue builds")
-	return res, nil
-}
-
-// LoadSweep is the open-loop analogue of Fig. 16: a 2-replica cluster
-// per system variant driven by Poisson arrivals at offered loads below,
-// at and above aggregate service capacity through the simq engine, with
-// tail latency, SLO attainment, goodput and drops per point. Where
-// Fig. 16 compares variants on a closed-loop stream, this sweep shows
-// how each variant's latency advantage compounds under queueing: lower
-// service latency is more capacity headroom, so SUSHI's curves bend
-// later.
-func LoadSweep(w Workload, queries int) (*Result, error) {
-	if queries <= 0 {
-		queries = 100
-	}
-	const replicas = 2
-	res := &Result{
-		Name:   "loadsweep",
-		Title:  fmt.Sprintf("Open-loop load sweep, %d replicas — %s", replicas, w),
-		Header: []string{"system", "load(x cap)", "offered(qps)", "p50 e2e(ms)", "p99 e2e(ms)", "SLO%", "goodput(qps)", "drops"},
-	}
-	modes := []serving.Mode{serving.NoPB, serving.StateUnaware, serving.Full}
-	factors := []float64{0.5, 1.5, 3.0}
-	// Every (mode, factor) grid point is an independent seeded
-	// deployment+run, so the harness executes them across workers; rows
-	// and the headline metrics fold in grid order below.
-	type lsPoint struct {
-		row     []string
-		metrics map[string]float64
-	}
-	points := make([]lsPoint, len(modes)*len(factors))
-	err := runPoints(len(points), func(p int) error {
-		mi, factor := p/len(factors), factors[p%len(factors)]
-		_, latHi, err := probeLatencies(w, modes[mi])
-		if err != nil {
-			return err
-		}
-		// The budget admits the slowest SubNet with 10% headroom; one
-		// replica's capacity is the inverse, the cluster's R times that.
-		budget := latHi * 1.1
-		capacity := replicas / budget
-		// A fresh fleet per point: each sweep point is an independent
-		// deployment, so curves are per-seed reproducible.
-		dep, err := DeployCluster(DeployOptions{Workload: w, Policy: sched.StrictLatency, Mode: modes[mi]},
-			ClusterOptions{Replicas: replicas})
-		if err != nil {
-			return err
-		}
-		arr, err := workload.Poisson{Rate: capacity * factor}.Times(queries, 11)
-		if err != nil {
-			return err
-		}
-		qs := make([]serving.TimedQuery, queries)
-		for i := range qs {
-			qs[i] = serving.TimedQuery{
-				Query:   sched.Query{ID: i, MaxLatency: budget},
-				Arrival: arr[i],
-			}
-		}
-		run, err := dep.Simulate(qs, SimOptions{LoadAware: true, Drop: true, Router: RouterLeastLoaded})
-		if err != nil {
-			return err
-		}
-		sum := run.Summary
-		pt := lsPoint{row: []string{
-			modes[mi].String(), fmt.Sprintf("%.1fx", factor), f1(run.OfferedRate),
-			ms(sum.P50E2E), ms(sum.P99E2E), f1(sum.E2ESLO * 100),
-			f1(sum.Goodput), fmt.Sprintf("%d", run.Dropped),
-		}}
-		// The headline for the bench trajectory: the full SUSHI stack
-		// at the deepest overload point.
-		if modes[mi] == serving.Full && factor == 3.0 {
-			pt.metrics = map[string]float64{
-				"goodput_qps": sum.Goodput,
-				"p99_e2e_ms":  sum.P99E2E * 1e3,
-			}
-		}
-		points[p] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, pt := range points {
-		res.Rows = append(res.Rows, pt.row)
-		if pt.metrics != nil {
-			res.Metrics = pt.metrics
-		}
-	}
-	res.Notes = append(res.Notes,
-		"open-loop analogue of Fig. 16: beyond aggregate capacity the queue — not the accelerator — dominates E2E tails",
-		"load-aware budget debiting keeps goodput up by degrading accuracy exactly when wait time eats the budget")
 	return res, nil
 }

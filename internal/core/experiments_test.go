@@ -215,35 +215,6 @@ func TestFig9Experiment(t *testing.T) {
 	}
 }
 
-func TestHeteroExperiment(t *testing.T) {
-	r, err := Hetero(MobileNetV3, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("%d rows, want 2 fleets", len(r.Rows))
-	}
-	homo, mixed := r.Rows[0], r.Rows[1]
-	// Acceptance criterion: identical seeded arrivals, measurable
-	// p99/SLO difference between fleet compositions.
-	if homo[2] == mixed[2] && homo[3] == mixed[3] {
-		t.Errorf("homogeneous and mixed fleets indistinguishable: p99 %s vs %s, SLO %s vs %s",
-			homo[2], mixed[2], homo[3], mixed[3])
-	}
-	// Every fleet reports a tail, and a fleet that switches its cache (at
-	// least one does) is charged fill time for it.
-	switched := false
-	for _, row := range r.Rows {
-		switched = switched || row[6] != "0"
-		if row[2] == "0.000" || row[6] != "0" && row[7] == "0.000" {
-			t.Errorf("%s: zero p99, or cache switches charged no fill time: %v", row[0], row)
-		}
-	}
-	if !switched {
-		t.Error("no fleet enacted a modeled cache switch")
-	}
-}
-
 func TestOverloadExperiment(t *testing.T) {
 	r, err := Overload(MobileNetV3, 80)
 	if err != nil {
@@ -256,40 +227,6 @@ func TestOverloadExperiment(t *testing.T) {
 	// model's service time is ~budget/1.1, so queueing hurts it at 0.5x.
 	if gain := r.Metrics["slo_gain_min_pp"]; gain <= 0 {
 		t.Errorf("load-aware SLO attainment leads static by %.1f points at worst", gain)
-	}
-}
-
-func TestBatchSweepExperiment(t *testing.T) {
-	for _, w := range []Workload{MobileNetV3, ResNet50} {
-		r, err := BatchSweep(w, 160)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.Rows) != 4 {
-			t.Fatalf("%s: %d rows, want 4 batch sizes", w, len(r.Rows))
-		}
-		// Acceptance criterion: at fixed offered load, goodput strictly
-		// increases for every B > 1 over the unbatched B=1 row, and the
-		// amortized weight fetch shows up as falling per-query energy.
-		m := r.Metrics
-		for _, b := range []string{"2", "4", "8"} {
-			if g := m["goodput_b"+b+"_qps"]; g <= m["goodput_b1_qps"] {
-				t.Errorf("%s: B=%s goodput %.1f not above B=1 %.1f", w, b, g, m["goodput_b1_qps"])
-			}
-			if e := m["energy_b"+b+"_uj"]; e >= m["energy_b1_uj"] {
-				t.Errorf("%s: B=%s energy/query %.2f not below B=1 %.2f", w, b, e, m["energy_b1_uj"])
-			}
-			if avg := m["avg_batch_b"+b]; avg <= 1 {
-				t.Errorf("%s: B=%s average batch %.2f never exceeded 1", w, b, avg)
-			}
-		}
-		// The machine-readable headline must match the table.
-		if r.Metrics["goodput_qps"] <= r.Metrics["goodput_b1_qps"] {
-			t.Errorf("%s: metrics claim no batching win: %+v", w, r.Metrics)
-		}
-		if r.Metrics["goodput_qps"] <= 0 || r.Metrics["p99_e2e_ms"] <= 0 {
-			t.Errorf("%s: degenerate headline metrics %+v", w, r.Metrics)
-		}
 	}
 }
 

@@ -1,61 +1,10 @@
 package core
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"sushi/internal/supernet"
 )
-
-// runPoints executes n independent grid points. Each point is a fully
-// seeded, self-contained run (own deployment, own engine), so points
-// execute across min(GOMAXPROCS, n) workers (in order on the calling
-// goroutine when that is one); the caller folds per-point results into
-// rows/metrics in grid order AFTER runPoints returns, which is what
-// keeps parallel output byte-identical to sequential output. The first
-// error in grid order wins, matching the sequential early-exit
-// behaviour.
-func runPoints(n int, point func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := point(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = point(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // frontierEntry is one memoized (supernet, frontier) derivation.
 type frontierEntry struct {

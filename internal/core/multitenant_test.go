@@ -347,31 +347,94 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestMultiTenantExperiment pins the headline claim: the shared
-// multi-tenant fleet beats the static 2+2 partition on goodput under
-// anti-correlated per-model bursts at identical hardware and seeds,
-// and reports per-model slices.
+// TestMultiTenantExperiment: under anti-correlated per-model bursts
+// (anti-phase diurnal rates, each model peaking at 1.7x its own
+// 2-replica capacity while the other troughs), one shared 4-replica
+// fleet with traffic-weighted PB partitioning beats a static 2+2 split
+// — two single-model 2-replica fleets, each fed only its model's half
+// of the same stream — on goodput at identical hardware, seeds and
+// admission discipline.
 func TestMultiTenantExperiment(t *testing.T) {
-	res, err := MultiTenant(0)
+	const queries, seed = 400, 13
+	models := []Workload{ResNet50, MobileNetV3}
+	latHi := map[Workload]float64{}
+	meanRate := 0.0
+	for _, m := range models {
+		_, hi, err := probeLatencies(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		latHi[m] = hi
+		meanRate += 1.7 * (2 / hi) / 2
+	}
+	mix := workload.Mix{}
+	lats := map[string][]float64{}
+	for i, m := range models {
+		// Budgets leave headroom over the full-PB service latency, so SLO
+		// misses come from queueing, not from the shared fleet's smaller
+		// per-model PB slice.
+		qs, err := workload.Uniform(queries, workload.Range{}, workload.Range{Lo: latHi[m] * 1.2, Hi: latHi[m] * 1.8}, seed+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range qs {
+			lats[string(m)] = append(lats[string(m)], q.MaxLatency)
+		}
+		// Two full cycles over the stream.
+		mix.Components = append(mix.Components, workload.MixComponent{
+			Model: string(m),
+			Process: workload.Diurnal{BaseRate: 1.7 * (2 / latHi[m]) / 2, Amplitude: 1,
+				Period: queries / meanRate / 2, Phase: float64(i) * math.Pi},
+		})
+	}
+	times, labels, err := mix.Labeled(queries, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, part := res.Metrics["goodput_qps"], res.Metrics["partition_goodput_qps"]
-	if shared <= part {
-		t.Errorf("shared fleet goodput %.1f does not beat the static partition's %.1f", shared, part)
+	stream := make([]serving.TimedQuery, queries)
+	next := map[string]int{}
+	for i := range stream {
+		m := labels[i]
+		stream[i] = serving.TimedQuery{Query: sched.Query{ID: i, Model: m, MaxLatency: lats[m][next[m]]}, Arrival: times[i]}
+		next[m]++
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("experiment has %d rows, want 2", len(res.Rows))
-	}
-	// Per-model p99/SLO columns are populated for both fleets.
-	for _, row := range res.Rows {
-		if len(row) != len(res.Header) {
-			t.Fatalf("row %v does not match header %v", row, res.Header)
+	opt := SimOptions{QueueCap: 3, Admission: simq.Reject, LoadAware: true, Drop: true, Router: RouterLeastLoaded}
+	simulate := func(dopt DeployOptions, copt ClusterOptions, qs []serving.TimedQuery) *simq.Result {
+		dep, err := DeployCluster(dopt, copt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, cell := range row {
-			if cell == "" {
-				t.Errorf("row %q has empty column %d (%s)", row[0], i, res.Header[i])
+		res, err := dep.Simulate(qs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	shared := simulate(DeployOptions{Policy: sched.StrictLatency}, ClusterOptions{
+		Replicas: 4, Models: models, Partition: &serving.PartitionPolicy{Mode: serving.PartitionTraffic},
+	}, stream)
+	// The static partition's goodput: SLO-attaining completions of both
+	// fleets per second of the longer run, the quantity Summary.Goodput
+	// reports for the shared fleet.
+	met, span := 0.0, 0.0
+	for _, m := range models {
+		var sub []serving.TimedQuery
+		for _, tq := range stream {
+			if tq.Model == string(m) {
+				tq.Model = "" // a single-model fleet has no tenant names
+				sub = append(sub, tq)
 			}
 		}
+		run := simulate(DeployOptions{Workload: m, Policy: sched.StrictLatency}, ClusterOptions{Replicas: 2}, sub)
+		met += run.Summary.E2ESLO * float64(run.Queries)
+		span = max(span, run.Makespan)
+	}
+	part := met / span
+	t.Logf("goodput: shared %.2f qps, static partition %.2f qps", shared.Summary.Goodput, part)
+	if shared.Summary.Goodput <= part {
+		t.Errorf("shared fleet goodput %.1f does not beat the static partition's %.1f", shared.Summary.Goodput, part)
+	}
+	if len(shared.Summary.PerModel) != len(models) {
+		t.Errorf("shared fleet reports %d per-model slices, want %d", len(shared.Summary.PerModel), len(models))
 	}
 }

@@ -57,15 +57,6 @@ func init() {
 		{id: "hitratio", run: fixed(func() (*Result, error) { return HitRatioA4(0) })},
 		{id: "ablation-avg", run: func(w Workload) (*Result, error) { return AblationAvg(w, 0) }},
 		{id: "overload", run: func(w Workload) (*Result, error) { return Overload(w, 0) }},
-		// The cluster-scale extensions go beyond the paper's evaluation,
-		// so no claim names them.
-		{id: "loadsweep", run: func(w Workload) (*Result, error) { return LoadSweep(w, 0) }},
-		{id: "hetero", run: func(w Workload) (*Result, error) { return Hetero(w, 0) }},
-		{id: "batchsweep", workload: MobileNetV3, run: func(w Workload) (*Result, error) { return BatchSweep(w, 0) }},
-		{id: "multitenant", run: fixed(func() (*Result, error) { return MultiTenant(0) })},
-		{id: "elastic", run: fixed(func() (*Result, error) { return Elastic(0) })},
-		{id: "cohortsweep", run: fixed(func() (*Result, error) { return CohortSweep(0) })},
-		{id: "calibsweep", run: fixed(func() (*Result, error) { return CalibSweep(0) })},
 		{id: "fidelity", run: fixed(fidelity)},
 	}
 }

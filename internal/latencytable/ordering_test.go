@@ -125,7 +125,6 @@ func checkGraphBytes(t *testing.T, tab *Table, label string) {
 func checkOrderingInvariants(t *testing.T, tab *Table, label string) {
 	t.Helper()
 	checkGraphBytes(t, tab, label)
-	globalMin := math.Inf(1)
 	for j := 0; j < tab.Cols(); j++ {
 		colMin := math.Inf(1)
 		for i := 0; i < tab.Rows(); i++ {
@@ -134,7 +133,6 @@ func checkOrderingInvariants(t *testing.T, tab *Table, label string) {
 		if got := tab.MinLatency(j); got != colMin {
 			t.Fatalf("%s: MinLatency(%d) = %v, column minimum %v", label, j, got, colMin)
 		}
-		globalMin = math.Min(globalMin, colMin)
 		for _, n := range []int{1, 2, 4} {
 			accProbes := []float64{math.NaN(), 0, math.Inf(1), math.Inf(-1)}
 			latProbes := []float64{math.NaN(), 0, math.Inf(1), math.Inf(-1)}
@@ -171,9 +169,6 @@ func checkOrderingInvariants(t *testing.T, tab *Table, label string) {
 		if wi, wf := scanMostAccurateWithin(tab, l, j, 1); gi != wi || gf != wf {
 			t.Fatalf("%s: MostAccurateWithin(%v, %d) = (%d,%v), scan (%d,%v)", label, l, j, gi, gf, wi, wf)
 		}
-	}
-	if got := tab.GlobalMinLatency(); got != globalMin {
-		t.Fatalf("%s: GlobalMinLatency = %v, table minimum %v", label, got, globalMin)
 	}
 }
 

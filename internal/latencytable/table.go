@@ -54,8 +54,6 @@ type Table struct {
 	// maxAccRow is the argmax-accuracy row (lowest row index among
 	// equals): STRICT_ACCURACY's fallback when no row meets the floor.
 	maxAccRow int
-	// minLat is the smallest latency anywhere in the table.
-	minLat float64
 }
 
 // column is one cache state's slice of the table in row order.
@@ -191,7 +189,6 @@ func (t *Table) buildColumns() {
 	}
 	lat, item := make([]float64, rows*cols), make([]float64, rows*cols)
 	t.cols = make([]column, cols)
-	t.minLat = math.Inf(1)
 	for j := range t.cols {
 		c := &t.cols[j]
 		c.lat = lat[j*rows : (j+1)*rows : (j+1)*rows]
@@ -200,9 +197,6 @@ func (t *Table) buildColumns() {
 			c.lat[i], c.item[i] = t.Lat[i][j], t.Item[i][j]
 		}
 		c.minLat = c.lat[c.argminLatency(0)]
-		if c.minLat < t.minLat {
-			t.minLat = c.minLat
-		}
 	}
 }
 
@@ -229,10 +223,6 @@ func (t *Table) MinLatency(j int) float64 { return t.cols[j].minLat }
 // MostAccurateRow returns the argmax-accuracy row (lowest row index
 // among equals), precomputed: STRICT_ACCURACY's fallback.
 func (t *Table) MostAccurateRow() int { return t.maxAccRow }
-
-// GlobalMinLatency returns the smallest latency anywhere in the table —
-// the tightest bound on any service completing.
-func (t *Table) GlobalMinLatency() float64 { return t.minLat }
 
 // FastestFeasible answers the STRICT_ACCURACY per-query decision for a
 // solo serve: FastestFeasibleBatch for a batch of one.

@@ -210,24 +210,18 @@ func overlapFor(t *tenant, snap *cacheSnapshot, row int) float64 {
 	return ov[row]
 }
 
-// PredictedLatency is the service latency (seconds) the query's
+// predicted returns the service latency (seconds) the query's
 // model-tenant's own latency table predicts for q under its last
-// published cache column — the hardware- and model-aware routing
-// signal: heterogeneous fleets have one table per (model, hardware)
-// pair, so the same query scores differently per replica AND per
-// model. Lock-free like AffinityScore; returns +Inf when the query
-// cannot be scheduled at all (including an unknown model).
-func (r *Replica) PredictedLatency(q sched.Query) float64 {
-	lat, _ := r.predicted(q)
-	return lat
-}
-
-// predicted returns the lock-free latency prediction together with the
-// scheduler's feasibility verdict for it. Routers need both: an
-// infeasible replica's fallback is often its FASTEST SubNet (strict-
-// latency fallback is argmin latency), so scoring by latency alone
-// would systematically attract queries to replicas that cannot honour
-// their constraints.
+// published cache column, together with the scheduler's feasibility
+// verdict for it. It is the hardware- and model-aware routing signal:
+// heterogeneous fleets have one table per (model, hardware) pair, so
+// the same query scores differently per replica AND per model.
+// Lock-free like AffinityScore; the latency is +Inf when the query
+// cannot be scheduled at all (including an unknown model). Routers
+// need the verdict too: an infeasible replica's fallback is often its
+// FASTEST SubNet (strict-latency fallback is argmin latency), so
+// scoring by latency alone would systematically attract queries to
+// replicas that cannot honour their constraints.
 func (r *Replica) predicted(q sched.Query) (float64, bool) {
 	t, err := r.tenantFor(q.Model)
 	if err != nil {

@@ -75,7 +75,7 @@ func (r *random) Pick(_ sched.Query, reps []*Replica) int {
 // compute-heavy SubNets to the wide datacenter array and small SubNets
 // to the embedded board — the cluster-level reading of §5.4.2's
 // observation that neither board dominates. Scoring is lock-free
-// (Replica.PredictedLatency and the scheduler's pure PeekAt).
+// (Replica.predicted and the scheduler's pure PeekAt).
 func NewFastest() Router { return fastest{} }
 
 type fastest struct{}

@@ -481,7 +481,8 @@ func ZipfRates(n int, total, s float64) []float64 {
 // outside input, n= replicates a clause for free, and every arrival of
 // the superposed stream scans all cohorts, so an unbounded count lets a
 // hundred bytes allocate without limit or pin a run; the largest
-// population in the tree (cohortsweep) holds 100.
+// population in the tree (the skewed one sushi-bench -record-trace
+// captures) holds 100.
 const maxParsedCohorts = 4096
 
 // ParsePopulation builds a Population from a compact flag/JSON-free

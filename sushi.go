@@ -201,14 +201,15 @@ var (
 	// DecodeTraceV2 reads one trace v2 stream (typed errors, never
 	// panics).
 	DecodeTraceV2 = workload.DecodeTraceV2
-	// RecordCohortTrace records the cohortsweep experiment's skewed
-	// 100-cohort population (the canonical heterogeneous workload) as a
-	// replayable trace v2. queries <= 0 records the experiment's default
-	// stream length.
+	// RecordCohortTrace records the skewed 100-cohort population (the
+	// canonical heterogeneous workload: Zipf rates, bursty heavy hitters,
+	// three SLO classes) as a replayable trace v2. queries <= 0 records
+	// 600 queries.
 	RecordCohortTrace = core.CohortSweepTrace
-	// ReplayTrace plays a recorded trace v2 through a fresh cohortsweep
-	// fleet and reports the run. Replaying a RecordCohortTrace capture
-	// reproduces the cohortsweep skewed arm bit for bit.
+	// ReplayTrace plays a recorded trace v2 through a fresh 4-replica
+	// MobileNetV3 fleet and reports the run. Replaying a
+	// RecordCohortTrace capture reproduces a live run of the skewed
+	// population bit for bit.
 	ReplayTrace = core.ReplayTraceV2
 )
 

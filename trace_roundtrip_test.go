@@ -40,8 +40,8 @@ func tracePopulation() workload.Population {
 }
 
 // traceDeploy builds the multi-tenant ELASTIC fleet the round trip
-// runs on; each call is fresh (runs mutate cache state). Population
-// runs are core's (the path behind sushi-server -cohorts).
+// runs on; each call is fresh (runs mutate cache state). Live
+// population runs take core's lazy SimulatePopulation path.
 func traceDeploy(t *testing.T) *core.ClusterDeployment {
 	t.Helper()
 	dep, err := core.DeployCluster(core.DeployOptions{}, core.ClusterOptions{
