@@ -61,15 +61,22 @@
 // listener (e.g. -pprof localhost:6060) for live CPU/heap profiling of
 // a running server; it is off by default and should stay on loopback.
 // Both listeners drop a connection whose request headers take longer
-// than 10 s to arrive, and keep-alive connections idle for 2 min.
+// than 10 s to arrive, and keep-alive connections idle for 2 min. On
+// SIGINT or SIGTERM both stop accepting and finish their in-flight
+// requests for up to 10 s; a clean drain exits 0.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	_ "net/http/pprof"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"sushi/internal/accel"
@@ -118,13 +125,21 @@ func main() {
 	)
 	flag.Parse()
 
+	// Both listeners serve until one fails or SIGINT/SIGTERM arrives,
+	// then stop accepting and drain in-flight requests for up to 10 s.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	var srvs []*http.Server
+	failed := make(chan error, 2)
+	listen := func(srv *http.Server) {
+		srvs = append(srvs, srv)
+		go func() { failed <- srv.ListenAndServe() }()
+	}
 	if *pprofAddr != "" {
 		// The blank net/http/pprof import registers its handlers on the
 		// default mux, which the API server (a dedicated handler) never
 		// consults — debug endpoints stay off the public listener.
-		go func() {
-			log.Fatalf("sushi-server: -pprof: %v", server.NewHTTPServer(*pprofAddr, nil).ListenAndServe())
-		}()
+		listen(server.NewHTTPServer(*pprofAddr, nil))
 	}
 
 	opt := core.DeployOptions{Workload: core.Workload(*wl), Q: *q}
@@ -226,5 +241,18 @@ func main() {
 	}
 	fmt.Printf("sushi-server: %s (%s policy) on %s, %d replicas (%s router, %s%s), %d servable SubNets\n",
 		workloads, *policy, *addr, dep.Cluster.Size(), dep.Cluster.RouterName(), batching, elastic, len(dep.Frontier))
-	log.Fatal(server.NewHTTPServer(*addr, server.New(dep)).ListenAndServe())
+	listen(server.NewHTTPServer(*addr, server.New(dep)))
+	select {
+	case err := <-failed:
+		log.Fatalf("sushi-server: %v", err)
+	case <-ctx.Done():
+		stop()
+	}
+	drain, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, srv := range srvs {
+		if err := srv.Shutdown(drain); err != nil {
+			log.Fatalf("sushi-server: drain %s: %v", srv.Addr, err)
+		}
+	}
 }

@@ -16,11 +16,7 @@ type BufferSpec struct {
 // offChipBytesPerCycle returns the DRAM bandwidth expressed per fabric
 // cycle, the "max off-chip BW" operand of Table 1.
 func (c Config) offChipBytesPerCycle() int64 {
-	v := int64(c.OffChipBW / c.Freq())
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return max(int64(c.OffChipBW/c.Freq()), 1)
 }
 
 // dpeWeightDemand returns the DPE array's demanded on-chip weight

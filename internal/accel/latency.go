@@ -72,10 +72,7 @@ func computeCycles(c *Config, l *nn.Layer) int64 {
 			slice = 1
 		}
 		cTiles := ceilDiv(int64(l.C), unitsC)
-		spare := unitsC / int64(l.C)
-		if spare < 1 {
-			spare = 1
-		}
+		spare := max(unitsC/int64(l.C), 1)
 		return ceilDiv(int64(l.K), kp) * cTiles * ceilDiv(spatial, spare) * slice
 	case nn.DepthwiseConv:
 		return ceilDiv(int64(l.C), kp) * ceilDiv(spatial, cp) * ceilDiv(int64(l.R)*int64(l.S), w)
@@ -103,9 +100,7 @@ func computeCycles(c *Config, l *nn.Layer) int64 {
 func layerLatency(c *Config, l *nn.Layer, hitBytes int64) LayerLatency {
 	freq := c.Freq()
 	weightBytes := l.WeightBytes()
-	if hitBytes > weightBytes {
-		hitBytes = weightBytes
-	}
+	hitBytes = min(hitBytes, weightBytes)
 	distinct := weightBytes - hitBytes
 
 	tCompute := float64(computeCycles(c, l)) / freq

@@ -34,10 +34,10 @@ const bramKB = 4.5
 func EstimateResources(c Config) Resources {
 	dpes := c.KP * c.CP
 	// URAM-backed deep buffers.
-	uramBytes := c.DBBytes + c.PBBytes + maxI64(0, c.SBBytes-(8<<10))
+	uramBytes := c.DBBytes + c.PBBytes + max(0, c.SBBytes-(8<<10))
 	uram := int((uramBytes + uramKB<<10 - 1) / (uramKB << 10))
 	// BRAM-backed shallow buffers plus distribution FIFOs.
-	bramBytes := c.LBBytes + c.OBBytes + c.ZSBBytes + minI64(c.SBBytes, 8<<10)
+	bramBytes := c.LBBytes + c.OBBytes + c.ZSBBytes + min(c.SBBytes, 8<<10)
 	bram := int(float64(bramBytes)/(bramKB*1024)) + 2*c.KP + 3*c.CP
 	// One DPE = 9 int8 multipliers + adder tree; ~10 DSPs with packing.
 	dsp := dpes*(c.DPEWidth+1) + c.KP // row reduction trees
@@ -52,18 +52,4 @@ func EstimateResources(c Config) Resources {
 		PeakOpsPerCycle: c.PeakOpsPerCycle(),
 		GFLOPS:          c.PeakFLOPS() / 1e9,
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

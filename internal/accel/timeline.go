@@ -34,9 +34,7 @@ type TileEvent struct {
 // pins that agreement.
 func Timeline(c *Config, l *nn.Layer, hitBytes int64) []TileEvent {
 	weightBytes := l.WeightBytes()
-	if hitBytes > weightBytes {
-		hitBytes = weightBytes
-	}
+	hitBytes = min(hitBytes, weightBytes)
 	distinct := weightBytes - hitBytes
 	half := c.DBHalfBytes()
 	if half <= 0 || weightBytes == 0 {
@@ -54,10 +52,7 @@ func Timeline(c *Config, l *nn.Layer, hitBytes int64) []TileEvent {
 		e := &events[i]
 		e.Tile = i
 		if i < fetchTiles {
-			bytes := half
-			if remaining < bytes {
-				bytes = remaining
-			}
+			bytes := min(half, remaining)
 			remaining -= bytes
 			e.FetchStart = fetchFree
 			e.FetchEnd = e.FetchStart + float64(bytes)/c.OffChipBW

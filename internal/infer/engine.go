@@ -20,13 +20,14 @@ import (
 // Each SubNet's plan is built once: per layer its role, parameters,
 // weight panel, per-channel weight sums and weight bound, and the
 // activation plan — every tensor (the staged input and each non-Add
-// layer's output) gets a per-image offset in one int8 slab, placed so
-// that no two tensors live at the same time share a byte. The engine's
-// arena is that slab (batch · the plan's size, batch outermost), an
-// int32 accumulator for the fully-connected and pooling layers only
+// layer's output) gets an offset in one int8 slab, placed so that no
+// two tensors live at the same time share a byte. A batch runs one image
+// at a time, so the engine's arena is one image's slab, an int32
+// accumulator for the fully-connected and pooling layers only
 // (convolutions requantize in their kernels' epilogue) and the kernels'
-// pack buffers, so the steady state of ForwardBatchInto allocates
-// nothing, derives nothing and runs through the blocked kernels.
+// pack buffers, none of them scaling with the batch: the steady state of
+// ForwardBatchInto allocates nothing, derives nothing and runs through
+// the blocked kernels.
 // Results are bit-identical to ForwardReference, the original unblocked
 // pipeline kept as the oracle.
 //
@@ -158,26 +159,23 @@ type arena struct {
 	sc        tensor.Scratch
 }
 
-// presize grows the slab and the accumulator to the SubNet×batch
+// presize grows the slab and the accumulator to the SubNet's one-image
 // high-water mark in one step, honoring the "sized once per SubNet"
 // arena rule.
-func (a *arena) presize(p *prepared, batch int) {
-	if len(a.slab) < batch*p.slab {
-		a.slab = make([]int8, batch*p.slab)
+func (a *arena) presize(p *prepared) {
+	if len(a.slab) < p.slab {
+		a.slab = make([]int8, p.slab)
 	}
-	if cap(a.acc.Data) < batch*p.accMax {
-		a.acc.Data = make([]int32, batch*p.accMax)
+	if cap(a.acc.Data) < p.accMax {
+		a.acc.Data = make([]int32, p.accMax)
 	}
 }
 
-// view points t at span s for a batch. Batch is the outermost
-// dimension, so the span's offset and size scale by it; the full slice
-// expression caps t at its own region, so a kernel's EnsureInt8 can
-// never grow it into a neighbour.
-func (a *arena) view(t *tensor.Int8, s *span, batch int) *tensor.Int8 {
+// view points t at span s. The full slice expression caps t at its own
+// region, so a kernel's EnsureInt8 can never grow it into a neighbour.
+func (a *arena) view(t *tensor.Int8, s *span) *tensor.Int8 {
 	t.Shape = s.shape
-	t.Shape.N = batch
-	o, n := batch*s.off, t.Shape.Elems()
+	o, n := s.off, s.shape.Elems()
 	t.Data = a.slab[o : o+n : o+n]
 	return t
 }
@@ -196,10 +194,7 @@ func (e *Engine) SetWorkers(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
+	e.Close()
 	e.workers = n
 }
 
@@ -381,10 +376,13 @@ func (e *Engine) Forward(sn *supernet.SubNet, input *tensor.Int8) (*tensor.Int8,
 // [batch, classes, 1, 1] into dst, reusing dst's backing array across
 // calls. An input with N == batch supplies every image; an input with
 // N == 1 is tiled across the batch (the calibration sweep's shape).
-// batch <= 0 means input.Shape.N. A warm (SubNet, batch, dst) triple
-// allocates nothing on the sequential path (TestForwardAllocs pins
-// this); a parallel pool adds a bounded handful of closure allocations
-// per layer.
+// batch <= 0 means input.Shape.N. The images run one at a time: each is
+// staged into the plan's input span, runs the whole plan, and has its
+// logits copied into its row of dst, so the arena holds one image's
+// activations at any batch. Every image is computed, tiled ones too. A
+// warm (SubNet, dst) pair allocates nothing on the sequential path
+// (TestForwardAllocs pins this); a parallel pool adds a bounded handful
+// of closure allocations per layer.
 func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch int, dst *tensor.Int8) error {
 	if err := checkInput(sn, input); err != nil {
 		return err
@@ -404,48 +402,47 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 		e.pool = tensor.NewPool(e.workers)
 	}
 	a := &e.a
-	a.presize(p, batch)
-
-	// Stage the input into its span (tiling one image across the batch
-	// when needed); the caller's tensor is never aliased.
-	staged := a.view(&a.x, &p.spans[0], batch)
-	if input.Shape.N == batch {
-		copy(staged.Data, input.Data)
-	} else {
-		img := len(input.Data)
-		for b := 0; b < batch; b++ {
-			copy(staged.Data[b*img:(b+1)*img], input.Data)
+	a.presize(p)
+	out := p.spans[p.steps[len(p.steps)-1].out].shape
+	classes, img := out.Elems(), p.spans[0].shape.Elems()
+	out.N = batch
+	tensor.EnsureInt8(dst, out)
+	for b := 0; b < batch; b++ {
+		// Stage image b (the one image when tiling); the caller's
+		// tensor is never aliased.
+		in := input.Data
+		if input.Shape.N == batch {
+			in = in[b*img : (b+1)*img]
 		}
-	}
-
-	for i := range p.steps {
-		st := &p.steps[i]
-		l := st.l
-		x, y := a.view(&a.x, &p.spans[st.in], batch), a.view(&a.y, &p.spans[st.out], batch)
-		switch l.Kind {
-		case nn.Conv, nn.DepthwiseConv:
-			err = tensor.Conv2DRequantInto(y, x, &st.w, st.ld, e.zp, st.cp, st.wsum, st.wMax, st.q, &a.sc, e.pool)
-		case nn.Linear:
-			if err = tensor.LinearBlockedInto(&a.acc, x, &st.w, st.ld, e.zp, st.wsum, &a.sc, e.pool); err == nil {
-				tensor.RequantizeInto(y, &a.acc, st.q)
+		copy(a.view(&a.x, &p.spans[0]).Data, in)
+		for i := range p.steps {
+			st := &p.steps[i]
+			l := st.l
+			x, y := a.view(&a.x, &p.spans[st.in]), a.view(&a.y, &p.spans[st.out])
+			switch l.Kind {
+			case nn.Conv, nn.DepthwiseConv:
+				err = tensor.Conv2DRequantInto(y, x, &st.w, st.ld, e.zp, st.cp, st.wsum, st.wMax, st.q, &a.sc, e.pool)
+			case nn.Linear:
+				if err = tensor.LinearBlockedInto(&a.acc, x, &st.w, st.ld, e.zp, st.wsum, &a.sc, e.pool); err == nil {
+					tensor.RequantizeInto(y, &a.acc, st.q)
+				}
+			case nn.Pool:
+				if l.OutH == 1 && l.OutW == 1 {
+					tensor.GlobalAvgPoolInto(&a.acc, x, e.zp)
+					tensor.RequantizeInto(y, &a.acc, st.q)
+				} else {
+					tensor.MaxPoolInto(y, x, l.R, l.Stride, l.Pad)
+				}
+			case nn.Add:
+				err = tensor.AddSatInt8(y, x, a.view(&a.res, &p.spans[st.sc]))
 			}
-		case nn.Pool:
-			if l.OutH == 1 && l.OutW == 1 {
-				tensor.GlobalAvgPoolInto(&a.acc, x, e.zp)
-				tensor.RequantizeInto(y, &a.acc, st.q)
-			} else {
-				tensor.MaxPoolInto(y, x, l.R, l.Stride, l.Pad)
+			if err != nil {
+				return fmt.Errorf("infer: %s: %w", l.Name, err)
 			}
-		case nn.Add:
-			err = tensor.AddSatInt8(y, x, a.view(&a.res, &p.spans[st.sc], batch))
 		}
-		if err != nil {
-			return fmt.Errorf("infer: %s: %w", l.Name, err)
-		}
+		// The last step's output is image b's logits.
+		copy(dst.Data[b*classes:], a.y.Data)
 	}
-	// The last step's output is the logits.
-	tensor.EnsureInt8(dst, a.y.Shape)
-	copy(dst.Data, a.y.Data)
 	return nil
 }
 

@@ -107,8 +107,9 @@ func TestForwardMatchesReference(t *testing.T) {
 
 // TestForwardBatchMatchesReference runs two distinct images through a
 // random mobilenetv3 SubNet at batch 2 and pins each slot against
-// ForwardReference on its image, so the slab offsets are checked at a
-// batch other than the 1 and 4 the other parity tests use.
+// ForwardReference on its image, so a SubNet other than the frontier's
+// is checked at a batch other than the 1 and 4 the other parity tests
+// use.
 func TestForwardBatchMatchesReference(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the reference forward takes seconds")
@@ -139,62 +140,71 @@ func TestForwardBatchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestForwardBatchSemantics pins ForwardBatchInto: a single image tiled
-// across the batch yields the single-image logits in every batch slot,
-// and a true N=n input yields each image's own logits.
+// TestForwardBatchSemantics pins ForwardBatchInto on both families'
+// smallest SubNets: four distinct images at batch 4 yield each image's
+// batch-1 logits byte for byte, and a single image tiled across batch 3
+// yields three copies of its batch-1 logits. Each image runs the plan
+// on its own, so every slot is a batch-1 forward of its image.
 func TestForwardBatchSemantics(t *testing.T) {
-	e, sn := mobv3Fixture(t)
-	e.SetWorkers(1)
-	one := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 23)
-	single, err := e.Forward(sn, one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes := single.Shape.C
-	var batched tensor.Int8
-	if err := e.ForwardBatchInto(sn, one, 3, &batched); err != nil {
-		t.Fatal(err)
-	}
-	if batched.Shape != (tensor.Shape{N: 3, C: classes, H: 1, W: 1}) {
-		t.Fatalf("batched logits shape %v", batched.Shape)
-	}
-	for b := 0; b < 3; b++ {
-		for c := 0; c < classes; c++ {
-			if batched.Data[b*classes+c] != single.Data[c] {
-				t.Fatalf("batch slot %d class %d: %d != single %d",
-					b, c, batched.Data[b*classes+c], single.Data[c])
+	for _, s := range []*supernet.SuperNet{supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()} {
+		if s.Name != "ofa-mobilenetv3" && raceEnabled {
+			continue
+		}
+		fr, err := s.Frontier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn := fr[0]
+		e := NewEngine(NewWeightStore(s, 1))
+		e.SetWorkers(1)
+		shape := tensor.Shape{N: 1, C: 3, H: 224, W: 224}
+		four := tensor.NewInt8(tensor.Shape{N: 4, C: 3, H: 224, W: 224})
+		var singles [][]int8
+		for b := range 4 {
+			img := tensor.RandomInt8(shape, uint64(31+b))
+			copy(four.Data[b*len(img.Data):], img.Data)
+			single, err := e.Forward(sn, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			singles = append(singles, single.Data)
+		}
+		classes := len(singles[0])
+		var batched tensor.Int8
+		if err := e.ForwardBatchInto(sn, four, 4, &batched); err != nil {
+			t.Fatal(err)
+		}
+		if batched.Shape != (tensor.Shape{N: 4, C: classes, H: 1, W: 1}) {
+			t.Fatalf("%s: batch-4 logits shape %v", s.Name, batched.Shape)
+		}
+		for b, want := range singles {
+			if !slices.Equal(batched.Data[b*classes:(b+1)*classes], want) {
+				t.Fatalf("%s: batch-4 slot %d differs from its image's batch-1 forward", s.Name, b)
 			}
 		}
-	}
 
-	// Distinct images through one batch == their individual forwards.
-	two := tensor.NewInt8(tensor.Shape{N: 2, C: 3, H: 224, W: 224})
-	imgA := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 31)
-	imgB := tensor.RandomInt8(tensor.Shape{N: 1, C: 3, H: 224, W: 224}, 32)
-	img := 3 * 224 * 224
-	copy(two.Data[:img], imgA.Data)
-	copy(two.Data[img:], imgB.Data)
-	var both tensor.Int8
-	if err := e.ForwardBatchInto(sn, two, 2, &both); err != nil {
-		t.Fatal(err)
-	}
-	outA, err := e.Forward(sn, imgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, err := e.Forward(sn, imgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < classes; c++ {
-		if both.Data[c] != outA.Data[c] || both.Data[classes+c] != outB.Data[c] {
-			t.Fatalf("batched image logits diverge from individual forwards at class %d", c)
+		one := tensor.RandomInt8(shape, 23)
+		single, err := e.Forward(sn, one)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if err := e.ForwardBatchInto(sn, one, 3, &batched); err != nil {
+			t.Fatal(err)
+		}
+		if batched.Shape != (tensor.Shape{N: 3, C: classes, H: 1, W: 1}) {
+			t.Fatalf("%s: tiled batch-3 logits shape %v", s.Name, batched.Shape)
+		}
+		for b := range 3 {
+			if !slices.Equal(batched.Data[b*classes:(b+1)*classes], single.Data) {
+				t.Fatalf("%s: tiled batch-3 slot %d differs from the batch-1 logits", s.Name, b)
+			}
+		}
 
-	// Incompatible batch/input combinations are rejected.
-	if err := e.ForwardBatchInto(sn, two, 3, &both); err == nil {
-		t.Fatal("N=2 input accepted for batch 3")
+		// Incompatible batch/input combinations are rejected.
+		if err := e.ForwardBatchInto(sn, four, 3, &batched); err == nil {
+			t.Fatalf("%s: N=4 input accepted for batch 3", s.Name)
+		}
+		e.Close()
 	}
 }
 
@@ -241,9 +251,9 @@ func TestForwardAllocs(t *testing.T) {
 
 // TestForwardAllocsSwitching is the alloc gate for SubGraph-stationary
 // serving: one engine cycling the smallest SubNet, the largest, and the
-// smallest at batch 4 allocates nothing once each (SubNet, batch) has
-// run once — switching re-uses the arena and the pack buffers at their
-// high-water marks.
+// smallest at batch 4 allocates nothing once each SubNet has run once —
+// switching re-uses the arena and the pack buffers at their high-water
+// marks, and a batch runs its images through the same one-image arena.
 func TestForwardAllocsSwitching(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -281,12 +291,13 @@ func arenaBytes(a *arena) int {
 }
 
 // TestEngineArenaFootprint pins the arena's shape: one activation slab
-// of the largest batch·slab the SubNets run reach — 3,211,264 bytes
-// after the mobilenetv3 S, L, S@4 switch (three batch·actMax buffers
-// held 7,225,344) and 1,179,136 after resnet50's smallest SubNet
-// (1,580,544) — and an int32 accumulator no larger than the
-// fully-connected and global-pool layers need, because convolutions
-// requantize in their kernels' epilogue.
+// of the largest one-image plan the SubNets run reach, whatever the
+// batch — 1,505,280 bytes after the mobilenetv3 S, L, S@4 switch and
+// still after an extra S@16 (a batch-outermost slab held 3,211,264 and
+// three batch·actMax buffers 7,225,344), and 1,179,136 after resnet50's
+// smallest SubNet (1,580,544) — and an int32 accumulator no larger than
+// one image's fully-connected and global-pool layers need, because
+// convolutions requantize in their kernels' epilogue.
 func TestEngineArenaFootprint(t *testing.T) {
 	mbv3, resnet := supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()
 	mf, err := mbv3.Frontier()
@@ -307,7 +318,7 @@ func TestEngineArenaFootprint(t *testing.T) {
 		runs []run
 		slab int
 	}{
-		{mbv3, []run{{mf[0], 1}, {mf[len(mf)-1], 1}, {mf[0], 4}}, 3211264},
+		{mbv3, []run{{mf[0], 1}, {mf[len(mf)-1], 1}, {mf[0], 4}, {mf[0], 16}}, 1505280},
 		{resnet, []run{{rf[0], 1}}, 1179136},
 	} {
 		e := NewEngine(NewWeightStore(tc.net, 1))
@@ -318,22 +329,26 @@ func TestEngineArenaFootprint(t *testing.T) {
 			if err := e.ForwardBatchInto(r.sn, in, r.batch, &out); err != nil {
 				t.Fatal(err)
 			}
-			slab = max(slab, r.batch*e.prep[r.sn].slab)
+			// No batch grows the slab past the largest one-image plan
+			// run so far.
+			if slab = max(slab, e.prep[r.sn].slab); cap(e.a.slab) != slab {
+				t.Errorf("%s: after %s at batch %d the slab holds %d bytes, want %d", tc.net.Name, r.sn.Name, r.batch, cap(e.a.slab), slab)
+			}
 			for _, l := range r.sn.Model.Layers {
 				switch {
 				case l.Kind == nn.Linear:
-					acc = max(acc, r.batch*l.K)
+					acc = max(acc, l.K)
 				case l.Kind == nn.Pool && l.OutH == 1 && l.OutW == 1:
-					acc = max(acc, r.batch*l.C)
+					acc = max(acc, l.C)
 				}
 			}
 		}
 		e.Close()
 		if got := cap(e.a.slab); got != tc.slab || got != slab {
-			t.Errorf("%s: activation slab holds %d bytes, want %d (largest batch·slab %d)", tc.net.Name, got, tc.slab, slab)
+			t.Errorf("%s: activation slab holds %d bytes, want %d (largest one-image slab %d)", tc.net.Name, got, tc.slab, slab)
 		}
 		if got := cap(e.a.acc.Data); got > acc {
-			t.Errorf("%s: accumulator holds %d int32, want at most batch·max(FC K, pooled C) = %d", tc.net.Name, got, acc)
+			t.Errorf("%s: accumulator holds %d int32, want at most max(FC K, pooled C) = %d", tc.net.Name, got, acc)
 		}
 	}
 }
@@ -372,9 +387,9 @@ func TestPrepareRejectsDetachedDownsample(t *testing.T) {
 // weight is materialized). Lifetimes are recomputed from the steps'
 // reads: a span lives from the step that writes it to the last step
 // that reads it, the logits to the copy-out. Then spans whose lifetimes
-// overlap never share a byte, every span's view at batch 1 and 4 is its
-// own region of the batch·slab arena, and the slab equals the largest
-// live set.
+// overlap never share a byte, every span's view is one image's tensor
+// at its own region of the slab, and the slab equals the largest live
+// set.
 func TestPlanInvariants(t *testing.T) {
 	for _, s := range []*supernet.SuperNet{supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()} {
 		sns, err := s.Frontier()
@@ -395,14 +410,12 @@ func TestPlanInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkPlan(t, sn.Name, p)
-			for _, batch := range []int{1, 4} {
-				e.a.presize(p, batch)
-				for i := range p.spans {
-					sp := &p.spans[i]
-					v := e.a.view(&e.a.x, sp, batch)
-					if o := batch * sp.off; cap(v.Data) != batch*sp.shape.Elems() || &v.Data[0] != &e.a.slab[o] || o+cap(v.Data) > batch*p.slab {
-						t.Fatalf("%s batch %d: span %d's view is not its region of the slab", sn.Name, batch, i)
-					}
+			e.a.presize(p)
+			for i := range p.spans {
+				sp := &p.spans[i]
+				v := e.a.view(&e.a.x, sp)
+				if v.Shape.N != 1 || cap(v.Data) != sp.shape.Elems() || &v.Data[0] != &e.a.slab[sp.off] || sp.off+cap(v.Data) > p.slab {
+					t.Fatalf("%s: span %d's view is not one image at its region of the slab", sn.Name, i)
 				}
 			}
 		}
@@ -653,8 +666,9 @@ func TestSharedImagesPairs(t *testing.T) {
 // sequential) — the number the ≥5× acceptance criterion compares
 // against BenchmarkForwardReference. The largest SubNet runs first, so
 // the timed smallest one reads its panels as strided views of the
-// larger images, and the smallest at batch 4 next, so the arena stands
-// at the high-water mark of forward_switch's mobilenetv3 engine. It
+// larger images, and the arena stands at the high-water mark of
+// forward_switch's mobilenetv3 engine (the largest SubNet's one-image
+// plan; the smallest at batch 4, run next, does not move it). It
 // reports the arena's activation slab and accumulator as arena_MB and
 // the images' footprint as weights_MB.
 func BenchmarkForward(b *testing.B) {

@@ -59,16 +59,7 @@ func kernelAreaIndex(kmax, k, r, s int) int {
 	// Ring number: distance from the center in Chebyshev metric.
 	center := (kmax - 1) / 2
 	dr, ds := ar-center, as-center
-	ring := dr
-	if ring < 0 {
-		ring = -ring
-	}
-	if ds > ring {
-		ring = ds
-	}
-	if -ds > ring {
-		ring = -ds
-	}
+	ring := max(dr, -dr, ds, -ds)
 	ringStart := (2*ring - 1) * (2*ring - 1) // cells inside this ring
 	if ring == 0 {
 		return 0

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -10,8 +11,11 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"sushi/internal/core"
 )
 
 // TestHTTPServerClosesHalfHeader pins the listener's header timeout: a
@@ -170,5 +174,85 @@ func TestHTTPServerContainsPanics(t *testing.T) {
 	// net/http logs the panics that reach it as "http: panic serving".
 	if strings.Contains(out, "/abort") || strings.Contains(out, "http: panic serving") {
 		t.Errorf("a panic reached net/http or http.ErrAbortHandler was logged:\n%s", out)
+	}
+}
+
+// TestHTTPServerDrainsOnShutdown is sushi-server's SIGTERM path on one
+// listener: a /v1/serve is held in flight, in front of the API handler,
+// when Shutdown begins. The listener closes at once, so a new
+// connection is refused; released, the held request is served through
+// the API with 200; then Shutdown returns nil and Serve
+// http.ErrServerClosed.
+func TestHTTPServerDrainsOnShutdown(t *testing.T) {
+	dep, err := core.DeployCluster(core.DeployOptions{Workload: core.MobileNetV3}, core.ClusterOptions{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := New(dep)
+	arrived, release := make(chan struct{}), make(chan struct{})
+	srv := NewHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(arrived)
+		<-release
+		api.ServeHTTP(w, r)
+	}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+
+	type reply struct {
+		code int
+		body string
+		err  error
+	}
+	inFlight := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post("http://"+addr+"/v1/serve", "application/json", strings.NewReader(`{"min_accuracy": 60}`))
+		if err != nil {
+			inFlight <- reply{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		inFlight <- reply{resp.StatusCode, string(body), err}
+	}()
+	<-arrived
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(ctx) }()
+	// A dial that races the listener's close may be accepted or reset;
+	// once it is closed, every dial is refused.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		conn, err := net.Dial("tcp", addr)
+		if errors.Is(err, syscall.ECONNREFUSED) {
+			break
+		}
+		if err == nil {
+			conn.Close()
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("the listener still takes connections during Shutdown (last dial: %v)", err)
+		}
+	}
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned %v with a request in flight", err)
+	default:
+	}
+	close(release)
+	if r := <-inFlight; r.err != nil || r.code != http.StatusOK || !strings.Contains(r.body, `"subnet"`) {
+		t.Fatalf("in-flight request during Shutdown: %d %q %v, want 200 with a served SubNet", r.code, r.body, r.err)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve: %v", err)
 	}
 }

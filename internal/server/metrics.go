@@ -14,13 +14,13 @@ import (
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	sum := s.dep.Cluster.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(appendMetrics(nil, s.dep.Cluster.Models(), &sum, panics.Load()))
+	_, _ = w.Write(appendMetrics(nil, s.dep.Cluster.Models(), &sum, s.dep.Cluster.Replicas(), panics.Load()))
 }
 
 // appendMetrics appends one exposition: a series per hosted model (the
 // single model of a one-tenant fleet is unnamed, model="") and per SLO
-// class seen so far, then the fleet-wide counters.
-func appendMetrics(b []byte, models []string, sum *serving.Summary, panicked int64) []byte {
+// class seen so far, the fleet-wide counters, then a series per replica.
+func appendMetrics(b []byte, models []string, sum *serving.Summary, reps []*serving.Replica, panicked int64) []byte {
 	// split is a slice's served and dropped counts; a one-model fleet's
 	// slice is the total.
 	split := func(s *serving.Summary) [2]float64 {
@@ -63,6 +63,23 @@ func appendMetrics(b []byte, models []string, sum *serving.Summary, panicked int
 		{"sushi_panics_total", "counter", float64(panicked)},
 	} {
 		b = appendSample(appendFamily(b, f.name, f.kind), f.name, "", "", f.v)
+	}
+	// Per replica: queries queued or in flight, the partitioner's
+	// share-driven cache switches and their fill time, and the fill time
+	// of every window-driven re-cache (the partitioner's included).
+	for k, f := range [...]struct{ name, kind string }{
+		{"sushi_replica_queue_depth", "gauge"},
+		{"sushi_replica_partition_switches_total", "counter"},
+		{"sushi_replica_partition_fill_seconds_total", "counter"},
+		{"sushi_replica_recache_fill_seconds_total", "counter"},
+	} {
+		b = appendFamily(b, f.name, f.kind)
+		for _, rep := range reps {
+			parts, partSec := rep.PartitionStats()
+			_, recacheSec := rep.RecacheStats()
+			v := [...]float64{float64(rep.QueueDepth()), float64(parts), partSec, recacheSec}[k]
+			b = appendSample(b, f.name, "replica", strconv.Itoa(rep.ID()), v)
+		}
 	}
 	return b
 }

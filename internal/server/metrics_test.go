@@ -9,6 +9,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"sushi/internal/core"
+	"sushi/internal/sched"
+	"sushi/internal/serving"
 )
 
 // scrape is one GET /metrics, parsed: each family's type, and each
@@ -86,13 +91,15 @@ func TestMetricsScrape(t *testing.T) {
 	after := getMetrics(t, ts)
 
 	for _, name := range []string{"sushi_served_total", "sushi_dropped_total", "sushi_class_served_total", "sushi_class_dropped_total",
-		"sushi_batches_total", "sushi_batch_size_mean", "sushi_cache_swaps_total", "sushi_recaches_total", "sushi_panics_total"} {
+		"sushi_batches_total", "sushi_batch_size_mean", "sushi_cache_swaps_total", "sushi_recaches_total", "sushi_panics_total",
+		"sushi_replica_queue_depth", "sushi_replica_partition_switches_total", "sushi_replica_partition_fill_seconds_total",
+		"sushi_replica_recache_fill_seconds_total"} {
 		if before.kind[name] == "" || after.kind[name] == "" {
 			t.Errorf("family %s missing", name)
 		}
 	}
-	if len(after.kind) != 9 {
-		t.Errorf("%d families, want 9: %v", len(after.kind), after.kind)
+	if len(after.kind) != 13 {
+		t.Errorf("%d families, want 13: %v", len(after.kind), after.kind)
 	}
 	for key, v := range before.series {
 		name, _, _ := strings.Cut(key, "{")
@@ -121,6 +128,98 @@ func TestMetricsScrape(t *testing.T) {
 	}
 	if got := getMetrics(t, solo).series[`sushi_served_total{model=""}`]; got != 1 {
 		t.Errorf("one-model fleet served %g, want 1", got)
+	}
+}
+
+// TestMetricsReplicaFamilies boots a batching, re-caching two-model
+// fleet of two replicas with traffic-weighted partitioning. A /v1/serve
+// waiting out its batch window shows as one query on a replica's
+// queue-depth gauge. Then one-sided traffic makes the partitioner move
+// cache, and every per-replica series reads its replica's accessors
+// exactly: depth 0 at rest, partition switches and fill seconds, and
+// re-cache fill seconds (which include the partitioner's).
+func TestMetricsReplicaFamilies(t *testing.T) {
+	dep, err := core.DeployCluster(
+		core.DeployOptions{Policy: sched.StrictLatency},
+		core.ClusterOptions{
+			Replicas:  2,
+			Models:    []core.Workload{core.ResNet50, core.MobileNetV3},
+			Partition: &serving.PartitionPolicy{Mode: serving.PartitionTraffic, Window: 16},
+			Recache:   &serving.RecachePolicy{},
+			Batch:     &serving.BatchPolicy{MaxBatch: 4, Window: time.Second},
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(dep))
+	t.Cleanup(ts.Close)
+	depth := func(s scrape) (n float64) {
+		for _, rep := range dep.Cluster.Replicas() {
+			n += s.series[fmt.Sprintf(`sushi_replica_queue_depth{replica="%d"}`, rep.ID())]
+		}
+		return n
+	}
+
+	served := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/serve", "application/json", strings.NewReader(`{"max_latency_ms": 500}`))
+		if err != nil {
+			served <- 0
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		served <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(5 * time.Second); depth(getMetrics(t, ts)) != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a query waiting out its batch window never showed on the queue-depth gauge")
+		}
+	}
+	if code := <-served; code != http.StatusOK {
+		t.Fatalf("batched serve: status %d", code)
+	}
+
+	for _, model := range []string{"resnet50", "mobilenetv3"} {
+		batch := strings.Repeat(`{"model": "`+model+`", "max_latency_ms": 500}`+"\n", 128)
+		resp, err := http.Post(ts.URL+"/v1/serve/batch", "application/x-ndjson", strings.NewReader(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s batch: status %d", model, resp.StatusCode)
+		}
+	}
+	got := getMetrics(t, ts)
+	if len(got.series) == 0 || depth(got) != 0 {
+		t.Errorf("queue depth %g at rest, want 0", depth(got))
+	}
+	var switches, fill float64
+	for _, rep := range dep.Cluster.Replicas() {
+		parts, partSec := rep.PartitionStats()
+		_, recacheSec := rep.RecacheStats()
+		for fam, want := range map[string]float64{
+			"sushi_replica_queue_depth":                  0,
+			"sushi_replica_partition_switches_total":     float64(parts),
+			"sushi_replica_partition_fill_seconds_total": partSec,
+			"sushi_replica_recache_fill_seconds_total":   recacheSec,
+		} {
+			key := fmt.Sprintf(`%s{replica="%d"}`, fam, rep.ID())
+			if v, ok := got.series[key]; !ok || v != want {
+				t.Errorf("%s = %g (present %t), want %g", key, v, ok, want)
+			}
+		}
+		if recacheSec < partSec {
+			t.Errorf("replica %d: re-cache fill %g s excludes the partitioner's %g s", rep.ID(), recacheSec, partSec)
+		}
+		switches += float64(parts)
+		fill += partSec
+	}
+	if switches == 0 || fill <= 0 {
+		t.Fatalf("vacuous: one-sided traffic moved no cache (%g switches, %g s)", switches, fill)
 	}
 }
 

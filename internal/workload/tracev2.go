@@ -448,7 +448,7 @@ func DecodeTraceV2(r io.Reader) (*TraceV2, error) {
 		return nil, d.fail(fmt.Sprintf("cohort count %d exceeds cap %d", ncohorts, traceV2MaxCohorts), nil)
 	}
 	if ncohorts > 0 {
-		t.Cohorts = make([]CohortLabel, 0, min64(ncohorts, traceV2AllocCap))
+		t.Cohorts = make([]CohortLabel, 0, min(ncohorts, traceV2AllocCap))
 	}
 	for i := uint64(0); i < ncohorts; i++ {
 		var c CohortLabel
@@ -470,7 +470,7 @@ func DecodeTraceV2(r io.Reader) (*TraceV2, error) {
 	if nstrings == 0 || nstrings > traceV2MaxStrings {
 		return nil, d.fail(fmt.Sprintf("string-table count %d outside [1, %d]", nstrings, traceV2MaxStrings), nil)
 	}
-	table := make([]string, 0, min64(nstrings, traceV2AllocCap))
+	table := make([]string, 0, min(nstrings, traceV2AllocCap))
 	for i := uint64(0); i < nstrings; i++ {
 		s, err := d.str("string-table entry")
 		if err != nil {
@@ -488,7 +488,7 @@ func DecodeTraceV2(r io.Reader) (*TraceV2, error) {
 	if nrecords == 0 || nrecords > traceV2MaxRecords {
 		return nil, d.fail(fmt.Sprintf("record count %d outside [1, %d]", nrecords, traceV2MaxRecords), nil)
 	}
-	t.Records = make([]TraceV2Record, 0, min64(nrecords, traceV2AllocCap))
+	t.Records = make([]TraceV2Record, 0, min(nrecords, traceV2AllocCap))
 	prev := 0.0
 	for i := uint64(0); i < nrecords; i++ {
 		var r TraceV2Record
@@ -540,12 +540,4 @@ func DecodeTraceV2(r io.Reader) (*TraceV2, error) {
 		t.Records = append(t.Records, r)
 	}
 	return t, nil
-}
-
-// min64 bounds speculative preallocation.
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -18,14 +18,13 @@ import (
 // its reason. An entry that gains a production caller, or no longer
 // exists, fails TestExportsHaveCallers: drop it from the list.
 var testOnlyAPI = map[string]string{
-	"simq.Result.Check":              "the engine-invariant checker simq and core tests hold each run to",
-	"simq.Result.Timed":              "expands a flat outcome record for tests that assert per-query fates",
-	"calib.FromTable":                "wraps an analytic table for the disk round-trip golden",
-	"sched.Scheduler.AvgNet":         "the average-SubNet reference the scheduler's cache choice is tested against",
-	"supernet.SuperNet.RandomSpec":   "the generator of the Instantiate property test",
-	"supernet.SuperNet.Dominates":    "the predicate of the Instantiate property test",
-	"nn.Model.TotalWeightBytes":      "the reference value GraphBytes is checked against",
-	"serving.Replica.PartitionStats": "reads a replica's per-tenant partition counters in partition tests",
+	"simq.Result.Check":            "the engine-invariant checker simq and core tests hold each run to",
+	"simq.Result.Timed":            "expands a flat outcome record for tests that assert per-query fates",
+	"calib.FromTable":              "wraps an analytic table for the disk round-trip golden",
+	"sched.Scheduler.AvgNet":       "the average-SubNet reference the scheduler's cache choice is tested against",
+	"supernet.SuperNet.RandomSpec": "the generator of the Instantiate property test",
+	"supernet.SuperNet.Dominates":  "the predicate of the Instantiate property test",
+	"nn.Model.TotalWeightBytes":    "the reference value GraphBytes is checked against",
 	// The server records populations through workload.Population.Record
 	// and replays them; the goldens hold that path to this one.
 	"core.ClusterDeployment.SimulatePopulation": "the lazy population path that TestTraceV2RecordReplayBitExact, TestCohortPopulationGoldenDigest and TestSingleCohortPoissonClusterIdentity compare the recorded/replayed path against",
