@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -19,15 +20,17 @@ import (
 //
 // Each SubNet's plan is built once: per layer its role, parameters,
 // weight panel, per-channel weight sums and weight bound, and the
-// activation plan — every tensor (the staged input and each non-Add
-// layer's output) gets an offset in one int8 slab, placed so that no
-// two tensors live at the same time share a byte. A batch runs one image
-// at a time, so the engine's arena is one image's slab, an int32
-// accumulator for the fully-connected and pooling layers only
-// (convolutions requantize in their kernels' epilogue) and the kernels'
-// pack buffers, none of them scaling with the batch: the steady state of
-// ForwardBatchInto allocates nothing, derives nothing and runs through
-// the blocked kernels.
+// activation plan — every tensor gets an offset in one int8 slab, placed
+// so that no two tensors live at the same time share a byte. Adds fold
+// into the conv before them, stride-1 depthwise convs run in place, and
+// an expand runs with the strided depthwise conv after it one channel
+// group at a time (see plan). A batch runs one image at a time, so the
+// engine's arena is one image's slab, an int32 accumulator for the
+// fully-connected and pooling layers only (convolutions requantize in
+// their kernels' epilogue) and the kernels' pack buffers, none of them
+// scaling with the batch: the steady state of ForwardBatchInto
+// allocates nothing, derives nothing and runs through the blocked
+// kernels.
 // Results are bit-identical to ForwardReference, the original unblocked
 // pipeline kept as the oracle.
 //
@@ -89,11 +92,15 @@ type span struct {
 // would otherwise re-derive from the layer on every call.
 type step struct {
 	l *nn.Layer
-	// in, out and sc index the spans the layer reads, writes and (an
-	// Add only) folds in as the residual operand. An Add writes in
-	// place, so its out is its in; a downsample reads its block's input.
-	in, out, sc int
-	cp          tensor.ConvParams
+	// in and out index the spans the layer reads and writes; res, when
+	// not -1, indexes the operand of the add folded into its epilogue. A
+	// folded conv writes over res; a stride-1 depthwise conv whose input
+	// dies at it writes over in; a downsample reads its block's input.
+	in, out, res int
+	// grp, when not 0, marks an expand run with the strided depthwise
+	// conv after it grp channels at a time; out is one group's span.
+	grp int
+	cp  tensor.ConvParams
 	// q requantizes the layer's accumulators.
 	q tensor.QuantParams
 	// w is the layer's [K, C, kern, kern] weight panel, a view of its
@@ -105,6 +112,15 @@ type step struct {
 	ld   int
 	wsum []int32
 	wMax int
+}
+
+// rows returns output channels [c0, c0+n) of st's panel as a panel of
+// its own, rows still ld apart.
+func (st *step) rows(c0, n int) tensor.Int8 {
+	s := st.w.Shape
+	d := s.C * s.H * s.W
+	s.N = n
+	return tensor.Int8{Shape: s, Data: st.w.Data[c0*st.ld:][:(n-1)*st.ld+d]}
 }
 
 // point re-slices st's panel out of im.
@@ -148,10 +164,10 @@ func (e *Engine) view(st *step) error {
 
 // arena is the engine's reusable buffer set. slab holds every
 // activation of the running plan; x, y and res are the current step's
-// views of its input, output and residual operand, kept here so that
-// handing them to the kernels allocates nothing. acc is the int32
-// accumulator of the Linear and global-average Pool layers; sc carries
-// the kernels' pack buffers.
+// views of its input, output and residual operand (a grouped pair's
+// group), kept here so that handing them to the kernels allocates
+// nothing. acc is the int32 accumulator of the Linear and global-average
+// Pool layers; sc carries the kernels' pack buffers.
 type arena struct {
 	slab      []int8
 	x, y, res tensor.Int8
@@ -254,24 +270,30 @@ func (e *Engine) prepare(sn *supernet.SubNet) (*prepared, error) {
 // plan builds the SubNet's layer plan and activation plan from its
 // layer walk alone; no weight is read. The residual bookkeeping is
 // resolved here, by the same name suffixes ForwardReference matches on
-// every call: a block's entry holds its input as the shortcut, a
-// downsample replaces it with its output, and the add folds it into x
-// in place. Each span lives from the step that writes it to its last
-// reader, the logits until the copy-out.
+// every call: a block's entry holds its input as the shortcut, and the
+// add folds into the conv before it, which writes over its other
+// operand (the shortcut, or a downsample's conv3 output). Each span
+// lives from the step that writes it to its last reader, the logits
+// until the copy-out; a grouped expand's input lives through its
+// depthwise step.
 func (e *Engine) plan(sn *supernet.SubNet) (*prepared, error) {
 	layers := sn.Model.Layers
 	first := &layers[0]
-	p := &prepared{steps: make([]step, len(layers)),
-		spans: []span{{shape: tensor.Shape{N: 1, C: first.C, H: first.InH, W: first.InW}, def: -1}}}
+	p := &prepared{spans: []span{{shape: tensor.Shape{N: 1, C: first.C, H: first.InH, W: first.InW}, def: -1}}}
 	read := func(s, i int) int {
 		p.spans[s].end = i
 		return s
 	}
+	kind := func(i int) nn.LayerKind {
+		if i < len(layers) {
+			return layers[i].Kind
+		}
+		return -1
+	}
 	x, held := 0, -1
-	for i := range layers {
+	for i := 0; i < len(layers); i++ {
 		l := &layers[i]
-		st := &p.steps[i]
-		st.l = l
+		st := step{l: l, res: -1}
 		if strings.HasSuffix(l.Name, ".conv1") || strings.HasSuffix(l.Name, ".expand") {
 			held = x
 		}
@@ -291,10 +313,10 @@ func (e *Engine) plan(sn *supernet.SubNet) (*prepared, error) {
 				// The add must consume the downsample's output next: a
 				// second downsample would read it, where ForwardReference
 				// reads the block's input.
-				if i+1 == len(layers) || layers[i+1].Kind != nn.Add {
+				if kind(i+1) != nn.Add {
 					return nil, fmt.Errorf("infer: %s: downsample not followed by its add", l.Name)
 				}
-				src = held
+				src, st.res = held, x
 			}
 		case nn.Linear:
 			st.q = e.staticScale(l.C)
@@ -306,37 +328,58 @@ func (e *Engine) plan(sn *supernet.SubNet) (*prepared, error) {
 				p.accMax = max(p.accMax, l.C)
 			}
 		case nn.Add:
-			if held < 0 {
-				return nil, fmt.Errorf("infer: %s: no residual operand", l.Name)
-			}
-			st.in, st.out, st.sc = read(x, i), x, read(held, i)
-			held = -1
-			continue
+			return nil, fmt.Errorf("infer: %s: no convolution to fold into", l.Name)
 		default:
 			return nil, fmt.Errorf("infer: %s: unsupported kind %v", l.Name, l.Kind)
 		}
-		st.in, st.out = read(src, i), len(p.spans)
-		p.spans = append(p.spans, span{shape: tensor.Shape{N: 1, C: outC, H: l.OutH, W: l.OutW}, def: i, end: i})
-		if down {
-			held = st.out
-		} else {
-			x = st.out
+		t := len(p.steps)
+		st.in = read(src, t)
+		shape := tensor.Shape{N: 1, C: outC, H: l.OutH, W: l.OutW}
+		switch {
+		case (l.Kind == nn.Conv || l.Kind == nn.DepthwiseConv) && kind(i+1) == nn.Add:
+			// Fold rule: the add's other operand (the shortcut, or conv3's
+			// output after a downsample) dies at it; the conv writes over it.
+			if !down {
+				st.res = held
+			}
+			if st.res < 0 {
+				return nil, fmt.Errorf("infer: %s: no residual operand", layers[i+1].Name)
+			}
+			st.out, held = read(st.res, t), -1
+			i++
+		case l.Kind == nn.DepthwiseConv && l.Stride == 1 && src != held && shape == p.spans[src].shape:
+			// In-place rule: each plane is packed before it is stored.
+			st.out = src
+		default:
+			if strings.HasSuffix(l.Name, ".expand") && kind(i+1) == nn.DepthwiseConv && layers[i+1].Stride > 1 && kind(i+2) != nn.Add {
+				// Group rule: a quarter of the channels, rounded up to
+				// the kernels' 4-wide tile.
+				st.grp = ((l.K+3)/4 + 3) / 4 * 4
+				shape.C = min(l.K, st.grp)
+				read(src, t+1)
+			}
+			st.out = len(p.spans)
+			p.spans = append(p.spans, span{shape: shape, def: t, end: t})
 		}
+		x = st.out
+		p.steps = append(p.steps, st)
 	}
-	read(x, len(layers))
+	read(x, len(p.steps))
 	p.slab = place(p.spans)
 	return p, nil
 }
 
-// place gives each span, largest first, the lowest per-image offset at
-// which it overlaps no placed span whose lifetime overlaps its own, and
-// returns the slab size.
+// place gives each span, largest first and the later-written of equal
+// size first, the lowest per-image offset at which it overlaps no placed
+// span whose lifetime overlaps its own, and returns the slab size.
 func place(spans []span) int {
 	order := make([]int, len(spans))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return spans[b].shape.Elems() - spans[a].shape.Elems() })
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(spans[b].shape.Elems()-spans[a].shape.Elems(), spans[b].def-spans[a].def)
+	})
 	slab := 0
 	var live []*span
 	for k, i := range order {
@@ -377,8 +420,9 @@ func (e *Engine) Forward(sn *supernet.SubNet, input *tensor.Int8) (*tensor.Int8,
 // calls. An input with N == batch supplies every image; an input with
 // N == 1 is tiled across the batch (the calibration sweep's shape).
 // batch <= 0 means input.Shape.N. The images run one at a time: each is
-// staged into the plan's input span, runs the whole plan, and has its
-// logits copied into its row of dst, so the arena holds one image's
+// staged into the plan's input span, runs the whole plan (a grouped
+// expand and its depthwise conv as one pair, group by group), and has
+// its logits copied into its row of dst, so the arena holds one image's
 // activations at any batch. Every image is computed, tiled ones too. A
 // warm (SubNet, dst) pair allocates nothing on the sequential path
 // (TestForwardAllocs pins this); a parallel pool adds a bounded handful
@@ -417,11 +461,22 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 		copy(a.view(&a.x, &p.spans[0]).Data, in)
 		for i := range p.steps {
 			st := &p.steps[i]
+			if st.grp > 0 {
+				continue // the depthwise step after it runs the pair
+			}
 			l := st.l
 			x, y := a.view(&a.x, &p.spans[st.in]), a.view(&a.y, &p.spans[st.out])
 			switch l.Kind {
 			case nn.Conv, nn.DepthwiseConv:
-				err = tensor.Conv2DRequantInto(y, x, &st.w, st.ld, e.zp, st.cp, st.wsum, st.wMax, st.q, &a.sc, e.pool)
+				if i > 0 && p.steps[i-1].grp > 0 {
+					err = e.pair(p, &p.steps[i-1], st)
+					break
+				}
+				var res *tensor.Int8
+				if st.res >= 0 {
+					res = a.view(&a.res, &p.spans[st.res])
+				}
+				err = tensor.Conv2DRequantInto(y, x, &st.w, st.ld, e.zp, st.cp, st.wsum, st.wMax, st.q, res, &a.sc, e.pool)
 			case nn.Linear:
 				if err = tensor.LinearBlockedInto(&a.acc, x, &st.w, st.ld, e.zp, st.wsum, &a.sc, e.pool); err == nil {
 					tensor.RequantizeInto(y, &a.acc, st.q)
@@ -433,8 +488,6 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 				} else {
 					tensor.MaxPoolInto(y, x, l.R, l.Stride, l.Pad)
 				}
-			case nn.Add:
-				err = tensor.AddSatInt8(y, x, a.view(&a.res, &p.spans[st.sc]))
 			}
 			if err != nil {
 				return fmt.Errorf("infer: %s: %w", l.Name, err)
@@ -442,6 +495,33 @@ func (e *Engine) ForwardBatchInto(sn *supernet.SubNet, input *tensor.Int8, batch
 		}
 		// The last step's output is image b's logits.
 		copy(dst.Data[b*classes:], a.y.Data)
+	}
+	return nil
+}
+
+// pair runs a grouped expand ex and the strided depthwise conv dw after
+// it one channel group at a time: expand rows [c0, c0+n) fill the group
+// span, and depthwise rows [c0, c0+n) turn it into channels [c0, c0+n)
+// of dw's output, a contiguous slice of it. Depthwise channel c reads
+// only expand channel c, so a group needs no halo and no padding rows.
+func (e *Engine) pair(p *prepared, ex, dw *step) error {
+	a := &e.a
+	x, g, y := a.view(&a.x, &p.spans[ex.in]), a.view(&a.res, &p.spans[ex.out]), a.view(&a.y, &p.spans[dw.out])
+	gd, yd, c, cp := g.Data, y.Data, y.Shape.C, dw.cp
+	gPlane, yPlane := g.Shape.H*g.Shape.W, y.Shape.H*y.Shape.W
+	for c0 := 0; c0 < c; c0 += ex.grp {
+		n := min(ex.grp, c-c0)
+		ew, dww := ex.rows(c0, n), dw.rows(c0, n)
+		g.Shape.C, g.Data = n, gd[:n*gPlane]
+		y.Shape.C, y.Data = n, yd[c0*yPlane:(c0+n)*yPlane:(c0+n)*yPlane]
+		cp.Groups = n
+		err := tensor.Conv2DRequantInto(g, x, &ew, ex.ld, e.zp, ex.cp, ex.wsum[c0:], ex.wMax, ex.q, nil, &a.sc, e.pool)
+		if err == nil {
+			err = tensor.Conv2DRequantInto(y, g, &dww, dw.ld, e.zp, cp, dw.wsum[c0:], dw.wMax, dw.q, nil, &a.sc, e.pool)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -58,7 +58,9 @@ func reference(t *testing.T, s *supernet.SuperNet, sn *supernet.SubNet) *tensor.
 // largest mobilenetv3 SubNet adds the 5x5/7x7 depthwise layers, the
 // smallest resnet50 SubNet the padded dense 3x3/7x7 convolutions, the
 // max-pool and the downsample shortcuts; their references take seconds,
-// so -short and -race runs keep only the smallest SubNet.
+// so -short and -race runs keep only the smallest SubNet. The smallest
+// mobilenetv3's stage2.block0 (72 expanded channels → groups of 20, 20,
+// 20 and 12) is the grouped pair's short-last-group case.
 func TestForwardMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -292,12 +294,11 @@ func arenaBytes(a *arena) int {
 
 // TestEngineArenaFootprint pins the arena's shape: one activation slab
 // of the largest one-image plan the SubNets run reach, whatever the
-// batch — 1,505,280 bytes after the mobilenetv3 S, L, S@4 switch and
-// still after an extra S@16 (a batch-outermost slab held 3,211,264 and
-// three batch·actMax buffers 7,225,344), and 1,179,136 after resnet50's
-// smallest SubNet (1,580,544) — and an int32 accumulator no larger than
-// one image's fully-connected and global-pool layers need, because
-// convolutions requantize in their kernels' epilogue.
+// batch — 802,816 bytes after the mobilenetv3 S, L, S@4 switch and
+// still after an extra S@16, and 852,992 after resnet50's smallest
+// SubNet — and an int32 accumulator no larger than one image's
+// fully-connected and global-pool layers need, because convolutions
+// requantize in their kernels' epilogue.
 func TestEngineArenaFootprint(t *testing.T) {
 	mbv3, resnet := supernet.NewOFAMobileNetV3(), supernet.NewOFAResNet50()
 	mf, err := mbv3.Frontier()
@@ -318,8 +319,8 @@ func TestEngineArenaFootprint(t *testing.T) {
 		runs []run
 		slab int
 	}{
-		{mbv3, []run{{mf[0], 1}, {mf[len(mf)-1], 1}, {mf[0], 4}, {mf[0], 16}}, 1505280},
-		{resnet, []run{{rf[0], 1}}, 1179136},
+		{mbv3, []run{{mf[0], 1}, {mf[len(mf)-1], 1}, {mf[0], 4}, {mf[0], 16}}, 802816},
+		{resnet, []run{{rf[0], 1}}, 852992},
 	} {
 		e := NewEngine(NewWeightStore(tc.net, 1))
 		e.SetWorkers(1)
@@ -409,7 +410,7 @@ func TestPlanInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkPlan(t, sn.Name, p)
+			checkPlan(t, sn.Name, sn, p)
 			e.a.presize(p)
 			for i := range p.spans {
 				sp := &p.spans[i]
@@ -426,27 +427,82 @@ func TestPlanInvariants(t *testing.T) {
 }
 
 // checkPlan fails unless p's spans, with lifetimes recomputed from its
-// steps, are placed without conflicts into a slab of the live-set bound.
-func checkPlan(t *testing.T, name string, p *prepared) {
+// steps, are placed without conflicts into a slab of the live-set bound,
+// and p keeps the arena's three rules: a folded conv's out is its
+// residual operand (every add is folded), a stride-1 depthwise conv
+// whose input no later step reads writes over it, and a grouped
+// expand's input lives through the depthwise step that runs the pair.
+func checkPlan(t *testing.T, name string, sn *supernet.SubNet, p *prepared) {
 	t.Helper()
+	n := len(p.steps)
 	def, end := make([]int, len(p.spans)), make([]int, len(p.spans))
 	for i := range def {
-		def[i], end[i] = len(p.steps)+1, -1
+		def[i], end[i] = n+1, -1
 	}
 	def[0] = -1
+	// reads reports whether a step after i reads span s, as its input
+	// (or residual operand, with res).
+	reads := func(i, s int, res bool) bool {
+		return slices.ContainsFunc(p.steps[i+1:], func(st step) bool { return st.res == s || !res && st.in == s })
+	}
+	adds, folded := 0, 0
+	for _, l := range sn.Model.Layers {
+		if l.Kind == nn.Add {
+			adds++
+		}
+	}
 	for i, st := range p.steps {
-		end[st.in] = i
-		if st.l.Kind == nn.Add {
-			end[st.sc] = i
-		} else if def[st.out] <= len(p.steps) {
+		l := st.l
+		at := i
+		pairs := i+1 < n && strings.HasSuffix(l.Name, ".expand") && p.steps[i+1].l.Kind == nn.DepthwiseConv && p.steps[i+1].l.Stride > 1
+		if pairs != (st.grp > 0) {
+			t.Fatalf("%s: %s is grouped: %t; precedes a strided depthwise conv: %t", name, l.Name, st.grp > 0, pairs)
+		}
+		if st.grp > 0 {
+			at = i + 1
+			if p.steps[i+1].in != st.out || st.grp%4 != 0 || 4*st.grp < l.K || 4*(st.grp-4) >= l.K {
+				t.Fatalf("%s: %s's group of %d channels is not ⌈%d/4⌉ rounded up to 4, read by its depthwise conv", name, l.Name, st.grp, l.K)
+			}
+			if p.spans[st.in].end < i+1 {
+				t.Fatalf("%s: grouped %s's input dies before its depthwise step", name, l.Name)
+			}
+		}
+		end[st.in] = max(end[st.in], at)
+		if st.res >= 0 {
+			folded++
+			end[st.res] = max(end[st.res], at)
+			if st.out != st.res {
+				t.Fatalf("%s: folded %s does not write over its residual operand", name, l.Name)
+			}
+		}
+		dw1 := l.Kind == nn.DepthwiseConv && l.Stride == 1
+		switch {
+		case l.Kind == nn.Add:
+			t.Fatalf("%s: %s is a step, not folded", name, l.Name)
+		case st.out == st.in:
+			if !dw1 || reads(i, st.in, true) {
+				t.Fatalf("%s: %s writes over an input it may not", name, l.Name)
+			}
+		case dw1 && st.res < 0 && !reads(i, st.in, false):
+			t.Fatalf("%s: %s's input dies at it, but it does not write over it", name, l.Name)
+		case st.out == st.res:
+		case def[st.out] <= n:
 			t.Fatalf("%s: span %d written twice", name, st.out)
-		} else {
+		default:
 			def[st.out], end[st.out] = i, i
 		}
 	}
-	end[p.steps[len(p.steps)-1].out] = len(p.steps)
+	if folded != adds {
+		t.Fatalf("%s: %d of %d adds folded", name, folded, adds)
+	}
+	end[p.steps[n-1].out] = n
+	for i, sp := range p.spans {
+		if sp.def != def[i] || sp.end != end[i] {
+			t.Fatalf("%s: span %d lives [%d, %d] in the plan, [%d, %d] by its steps", name, i, sp.def, sp.end, def[i], end[i])
+		}
+	}
 	peak := 0
-	for at := -1; at <= len(p.steps); at++ {
+	for at := -1; at <= n; at++ {
 		live := 0
 		for i, sp := range p.spans {
 			if def[i] <= at && at <= end[i] {

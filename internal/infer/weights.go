@@ -88,14 +88,18 @@ func (ws *WeightStore) LayerWeights(li int, d supernet.LayerDims, kern int) (*te
 	if err != nil {
 		return nil, err
 	}
+	// ring[r·kern+s] is tap (r, s)'s shared index; each (k, c) row of
+	// kern² taps is written straight into w's KCRS storage.
+	ring := make([]int, kern*kern)
+	for t := range ring {
+		ring[t] = kernelAreaIndex(l.RMax, kern, t/kern, t%kern)
+	}
 	w := tensor.NewInt8(tensor.Shape{N: d.K, C: d.C, H: kern, W: kern})
 	for k := 0; k < d.K; k++ {
 		for c := 0; c < d.C; c++ {
-			for r := 0; r < kern; r++ {
-				for s := 0; s < kern; s++ {
-					a := kernelAreaIndex(l.RMax, kern, r, s)
-					w.Set(k, c, r, s, ws.weightAt(li, k, c, a))
-				}
+			row := w.Data[(k*d.C+c)*len(ring):][:len(ring)]
+			for t, a := range ring {
+				row[t] = ws.weightAt(li, k, c, a)
 			}
 		}
 	}

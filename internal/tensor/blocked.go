@@ -17,9 +17,9 @@ import "fmt"
 // into row blocks (dense) or planes (depthwise) executed by a Pool; each
 // pool worker owns one pack buffer in the Scratch. Both kernels end in
 // one epilogue with two stores: the corrected int32 sums
-// (Conv2DBlockedInto), or those sums requantized straight to int8
-// (Conv2DRequantInto), so a fused layer never materialises its int32
-// accumulators.
+// (Conv2DBlockedInto), or those sums requantized straight to int8, with
+// an optional residual operand added in (Conv2DRequantInto), so a fused
+// layer never materialises its int32 accumulators.
 //
 // Everything here is bit-identical to the reference Conv2D
 // scan for any int8 zero point: int32 accumulation is modular, so any
@@ -194,10 +194,13 @@ func laneTerms(a, wMax, d int) int {
 }
 
 // epilogue is where a conv kernel stores its corrected sums: as int32
-// into acc, or, when q8 is set, requantized to int8 into q8.
+// into acc, or, when q8 is set, requantized to int8 into q8, plus, when
+// res is set, the residual operand res[o] with int8 saturation. q8 may
+// alias res: each store reads res[o] before it writes q8[o].
 type epilogue struct {
 	acc   []int32
 	q8    []int8
+	res   []int8
 	scale float64
 	zp    int64
 }
@@ -207,7 +210,11 @@ func (e *epilogue) store(o int, l *laneSums, corr int32, n int) {
 	if e.q8 != nil {
 		q := e.q8[o:][:n]
 		for i := range q {
-			q[i] = requant(l[i]-corr, e.scale, e.zp)
+			v := requant(l[i]-corr, e.scale, e.zp)
+			if e.res != nil {
+				v = int8(min(127, max(-128, int32(v)+int32(e.res[o+i]))))
+			}
+			q[i] = v
 		}
 		return
 	}
@@ -283,39 +290,63 @@ type gemmArgs struct {
 // padding (and leaves in the unused lanes of a triple p1 cuts short),
 // and each in-bounds element then adds its distance from it.
 func (g *gemmArgs) pack(pk []int64, n, p0, p1 int) {
+	hw := g.h * g.iw
+	img := g.in[(n*g.cTot+g.c0)*hw:][:g.c*hw]
+	if g.kh == 1 && g.kw == 1 && g.ph == 0 && g.pw == 0 {
+		g.packPointwise(pk, img, p0, p1)
+		return
+	}
 	zp := int64(int8(g.zp))
 	for i := range pk {
 		pk[i] = zp + zp<<laneBits + zp<<(2*laneBits)
 	}
-	hw := g.h * g.iw
-	img := g.in[(n*g.cTot+g.c0)*hw:][:g.c*hw]
 	y, x := p0/g.ow, p0%g.ow
 	for i := 0; i < p1-p0; i++ {
 		dst := pk[i/3*g.d:][:g.d]
 		lane := uint(i%3) * laneBits
 		iy, ix := y*g.sh-g.ph, x*g.sw-g.pw
-		if g.kh == 1 && g.kw == 1 && g.ph == 0 && g.pw == 0 {
-			// Pointwise: the patch is one strided read per channel.
-			src := img[iy*g.iw+ix:]
-			for c := range dst {
-				dst[c] += (int64(src[c*hw]) - zp) << lane
-			}
-		} else {
-			sLo, sHi := max(0, -ix), min(g.kw, g.iw-ix)
-			for c := 0; c < g.c; c++ {
-				for r := 0; r < g.kh; r++ {
-					if ih := iy + r; uint(ih) < uint(g.h) {
-						src := img[c*hw+ih*g.iw:][:g.iw]
-						drow := dst[(c*g.kh+r)*g.kw:][:g.kw]
-						for s := sLo; s < sHi; s++ {
-							drow[s] += (int64(src[ix+s]) - zp) << lane
-						}
+		sLo, sHi := max(0, -ix), min(g.kw, g.iw-ix)
+		for c := 0; c < g.c; c++ {
+			for r := 0; r < g.kh; r++ {
+				if ih := iy + r; uint(ih) < uint(g.h) {
+					src := img[c*hw+ih*g.iw:][:g.iw]
+					drow := dst[(c*g.kh+r)*g.kw:][:g.kw]
+					for s := sLo; s < sHi; s++ {
+						drow[s] += (int64(src[ix+s]) - zp) << lane
 					}
 				}
 			}
 		}
 		if x++; x == g.ow {
 			x, y = 0, y+1
+		}
+	}
+}
+
+// packPointwise is pack for a 1×1 unpadded kernel, one value per channel
+// and position: channel by channel, each panel element written once from
+// its three lanes. at[i] is position p0+i's offset in a plane, so at
+// stride 1 a channel's positions are one contiguous run of it.
+func (g *gemmArgs) packPointwise(pk []int64, img []int8, p0, p1 int) {
+	var at [3 * gemmMaxTriples]int
+	n := p1 - p0
+	for i := range n {
+		p := p0 + i
+		at[i] = p/g.ow*g.sh*g.iw + p%g.ow*g.sw
+	}
+	full, hw, zp := n/3, g.h*g.iw, int8(g.zp)
+	for c := 0; c < g.c; c++ {
+		plane := img[c*hw:][:hw]
+		for j := range full {
+			pk[j*g.d+c] = int64(plane[at[3*j]]) + int64(plane[at[3*j+1]])<<laneBits + int64(plane[at[3*j+2]])<<(2*laneBits)
+		}
+		if r := n - 3*full; r > 0 {
+			// The unused lanes of a triple p1 cuts short hold the zero point.
+			v := [3]int8{zp, zp, zp}
+			for l := range r {
+				v[l] = plane[at[3*full+l]]
+			}
+			pk[full*g.d+c] = int64(v[0]) + int64(v[1])<<laneBits + int64(v[2])<<(2*laneBits)
 		}
 	}
 }
@@ -390,13 +421,13 @@ type dwArgs struct {
 	chunk          int // taps per lane split (laneTerms)
 }
 
-// block convolves plane b. The plane is copied as (v − zp) into a
-// zero-fringed buffer, lane-packed at the column stride: element j of a
-// buffer row carries columns j, j+sw and j+2sw of that row (packRow), so
-// a tap sum at output column x carries columns x+1 and x+2 too, and no
-// tap needs a bounds test. Each tap feeds two such sums (columns
-// x..x+5); the buffer's 3·sw lanes of slack keep the second in bounds at
-// a row's end, where the columns past it are dropped.
+// block convolves plane b. The whole plane is first copied (so its output
+// plane may overwrite it) as (v − zp) into a zero-fringed buffer,
+// lane-packed at the column stride: element j of a buffer row carries
+// columns j, j+sw and j+2sw of that row (packRow), so a tap sum at output
+// column x carries x+1 and x+2 too, and no tap needs a bounds test. Each
+// tap feeds two such sums (columns x..x+5); the buffer's 3·sw lanes of
+// slack keep the second in bounds at a row's end, past which columns drop.
 func (d *dwArgs) block(worker, b int) {
 	plane := d.in[b*d.h*d.iw:][:d.h*d.iw]
 	wk := d.w[b%d.c*len(d.taps):][:len(d.taps)]
@@ -498,7 +529,7 @@ func Conv2DBlocked(in, w *Int8, zpIn int32, p ConvParams, pool *Pool) (*Int32, e
 // builds one closure). wsum may carry precomputed per-output-channel
 // weight sums (Σ_d w[k,d]); pass nil to have them computed into sc.
 func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum []int32, sc *Scratch, pool *Pool) error {
-	return conv2DBlocked(out, nil, QuantParams{}, in, w, 0, zpIn, p, wsum, WeightBound(w), sc, pool, 0)
+	return conv2DBlocked(out, nil, QuantParams{}, nil, in, w, 0, zpIn, p, wsum, WeightBound(w), sc, pool, 0)
 }
 
 // Conv2DRequantInto is Conv2DBlockedInto fused with RequantizeInto: the
@@ -508,9 +539,12 @@ func Conv2DBlockedInto(out *Int32, in, w *Int8, zpIn int32, p ConvParams, wsum [
 // starts at w.Data[k·ld], so w may be the top-left corner of a larger
 // panel; ld 0 means packed rows. wsum and wMax must be WeightSums(w, ld)
 // and its bound, which a caller that runs the same weights repeatedly
-// computes once.
-func Conv2DRequantInto(dst *Int8, in, w *Int8, ld int, zpIn int32, p ConvParams, wsum []int32, wMax int, q QuantParams, sc *Scratch, pool *Pool) error {
-	return conv2DBlocked(nil, dst, q, in, w, ld, zpIn, p, wsum, wMax, sc, pool, 0)
+// computes once. A non-nil res is a residual operand of the output's
+// shape: each requantized value is added to res's with int8 saturation,
+// byte-identical to a saturating add after the conv, and dst may alias
+// res.
+func Conv2DRequantInto(dst *Int8, in, w *Int8, ld int, zpIn int32, p ConvParams, wsum []int32, wMax int, q QuantParams, res *Int8, sc *Scratch, pool *Pool) error {
+	return conv2DBlocked(nil, dst, q, res, in, w, ld, zpIn, p, wsum, wMax, sc, pool, 0)
 }
 
 // weightRows checks that w's n rows of d weights, ld apart (0 means d),
@@ -526,10 +560,10 @@ func weightRows(w *Int8, n, d, ld int) (int, error) {
 }
 
 // conv2DBlocked runs the convolution into acc, or requantized under q
-// into dst when acc is nil, splitting its lanes every chunk terms, or
-// every laneTerms terms when chunk is 0. Only tests pass a chunk, to
-// show that one term past laneTerms breaks parity.
-func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, ld int, zpIn int32, p ConvParams, wsum []int32, wMax int, sc *Scratch, pool *Pool, chunk int) error {
+// (plus res, when set) into dst when acc is nil, splitting its lanes
+// every chunk terms, or every laneTerms terms when chunk is 0. Only
+// tests pass a chunk, to show that one term past laneTerms breaks parity.
+func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, res *Int8, in, w *Int8, ld int, zpIn int32, p ConvParams, wsum []int32, wMax int, sc *Scratch, pool *Pool, chunk int) error {
 	if p.Groups == 0 {
 		p.Groups = 1
 	}
@@ -556,8 +590,14 @@ func conv2DBlocked(acc *Int32, dst *Int8, q QuantParams, in, w *Int8, ld int, zp
 		EnsureInt32(acc, os)
 		ep.acc = acc.Data
 	} else {
+		if res != nil {
+			if res.Shape != os || len(res.Data) < os.Elems() {
+				return fmt.Errorf("%w: residual %v for output %v", ErrShapeMismatch, res.Shape, os)
+			}
+			ep.res = res.Data
+		}
 		EnsureInt8(dst, os)
-		ep = epilogue{q8: dst.Data, scale: q.Scale, zp: int64(q.ZeroPoint)}
+		ep.q8, ep.scale, ep.zp = dst.Data, q.Scale, int64(q.ZeroPoint)
 	}
 
 	// Depthwise: direct per-plane taps; a patch row would be C·kh·kw

@@ -335,7 +335,7 @@ func TestConv2DBlockedWeightBounds(t *testing.T) {
 			}
 			var out Int32
 			var sc Scratch
-			if err := conv2DBlocked(&out, nil, QuantParams{}, in, w, 0, 127, tc.p, nil, WeightBound(w), &sc, nil, chunk); err != nil {
+			if err := conv2DBlocked(&out, nil, QuantParams{}, nil, in, w, 0, 127, tc.p, nil, WeightBound(w), &sc, nil, chunk); err != nil {
 				t.Fatal(err)
 			}
 			if slices.Equal(out.Data, ref.Data) {
@@ -431,7 +431,7 @@ func checkRequantParity(t *testing.T, pool *Pool, name string, in, w *Int8, zp i
 	wsum := make([]int32, w.Shape.N)
 	WeightSums(wsum, w, 0)
 	for _, pl := range []*Pool{nil, pool} {
-		if err := Conv2DRequantInto(&got, in, w, 0, zp, p, wsum, WeightBound(w), q, &sc, pl); err != nil {
+		if err := Conv2DRequantInto(&got, in, w, 0, zp, p, wsum, WeightBound(w), q, nil, &sc, pl); err != nil {
 			t.Fatalf("%s: fused (workers=%d): %v", name, pl.Workers(), err)
 		}
 		if got.Shape != want.Shape {
@@ -501,6 +501,132 @@ func TestConv2DRequantParity(t *testing.T) {
 			filled(Shape{N: 5, C: 2675, H: 7, W: 7}, min8), 0, ConvParams{StrideH: 1, StrideW: 1, Groups: 1}, q)
 		checkRequantParity(t, pool, "depthwise 257x257", filled(Shape{N: 1, C: 2, H: 257, W: 259}, min8),
 			filled(Shape{N: 2, C: 1, H: 257, W: 257}, min8), 127, ConvParams{StrideH: 1, StrideW: 1, Groups: 2}, q)
+	}
+}
+
+// addSatInt8 stores a + b elementwise into dst with int8 saturation;
+// dst may alias a or b. It is the residual epilogue's oracle.
+func addSatInt8(dst, a, b *Int8) error {
+	if a.Shape != b.Shape {
+		return fmt.Errorf("%w: %v vs %v", ErrShapeMismatch, a.Shape, b.Shape)
+	}
+	EnsureInt8(dst, a.Shape)
+	bd := b.Data[:len(a.Data)]
+	dd := dst.Data[:len(a.Data)]
+	for i, av := range a.Data {
+		dd[i] = int8(min(127, max(-128, int32(av)+int32(bd[i]))))
+	}
+	return nil
+}
+
+// TestConv2DRequantResidual pins the residual epilogue byte-identical to
+// requantizing and then adding the residual with saturation, over
+// adversarial fills, activation zero points at both int8 extremes and a
+// requantization that saturates, sequentially and at 4 workers, with dst
+// a separate tensor and with dst aliasing the residual. A residual of
+// another shape is rejected.
+func TestConv2DRequantResidual(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	fills := []func(i int) int8{
+		func(int) int8 { return -128 },
+		func(int) int8 { return 127 },
+		func(i int) int8 { return int8(127 - 255*(i&1)) },
+		nil, // random
+	}
+	shapes := []parityCase{
+		// Pointwise (a project or conv3), strided pointwise (a
+		// downsample), a padded 3x3 with a K tail, and a depthwise conv.
+		{in: Shape{N: 1, C: 33, H: 7, W: 10}, w: Shape{N: 6, C: 33, H: 1, W: 1}, p: ConvParams{StrideH: 1, StrideW: 1, Groups: 1}},
+		{in: Shape{N: 2, C: 8, H: 9, W: 9}, w: Shape{N: 10, C: 8, H: 1, W: 1}, p: ConvParams{StrideH: 2, StrideW: 2, Groups: 1}},
+		{in: Shape{N: 1, C: 5, H: 9, W: 10}, w: Shape{N: 7, C: 5, H: 3, W: 3}, p: ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}},
+		{in: Shape{N: 1, C: 3, H: 8, W: 11}, w: Shape{N: 3, C: 1, H: 3, W: 3}, p: ConvParams{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 3}},
+	}
+	qs := []QuantParams{{Scale: 1.0 / 64, ZeroPoint: 3}, {Scale: 3, ZeroPoint: -100}}
+	for i, tc := range shapes {
+		for f, fill := range fills {
+			in, w := RandomInt8(tc.in, uint64(40+i)), RandomInt8(tc.w, uint64(50+i))
+			if fill != nil {
+				in, w = filled(tc.in, fill), filled(tc.w, fills[(f+1)%3])
+			}
+			var acc Int32
+			var sc Scratch
+			for _, zp := range []int32{0, -128, 127} {
+				if err := Conv2DBlockedInto(&acc, in, w, zp, tc.p, nil, &sc, nil); err != nil {
+					t.Fatal(err)
+				}
+				res := RandomInt8(acc.Shape, uint64(60+i))
+				if fill != nil {
+					res = filled(acc.Shape, fills[(f+2)%3])
+				}
+				wsum := make([]int32, tc.w.N)
+				wMax := WeightSums(wsum, w, 0)
+				for _, q := range qs {
+					var want, got Int8
+					RequantizeInto(&want, &acc, q)
+					if err := addSatInt8(&want, &want, res); err != nil {
+						t.Fatal(err)
+					}
+					for _, pl := range []*Pool{nil, pool} {
+						aliased := &Int8{Shape: res.Shape, Data: slices.Clone(res.Data)}
+						for _, dst := range []*Int8{&got, aliased} {
+							if err := Conv2DRequantInto(dst, in, w, 0, zp, tc.p, wsum, wMax, q, aliased, &sc, pl); err != nil {
+								t.Fatal(err)
+							}
+							if dst.Shape != want.Shape || !slices.Equal(dst.Data, want.Data) {
+								t.Fatalf("%v fill %d zp=%d q=%+v workers=%d aliased=%t: residual epilogue differs from requantize + saturating add",
+									tc, f, zp, q, pl.Workers(), dst == aliased)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	in := RandomInt8(shapes[0].in, 1)
+	w := RandomInt8(shapes[0].w, 2)
+	var got Int8
+	var sc Scratch
+	bad := NewInt8(Shape{N: 1, C: 5, H: 7, W: 10})
+	if err := Conv2DRequantInto(&got, in, w, 0, 0, shapes[0].p, nil, 7, qs[0], bad, &sc, nil); err == nil {
+		t.Fatal("a residual of another shape was accepted")
+	}
+}
+
+// TestPackPointwise pins the channel-outer pointwise pack against a
+// position-by-position gather, at stride 1 and 2, over row blocks
+// of 1, 2, 4, 5, 7 and 8 positions that cross an output row, so the last
+// triple is short and its unused lanes must hold the zero point.
+func TestPackPointwise(t *testing.T) {
+	in := RandomInt8(Shape{N: 2, C: 5, H: 6, W: 9}, 71)
+	for _, stride := range []int{1, 2} {
+		g := gemmArgs{
+			in: in.Data, cTot: 5, c0: 1, c: 3, h: 6, iw: 9,
+			ow: OutDim(9, 1, stride, 0), kh: 1, kw: 1, sh: stride, sw: stride,
+			d: 3, zp: -3,
+		}
+		for _, n := range []int{1, 2, 4, 5, 7, 8} {
+			p0, hw, zp := 3, g.h*g.iw, int64(g.zp)
+			got, want := make([]int64, (n+2)/3*g.d), make([]int64, (n+2)/3*g.d)
+			for i := range got {
+				got[i] = 0x5a5a5a5a // the pack must not read what it overwrites
+			}
+			g.pack(got, 1, p0, p0+n)
+			for i := range want {
+				want[i] = zp + zp<<laneBits + zp<<(2*laneBits)
+			}
+			img := in.Data[(g.cTot+g.c0)*hw:]
+			for i := range n {
+				y, x := (p0+i)/g.ow, (p0+i)%g.ow
+				src := img[y*g.sh*g.iw+x*g.sw:]
+				for c := range g.c {
+					want[i/3*g.d+c] += (int64(src[c*hw]) - zp) << (uint(i%3) * laneBits)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("stride %d, %d positions: pack %v, want %v", stride, n, got, want)
+			}
+		}
 	}
 }
 
@@ -623,14 +749,14 @@ func TestStridedWeightParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var acc Int32
-			if err := conv2DBlocked(&acc, nil, QuantParams{}, in, view, ld, 2, tc.p, wsum, wMax, &sc, pl, 0); err != nil {
+			if err := conv2DBlocked(&acc, nil, QuantParams{}, nil, in, view, ld, 2, tc.p, wsum, wMax, &sc, pl, 0); err != nil {
 				t.Fatal(err)
 			}
 			if acc.Shape != ref.Shape || !slices.Equal(acc.Data, ref.Data) {
 				t.Fatalf("%s (workers=%d): strided conv differs from the packed reference", tc.name, pl.Workers())
 			}
 			var got Int8
-			if err := Conv2DRequantInto(&got, in, view, ld, 2, tc.p, wsum, wMax, q, &sc, pl); err != nil {
+			if err := Conv2DRequantInto(&got, in, view, ld, 2, tc.p, wsum, wMax, q, nil, &sc, pl); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got.Data, RequantizeTensor(ref, q).Data) {
@@ -644,7 +770,7 @@ func TestStridedWeightParity(t *testing.T) {
 	var got Int8
 	var sc Scratch
 	for _, bad := range []int{4*9 - 1, ld + 1} {
-		if err := Conv2DRequantInto(&got, in, view, bad, 0, unit, nil, 7, q, &sc, nil); err == nil {
+		if err := Conv2DRequantInto(&got, in, view, bad, 0, unit, nil, 7, q, nil, &sc, nil); err == nil {
 			t.Errorf("weight row stride %d accepted for rows of %d in %d weights", bad, 4*9, len(view.Data))
 		}
 	}
@@ -666,32 +792,6 @@ func TestInPlaceOpsMatchReference(t *testing.T) {
 		if dst.Data[j] != ref.Data[j] {
 			t.Fatalf("RequantizeInto[%d]=%d != %d", j, dst.Data[j], ref.Data[j])
 		}
-	}
-
-	a := RandomInt8(Shape{N: 2, C: 3, H: 4, W: 4}, 9)
-	b := RandomInt8(Shape{N: 2, C: 3, H: 4, W: 4}, 10)
-	want := make([]int8, len(a.Data))
-	for i := range a.Data {
-		v := int32(a.Data[i]) + int32(b.Data[i])
-		if v > 127 {
-			v = 127
-		}
-		if v < -128 {
-			v = -128
-		}
-		want[i] = int8(v)
-	}
-	aliased := &Int8{Shape: a.Shape, Data: append([]int8(nil), a.Data...)}
-	if err := AddSatInt8(aliased, aliased, b); err != nil {
-		t.Fatal(err)
-	}
-	for j := range want {
-		if aliased.Data[j] != want[j] {
-			t.Fatalf("AddSatInt8 aliased[%d]=%d != %d", j, aliased.Data[j], want[j])
-		}
-	}
-	if err := AddSatInt8(&Int8{}, a, RandomInt8(Shape{N: 1, C: 3, H: 4, W: 4}, 3)); err == nil {
-		t.Fatal("expected shape mismatch error")
 	}
 
 	in := RandomInt8(Shape{N: 2, C: 3, H: 9, W: 9}, 11)
@@ -786,7 +886,7 @@ func BenchmarkConv2DBlocked(b *testing.B) {
 				wMax, q := WeightBound(w.t), QuantParams{Scale: 1.0 / 64}
 				b.ReportAllocs()
 				for b.Loop() {
-					if err := Conv2DRequantInto(&out, in, w.t, 0, 0, sh.p, wsum, wMax, q, &sc, nil); err != nil {
+					if err := Conv2DRequantInto(&out, in, w.t, 0, 0, sh.p, wsum, wMax, q, nil, &sc, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,34 +1,10 @@
 package tensor
 
-import "fmt"
-
-// In-place counterparts of the elementwise/pooling reference ops. They
-// write into caller-owned tensors through EnsureInt8/EnsureInt32, so a
-// warm buffer is reused and the inference engine's steady state stays
-// allocation-free. Results are bit-identical to the allocating
-// reference versions.
-
-// AddSatInt8 stores a + b elementwise into dst with int8 saturation.
-// dst may alias a or b (the common arena case is dst == a).
-func AddSatInt8(dst, a, b *Int8) error {
-	if a.Shape != b.Shape {
-		return fmt.Errorf("%w: %v vs %v", ErrShapeMismatch, a.Shape, b.Shape)
-	}
-	EnsureInt8(dst, a.Shape)
-	bd := b.Data[:len(a.Data)]
-	dd := dst.Data[:len(a.Data)]
-	for i, av := range a.Data {
-		v := int32(av) + int32(bd[i])
-		if v > 127 {
-			v = 127
-		}
-		if v < -128 {
-			v = -128
-		}
-		dd[i] = int8(v)
-	}
-	return nil
-}
+// In-place counterparts of the pooling reference ops. They write into
+// caller-owned tensors through EnsureInt8/EnsureInt32, so a warm buffer
+// is reused and the inference engine's steady state stays
+// allocation-free. Results are bit-identical to the allocating reference
+// versions.
 
 // GlobalAvgPoolInto is GlobalAvgPool into a reusable accumulator
 // tensor: per-channel int32 sums of (v - zpIn), division left to
