@@ -18,21 +18,21 @@ import (
 	"strconv"
 	"strings"
 
-	"sushi/internal/accel"
 	"sushi/internal/core"
 	"sushi/internal/dse"
 )
 
 func main() {
+	def := dse.DefaultOptions()
 	var (
 		wl   = flag.String("w", "resnet50", "workload: resnet50 or mobilenetv3")
-		pbs  = flag.String("pb", "0,512,1024,1728,2560,4096", "PB sizes in KB")
-		bws  = flag.String("bw", "9.6,19.2,38.4", "off-chip bandwidths in GB/s")
-		tput = flag.String("tput", "0.324,0.648,1.296,2.592", "throughputs in TFLOPS")
+		pbs  = flag.String("pb", joinList(def.PBSizes, 1<<10), "PB sizes in KB")
+		bws  = flag.String("bw", joinList(def.Bandwidths, 1e9), "off-chip bandwidths in GB/s")
+		tput = flag.String("tput", joinList(def.Throughputs, 1e12), "throughputs in TFLOPS")
 	)
 	flag.Parse()
 
-	opt := dse.Options{Base: accel.RooflineStudy()}
+	opt := dse.Options{Base: def.Base}
 	for _, s := range splitList(*pbs) {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
@@ -80,6 +80,16 @@ func main() {
 	}
 	fmt.Printf("\nbest: PB %.2f MB, %.1f GB/s, %.2f TFLOPS -> %.2f%% latency saving\n",
 		float64(best.PBBytes)/(1<<20), best.OffChipBW/1e9, best.PeakFLOPS/1e12, best.TimeSavePct)
+}
+
+// joinList renders a Fig. 12 grid axis as a flag default, in units of
+// unit.
+func joinList[T int64 | float64](vs []T, unit float64) string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = strconv.FormatFloat(float64(v)/unit, 'g', -1, 64)
+	}
+	return strings.Join(out, ",")
 }
 
 func splitList(s string) []string {

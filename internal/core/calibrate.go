@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sushi/internal/accel"
 	"sushi/internal/calib"
 	"sushi/internal/latencytable"
 	"sushi/internal/sched"
@@ -43,26 +42,16 @@ type CalibrateOptions struct {
 // and returns the versioned file plus the predicted-vs-measured report
 // against the analytic grid.
 func Calibrate(opt CalibrateOptions) (*calib.File, *calib.Report, error) {
-	w := opt.Workload
-	if w == "" {
-		w = ResNet50
+	dep := DeployOptions{Workload: opt.Workload, Policy: sched.StrictLatency, Candidates: opt.Candidates, Seed: opt.Seed}
+	if err := dep.normalize(); err != nil {
+		return nil, nil, err
 	}
+	w := dep.Workload
 	super, frontier, err := frontierFor(w)
 	if err != nil {
 		return nil, nil, err
 	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	cand := opt.Candidates
-	if cand <= 0 {
-		cand = 16
-	}
-	analytic, _, err := serving.BuildTable(super, frontier, serving.Options{
-		Accel: accel.ZCU104(), Policy: sched.StrictLatency, Q: 4,
-		Mode: serving.Full, Candidates: cand, Seed: seed,
-	})
+	analytic, _, err := serving.BuildTable(super, frontier, dep.servingOptions(dep.accelConfig()))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -75,7 +64,7 @@ func Calibrate(opt CalibrateOptions) (*calib.File, *calib.Report, error) {
 		graphs = graphs[:opt.Cols]
 	}
 	f, err := calib.Sweep(super, rows, graphs, calib.Options{
-		Reps: opt.Reps, Batches: opt.Batches, Seed: seed,
+		Reps: opt.Reps, Batches: opt.Batches, Seed: dep.Seed,
 		Workers: opt.Workers, CalibNs: opt.CalibNs, Workload: string(w),
 	})
 	if err != nil {

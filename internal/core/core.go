@@ -59,7 +59,7 @@ type DeployOptions struct {
 	Workload Workload
 	// Accel is the accelerator configuration (default ZCU104).
 	Accel *accel.Config
-	// Policy is the scheduling policy (default StrictLatency).
+	// Policy is the scheduling policy (default StrictAccuracy).
 	Policy sched.Policy
 	// Q is the cache-update period (default 4).
 	Q int
@@ -129,5 +129,26 @@ func (opt DeployOptions) accelConfig() accel.Config {
 	if opt.Accel != nil {
 		return *opt.Accel
 	}
-	return accel.ZCU104()
+	return defaultSetting.board
+}
+
+// setting is the hardware of the paper's evaluation, one configuration
+// per role: board is the serving board (§5.4-5.7), study the §5.2
+// roofline-study configuration and scaleUp §5.4.2's datacenter card.
+// Every experiment reads its hardware from a setting.
+type setting struct {
+	board, study, scaleUp accel.Config
+}
+
+// defaultSetting is the paper's: the one place this package names the
+// accel presets. Experiment runs at it; only tests build another.
+var defaultSetting = setting{board: accel.ZCU104(), study: accel.RooflineStudy(), scaleUp: accel.AlveoU50()}
+
+// options is what a deployment of opt on s's board serves with:
+// normalize fills each field opt leaves zero with its default.
+func (s setting) options(opt DeployOptions) (serving.Options, error) {
+	if err := opt.normalize(); err != nil {
+		return serving.Options{}, err
+	}
+	return opt.servingOptions(s.board), nil
 }

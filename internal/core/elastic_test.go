@@ -17,7 +17,7 @@ import (
 // same bounded-queue admission discipline.
 func elasticRuns(t *testing.T, queries int) (fixed, elastic *simq.Result) {
 	t.Helper()
-	_, latHi, err := probeLatencies(MobileNetV3)
+	_, latHi, err := defaultSetting.probeLatencies(MobileNetV3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,12 @@ func is3x3(m *nn.Model) func(int) bool {
 }
 
 // Fig2 regenerates the per-layer arithmetic intensity profile (Fig. 2).
-func Fig2(w Workload) (*Result, error) {
+func (s setting) Fig2(w Workload) (*Result, error) {
 	super, fr, err := frontierFor(w)
 	if err != nil {
 		return nil, err
 	}
-	model, err := roofline.New(accel.RooflineStudy())
+	model, err := roofline.New(s.study)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func Fig2(w Workload) (*Result, error) {
 // Fig3 regenerates the toy example of Fig. 3: the latency of a deep&thin
 // vs a wide&shallow SubNet as a function of differently shaped cached
 // SubGraphs.
-func Fig3() (*Result, error) {
+func (s setting) Fig3() (*Result, error) {
 	super := supernet.NewOFAResNet50()
 	deep, err := super.Instantiate(super.UniformSpec(4, 0, 0, 0))
 	if err != nil {
@@ -77,7 +77,7 @@ func Fig3() (*Result, error) {
 		return nil, err
 	}
 	wide.Name = "wide&shallow"
-	cfg := accel.ZCU104()
+	cfg := s.board
 	// Cached SubGraphs along the "more layers" <-> "more width" axis.
 	caches := []*supernet.SubGraph{
 		deep.Graph.TruncateToBudget(cfg.PBBytes, latencytable.Priority(super, latencytable.DeepThin)),
@@ -127,7 +127,7 @@ func Fig3() (*Result, error) {
 // Fig10 regenerates the latency-breakdown study (Fig. 10): each frontier
 // SubNet without PB and with full SGS residency (the paper's "potential"
 // reduction), on the roofline-study configuration.
-func Fig10(w Workload) (*Result, error) {
+func (s setting) Fig10(w Workload) (*Result, error) {
 	_, fr, err := frontierFor(w)
 	if err != nil {
 		return nil, err
@@ -140,7 +140,7 @@ func Fig10(w Workload) (*Result, error) {
 	}
 	lo, hi := math.Inf(1), 0.0
 	for _, sn := range fr {
-		base := accel.RooflineStudy().WithoutPB()
+		base := s.study.WithoutPB()
 		simBase, err := accel.NewSimulator(base)
 		if err != nil {
 			return nil, err
@@ -150,7 +150,7 @@ func Fig10(w Workload) (*Result, error) {
 			return nil, err
 		}
 		// Potential SGS: PB sized to the whole SubNet.
-		cfg := accel.RooflineStudy()
+		cfg := s.study
 		cfg.PBBytes = sn.WeightBytes()
 		simSGS, err := accel.NewSimulator(cfg)
 		if err != nil {
@@ -185,12 +185,12 @@ func Fig10(w Workload) (*Result, error) {
 
 // Fig11 regenerates the roofline shift (Fig. 11): frontier SubNets with
 // and without SGS-boosted effective intensity.
-func Fig11(w Workload) (*Result, error) {
+func (s setting) Fig11(w Workload) (*Result, error) {
 	super, fr, err := frontierFor(w)
 	if err != nil {
 		return nil, err
 	}
-	model, err := roofline.New(accel.RooflineStudy())
+	model, err := roofline.New(s.study)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func Fig11(w Workload) (*Result, error) {
 	}
 	gain := math.Inf(1)
 	for _, sn := range fr {
-		cache := sn.Graph.TruncateToBudget(accel.RooflineStudy().PBBytes, prio)
+		cache := sn.Graph.TruncateToBudget(s.study.PBBytes, prio)
 		p, err := model.SubNetPoint(sn, cache)
 		if err != nil {
 			return nil, err
@@ -219,12 +219,13 @@ func Fig11(w Workload) (*Result, error) {
 }
 
 // Fig12 regenerates the design space exploration (Fig. 12).
-func Fig12(w Workload) (*Result, error) {
+func (s setting) Fig12(w Workload) (*Result, error) {
 	super, fr, err := frontierFor(w)
 	if err != nil {
 		return nil, err
 	}
 	opt := dse.DefaultOptions()
+	opt.Base = s.study
 	pts, err := dse.Sweep(super, fr, opt)
 	if err != nil {
 		return nil, err
@@ -271,7 +272,7 @@ func Fig12(w Workload) (*Result, error) {
 // Fig13a regenerates the real-board latency comparison (Fig. 13a):
 // ResNet50 frontier 3x3 conv layers on the CPU and on SushiAccel
 // (ZCU104 and Alveo U50, each with and without PB).
-func Fig13a() (*Result, error) {
+func (s setting) Fig13a() (*Result, error) {
 	super, fr, err := frontierFor(ResNet50)
 	if err != nil {
 		return nil, err
@@ -293,10 +294,10 @@ func Fig13a() (*Result, error) {
 		hostSec float64
 	}
 	boards := []board{
-		{"ZCU104 w/o PB", accel.ZCU104().WithoutPB(), false, 0.2e-3},
-		{"ZCU104 w/ PB", accel.ZCU104(), true, 0.2e-3},
-		{"AlveoU50 w/o PB", accel.AlveoU50().WithoutPB(), false, 4.0e-3},
-		{"AlveoU50 w/ PB", accel.AlveoU50(), true, 4.0e-3},
+		{"ZCU104 w/o PB", s.board.WithoutPB(), false, 0.2e-3},
+		{"ZCU104 w/ PB", s.board, true, 0.2e-3},
+		{"AlveoU50 w/o PB", s.scaleUp.WithoutPB(), false, 4.0e-3},
+		{"AlveoU50 w/ PB", s.scaleUp, true, 4.0e-3},
 	}
 	res := &Result{
 		Name:   "fig13a",
@@ -353,7 +354,7 @@ func Fig13a() (*Result, error) {
 
 // Fig13b regenerates the energy comparison (Fig. 13b): off-chip and
 // on-chip data-access energy per frontier SubNet, without and with PB.
-func Fig13b(w Workload) (*Result, error) {
+func (s setting) Fig13b(w Workload) (*Result, error) {
 	super, fr, err := frontierFor(w)
 	if err != nil {
 		return nil, err
@@ -378,8 +379,8 @@ func Fig13b(w Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgPB := accel.ZCU104()
-	cfgNo := accel.ZCU104().WithoutPB()
+	cfgPB := s.board
+	cfgNo := s.board.WithoutPB()
 	res := &Result{
 		Name:   "fig13b",
 		Title:  fmt.Sprintf("Off-chip/on-chip access energy (mJ) w/o vs w/ PB — %s", w),
@@ -443,14 +444,14 @@ func Fig13b(w Workload) (*Result, error) {
 
 // Fig14 regenerates the per-layer DPU comparison (Fig. 14): ResNet50's
 // min SubNet, 3x3 conv layers, SushiAccel w/o PB vs the Xilinx DPU.
-func Fig14() (*Result, error) {
+func (s setting) Fig14() (*Result, error) {
 	_, fr, err := frontierFor(ResNet50)
 	if err != nil {
 		return nil, err
 	}
 	minSN := fr[0]
 	dpu := baseline.XilinxDPU()
-	sim, err := accel.NewSimulator(accel.ZCU104().WithoutPB())
+	sim, err := accel.NewSimulator(s.board.WithoutPB())
 	if err != nil {
 		return nil, err
 	}
@@ -495,12 +496,12 @@ func Fig14() (*Result, error) {
 // tile schedule showing the ping-pong Dynamic Buffer hiding weight
 // fetches behind compute (9b), and the multi-query saving from keeping
 // the common SubGraph resident (9a).
-func Fig9(w Workload) (*Result, error) {
+func (s setting) Fig9(w Workload) (*Result, error) {
 	super, fr, err := frontierFor(w)
 	if err != nil {
 		return nil, err
 	}
-	cfg := accel.ZCU104()
+	cfg := s.board
 	// Pick the model's largest-weight conv layer: several DB tiles.
 	sn := fr[len(fr)-1]
 	var pick *nn.Layer

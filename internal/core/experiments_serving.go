@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"sushi/internal/accel"
 	"sushi/internal/latencytable"
 	"sushi/internal/sched"
 	"sushi/internal/serving"
@@ -52,21 +51,18 @@ func serveUniform(w Workload, opts serving.Options, n int, seed int64) ([]servin
 
 // probeLatencies reads the budget scale the open-loop runs calibrate
 // from: the service latency of the frontier's fastest and slowest
-// SubNet on column 0 of the table a default ZCU104 deployment of w
-// builds (the build memo hands the fleets the same table).
-func probeLatencies(w Workload) (latLo, latHi float64, err error) {
+// SubNet on column 0 of the table a default deployment of w on s's
+// board builds (the build memo hands the fleets the same table).
+func (s setting) probeLatencies(w Workload) (latLo, latHi float64, err error) {
 	super, fr, err := frontierFor(w)
 	if err != nil {
 		return 0, 0, err
 	}
-	table, _, err := serving.BuildTable(super, fr, serving.Options{
-		Accel:      accel.ZCU104(),
-		Policy:     sched.StrictLatency,
-		Q:          4,
-		Mode:       serving.Full,
-		Candidates: 16,
-		Seed:       1,
-	})
+	opts, err := s.options(DeployOptions{Policy: sched.StrictLatency})
+	if err != nil {
+		return 0, 0, err
+	}
+	table, _, err := serving.BuildTable(super, fr, opts)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -76,18 +72,15 @@ func probeLatencies(w Workload) (latLo, latHi float64, err error) {
 // Fig15 regenerates the scheduler functional evaluation (Fig. 15):
 // served latency vs latency constraint under STRICT_LATENCY and served
 // accuracy vs accuracy constraint under STRICT_ACCURACY.
-func Fig15(w Workload, policy sched.Policy, queries int) (*Result, error) {
+func (s setting) Fig15(w Workload, policy sched.Policy, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 200
 	}
-	rs, _, err := serveUniform(w, serving.Options{
-		Accel:      accel.ZCU104(),
-		Policy:     policy,
-		Q:          4,
-		Mode:       serving.Full,
-		Candidates: 16,
-		Seed:       1,
-	}, queries, 15)
+	opts, err := s.options(DeployOptions{Policy: policy})
+	if err != nil {
+		return nil, err
+	}
+	rs, _, err := serveUniform(w, opts, queries, 15)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +128,7 @@ func Fig15(w Workload, policy sched.Policy, queries int) (*Result, error) {
 
 // Fig16 regenerates the end-to-end comparison (Fig. 16): No-Sushi vs
 // Sushi w/o Sched vs Sushi on a random query stream.
-func Fig16(w Workload, queries int) (*Result, error) {
+func (s setting) Fig16(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 200
 	}
@@ -146,15 +139,12 @@ func Fig16(w Workload, queries int) (*Result, error) {
 	}
 	var noPB, full serving.Summary
 	for _, mode := range []serving.Mode{serving.NoPB, serving.StateUnaware, serving.Full} {
-		_, sum, err := serveUniform(w, serving.Options{
-			Accel:        accel.ZCU104(),
-			Policy:       sched.StrictAccuracy,
-			Q:            4,
-			Mode:         mode,
-			Candidates:   16,
-			StaticColumn: -1,
-			Seed:         1,
-		}, queries, 16)
+		opts, err := s.options(DeployOptions{Mode: mode})
+		if err != nil {
+			return nil, err
+		}
+		opts.StaticColumn = -1
+		_, sum, err := serveUniform(w, opts, queries, 16)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +170,7 @@ func Fig16(w Workload, queries int) (*Result, error) {
 // Fig17 regenerates the cache-window ablation (Fig. 17/18): the
 // accuracy/latency outcome as the averaging window Q varies, with the
 // cache-update cost charged to the query path (Appendix A.1's trade-off).
-func Fig17(w Workload, queries int) (*Result, error) {
+func (s setting) Fig17(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 200
 	}
@@ -195,15 +185,11 @@ func Fig17(w Workload, queries int) (*Result, error) {
 		// Q=1 re-targets the cache after every query and pays a fill
 		// each time — exactly the "prohibitively expensive" regime of
 		// Appendix A.1 — while larger windows smooth the mix.
-		_, sum, err := serveUniform(w, serving.Options{
-			Accel:             accel.ZCU104(),
-			Policy:            sched.StrictAccuracy,
-			Q:                 q,
-			Mode:              serving.Full,
-			Candidates:        16,
-			Seed:              1,
-			ChargeSwapLatency: true,
-		}, queries, 17)
+		opts, err := s.options(DeployOptions{Q: q, ChargeSwapLatency: true})
+		if err != nil {
+			return nil, err
+		}
+		_, sum, err := serveUniform(w, opts, queries, 17)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +210,7 @@ func Fig17(w Workload, queries int) (*Result, error) {
 
 // Table5 regenerates the latency-table size ablation (Table 5): average
 // latency improvement of SUSHI over SUSHI w/o scheduler as |S| grows.
-func Table5(w Workload, queries int) (*Result, error) {
+func (s setting) Table5(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 150
 	}
@@ -237,15 +223,12 @@ func Table5(w Workload, queries int) (*Result, error) {
 	for _, cols := range []int{10, 40, 80, 100, 500} {
 		var lat [2]float64
 		for mi, mode := range []serving.Mode{serving.Full, serving.StateUnaware} {
-			_, sum, err := serveUniform(w, serving.Options{
-				Accel:        accel.ZCU104(),
-				Policy:       sched.StrictAccuracy,
-				Q:            4,
-				Mode:         mode,
-				Candidates:   cols,
-				StaticColumn: -1,
-				Seed:         2,
-			}, queries, 55)
+			opts, err := s.options(DeployOptions{Mode: mode, Candidates: cols, Seed: 2})
+			if err != nil {
+				return nil, err
+			}
+			opts.StaticColumn = -1
+			_, sum, err := serveUniform(w, opts, queries, 55)
 			if err != nil {
 				return nil, err
 			}
@@ -267,12 +250,12 @@ func Table5(w Workload, queries int) (*Result, error) {
 
 // Table6 regenerates the lookup-latency microbenchmark (Table 6): the
 // time to run Algorithm 1's argmin-distance column search as |S| grows.
-func Table6(w Workload) (*Result, error) {
+func (s setting) Table6(w Workload) (*Result, error) {
 	super, fr, err := frontierFor(w)
 	if err != nil {
 		return nil, err
 	}
-	cfg := accel.ZCU104()
+	cfg := s.board
 	res := &Result{
 		Name:   "table6",
 		Title:  fmt.Sprintf("Column-search time vs table size — %s", w),
@@ -318,7 +301,7 @@ func Table6(w Workload) (*Result, error) {
 }
 
 // HitRatioA4 regenerates the cache-hit study (Appendix A.4).
-func HitRatioA4(queries int) (*Result, error) {
+func (s setting) HitRatioA4(queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 150
 	}
@@ -328,15 +311,12 @@ func HitRatioA4(queries int) (*Result, error) {
 		Header:  []string{"workload", "avg hit ratio", "paper"},
 		Metrics: map[string]float64{},
 	}
+	opts, err := s.options(DeployOptions{})
+	if err != nil {
+		return nil, err
+	}
 	for _, w := range []Workload{ResNet50, MobileNetV3} {
-		_, sum, err := serveUniform(w, serving.Options{
-			Accel:      accel.ZCU104(),
-			Policy:     sched.StrictAccuracy,
-			Q:          4,
-			Mode:       serving.Full,
-			Candidates: 16,
-			Seed:       1,
-		}, queries, 44)
+		_, sum, err := serveUniform(w, opts, queries, 44)
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +333,7 @@ func HitRatioA4(queries int) (*Result, error) {
 // with pure intersection (§3.3's design argument): averaging preserves
 // information about kernels/channels that are frequent but not universal
 // in the window, so it should match or beat intersection.
-func AblationAvg(w Workload, queries int) (*Result, error) {
+func (s setting) AblationAvg(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 150
 	}
@@ -362,17 +342,14 @@ func AblationAvg(w Workload, queries int) (*Result, error) {
 		Title:  fmt.Sprintf("Running average vs pure intersection for cache prediction — %s", w),
 		Header: []string{"predictor", "avg lat(ms)", "avg hit", "swaps"},
 	}
+	opts, err := s.options(DeployOptions{})
+	if err != nil {
+		return nil, err
+	}
 	var lat [2]float64
 	for i, useInter := range []bool{false, true} {
-		_, sum, err := serveUniform(w, serving.Options{
-			Accel:           accel.ZCU104(),
-			Policy:          sched.StrictAccuracy,
-			Q:               4,
-			Mode:            serving.Full,
-			Candidates:      16,
-			Seed:            1,
-			UseIntersection: useInter,
-		}, queries, 31)
+		opts.UseIntersection = useInter
+		_, sum, err := serveUniform(w, opts, queries, 31)
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +374,7 @@ func AblationAvg(w Workload, queries int) (*Result, error) {
 // the latency/accuracy space keeps serving (at reduced accuracy). Each
 // arm runs on its own single accelerator: a fresh one-replica
 // deployment.
-func Overload(w Workload, queries int) (*Result, error) {
+func (s setting) Overload(w Workload, queries int) (*Result, error) {
 	if queries <= 0 {
 		queries = 120
 	}
@@ -405,7 +382,7 @@ func Overload(w Workload, queries int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, latHi, err := probeLatencies(w)
+	_, latHi, err := s.probeLatencies(w)
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +414,7 @@ func Overload(w Workload, queries int) (*Result, error) {
 				}
 				qs[i] = serving.TimedQuery{Query: q, Arrival: arr[i]}
 			}
-			dep, err := DeployCluster(DeployOptions{Workload: w, Policy: sched.StrictLatency}, ClusterOptions{})
+			dep, err := DeployCluster(DeployOptions{Workload: w, Accel: &s.board, Policy: sched.StrictLatency}, ClusterOptions{})
 			if err != nil {
 				return nil, err
 			}

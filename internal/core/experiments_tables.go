@@ -8,8 +8,8 @@ import (
 )
 
 // Table1 regenerates the buffer bandwidth-requirement table (Table 1).
-func Table1() (*Result, error) {
-	cfg := accel.ZCU104()
+func (s setting) Table1() (*Result, error) {
+	cfg := s.board
 	res := &Result{
 		Name:   "table1",
 		Title:  "Bandwidth requirement of on-chip buffers (ZCU104)",
@@ -27,7 +27,7 @@ func Table1() (*Result, error) {
 }
 
 // Table2 regenerates the resource comparison (Table 2).
-func Table2() (*Result, error) {
+func (s setting) Table2() (*Result, error) {
 	res := &Result{
 		Name:  "table2",
 		Title: "FPGA resource comparison (estimated; paper values in the notes)",
@@ -38,10 +38,10 @@ func Table2() (*Result, error) {
 		name string
 		cfg  accel.Config
 	}{
-		{"SushiAccel ZCU104 w/o PB", accel.ZCU104().WithoutPB()},
-		{"SushiAccel ZCU104 w/ PB", accel.ZCU104()},
-		{"SushiAccel AlveoU50 w/o PB", accel.AlveoU50().WithoutPB()},
-		{"SushiAccel AlveoU50 w/ PB", accel.AlveoU50()},
+		{"SushiAccel ZCU104 w/o PB", s.board.WithoutPB()},
+		{"SushiAccel ZCU104 w/ PB", s.board},
+		{"SushiAccel AlveoU50 w/o PB", s.scaleUp.WithoutPB()},
+		{"SushiAccel AlveoU50 w/ PB", s.scaleUp},
 	}
 	for _, r := range rows {
 		e := accel.EstimateResources(r.cfg)
@@ -61,7 +61,7 @@ func Table2() (*Result, error) {
 		"Xilinx DPU DPUCZDX8G", "41640*", "69180*", "0*", "60*", "438*",
 		fmt.Sprintf("%d", dpu.PeakOpsPerCycle()), f1(float64(dpu.PeakOpsPerCycle()) * dpu.FreqMHz / 1e3),
 	})
-	e := accel.EstimateResources(accel.ZCU104())
+	e := accel.EstimateResources(s.board)
 	res.Metrics = map[string]float64{
 		"lut": float64(e.LUT), "ff": float64(e.Register), "bram": float64(e.BRAM), "uram": float64(e.URAM), "dsp": float64(e.DSP),
 	}
@@ -74,8 +74,8 @@ func Table2() (*Result, error) {
 }
 
 // Table3 regenerates the buffer-configuration split (Table 3).
-func Table3() (*Result, error) {
-	with := accel.ZCU104()
+func (s setting) Table3() (*Result, error) {
+	with := s.board
 	without := with.WithoutPB()
 	res := &Result{
 		Name:   "table3",
@@ -114,7 +114,7 @@ func Table3() (*Result, error) {
 // Table4 regenerates the reuse-class feature matrix (Table 4). The rows
 // are architectural facts from the cited designs; SUSHI's row is what
 // this repository implements.
-func Table4() (*Result, error) {
+func (setting) Table4() (*Result, error) {
 	res := &Result{
 		Name:   "table4",
 		Title:  "Reuse comparison (prior works vs SUSHI)",

@@ -10,7 +10,7 @@ import (
 
 func TestFig10Experiment(t *testing.T) {
 	for _, w := range []Workload{ResNet50, MobileNetV3} {
-		r, err := Fig10(w)
+		r, err := defaultSetting.Fig10(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +24,7 @@ func TestFig10Experiment(t *testing.T) {
 // MobileNetV3's best potential saving exceeds ResNet50's.
 func TestFig10SavingsBands(t *testing.T) {
 	maxSave := func(w Workload) float64 {
-		r, err := Fig10(w)
+		r, err := defaultSetting.Fig10(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestFig10SavingsBands(t *testing.T) {
 }
 
 func TestFig12Experiment(t *testing.T) {
-	r, err := Fig12(MobileNetV3)
+	r, err := defaultSetting.Fig12(MobileNetV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFig12Experiment(t *testing.T) {
 }
 
 func TestFig13aExperiment(t *testing.T) {
-	r, err := Fig13a()
+	r, err := defaultSetting.Fig13a()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFig13aExperiment(t *testing.T) {
 func TestFig13bExperiment(t *testing.T) {
 	floor := map[Workload]float64{}
 	for _, w := range []Workload{ResNet50, MobileNetV3} {
-		r, err := Fig13b(w)
+		r, err := defaultSetting.Fig13b(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestFig13bExperiment(t *testing.T) {
 }
 
 func TestFig16Experiment(t *testing.T) {
-	r, err := Fig16(MobileNetV3, 120)
+	r, err := defaultSetting.Fig16(MobileNetV3, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig16Experiment(t *testing.T) {
 }
 
 func TestFig17Experiment(t *testing.T) {
-	r, err := Fig17(MobileNetV3, 150)
+	r, err := defaultSetting.Fig17(MobileNetV3, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFig17Experiment(t *testing.T) {
 }
 
 func TestTable1Experiment(t *testing.T) {
-	r, err := Table1()
+	r, err := defaultSetting.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTable1Experiment(t *testing.T) {
 }
 
 func TestTable2Experiment(t *testing.T) {
-	r, err := Table2()
+	r, err := defaultSetting.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTable2Experiment(t *testing.T) {
 }
 
 func TestTable3Experiment(t *testing.T) {
-	r, err := Table3()
+	r, err := defaultSetting.Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTable3Experiment(t *testing.T) {
 }
 
 func TestTable4Experiment(t *testing.T) {
-	r, err := Table4()
+	r, err := defaultSetting.Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTable4Experiment(t *testing.T) {
 }
 
 func TestTable5Experiment(t *testing.T) {
-	r, err := Table5(MobileNetV3, 80)
+	r, err := defaultSetting.Table5(MobileNetV3, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTable5Experiment(t *testing.T) {
 }
 
 func TestTable6Experiment(t *testing.T) {
-	r, err := Table6(MobileNetV3)
+	r, err := defaultSetting.Table6(MobileNetV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestTable6Experiment(t *testing.T) {
 }
 
 func TestHitRatioA4Experiment(t *testing.T) {
-	r, err := HitRatioA4(80)
+	r, err := defaultSetting.HitRatioA4(80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestHitRatioA4Experiment(t *testing.T) {
 }
 
 func TestFig9Experiment(t *testing.T) {
-	r, err := Fig9(ResNet50)
+	r, err := defaultSetting.Fig9(ResNet50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFig9Experiment(t *testing.T) {
 }
 
 func TestOverloadExperiment(t *testing.T) {
-	r, err := Overload(MobileNetV3, 80)
+	r, err := defaultSetting.Overload(MobileNetV3, 80)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // time for it.
 func TestHeteroExperiment(t *testing.T) {
 	const queries = 120
-	latLo, latHi, err := probeLatencies(MobileNetV3)
+	latLo, latHi, err := defaultSetting.probeLatencies(MobileNetV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestHeteroExperiment(t *testing.T) {
 func TestBatchSweepExperiment(t *testing.T) {
 	const queries, replicas = 160, 2
 	for _, w := range []Workload{MobileNetV3, ResNet50} {
-		_, latHi, err := probeLatencies(w)
+		_, latHi, err := defaultSetting.probeLatencies(w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -360,7 +360,7 @@ func TestMultiTenantExperiment(t *testing.T) {
 	latHi := map[Workload]float64{}
 	meanRate := 0.0
 	for _, m := range models {
-		_, hi, err := probeLatencies(m)
+		_, hi, err := defaultSetting.probeLatencies(m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,12 +19,12 @@ type experimentEntry struct {
 	// workload is the default when the id carries no ":workload" suffix
 	// ("" means ResNet50). Workload-insensitive runners ignore it.
 	workload Workload
-	run      func(Workload) (*Result, error)
+	run      func(setting, Workload) (*Result, error)
 }
 
 // fixed adapts a workload-insensitive experiment to the registry shape.
-func fixed(run func() (*Result, error)) func(Workload) (*Result, error) {
-	return func(Workload) (*Result, error) { return run() }
+func fixed(run func(setting) (*Result, error)) func(setting, Workload) (*Result, error) {
+	return func(s setting, _ Workload) (*Result, error) { return run(s) }
 }
 
 // experimentRegistry is filled in init because its fidelity entry runs
@@ -33,40 +33,44 @@ var experimentRegistry []experimentEntry
 
 func init() {
 	experimentRegistry = []experimentEntry{
-		{id: "fig2", run: Fig2},
-		{id: "fig3", run: fixed(Fig3)},
-		{id: "fig9", run: Fig9},
-		{id: "fig10", run: Fig10},
-		{id: "fig11", run: Fig11},
-		{id: "fig12", run: Fig12},
-		{id: "fig13a", run: fixed(Fig13a)},
-		{id: "fig13b", run: Fig13b},
-		{id: "fig14", run: fixed(Fig14)},
-		{id: "fig15", run: func(w Workload) (*Result, error) { return Fig15(w, sched.StrictLatency, 0) }},
-		{id: "fig15acc", run: func(w Workload) (*Result, error) { return Fig15(w, sched.StrictAccuracy, 0) }},
-		{id: "fig16", run: func(w Workload) (*Result, error) { return Fig16(w, 0) }},
-		{id: "fig17", run: func(w Workload) (*Result, error) { return Fig17(w, 0) }},
+		{id: "fig2", run: setting.Fig2},
+		{id: "fig3", run: fixed(setting.Fig3)},
+		{id: "fig9", run: setting.Fig9},
+		{id: "fig10", run: setting.Fig10},
+		{id: "fig11", run: setting.Fig11},
+		{id: "fig12", run: setting.Fig12},
+		{id: "fig13a", run: fixed(setting.Fig13a)},
+		{id: "fig13b", run: setting.Fig13b},
+		{id: "fig14", run: fixed(setting.Fig14)},
+		{id: "fig15", run: func(s setting, w Workload) (*Result, error) { return s.Fig15(w, sched.StrictLatency, 0) }},
+		{id: "fig15acc", run: func(s setting, w Workload) (*Result, error) { return s.Fig15(w, sched.StrictAccuracy, 0) }},
+		{id: "fig16", run: func(s setting, w Workload) (*Result, error) { return s.Fig16(w, 0) }},
+		{id: "fig17", run: func(s setting, w Workload) (*Result, error) { return s.Fig17(w, 0) }},
 		// fig18 is fig17's companion Q-sweep on the MobileNetV3 family.
-		{id: "fig18", workload: MobileNetV3, run: func(w Workload) (*Result, error) { return Fig17(w, 0) }},
-		{id: "table1", run: fixed(Table1)},
-		{id: "table2", run: fixed(Table2)},
-		{id: "table3", run: fixed(Table3)},
-		{id: "table4", run: fixed(Table4)},
-		{id: "table5", run: func(w Workload) (*Result, error) { return Table5(w, 0) }},
-		{id: "table6", run: Table6},
-		{id: "hitratio", run: fixed(func() (*Result, error) { return HitRatioA4(0) })},
-		{id: "ablation-avg", run: func(w Workload) (*Result, error) { return AblationAvg(w, 0) }},
-		{id: "overload", run: func(w Workload) (*Result, error) { return Overload(w, 0) }},
-		{id: "fidelity", run: fixed(fidelity)},
+		{id: "fig18", workload: MobileNetV3, run: func(s setting, w Workload) (*Result, error) { return s.Fig17(w, 0) }},
+		{id: "table1", run: fixed(setting.Table1)},
+		{id: "table2", run: fixed(setting.Table2)},
+		{id: "table3", run: fixed(setting.Table3)},
+		{id: "table4", run: fixed(setting.Table4)},
+		{id: "table5", run: func(s setting, w Workload) (*Result, error) { return s.Table5(w, 0) }},
+		{id: "table6", run: setting.Table6},
+		{id: "hitratio", run: fixed(func(s setting) (*Result, error) { return s.HitRatioA4(0) })},
+		{id: "ablation-avg", run: func(s setting, w Workload) (*Result, error) { return s.AblationAvg(w, 0) }},
+		{id: "overload", run: func(s setting, w Workload) (*Result, error) { return s.Overload(w, 0) }},
+		{id: "fidelity", run: fixed(func(s setting) (*Result, error) { return s.fidelity(claims) })},
 	}
 }
 
 // Experiment regenerates one of the paper's tables or figures by id
-// (see Experiments). An "id:workload" suffix picks the SuperNet family;
-// without one the registry entry's default applies (resnet50 unless the
-// entry says otherwise). Every id rejects an unknown workload;
-// workload-insensitive experiments otherwise ignore the suffix.
-func Experiment(id string) (*Result, error) {
+// (see Experiments) on the paper's hardware. An "id:workload" suffix
+// picks the SuperNet family; without one the registry entry's default
+// applies (resnet50 unless the entry says otherwise). Every id rejects
+// an unknown workload; workload-insensitive experiments otherwise
+// ignore the suffix.
+func Experiment(id string) (*Result, error) { return defaultSetting.experiment(id) }
+
+// experiment runs the registry id at s.
+func (s setting) experiment(id string) (*Result, error) {
 	name, suffix, _ := strings.Cut(id, ":")
 	for _, e := range experimentRegistry {
 		if e.id != name {
@@ -77,7 +81,7 @@ func Experiment(id string) (*Result, error) {
 			_, err := BuildSuperNet(w)
 			return nil, err
 		}
-		return e.run(w)
+		return e.run(s, w)
 	}
 	return nil, fmt.Errorf("core: unknown experiment %q (have %v)", id, Experiments())
 }
@@ -205,22 +209,22 @@ func (c claim) verdict(vals []float64) string {
 	return "opposite"
 }
 
-// fidelity scores every claim on each of its runs, running each claimed
-// registry id once; claims without keys are not run.
-func fidelity() (*Result, error) {
+// fidelity scores every claim of cs on each of its runs at s, running
+// each claimed registry id once; claims without keys are not run.
+func (s setting) fidelity(cs []claim) (*Result, error) {
 	res := &Result{
 		Name:   "fidelity",
 		Title:  "Paper fidelity: reproduced vs published, one verdict per claim and run",
 		Header: []string{"id", "section", "claim", "reproduced", "published", "verdict"},
 	}
 	results := map[string]*Result{}
-	for _, c := range claims {
+	for _, c := range cs {
 		for _, run := range c.runs {
 			got, paper := "-", "-"
 			var vals []float64
 			if len(c.keys) > 0 {
 				if results[run] == nil {
-					r, err := Experiment(run)
+					r, err := s.experiment(run)
 					if err != nil {
 						return nil, err
 					}

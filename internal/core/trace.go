@@ -26,7 +26,7 @@ const (
 // (MobileNetV3 on ZCU104): budgets leave headroom over the full-PB
 // service latency so misses come from queueing, not infeasibility.
 func cohortCalibration() (total float64, budget workload.Empirical, err error) {
-	_, latHi, err := probeLatencies(MobileNetV3)
+	_, latHi, err := defaultSetting.probeLatencies(MobileNetV3)
 	if err != nil {
 		return 0, workload.Empirical{}, err
 	}

@@ -20,7 +20,7 @@ func cohortArms(t *testing.T, queries int) [3]*simq.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, latHi, err := probeLatencies(MobileNetV3)
+	_, latHi, err := defaultSetting.probeLatencies(MobileNetV3)
 	if err != nil {
 		t.Fatal(err)
 	}

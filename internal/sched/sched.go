@@ -234,19 +234,6 @@ func (s *Scheduler) SetCacheBudget(maxBytes int64) {
 // Served returns the number of scheduled queries so far.
 func (s *Scheduler) Served() int { return s.served }
 
-// AvgNet returns a copy of the current running-average vector (nil until
-// the first query). The average is materialized lazily, so AvgNet — like
-// every method other than PeekAt — must be serialized with Schedule.
-func (s *Scheduler) AvgNet() []float64 {
-	if s.filled == 0 {
-		return nil
-	}
-	s.refreshAvg()
-	out := make([]float64, len(s.avg))
-	copy(out, s.avg)
-	return out
-}
-
 // policyFor resolves the effective policy for one query.
 func (s *Scheduler) policyFor(q Query) (Policy, error) {
 	if q.Policy == nil {

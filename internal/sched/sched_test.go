@@ -706,3 +706,16 @@ func TestScheduleBatchCountsMembers(t *testing.T) {
 		t.Errorf("decision column %d != scheduler belief %d", d.CacheUpdate, s.CacheColumn())
 	}
 }
+
+// AvgNet returns a copy of the current running-average vector (nil until
+// the first query). The average is materialized lazily, so AvgNet — like
+// every method other than PeekAt — must be serialized with Schedule.
+func (s *Scheduler) AvgNet() []float64 {
+	if s.filled == 0 {
+		return nil
+	}
+	s.refreshAvg()
+	out := make([]float64, len(s.avg))
+	copy(out, s.avg)
+	return out
+}

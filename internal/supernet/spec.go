@@ -141,31 +141,6 @@ func (s *SuperNet) RandomSpec(seed int64) SubNetSpec {
 	return sp
 }
 
-// Dominates reports whether spec a selects at least as much of every
-// elastic dimension as b — in which case a's SubNet contains b's
-// (nested-prefix weight sharing).
-func (s *SuperNet) Dominates(a, b SubNetSpec) bool {
-	if len(a.Depth) != len(b.Depth) {
-		return false
-	}
-	for i := range a.Depth {
-		if a.Depth[i] < b.Depth[i] || a.ExpandIdx[i] < b.ExpandIdx[i] {
-			return false
-		}
-	}
-	if len(s.KernelChoices) > 0 {
-		for i := range a.KernelIdx {
-			if a.KernelIdx[i] < b.KernelIdx[i] {
-				return false
-			}
-		}
-	}
-	if len(s.WidthChoices) > 0 && a.WidthIdx < b.WidthIdx {
-		return false
-	}
-	return true
-}
-
 // splitMix is a tiny deterministic PRNG for spec sampling.
 type splitMix struct{ s uint64 }
 

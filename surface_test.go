@@ -21,9 +21,7 @@ var testOnlyAPI = map[string]string{
 	"simq.Result.Check":            "the engine-invariant checker simq and core tests hold each run to",
 	"simq.Result.Timed":            "expands a flat outcome record for tests that assert per-query fates",
 	"calib.FromTable":              "wraps an analytic table for the disk round-trip golden",
-	"sched.Scheduler.AvgNet":       "the average-SubNet reference the scheduler's cache choice is tested against",
 	"supernet.SuperNet.RandomSpec": "the generator of the Instantiate property test",
-	"supernet.SuperNet.Dominates":  "the predicate of the Instantiate property test",
 	"nn.Model.TotalWeightBytes":    "the reference value GraphBytes is checked against",
 	// The server records populations through workload.Population.Record
 	// and replays them; the goldens hold that path to this one.
