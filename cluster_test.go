@@ -231,10 +231,12 @@ func TestClusterHomogeneousHardwareBitIdentical(t *testing.T) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(plain.Outcomes), len(hw.Outcomes))
 	}
 	for i := range plain.Outcomes {
-		// A query's ID and floor live outside the record; Timed reads them.
-		p, h := plain.Timed(i).Query, hw.Timed(i).Query
+		// A query's ID, floor, arrival and start live outside the record
+		// or are derived from it; Timed reads them.
+		p, h := plain.Timed(i), hw.Timed(i)
 		if plain.Outcomes[i] != hw.Outcomes[i] || plain.Service(i) != hw.Service(i) ||
-			p.ID != h.ID || math.Float64bits(p.MinAccuracy) != math.Float64bits(h.MinAccuracy) {
+			p.Query.ID != h.Query.ID || math.Float64bits(p.Query.MinAccuracy) != math.Float64bits(h.Query.MinAccuracy) ||
+			math.Float64bits(p.Arrival) != math.Float64bits(h.Arrival) || math.Float64bits(p.Start) != math.Float64bits(h.Start) {
 			t.Fatalf("outcome %d diverged:\nWithReplicas: %+v %+v %+v\nWithHardware: %+v %+v %+v",
 				i, plain.Outcomes[i], plain.Service(i), p, hw.Outcomes[i], hw.Service(i), h)
 		}

@@ -18,7 +18,9 @@ package sushi_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -186,6 +188,46 @@ var identityRuns = []struct {
 			return res
 		},
 	},
+}
+
+// instantDigest hashes the bits of every timing field Timed reads back
+// — Arrival, Start, Finish, E2ELatency, QueueDelay and MaxLatency — so
+// a one-ulp slip that outcomeDigest's %.12e cannot see still shows.
+func instantDigest(t *testing.T, res *sushi.SimResult) string {
+	t.Helper()
+	if err := res.Check(); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b []byte
+	for i := range res.Outcomes {
+		o := res.Timed(i)
+		b = b[:0]
+		for _, v := range []float64{o.Arrival, o.Start, o.Finish, o.E2ELatency, o.QueueDelay, o.Query.MaxLatency} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		h.Write(b)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestInstantBits pins each identity run's instants bit for bit: the
+// record stores Finish, E2ELatency and MaxLatency, and Timed derives
+// Arrival, Start and QueueDelay from them, so the derivation (and its
+// exceptions) must reproduce the engine's float64s exactly.
+func TestInstantBits(t *testing.T) {
+	golden := map[string]string{
+		"homogeneous-mbv3-degrade":    "647e6c6a4fb16a7085cd1341cdb26976464ca9052e577baeac16b51fb761a9d7",
+		"multitenant-shared-traffic":  "d528ca1128f0540f2147230f47be11907c2f80657a78e678ffde4e8e0a59d0db",
+		"hetero-rn50-recache-batched": "72ebe0f8663b2754b5c0561bdd7b58e864fc61d2ad1777adbfee3be2e5066495",
+	}
+	for _, ir := range identityRuns {
+		t.Run(ir.name, func(t *testing.T) {
+			if got := instantDigest(t, ir.run(t)); got != golden[ir.name] {
+				t.Errorf("instants diverged from their pin:\n  got    %s\n  golden %s", got, golden[ir.name])
+			}
+		})
+	}
 }
 
 // TestSingleModelBitIdentical is the refactor's safety property: a

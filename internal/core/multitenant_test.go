@@ -94,9 +94,14 @@ func TestMultiTenantSimulateDeterministic(t *testing.T) {
 		if a.Service(i) != b.Service(i) {
 			t.Fatalf("multi-tenant runs diverge in outcome %d's service: %+v vs %+v", i, a.Service(i), b.Service(i))
 		}
-		// A query's ID and floor live outside the record; Timed reads them.
-		if qa, qb := a.Timed(i).Query, b.Timed(i).Query; qa.ID != qb.ID || math.Float64bits(qa.MinAccuracy) != math.Float64bits(qb.MinAccuracy) {
+		// A query's ID, floor, arrival and start live outside the record
+		// or are derived from it; Timed reads them.
+		ta, tb := a.Timed(i), b.Timed(i)
+		if qa, qb := ta.Query, tb.Query; qa.ID != qb.ID || math.Float64bits(qa.MinAccuracy) != math.Float64bits(qb.MinAccuracy) {
 			t.Fatalf("multi-tenant runs diverge in outcome %d's query: %+v vs %+v", i, qa, qb)
+		}
+		if math.Float64bits(ta.Arrival) != math.Float64bits(tb.Arrival) || math.Float64bits(ta.Start) != math.Float64bits(tb.Start) {
+			t.Fatalf("multi-tenant runs diverge in outcome %d's instants: arrival %g/%g, start %g/%g", i, ta.Arrival, tb.Arrival, ta.Start, tb.Start)
 		}
 	}
 	if !reflect.DeepEqual(a.Summary, b.Summary) {
@@ -157,7 +162,7 @@ func TestMultiTenantBatchingNeverMixesModels(t *testing.T) {
 		if o.Dropped {
 			continue
 		}
-		k := flushKey{o.Replica, o.Start}
+		k := flushKey{o.Replica, res.Timed(i).Start}
 		if flushes[k] == nil {
 			flushes[k] = map[string]bool{}
 		}

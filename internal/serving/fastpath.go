@@ -38,8 +38,10 @@ type buildEntry struct {
 }
 
 // buildCacheCap bounds the build memo; a process constructing an
-// unbounded stream of distinct supernets (tests, fuzzing) falls back to
-// uncached builds instead of growing the map forever.
+// unbounded stream of distinct supernets (tests, fuzzing) clears the
+// memo when it is full and starts over, as the scheduler's window memo
+// does, instead of growing the map forever. A caller holding an entry
+// keeps it: clearing drops only the map's reference.
 const buildCacheCap = 64
 
 var (
@@ -75,13 +77,8 @@ func buildTableCached(super *supernet.SuperNet, frontier []*supernet.SubNet, opt
 	if e == nil {
 		if builds == nil {
 			builds = make(map[buildKey]*buildEntry)
-		}
-		if len(builds) >= buildCacheCap {
-			buildMu.Unlock()
-			if len(budgets) > 0 {
-				return buildTenantTableUncached(super, frontier, opt, budgets)
-			}
-			return buildTableUncached(super, frontier, opt)
+		} else if len(builds) >= buildCacheCap {
+			clear(builds)
 		}
 		e = &buildEntry{}
 		builds[key] = e

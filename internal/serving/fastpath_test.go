@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sushi/internal/accel"
+	"sushi/internal/latencytable"
 	"sushi/internal/sched"
 	"sushi/internal/supernet"
 	"sushi/internal/workload"
@@ -173,5 +174,27 @@ func TestAffinityScoreMatchesSlowPath(t *testing.T) {
 		if _, err := fleet[i%len(fleet)].ServeVirtual(q, q, false); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBuildMemoAdmitsPastCap: once the build memo has held buildCacheCap
+// distinct builds, a new key is still memoized, so building it again
+// returns the same table rather than a fresh derivation.
+func TestBuildMemoAdmitsPastCap(t *testing.T) {
+	s, fr := fixtures(t, supernet.MobileNetV3)
+	fr = fr[:2] // a frontier no other test builds: its keys are this test's
+	build := func(seed int64) *latencytable.Table {
+		tab, _, err := BuildTable(s, fr, Options{Accel: accel.ZCU104(), Mode: Full, Candidates: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	for seed := int64(0); seed <= buildCacheCap; seed++ {
+		build(seed)
+	}
+	const past = buildCacheCap + 1
+	if a, b := build(past), build(past); a != b {
+		t.Errorf("a key built after the memo's cap was rebuilt on repeat: %p, then %p", a, b)
 	}
 }

@@ -33,16 +33,17 @@ func batchRun(t *testing.T, b Batching, n int, rateFactor float64) *Result {
 }
 
 // sameRecord reports whether outcome i reads the same in a and b: the
-// record, its service tuple, and its ID and floor (bit for bit), which
-// live in the Result's columns.
+// record, its service tuple, and (bit for bit) its ID, floor, arrival
+// and start, which Timed reads from the Result's columns or derives.
 func sameRecord(a, b *Result, i int) bool {
-	qa, qb := a.Timed(i).Query, b.Timed(i).Query
+	ta, tb := a.Timed(i), b.Timed(i)
 	return a.Outcomes[i] == b.Outcomes[i] && a.Service(i) == b.Service(i) &&
-		qa.ID == qb.ID && math.Float64bits(qa.MinAccuracy) == math.Float64bits(qb.MinAccuracy)
+		ta.Query.ID == tb.Query.ID && math.Float64bits(ta.Query.MinAccuracy) == math.Float64bits(tb.Query.MinAccuracy) &&
+		math.Float64bits(ta.Arrival) == math.Float64bits(tb.Arrival) && math.Float64bits(ta.Start) == math.Float64bits(tb.Start)
 }
 
 // sameOutcomes compares two outcome streams record by record, service
-// tuples, IDs and floors included.
+// tuples, IDs, floors and instants included.
 func sameOutcomes(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.Outcomes) != len(b.Outcomes) {
@@ -99,13 +100,14 @@ func TestBatchedVirtualTimeExact(t *testing.T) {
 		if o.Dropped {
 			continue
 		}
-		if got, lat := o.Finish-o.Start, res.Service(i).Latency; math.Abs(got-lat) > 1e-12 {
+		start := res.Timed(i).Start
+		if got, lat := o.Finish-start, res.Service(i).Latency; math.Abs(got-lat) > 1e-12 {
 			t.Fatalf("outcome %d: Finish-Start %g != Latency %g", i, got, lat)
 		}
 		if o.Batch < 1 || o.Batch > 8 {
 			t.Fatalf("outcome %d: batch size %d outside [1, 8]", i, o.Batch)
 		}
-		groups[flushKey{o.Replica, o.Start}] = append(groups[flushKey{o.Replica, o.Start}], i)
+		groups[flushKey{o.Replica, start}] = append(groups[flushKey{o.Replica, start}], i)
 	}
 	sawMulti := false
 	for k, g := range groups {
@@ -181,9 +183,9 @@ func TestBatchWindowBoundsFormerWait(t *testing.T) {
 		if lat := res.Service(i).Latency; lat > maxService {
 			maxService = lat
 		}
-		if o.QueueDelay() > window+10*maxService {
+		if wait := res.Timed(i).QueueDelay; wait > window+10*maxService {
 			t.Fatalf("outcome %d waited %.4fs with window %.4fs at light load",
-				i, o.QueueDelay(), window)
+				i, wait, window)
 		}
 	}
 	if res.Summary.Batches == 0 {

@@ -19,13 +19,24 @@ import (
 //     Finish, Row, model and Batch, and Batch is their number;
 //   - overlap: per replica, the busy intervals [Start, Finish +
 //     RecacheSec] of distinct passes never overlap;
-//   - drop: a dropped query has Batch 0 and no service field;
+//   - drop: a dropped query has Batch 0 and no service field, and
+//     starts at its finish;
 //   - service: the service table starts with the zero tuple and holds
 //     each tuple once, and every record's index is in it;
 //   - columns: the ID-offset and accuracy-floor columns are each nil or
-//     one slot per record.
+//     one slot per record;
+//   - aside: a record is flagged flagAside if and only if the aside map
+//     holds its instants.
+//
+// Order, flush and overlap read each served record's start through its
+// service latency, so they run only once the service rule holds.
 func (r *Result) Check() error {
-	return errors.Join(r.checkConservation(), r.checkOrder(), r.checkFlush(), r.checkOverlap(), r.checkDrop(), r.checkService(), r.checkColumns())
+	svc := r.checkService()
+	errs := []error{r.checkConservation(), r.checkDrop(), svc, r.checkColumns(), r.checkAside()}
+	if svc == nil {
+		errs = append(errs, r.checkOrder(), r.checkFlush(), r.checkOverlap())
+	}
+	return errors.Join(errs...)
 }
 
 func (r *Result) checkConservation() error {
@@ -56,8 +67,8 @@ func (r *Result) checkConservation() error {
 
 func (r *Result) checkOrder() error {
 	for i := range r.Outcomes {
-		if o := &r.Outcomes[i]; !(o.Arrival <= o.Start && o.Start <= o.Finish) {
-			return fmt.Errorf("simq: check order: outcome %d: arrival %g, start %g, finish %g", i, o.Arrival, o.Start, o.Finish)
+		if arrival, start := r.times(i); !(arrival <= start && start <= r.Outcomes[i].Finish) {
+			return fmt.Errorf("simq: check order: outcome %d: arrival %g, start %g, finish %g", i, arrival, start, r.Outcomes[i].Finish)
 		}
 	}
 	return nil
@@ -88,7 +99,8 @@ func (r *Result) passes() ([]pass, map[passKey]int) {
 		if o.Dropped {
 			continue
 		}
-		k := passKey{o.Replica, o.Start}
+		_, start := r.times(i)
+		k := passKey{o.Replica, start}
 		pi, ok := at[k]
 		if !ok {
 			pi = len(ps)
@@ -112,14 +124,15 @@ func (r *Result) checkFlush() error {
 		if o.Dropped {
 			continue
 		}
-		p := &ps[at[passKey{o.Replica, o.Start}]]
+		_, start := r.times(i)
+		p := &ps[at[passKey{o.Replica, start}]]
 		if h := &r.Outcomes[p.head]; o.Finish != h.Finish || o.Row != h.Row || o.model != h.model || o.Batch != h.Batch {
 			return fmt.Errorf("simq: check flush: outcomes %d and %d share replica %d's pass at %g but differ in finish, row, model or batch:\n%+v\n%+v",
-				p.head, i, o.Replica, o.Start, *h, *o)
+				p.head, i, o.Replica, start, *h, *o)
 		}
 		if p.members != int(o.Batch) {
 			return fmt.Errorf("simq: check flush: replica %d's pass at %g has %d members but outcome %d records batch size %d",
-				o.Replica, o.Start, p.members, i, o.Batch)
+				o.Replica, start, p.members, i, o.Batch)
 		}
 	}
 	return nil
@@ -148,11 +161,15 @@ func (r *Result) checkDrop() error {
 		if !o.Dropped {
 			continue
 		}
-		echo := Outcome{Arrival: o.Arrival, Start: o.Start, Finish: o.Finish, E2ELatency: o.E2ELatency,
+		echo := Outcome{Finish: o.Finish, E2ELatency: o.E2ELatency,
 			MaxLatency: o.MaxLatency, Replica: o.Replica,
-			class: o.class, model: o.model, policy: o.policy, Reason: o.Reason, Degraded: o.Degraded, Dropped: true}
+			class: o.class, model: o.model, policy: o.policy, flags: o.flags & flagAside,
+			Reason: o.Reason, Degraded: o.Degraded, Dropped: true}
 		if *o != echo {
 			return fmt.Errorf("simq: check drop: dropped outcome %d carries service fields: %+v", i, *o)
+		}
+		if _, start := r.times(i); start != o.Finish {
+			return fmt.Errorf("simq: check drop: dropped outcome %d starts at %g but finishes at %g", i, start, o.Finish)
 		}
 	}
 	return nil
@@ -178,6 +195,23 @@ func (r *Result) checkService() error {
 func (r *Result) checkColumns() error {
 	if n := len(r.Outcomes); r.idOff != nil && len(r.idOff) != n || r.minAcc != nil && len(r.minAcc) != n {
 		return fmt.Errorf("simq: check columns: %d outcomes, but the ID column has %d slots and the floor column %d (0 while nil)", n, len(r.idOff), len(r.minAcc))
+	}
+	return nil
+}
+
+func (r *Result) checkAside() error {
+	flagged := 0
+	for i := range r.Outcomes {
+		if r.Outcomes[i].flags&flagAside == 0 {
+			continue
+		}
+		flagged++
+		if _, ok := r.aside[i]; !ok {
+			return fmt.Errorf("simq: check aside: outcome %d is flagged, but its instants are not set aside", i)
+		}
+	}
+	if flagged != len(r.aside) {
+		return fmt.Errorf("simq: check aside: %d instants set aside for %d flagged outcomes", len(r.aside), flagged)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package simq
 
 import (
+	"maps"
 	"strings"
 	"testing"
 )
@@ -11,26 +12,28 @@ import (
 func TestCheckBites(t *testing.T) {
 	good := batchRun(t, Batching{MaxBatch: 4, Window: 0.01}, 160, 3)
 
-	// What the faults need from the fixture: a drop, a pass of several
-	// members, and a replica's pass with a later pass behind it.
+	// What the faults need from the fixture: a drop that waited and a
+	// pass of several members, both with derived instants, and a
+	// replica's pass with a later pass behind it.
 	dropped, member, earlier := -1, -1, -1
 	lastStart := map[uint16]float64{}
-	for _, o := range good.Outcomes {
-		lastStart[o.Replica] = max(lastStart[o.Replica], o.Start)
+	for i, o := range good.Outcomes {
+		lastStart[o.Replica] = max(lastStart[o.Replica], good.Timed(i).Start)
 	}
 	for i, o := range good.Outcomes {
 		switch {
-		case o.Dropped:
+		case o.flags&flagAside != 0:
+		case o.Dropped && o.E2ELatency > 0:
 			dropped = i
 		case o.Batch > 1:
 			member = i
 		}
-		if !o.Dropped && o.Start < lastStart[o.Replica] && earlier < 0 {
+		if !o.Dropped && good.Timed(i).Start < lastStart[o.Replica] && earlier < 0 {
 			earlier = i
 		}
 	}
 	if dropped < 0 || member < 0 || earlier < 0 || good.idOff != nil || good.minAcc != nil {
-		t.Fatalf("fixture lacks a drop (%d), a multi-member pass (%d) or a followed pass (%d), or has a column", dropped, member, earlier)
+		t.Fatalf("fixture lacks a drop that waited (%d) or a multi-member pass (%d) with derived instants, or a followed pass (%d), or has a column", dropped, member, earlier)
 	}
 
 	// repoint gives record i a service tuple of its own: edit's change to
@@ -47,22 +50,39 @@ func TestCheckBites(t *testing.T) {
 	}{
 		{"conservation", func(r *Result) { r.Served++ }},
 		{"conservation", func(r *Result) { r.Outcomes[dropped].Reason = ReasonNone }},
-		{"order", func(r *Result) { r.Outcomes[member].Arrival = r.Outcomes[member].Start + 1 }},
+		// An E2E latency below zero derives an arrival after the finish.
+		{"order", func(r *Result) { r.Outcomes[member].E2ELatency = -1 }},
 		{"flush", func(r *Result) { r.Outcomes[member].Row++ }},
 		{"flush", func(r *Result) { r.Outcomes[member].Batch-- }},
 		{"overlap", func(r *Result) { repoint(r, earlier, func(s *Service) { s.RecacheSec += 1e3 }) }},
 		{"drop", func(r *Result) { r.Outcomes[dropped].svc = 1 }},
 		{"drop", func(r *Result) { r.Outcomes[dropped].Batch = 1 }},
+		{"drop", func(r *Result) { // starts at its arrival, before its finish
+			arrival, _ := r.times(dropped)
+			r.Outcomes[dropped].flags |= flagAside
+			r.aside[dropped] = instants{arrival, arrival}
+		}},
 		{"service", func(r *Result) { r.Outcomes[member].svc = uint32(len(r.services)) }},
 		{"service", func(r *Result) { repoint(r, member, func(*Service) {}) }},
 		// The fixture numbers its queries by index and sets no floor, so
 		// both columns are nil; a column one slot short is the fault.
 		{"columns", func(r *Result) { r.idOff = make([]int64, len(r.Outcomes)-1) }},
 		{"columns", func(r *Result) { r.minAcc = make([]float64, len(r.Outcomes)-1) }},
+		// A drop derives the instants it would set aside, so the flag and
+		// the map can each go astray without moving an instant.
+		{"aside", func(r *Result) { r.Outcomes[dropped].flags |= flagAside }},
+		{"aside", func(r *Result) {
+			arrival, start := r.times(dropped)
+			r.aside[dropped] = instants{arrival, start}
+		}},
 	} {
 		bad := *good
 		bad.Outcomes = append([]Outcome(nil), good.Outcomes...)
 		bad.services = append([]Service(nil), good.services...)
+		bad.aside = maps.Clone(good.aside)
+		if bad.aside == nil {
+			bad.aside = map[int]instants{}
+		}
 		f.fault(&bad)
 		err := bad.Check()
 		if err == nil {

@@ -253,7 +253,8 @@ func BenchmarkRunProcess(b *testing.B) {
 // cache swap; with the 120-byte record it read 121.9, with the service
 // tuples interned into the Result's table (80 bytes) ~82, and with the
 // ID and floor moved to columns this index-numbered, floor-free stream
-// never allocates (64 bytes) 65.8. A record that grew back, a column
+// never allocates (64 bytes) 65.8, and with the arrival and start
+// derived from the record (48 bytes) 49.7. A record that grew back, a column
 // allocated for nothing, or a per-query copy that escaped to the heap
 // fails here; the allocation COUNT stays with the two tests above.
 func TestMarginalQueryCost(t *testing.T) {

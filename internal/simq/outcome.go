@@ -18,14 +18,18 @@ import (
 // the Result owns. The query's ID and accuracy floor are not in the
 // record: nearly every stream numbers its queries by arrival index and
 // sets no floor, so the Result keeps them in columns allocated only
-// once a run needs them (see Result). (*Result).Timed re-inflates a
-// record into the serving.TimedServed shape.
+// once a run needs them (see Result). Nor are the arrival and start
+// instants: each is derived from the record (see Result.times), and
+// the Result keeps the rare pair the derivation would not reproduce bit
+// for bit aside. (*Result).Timed re-inflates a record into the
+// serving.TimedServed shape.
 type Outcome struct {
-	// Arrival, Start and Finish are absolute virtual instants. Members
-	// of one flush share Start and Finish: the batch is one accelerator
-	// pass. A dropped query has Start == Finish == the drop instant.
-	Arrival, Start, Finish float64
-	// E2ELatency is Finish - Arrival (queueing + service).
+	// Finish is the absolute virtual instant the query's pass ended.
+	// Members of one flush share it (and their start): the batch is one
+	// accelerator pass. A dropped query starts and finishes at the drop
+	// instant.
+	Finish float64
+	// E2ELatency is Finish - arrival (queueing + service).
 	E2ELatency float64
 	// MaxLatency echoes the latency budget the query was served under
 	// (after load-aware debiting or the degrade rewrite); a dropped query
@@ -43,7 +47,7 @@ type Outcome struct {
 	// class and model index the Result's class and model tables (class 0
 	// is unclassed traffic); policy is the per-query sched.Policy
 	// override, -1 for none; flags packs the five serving.Served
-	// booleans.
+	// booleans and flagAside.
 	class  uint16
 	model  uint8
 	policy int8
@@ -125,6 +129,9 @@ const (
 	flagAccuracyMet
 	flagCacheSwapped
 	flagRecached
+	// flagAside: the record's arrival and start are kept in
+	// Result.aside, not derived.
+	flagAside
 )
 
 // What the record's narrowed fields can hold. An engine refuses a
@@ -159,14 +166,12 @@ func checkWidths(replicas, models, rows int, b Batching) error {
 	return nil
 }
 
-// QueueDelay is Start - Arrival: the time the query waited before its
-// pass began (or before it was dropped).
-func (o *Outcome) QueueDelay() float64 { return o.Start - o.Arrival }
-
 // fill writes the fate of queued query j into its (still zero) record:
 // served by replica ri as s (tuple svc) in a pass of n members over
 // [start, finish], or — s nil — dropped at start == finish for reason
-// why. A drop carries the query's echo and no service field.
+// why. A drop carries the query's echo and no service field. The
+// arrival and start are set aside only if times would not derive them
+// bit for bit.
 func (r *Result) fill(j *job, s *serving.Served, svc uint32, ri int, start, finish float64, why Reason, n int) {
 	o, q := &r.Outcomes[j.idx], &j.q
 	if s != nil {
@@ -205,8 +210,18 @@ func (r *Result) fill(j *job, s *serving.Served, svc uint32, ri int, start, fini
 	if q.Policy != nil {
 		o.policy = int8(*q.Policy)
 	}
-	o.Arrival, o.Start, o.Finish = j.arrival, start, finish
-	o.E2ELatency = finish - j.arrival
+	o.Finish, o.E2ELatency = finish, finish-j.arrival
+	derived := finish
+	if s != nil {
+		derived -= s.Latency
+	}
+	if math.Float64bits(finish-o.E2ELatency) != math.Float64bits(j.arrival) || math.Float64bits(derived) != math.Float64bits(start) {
+		o.flags |= flagAside
+		if r.aside == nil {
+			r.aside = make(map[int]instants)
+		}
+		r.aside[j.idx] = instants{j.arrival, start}
+	}
 	o.Replica, o.Batch = uint16(ri), uint16(n)
 	o.class, o.model = j.class, j.model
 	o.Reason, o.Degraded, o.Dropped = why, j.degraded, s == nil
@@ -215,11 +230,37 @@ func (r *Result) fill(j *job, s *serving.Served, svc uint32, ri int, start, fini
 // Service returns record i's pass result, zero for a dropped query.
 func (r *Result) Service(i int) Service { return r.services[r.Outcomes[i].svc] }
 
+// instants is a record's arrival and start, kept aside.
+type instants struct{ arrival, start float64 }
+
+// times returns record i's arrival and start instants. A served query
+// starts its service latency before it finishes, a dropped one at its
+// finish, and every query arrives its E2ELatency before it finishes;
+// fill set aside the pairs that those subtractions do not reproduce
+// (an arrival earlier than its own E2ELatency, a start whose sum with
+// the latency rounded), so the instants come back as the engine's
+// float64s. A flag without its entry reads as derived (Check reports
+// it).
+func (r *Result) times(i int) (arrival, start float64) {
+	o := &r.Outcomes[i]
+	if o.flags&flagAside != 0 {
+		if t, ok := r.aside[i]; ok {
+			return t.arrival, t.start
+		}
+	}
+	start = o.Finish
+	if !o.Dropped {
+		start -= r.services[o.svc].Latency
+	}
+	return o.Finish - o.E2ELatency, start
+}
+
 // Timed re-inflates record i into the full serving.TimedServed shape:
 // the query echo with its model id, SLO class and policy override, the
-// served SubNet's name, and QueueDelay.
+// served SubNet's name, its arrival and start instants, and QueueDelay.
 func (r *Result) Timed(i int) serving.TimedServed {
 	o, sv := &r.Outcomes[i], r.Service(i)
+	arrival, start := r.times(i)
 	id := int64(i)
 	if r.idOff != nil {
 		id += r.idOff[i]
@@ -243,8 +284,8 @@ func (r *Result) Timed(i int) serving.TimedServed {
 			HitBytes:       sv.HitBytes,
 			OffChipEnergyJ: sv.OffChipEnergyJ,
 		},
-		Arrival: o.Arrival, Start: o.Start, Finish: o.Finish,
-		QueueDelay: o.QueueDelay(), E2ELatency: o.E2ELatency,
+		Arrival: arrival, Start: start, Finish: o.Finish,
+		QueueDelay: start - arrival, E2ELatency: o.E2ELatency,
 		Dropped: o.Dropped,
 	}
 	if r.minAcc != nil {

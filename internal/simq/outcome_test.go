@@ -15,15 +15,17 @@ import (
 )
 
 // TestOutcomeLayout pins the two properties Result.Outcomes' cost rests
-// on: the record stays within 64 bytes, and it holds no pointer of any
+// on: the record stays within 48 bytes, and it holds no pointer of any
 // kind, so the slice is one allocation the collector never scans. A
-// field added as a string, or a service number (or a query ID) stored
-// per record instead of in the Result's tables and columns, fails here,
-// not in a heap profile.
+// field added as a string, or a service number, a query ID or an
+// instant the record can derive stored per record instead of in the
+// Result's tables and columns, fails here, not in a heap profile.
 func TestOutcomeLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Outcome{}); size > 64 {
-		t.Errorf("Outcome is %d bytes; the record's budget is 64", size)
+	size := unsafe.Sizeof(Outcome{})
+	if size > 48 {
+		t.Errorf("Outcome is %d bytes; the record's budget is 48", size)
 	}
+	t.Logf("Outcome is %d bytes", size)
 	typ := reflect.TypeOf(Outcome{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -54,7 +56,9 @@ func twoTenantEngine() *Engine {
 // Result.Timed, field for field. The first rows number their queries by
 // arrival index and set no accuracy floor, so the ID and floor columns
 // are allocated mid-run (the floor's by a -0 floor); every later
-// index-valued ID and +0 floor must still come back as it went in.
+// index-valued ID and +0 floor must still come back as it went in. The
+// rows with hand-picked instants are ones the record cannot derive bit
+// for bit, so their arrival and start come back from Result.aside.
 func TestOutcomeRoundTrip(t *testing.T) {
 	pol := func(p sched.Policy) *sched.Policy { return &p }
 	type row struct {
@@ -71,6 +75,9 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		n        int
 		// wantModel is the canonical model id the echo must carry.
 		wantModel string
+		// at is the (arrival, start) pair, nil for (i, i+0.25); a pinned
+		// pair must take the exception path.
+		at *[2]float64
 	}
 	negZero := math.Copysign(0, -1)
 	rows := []row{
@@ -122,6 +129,19 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		{name: "dropped: echo only",
 			q:        sched.Query{ID: 6, Model: "mobilenetv3", Class: "batch", MinAccuracy: 70, MaxLatency: 4e-3, Policy: pol(sched.MinEnergy)},
 			degraded: true, why: ReasonShed, wantModel: "mobilenetv3"},
+		// finish - latency rounds off the start for each of these.
+		{name: "arrival 0", q: sched.Query{ID: 13}, at: &[2]float64{0, 0.1},
+			served: &serving.Served{SubNet: "r0", Latency: 0.2}, n: 1, wantModel: "resnet50"},
+		{name: "start + latency crosses a power of two", q: sched.Query{ID: 14}, at: &[2]float64{0.875, 0.9},
+			served: &serving.Served{SubNet: "r0", Latency: 0.2}, n: 1, wantModel: "resnet50"},
+		{name: "start + latency is a rounding tie", q: sched.Query{ID: 15}, at: &[2]float64{1 + 0x1p-52, 1 + 0x1p-52},
+			served: &serving.Served{SubNet: "r0", Latency: 3 * 0x1p-53}, n: 1, wantModel: "resnet50"},
+		// finish - E2ELatency rounds off an arrival earlier than its own
+		// E2E latency; the start derives.
+		{name: "arrival before its own E2E, served", q: sched.Query{ID: 16}, at: &[2]float64{0.1, 0.2},
+			served: &serving.Served{SubNet: "r0", Latency: 0.3}, n: 1, wantModel: "resnet50"},
+		{name: "arrival before its own E2E, dropped", q: sched.Query{ID: 17}, at: &[2]float64{0.1, 0.7},
+			why: ReasonDeadline, wantModel: "resnet50"},
 	}
 	for i := 0; i < 300; i++ {
 		// More classes than a byte indexes, each distinct; index-valued
@@ -138,6 +158,9 @@ func TestOutcomeRoundTrip(t *testing.T) {
 	want := make([]serving.TimedServed, len(rows))
 	for i, r := range rows {
 		arrival, start := float64(i), float64(i)+0.25
+		if r.at != nil {
+			arrival, start = r.at[0], r.at[1]
+		}
 		j := job{q: r.q, arrival: arrival, idx: i, degraded: r.degraded}
 		if err := in.admit(&j); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
@@ -175,7 +198,7 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		t.Errorf("service indices %d, %d, %d, %d: want rows 2 and 4 to share one, rows 3 and 5 to differ",
 			o[0].svc, o[1].svc, o[2].svc, o[3].svc)
 	}
-	if err := errors.Join(res.checkService(), res.checkColumns()); err != nil {
+	if err := errors.Join(res.checkService(), res.checkColumns(), res.checkAside()); err != nil {
 		t.Error(err)
 	}
 	for i, r := range rows {
@@ -191,6 +214,20 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		o := res.Outcomes[i]
 		if o.Replica != 3 || o.Reason != r.why || o.Degraded != r.degraded || int(o.Batch) != r.n || got.Query.ID != r.q.ID {
 			t.Errorf("%s: record %+v (ID %d) lost a direct field", r.name, o, got.Query.ID)
+		}
+		// DeepEqual takes -0 for +0 here too: compare the instants' bits.
+		g, w := got, want[i]
+		for _, f := range []struct {
+			name string
+			g, w float64
+		}{{"arrival", g.Arrival, w.Arrival}, {"start", g.Start, w.Start}, {"finish", g.Finish, w.Finish},
+			{"E2E latency", g.E2ELatency, w.E2ELatency}, {"queue delay", g.QueueDelay, w.QueueDelay}} {
+			if math.Float64bits(f.g) != math.Float64bits(f.w) {
+				t.Errorf("%s: %s came back %b, want %b", r.name, f.name, math.Float64bits(f.g), math.Float64bits(f.w))
+			}
+		}
+		if r.at != nil && o.flags&flagAside == 0 {
+			t.Errorf("%s: instants (%g, %g) derived from the record, want them set aside", r.name, r.at[0], r.at[1])
 		}
 	}
 }

@@ -95,11 +95,11 @@ func TestRecacheCostChargedInVirtualTime(t *testing.T) {
 		sv := res.Service(i)
 		wantTotal += sv.Latency + sv.RecacheSec
 		if i+1 < len(res.Outcomes) {
-			next := res.Outcomes[i+1]
+			next := res.Timed(i + 1).Start
 			wantStart := o.Finish + sv.RecacheSec
-			if math.Abs(next.Start-wantStart) > 1e-12 {
+			if math.Abs(next-wantStart) > 1e-12 {
 				t.Fatalf("query %d starts at %g, want %g (prev finish %g + recache %g)",
-					i+1, next.Start, wantStart, o.Finish, sv.RecacheSec)
+					i+1, next, wantStart, o.Finish, sv.RecacheSec)
 			}
 		}
 	}

@@ -242,6 +242,11 @@ type Result struct {
 	// = index" and "floor +0", so none needs a back-fill.
 	idOff  []int64
 	minAcc []float64
+	// aside holds, by outcome, the arrival and start of each record
+	// flagged flagAside: the few whose instants times cannot derive bit
+	// for bit (a run's first milliseconds, a sum that rounded). Nil
+	// until the first.
+	aside map[int]instants
 }
 
 // Engine is a virtual-time discrete-event simulator over replica

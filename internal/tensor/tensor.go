@@ -136,33 +136,45 @@ func Conv2D(in *Int8, w *Int8, zpIn int32, p ConvParams) (*Int32, error) {
 	out := NewInt32(Shape{N: is.N, C: ws.N, H: oh, W: ow})
 	cPerGroup := is.C / p.Groups
 	kPerGroup := ws.N / p.Groups
+	inPlane, outPlane := is.H*is.W, oh*ow
+	// Kernel, then channel, then tap, then output row: each tap's weight
+	// is read once and added into the kernel's int32 plane in place. The
+	// taps of the zero-padded border are skipped (with
+	// zero-point-corrected padding they contribute exactly zero), and
+	// int32 sums wrap the same in any order.
 	for n := 0; n < is.N; n++ {
 		for k := 0; k < ws.N; k++ {
 			g := k / kPerGroup
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
-					var acc int32
-					for c := 0; c < cPerGroup; c++ {
-						ic := g*cPerGroup + c
-						for r := 0; r < ws.H; r++ {
+			plane := out.Data[(n*ws.N+k)*outPlane:][:outPlane]
+			for c := 0; c < cPerGroup; c++ {
+				ic := g*cPerGroup + c
+				src := in.Data[(n*is.C+ic)*inPlane:][:inPlane]
+				for r := 0; r < ws.H; r++ {
+					for s := 0; s < ws.W; s++ {
+						wv := int32(w.At(k, c, r, s))
+						// Output columns x whose input column x*StrideW+s-PadW
+						// lies inside the image: [x0, x1).
+						x0, x1 := 0, 0
+						if d := p.PadW - s; d > 0 {
+							x0 = (d + p.StrideW - 1) / p.StrideW
+						}
+						if lim := is.W - 1 + p.PadW - s; lim >= 0 {
+							x1 = min(ow, lim/p.StrideW+1)
+						}
+						if x0 >= x1 {
+							continue
+						}
+						for y := 0; y < oh; y++ {
 							ih := y*p.StrideH + r - p.PadH
 							if ih < 0 || ih >= is.H {
-								// Zero-padded region contributes (-zpIn)*w;
-								// with zero-point-corrected padding the
-								// contribution is exactly zero.
 								continue
 							}
-							for s := 0; s < ws.W; s++ {
-								iw := x*p.StrideW + s - p.PadW
-								if iw < 0 || iw >= is.W {
-									continue
-								}
-								acc += (int32(in.At(n, ic, ih, iw)) - zpIn) *
-									int32(w.At(k, c, r, s))
+							row, dst := src[ih*is.W+x0*p.StrideW+s-p.PadW:], plane[y*ow:][x0:x1]
+							for x := range dst {
+								dst[x] += (int32(row[x*p.StrideW]) - zpIn) * wv
 							}
 						}
 					}
-					out.Set(n, k, y, x, acc)
 				}
 			}
 		}
