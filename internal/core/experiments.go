@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"sushi/internal/accel"
 	"sushi/internal/baseline"
@@ -284,9 +285,8 @@ func (s setting) Fig13a() (*Result, error) {
 		return nil, err
 	}
 	type board struct {
-		name string
-		cfg  accel.Config
-		pb   bool
+		cfg accel.Config
+		pb  bool
 		// hostSec is the per-query host dispatch cost: the embedded
 		// ZCU104 is near-zero-copy, while the datacenter U50 pays PCIe
 		// transfers under cluster contention — the reason §5.4.2's
@@ -294,15 +294,16 @@ func (s setting) Fig13a() (*Result, error) {
 		hostSec float64
 	}
 	boards := []board{
-		{"ZCU104 w/o PB", s.board.WithoutPB(), false, 0.2e-3},
-		{"ZCU104 w/ PB", s.board, true, 0.2e-3},
-		{"AlveoU50 w/o PB", s.scaleUp.WithoutPB(), false, 4.0e-3},
-		{"AlveoU50 w/ PB", s.scaleUp, true, 4.0e-3},
+		{s.board.WithoutPB(), false, 0.2e-3},
+		{s.board, true, 0.2e-3},
+		{s.scaleUp.WithoutPB(), false, 4.0e-3},
+		{s.scaleUp, true, 4.0e-3},
 	}
+	emb, card := s.board.Name, cardName(s.scaleUp)
 	res := &Result{
 		Name:   "fig13a",
 		Title:  "Latency (ms) on ResNet50 3x3 conv layers: CPU vs SushiAccel boards",
-		Header: []string{"SubNet", "CPU", "ZCU104", "ZCU104+PB", "U50", "U50+PB", "speedup(ZCU104+PB)"},
+		Header: []string{"SubNet", "CPU", emb, emb + "+PB", card, card + "+PB", "speedup(" + emb + "+PB)"},
 	}
 	var noPB, withPB, u50 []float64
 	pbSlowdowns := 0.0
@@ -348,9 +349,13 @@ func (s setting) Fig13a() (*Result, error) {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("paper: ZCU104 %sx (w/o PB) and %sx (w/ PB) over CPU; U50 slower on small SubNets due to off-chip contention",
 			published("", "speedup_nopb_min_x").band(), published("", "speedup_min_x").band()),
-		"board latencies include host dispatch: 0.2 ms (embedded ZCU104) / 4 ms (datacenter U50 PCIe under contention)")
+		fmt.Sprintf("board latencies include host dispatch: 0.2 ms (embedded %s) / 4 ms (datacenter %s PCIe under contention)", emb, card))
 	return res, nil
 }
+
+// cardName is a scale-up card's name without its product family, as
+// §5.4.2 writes it ("AlveoU50" reads "U50").
+func cardName(c accel.Config) string { return strings.TrimPrefix(c.Name, "Alveo") }
 
 // Fig13b regenerates the energy comparison (Fig. 13b): off-chip and
 // on-chip data-access energy per frontier SubNet, without and with PB.

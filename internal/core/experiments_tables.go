@@ -12,7 +12,7 @@ func (s setting) Table1() (*Result, error) {
 	cfg := s.board
 	res := &Result{
 		Name:   "table1",
-		Title:  "Bandwidth requirement of on-chip buffers (ZCU104)",
+		Title:  "Bandwidth requirement of on-chip buffers (" + cfg.Name + ")",
 		Header: []string{"buffer", "min width (B/cycle)", "capacity (KB)", "rule"},
 	}
 	for _, s := range cfg.BufferSpecs() {
@@ -34,19 +34,14 @@ func (s setting) Table2() (*Result, error) {
 		Header: []string{"design", "LUT", "Register", "BRAM", "URAM", "DSP",
 			"PeakOps/cycle", "GFLOPS@100MHz"},
 	}
-	rows := []struct {
-		name string
-		cfg  accel.Config
-	}{
-		{"SushiAccel ZCU104 w/o PB", s.board.WithoutPB()},
-		{"SushiAccel ZCU104 w/ PB", s.board},
-		{"SushiAccel AlveoU50 w/o PB", s.scaleUp.WithoutPB()},
-		{"SushiAccel AlveoU50 w/ PB", s.scaleUp},
-	}
-	for _, r := range rows {
-		e := accel.EstimateResources(r.cfg)
+	for _, cfg := range []accel.Config{s.board.WithoutPB(), s.board, s.scaleUp.WithoutPB(), s.scaleUp} {
+		name := "SushiAccel " + cfg.Name
+		if cfg.PBBytes > 0 {
+			name += " w/ PB"
+		}
+		e := accel.EstimateResources(cfg)
 		res.Rows = append(res.Rows, []string{
-			r.name,
+			name,
 			fmt.Sprintf("%d", e.LUT),
 			fmt.Sprintf("%d", e.Register),
 			fmt.Sprintf("%d", e.BRAM),
@@ -79,7 +74,7 @@ func (s setting) Table3() (*Result, error) {
 	without := with.WithoutPB()
 	res := &Result{
 		Name:   "table3",
-		Title:  "Buffer configuration of SushiAccel (ZCU104), KB",
+		Title:  "Buffer configuration of SushiAccel (" + with.Name + "), KB",
 		Header: []string{"buffer", "w/o PB", "w/ PB"},
 	}
 	type row struct {

@@ -24,14 +24,42 @@ var expectedFlips = map[string]string{
 }
 
 // drawSetting scales each role's off-chip bandwidth and PB size by
-// independent log-uniform factors in [½, 2].
+// independent log-uniform factors in [½, 2], and marks each name drawn.
 func drawSetting(rng *rand.Rand) setting {
 	s := defaultSetting
 	for _, c := range []*accel.Config{&s.board, &s.study, &s.scaleUp} {
 		c.OffChipBW *= math.Exp2(2*rng.Float64() - 1)
 		c.PBBytes = int64(float64(c.PBBytes) * math.Exp2(2*rng.Float64()-1))
+		c.Name += " (drawn)"
 	}
 	return s
+}
+
+// TestDrawnTextNamesItsHardware: the experiments that name the board or
+// the scale-up card take the name from the setting, so at a drawn
+// setting they name the drawn hardware, and a preset's name is left
+// only on the lines that quote the paper.
+func TestDrawnTextNamesItsHardware(t *testing.T) {
+	s := drawSetting(rand.New(rand.NewSource(1)))
+	drawn := strings.NewReplacer(s.board.Name, "", s.scaleUp.Name, "", cardName(s.scaleUp), "")
+	for _, c := range []struct {
+		run  func() (*Result, error)
+		card bool // the text names the scale-up card too
+	}{{s.Table1, false}, {s.Table2, true}, {s.Table3, false}, {s.Fig13a, true}} {
+		res, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := res.String()
+		if !strings.Contains(text, s.board.Name) || c.card && !strings.Contains(text, cardName(s.scaleUp)) {
+			t.Errorf("%s does not name the drawn board %q or card %q:\n%s", res.Name, s.board.Name, cardName(s.scaleUp), text)
+		}
+		for _, line := range strings.Split(drawn.Replace(text), "\n") {
+			if !strings.Contains(line, "paper") && (strings.Contains(line, "ZCU104") || strings.Contains(line, "U50")) {
+				t.Errorf("%s names a preset at a drawn setting: %q", res.Name, line)
+			}
+		}
+	}
 }
 
 // draws is the number of settings TestTrendVerdictsHoldOffDefault draws.

@@ -5,12 +5,20 @@ import (
 	"reflect"
 	"testing"
 
+	"sushi/internal/sched"
 	"sushi/internal/serving"
 )
 
 // batchRun plays one Poisson overload stream through a fresh 2-replica
 // cluster with the given batch former.
 func batchRun(t *testing.T, b Batching, n int, rateFactor float64) *Result {
+	t.Helper()
+	return batchRunPolicy(t, b, n, rateFactor, nil)
+}
+
+// batchRunPolicy is batchRun with every query carrying the override p
+// (none if nil).
+func batchRunPolicy(t *testing.T, b Batching, n int, rateFactor float64, p *sched.Policy) *Result {
 	t.Helper()
 	reps := newReplicas(t, 2)
 	var budget float64
@@ -29,6 +37,9 @@ func batchRun(t *testing.T, b Batching, n int, rateFactor float64) *Result {
 	// items), so batching trades per-query latency for goodput inside
 	// the budget rather than past it.
 	qs := timedStream(t, n, capacity*rateFactor, budget*4)
+	for i := range qs {
+		qs[i].Policy = p
+	}
 	return checked(t, eng, qs)
 }
 

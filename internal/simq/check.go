@@ -16,25 +16,34 @@ import (
 //   - order: no query starts before it arrives or finishes before it
 //     starts;
 //   - flush: the members of one pass (same replica, same Start) share
-//     Finish, Row, model and Batch, and Batch is their number;
+//     Finish, Row, model, policy override and Batch, and Batch is their
+//     number;
 //   - overlap: per replica, the busy intervals [Start, Finish +
 //     RecacheSec] of distinct passes never overlap;
 //   - drop: a dropped query has Batch 0 and no service field, and
 //     starts at its finish;
 //   - service: the service table starts with the zero tuple and holds
 //     each tuple once, and every record's index is in it;
+//   - class: the class table starts with each model's unclassed pair,
+//     in model order, then holds classed pairs of known models, each
+//     once, and every record's index is in it;
 //   - columns: the ID-offset and accuracy-floor columns are each nil or
 //     one slot per record;
 //   - aside: a record is flagged flagAside if and only if the aside map
 //     holds its instants.
 //
 // Order, flush and overlap read each served record's start through its
-// service latency, so they run only once the service rule holds.
+// service latency, so they run only once the service rule holds; flush
+// reads each record's model through its class, so it also waits for
+// the class rule.
 func (r *Result) Check() error {
-	svc := r.checkService()
-	errs := []error{r.checkConservation(), r.checkDrop(), svc, r.checkColumns(), r.checkAside()}
+	svc, class := r.checkService(), r.checkClass()
+	errs := []error{r.checkConservation(), r.checkDrop(), svc, class, r.checkColumns(), r.checkAside()}
 	if svc == nil {
-		errs = append(errs, r.checkOrder(), r.checkFlush(), r.checkOverlap())
+		errs = append(errs, r.checkOrder(), r.checkOverlap())
+		if class == nil {
+			errs = append(errs, r.checkFlush())
+		}
 	}
 	return errors.Join(errs...)
 }
@@ -126,8 +135,9 @@ func (r *Result) checkFlush() error {
 		}
 		_, start := r.times(i)
 		p := &ps[at[passKey{o.Replica, start}]]
-		if h := &r.Outcomes[p.head]; o.Finish != h.Finish || o.Row != h.Row || o.model != h.model || o.Batch != h.Batch {
-			return fmt.Errorf("simq: check flush: outcomes %d and %d share replica %d's pass at %g but differ in finish, row, model or batch:\n%+v\n%+v",
+		if h := &r.Outcomes[p.head]; o.Finish != h.Finish || o.Row != h.Row || r.classes[o.class].model != r.classes[h.class].model ||
+			o.flags&policyMask != h.flags&policyMask || o.Batch != h.Batch {
+			return fmt.Errorf("simq: check flush: outcomes %d and %d share replica %d's pass at %g but differ in finish, row, model, policy or batch:\n%+v\n%+v",
 				p.head, i, o.Replica, start, *h, *o)
 		}
 		if p.members != int(o.Batch) {
@@ -163,7 +173,7 @@ func (r *Result) checkDrop() error {
 		}
 		echo := Outcome{Finish: o.Finish, E2ELatency: o.E2ELatency,
 			MaxLatency: o.MaxLatency, Replica: o.Replica,
-			class: o.class, model: o.model, policy: o.policy, flags: o.flags & flagAside,
+			class: o.class, flags: o.flags & (flagAside | policyMask),
 			Reason: o.Reason, Degraded: o.Degraded, Dropped: true}
 		if *o != echo {
 			return fmt.Errorf("simq: check drop: dropped outcome %d carries service fields: %+v", i, *o)
@@ -187,6 +197,26 @@ func (r *Result) checkService() error {
 	for i := range r.Outcomes {
 		if o := &r.Outcomes[i]; int(o.svc) >= len(r.services) {
 			return fmt.Errorf("simq: check service: outcome %d points at entry %d of a %d-entry table", i, o.svc, len(r.services))
+		}
+	}
+	return nil
+}
+
+func (r *Result) checkClass() error {
+	seen := map[classPair]int{}
+	for i, c := range r.classes {
+		j, ok := seen[c]
+		if head := i < len(r.models); ok || int(c.model) >= len(r.models) || head && int(c.model) != i || head != (c.class == "") {
+			return fmt.Errorf("simq: check class: entry %d, %+v, repeats entry %d, names no model, or is out of place beside %d models", i, c, j, len(r.models))
+		}
+		seen[c] = i
+	}
+	if len(r.classes) < len(r.models) {
+		return fmt.Errorf("simq: check class: %d entries for %d models", len(r.classes), len(r.models))
+	}
+	for i := range r.Outcomes {
+		if o := &r.Outcomes[i]; int(o.class) >= len(r.classes) {
+			return fmt.Errorf("simq: check class: outcome %d points at entry %d of a %d-entry table", i, o.class, len(r.classes))
 		}
 	}
 	return nil

@@ -2,15 +2,22 @@ package simq
 
 import (
 	"maps"
+	"slices"
 	"strings"
 	"testing"
+
+	"sushi/internal/sched"
 )
 
 // TestCheckBites proves Result.Check is evidence: each seeded fault — a
 // mutation of a good run's Result, the kind of slip an engine bug would
 // leave behind — turns exactly the one rule it breaks red.
 func TestCheckBites(t *testing.T) {
-	good := batchRun(t, Batching{MaxBatch: 4, Window: 0.01}, 160, 3)
+	// Every query carries an override (the replicas' own policy), so the
+	// records carry policy bits: a drop's echo keeps them, and a pass's
+	// members share them.
+	pol := sched.StrictLatency
+	good := batchRunPolicy(t, Batching{MaxBatch: 4, Window: 0.01}, 160, 3, &pol)
 
 	// What the faults need from the fixture: a drop that waited and a
 	// pass of several members, both with derived instants, and a
@@ -32,8 +39,11 @@ func TestCheckBites(t *testing.T) {
 			earlier = i
 		}
 	}
-	if dropped < 0 || member < 0 || earlier < 0 || good.idOff != nil || good.minAcc != nil {
-		t.Fatalf("fixture lacks a drop that waited (%d) or a multi-member pass (%d) with derived instants, or a followed pass (%d), or has a column", dropped, member, earlier)
+	if dropped < 0 || member < 0 || earlier < 0 || good.idOff != nil || good.minAcc != nil || len(good.classes) != 1 {
+		t.Fatalf("fixture lacks a drop that waited (%d) or a multi-member pass (%d) with derived instants, or a followed pass (%d), or has a column or a class", dropped, member, earlier)
+	}
+	if want := uint8(pol+1) << policyShift; good.Outcomes[dropped].flags&policyMask != want || good.Outcomes[member].flags&policyMask != want {
+		t.Fatalf("fixture's drop and member carry policy bits %#x and %#x, want %#x", good.Outcomes[dropped].flags&policyMask, good.Outcomes[member].flags&policyMask, want)
 	}
 
 	// repoint gives record i a service tuple of its own: edit's change to
@@ -54,9 +64,19 @@ func TestCheckBites(t *testing.T) {
 		{"order", func(r *Result) { r.Outcomes[member].E2ELatency = -1 }},
 		{"flush", func(r *Result) { r.Outcomes[member].Row++ }},
 		{"flush", func(r *Result) { r.Outcomes[member].Batch-- }},
+		// A second model, with its unclassed pair, for one member alone.
+		{"flush", func(r *Result) {
+			r.models = append(slices.Clip(r.models), "other")
+			r.classes = append(slices.Clip(r.classes), classPair{model: 1})
+			r.Outcomes[member].class = 1
+		}},
+		// Clearing a drop's policy bits leaves a valid record (0 reads "no
+		// override"); a pass member's must match the rest of its pass.
+		{"flush", func(r *Result) { r.Outcomes[member].flags &^= policyMask }},
 		{"overlap", func(r *Result) { repoint(r, earlier, func(s *Service) { s.RecacheSec += 1e3 }) }},
 		{"drop", func(r *Result) { r.Outcomes[dropped].svc = 1 }},
 		{"drop", func(r *Result) { r.Outcomes[dropped].Batch = 1 }},
+		{"drop", func(r *Result) { r.Outcomes[dropped].flags |= flagFeasible }},
 		{"drop", func(r *Result) { // starts at its arrival, before its finish
 			arrival, _ := r.times(dropped)
 			r.Outcomes[dropped].flags |= flagAside
@@ -64,6 +84,7 @@ func TestCheckBites(t *testing.T) {
 		}},
 		{"service", func(r *Result) { r.Outcomes[member].svc = uint32(len(r.services)) }},
 		{"service", func(r *Result) { repoint(r, member, func(*Service) {}) }},
+		{"class", func(r *Result) { r.Outcomes[member].class = uint16(len(r.classes)) }},
 		// The fixture numbers its queries by index and sets no floor, so
 		// both columns are nil; a column one slot short is the fault.
 		{"columns", func(r *Result) { r.idOff = make([]int64, len(r.Outcomes)-1) }},

@@ -254,8 +254,9 @@ func BenchmarkRunProcess(b *testing.B) {
 // tuples interned into the Result's table (80 bytes) ~82, and with the
 // ID and floor moved to columns this index-numbered, floor-free stream
 // never allocates (64 bytes) 65.8, and with the arrival and start
-// derived from the record (48 bytes) 49.7. A record that grew back, a column
-// allocated for nothing, or a per-query copy that escaped to the heap
+// derived from the record (48 bytes) 49.7, and with the model folded
+// into the class index and the policy into the flags (40 bytes) 41.7.
+// A record that grew back, a column allocated for nothing, or a per-query copy that escaped to the heap
 // fails here; the allocation COUNT stays with the two tests above.
 func TestMarginalQueryCost(t *testing.T) {
 	if raceEnabled {

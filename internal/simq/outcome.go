@@ -44,14 +44,12 @@ type Outcome struct {
 	// Batch is the micro-batch size the query was served in (1 for solo
 	// service, 0 for dropped queries).
 	Batch uint16
-	// class and model index the Result's class and model tables (class 0
-	// is unclassed traffic); policy is the per-query sched.Policy
-	// override, -1 for none; flags packs the five serving.Served
-	// booleans and flagAside.
-	class  uint16
-	model  uint8
-	policy int8
-	flags  uint8
+	// class indexes the Result's table of (model, class) pairs, whose
+	// first entries are each model's unclassed traffic; flags packs the
+	// five serving.Served booleans, flagAside and the per-query
+	// sched.Policy override.
+	class uint16
+	flags uint8
 	// Reason is ReasonNone for served queries.
 	Reason Reason
 	// Degraded reports the degrade-to-fastest escape valve fired.
@@ -132,7 +130,15 @@ const (
 	// flagAside: the record's arrival and start are kept in
 	// Result.aside, not derived.
 	flagAside
+	// The top two bits hold the query's sched.Policy override plus one,
+	// 0 for none.
+	policyShift = iota
+	policyMask  = 3 << policyShift
 )
+
+// The policy bits hold every valid sched.Policy plus one: this fails to
+// compile once sched.Policy.Valid admits a policy they cannot.
+const _ = uint(policyMask>>policyShift - 1 - sched.MinEnergy + sched.StrictAccuracy)
 
 // What the record's narrowed fields can hold. An engine refuses a
 // configuration that could exceed one (checkWidths, interner.admit)
@@ -141,8 +147,8 @@ const (
 	maxBatchMembers = math.MaxUint16     // Outcome.Batch
 	maxReplicas     = math.MaxUint16 + 1 // Outcome.Replica is an index
 	maxRows         = math.MaxUint16 + 1 // Outcome.Row is an index
-	maxModels       = math.MaxUint8 + 1  // Outcome.model is an index
-	maxClasses      = math.MaxUint16     // Outcome.class, 0 taken by "unclassed"
+	maxClasses      = math.MaxUint16 + 1 // Outcome.class indexes (model, class) pairs
+	maxModels       = maxClasses         // each takes a pair for its unclassed traffic
 )
 
 // checkWidths refuses a fleet or batch former whose counts the outcome
@@ -206,9 +212,8 @@ func (r *Result) fill(j *job, s *serving.Served, svc uint32, ri int, start, fini
 		r.minAcc[j.idx] = q.MinAccuracy
 	}
 	o.MaxLatency = q.MaxLatency
-	o.policy = -1
 	if q.Policy != nil {
-		o.policy = int8(*q.Policy)
+		o.flags |= uint8(*q.Policy+1) << policyShift
 	}
 	o.Finish, o.E2ELatency = finish, finish-j.arrival
 	derived := finish
@@ -223,7 +228,7 @@ func (r *Result) fill(j *job, s *serving.Served, svc uint32, ri int, start, fini
 		r.aside[j.idx] = instants{j.arrival, start}
 	}
 	o.Replica, o.Batch = uint16(ri), uint16(n)
-	o.class, o.model = j.class, j.model
+	o.class = j.class
 	o.Reason, o.Degraded, o.Dropped = why, j.degraded, s == nil
 }
 
@@ -260,6 +265,7 @@ func (r *Result) times(i int) (arrival, start float64) {
 // served SubNet's name, its arrival and start instants, and QueueDelay.
 func (r *Result) Timed(i int) serving.TimedServed {
 	o, sv := &r.Outcomes[i], r.Service(i)
+	c := &r.classes[o.class]
 	arrival, start := r.times(i)
 	id := int64(i)
 	if r.idOff != nil {
@@ -269,7 +275,8 @@ func (r *Result) Timed(i int) serving.TimedServed {
 		Served: serving.Served{
 			Query: sched.Query{
 				ID:         int(id),
-				Model:      r.models[o.model],
+				Model:      r.models[c.model],
+				Class:      c.class,
 				MaxLatency: o.MaxLatency,
 			},
 			Row:            int(o.Row),
@@ -291,15 +298,12 @@ func (r *Result) Timed(i int) serving.TimedServed {
 	if r.minAcc != nil {
 		t.Query.MinAccuracy = r.minAcc[i]
 	}
-	if o.class > 0 {
-		t.Query.Class = r.classes[o.class-1]
-	}
-	if o.policy >= 0 {
-		p := sched.Policy(o.policy)
-		t.Query.Policy = &p
+	if p := o.flags >> policyShift; p != 0 {
+		pol := sched.Policy(p - 1)
+		t.Query.Policy = &pol
 	}
 	if !o.Dropped {
-		t.SubNet = r.subnets[o.model][o.Row]
+		t.SubNet = r.subnets[c.model][o.Row]
 	}
 	if o.Batch > 1 {
 		// serving.Served.Batch is 0 for a solo pass.
@@ -308,20 +312,39 @@ func (r *Result) Timed(i int) serving.TimedServed {
 	return t
 }
 
+// classPair is one entry of a run's class table: a model index and an
+// SLO class ("" for the model's unclassed traffic).
+type classPair struct {
+	model uint16
+	class string
+}
+
 // interner resolves each arriving query's strings to the indices its
 // outcome record will carry: the model against the engine's fixed
-// tenant list, the SLO class against a table grown in first-appearance
-// order (so two runs of one stream build equal tables).
+// tenant list, the (model, SLO class) pair against a table that starts
+// with the engine's unclassed pairs (index m is model m's) and grows in
+// first-appearance order (so two runs of one stream build equal
+// tables).
 type interner struct {
-	e       *Engine
-	classes []string
-	byClass map[string]uint16
+	e *Engine
+	// classes is nil, read as the engine's unclassed pairs, until the
+	// first classed query.
+	classes []classPair
+	byPair  map[classPair]uint16
+}
+
+// table returns the run's class table.
+func (in *interner) table() []classPair {
+	if in.classes == nil {
+		return in.e.classes
+	}
+	return in.classes
 }
 
 // admit normalizes j's model id to the tenant's canonical name and sets
 // its model and class indices. It refuses what the engine or the record
 // cannot represent: a model no replica hosts, a policy override the
-// scheduler does not know, one SLO class too many.
+// scheduler does not know, one (model, class) pair too many.
 func (in *interner) admit(j *job) error {
 	q := &j.q
 	if q.Model != "" {
@@ -335,20 +358,26 @@ func (in *interner) admit(j *job) error {
 	if p := q.Policy; p != nil && !p.Valid() {
 		return fmt.Errorf("simq: query %d: unknown policy %v", q.ID, *p)
 	}
+	j.class = j.model
 	if q.Class == "" {
 		return nil
 	}
-	ci, ok := in.byClass[q.Class]
+	k := classPair{j.model, q.Class}
+	ci, ok := in.byPair[k]
 	if !ok {
-		if len(in.classes) == maxClasses {
-			return fmt.Errorf("simq: query %d brings SLO class %q, but the outcome record indexes at most %d distinct classes", q.ID, q.Class, maxClasses)
+		tab := in.table()
+		if len(tab) == maxClasses {
+			return fmt.Errorf("simq: query %d brings SLO class %q of model %q, but the outcome record indexes at most %d (model, class) pairs",
+				q.ID, q.Class, q.Model, maxClasses-len(in.e.models))
 		}
-		if in.byClass == nil {
-			in.byClass = make(map[string]uint16)
+		if in.byPair == nil {
+			in.byPair = make(map[classPair]uint16)
 		}
-		in.classes = append(in.classes, q.Class)
-		ci = uint16(len(in.classes))
-		in.byClass[q.Class] = ci
+		// The engine's table is full to capacity, so the first append
+		// copies it.
+		ci = uint16(len(tab))
+		in.classes = append(tab, k)
+		in.byPair[k] = ci
 	}
 	j.class = ci
 	return nil

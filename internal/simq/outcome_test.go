@@ -15,15 +15,16 @@ import (
 )
 
 // TestOutcomeLayout pins the two properties Result.Outcomes' cost rests
-// on: the record stays within 48 bytes, and it holds no pointer of any
+// on: the record stays within 40 bytes, and it holds no pointer of any
 // kind, so the slice is one allocation the collector never scans. A
-// field added as a string, or a service number, a query ID or an
-// instant the record can derive stored per record instead of in the
-// Result's tables and columns, fails here, not in a heap profile.
+// field added as a string, or a service number, a query ID, an instant
+// or a model index the record can derive stored per record instead of
+// in the Result's tables and columns, fails here, not in a heap
+// profile. (64 bytes held the instants, 48 the model and policy bytes.)
 func TestOutcomeLayout(t *testing.T) {
 	size := unsafe.Sizeof(Outcome{})
-	if size > 48 {
-		t.Errorf("Outcome is %d bytes; the record's budget is 48", size)
+	if size > 40 {
+		t.Errorf("Outcome is %d bytes; the record's budget is 40", size)
 	}
 	t.Logf("Outcome is %d bytes", size)
 	typ := reflect.TypeOf(Outcome{})
@@ -44,8 +45,9 @@ func TestOutcomeLayout(t *testing.T) {
 func twoTenantEngine() *Engine {
 	return &Engine{
 		models:   []string{"resnet50", "mobilenetv3"},
-		modelIdx: map[string]uint8{"resnet50": 0, "mobilenetv3": 1},
+		modelIdx: map[string]uint16{"resnet50": 0, "mobilenetv3": 1},
 		subnets:  [][]string{{"r0", "r1", "r2"}, {"m0", "m1"}},
+		classes:  []classPair{{model: 0}, {model: 1}},
 	}
 }
 
@@ -58,7 +60,10 @@ func twoTenantEngine() *Engine {
 // are allocated mid-run (the floor's by a -0 floor); every later
 // index-valued ID and +0 floor must still come back as it went in. The
 // rows with hand-picked instants are ones the record cannot derive bit
-// for bit, so their arrival and start come back from Result.aside.
+// for bit, so their arrival and start come back from Result.aside. The
+// combination rows cross every policy override with degraded or not,
+// both models, classed or unclassed, and served or dropped: the model
+// rides in the class index and the policy in the flags.
 func TestOutcomeRoundTrip(t *testing.T) {
 	pol := func(p sched.Policy) *sched.Policy { return &p }
 	type row struct {
@@ -143,6 +148,33 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		{name: "arrival before its own E2E, dropped", q: sched.Query{ID: 17}, at: &[2]float64{0.1, 0.7},
 			why: ReasonDeadline, wantModel: "resnet50"},
 	}
+	policies := []*sched.Policy{nil}
+	for p := sched.Policy(-8); p < 8; p++ {
+		if p.Valid() {
+			policies = append(policies, pol(p))
+		}
+	}
+	if len(policies) != 4 {
+		t.Fatalf("%d valid policies, want 3", len(policies)-1)
+	}
+	for _, p := range policies {
+		for _, degraded := range []bool{false, true} {
+			for mi, model := range []string{"resnet50", "mobilenetv3"} {
+				for _, class := range []string{"", "silver"} {
+					for _, served := range []bool{false, true} {
+						r := row{name: fmt.Sprintf("policy %s, degraded %t, %s, class %q, served %t", policyName(p), degraded, model, class, served),
+							q:        sched.Query{ID: len(rows), Model: model, Class: class, MaxLatency: 7e-3, Policy: p},
+							degraded: degraded, why: ReasonDeadline, wantModel: model}
+						if served {
+							r.served = &serving.Served{SubNet: []string{"r0", "m0"}[mi], Latency: 2e-3, Accuracy: 70, Feasible: true}
+							r.why, r.n = ReasonNone, 1
+						}
+						rows = append(rows, r)
+					}
+				}
+			}
+		}
+	}
 	for i := 0; i < 300; i++ {
 		// More classes than a byte indexes, each distinct; index-valued
 		// ids and +0 floors after both columns exist.
@@ -190,15 +222,15 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		w.QueueDelay, w.E2ELatency = start-arrival, finish-arrival
 		want[i] = w
 	}
-	res.classes = in.classes
-	if len(res.classes) != 302 {
-		t.Fatalf("interned %d classes, want 302", len(res.classes))
+	res.classes = in.table()
+	if len(res.classes) != 2+304 {
+		t.Fatalf("class table holds %d pairs, want the 2 unclassed and 304 classed", len(res.classes))
 	}
 	if o := res.Outcomes[2:]; o[2].svc != o[0].svc || o[3].svc == o[1].svc {
 		t.Errorf("service indices %d, %d, %d, %d: want rows 2 and 4 to share one, rows 3 and 5 to differ",
 			o[0].svc, o[1].svc, o[2].svc, o[3].svc)
 	}
-	if err := errors.Join(res.checkService(), res.checkColumns(), res.checkAside()); err != nil {
+	if err := errors.Join(res.checkService(), res.checkClass(), res.checkColumns(), res.checkAside()); err != nil {
 		t.Error(err)
 	}
 	for i, r := range rows {
@@ -321,11 +353,13 @@ func TestServiceInternSharedSlot(t *testing.T) {
 	}
 }
 
-func policyOf(ts serving.TimedServed) string {
-	if ts.Query.Policy == nil {
+func policyOf(ts serving.TimedServed) string { return policyName(ts.Query.Policy) }
+
+func policyName(p *sched.Policy) string {
+	if p == nil {
 		return "none"
 	}
-	return ts.Query.Policy.String()
+	return p.String()
 }
 
 // TestOutcomeWidthLimits: every narrowed field of the record has a
@@ -342,7 +376,7 @@ func TestOutcomeWidthLimits(t *testing.T) {
 		{"at every limit", maxReplicas, maxModels, maxRows, batched(maxBatchMembers), ""},
 		{"a huge batch size that never batches", 1, 1, 1, Batching{MaxBatch: 1 << 30}, ""},
 		{"fleet size against Replica", maxReplicas + 1, 1, 7, Batching{}, "65537 replicas"},
-		{"tenant count against the model index", 4, maxModels + 1, 7, Batching{}, "257 co-hosted models"},
+		{"tenant count against the unclassed class indices", 4, maxModels + 1, 7, Batching{}, "65537 co-hosted models"},
 		{"frontier length against Row", 4, 2, maxRows + 1, Batching{}, "65537 frontier SubNets"},
 		{"Batching.MaxBatch against Batch", 4, 2, 7, batched(maxBatchMembers + 1), "Batching.MaxBatch 65536"},
 	} {
@@ -369,19 +403,25 @@ func TestOutcomeWidthLimits(t *testing.T) {
 		t.Errorf("New accepted a fleet the record cannot index: %v", err)
 	}
 
-	// Distinct classes against the class index, and a policy override
-	// outside the scheduler's set, are refused as the query arrives.
-	in := &interner{e: twoTenantEngine()}
-	for i := 0; i < maxClasses; i++ {
-		if err := in.admit(&job{q: sched.Query{ID: i, Class: fmt.Sprintf("c%d", i)}}); err != nil {
-			t.Fatalf("class %d of %d refused: %v", i+1, maxClasses, err)
+	// Distinct (model, class) pairs against the class index, which
+	// keeps one entry per model for its unclassed traffic, and a policy
+	// override outside the scheduler's set, are refused as the query
+	// arrives. One class on both models is two pairs.
+	eng := twoTenantEngine()
+	in := &interner{e: eng}
+	limit := maxClasses - len(eng.models)
+	for i := 0; i < limit; i++ {
+		if err := in.admit(&job{q: sched.Query{ID: i, Model: eng.models[i%2], Class: fmt.Sprintf("c%d", i/2)}}); err != nil {
+			t.Fatalf("pair %d of %d refused: %v", i+1, limit, err)
 		}
 	}
-	if err := in.admit(&job{q: sched.Query{Class: "c0"}}); err != nil {
-		t.Errorf("a known class refused at the limit: %v", err)
+	for _, q := range []sched.Query{{Class: "c0"}, {Model: "mobilenetv3", Class: "c0"}, {}} {
+		if err := in.admit(&job{q: q}); err != nil {
+			t.Errorf("a known pair or unclassed query %+v refused at the limit: %v", q, err)
+		}
 	}
-	if err := in.admit(&job{q: sched.Query{ID: 9, Class: "one too many"}}); err == nil || !strings.Contains(err.Error(), "65535 distinct classes") {
-		t.Errorf("class %d accepted: %v", maxClasses+1, err)
+	if err := in.admit(&job{q: sched.Query{ID: 9, Model: "mobilenetv3", Class: "c32767"}}); err == nil || !strings.Contains(err.Error(), "65534 (model, class) pairs") {
+		t.Errorf("pair %d accepted: %v", limit+1, err)
 	}
 	bad := sched.Policy(300)
 	if err := in.admit(&job{q: sched.Query{ID: 9, Policy: &bad}}); err == nil || !strings.Contains(err.Error(), "unknown policy") {

@@ -228,12 +228,13 @@ type Result struct {
 
 	// The intern tables Outcome's indices point into: the fleet's model
 	// ids in tenant order, each model's SubNet names by table row (both
-	// the engine's, shared by its runs), the run's named SLO classes in
-	// first-appearance order (Outcome.class k > 0 is classes[k-1]) and
-	// its distinct service tuples, zero first.
+	// the engine's, shared by its runs), the run's (model, class) pairs
+	// (model m's unclassed traffic at index m, then the classed pairs in
+	// first-appearance order) and its distinct service tuples, zero
+	// first.
 	models   []string
 	subnets  [][]string
-	classes  []string
+	classes  []classPair
 	services []Service
 	// idOff and minAcc are the query ID's offset from the arrival index
 	// and the accuracy floor's echo, by outcome. Each stays nil until a
@@ -262,10 +263,12 @@ type Engine struct {
 	// models, modelIdx and subnets are replica 0's tenant list, its
 	// inverse, and each tenant's SubNet names by table row: every replica
 	// hosts the same tenants over the same frontiers (New checks), so
-	// replica 0 speaks for the fleet. Immutable after New.
+	// replica 0 speaks for the fleet. classes is each tenant's unclassed
+	// pair, the head of every run's class table. Immutable after New.
 	models   []string
-	modelIdx map[string]uint8
+	modelIdx map[string]uint16
 	subnets  [][]string
+	classes  []classPair
 }
 
 // New builds an engine over the given replicas.
@@ -337,9 +340,11 @@ func (e *Engine) internFleet() error {
 	if err := checkWidths(len(e.reps), len(e.models), rows, e.opt.Batching); err != nil {
 		return err
 	}
-	e.modelIdx = make(map[string]uint8, len(e.models))
+	e.modelIdx = make(map[string]uint16, len(e.models))
+	e.classes = make([]classPair, len(e.models))
 	for i, m := range e.models {
-		e.modelIdx[m] = uint8(i)
+		e.modelIdx[m] = uint16(i)
+		e.classes[i].model = uint16(i)
 	}
 	return nil
 }
@@ -356,13 +361,14 @@ func FromCluster(c *serving.Cluster, opt Options) (*Engine, error) {
 // source, copied once into a replica queue, and read there in place
 // until its outcome is recorded. q stays as the query arrived (its
 // MaxLatency is the budget end-to-end latency is judged against);
-// model and class are the outcome record's indices for q's strings.
+// model is q's tenant index and class the outcome record's index of
+// q's (model, class) pair.
 type job struct {
 	q        sched.Query
 	arrival  float64
 	idx      int
 	class    uint16
-	model    uint8
+	model    uint16
 	degraded bool
 }
 
@@ -427,7 +433,7 @@ func (st *replicaState) qpush(j *job) {
 // and degrade status.
 type batchKey struct {
 	// model is the query's model index (job.model).
-	model    uint8
+	model    uint16
 	degraded bool
 	// policy is the per-query override (-1 = replica default).
 	policy int
@@ -577,7 +583,7 @@ func (e *Engine) run(src *processSource) (*Result, error) {
 	if err := r.run(); err != nil {
 		return nil, err
 	}
-	r.res.classes = src.in.classes
+	r.res.classes = src.in.table()
 	e.finish(r)
 	return r.res, nil
 }
