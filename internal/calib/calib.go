@@ -35,8 +35,6 @@ type Options struct {
 	// Seed drives the deterministic weight store and input images
 	// (default 1).
 	Seed int64
-	// Workers bounds the engine's kernel worker pool (0 = GOMAXPROCS).
-	Workers int
 	// CalibNs pre-supplies the machine yardstick; 0 runs CalibSpin.
 	CalibNs int64
 	// Workload labels the file ("resnet50", "mobilenetv3").
@@ -173,9 +171,6 @@ func Sweep(super *supernet.SuperNet, subnets []*supernet.SubNet, graphs []*super
 	}
 	eng := infer.NewEngine(infer.NewWeightStore(super, uint64(opt.Seed)))
 	defer eng.Close()
-	if opt.Workers > 0 {
-		eng.SetWorkers(opt.Workers)
-	}
 
 	// Column-independent compute times: one (row, batch) measurement
 	// reused across every column.

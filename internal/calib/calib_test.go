@@ -38,7 +38,7 @@ func zeros() [][]float64 { return [][]float64{{0, 0}, {0, 0}} }
 func TestSweepTinyGrid(t *testing.T) {
 	s, subnets, graphs := tinyFixture(t)
 	f, err := Sweep(s, subnets, graphs, Options{
-		Reps: 1, Batches: []int{1, 2}, Seed: 1, Workers: 1, CalibNs: 1, Workload: "mobilenetv3",
+		Reps: 1, Batches: []int{1, 2}, Seed: 1, CalibNs: 1, Workload: "mobilenetv3",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestReport(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	s, subnets, graphs := tinyFixture(t)
 	f, err := Sweep(s, subnets[:1], graphs[:1], Options{
-		Reps: 1, Batches: []int{1}, Seed: 1, Workers: 1, CalibNs: 1,
+		Reps: 1, Batches: []int{1}, Seed: 1, CalibNs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,6 @@ type CalibrateOptions struct {
 	Batches []int
 	// Seed drives candidates, weights and inputs (default 1).
 	Seed int64
-	// Workers bounds the kernel worker pool (0 = GOMAXPROCS).
-	Workers int
 	// CalibNs pre-supplies the machine yardstick (0 = measure it).
 	CalibNs int64
 }
@@ -65,7 +63,7 @@ func Calibrate(opt CalibrateOptions) (*calib.File, *calib.Report, error) {
 	}
 	f, err := calib.Sweep(super, rows, graphs, calib.Options{
 		Reps: opt.Reps, Batches: opt.Batches, Seed: dep.Seed,
-		Workers: opt.Workers, CalibNs: opt.CalibNs, Workload: string(w),
+		CalibNs: opt.CalibNs, Workload: string(w),
 	})
 	if err != nil {
 		return nil, nil, err

@@ -112,26 +112,16 @@ type AutoscaleOptions struct {
 }
 
 // ResolveAutoscale validates deployment-facing autoscale options into
-// the engine's resolved config. Nil in, nil out; an empty Policy
-// selects "utilization". Every rejection is a typed OptionError on
-// Field "Autoscale".
+// the engine's resolved config: autoscale.Config.Validate holds the
+// bounds, and an empty Policy selects "utilization". Nil in, nil out.
+// Every rejection is a typed OptionError on Field "Autoscale".
 func ResolveAutoscale(a *AutoscaleOptions) (*autoscale.Config, error) {
 	if a == nil {
 		return nil, nil
 	}
-	switch {
-	case a.Min < 1:
-		return nil, &OptionError{Field: "Autoscale", Value: a.Min,
-			Reason: "autoscale Min must be at least 1"}
-	case a.Max < a.Min:
-		return nil, &OptionError{Field: "Autoscale", Value: a.Max,
-			Reason: fmt.Sprintf("autoscale Max must be at least Min %d", a.Min)}
-	case !(a.Interval > 0):
-		return nil, &OptionError{Field: "Autoscale", Value: a.Interval,
-			Reason: "autoscale Interval must be positive virtual seconds"}
-	case !(a.Cooldown >= 0):
-		return nil, &OptionError{Field: "Autoscale", Value: a.Cooldown,
-			Reason: "autoscale Cooldown must be non-negative"}
+	cfg := &autoscale.Config{Min: a.Min, Max: a.Max, Interval: a.Interval, Cooldown: a.Cooldown}
+	if err := cfg.Validate(); err != nil {
+		return nil, &OptionError{Field: "Autoscale", Value: fmt.Sprintf("%+v", *a), Reason: err.Error()}
 	}
 	name := a.Policy
 	if name == "" {
@@ -141,8 +131,8 @@ func ResolveAutoscale(a *AutoscaleOptions) (*autoscale.Config, error) {
 	if err != nil {
 		return nil, &OptionError{Field: "Autoscale", Value: a.Policy, Reason: err.Error()}
 	}
-	return &autoscale.Config{Min: a.Min, Max: a.Max, Policy: pol,
-		Interval: a.Interval, Cooldown: a.Cooldown}, nil
+	cfg.Policy = pol
+	return cfg, nil
 }
 
 // NewRouter constructs the named routing policy.

@@ -24,6 +24,22 @@ func is3x3(m *nn.Model) func(int) bool {
 	}
 }
 
+// simulate runs SubNet sn on a fresh SushiAccel of configuration cfg
+// whose Persistent Buffer holds g (nil: an empty PB), over the layers
+// keep selects (nil: every layer).
+func simulate(cfg accel.Config, g *supernet.SubGraph, sn *supernet.SubNet, keep func(int) bool) (*accel.Report, error) {
+	sim, err := accel.NewSimulator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if g != nil {
+		if err := sim.SetCachedShared(g); err != nil {
+			return nil, err
+		}
+	}
+	return sim.RunLayers(sn, keep)
+}
+
 // Fig2 regenerates the per-layer arithmetic intensity profile (Fig. 2).
 func (s setting) Fig2(w Workload) (*Result, error) {
 	super, fr, err := frontierFor(w)
@@ -90,10 +106,6 @@ func (s setting) Fig3() (*Result, error) {
 	for i, g := range caches {
 		g.SetName(names[i])
 	}
-	sim, err := accel.NewSimulator(cfg)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "fig3",
 		Title:  "Latency of two SubNets as a function of the cached SubGraph shape",
@@ -103,10 +115,7 @@ func (s setting) Fig3() (*Result, error) {
 	for si, sn := range []*supernet.SubNet{deep, wide} {
 		row := []string{sn.Name}
 		for gi, g := range caches {
-			if err := sim.SetCached(g); err != nil {
-				return nil, err
-			}
-			rep, err := sim.Run(sn)
+			rep, err := simulate(cfg, g, sn, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -141,26 +150,14 @@ func (s setting) Fig10(w Workload) (*Result, error) {
 	}
 	lo, hi := math.Inf(1), 0.0
 	for _, sn := range fr {
-		base := s.study.WithoutPB()
-		simBase, err := accel.NewSimulator(base)
-		if err != nil {
-			return nil, err
-		}
-		repBase, err := simBase.Run(sn)
+		repBase, err := simulate(s.study.WithoutPB(), nil, sn, nil)
 		if err != nil {
 			return nil, err
 		}
 		// Potential SGS: PB sized to the whole SubNet.
 		cfg := s.study
 		cfg.PBBytes = sn.WeightBytes()
-		simSGS, err := accel.NewSimulator(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := simSGS.SetCached(sn.Graph); err != nil {
-			return nil, err
-		}
-		repSGS, err := simSGS.Run(sn)
+		repSGS, err := simulate(cfg, sn.Graph, sn, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -313,17 +310,11 @@ func (s setting) Fig13a() (*Result, error) {
 		row := []string{sn.Name, ms(cpuT)}
 		totals := make([]float64, len(boards))
 		for bi, b := range boards {
-			sim, err := accel.NewSimulator(b.cfg)
-			if err != nil {
-				return nil, err
-			}
+			var g *supernet.SubGraph
 			if b.pb {
-				g := shared.TruncateToBudget(b.cfg.PBBytes, prio)
-				if err := sim.SetCached(g); err != nil {
-					return nil, err
-				}
+				g = shared.TruncateToBudget(b.cfg.PBBytes, prio)
 			}
-			rep, err := sim.RunLayers(sn, keep)
+			rep, err := simulate(b.cfg, g, sn, keep)
 			if err != nil {
 				return nil, err
 			}
@@ -393,33 +384,16 @@ func (s setting) Fig13b(w Workload) (*Result, error) {
 	}
 	lo, hi := math.Inf(1), 0.0
 	for _, sn := range fr {
-		simNo, err := accel.NewSimulator(cfgNo)
-		if err != nil {
-			return nil, err
-		}
-		simPB, err := accel.NewSimulator(cfgPB)
-		if err != nil {
-			return nil, err
-		}
-		g := shared.TruncateToBudget(cfgPB.PBBytes, prio)
-		if err := simPB.SetCached(g); err != nil {
-			return nil, err
-		}
-		var repNo, repPB *accel.Report
+		var keep func(int) bool
 		if w == ResNet50 {
 			// §5.4 evaluates the 3x3 conv layers on the boards.
-			repNo, err = simNo.RunLayers(sn, is3x3(sn.Model))
-			if err != nil {
-				return nil, err
-			}
-			repPB, err = simPB.RunLayers(sn, is3x3(sn.Model))
-		} else {
-			repNo, err = simNo.Run(sn)
-			if err != nil {
-				return nil, err
-			}
-			repPB, err = simPB.Run(sn)
+			keep = is3x3(sn.Model)
 		}
+		repNo, err := simulate(cfgNo, nil, sn, keep)
+		if err != nil {
+			return nil, err
+		}
+		repPB, err := simulate(cfgPB, shared.TruncateToBudget(cfgPB.PBBytes, prio), sn, keep)
 		if err != nil {
 			return nil, err
 		}
@@ -456,10 +430,6 @@ func (s setting) Fig14() (*Result, error) {
 	}
 	minSN := fr[0]
 	dpu := baseline.XilinxDPU()
-	sim, err := accel.NewSimulator(s.board.WithoutPB())
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "fig14",
 		Title:  "Per-layer latency: SushiAccel w/o PB vs Xilinx DPU (ResNet50 min SubNet, 3x3 convs)",
@@ -471,7 +441,7 @@ func (s setting) Fig14() (*Result, error) {
 		if l.Kind != nn.Conv || l.R != 3 || l.S != 3 {
 			continue
 		}
-		rep, err := sim.RunLayers(minSN, func(j int) bool { return j == i })
+		rep, err := simulate(s.board.WithoutPB(), nil, minSN, func(j int) bool { return j == i })
 		if err != nil {
 			return nil, err
 		}
@@ -555,22 +525,11 @@ func (s setting) Fig9(w Workload) (*Result, error) {
 		return nil, err
 	}
 	g := shared.TruncateToBudget(cfg.PBBytes, latencytable.Priority(super, latencytable.TailFirst))
-	simCold, err := accel.NewSimulator(cfg.WithoutPB())
+	repCold, err := simulate(cfg.WithoutPB(), nil, sn, nil)
 	if err != nil {
 		return nil, err
 	}
-	repCold, err := simCold.Run(sn)
-	if err != nil {
-		return nil, err
-	}
-	simWarm, err := accel.NewSimulator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := simWarm.SetCached(g); err != nil {
-		return nil, err
-	}
-	repWarm, err := simWarm.Run(sn)
+	repWarm, err := simulate(cfg, g, sn, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sushi/internal/sched"
-	"sushi/internal/serving"
 	"sushi/internal/simq"
 	"sushi/internal/workload"
 )
@@ -117,9 +116,9 @@ func ReplayTraceV2(tr *workload.TraceV2) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream := make([]serving.TimedQuery, n)
-	for i := range stream {
-		stream[i] = serving.TimedQuery{Query: qs[i], Arrival: times[i]}
+	stream, err := simq.Stream(qs, times)
+	if err != nil {
+		return nil, err
 	}
 	dep, err := cohortDeploy()
 	if err != nil {

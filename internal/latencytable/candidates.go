@@ -186,8 +186,8 @@ func Candidates(s *supernet.SuperNet, frontier []*supernet.SubNet, opt Candidate
 
 // Fingerprint returns a content hash key of a SubGraph's cell set —
 // the deduplication key Candidates uses internally, exported so
-// callers assembling candidate sets from multiple budget levels
-// (serving.BuildTenantTable) dedupe with the SAME key.
+// serving's table derivation, which draws one candidate set per level
+// of a budget ladder, dedupes across levels with the SAME key.
 func Fingerprint(g *supernet.SubGraph) string {
 	// FNV-1a over the cell id stream.
 	var h uint64 = 14695981039346656037

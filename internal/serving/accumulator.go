@@ -1,6 +1,10 @@
 package serving
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // maxLatencySamples caps each per-accumulator latency reservoir. Streams
 // up to the cap yield exact percentiles; beyond it, reservoir sampling
@@ -125,30 +129,16 @@ type Accumulator struct {
 	perClass map[string]*Accumulator
 }
 
-// modelBucket returns (allocating on first use) the child accumulator
-// for a model id.
-func (a *Accumulator) modelBucket(model string) *Accumulator {
-	if a.perModel == nil {
-		a.perModel = make(map[string]*Accumulator)
+// bucket returns (allocating on first use) the child accumulator for
+// key in one breakdown, a.perModel or a.perClass.
+func bucket(breakdown *map[string]*Accumulator, key string) *Accumulator {
+	if *breakdown == nil {
+		*breakdown = make(map[string]*Accumulator)
 	}
-	b := a.perModel[model]
+	b := (*breakdown)[key]
 	if b == nil {
 		b = &Accumulator{}
-		a.perModel[model] = b
-	}
-	return b
-}
-
-// classBucket returns (allocating on first use) the child accumulator
-// for an SLO class.
-func (a *Accumulator) classBucket(class string) *Accumulator {
-	if a.perClass == nil {
-		a.perClass = make(map[string]*Accumulator)
-	}
-	b := a.perClass[class]
-	if b == nil {
-		b = &Accumulator{}
-		a.perClass[class] = b
+		(*breakdown)[key] = b
 	}
 	return b
 }
@@ -177,10 +167,10 @@ func (a *Accumulator) Add(r Served) { a.add(&r) }
 func (a *Accumulator) add(r *Served) {
 	a.addServed(r)
 	if m := r.Query.Model; m != "" {
-		a.modelBucket(m).addServed(r)
+		bucket(&a.perModel, m).addServed(r)
 	}
 	if cl := r.Query.Class; cl != "" {
-		a.classBucket(cl).addServed(r)
+		bucket(&a.perClass, cl).addServed(r)
 	}
 }
 
@@ -218,10 +208,10 @@ func (a *Accumulator) addServed(r *Served) {
 func (a *Accumulator) AddOpenLoop(r *Served, arrival, finish, queueDelay, e2e float64) {
 	a.addTimed(r, arrival, finish, queueDelay, e2e)
 	if m := r.Query.Model; m != "" {
-		a.modelBucket(m).addTimed(r, arrival, finish, queueDelay, e2e)
+		bucket(&a.perModel, m).addTimed(r, arrival, finish, queueDelay, e2e)
 	}
 	if cl := r.Query.Class; cl != "" {
-		a.classBucket(cl).addTimed(r, arrival, finish, queueDelay, e2e)
+		bucket(&a.perClass, cl).addTimed(r, arrival, finish, queueDelay, e2e)
 	}
 }
 
@@ -231,10 +221,10 @@ func (a *Accumulator) AddOpenLoop(r *Served, arrival, finish, queueDelay, e2e fl
 func (a *Accumulator) AddDropped(model, class string, arrival, finish float64) {
 	a.addDropped(arrival, finish)
 	if model != "" {
-		a.modelBucket(model).addDropped(arrival, finish)
+		bucket(&a.perModel, model).addDropped(arrival, finish)
 	}
 	if class != "" {
-		a.classBucket(class).addDropped(arrival, finish)
+		bucket(&a.perClass, class).addDropped(arrival, finish)
 	}
 }
 
@@ -273,10 +263,10 @@ func (a *Accumulator) span(arrival, finish float64) {
 func (a *Accumulator) Merge(b *Accumulator) {
 	a.merge(b)
 	for m, bc := range b.perModel {
-		a.modelBucket(m).merge(bc)
+		bucket(&a.perModel, m).merge(bc)
 	}
 	for cl, bc := range b.perClass {
-		a.classBucket(cl).merge(bc)
+		bucket(&a.perClass, cl).merge(bc)
 	}
 }
 
@@ -339,9 +329,9 @@ func (a *Accumulator) Snapshot() *Accumulator {
 // Queries returns the number of folded outcomes.
 func (a *Accumulator) Queries() int { return a.queries }
 
-// Summary renders the accumulated aggregates, matching Summarize over
-// the same outcomes (percentiles are sample-exact up to
-// maxLatencySamples latencies, reservoir-approximate beyond). Averages
+// Summary renders the accumulated aggregates (percentiles are
+// sample-exact up to maxLatencySamples latencies, reservoir-approximate
+// beyond); Summarize is this fold over a closed-loop stream. Averages
 // are over served queries; SLO fractions are over all queries, so drops
 // count as misses.
 func (a *Accumulator) Summary() Summary {
@@ -392,27 +382,13 @@ func (a *Accumulator) Summary() Summary {
 		s.AvgBatchSize = float64(a.sumBatch) / float64(a.batches)
 		s.MaxBatchSize = a.maxBatch
 	}
-	if len(a.perModel) > 0 {
-		models := make([]string, 0, len(a.perModel))
-		for m := range a.perModel {
-			models = append(models, m)
-		}
-		sort.Strings(models)
-		s.PerModel = make([]ModelSummary, 0, len(models))
-		for _, m := range models {
-			s.PerModel = append(s.PerModel, ModelSummary{Model: m, Summary: a.perModel[m].Summary()})
-		}
+	for _, m := range slices.Sorted(maps.Keys(a.perModel)) {
+		s.PerModel = append(s.PerModel, ModelSummary{Model: m, Summary: a.perModel[m].Summary()})
 	}
-	if len(a.perClass) > 0 {
-		classes := make([]string, 0, len(a.perClass))
-		for cl := range a.perClass {
-			classes = append(classes, cl)
-		}
-		sort.Strings(classes)
-		s.PerClass = make([]ClassSummary, 0, len(classes))
-		for _, cl := range classes {
-			s.PerClass = append(s.PerClass, ClassSummary{Class: cl, Summary: a.perClass[cl].Summary()})
-		}
+	for _, cl := range slices.Sorted(maps.Keys(a.perClass)) {
+		s.PerClass = append(s.PerClass, ClassSummary{Class: cl, Summary: a.perClass[cl].Summary()})
+	}
+	if len(s.PerClass) > 0 {
 		s.FairnessJain = classFairness(s.PerClass)
 	}
 	return s

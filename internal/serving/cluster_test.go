@@ -72,6 +72,53 @@ func clusterWorkload(t *testing.T, c *Cluster, n int) []sched.Query {
 	return qs
 }
 
+// exactFold is the closed-loop Summary written out directly over the
+// whole stream (no reservoir, no buckets): the oracle the Accumulator
+// fold, and so Summarize, is checked against.
+func exactFold(rs []Served) Summary {
+	var s Summary
+	s.Queries = len(rs)
+	if len(rs) == 0 {
+		return s
+	}
+	lats := make([]float64, 0, len(rs))
+	for _, r := range rs {
+		s.AvgLatency += r.Latency
+		s.AvgAccuracy += r.Accuracy
+		s.AvgHitRatio += r.HitRatio
+		s.HitBytes += r.HitBytes
+		s.OffChipEnergyJ += r.OffChipEnergyJ
+		if r.LatencyMet {
+			s.LatencySLO++
+		}
+		if r.AccuracyMet {
+			s.AccuracySLO++
+		}
+		if r.Feasible {
+			s.FeasibleFraction++
+		}
+		if r.CacheSwapped {
+			s.CacheSwaps++
+		}
+		if r.Recached {
+			s.Recaches++
+		}
+		lats = append(lats, r.Latency)
+	}
+	n := float64(len(rs))
+	s.AvgLatency /= n
+	s.AvgAccuracy /= n
+	s.AvgHitRatio /= n
+	s.LatencySLO /= n
+	s.AccuracySLO /= n
+	s.FeasibleFraction /= n
+	slices.Sort(lats)
+	s.P50Latency = percentile(lats, 0.50)
+	s.P95Latency = percentile(lats, 0.95)
+	s.P99Latency = percentile(lats, 0.99)
+	return s
+}
+
 // summariesClose compares summaries field-by-field with a relative
 // tolerance: folding per-replica sums re-associates float additions.
 func summariesClose(a, b Summary) bool {
@@ -163,9 +210,9 @@ func TestClusterStatsMatchSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := c.Stats(), Summarize(rs)
+	got, want := c.Stats(), exactFold(rs)
 	if !summariesClose(got, want) {
-		t.Errorf("folded stats diverge from Summarize:\n%v\n%v", got, want)
+		t.Errorf("folded stats diverge from the exact fold:\n%v\n%v", got, want)
 	}
 }
 
@@ -361,8 +408,47 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 	}
 	merged := a.Snapshot()
 	merged.Merge(&b)
-	if got, want := merged.Summary(), Summarize(rs); !summariesClose(got, want) {
-		t.Errorf("accumulator fold diverges from Summarize:\n%v\n%v", got, want)
+	if got, want := merged.Summary(), exactFold(rs); !summariesClose(got, want) {
+		t.Errorf("accumulator fold diverges from the exact fold:\n%v\n%v", got, want)
+	}
+	if got, want := Summarize(rs), exactFold(rs); !summariesClose(got, want) {
+		t.Errorf("Summarize diverges from the exact fold:\n%v\n%v", got, want)
+	}
+}
+
+// TestSummarizePastReservoirCap streams more outcomes than one latency
+// reservoir holds, over two models and two classes: Summarize must equal
+// the Accumulator fold of the same stream bit for bit (buckets
+// included), and every aggregate but the sampled percentiles must equal
+// the exact fold.
+func TestSummarizePastReservoirCap(t *testing.T) {
+	n := 3*maxLatencySamples + 7
+	rs := make([]Served, n)
+	for i := range rs {
+		rs[i] = Served{
+			Query:    sched.Query{Model: []string{"a", "b"}[i%2], Class: []string{"gold", "batch"}[i%3%2]},
+			Latency:  float64((i*7919)%1000) * 1e-5,
+			Accuracy: 70 + float64(i%10),
+			HitRatio: float64(i%4) / 4, HitBytes: int64(i % 5), OffChipEnergyJ: 1e-6,
+			LatencyMet: i%3 != 0, AccuracyMet: i%5 != 0, Feasible: i%7 != 0,
+			CacheSwapped: i%11 == 0, Recached: i%13 == 0,
+		}
+	}
+	var a Accumulator
+	for _, r := range rs {
+		a.Add(r)
+	}
+	got := Summarize(rs)
+	if want := a.Summary(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Summarize diverges from the Accumulator fold:\n%v\n%v", got, want)
+	}
+	if len(got.PerModel) != 2 || len(got.PerClass) != 2 {
+		t.Fatalf("%d model and %d class slices, want 2 and 2", len(got.PerModel), len(got.PerClass))
+	}
+	exact := exactFold(rs)
+	exact.P50Latency, exact.P95Latency, exact.P99Latency = got.P50Latency, got.P95Latency, got.P99Latency
+	if !summariesClose(got, exact) || got.Recaches != exact.Recaches {
+		t.Errorf("aggregates past the cap diverge from the exact fold:\n%v\n%v", got, exact)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // after defaulting, Seed); the supernet and frontier are identified by
 // pointer — the core layer memoizes frontier derivation per workload,
 // so equal workloads present pointer-equal inputs, and distinct
-// frontiers can never collide. The budgets ladder is folded in as its
-// canonical printed form.
+// frontiers can never collide. The budget ladder (one level for
+// BuildTable) is folded in as its canonical printed form.
 type buildKey struct {
 	super      *supernet.SuperNet
 	frontier0  *supernet.SubNet
@@ -49,11 +49,11 @@ var (
 	builds  map[buildKey]*buildEntry
 )
 
-// buildTableCached memoizes buildTableUncached/buildTenantTableUncached
-// by build parameters. Builds are deterministic (column workers write
-// by index; candidate generation is seeded), so a memoized table is
-// value-identical to a fresh one — callers share it the same way
-// cluster replicas already share one table via Options.Table.
+// buildTableCached memoizes buildTableUncached by build parameters.
+// Builds are deterministic (column workers write by index; candidate
+// generation is seeded), so a memoized table is value-identical to a
+// fresh one — callers share it the same way cluster replicas already
+// share one table via Options.Table.
 func buildTableCached(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options, budgets []int64) (*latencytable.Table, accel.Config, error) {
 	if opt.Candidates <= 0 {
 		opt.Candidates = 16
@@ -65,12 +65,10 @@ func buildTableCached(super *supernet.SuperNet, frontier []*supernet.SubNet, opt
 		candidates: opt.Candidates,
 		seed:       opt.Seed,
 		accel:      opt.Accel,
+		budgets:    fmt.Sprint(budgets),
 	}
 	if len(frontier) > 0 {
 		key.frontier0 = frontier[0]
-	}
-	if len(budgets) > 0 {
-		key.budgets = fmt.Sprint(budgets)
 	}
 	buildMu.Lock()
 	e := builds[key]
@@ -85,11 +83,7 @@ func buildTableCached(super *supernet.SuperNet, frontier []*supernet.SubNet, opt
 	}
 	buildMu.Unlock()
 	e.once.Do(func() {
-		if len(budgets) > 0 {
-			e.table, e.cfg, e.err = buildTenantTableUncached(super, frontier, opt, budgets)
-		} else {
-			e.table, e.cfg, e.err = buildTableUncached(super, frontier, opt)
-		}
+		e.table, e.cfg, e.err = buildTableUncached(super, frontier, opt, budgets)
 	})
 	return e.table, e.cfg, e.err
 }

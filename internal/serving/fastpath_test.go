@@ -198,3 +198,24 @@ func TestBuildMemoAdmitsPastCap(t *testing.T) {
 		t.Errorf("a key built after the memo's cap was rebuilt on repeat: %p, then %p", a, b)
 	}
 }
+
+// TestTableIsOneLevelLadder: a single-model table is the one-level
+// budget ladder at the PB size, so BuildTable and that BuildTenantTable
+// call share one memo entry and return the same table.
+func TestTableIsOneLevelLadder(t *testing.T) {
+	s, fr := fixtures(t, supernet.MobileNetV3)
+	for _, mode := range []Mode{Full, StateUnaware, NoPB} {
+		opt := Options{Accel: accel.ZCU104(), Mode: mode, Candidates: 5, Seed: 3}
+		a, _, err := BuildTable(s, fr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := BuildTenantTable(s, fr, opt, []int64{opt.Accel.PBBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%v: BuildTable and the one-level BuildTenantTable built two tables: %p, %p", mode, a, b)
+		}
+	}
+}

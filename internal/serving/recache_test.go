@@ -185,6 +185,17 @@ func TestSystemRecacheValidation(t *testing.T) {
 	}
 }
 
+// predicted is what the fastest router reads off one replica: the
+// latency its own table predicts for q under the published column and
+// the feasibility verdict (+Inf, false when q cannot be scheduled).
+func predicted(rep *Replica, q sched.Query) (float64, bool) {
+	var d sched.Decision
+	if _, _, ok := rep.peek(q, false, &d); ok {
+		return d.PredictedLatency, d.Feasible
+	}
+	return math.Inf(1), false
+}
+
 // TestFastestRouterPrefersFasterHardware: with identical queue depths,
 // the fastest router must send a query to the replica whose own table
 // predicts the lower latency for it.
@@ -220,8 +231,8 @@ func TestFastestRouterPrefersFasterHardware(t *testing.T) {
 	// (only one board fits) to loose (the most accurate SubNet wins).
 	for budget := 1e-3; budget < 8e-3; budget += 2.5e-4 {
 		q := sched.Query{MaxLatency: budget}
-		u50Lat, u50OK := u50.predicted(q)
-		zcuLat, zcuOK := zcu.predicted(q)
+		u50Lat, u50OK := predicted(u50, q)
+		zcuLat, zcuOK := predicted(zcu, q)
 		want := 0
 		switch {
 		case zcuOK && !u50OK:

@@ -3,7 +3,6 @@ package serving
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -172,26 +171,44 @@ func (r *Replica) publishCache(t *tenant) {
 	})
 }
 
+// peek is the one lock-free look routers and batch formers take at a
+// replica: it resolves q's model-tenant (nil for an unknown model),
+// loads the tenant's last published cache snapshot and writes into d
+// what the tenant's scheduler would serve for q against that column.
+// ok is false when no decision was made: an unknown model, no
+// snapshot, a scheduler error or, with needGraph, a snapshot that
+// caches no SubGraph, which returns before the scheduler is asked. d
+// is an out-parameter: returning the five-field Decision by value adds
+// stack copies to every replica the fastest router scores.
+func (r *Replica) peek(q sched.Query, needGraph bool, d *sched.Decision) (t *tenant, snap *cacheSnapshot, ok bool) {
+	t, err := r.tenantFor(q.Model)
+	if err != nil {
+		return nil, nil, false
+	}
+	if snap = t.cache.Load(); snap == nil || (needGraph && snap.graph == nil) {
+		return t, snap, false
+	}
+	*d, err = t.sys.Scheduler().PeekAt(q, snap.col)
+	return t, snap, err == nil
+}
+
 // AffinityScore is the overlap (||SN ∩ G||² / ||SN||²) between the
 // SubNet the query's model-tenant would serve for q — evaluated
 // against its last published cache state — and the SubGraph slice its
-// Persistent Buffer share holds. Lock-free: it reads the atomic
-// snapshot and the tenant scheduler's immutable table only, so routers
-// may call it while the replica is serving.
+// Persistent Buffer share holds: 0 when that slice is empty, -1 when
+// q's model is unknown or q cannot be scheduled. Lock-free: it reads
+// the atomic snapshot and the tenant scheduler's immutable table only,
+// so routers may call it while the replica is serving.
 func (r *Replica) AffinityScore(q sched.Query) float64 {
-	t, err := r.tenantFor(q.Model)
-	if err != nil {
-		return -1
-	}
-	snap := t.cache.Load()
-	if snap == nil || snap.graph == nil {
+	var d sched.Decision
+	t, snap, ok := r.peek(q, true, &d)
+	switch {
+	case ok:
+		return overlapFor(t, snap, d.SubNet)
+	case t != nil && (snap == nil || snap.graph == nil):
 		return 0
 	}
-	d, err := t.sys.Scheduler().PeekAt(q, snap.col)
-	if err != nil {
-		return -1
-	}
-	return overlapFor(t, snap, d.SubNet)
+	return -1
 }
 
 // overlapFor reads the snapshot's cached per-row overlap score,
@@ -210,34 +227,6 @@ func overlapFor(t *tenant, snap *cacheSnapshot, row int) float64 {
 	return ov[row]
 }
 
-// predicted returns the service latency (seconds) the query's
-// model-tenant's own latency table predicts for q under its last
-// published cache column, together with the scheduler's feasibility
-// verdict for it. It is the hardware- and model-aware routing signal:
-// heterogeneous fleets have one table per (model, hardware) pair, so
-// the same query scores differently per replica AND per model.
-// Lock-free like AffinityScore; the latency is +Inf when the query
-// cannot be scheduled at all (including an unknown model). Routers
-// need the verdict too: an infeasible replica's fallback is often its
-// FASTEST SubNet (strict-latency fallback is argmin latency), so
-// scoring by latency alone would systematically attract queries to
-// replicas that cannot honour their constraints.
-func (r *Replica) predicted(q sched.Query) (float64, bool) {
-	t, err := r.tenantFor(q.Model)
-	if err != nil {
-		return math.Inf(1), false
-	}
-	snap := t.cache.Load()
-	if snap == nil {
-		return math.Inf(1), false
-	}
-	d, err := t.sys.Scheduler().PeekAt(q, snap.col)
-	if err != nil {
-		return math.Inf(1), false
-	}
-	return d.PredictedLatency, d.Feasible
-}
-
 // ScheduledSubNet is the batch former's compatibility key: the table
 // row the query's model-tenant scheduler would serve for q against its
 // last published cache column (-1 when q cannot be scheduled at all).
@@ -246,19 +235,11 @@ func (r *Replica) predicted(q sched.Query) (float64, bool) {
 // like AffinityScore, so batch formers may call it while the replica
 // serves.
 func (r *Replica) ScheduledSubNet(q sched.Query) int {
-	t, err := r.tenantFor(q.Model)
-	if err != nil {
-		return -1
+	var d sched.Decision
+	if _, _, ok := r.peek(q, false, &d); ok {
+		return d.SubNet
 	}
-	snap := t.cache.Load()
-	if snap == nil {
-		return -1
-	}
-	d, err := t.sys.Scheduler().PeekAt(q, snap.col)
-	if err != nil {
-		return -1
-	}
-	return d.SubNet
+	return -1
 }
 
 // EnableRecache turns on the cache-management layer for every tenant

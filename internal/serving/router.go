@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"math/rand"
 
 	"sushi/internal/sched"
@@ -75,7 +76,7 @@ func (r *random) Pick(_ sched.Query, reps []*Replica) int {
 // compute-heavy SubNets to the wide datacenter array and small SubNets
 // to the embedded board — the cluster-level reading of §5.4.2's
 // observation that neither board dominates. Scoring is lock-free
-// (Replica.predicted and the scheduler's pure PeekAt).
+// (Replica.peek and the scheduler's pure PeekAt).
 func NewFastest() Router { return fastest{} }
 
 type fastest struct{}
@@ -84,8 +85,14 @@ func (fastest) Name() string { return "fastest" }
 
 func (fastest) Pick(q sched.Query, reps []*Replica) int {
 	best, bestScore, bestFeasible := 0, 0.0, false
+	var d sched.Decision
 	for i, rep := range reps {
-		lat, feasible := rep.predicted(q)
+		// A replica that cannot schedule q at all (including an unknown
+		// model) predicts +Inf.
+		lat, feasible := math.Inf(1), false
+		if _, _, ok := rep.peek(q, false, &d); ok {
+			lat, feasible = d.PredictedLatency, d.Feasible
+		}
 		score := lat * float64(rep.QueueDepth()+1)
 		better := score < bestScore
 		if feasible != bestFeasible {

@@ -179,54 +179,18 @@ type System struct {
 	passScratch accel.Report
 }
 
-// BuildTable derives the SushiAbs latency table for a mode/config pair.
-// The returned config is the effective accelerator configuration (NoPB
+// BuildTable derives the SushiAbs latency table for a mode/config pair:
+// the one-level budget ladder at the accelerator's PB size. The
+// returned config is the effective accelerator configuration (NoPB
 // strips the Persistent Buffer). The table is read-only after build and
 // may be shared across systems via Options.Table. Builds are memoized
-// process-wide by (supernet, frontier, mode, candidates, seed, accel):
-// the experiment harness deploys probe tables and fleet tables with
-// identical parameters many times per run, and Build is deterministic,
-// so a cache hit returns a value-identical (in fact the same, safely
-// shared) table.
+// process-wide by (supernet, frontier, mode, candidates, seed, accel,
+// ladder): the experiment harness deploys probe tables and fleet tables
+// with identical parameters many times per run, and Build is
+// deterministic, so a cache hit returns a value-identical (in fact the
+// same, safely shared) table.
 func BuildTable(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options) (*latencytable.Table, accel.Config, error) {
-	return buildTableCached(super, frontier, opt, nil)
-}
-
-// buildTableUncached is the actual single-budget table derivation.
-func buildTableUncached(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options) (*latencytable.Table, accel.Config, error) {
-	if opt.Candidates <= 0 {
-		opt.Candidates = 16
-	}
-	cfg := opt.Accel
-	var graphs []*supernet.SubGraph
-	switch opt.Mode {
-	case NoPB:
-		cfg = cfg.WithoutPB()
-		graphs = []*supernet.SubGraph{supernet.NewSubGraph(super, "empty")}
-	case StateUnaware, Full:
-		var err error
-		graphs, err = latencytable.Candidates(super, frontier, latencytable.CandidateOptions{
-			Budget: cfg.PBBytes,
-			Count:  opt.Candidates,
-			Seed:   opt.Seed,
-			// One shape family: distance-based selection (Alg. 1) then
-			// picks which SubNet mix to cache for, not which shape.
-			Strategies: []latencytable.Strategy{latencytable.TailFirst},
-		})
-		if err != nil {
-			return nil, cfg, err
-		}
-		if len(graphs) == 0 {
-			return nil, cfg, fmt.Errorf("serving: no cache candidates generated")
-		}
-	default:
-		return nil, cfg, fmt.Errorf("serving: unknown mode %v", opt.Mode)
-	}
-	table, err := latencytable.Build(cfg, frontier, graphs)
-	if err != nil {
-		return nil, cfg, err
-	}
-	return table, cfg, nil
+	return BuildTenantTable(super, frontier, opt, nil)
 }
 
 // BuildTenantTable derives the SushiAbs latency table for one model of
@@ -237,23 +201,53 @@ func buildTableUncached(super *supernet.SuperNet, frontier []*supernet.SubNet, o
 // smaller SubGraph and a grown tenant can always take a bigger one.
 // Candidates are distributed evenly across levels (the remainder goes
 // to the boot level upward), deduplicated across levels (a small model
-// may saturate several budgets with the same truncation), and the
-// per-level generation uses the same seed and strategy family as the
-// single-model BuildTable. An empty ladder, and the NoPB mode, degrade
-// to BuildTable exactly.
+// may saturate several budgets with the same truncation), and each
+// level is generated with the same seed and strategy family. An empty
+// ladder, and the NoPB mode, build BuildTable's one-level ladder, so
+// both calls share one memo entry and one table.
 func BuildTenantTable(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options, budgets []int64) (*latencytable.Table, accel.Config, error) {
 	if len(budgets) == 0 || opt.Mode == NoPB {
-		return BuildTable(super, frontier, opt)
+		budgets = []int64{opt.Accel.PBBytes}
 	}
 	return buildTableCached(super, frontier, opt, budgets)
 }
 
-// buildTenantTableUncached is the actual ladder table derivation.
-func buildTenantTableUncached(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options, budgets []int64) (*latencytable.Table, accel.Config, error) {
-	if opt.Candidates <= 0 {
-		opt.Candidates = 16
+// accelFor is the accelerator configuration a mode runs on: NoPB
+// strips the Persistent Buffer.
+func accelFor(opt Options) (accel.Config, error) {
+	switch opt.Mode {
+	case NoPB:
+		return opt.Accel.WithoutPB(), nil
+	case StateUnaware, Full:
+		return opt.Accel, nil
 	}
-	cfg := opt.Accel
+	return opt.Accel, fmt.Errorf("serving: unknown mode %v", opt.Mode)
+}
+
+// buildTableUncached is the one table derivation. NoPB tables have the
+// single cold-cache column; the caching modes draw their columns from
+// the budget ladder.
+func buildTableUncached(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options, budgets []int64) (*latencytable.Table, accel.Config, error) {
+	cfg, err := accelFor(opt)
+	if err != nil {
+		return nil, cfg, err
+	}
+	var graphs []*supernet.SubGraph
+	if opt.Mode == NoPB {
+		graphs = []*supernet.SubGraph{supernet.NewSubGraph(super, "empty")}
+	} else if graphs, err = ladderCandidates(super, frontier, opt, budgets); err != nil {
+		return nil, cfg, err
+	}
+	table, err := latencytable.Build(cfg, frontier, graphs)
+	if err != nil {
+		return nil, cfg, err
+	}
+	return table, cfg, nil
+}
+
+// ladderCandidates draws opt.Candidates cache columns spread over the
+// budget levels, deduplicated across levels.
+func ladderCandidates(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options, budgets []int64) ([]*supernet.SubGraph, error) {
 	levels := len(budgets)
 	counts := make([]int, levels)
 	base, rem := opt.Candidates/levels, opt.Candidates%levels
@@ -272,13 +266,15 @@ func buildTenantTableUncached(super *supernet.SuperNet, frontier []*supernet.Sub
 			continue
 		}
 		gs, err := latencytable.Candidates(super, frontier, latencytable.CandidateOptions{
-			Budget:     budget,
-			Count:      counts[i],
-			Seed:       opt.Seed,
+			Budget: budget,
+			Count:  counts[i],
+			Seed:   opt.Seed,
+			// One shape family: distance-based selection (Alg. 1) then
+			// picks which SubNet mix to cache for, not which shape.
 			Strategies: []latencytable.Strategy{latencytable.TailFirst},
 		})
 		if err != nil {
-			return nil, cfg, err
+			return nil, err
 		}
 		for _, g := range gs {
 			key := latencytable.Fingerprint(g)
@@ -290,13 +286,9 @@ func buildTenantTableUncached(super *supernet.SuperNet, frontier []*supernet.Sub
 		}
 	}
 	if len(graphs) == 0 {
-		return nil, cfg, fmt.Errorf("serving: no cache candidates generated for any budget level")
+		return nil, fmt.Errorf("serving: no cache candidates generated")
 	}
-	table, err := latencytable.Build(cfg, frontier, graphs)
-	if err != nil {
-		return nil, cfg, err
-	}
-	return table, cfg, nil
+	return graphs, nil
 }
 
 // New builds a serving system over a supernet's frontier.
@@ -307,21 +299,14 @@ func New(super *supernet.SuperNet, frontier []*supernet.SubNet, opt Options) (*S
 	if opt.Q <= 0 {
 		opt.Q = 4
 	}
+	cfg, err := accelFor(opt)
+	if err != nil {
+		return nil, err
+	}
 	table := opt.Table
-	cfg := opt.Accel
 	if table == nil {
-		var err error
-		table, cfg, err = BuildTable(super, frontier, opt)
-		if err != nil {
+		if table, _, err = BuildTable(super, frontier, opt); err != nil {
 			return nil, err
-		}
-	} else {
-		switch opt.Mode {
-		case NoPB:
-			cfg = cfg.WithoutPB()
-		case StateUnaware, Full:
-		default:
-			return nil, fmt.Errorf("serving: unknown mode %v", opt.Mode)
 		}
 	}
 	initCol := 0

@@ -3,7 +3,6 @@ package serving
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary aggregates a served stream's outcome, the quantities behind
@@ -126,85 +125,17 @@ func classFairness(classes []ClassSummary) float64 {
 	return sum * sum / (float64(len(classes)) * sq)
 }
 
-// Summarize folds a served stream into a Summary (with per-model
-// slices when queries carry model ids).
+// Summarize folds a served stream into a Summary (with per-model and
+// per-class slices when queries carry model ids or classes) through an
+// Accumulator, so percentiles are exact up to maxLatencySamples
+// outcomes and reservoir-sampled past them; every other aggregate is
+// exact.
 func Summarize(rs []Served) Summary {
-	s := summarize(rs)
-	byModel := map[string][]Served{}
-	var models []string
-	byClass := map[string][]Served{}
-	var classes []string
-	for _, r := range rs {
-		if m := r.Query.Model; m != "" {
-			if _, seen := byModel[m]; !seen {
-				models = append(models, m)
-			}
-			byModel[m] = append(byModel[m], r)
-		}
-		if cl := r.Query.Class; cl != "" {
-			if _, seen := byClass[cl]; !seen {
-				classes = append(classes, cl)
-			}
-			byClass[cl] = append(byClass[cl], r)
-		}
+	var a Accumulator
+	for i := range rs {
+		a.add(&rs[i])
 	}
-	sort.Strings(models)
-	for _, m := range models {
-		s.PerModel = append(s.PerModel, ModelSummary{Model: m, Summary: summarize(byModel[m])})
-	}
-	sort.Strings(classes)
-	for _, cl := range classes {
-		s.PerClass = append(s.PerClass, ClassSummary{Class: cl, Summary: summarize(byClass[cl])})
-	}
-	if len(s.PerClass) > 0 {
-		s.FairnessJain = classFairness(s.PerClass)
-	}
-	return s
-}
-
-// summarize folds a served stream without per-model bucketing.
-func summarize(rs []Served) Summary {
-	var s Summary
-	s.Queries = len(rs)
-	if len(rs) == 0 {
-		return s
-	}
-	lats := make([]float64, 0, len(rs))
-	for _, r := range rs {
-		s.AvgLatency += r.Latency
-		s.AvgAccuracy += r.Accuracy
-		s.AvgHitRatio += r.HitRatio
-		s.HitBytes += r.HitBytes
-		s.OffChipEnergyJ += r.OffChipEnergyJ
-		if r.LatencyMet {
-			s.LatencySLO++
-		}
-		if r.AccuracyMet {
-			s.AccuracySLO++
-		}
-		if r.Feasible {
-			s.FeasibleFraction++
-		}
-		if r.CacheSwapped {
-			s.CacheSwaps++
-		}
-		if r.Recached {
-			s.Recaches++
-		}
-		lats = append(lats, r.Latency)
-	}
-	n := float64(len(rs))
-	s.AvgLatency /= n
-	s.AvgAccuracy /= n
-	s.AvgHitRatio /= n
-	s.LatencySLO /= n
-	s.AccuracySLO /= n
-	s.FeasibleFraction /= n
-	sort.Float64s(lats)
-	s.P50Latency = percentile(lats, 0.50)
-	s.P95Latency = percentile(lats, 0.95)
-	s.P99Latency = percentile(lats, 0.99)
-	return s
+	return a.Summary()
 }
 
 // percentile returns the p-quantile of sorted xs (nearest-rank).

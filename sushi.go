@@ -145,7 +145,8 @@ var (
 	DriftingWorkload = workload.Drifting
 )
 
-// Summarize folds a served stream into aggregate statistics.
+// Summarize folds a served stream into aggregate statistics; its
+// percentiles are exact up to 4,096 outcomes and sampled past them.
 var Summarize = serving.Summarize
 
 // Open-loop simulation (§1's transient overload regime). Arrival
