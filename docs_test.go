@@ -2,6 +2,7 @@ package sushi
 
 import (
 	"fmt"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -15,13 +16,10 @@ import (
 // TestDocsReferencesResolve holds README.md and docs/ARCHITECTURE.md to
 // the tree. README links ARCHITECTURE; ARCHITECTURE names no missing
 // internal package and covers every existing one; every backticked
-// pkg.Name in either document, where pkg is sushi or an internal
-// package (with or without its internal/ prefix), is a top-level
-// declaration of that package; and every backticked *.go path names
+// name resolves (docRefErrors); and every backticked *.go path names
 // exactly one file (goPathErrors). A rename or deletion without a docs
 // update fails here.
 func TestDocsReferencesResolve(t *testing.T) {
-	_, _, top := scanSurface(t, ".")
 	docs := map[string]string{}
 	for _, name := range []string{"README.md", "docs/ARCHITECTURE.md"} {
 		b, err := os.ReadFile(name)
@@ -38,7 +36,7 @@ func TestDocsReferencesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := map[string]bool{"sushi": true}
+	pkgs := map[string]bool{}
 	for _, d := range dirs {
 		d = filepath.ToSlash(d)
 		pkgs[strings.TrimPrefix(d, "internal/")] = true
@@ -55,16 +53,87 @@ func TestDocsReferencesResolve(t *testing.T) {
 	for _, e := range goPathErrors(t, ".", docs) {
 		t.Error(e)
 	}
-	ref := regexp.MustCompile(`\b(?:internal/)?([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	for _, e := range docRefErrors(loadRepo(t), docs) {
+		t.Error(e)
+	}
+}
+
+// TestDocsRefRuleBites runs docRefErrors on a module whose document
+// names a declared and a missing package-level name, a field, an
+// unexported method, a missing method, and a capitalised word that is
+// no type.
+func TestDocsRefRuleBites(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"go.mod":     "module m\n",
+		"a/a.go":     "package a\n\ntype T struct{ Field int }\n\nfunc (T) peek() {}\n\nfunc New() T { return T{} }\n",
+		"cmd/c/c.go": "package main\n\nimport \"m/a\"\n\nfunc main() { a.New() }\n",
+	})
+	m, err := loadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := "`a.New`, `a.Gone`, `T.Field`, `T.peek`, `a.T.peek`, `T.enact`, `README.md`"
+	got := docRefErrors(m, map[string]string{"DOC.md": doc})
+	want := []string{
+		"DOC.md: `T.enact` names T.enact, which no type T has",
+		"DOC.md: `a.Gone` names a.Gone, which is not declared",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("docRefErrors =\n%q\nwant\n%q", got, want)
+	}
+}
+
+// docRefErrors checks two kinds of backticked reference in docs (name
+// → text) against a loaded module. A pkg.Name, where pkg is a non-main
+// package of the tree outside bench/ (with or without an internal/
+// prefix), must be declared at pkg's top level. A Type.member, where
+// Type is a type some package declares, must name a field or method,
+// exported or not, of a type of that name.
+func docRefErrors(m *module, docs map[string]string) []string {
+	scopes := map[string]*types.Scope{}
+	typesNamed := map[string][]*types.TypeName{}
+	for _, p := range m.pkgs {
+		if p.types.Name() != "main" && !p.inBench() {
+			scopes[p.types.Name()] = p.types.Scope()
+		}
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok {
+				typesNamed[name] = append(typesNamed[name], tn)
+			}
+		}
+	}
+	hasMember := func(typeName, member string) bool {
+		for _, tn := range typesNamed[typeName] {
+			pkg := tn.Pkg()
+			if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				pkg = n.Obj().Pkg()
+			}
+			if obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, member); obj != nil {
+				return true
+			}
+		}
+		return false
+	}
+	pkgRef := regexp.MustCompile(`\b(?:internal/)?([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	memberRef := regexp.MustCompile(`\b([A-Z]\w*)\.([A-Za-z_]\w*)`)
+	var errs []string
 	for name, doc := range docs {
 		for _, span := range regexp.MustCompile("`[^`\n]+`").FindAllString(doc, -1) {
-			for _, m := range ref.FindAllStringSubmatch(span, -1) {
-				if pkgs[m[1]] && !top[m[1]+"."+m[2]] {
-					t.Errorf("%s: %s names %s.%s, which is not declared", name, span, m[1], m[2])
+			for _, r := range pkgRef.FindAllStringSubmatch(span, -1) {
+				if scope := scopes[r[1]]; scope != nil && scope.Lookup(r[2]) == nil {
+					errs = append(errs, fmt.Sprintf("%s: %s names %s.%s, which is not declared", name, span, r[1], r[2]))
+				}
+			}
+			for _, r := range memberRef.FindAllStringSubmatch(span, -1) {
+				if len(typesNamed[r[1]]) > 0 && !hasMember(r[1], r[2]) {
+					errs = append(errs, fmt.Sprintf("%s: %s names %s.%s, which no type %s has", name, span, r[1], r[2], r[1]))
 				}
 			}
 		}
 	}
+	sort.Strings(errs)
+	return errs
 }
 
 // TestDocsGoPathRuleBites runs goPathErrors on a tree whose document

@@ -148,13 +148,28 @@ func TestLayerLatencyCacheHitReducesOffChip(t *testing.T) {
 	}
 }
 
+// components sums a layer's five critical-path latency components.
+func components(l *LayerLatency) float64 {
+	return l.Compute + l.IActOffChip + l.WeightsOffChip + l.WeightsOnChip + l.OActOffChip
+}
+
+// TestLayerLatencyComponentsSum runs a SubNet one layer at a time: each
+// one-layer report's Total is that layer's five components.
 func TestLayerLatencyComponentsSum(t *testing.T) {
-	c := ZCU104()
-	l := &nn.Layer{Kind: nn.Conv, C: 64, K: 64, R: 3, S: 3, InH: 56, InW: 56, OutH: 56, OutW: 56, Stride: 1, Pad: 1}
-	ll := layerLatency(&c, l, 0)
-	sum := ll.Compute + ll.IActOffChip + ll.WeightsOffChip + ll.WeightsOnChip + ll.OActOffChip
-	if math.Abs(sum-ll.Total())/ll.Total() > 1e-12 {
-		t.Errorf("components %g != Total %g", sum, ll.Total())
+	_, fr := buildFrontier(t, supernet.MobileNetV3)
+	sim, err := NewSimulator(ZCU104())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fr[0].Model.Layers {
+		rep, err := sim.RunLayers(fr[0], func(j int) bool { return j == i })
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := components(&rep.Layers[0])
+		if sum <= 0 || math.Abs(sum-rep.Total()) > 1e-12*sum {
+			t.Errorf("layer %d: components %g != Total %g", i, sum, rep.Total())
+		}
 	}
 }
 
@@ -482,7 +497,7 @@ func TestReportAggregationInvariants(t *testing.T) {
 		woff += l.WeightsOffChip
 		won += l.WeightsOnChip
 		oact += l.OActOffChip
-		layerTotal += l.Total()
+		layerTotal += components(&l)
 		distinct += l.DistinctBytes
 		hit += l.HitBytes
 		off += l.DistinctBytes + l.IActBytes + l.OActBytes
@@ -577,7 +592,7 @@ func TestServeBatchAmortizesWeights(t *testing.T) {
 		// Per-layer decomposition still sums to the batch total.
 		var layerTotal float64
 		for _, l := range rep.Layers {
-			layerTotal += l.Total()
+			layerTotal += components(&l)
 		}
 		if math.Abs(layerTotal-rep.Total()) > 1e-12*rep.Total() {
 			t.Errorf("n=%d: layer totals %g != Total %g", n, layerTotal, rep.Total())

@@ -90,7 +90,7 @@ func ExecuteConv(cfg *Config, in *tensor.Int8, w *tensor.Int8, zp int32, p tenso
 								}
 								// In-place OB accumulation across channel
 								// tiles (final oActs leave once).
-								ob.Set(n, k, y, x, ob.At(n, k, y, x)+acc)
+								ob.Data[((n*ws.N+k)*oh+y)*ow+x] += acc
 								st.OBAccumulations++
 							}
 						}

@@ -5,8 +5,8 @@ import (
 )
 
 // LayerLatency is the per-layer critical-path decomposition of Fig. 10:
-// the five components sum to Total. Times are in seconds, traffic in
-// bytes.
+// the five components sum to the layer's latency, and over a run's
+// layers to Report.Total. Times are in seconds, traffic in bytes.
 type LayerLatency struct {
 	// Name echoes the layer name.
 	Name string
@@ -31,11 +31,6 @@ type LayerLatency struct {
 	IActBytes, OActBytes int64
 	// ComputeBound reports whether compute exceeded total DRAM time.
 	ComputeBound bool
-}
-
-// Total returns the layer's critical-path latency.
-func (l *LayerLatency) Total() float64 {
-	return l.Compute + l.IActOffChip + l.WeightsOffChip + l.WeightsOnChip + l.OActOffChip
 }
 
 // computeCycles models the DPE array schedule for one layer:

@@ -9,28 +9,9 @@ import (
 	"sushi/internal/supernet"
 )
 
-func TestCPUConfigValidate(t *testing.T) {
-	if err := IntelI7_10750H().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := IntelI7_10750H()
-	bad.EffFLOPS = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero FLOPS accepted")
-	}
-}
-
-func TestDPUConfigValidate(t *testing.T) {
-	if err := XilinxDPU().Validate(); err != nil {
-		t.Fatal(err)
-	}
+func TestDPUPeakOpsPerCycle(t *testing.T) {
 	if got := XilinxDPU().PeakOpsPerCycle(); got != 2304 {
 		t.Errorf("DPU ops/cycle = %d, want 2304 (Table 2)", got)
-	}
-	bad := XilinxDPU()
-	bad.PP = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero PP accepted")
 	}
 }
 

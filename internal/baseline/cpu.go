@@ -7,11 +7,7 @@
 // losing on some high-X/Y layers.
 package baseline
 
-import (
-	"fmt"
-
-	"sushi/internal/nn"
-)
+import "sushi/internal/nn"
 
 // CPUConfig models a general-purpose CPU running int8 inference.
 type CPUConfig struct {
@@ -35,14 +31,6 @@ func IntelI7_10750H() CPUConfig {
 		MemBW:            25e9,
 		PerLayerOverhead: 30e-6,
 	}
-}
-
-// Validate reports configuration errors.
-func (c CPUConfig) Validate() error {
-	if c.EffFLOPS <= 0 || c.MemBW <= 0 || c.PerLayerOverhead < 0 {
-		return fmt.Errorf("baseline: invalid CPU config %+v", c)
-	}
-	return nil
 }
 
 // LayerLatency returns the CPU time for one layer: the roofline max of

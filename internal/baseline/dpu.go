@@ -1,10 +1,6 @@
 package baseline
 
-import (
-	"fmt"
-
-	"sushi/internal/nn"
-)
+import "sushi/internal/nn"
 
 // DPUConfig models the Xilinx DPU (DPUCZDX8G, Table 2: 2304 peak
 // ops/cycle): a dataflow with pixel parallelism PP in the X/Y dimensions,
@@ -39,14 +35,6 @@ func XilinxDPU() DPUConfig {
 		OffChipBW:      19.2e9,
 		WeightBufBytes: 1152 << 10,
 	}
-}
-
-// Validate reports configuration errors.
-func (c DPUConfig) Validate() error {
-	if c.OCP <= 0 || c.ICP <= 0 || c.PP <= 0 || c.FreqMHz <= 0 || c.OffChipBW <= 0 || c.WeightBufBytes <= 0 {
-		return fmt.Errorf("baseline: invalid DPU config %+v", c)
-	}
-	return nil
 }
 
 // PeakOpsPerCycle returns 2*OCP*ICP*PP, Table 2's throughput row.

@@ -7,6 +7,7 @@ import (
 
 	"sushi/internal/sched"
 	"sushi/internal/serving"
+	"sushi/internal/workload"
 )
 
 func TestBuildSuperNet(t *testing.T) {
@@ -65,15 +66,33 @@ func TestDeployDefaultsAndServe(t *testing.T) {
 	}
 }
 
+// TestDeployModes: each system variant reaches the replica. NoPB runs
+// without a Persistent Buffer, and the three variants serve one stream
+// three different ways (Fig. 16's comparison).
 func TestDeployModes(t *testing.T) {
+	qs, err := workload.Uniform(200, workload.Range{Lo: 74, Hi: 80}, workload.Range{Lo: 2e-3, Hi: 12e-3}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[[2]float64]serving.Mode{}
 	for _, m := range []serving.Mode{serving.Full, serving.StateUnaware, serving.NoPB} {
 		d, err := DeployCluster(DeployOptions{Workload: MobileNetV3, Mode: m}, ClusterOptions{})
 		if err != nil {
 			t.Fatalf("mode %v: %v", m, err)
 		}
-		if soloSystem(d).Mode() != m {
-			t.Errorf("mode %v mismatch", m)
+		if pb := soloSystem(d).Simulator().Config().PBBytes; (pb == 0) != (m == serving.NoPB) {
+			t.Errorf("mode %v: PB of %d bytes", m, pb)
 		}
+		rs, err := d.Cluster.ServeAll(context.Background(), qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := serving.Summarize(rs)
+		key := [2]float64{sum.AvgLatency, sum.AvgHitRatio}
+		if prev, ok := seen[key]; ok {
+			t.Errorf("modes %v and %v serve the stream alike", prev, m)
+		}
+		seen[key] = m
 	}
 	if _, err := DeployCluster(DeployOptions{Workload: "bogus"}, ClusterOptions{}); err == nil {
 		t.Error("bogus workload accepted")

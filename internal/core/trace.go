@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sushi/internal/sched"
+	"sushi/internal/serving"
 	"sushi/internal/simq"
 	"sushi/internal/workload"
 )
@@ -98,6 +99,20 @@ func CohortSweepTrace(queries int) (*workload.TraceV2, error) {
 	return cohortPopulation(total, budget).Record(queries, cohortSeed)
 }
 
+// TraceStream pairs the first n records of a trace with their
+// arrivals: the one way a trace becomes a timed stream.
+func TraceStream(tr *workload.TraceV2, n int) ([]serving.TimedQuery, error) {
+	qs, err := tr.Queries(n)
+	if err != nil {
+		return nil, err
+	}
+	arr, err := tr.Times(n, 0)
+	if err != nil {
+		return nil, err
+	}
+	return simq.Stream(qs, arr)
+}
+
 // ReplayTraceV2 plays a recorded trace through a fresh fleet of the
 // skewed population under its admission discipline and reports the
 // run. Replaying CohortSweepTrace reproduces SimulatePopulation of the
@@ -108,15 +123,7 @@ func ReplayTraceV2(tr *workload.TraceV2) (*Result, error) {
 		return nil, err
 	}
 	n := len(tr.Records)
-	qs, err := tr.Queries(n)
-	if err != nil {
-		return nil, err
-	}
-	times, err := tr.Times(n, 0)
-	if err != nil {
-		return nil, err
-	}
-	stream, err := simq.Stream(qs, times)
+	stream, err := TraceStream(tr, n)
 	if err != nil {
 		return nil, err
 	}

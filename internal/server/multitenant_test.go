@@ -102,7 +102,7 @@ func TestSimulateModelAndPerModel(t *testing.T) {
 		t.Errorf("unknown trace model: status %d, want 400", resp.StatusCode)
 	}
 	// /v1/replicas carries per-model slices with PB shares.
-	var reps []ReplicaEntry
+	var reps []core.ReplicaView
 	getJSON(t, ts, "/v1/replicas", &reps)
 	for _, r := range reps {
 		if len(r.Models) != 2 {

@@ -65,16 +65,10 @@ import (
 	"sushi/internal/workload"
 )
 
-// View types shared with the public sushi package through internal/core
-// (one marshaling, two surfaces).
-type (
-	// FrontierEntry is one row of /v1/frontier.
-	FrontierEntry = core.SubNetView
-	// CacheResponse is /v1/cache's body.
-	CacheResponse = core.CacheView
-	// ReplicaEntry is one row of /v1/replicas.
-	ReplicaEntry = core.ReplicaView
-)
+// FrontierEntry is one row of /v1/frontier. The /v1/cache and
+// /v1/replicas bodies are core.CacheView and core.ReplicaView: view types
+// shared with the public sushi package (one marshaling, two surfaces).
+type FrontierEntry = core.SubNetView
 
 // Server is an http.Handler serving a SUSHI cluster.
 type Server struct {
@@ -513,7 +507,7 @@ func (req SimulateRequest) stream(dflt *workload.Population) ([]serving.TimedQue
 		if err != nil {
 			return nil, err
 		}
-		return replayTrace(tr, req.Queries)
+		return core.TraceStream(tr, req.Queries)
 	}
 	if req.Cohorts != "" {
 		return nil, fmt.Errorf("cohorts given but process is %q (want \"cohorts\")", req.Process)
@@ -569,21 +563,7 @@ func (req SimulateRequest) replay(points []TracePoint, n int) ([]serving.TimedQu
 			MaxLatency:  p.MaxLatencyMS * 1e-3,
 		}
 	}
-	return replayTrace(tr, n)
-}
-
-// replayTrace pairs the first n records of a trace with their arrivals,
-// the way core.ReplayTraceV2 reads one.
-func replayTrace(tr *workload.TraceV2, n int) ([]serving.TimedQuery, error) {
-	qs, err := tr.Queries(n)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := tr.Times(n, 0)
-	if err != nil {
-		return nil, err
-	}
-	return simq.Stream(qs, arr)
+	return core.TraceStream(tr, n)
 }
 
 // SimulateResponse is /v1/simulate's body.

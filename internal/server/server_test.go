@@ -237,7 +237,7 @@ func TestCacheAndStatsEndpoints(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		postServe(t, ts, `{"min_accuracy": 79, "max_latency_ms": 10}`)
 	}
-	var cache CacheResponse
+	var cache core.CacheView
 	getJSON(t, ts, "/v1/cache", &cache)
 	if !cache.HasBuffer || cache.Name == "" || cache.SizeMB <= 0 {
 		t.Fatalf("cache response %+v", cache)
@@ -257,7 +257,7 @@ func TestReplicasEndpoint(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		postServe(t, ts, `{"min_accuracy": 78, "max_latency_ms": 10}`)
 	}
-	var reps []ReplicaEntry
+	var reps []core.ReplicaView
 	getJSON(t, ts, "/v1/replicas", &reps)
 	if len(reps) != 3 {
 		t.Fatalf("%d replicas", len(reps))
@@ -331,7 +331,7 @@ func TestConcurrentServes(t *testing.T) {
 	if stats.Queries != n {
 		t.Fatalf("served %d, want %d", stats.Queries, n)
 	}
-	var reps []ReplicaEntry
+	var reps []core.ReplicaView
 	getJSON(t, ts, "/v1/replicas", &reps)
 	total := 0
 	for _, r := range reps {
@@ -615,7 +615,7 @@ func TestBatchedDeploymentTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reps []ReplicaEntry
+	var reps []core.ReplicaView
 	if err := json.NewDecoder(rr.Body).Decode(&reps); err != nil {
 		t.Fatal(err)
 	}

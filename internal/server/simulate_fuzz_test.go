@@ -4,38 +4,46 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"os"
 	"strings"
 	"testing"
 )
 
-// readmeSimulateBody is README's /v1/simulate request example with its
-// comments stripped: every field of the body in one document.
-func readmeSimulateBody(tb testing.TB) []byte {
-	doc, err := os.ReadFile("../../README.md")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	_, section, ok := strings.Cut(string(doc), "### `POST /v1/simulate`")
-	_, example, ok2 := strings.Cut(section, "```json\n")
-	example, _, ok3 := strings.Cut(example, "```")
-	if !ok || !ok2 || !ok3 {
-		tb.Fatal("README has no /v1/simulate request example")
-	}
-	var body bytes.Buffer
-	for _, line := range strings.Split(example, "\n") {
-		line, _, _ = strings.Cut(line, "//")
-		body.WriteString(line + "\n")
-	}
-	return body.Bytes()
-}
+// fullSimulateBody sets every generator, queueing, router, batching
+// and autoscale knob of a /v1/simulate body at once.
+const fullSimulateBody = `{
+  "queries": 200,
+  "process": "poisson",
+  "cohorts": "rate=120,class=gold,budget=10|20;rate=60,class=batch,budget=60",
+  "rate_qps": 800,
+  "burst_rate_qps": 2000,
+  "mean_on_s": 0.2, "mean_off_s": 0.8,
+  "amplitude": 0.8, "period_s": 2,
+  "trace": [{"arrival_s": 0, "min_accuracy": 70, "max_latency_ms": 8}],
+  "min_accuracy": 70, "max_latency_ms": 8,
+  "seed": 1,
+  "queue": 6,
+  "admission": "reject",
+  "load_aware": true, "drop": true,
+  "router": "least-loaded", "router_seed": 1,
+  "max_batch": 4,
+  "batch_window_ms": 2,
+  "autoscale_min": 2, "autoscale_max": 8,
+  "autoscale_policy": "utilization",
+  "autoscale_interval_s": 0.01,
+  "autoscale_cooldown_s": 0
+}`
 
 // FuzzSimulateStream decodes a /v1/simulate body the way handleSimulate
 // does and builds its query stream. Every input either fails or yields
 // finite, non-negative, non-decreasing arrivals whose constraints are in
 // the ranges /v1/serve accepts; none may panic.
 func FuzzSimulateStream(f *testing.F) {
-	f.Add(readmeSimulateBody(f))
+	full := json.NewDecoder(strings.NewReader(fullSimulateBody))
+	full.DisallowUnknownFields()
+	if err := full.Decode(new(SimulateRequest)); err != nil {
+		f.Fatalf("fullSimulateBody no longer decodes: %v", err)
+	}
+	f.Add([]byte(fullSimulateBody))
 	for _, body := range badSimulateBodies {
 		f.Add([]byte(body))
 	}

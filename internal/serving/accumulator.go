@@ -157,13 +157,10 @@ func (a *Accumulator) ObserveBatch(n int) {
 	}
 }
 
-// Add folds one closed-loop outcome (into the cluster-wide aggregates
+// add folds one closed-loop outcome (into the cluster-wide aggregates
 // and, when the query carries a model id or an SLO class, that bucket).
 // Empty keys never allocate buckets: a single-model replica normalizes
 // queries to the model id "", and unclassed traffic carries no class.
-func (a *Accumulator) Add(r Served) { a.add(&r) }
-
-// add is Add by pointer, for callers that own the record.
 func (a *Accumulator) add(r *Served) {
 	a.addServed(r)
 	if m := r.Query.Model; m != "" {
@@ -325,9 +322,6 @@ func (a *Accumulator) Snapshot() *Accumulator {
 	}
 	return &cp
 }
-
-// Queries returns the number of folded outcomes.
-func (a *Accumulator) Queries() int { return a.queries }
 
 // Summary renders the accumulated aggregates (percentiles are
 // sample-exact up to maxLatencySamples latencies, reservoir-approximate

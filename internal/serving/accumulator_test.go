@@ -27,7 +27,7 @@ func relClose(got, want, tol float64) bool {
 func feed(lats []float64) *Accumulator {
 	var a Accumulator
 	for _, l := range lats {
-		a.Add(Served{Latency: l})
+		a.add(&Served{Latency: l})
 	}
 	return &a
 }
@@ -186,7 +186,7 @@ func TestAddTimedAggregates(t *testing.T) {
 		t.Errorf("empty summary %+v", s)
 	}
 	// A closed-loop accumulator reports no open-loop aggregates.
-	c.Add(Served{Latency: 1e-3, LatencyMet: true})
+	c.add(&Served{Latency: 1e-3, LatencyMet: true})
 	if s := c.Summary(); s.E2ESLO != 0 || s.Goodput != 0 || s.P99E2E != 0 {
 		t.Errorf("closed-loop summary leaked open-loop fields: %+v", s)
 	}

@@ -40,9 +40,11 @@ func (p BatchPolicy) Validate() error {
 	return nil
 }
 
-// pendingServe is one live query waiting in a replica's batch former.
+// pendingServe is one live query waiting in a replica's batch former:
+// q is deadline-tightened, offered is the query as it arrived, which the
+// cache-management layer observes.
 type pendingServe struct {
-	q sched.Query
+	q, offered sched.Query
 	// done delivers the outcome; buffered so the flusher never blocks on
 	// a waiter that gave up (context cancellation).
 	done chan serveOutcome
@@ -80,12 +82,14 @@ func newLiveBatcher(rep *Replica, pol BatchPolicy) *liveBatcher {
 	return &liveBatcher{rep: rep, pol: pol}
 }
 
-// submit enqueues q and returns the channel its outcome will arrive on.
-// The caller must have reserved the replica; the flusher releases the
-// reservation for every drained query.
-func (b *liveBatcher) submit(q sched.Query) *pendingServe {
+// submit enqueues q (offered before its deadline tightened it) and
+// returns the channel its outcome will arrive on. The caller must have
+// reserved the replica; the flusher releases the reservation for every
+// drained query.
+func (b *liveBatcher) submit(q, offered sched.Query) *pendingServe {
 	p := &pendingServe{
 		q:         q,
+		offered:   offered,
 		done:      make(chan serveOutcome, 1),
 		cancelled: make(chan struct{}),
 	}
@@ -189,12 +193,13 @@ func (b *liveBatcher) flush(batch []*pendingServe) {
 			size = 1
 		}
 		for ; len(g) > 0; g = g[size:] {
-			qs := make([]sched.Query, size)
+			buf := make([]sched.Query, 2*size)
+			qs, offered := buf[:size], buf[size:]
 			for i, p := range g[:size] {
-				qs[i] = p.q
+				qs[i], offered[i] = p.q, p.offered
 			}
 			rs := make([]Served, size)
-			err := b.rep.serveBatch(qs, rs)
+			err := b.rep.serveBatch(qs, offered, rs)
 			for i, p := range g[:size] {
 				if err != nil {
 					p.done <- serveOutcome{err: err}

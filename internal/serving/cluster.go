@@ -141,11 +141,12 @@ func (c *Cluster) Serve(ctx context.Context, q sched.Query) (Served, error) {
 	if c.batchers == nil {
 		return rep.serve(ctx, q)
 	}
+	offered := q
 	if err := tightenBudget(ctx, &q); err != nil {
 		rep.Release()
 		return Served{}, err
 	}
-	p := c.batchers[rep.ID()].submit(q)
+	p := c.batchers[rep.ID()].submit(q, offered)
 	select {
 	case out := <-p.done:
 		return out.res, out.err

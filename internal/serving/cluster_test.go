@@ -167,8 +167,8 @@ func TestClusterRoundRobinPartition(t *testing.T) {
 		}
 	}
 	for i, rep := range c.Replicas() {
-		if rep.Queries() != 10 {
-			t.Errorf("replica %d served %d, want 10", i, rep.Queries())
+		if n := rep.Summary().Queries; n != 10 {
+			t.Errorf("replica %d served %d, want 10", i, n)
 		}
 		if rep.QueueDepth() != 0 {
 			t.Errorf("replica %d queue depth %d after drain", i, rep.QueueDepth())
@@ -225,7 +225,7 @@ func TestLeastLoadedAvoidsBusyReplica(t *testing.T) {
 	if _, err := c.Serve(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Replicas()[1].Queries(); got != 1 {
+	if got := c.Replicas()[1].Summary().Queries; got != 1 {
 		t.Errorf("least-loaded routed to the busy replica (replica 1 served %d)", got)
 	}
 }
@@ -401,10 +401,10 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 	}
 	var a, b Accumulator
 	for _, r := range rs[:10] {
-		a.Add(r)
+		a.add(&r)
 	}
 	for _, r := range rs[10:] {
-		b.Add(r)
+		b.add(&r)
 	}
 	merged := a.Snapshot()
 	merged.Merge(&b)
@@ -436,7 +436,7 @@ func TestSummarizePastReservoirCap(t *testing.T) {
 	}
 	var a Accumulator
 	for _, r := range rs {
-		a.Add(r)
+		a.add(&r)
 	}
 	got := Summarize(rs)
 	if want := a.Summary(); !reflect.DeepEqual(got, want) {
@@ -493,8 +493,8 @@ func TestAccumulatorReservoirBounded(t *testing.T) {
 	var a, b Accumulator
 	for i := 0; i < 3*maxLatencySamples; i++ {
 		r := Served{Latency: float64(i%100) * 1e-3, LatencyMet: true}
-		a.Add(r)
-		b.Add(r)
+		a.add(&r)
+		b.add(&r)
 	}
 	if len(a.lats.xs) != maxLatencySamples {
 		t.Fatalf("reservoir holds %d samples, want cap %d", len(a.lats.xs), maxLatencySamples)
@@ -520,10 +520,10 @@ func TestMergeWeightsReservoirsByTraffic(t *testing.T) {
 	// keep both P50 and P99 at A's latency.
 	var a, b Accumulator
 	for i := 0; i < 5*maxLatencySamples; i++ {
-		a.Add(Served{Latency: 1e-3})
+		a.add(&Served{Latency: 1e-3})
 	}
 	for i := 0; i < 100; i++ {
-		b.Add(Served{Latency: 100e-3})
+		b.add(&Served{Latency: 100e-3})
 	}
 	m := a.Snapshot()
 	m.Merge(&b)
@@ -555,4 +555,37 @@ func TestAffinityScoreLockFree(t *testing.T) {
 			t.Error("AffinityScore blocked on the replica lock")
 		}
 	})
+}
+
+// TestBatchedServeOffersArrivedQuery: a Serve under a context deadline
+// leaves the query as it arrived in the re-cache window, not its
+// deadline-tightened copy, with the live batch former on or off — so
+// the advisor's window never depends on the wall clock.
+func TestBatchedServeOffersArrivedQuery(t *testing.T) {
+	var window [2]sched.Query
+	for i, batch := range []bool{false, true} {
+		c := newCluster(t, 1, Full, NewRoundRobin())
+		rep := c.Replicas()[0]
+		rep.EnableRecache(RecachePolicy{Window: 8})
+		if batch {
+			if err := c.EnableBatching(BatchPolicy{MaxBatch: 2, Window: time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := clusterWorkload(t, c, 1)[0]
+		q.MaxLatency = 1e3 // the deadline below tightens it
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		_, err := c.Serve(ctx, q)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		window[i] = rep.tenants[0].rec.recent[0]
+		if window[i].MaxLatency != q.MaxLatency {
+			t.Errorf("batch=%v: window holds budget %g s, want the offered %g s", batch, window[i].MaxLatency, q.MaxLatency)
+		}
+	}
+	if window[0] != window[1] {
+		t.Errorf("window entry differs with batching: %+v vs %+v", window[0], window[1])
+	}
 }

@@ -327,13 +327,6 @@ func (r *Replica) ID() int { return r.id }
 // have not finished (queued plus in flight).
 func (r *Replica) QueueDepth() int { return int(r.depth.Load()) }
 
-// Queries reports how many queries this replica has served.
-func (r *Replica) Queries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.acc.Queries()
-}
-
 // Summary folds this replica's served stream (per-model slices under
 // Summary.PerModel on multi-tenant replicas).
 func (r *Replica) Summary() Summary {
@@ -451,22 +444,24 @@ func (r *Replica) Serve(ctx context.Context, q sched.Query) (Served, error) {
 
 // serveBatch serves one already-reserved group of the live batch former
 // — solo stragglers and shared passes alike — as one pass on the group's
-// model-tenant (the former never mixes models; deadline tightening
-// happened at submit time). qs is normalized in place, the outcomes
-// land in out (len(out) must equal len(qs)) and fold into the
-// accumulator together with one batch-occupancy observation.
-func (r *Replica) serveBatch(qs []sched.Query, out []Served) error {
+// model-tenant (the former never mixes models). qs were deadline-
+// tightened at submit time; offered are the same queries as they
+// arrived, which the cache-management layer observes, as in serve. Both
+// are normalized in place, the outcomes land in out (len(out) must
+// equal len(qs)) and fold into the accumulator together with one
+// batch-occupancy observation.
+func (r *Replica) serveBatch(qs, offered []sched.Query, out []Served) error {
 	defer r.depth.Add(-int64(len(qs)))
 	t, err := r.tenantFor(qs[0].Model)
 	if err != nil {
 		return err
 	}
 	for i := range qs {
-		qs[i].Model = t.model
+		qs[i].Model, offered[i].Model = t.model, t.model
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, err := r.pass(t, qs, qs, out, false); err != nil {
+	if _, err := r.pass(t, qs, offered, out, false); err != nil {
 		return err
 	}
 	for i := range out {

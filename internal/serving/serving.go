@@ -424,9 +424,6 @@ func (s *System) enact(col int) (float64, error) {
 	return float64(fill) / s.sim.Config().OffChipBW, nil
 }
 
-// Mode returns the system variant.
-func (s *System) Mode() Mode { return s.mode }
-
 // Table exposes the latency table (read-only use).
 func (s *System) Table() *latencytable.Table { return s.table }
 

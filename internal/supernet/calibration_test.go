@@ -13,7 +13,6 @@ func TestPrintCalibration(t *testing.T) {
 				float64(sn.WeightBytes())/(1<<20), float64(sn.FLOPs())/1e9, sn.Accuracy)
 		}
 		sh, _ := SharedGraph(fr)
-		t.Logf("%s shared: %.2f MB; supernet total %.2f MB; cells %d", s.Name,
-			float64(sh.Bytes())/(1<<20), float64(s.TotalBytes())/(1<<20), s.NumCells())
+		t.Logf("%s shared: %.2f MB; cells %d", s.Name, float64(sh.Bytes())/(1<<20), s.NumCells())
 	}
 }

@@ -126,15 +126,6 @@ func (s *SuperNet) NumCells() int { return len(s.Cells) }
 // LayerCells returns the cell IDs of layer i (shared slice; do not mutate).
 func (s *SuperNet) LayerCells(i int) []int { return s.layerCells[i] }
 
-// TotalBytes returns the full SuperNet weight footprint (all cells).
-func (s *SuperNet) TotalBytes() int64 {
-	var t int64
-	for i := range s.Cells {
-		t += s.Cells[i].Bytes
-	}
-	return t
-}
-
 // walker records one SubNet walk: the concrete layers in forward order
 // and, for every elastic weight layer the family declares, the dims the
 // walked spec gives it (zero when the spec leaves its block out).

@@ -119,8 +119,12 @@ func TestInstantiateMinMax(t *testing.T) {
 		if mx.Graph.Count() != s.NumCells() {
 			t.Errorf("%s: max subnet covers %d/%d cells", s.Name, mx.Graph.Count(), s.NumCells())
 		}
-		if mx.WeightBytes() != s.TotalBytes() {
-			t.Errorf("%s: max subnet bytes %d != supernet total %d", s.Name, mx.WeightBytes(), s.TotalBytes())
+		var total int64
+		for _, c := range s.Cells {
+			total += c.Bytes
+		}
+		if mx.WeightBytes() != total {
+			t.Errorf("%s: max subnet bytes %d != supernet total %d", s.Name, mx.WeightBytes(), total)
 		}
 	}
 }

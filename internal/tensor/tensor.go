@@ -77,11 +77,6 @@ func NewInt32(s Shape) *Int32 {
 	return &Int32{Shape: s, Data: make([]int32, s.Elems())}
 }
 
-// At returns the element at (n, c, h, w).
-func (t *Int32) At(n, c, h, w int) int32 {
-	return t.Data[t.index(n, c, h, w)]
-}
-
 // Set stores v at (n, c, h, w).
 func (t *Int32) Set(n, c, h, w int, v int32) {
 	t.Data[t.index(n, c, h, w)] = v

@@ -163,10 +163,10 @@ func TestConv2DDepthwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.At(0, 0, 0, 0); got != 9 {
+	if got := out.Data[out.index(0, 0, 0, 0)]; got != 9 {
 		t.Errorf("dw channel 0 = %d, want 9", got)
 	}
-	if got := out.At(0, 1, 0, 0); got != 18 {
+	if got := out.Data[out.index(0, 1, 0, 0)]; got != 18 {
 		t.Errorf("dw channel 1 = %d, want 18", got)
 	}
 }
@@ -192,10 +192,10 @@ func TestLinearKnownValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.At(0, 0, 0, 0); got != 10 {
+	if got := out.Data[out.index(0, 0, 0, 0)]; got != 10 {
 		t.Errorf("linear[0] = %d, want 10", got)
 	}
-	if got := out.At(0, 1, 0, 0); got != -2 {
+	if got := out.Data[out.index(0, 1, 0, 0)]; got != -2 {
 		t.Errorf("linear[1] = %d, want -2", got)
 	}
 }
@@ -212,11 +212,11 @@ func TestGlobalAvgPool(t *testing.T) {
 	in := NewInt8(Shape{1, 1, 2, 2})
 	copy(in.Data, []int8{1, 2, 3, 4})
 	out := GlobalAvgPool(in, 0)
-	if got := out.At(0, 0, 0, 0); got != 10 {
+	if got := out.Data[out.index(0, 0, 0, 0)]; got != 10 {
 		t.Errorf("gap sum = %d, want 10", got)
 	}
 	out2 := GlobalAvgPool(in, 1)
-	if got := out2.At(0, 0, 0, 0); got != 6 {
+	if got := out2.Data[out2.index(0, 0, 0, 0)]; got != 6 {
 		t.Errorf("gap sum with zp=1 = %d, want 6", got)
 	}
 }
