@@ -90,7 +90,7 @@ type Batching = simq.Batching
 // bit-identical to a plain deployment.
 func WithBatching(b int, window time.Duration) ClusterOption {
 	return func(o *core.ClusterOptions) {
-		o.Batch = &serving.BatchPolicy{MaxBatch: b, Window: window}
+		o.Batch = &serving.BatchPolicy{MaxBatch: b, Window: window.Seconds()}
 	}
 }
 

@@ -167,7 +167,7 @@ func main() {
 		copt.Recache = &serving.RecachePolicy{}
 	}
 	if *batch > 1 {
-		copt.Batch = &serving.BatchPolicy{MaxBatch: *batch, Window: *batchWindow}
+		copt.Batch = &serving.BatchPolicy{MaxBatch: *batch, Window: batchWindow.Seconds()}
 	}
 	if *models != "" {
 		for _, name := range strings.Split(*models, ",") {
@@ -222,7 +222,7 @@ func main() {
 	}
 	batching := "unbatched"
 	if pol := dep.Cluster.BatchPolicy(); pol.Enabled() {
-		batching = fmt.Sprintf("batch B=%d W=%v", pol.MaxBatch, pol.Window)
+		batching = fmt.Sprintf("batch B=%d W=%v", pol.MaxBatch, *batchWindow)
 	}
 	workloads := string(opt.Workload)
 	if copt.Table != nil {

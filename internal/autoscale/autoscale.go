@@ -111,57 +111,46 @@ type Policy interface {
 	Desired(m Metrics) int
 }
 
+// The policies' set-points: the utilization TargetUtilization holds,
+// the attainment floor below which SLOAttainment scales up, and the
+// utilization below which it sheds a replica from an idle fleet.
+const (
+	utilizationTarget = 0.7
+	sloTarget         = 0.99
+	sloLow            = 0.5
+)
+
 // TargetUtilization scales the fleet to hold busy-time utilization at
-// Target — the classic capacity controller: desired = ceil(active ·
-// util / target).
-type TargetUtilization struct {
-	// Target is the utilization set-point in (0, 1]; 0 selects 0.7.
-	Target float64
-}
+// 0.7 — the classic capacity controller: desired = ceil(active · util /
+// 0.7).
+type TargetUtilization struct{}
 
 // Name implements Policy.
-func (p TargetUtilization) Name() string { return "utilization" }
+func (TargetUtilization) Name() string { return "utilization" }
 
 // Desired implements Policy.
-func (p TargetUtilization) Desired(m Metrics) int {
-	target := p.Target
-	if !(target > 0) || target > 1 {
-		target = 0.7
-	}
+func (TargetUtilization) Desired(m Metrics) int {
 	if m.Active == 0 {
 		return m.Min
 	}
-	return int(math.Ceil(float64(m.Active) * m.Utilization / target))
+	return int(math.Ceil(float64(m.Active) * m.Utilization / utilizationTarget))
 }
 
 // SLOAttainment scales up whenever the window's attainment drops below
-// Target and scales down one replica at a time when the fleet is both
-// under-utilized and has no backlog — deadline misses are the signal
-// the paper's (A_t, L_t) contract makes first-class.
-type SLOAttainment struct {
-	// Target is the attainment floor in (0, 1]; 0 selects 0.99.
-	Target float64
-	// Low is the utilization below which an idle fleet sheds a
-	// replica; 0 selects 0.5.
-	Low float64
-}
+// 0.99 and scales down one replica at a time when the fleet is both
+// under-utilized (below 0.5) and has no backlog — deadline misses are
+// the signal the paper's (A_t, L_t) contract makes first-class.
+type SLOAttainment struct{}
 
 // Name implements Policy.
-func (p SLOAttainment) Name() string { return "slo" }
+func (SLOAttainment) Name() string { return "slo" }
 
 // Desired implements Policy.
-func (p SLOAttainment) Desired(m Metrics) int {
-	target, low := p.Target, p.Low
-	if !(target > 0) || target > 1 {
-		target = 0.99
-	}
-	if !(low > 0) {
-		low = 0.5
-	}
-	if m.Attainment() < target {
+func (SLOAttainment) Desired(m Metrics) int {
+	if m.Attainment() < sloTarget {
 		return m.Active + 1
 	}
-	if m.Utilization < low && m.QueueDepth == 0 {
+	if m.Utilization < sloLow && m.QueueDepth == 0 {
 		return m.Active - 1
 	}
 	return m.Active

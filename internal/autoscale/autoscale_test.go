@@ -53,18 +53,22 @@ func TestMetricsHelpers(t *testing.T) {
 }
 
 func TestTargetUtilization(t *testing.T) {
-	p := TargetUtilization{Target: 0.5}
-	// 4 active at 100% busy against a 0.5 target wants 8.
-	if got := p.Desired(Metrics{Active: 4, Utilization: 1}); got != 8 {
-		t.Errorf("Desired = %d, want 8", got)
+	p := TargetUtilization{}
+	// 7 active at 100% busy against the 0.7 set-point wants 10.
+	if got := p.Desired(Metrics{Active: 7, Utilization: 1}); got != 10 {
+		t.Errorf("Desired = %d, want 10", got)
 	}
 	// 4 active at 10% busy wants 1.
 	if got := p.Desired(Metrics{Active: 4, Utilization: 0.1}); got != 1 {
 		t.Errorf("Desired = %d, want 1", got)
 	}
-	// Default target kicks in for the zero value.
-	if got := (TargetUtilization{}).Desired(Metrics{Active: 7, Utilization: 0.7}); got != 7 {
-		t.Errorf("default-target Desired = %d, want 7", got)
+	// At the set-point the fleet holds.
+	if got := p.Desired(Metrics{Active: 7, Utilization: 0.7}); got != 7 {
+		t.Errorf("at-target Desired = %d, want 7", got)
+	}
+	// An empty fleet asks for its floor.
+	if got := p.Desired(Metrics{Min: 2}); got != 2 {
+		t.Errorf("empty-fleet Desired = %d, want Min 2", got)
 	}
 }
 

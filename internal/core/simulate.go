@@ -28,8 +28,8 @@ type SimOptions struct {
 	RouterSeed int64
 	// Batching is the virtual-time batch former (B queries per flush,
 	// window in virtual seconds). The zero value inherits the cluster's
-	// live batch policy (wall-clock window carried over numerically);
-	// set MaxBatch to 1 to force an unbatched run on a batched cluster.
+	// live batch policy; set MaxBatch to 1 to force an unbatched run on
+	// a batched cluster.
 	Batching simq.Batching
 	// Autoscale overrides the deployment's elastic-fleet configuration
 	// for this run (nil inherits it; set Min == Max to pin the fleet
@@ -53,6 +53,10 @@ func (d *ClusterDeployment) Engine(o SimOptions) (*simq.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	batch := o.Batching
+	if batch == (simq.Batching{}) {
+		batch = d.Cluster.BatchPolicy()
+	}
 	asc := d.Autoscale
 	if o.Autoscale != nil {
 		if asc, err = ResolveAutoscale(o.Autoscale); err != nil {
@@ -65,7 +69,7 @@ func (d *ClusterDeployment) Engine(o SimOptions) (*simq.Engine, error) {
 		LoadAware: o.LoadAware,
 		Drop:      o.Drop,
 		Router:    router,
-		Batching:  simq.ResolveBatching(o.Batching, d.Cluster.BatchPolicy()),
+		Batching:  batch,
 		Autoscale: asc,
 	})
 }

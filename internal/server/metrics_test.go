@@ -146,7 +146,7 @@ func TestMetricsReplicaFamilies(t *testing.T) {
 			Models:    []core.Workload{core.ResNet50, core.MobileNetV3},
 			Partition: &serving.PartitionPolicy{Mode: serving.PartitionTraffic, Window: 16},
 			Recache:   &serving.RecachePolicy{},
-			Batch:     &serving.BatchPolicy{MaxBatch: 4, Window: time.Second},
+			Batch:     &serving.BatchPolicy{MaxBatch: 4, Window: 1},
 		},
 	)
 	if err != nil {

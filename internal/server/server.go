@@ -677,17 +677,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Queue < 0 {
-		httpError(w, http.StatusBadRequest, "queue must be non-negative")
-		return
-	}
 	adm, err := simq.ParseAdmission(req.Admission)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.MaxBatch < 0 || req.BatchWindowMS < 0 {
-		httpError(w, http.StatusBadRequest, "max_batch and batch_window_ms must be non-negative")
 		return
 	}
 	eng, err := s.dep.Engine(core.SimOptions{

@@ -598,7 +598,7 @@ func TestBatchedDeploymentTelemetry(t *testing.T) {
 	dep, err := core.DeployCluster(
 		core.DeployOptions{Workload: core.MobileNetV3},
 		core.ClusterOptions{Replicas: 1,
-			Batch: &serving.BatchPolicy{MaxBatch: 4, Window: time.Millisecond}},
+			Batch: &serving.BatchPolicy{MaxBatch: 4, Window: 1e-3}},
 	)
 	if err != nil {
 		t.Fatal(err)

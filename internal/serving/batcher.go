@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -9,35 +10,75 @@ import (
 )
 
 // BatchPolicy configures SubGraph-stationary micro-batching: up to
-// MaxBatch compatible queries (same scheduled SubNet, hence the same
-// weights) are grouped into one accelerator pass, waiting at most
-// Window for the batch to fill. The pair applies to both serving paths:
-// the live batcher behind Cluster.Serve interprets Window as wall-clock
-// time, the simq engine's batch former as virtual seconds (the numeric
-// value carries over via Window.Seconds()). Batching is enabled only
-// when MaxBatch > 1 AND Window > 0 — either knob at its zero/one value
-// keeps the per-query path bit-identical to an unbatched deployment.
+// MaxBatch compatible queries (same BatchKey, hence the same weights)
+// are grouped into one accelerator pass, waiting at most Window seconds
+// for the batch to fill. It is the one batching value of both clocks:
+// the live former behind Cluster.Serve reads Window as wall-clock
+// seconds (rounded to the nanosecond), simq's former as virtual
+// seconds. Batching is enabled only when MaxBatch > 1 AND Window > 0 —
+// either knob at its zero/one value keeps the per-query path
+// bit-identical to an unbatched deployment.
 type BatchPolicy struct {
 	// MaxBatch is B, the flush size (a full batch flushes immediately).
 	MaxBatch int
-	// Window is W, the longest a forming batch waits for more members,
-	// measured from the head query's arrival.
-	Window time.Duration
+	// Window is W in seconds, the longest a forming batch waits for more
+	// members, measured from the head query's arrival.
+	Window float64
 }
 
 // Enabled reports whether the policy actually batches.
 func (p BatchPolicy) Enabled() bool { return p.MaxBatch > 1 && p.Window > 0 }
 
-// Validate rejects values the batch former would misread. The zero
-// value is valid (batching off).
+// Validate is the one validity rule for a batch policy, on either
+// clock: B must be non-negative and W finite and non-negative. The
+// zero value is valid (batching off).
 func (p BatchPolicy) Validate() error {
 	if p.MaxBatch < 0 {
 		return fmt.Errorf("serving: batch MaxBatch %d must be non-negative", p.MaxBatch)
 	}
-	if p.Window < 0 {
-		return fmt.Errorf("serving: batch Window %v must be non-negative", p.Window)
+	if w := p.Window; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return fmt.Errorf("serving: batch Window %g must be finite and non-negative", p.Window)
 	}
 	return nil
+}
+
+// BatchKey is the one compatibility rule of both batch formers: two
+// queries may share one accelerator pass only when their keys are
+// equal. Replica.BatchKey builds it.
+type BatchKey struct {
+	// tenant is the query's model-tenant (nil for an unknown model):
+	// different models read different weights.
+	tenant *tenant
+	// row is the scheduled SubNet's table row, -1 when the query cannot
+	// be scheduled or is degraded (degraded queries of one tenant all
+	// collapse to its fastest SubNet under the current column).
+	row int
+	// policy is the per-query override (-1 = replica default): mixing
+	// policies would make ScheduleBatch reject the whole group.
+	policy int
+	// degraded marks a degrade-admitted query.
+	degraded bool
+}
+
+// BatchKey returns q's compatibility key on this replica as it would be
+// served now. A degraded query takes no scheduler peek: only its tenant
+// and policy matter. Lock-free like AffinityScore, so batch formers may
+// call it while the replica serves.
+func (r *Replica) BatchKey(q sched.Query, degraded bool) BatchKey {
+	k := BatchKey{row: -1, policy: -1, degraded: degraded}
+	if q.Policy != nil {
+		k.policy = int(*q.Policy)
+	}
+	if degraded {
+		k.tenant, _ = r.tenantFor(q.Model)
+		return k
+	}
+	var d sched.Decision
+	var ok bool
+	if k.tenant, _, ok = r.peek(q, false, &d); ok {
+		k.row = d.SubNet
+	}
+	return k
 }
 
 // pendingServe is one live query waiting in a replica's batch former:
@@ -61,13 +102,16 @@ type serveOutcome struct {
 
 // liveBatcher is one replica's wall-clock micro-batch former: the first
 // pending query arms a Window timer, a full batch flushes immediately,
-// and the flusher groups the drained queries by their scheduled SubNet
-// (compatible queries share one pass; stragglers serve solo). All waiting happens OUTSIDE the replica lock, so batching
-// never blocks the accelerator — it only gives concurrent callers a
-// chance to share a weight fetch.
+// and the flusher groups the drained queries by BatchKey (compatible
+// queries share one pass; stragglers serve solo). All waiting happens
+// OUTSIDE the replica lock, so batching never blocks the accelerator —
+// it only gives concurrent callers a chance to share a weight fetch.
 type liveBatcher struct {
 	rep *Replica
-	pol BatchPolicy
+	// maxBatch and window are the policy's B and W, W rounded to the
+	// nearest nanosecond of wall clock.
+	maxBatch int
+	window   time.Duration
 
 	mu      sync.Mutex
 	pending []*pendingServe
@@ -79,7 +123,8 @@ type liveBatcher struct {
 }
 
 func newLiveBatcher(rep *Replica, pol BatchPolicy) *liveBatcher {
-	return &liveBatcher{rep: rep, pol: pol}
+	window := time.Duration(math.Round(pol.Window * float64(time.Second)))
+	return &liveBatcher{rep: rep, maxBatch: pol.MaxBatch, window: window}
 }
 
 // submit enqueues q (offered before its deadline tightened it) and
@@ -96,7 +141,7 @@ func (b *liveBatcher) submit(q, offered sched.Query) *pendingServe {
 	b.mu.Lock()
 	b.pending = append(b.pending, p)
 	switch {
-	case len(b.pending) >= b.pol.MaxBatch:
+	case len(b.pending) >= b.maxBatch:
 		batch := b.take()
 		b.mu.Unlock()
 		// The filling caller is the leader: it executes the flush
@@ -105,7 +150,7 @@ func (b *liveBatcher) submit(q, offered sched.Query) *pendingServe {
 	case len(b.pending) == 1:
 		// First member arms the window.
 		gen := b.gen
-		b.timer = time.AfterFunc(b.pol.Window, func() { b.timerFlush(gen) })
+		b.timer = time.AfterFunc(b.window, func() { b.timerFlush(gen) })
 		b.mu.Unlock()
 	default:
 		b.mu.Unlock()
@@ -140,34 +185,17 @@ func (b *liveBatcher) timerFlush(gen uint64) {
 	b.flush(batch)
 }
 
-// liveKey is the live former's compatibility key: queries share one
-// batched pass only when they target the same model and resolve to the
-// same SubNet row under the same effective policy (different models
-// read different weights; mixing policies would make ScheduleBatch
-// reject the whole group).
-type liveKey struct {
-	// model is the query's canonical model id ("" on single-model
-	// deployments; the cluster normalizes before submit).
-	model string
-	// row is the scheduled SubNet's table row (-1 = unschedulable,
-	// served solo so the error path stays per-query).
-	row int
-	// policy is the per-query override (-1 = replica default).
-	policy int
-}
-
 // flush serves a drained batch: cancelled members are skipped (their
-// reservation released), the rest are grouped by scheduled SubNet +
-// effective policy and each group runs as one batched pass on the
-// replica.
+// reservation released), the rest are grouped by BatchKey and each
+// group runs as one batched pass on the replica.
 func (b *liveBatcher) flush(batch []*pendingServe) {
 	if len(batch) == 0 {
 		return
 	}
 	// Group compatible queries, preserving submission order within and
 	// across groups.
-	var order []liveKey
-	groups := map[liveKey][]*pendingServe{}
+	var order []BatchKey
+	groups := map[BatchKey][]*pendingServe{}
 	for _, p := range batch {
 		select {
 		case <-p.cancelled:
@@ -175,10 +203,7 @@ func (b *liveBatcher) flush(batch []*pendingServe) {
 			continue
 		default:
 		}
-		key := liveKey{model: p.q.Model, row: b.rep.ScheduledSubNet(p.q), policy: -1}
-		if p.q.Policy != nil {
-			key.policy = int(*p.q.Policy)
-		}
+		key := b.rep.BatchKey(p.q, false)
 		if _, seen := groups[key]; !seen {
 			order = append(order, key)
 		}

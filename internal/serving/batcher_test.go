@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -9,23 +10,30 @@ import (
 	"sushi/internal/sched"
 )
 
+// TestBatchPolicyValidate is the one table for the one validity rule
+// both batch formers, DeployCluster and simq.New share.
 func TestBatchPolicyValidate(t *testing.T) {
-	if err := (BatchPolicy{}).Validate(); err != nil {
-		t.Errorf("zero policy rejected: %v", err)
-	}
-	if err := (BatchPolicy{MaxBatch: -1}).Validate(); err == nil {
-		t.Error("negative MaxBatch accepted")
-	}
-	if err := (BatchPolicy{MaxBatch: 2, Window: -time.Millisecond}).Validate(); err == nil {
-		t.Error("negative Window accepted")
-	}
-	for _, p := range []BatchPolicy{{}, {MaxBatch: 1, Window: time.Second}, {MaxBatch: 4}} {
-		if p.Enabled() {
-			t.Errorf("%+v reports enabled", p)
+	for _, c := range []struct {
+		pol     BatchPolicy
+		valid   bool
+		enabled bool
+	}{
+		{BatchPolicy{}, true, false},
+		{BatchPolicy{MaxBatch: 1, Window: 1}, true, false},
+		{BatchPolicy{MaxBatch: 4}, true, false},
+		{BatchPolicy{MaxBatch: 2, Window: 1e-3}, true, true},
+		{BatchPolicy{MaxBatch: -1}, false, false},
+		{BatchPolicy{MaxBatch: 2, Window: math.NaN()}, false, false},
+		{BatchPolicy{MaxBatch: 2, Window: math.Inf(1)}, false, false},
+		{BatchPolicy{MaxBatch: 2, Window: math.Inf(-1)}, false, false},
+		{BatchPolicy{MaxBatch: 2, Window: -1e-3}, false, false},
+	} {
+		if err := c.pol.Validate(); (err == nil) != c.valid {
+			t.Errorf("%+v: Validate() = %v, want valid %v", c.pol, err, c.valid)
 		}
-	}
-	if !(BatchPolicy{MaxBatch: 2, Window: time.Millisecond}).Enabled() {
-		t.Error("valid policy reports disabled")
+		if c.valid && c.pol.Enabled() != c.enabled {
+			t.Errorf("%+v: Enabled() = %v, want %v", c.pol, c.pol.Enabled(), c.enabled)
+		}
 	}
 }
 
@@ -36,7 +44,7 @@ func TestBatchPolicyValidate(t *testing.T) {
 // least one flush must actually group queries.
 func TestLiveBatchingConcurrent(t *testing.T) {
 	c := newCluster(t, 2, Full, NewRoundRobin())
-	if err := c.EnableBatching(BatchPolicy{MaxBatch: 4, Window: 20 * time.Millisecond}); err != nil {
+	if err := c.EnableBatching(BatchPolicy{MaxBatch: 4, Window: 20e-3}); err != nil {
 		t.Fatal(err)
 	}
 	var sys *System
@@ -89,7 +97,7 @@ func TestLiveBatchingConcurrent(t *testing.T) {
 // batch's total latency and the batch size is recorded on each.
 func TestLiveBatchingSharedLatency(t *testing.T) {
 	c := newCluster(t, 1, Full, NewRoundRobin())
-	if err := c.EnableBatching(BatchPolicy{MaxBatch: 2, Window: 50 * time.Millisecond}); err != nil {
+	if err := c.EnableBatching(BatchPolicy{MaxBatch: 2, Window: 50e-3}); err != nil {
 		t.Fatal(err)
 	}
 	var sys *System
@@ -120,7 +128,7 @@ func TestLiveBatchingSharedLatency(t *testing.T) {
 // wedge the former or leak the reservation.
 func TestLiveBatchingCancellation(t *testing.T) {
 	c := newCluster(t, 1, Full, NewRoundRobin())
-	if err := c.EnableBatching(BatchPolicy{MaxBatch: 8, Window: 30 * time.Millisecond}); err != nil {
+	if err := c.EnableBatching(BatchPolicy{MaxBatch: 8, Window: 30e-3}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -165,7 +173,7 @@ func TestLiveBatchingCancellation(t *testing.T) {
 // path — no occupancy stats appear.
 func TestBatchingDisabledPathUntouched(t *testing.T) {
 	c := newCluster(t, 1, Full, NewRoundRobin())
-	if err := c.EnableBatching(BatchPolicy{MaxBatch: 1, Window: time.Hour}); err != nil {
+	if err := c.EnableBatching(BatchPolicy{MaxBatch: 1, Window: 3600}); err != nil {
 		t.Fatal(err)
 	}
 	if c.BatchPolicy().Enabled() {
@@ -188,7 +196,7 @@ func TestBatchingDisabledPathUntouched(t *testing.T) {
 // per-policy groups and every caller still succeeds.
 func TestLiveBatchingMixedPolicies(t *testing.T) {
 	c := newCluster(t, 1, Full, NewRoundRobin())
-	if err := c.EnableBatching(BatchPolicy{MaxBatch: 8, Window: 25 * time.Millisecond}); err != nil {
+	if err := c.EnableBatching(BatchPolicy{MaxBatch: 8, Window: 25e-3}); err != nil {
 		t.Fatal(err)
 	}
 	var sys *System

@@ -568,7 +568,7 @@ func TestBatchedServeOffersArrivedQuery(t *testing.T) {
 		rep := c.Replicas()[0]
 		rep.EnableRecache(RecachePolicy{Window: 8})
 		if batch {
-			if err := c.EnableBatching(BatchPolicy{MaxBatch: 2, Window: time.Millisecond}); err != nil {
+			if err := c.EnableBatching(BatchPolicy{MaxBatch: 2, Window: 1e-3}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -227,21 +227,6 @@ func overlapFor(t *tenant, snap *cacheSnapshot, row int) float64 {
 	return ov[row]
 }
 
-// ScheduledSubNet is the batch former's compatibility key: the table
-// row the query's model-tenant scheduler would serve for q against its
-// last published cache column (-1 when q cannot be scheduled at all).
-// Queries that resolve to the same (model, row) pair can share one
-// batched accelerator pass — they read the same weights. Lock-free
-// like AffinityScore, so batch formers may call it while the replica
-// serves.
-func (r *Replica) ScheduledSubNet(q sched.Query) int {
-	var d sched.Decision
-	if _, _, ok := r.peek(q, false, &d); ok {
-		return d.SubNet
-	}
-	return -1
-}
-
 // EnableRecache turns on the cache-management layer for every tenant
 // with the given policy (zero-valued fields select defaults): each
 // tenant starts tracking its served query mix and re-caches when a

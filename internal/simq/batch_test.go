@@ -204,19 +204,12 @@ func TestBatchWindowBoundsFormerWait(t *testing.T) {
 	}
 }
 
-// TestBatchingValidation: the engine rejects malformed batch formers.
+// TestBatchingValidation: the engine rejects a malformed batch former
+// through serving.BatchPolicy.Validate (whose table covers the cases).
 func TestBatchingValidation(t *testing.T) {
-	reps := newReplicas(t, 1)
-	if _, err := New(reps, Options{Batching: Batching{MaxBatch: -1}}); err == nil {
-		t.Error("negative batch size accepted")
-	}
-	if _, err := New(reps, Options{Batching: Batching{MaxBatch: 2, Window: math.NaN()}}); err == nil {
-		t.Error("NaN window accepted")
-	}
-	if _, err := New(reps, Options{Batching: Batching{MaxBatch: 2, Window: math.Inf(1)}}); err == nil {
-		t.Error("+Inf window accepted")
-	}
-	if _, err := New(reps, Options{Batching: Batching{MaxBatch: 2, Window: -1}}); err == nil {
-		t.Error("negative window accepted")
+	b := Batching{MaxBatch: 2, Window: math.NaN()}
+	_, err := New(newReplicas(t, 1), Options{Batching: b})
+	if want := b.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("New with %+v = %v, want Validate's %v", b, err, want)
 	}
 }

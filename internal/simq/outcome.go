@@ -264,7 +264,8 @@ func (r *Result) times(i int) (arrival, start float64) {
 // the query echo with its model id, SLO class and policy override, the
 // served SubNet's name, its arrival and start instants, and QueueDelay.
 func (r *Result) Timed(i int) serving.TimedServed {
-	o, sv := &r.Outcomes[i], r.Service(i)
+	o := &r.Outcomes[i]
+	sv := &r.services[o.svc]
 	c := &r.classes[o.class]
 	arrival, start := r.times(i)
 	id := int64(i)

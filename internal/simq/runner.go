@@ -172,27 +172,6 @@ func (r *runner) drop(ri int, j *job, now float64, why Reason) {
 	}
 }
 
-// keyFor computes the batch-former compatibility key for a queued query
-// as it would be served now (after load-aware debiting — that is the
-// query the scheduler will actually see).
-func (r *runner) keyFor(ri int, j *job, wait float64) batchKey {
-	k := batchKey{model: j.model, degraded: j.degraded, policy: -1, row: -1}
-	if j.q.Policy != nil {
-		k.policy = int(*j.q.Policy)
-	}
-	if j.degraded {
-		// Degraded queries all collapse to the fastest SubNet under the
-		// current column; any two are compatible.
-		return k
-	}
-	q := j.q
-	if r.e.opt.LoadAware {
-		q = q.Debit(wait)
-	}
-	k.row = r.e.reps[ri].ScheduledSubNet(q)
-	return k
-}
-
 // flush is the engine's one service-starting event: while the replica
 // is idle and queries are queued, it either arms the batch window
 // (partial batch, window not expired) or pops a batch — deadline-
@@ -220,7 +199,7 @@ func (r *runner) flush(ri int, now float64) error {
 		// past the last entry consumed; the entries leave the queue once
 		// their outcomes are recorded.
 		r.batch = r.batch[:0]
-		var headKey batchKey
+		var headKey serving.BatchKey
 		k := st.qhead
 		for ; len(r.batch) < r.maxB && k < len(st.queue); k++ {
 			j := &st.queue[k]
@@ -231,7 +210,13 @@ func (r *runner) flush(ri int, now float64) error {
 				continue
 			}
 			if r.batching {
-				key := r.keyFor(ri, j, wait)
+				// The key of the query the scheduler will see: debited
+				// by its wait under LoadAware, unless degraded.
+				q := j.q
+				if r.e.opt.LoadAware && !j.degraded {
+					q = q.Debit(wait)
+				}
+				key := r.e.reps[ri].BatchKey(q, j.degraded)
 				if len(r.batch) == 0 {
 					headKey = key
 				} else if key != headKey {

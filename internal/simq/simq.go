@@ -93,41 +93,15 @@ func ParseAdmission(name string) (Admission, error) {
 	}
 }
 
-// Batching configures the engine's per-replica batch former: the
-// micro-batching knobs B and W of the SubGraph-stationary batching
-// model. An idle replica with a non-empty queue forms a batch of up to
-// MaxBatch compatible queries (same scheduled SubNet, same effective
-// policy, same degrade status — queries that would read the same
-// weights), flushing on the earlier of batch-full and window expiry
-// (Window virtual seconds after the head query's arrival). A flush is
-// ONE accelerator pass: weights fetched once, members share start and
-// finish. Batching is active only when MaxBatch > 1 AND Window > 0;
-// with MaxBatch <= 1 or Window <= 0 the engine is bit-identical per
-// seed to the unbatched event loop.
-type Batching struct {
-	// MaxBatch is B, the flush size (a full batch flushes immediately).
-	MaxBatch int
-	// Window is W in virtual seconds: the longest a forming batch waits
-	// for more members, measured from the head query's arrival.
-	Window float64
-}
-
-// Enabled reports whether the knobs actually batch.
-func (b Batching) Enabled() bool { return b.MaxBatch > 1 && b.Window > 0 }
-
-// ResolveBatching is the one inheritance rule between a cluster's live
-// batch policy and a simulated run's batch former, shared by
-// sushi.Cluster.Simulate and POST /v1/simulate: an override with any
-// knob set wins (so MaxBatch 1 forces an unbatched run on a batched
-// deployment); a fully zero override inherits the deployment's enabled
-// policy, its wall-clock window carried over numerically as virtual
-// seconds.
-func ResolveBatching(override Batching, pol serving.BatchPolicy) Batching {
-	if override.MaxBatch == 0 && override.Window == 0 && pol.Enabled() {
-		return Batching{MaxBatch: pol.MaxBatch, Window: pol.Window.Seconds()}
-	}
-	return override
-}
+// Batching is the engine's per-replica batch former: serving's one
+// batching value, its Window read as virtual seconds. An idle replica
+// with a non-empty queue forms a batch of up to MaxBatch queries whose
+// Replica.BatchKey equals the head's, flushing on the earlier of
+// batch-full and window expiry (Window after the head query's
+// arrival). A flush is ONE accelerator pass: weights fetched once,
+// members share start and finish. With MaxBatch <= 1 or Window <= 0
+// the engine is bit-identical per seed to the unbatched event loop.
+type Batching = serving.BatchPolicy
 
 // Options configures an Engine. All times inside the engine are
 // virtual seconds; a run is deterministic given deterministic arrival
@@ -289,11 +263,8 @@ func New(reps []*serving.Replica, opt Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("simq: unknown admission policy %d", int(opt.Admission))
 	}
-	if opt.Batching.MaxBatch < 0 {
-		return nil, fmt.Errorf("simq: negative batch size %d", opt.Batching.MaxBatch)
-	}
-	if w := opt.Batching.Window; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-		return nil, fmt.Errorf("simq: invalid batching window %g", opt.Batching.Window)
+	if err := opt.Batching.Validate(); err != nil {
+		return nil, err
 	}
 	if err := opt.Autoscale.Validate(); err != nil {
 		return nil, err
@@ -424,23 +395,6 @@ func (st *replicaState) qpush(j *job) {
 		st.queue, st.qhead = st.queue[:n], 0
 	}
 	st.queue = append(st.queue, *j)
-}
-
-// batchKey is the engine's batch-former compatibility key: two queued
-// queries may share one accelerator pass only when they target the
-// same model (different models read different weights by definition)
-// and would be served the same SubNet under the same effective policy
-// and degrade status.
-type batchKey struct {
-	// model is the query's model index (job.model).
-	model    uint16
-	degraded bool
-	// policy is the per-query override (-1 = replica default).
-	policy int
-	// row is the scheduled SubNet's table row (-1 = unschedulable;
-	// degraded queries of one model all collapse to that model's
-	// fastest SubNet, row ignored).
-	row int
 }
 
 // Stream pairs a query stream with arrival times (seconds since stream

@@ -27,6 +27,7 @@ import (
 var testOnlyAPI = map[string]string{
 	"simq.Result.Check":            "the engine-invariant checker simq and core tests hold each run to",
 	"simq.Result.Timed":            "expands a flat outcome record for tests that assert per-query fates",
+	"simq.Result.Service":          "the pass tuple read by identity_test.go's outcome digests (they hash RecacheSec, which Timed does not carry) and cluster_test.go's whole-tuple comparisons",
 	"calib.FromTable":              "wraps an analytic table for the disk round-trip golden",
 	"supernet.SuperNet.RandomSpec": "the generator of the Instantiate property test",
 	"nn.Model.TotalWeightBytes":    "the reference value GraphBytes is checked against",
